@@ -2,7 +2,8 @@
 
 Exit codes: 0 every check passed (skips allowed), 1 at least one check
 failed, 2 invalid configuration, 3 the mod-cubed q-difference check found
-a counterexample (a witness file is written per failing n).
+a counterexample (a witness file is written per failing n).  An internal
+error is raised as a traceback naming the instance, never reported as 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from .padic import parse_rational
 from .qseries import conjecture41_witness
 from .sweep import (
     ConfigError,
@@ -29,12 +29,18 @@ from .sweep import (
 )
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("SUPERCONG_WORKERS", "1")
+def _worker_count(raw: str) -> int:
+    # also converts the $SUPERCONG_WORKERS default, so both sources are
+    # checked in one place
     try:
-        return int(raw)
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"need an integer >= 1 (from --workers or $SUPERCONG_WORKERS), got {raw!r}"
+        )
+    return n
 
 
 def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
@@ -48,8 +54,8 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
         help="report format (default: text)",
     )
     p.add_argument(
-        "--workers", type=int,
-        default=d if suppress else _default_workers(),
+        "--workers", type=_worker_count,
+        default=d if suppress else os.environ.get("SUPERCONG_WORKERS", "1"),
         help="process count; reports are identical for any value "
         "(default: $SUPERCONG_WORKERS or 1)",
     )
@@ -138,25 +144,17 @@ def _run(args: argparse.Namespace):
             families=tuple(args.families) if args.families else VERIFY_FAMILIES,
             p_min=args.pmin,
             p_max=args.pmax,
-            alpha_list=(
-                tuple(parse_rational(a) for a in args.alphas)
-                if args.alphas
-                else None
-            ),
+            alpha_list=tuple(args.alphas) if args.alphas else None,
             modulus_exp=args.mod_exp,
             trunc=args.trunc,
-            format=args.format,
             workers=args.workers,
-            timings=args.timings,
         )
         return run_sweep(cfg)
     if args.command == "qverify":
         cfg = SweepConfig(
             families=tuple(args.families) if args.families else Q_FAMILIES,
-            n_list=tuple(args.n_list) if args.n_list else (5, 9, 13),
-            format=args.format,
+            n_list=tuple(args.n_list or SweepConfig.n_list),
             workers=args.workers,
-            timings=args.timings,
         )
         return run_sweep(cfg)
     if args.command == "identities":
@@ -192,9 +190,6 @@ def main(argv=None) -> int:
     try:
         summary = _run(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     report = render(summary, args.format, args.timings)

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .records import ResidueConditionViolated, VerificationRecord, make_record
+from .records import (
+    ResidueConditionViolated,
+    VerificationRecord,
+    make_record,
+    norm_family,
+)
 from .sequences import pochhammer
 
 __all__ = [
@@ -514,7 +519,7 @@ def verify_gz(n: int, family: str) -> VerificationRecord:
 
     family "gz-e2" needs odd n >= 3; "gz-f2" needs n ≡ 1 (mod 4), n >= 5.
     """
-    fam = family.strip().upper().replace("-", "_")
+    fam = norm_family(family)
     if not fam.startswith("GZ_"):
         fam = "GZ_" + fam
     if fam not in ("GZ_E2", "GZ_F2"):

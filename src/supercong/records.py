@@ -20,6 +20,7 @@ __all__ = [
     "SkippedWhenAEqualsPMinus1",
     "VerificationRecord",
     "make_record",
+    "norm_family",
     "skipped_record",
 ]
 
@@ -41,6 +42,11 @@ class SkippedWhenAEqualsPMinus1(PreconditionViolated):
 
 
 Side = ResidueClass | str
+
+
+def norm_family(name: str) -> str:
+    """Canonical family name: case-insensitive, hyphens for underscores."""
+    return name.strip().upper().replace("-", "_")
 
 
 @dataclass(frozen=True)

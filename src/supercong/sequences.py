@@ -23,13 +23,11 @@ from .padic import NotPAdicIntegral, ResidueClass, is_p_integral, reduce_mod
 __all__ = [
     "InverseMissing",
     "HarmonicValue",
-    "EulerPolyTable",
     "pochhammer",
     "pochhammer_mod",
     "harmonic",
     "alternating_reciprocal_squares",
     "euler_poly_coeffs",
-    "euler_poly_table",
     "euler_poly_eval",
     "euler_number",
     "euler_poly_eval_mod",
@@ -51,14 +49,6 @@ class HarmonicValue:
     n: int
     m: int
     value: Fraction
-
-
-@dataclass(frozen=True)
-class EulerPolyTable:
-    """Coefficient rows of E_0..E_max_index, lowest degree first."""
-
-    max_index: int
-    rows: tuple[tuple[Fraction, ...], ...]
 
 
 def pochhammer(alpha: Fraction, k: int) -> Fraction:
@@ -140,11 +130,6 @@ def euler_poly_coeffs(n: int) -> tuple[Fraction, ...]:
         row = [-Fraction(1, 2) * c for c in acc] + [Fraction(1)]
         _euler_rows.append(tuple(row))
     return _euler_rows[n]
-
-
-def euler_poly_table(max_index: int) -> EulerPolyTable:
-    euler_poly_coeffs(max_index)
-    return EulerPolyTable(max_index=max_index, rows=tuple(_euler_rows[: max_index + 1]))
 
 
 def euler_poly_eval(n: int, x: Fraction) -> Fraction:

@@ -1,10 +1,11 @@
 """Sweep orchestration and deterministic report rendering.
 
-Instances are expanded up front as plain tuples, executed either serially
-or on a process pool, and the records are sorted afterwards by
-(family, p or n, alpha, truncation), so reports are byte-identical for
-any worker count.  Per-instance errors become skipped records with a
-reason; they never abort a sweep.
+Instances are expanded up front as immutable ``Instance`` values, executed
+either serially or on a process pool, and the records are sorted afterwards
+by (family, p or n, alpha, truncation), so reports are byte-identical for
+any worker count.  A failed precondition becomes a skipped record with a
+reason and the instance's own labels; any other exception is a bug and
+aborts the sweep with an error that names the instance.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .padic import NotPAdicIntegral, ResidueClass, parse_rational
 from .primes import EmptyRange, sieve_primes
@@ -26,6 +28,7 @@ from .records import (
     TruncationTooLarge,
     VerificationRecord,
     make_record,
+    norm_family,
     skipped_record,
 )
 from .sequences import check_binomial_identities, check_euler_identities, check_lehmer
@@ -101,14 +104,12 @@ class SweepConfig:
     families: tuple[str, ...]
     p_min: int = 5
     p_max: int = 97
-    alpha_list: tuple[Fraction, ...] | None = None  # None: per-prime default set
+    # rationals or their literals like "-1/3"; None: per-prime default set
+    alpha_list: tuple[Fraction | str, ...] | None = None
     n_list: tuple[int, ...] = (5, 9, 13)
     modulus_exp: int | None = None
     trunc: str = "both"
-    format: str = "text"
-    seed: int = 0
     workers: int = 1
-    timings: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,12 +122,32 @@ class ReportSummary:
     records: tuple[VerificationRecord, ...]
 
 
-def _norm_family(name: str) -> str:
-    return name.strip().upper().replace("-", "_")
+class Instance(NamedTuple):
+    """One check: run(*args) returns its record, or a bool for an exact
+    identity.  family, p, n, alpha and truncation label that record and,
+    if run raises a precondition error, the skip record in its place."""
+
+    family: str
+    run: Callable
+    args: tuple
+    p: int | None = None
+    n: int | None = None
+    alpha: Fraction | None = None
+    truncation: str | None = None
+
+    def labels(self) -> dict:
+        return {"p": self.p, "n": self.n, "alpha": self.alpha,
+                "truncation": self.truncation}
+
+    def __str__(self) -> str:
+        bits = [self.family] + [
+            f"{k}={v}" for k, v in self.labels().items() if v is not None
+        ]
+        return " ".join(bits)
 
 
 def _validate(cfg: SweepConfig) -> SweepConfig:
-    fams = tuple(_norm_family(f) for f in cfg.families)
+    fams = tuple(norm_family(f) for f in cfg.families)
     if not fams:
         raise ConfigError("families must be non-empty")
     for f in fams:
@@ -138,17 +159,19 @@ def _validate(cfg: SweepConfig) -> SweepConfig:
         raise ConfigError("n_list entries must be >= 1")
     if cfg.trunc not in ("short", "full", "both"):
         raise ConfigError(f"trunc must be short|full|both, got {cfg.trunc!r}")
-    if cfg.format not in ("json", "csv", "text"):
-        raise ConfigError(f"format must be json|csv|text, got {cfg.format!r}")
     if cfg.modulus_exp not in (None, 3, 4):
         raise ConfigError(f"modulus_exp must be 3 or 4, got {cfg.modulus_exp}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     alphas = cfg.alpha_list
     if alphas is not None:
-        alphas = tuple(
-            a if isinstance(a, Fraction) else parse_rational(str(a)) for a in alphas
-        )
+        try:
+            alphas = tuple(
+                a if isinstance(a, Fraction) else parse_rational(str(a))
+                for a in alphas
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return replace(cfg, families=fams, alpha_list=alphas)
 
 
@@ -158,8 +181,12 @@ def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
     return default_alphas(p)
 
 
-def build_instances(cfg: SweepConfig) -> list[tuple]:
-    out: list[tuple] = []
+# The check functions are looked up as module globals each time instances
+# are built, never stored in a table at import, so a wrapped or patched
+# module attribute (tracing, tests) is what runs.
+
+def build_instances(cfg: SweepConfig) -> list[Instance]:
+    out: list[Instance] = []
     try:
         for fam in cfg.families:
             if fam in FAMILIES:
@@ -167,28 +194,42 @@ def build_instances(cfg: SweepConfig) -> list[tuple]:
                 primes = sieve_primes(cfg.p_min, cfg.p_max, f.p_mod, f.p_res)
                 truncs = ("short", "full") if cfg.trunc == "both" else (cfg.trunc,)
                 out += [
-                    ("theorem", fam, p, tr, cfg.modulus_exp)
+                    Instance(fam, verify_theorem, (fam, p, tr, cfg.modulus_exp),
+                             p=p, truncation=tr)
                     for p in primes
                     for tr in truncs
                 ]
             elif fam in MAO_VARIANTS:
                 mod, res = (4, 1) if fam == "EQUIV" else (None, None)
+                tr = "short" if fam == "SUN_HALF_CONJ" else "full"
                 out += [
-                    ("mao", fam, p)
+                    Instance(fam, verify_mao_equiv, (p, fam), p=p, truncation=tr)
                     for p in sieve_primes(cfg.p_min, cfg.p_max, mod, res)
                 ]
             elif fam in ("MAIN1", "MAIN1_TRUNC"):
                 tr = "full" if fam == "MAIN1" else "short"
                 for p in sieve_primes(cfg.p_min, cfg.p_max):
-                    out += [("main1", p, a, tr) for a in _alphas_for(cfg, p)]
+                    out += [
+                        Instance(fam, verify_main1, (a, p, tr),
+                                 p=p, alpha=a, truncation=tr)
+                        for a in _alphas_for(cfg, p)
+                    ]
             elif fam == "TAIL":
                 for p in sieve_primes(cfg.p_min, cfg.p_max):
-                    out += [("tail", p, a) for a in _alphas_for(cfg, p)]
+                    out += [
+                        Instance(fam, verify_tail, (a, p), p=p, alpha=a)
+                        for a in _alphas_for(cfg, p)
+                    ]
             elif fam in LEMMA_FAMILIES:
                 for p in sieve_primes(cfg.p_min, cfg.p_max):
-                    out += [("lemma", fam, p, a) for a in _alphas_for(cfg, p)]
-            else:  # q families
-                out += [("q", fam, n) for n in cfg.n_list]
+                    out += [
+                        Instance(fam, verify_lemma, (fam, a, p), p=p, alpha=a)
+                        for a in _alphas_for(cfg, p)
+                    ]
+            elif fam == "CONJ41":
+                out += [Instance(fam, verify_conjecture41, (n,), n=n) for n in cfg.n_list]
+            else:  # GZ_E2, GZ_F2
+                out += [Instance(fam, verify_gz, (n, fam), n=n) for n in cfg.n_list]
     except EmptyRange as exc:
         raise ConfigError(str(exc)) from exc
     if not out:
@@ -199,94 +240,41 @@ def build_instances(cfg: SweepConfig) -> list[tuple]:
     return out
 
 
-def _dispatch(inst: tuple) -> VerificationRecord:
-    tag = inst[0]
-    if tag == "theorem":
-        _, fam, p, tr, e = inst
-        return verify_theorem(fam, p, tr, e)
-    if tag == "mao":
-        _, fam, p = inst
-        return verify_mao_equiv(p, fam)
-    if tag == "main1":
-        _, p, alpha, tr = inst
-        return verify_main1(alpha, p, tr)
-    if tag == "tail":
-        _, p, alpha = inst
-        return verify_tail(alpha, p)
-    if tag == "lemma":
-        _, fam, p, alpha = inst
-        return verify_lemma(fam, alpha, p)
-    if tag == "q":
-        _, fam, n = inst
-        return verify_conjecture41(n) if fam == "CONJ41" else verify_gz(n, fam)
-    if tag == "binom":
-        ok = check_binomial_identities(inst[1])
+def _dispatch(inst: Instance) -> VerificationRecord:
+    out = inst.run(*inst.args)
+    if isinstance(out, bool):
         return make_record(
-            "BINOM_IDS", "exact", "equal" if ok else "unequal", "equal", n=inst[1]
+            inst.family, "exact", "equal" if out else "unequal", "equal",
+            **inst.labels(),
         )
-    if tag == "euler":
-        _, n_max, m_max = inst
-        ok = check_euler_identities(n_max, m_max)
-        return make_record(
-            "EULER_IDS", "exact", "equal" if ok else "unequal", "equal", n=n_max
-        )
-    if tag == "lehmer":
-        p = inst[1]
-        ok = check_lehmer(p)
-        return make_record(
-            "LEHMER", f"{p}^2", "0" if ok else "nonzero", "0", p=p
-        )
-    if tag == "wzpair":
-        _, n_max, k_max, alpha = inst
-        ok = check_pair(n_max, k_max, [alpha])
-        return make_record(
-            "WZ_PAIR", "exact", "equal" if ok else "unequal", "equal",
-            n=n_max, alpha=alpha,
-        )
-    if tag == "wztel":
-        _, n_max, alpha = inst
-        ok = all(check_telescoped(N, alpha) for N in range(1, n_max + 1))
-        return make_record(
-            "WZ_TELESCOPE", "exact", "equal" if ok else "unequal", "equal",
-            n=n_max, alpha=alpha,
-        )
-    if tag == "smoke":
-        _, terms, tol = inst
-        val = ramanujan_partial(terms)
-        target = 2 / math.pi
-        ok = abs(val - target) < tol
-        return VerificationRecord(
-            family="RAMANUJAN",
-            modulus=f"tol={tol:g}",
-            lhs=f"{val!r}",
-            rhs=f"{target!r}",
-            passed=ok,
-            n=terms,
-            reason=None if ok else f"off by {abs(val - target)!r}",
-        )
-    raise ValueError(f"unknown instance tag: {tag!r}")
+    return out
 
 
-def _instance_context(inst: tuple) -> dict:
-    """family/p/n/alpha/truncation fields for a skip record."""
-    tag = inst[0]
-    if tag == "theorem":
-        return {"family": inst[1], "p": inst[2], "truncation": inst[3]}
-    if tag == "mao":
-        return {"family": inst[1], "p": inst[2]}
-    if tag == "main1":
-        fam = "MAIN1" if inst[3] == "full" else "MAIN1_TRUNC"
-        return {"family": fam, "p": inst[1], "alpha": inst[2], "truncation": inst[3]}
-    if tag == "tail":
-        return {"family": "TAIL", "p": inst[1], "alpha": inst[2]}
-    if tag == "lemma":
-        return {"family": inst[1], "p": inst[2], "alpha": inst[3]}
-    if tag == "q":
-        return {"family": inst[1], "n": inst[2]}
-    return {"family": tag.upper()}
+def _lehmer(p: int) -> VerificationRecord:
+    ok = check_lehmer(p)
+    return make_record("LEHMER", f"{p}^2", "0" if ok else "nonzero", "0", p=p)
 
 
-def _execute(inst: tuple) -> VerificationRecord:
+def _telescoped(n_max: int, alpha: Fraction) -> bool:
+    return all(check_telescoped(N, alpha) for N in range(1, n_max + 1))
+
+
+def _ramanujan(terms: int, tol: float) -> VerificationRecord:
+    val = ramanujan_partial(terms)
+    target = 2 / math.pi
+    ok = abs(val - target) < tol
+    return VerificationRecord(
+        family="RAMANUJAN",
+        modulus=f"tol={tol:g}",
+        lhs=f"{val!r}",
+        rhs=f"{target!r}",
+        passed=ok,
+        n=terms,
+        reason=None if ok else f"off by {abs(val - target)!r}",
+    )
+
+
+def _execute(inst: Instance) -> VerificationRecord:
     t0 = time.perf_counter()
     try:
         rec = _dispatch(inst)
@@ -297,11 +285,16 @@ def _execute(inst: tuple) -> VerificationRecord:
         NotPAdicIntegral,
         DivisionByZeroTerm,
     ) as exc:
-        rec = skipped_record(reason=str(exc), **_instance_context(inst))
+        rec = skipped_record(inst.family, str(exc), **inst.labels())
+    except Exception as exc:
+        # a bug, not a verdict: abort the sweep, naming the instance to re-run
+        raise RuntimeError(
+            f"internal error checking {inst}: {type(exc).__name__}: {exc}"
+        ) from exc
     return replace(rec, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _run_instances(insts: list[tuple], workers: int) -> list[VerificationRecord]:
+def _run_instances(insts: list[Instance], workers: int) -> list[VerificationRecord]:
     if workers > 1 and len(insts) > 1:
         chunk = max(1, len(insts) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -342,9 +335,14 @@ def run_identities(
     bundle, and Lehmer's congruences for primes 5..pmax."""
     if nmax < 1 or pmax < 5:
         raise ConfigError(f"need nmax >= 1 and pmax >= 5, got {nmax}, {pmax}")
-    insts: list[tuple] = [("binom", n) for n in range(1, nmax + 1)]
-    insts.append(("euler", euler_nmax, mmax))
-    insts += [("lehmer", p) for p in sieve_primes(5, pmax)]
+    insts = [
+        Instance("BINOM_IDS", check_binomial_identities, (n,), n=n)
+        for n in range(1, nmax + 1)
+    ]
+    insts.append(
+        Instance("EULER_IDS", check_euler_identities, (euler_nmax, mmax), n=euler_nmax)
+    )
+    insts += [Instance("LEHMER", _lehmer, (p,), p=p) for p in sieve_primes(5, pmax)]
     return summarize(_run_instances(insts, workers))
 
 
@@ -359,9 +357,18 @@ def run_wz(
     for N = 1..nmax, at seeded pole-free rational alphas."""
     if nmax < 1 or kmax < 1 or alpha_samples < 1:
         raise ConfigError("nmax, kmax and alpha-samples must be >= 1")
-    alphas = sample_alphas(alpha_samples, seed, k_max=max(nmax, kmax))
-    insts: list[tuple] = [("wzpair", nmax, kmax, a) for a in alphas]
-    insts += [("wztel", nmax, a) for a in alphas]
+    try:
+        alphas = sample_alphas(alpha_samples, seed, k_max=max(nmax, kmax))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    insts = [
+        Instance("WZ_PAIR", check_pair, (nmax, kmax, (a,)), n=nmax, alpha=a)
+        for a in alphas
+    ]
+    insts += [
+        Instance("WZ_TELESCOPE", _telescoped, (nmax, a), n=nmax, alpha=a)
+        for a in alphas
+    ]
     return summarize(_run_instances(insts, workers))
 
 
@@ -370,7 +377,8 @@ def run_smoke(terms: int = 50, tol: float = 1e-6) -> ReportSummary:
         raise ConfigError(f"terms must be >= 1, got {terms}")
     if tol <= 0:
         raise ConfigError(f"tol must be > 0, got {tol}")
-    return summarize(_run_instances([("smoke", terms, tol)], workers=1))
+    inst = Instance("RAMANUJAN", _ramanujan, (terms, tol), n=terms)
+    return summarize(_run_instances([inst], workers=1))
 
 
 # ---------------------------------------------------------------------------

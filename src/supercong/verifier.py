@@ -45,6 +45,7 @@ from .records import (
     TruncationTooLarge,
     VerificationRecord,
     make_record,
+    norm_family,
 )
 from .sequences import (
     alternating_reciprocal_squares,
@@ -270,10 +271,6 @@ LEMMA_FAMILIES = (
 )
 
 
-def _norm_family(name: str) -> str:
-    return name.strip().upper().replace("-", "_")
-
-
 def verify_theorem(
     family: str, p: int, truncation: str = "short", modulus_exp: int | None = None
 ) -> VerificationRecord:
@@ -284,7 +281,7 @@ def verify_theorem(
     lower the comparison modulus (a mod-p^4 family checked mod p^3); raising
     it beyond the family's claim is refused.
     """
-    fam = FAMILIES.get(_norm_family(family))
+    fam = FAMILIES.get(norm_family(family))
     if fam is None:
         raise ValueError(f"unknown theorem family: {family!r}")
     if truncation not in ("short", "full"):
@@ -370,7 +367,7 @@ def verify_tail(alpha: Fraction, p: int) -> VerificationRecord:
 def verify_mao_equiv(p: int, variant: str) -> VerificationRecord:
     """Full/half truncations of the 8^(-k) family, and its agreement with
     the (8k+1) family at full truncation when p ≡ 1 (mod 4)."""
-    v = _norm_family(variant)
+    v = norm_family(variant)
     if v not in MAO_VARIANTS:
         raise ValueError(f"variant must be one of {MAO_VARIANTS}, got {variant!r}")
     if p <= 3:
@@ -420,7 +417,7 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
     Nonpositive-integer alphas that zero a denominator Pochhammer raise
     DivisionByZeroTerm.
     """
-    fam = _norm_family(family)
+    fam = norm_family(family)
     if not fam.startswith("LEMMA_"):
         fam = "LEMMA_" + fam
     if fam not in LEMMA_FAMILIES:

@@ -7,14 +7,21 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import sweep
 from supercong.cli import build_parser, main
 from supercong.primes import EmptyRange, is_prime, sieve_primes
-from supercong.records import VerificationRecord, make_record, skipped_record
+from supercong.records import (
+    PreconditionViolated,
+    VerificationRecord,
+    make_record,
+    skipped_record,
+)
 from supercong.sweep import (
     ConfigError,
     RATIONAL_ALPHAS,
     ReportSummary,
     SweepConfig,
+    build_instances,
     default_alphas,
     exit_code,
     render,
@@ -117,6 +124,57 @@ def test_run_sweep_config_errors():
         run_sweep(SweepConfig(families=("B2",), p_min=90, p_max=91))
     with pytest.raises(ConfigError):  # no p = 1 (mod 4) primes in [7, 11]
         run_sweep(SweepConfig(families=("F2",), p_min=7, p_max=11))
+    with pytest.raises(ConfigError):
+        run_sweep(SweepConfig(families=("MAIN1",), alpha_list=("x/y",)))
+    with pytest.raises(ConfigError):
+        run_wz(alpha_samples=1000)
+
+
+def _labels(r: VerificationRecord) -> tuple:
+    return (r.family, r.p, r.n, r.alpha, r.truncation)
+
+
+def test_skip_record_has_the_labels_of_the_result(monkeypatch):
+    def refuse(*args):
+        raise PreconditionViolated("refused")
+
+    # one instance of every kind, each of which passes when run for real
+    insts = build_instances(SweepConfig(
+        families=("B2", "MAO_HALF", "SUN_HALF_CONJ", "EQUIV", "MAIN1",
+                  "MAIN1_TRUNC", "TAIL", "LEMMA_SIGMA", "GZ_E2", "GZ_F2",
+                  "CONJ41"),
+        p_min=13, p_max=13, alpha_list=(Fraction(1, 3),), n_list=(5,),
+    ))
+    monkeypatch.setattr(sweep, "_run_instances",
+                        lambda batch, workers: insts.extend(batch) or [])
+    run_identities(nmax=1, pmax=5, mmax=1)
+    run_wz(nmax=1, kmax=1, alpha_samples=1)
+    run_smoke()
+    monkeypatch.undo()
+    assert {i.family for i in insts} >= {
+        "B2", "MAO_HALF", "MAIN1", "TAIL", "LEMMA_SIGMA", "CONJ41", "BINOM_IDS",
+        "EULER_IDS", "LEHMER", "WZ_PAIR", "WZ_TELESCOPE", "RAMANUJAN",
+    }
+    for inst in insts:
+        real = sweep._execute(inst)
+        skip = sweep._execute(inst._replace(run=refuse))
+        assert real.passed is True, inst
+        assert skip.passed is None and skip.reason == "refused"
+        assert _labels(skip) == _labels(real), inst
+
+
+def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("base is not invertible for the given modulus")
+
+    monkeypatch.setattr(sweep, "verify_lemma", broken)
+    with pytest.raises(RuntimeError) as info:
+        main(["verify", "--family", "lemma-sigma", "--pmin", "7", "--pmax", "7",
+              "--alpha", "1/3"])
+    msg = str(info.value)
+    assert "LEMMA_SIGMA p=7 alpha=1/3" in msg and "base is not invertible" in msg
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_family_name_normalization():
@@ -256,6 +314,7 @@ def test_cli_config_error_exit_2(capsys):
     assert main(["verify", "--alpha", "1/0", "--family", "main1"]) == 2
     # a prime-free window must not report success over zero checks
     assert main(["verify", "--pmin", "90", "--pmax", "91"]) == 2
+    assert main(["wz", "--alpha-samples", "1000"]) == 2
 
 
 def test_cli_identities_and_wz_and_smoke(capsys):
@@ -265,13 +324,29 @@ def test_cli_identities_and_wz_and_smoke(capsys):
     capsys.readouterr()
 
 
-def test_cli_workers_env_default(monkeypatch):
+def test_cli_workers_env_default(monkeypatch, capsys):
     monkeypatch.setenv("SUPERCONG_WORKERS", "3")
     args = build_parser().parse_args(["qverify"])
     assert args.workers == 3
-    monkeypatch.setenv("SUPERCONG_WORKERS", "junk")
-    args = build_parser().parse_args(["qverify"])
-    assert args.workers == 1
+    for bad in ("junk", "0", "-2"):
+        monkeypatch.setenv("SUPERCONG_WORKERS", bad)
+        with pytest.raises(SystemExit) as info:
+            main(["smoke"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert repr(bad) in err and "SUPERCONG_WORKERS" in err
+    # the flag takes precedence over the environment
+    assert build_parser().parse_args(["qverify", "--workers", "2"]).workers == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "qverify", "identities", "wz", "smoke"])
+@pytest.mark.parametrize("bad", ["0", "-3", "abc"])
+def test_cli_rejects_bad_worker_flag(command, bad, capsys):
+    for argv in ([command, "--workers", bad], ["--workers", bad, command]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert repr(bad) in capsys.readouterr().err
 
 
 def test_cli_witness_file_on_conjecture_failure(tmp_path):
