@@ -2,21 +2,24 @@
 
 Exit codes: 0 every check passed (skips allowed), 1 at least one check
 failed, 2 invalid configuration, 3 the mod-cubed q-difference check found
-a counterexample (a witness file is written per failing n).  An internal
-error is raised as a traceback naming the instance, never reported as 2.
+a counterexample (a witness file is written per failing n), 4 internal
+error (its traceback, naming the instance, goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .qseries import conjecture41_witness
 from .sweep import (
     ConfigError,
+    InternalError,
     Q_FAMILIES,
     SweepConfig,
     VERIFY_FAMILIES,
@@ -71,6 +74,11 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+def _defaults(fn) -> dict:
+    # flag defaults come from the API's keyword defaults, their one source
+    return {k: v.default for k, v in inspect.signature(fn).parameters.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="supercong",
@@ -88,14 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable; case-insensitive, hyphens allowed "
         f"(default: all of {', '.join(VERIFY_FAMILIES)})",
     )
-    v.add_argument("--pmin", type=int, default=5)
-    v.add_argument("--pmax", type=int, default=97)
+    v.add_argument("--pmin", type=int, default=SweepConfig.p_min)
+    v.add_argument("--pmax", type=int, default=SweepConfig.p_max)
     v.add_argument(
         "--alpha", action="append", dest="alphas", metavar="R",
         help="repeatable rational like 1/3 or -2; only used by the "
         "alpha-parameterised families (default: built-in sample)",
     )
-    v.add_argument("--trunc", choices=("short", "full", "both"), default="both")
+    v.add_argument(
+        "--trunc", choices=("short", "full", "both"), default=SweepConfig.trunc
+    )
     v.add_argument(
         "--mod-exp", type=int, choices=(3, 4), dest="mod_exp",
         help="check modulo p^3 or p^4 instead of each family's default",
@@ -110,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument(
         "--n", action="append", dest="n_list", type=int, metavar="N",
-        help="repeatable odd index (default: 5 9 13)",
+        help="repeatable odd index "
+        f"(default: {' '.join(map(str, SweepConfig.n_list))})",
     )
     q.add_argument(
         "--witness-dir", default=".",
@@ -119,21 +130,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("identities", help="exact identity suites")
     _add_common(i, suppress=True)
-    i.add_argument("--nmax", type=int, default=50, help="binomial sums up to n")
-    i.add_argument("--mmax", type=int, default=10, help="Euler power-sum depth")
-    i.add_argument("--pmax", type=int, default=199, help="Lehmer prime bound")
+    d = _defaults(run_identities)
+    i.add_argument("--nmax", type=int, default=d["nmax"], help="binomial sums up to n")
+    i.add_argument("--mmax", type=int, default=d["mmax"], help="Euler power-sum depth")
+    i.add_argument("--pmax", type=int, default=d["pmax"], help="Lehmer prime bound")
 
     w = sub.add_parser("wz", help="rational-certificate pair checks")
     _add_common(w, suppress=True)
-    w.add_argument("--nmax", type=int, default=12)
-    w.add_argument("--kmax", type=int, default=12)
-    w.add_argument("--alpha-samples", type=int, default=8, dest="alpha_samples")
-    w.add_argument("--seed", type=int, default=0)
+    d = _defaults(run_wz)
+    w.add_argument("--nmax", type=int, default=d["nmax"])
+    w.add_argument("--kmax", type=int, default=d["kmax"])
+    w.add_argument("--alpha-samples", type=int, default=d["alpha_samples"])
+    w.add_argument("--seed", type=int, default=d["seed"])
 
     s = sub.add_parser("smoke", help="floating-point series sanity check")
     _add_common(s, suppress=True)
-    s.add_argument("--terms", type=int, default=50)
-    s.add_argument("--tol", type=float, default=1e-6)
+    d = _defaults(run_smoke)
+    s.add_argument("--terms", type=int, default=d["terms"])
+    s.add_argument("--tol", type=float, default=d["tol"])
 
     return p
 
@@ -192,6 +206,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        traceback.print_exception(exc, file=sys.stderr)
+        return 4
     report = render(summary, args.format, args.timings)
     if args.output:
         Path(args.output).write_text(report)

@@ -5,10 +5,11 @@ polynomials E_n(x) follow the Appell recurrence
 
     E_n(x) = x^n - (1/2) * sum_{k<n} C(n,k) E_k(x),
 
-and the Euler numbers are E_n = 2^n E_n(1/2).  The classical identities
-the congruence machinery relies on (Lehmer's harmonic congruences, the
-Euler reflection/vanishing rules, four alternating binomial identities)
-are exposed as boolean checks.
+and the Euler numbers are E_n = 2^n E_n(1/2); their residues mod an odd p
+come from an alternating power sum in O(p) per (n, p).  The classical
+identities the congruence machinery relies on (Lehmer's harmonic
+congruences, the Euler reflection/vanishing rules, four alternating
+binomial identities) are exposed as boolean checks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .padic import NotPAdicIntegral, ResidueClass, is_p_integral, reduce_mod
 
@@ -112,24 +114,22 @@ def alternating_reciprocal_squares(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Euler polynomials, exact
 
-_euler_rows: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+_euler_at_zero: list[Fraction] = [Fraction(1)]  # E_k(0)
 
 
 def euler_poly_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of E_n(x), lowest degree first, length n+1."""
+    """Coefficients of E_n(x), lowest degree first, length n+1.
+
+    E_n is an Appell sequence, E_n(x) = sum_k C(n,k) E_k(0) x^(n-k), and the
+    recurrence at x = 0 reads E_m(0) = -(1/2) sum_{k<m} C(m,k) E_k(0).
+    """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    while len(_euler_rows) <= n:
-        m = len(_euler_rows)
-        # acc = sum_{k<m} C(m,k) E_k(x), degree m-1
-        acc = [Fraction(0)] * m
-        for k in range(m):
-            c = math.comb(m, k)
-            for i, coef in enumerate(_euler_rows[k]):
-                acc[i] += c * coef
-        row = [-Fraction(1, 2) * c for c in acc] + [Fraction(1)]
-        _euler_rows.append(tuple(row))
-    return _euler_rows[n]
+    e0 = _euler_at_zero
+    while len(e0) <= n:
+        m = len(e0)
+        e0.append(-sum(math.comb(m, k) * e0[k] for k in range(m)) / 2)
+    return tuple(math.comb(n, j) * e0[n - j] for j in range(n + 1))
 
 
 def euler_poly_eval(n: int, x: Fraction) -> Fraction:
@@ -152,24 +152,18 @@ def euler_number(n: int) -> int:
 # Euler polynomials mod p
 
 
-@lru_cache(maxsize=4096)
-def _euler_eval_mod(n: int, x: int, p: int) -> int:
-    # E_m(x) mod p via the Appell recurrence; the Pascal row is grown
-    # additively so C(m,k) mod p stays exact even when m >= p.
-    inv2 = pow(2, -1, p)
-    evals = [1]
-    row = [1]  # C(m, 0..m) mod p
-    xpow = 1
-    for m in range(1, n + 1):
-        row.append(0)
-        for k in range(m, 0, -1):
-            row[k] = (row[k] + row[k - 1]) % p
-        xpow = xpow * x % p
-        s = 0
-        for k in range(m):
-            s += row[k] * evals[k]
-        evals.append((xpow - inv2 * s) % p)
-    return evals[n]
+# E_n(x) + E_n(x+1) = 2x^n telescopes to
+#     sum_{k<p} (-1)^k (x+k)^n = (E_n(x) + E_n(x+p)) / 2,
+# and since E_n has only 2-power denominators, E_n(x+p) ≡ E_n(x) (mod p)
+# for odd p: the sum is E_n(x) mod p.  Folding x+k into 0..p-1 with the
+# prefix sums P_i = sum_{j<i} (-1)^j j^n gives, for a residue 0 <= r < p,
+#     E_n(r) ≡ (-1)^r (P_p - 2 P_r)  (mod p).
+# One table costs O(p) and needs an odd modulus p; callers ask for several
+# residues at one (n, p) in a row, so a few tables are kept.
+@lru_cache(maxsize=8)
+def _euler_prefix(n: int, p: int) -> tuple[int, ...]:
+    terms = (-pow(j, n, p) if j % 2 else pow(j, n, p) for j in range(p))
+    return tuple(accumulate(terms, initial=0))
 
 
 def euler_poly_eval_mod(n: int, x: Fraction, p: int) -> ResidueClass:
@@ -181,8 +175,9 @@ def euler_poly_eval_mod(n: int, x: Fraction, p: int) -> ResidueClass:
     x = Fraction(x)
     if not is_p_integral(x, p):
         raise NotPAdicIntegral(f"{x} has no residue mod {p}")
-    xr = x.numerator * pow(x.denominator, -1, p) % p
-    return ResidueClass(_euler_eval_mod(n, xr, p), p)
+    r = x.numerator * pow(x.denominator, -1, p) % p
+    pre = _euler_prefix(n, p)
+    return ResidueClass((-1) ** r * (pre[p] - 2 * pre[r]) % p, p)
 
 
 def euler_number_mod(n: int, p: int) -> ResidueClass:

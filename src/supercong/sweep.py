@@ -48,6 +48,7 @@ from .wz import DivisionByZeroTerm, check_pair, check_telescoped, sample_alphas
 
 __all__ = [
     "ConfigError",
+    "InternalError",
     "SweepConfig",
     "ReportSummary",
     "RATIONAL_ALPHAS",
@@ -66,6 +67,10 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid sweep configuration."""
+
+
+class InternalError(RuntimeError):
+    """An instance raised an error that is not a precondition: a bug."""
 
 
 # rational alpha sample: hits a = 0 branches, a = p-1 branches and the
@@ -288,7 +293,7 @@ def _execute(inst: Instance) -> VerificationRecord:
         rec = skipped_record(inst.family, str(exc), **inst.labels())
     except Exception as exc:
         # a bug, not a verdict: abort the sweep, naming the instance to re-run
-        raise RuntimeError(
+        raise InternalError(
             f"internal error checking {inst}: {type(exc).__name__}: {exc}"
         ) from exc
     return replace(rec, elapsed_ms=(time.perf_counter() - t0) * 1000.0)

@@ -4,8 +4,8 @@ The central object is the alternating sum
 
     S(alpha, M) = sum_{k=0}^{M} (-1)^k (2k+alpha) (alpha)_k^3 / k!^3,
 
-computed term-by-term in residue arithmetic mod p^e (term ratio
--(alpha+k)^3/(k+1)^3, so each step costs a few modular inverses).  The
+computed term-by-term in residue arithmetic mod p^e over the running
+denominator k!^3, so the whole sum takes one modular inverse.  The
 classical (4k+1)/(6k+1)/(8k+1) families are d * S(1/d, M) for d = 2, 3, 4.
 Against it we check:
 
@@ -86,12 +86,15 @@ def sum_main(alpha: Fraction, M: int, p: int, e: int = 4) -> ResidueClass:
         raise TruncationTooLarge(f"M = {M} >= p = {p}: k! not invertible")
     m = p**e
     x = reduce_mod(alpha, p, e).value
-    u = 1  # (-1)^k (alpha)_k^3 / k!^3 mod m
-    s = x % m
+    u = 1  # (-1)^k (alpha)_k^3 mod m
+    d = 1  # k!^3 mod m
+    s = x % m  # the partial sum times d
     for k in range(1, M + 1):
-        u = -u * pow(x + k - 1, 3, m) * pow(k, -3, m) % m
-        s = (s + (2 * k + x) * u) % m
-    return ResidueClass(s, m)
+        k3, t = k * k * k, x + k - 1
+        u = -u * t * t * t % m
+        d = d * k3 % m
+        s = (s * k3 + (2 * k + x) * u) % m
+    return ResidueClass(s * pow(d, -1, m) % m, m)
 
 
 def sum_main_exact(alpha: Fraction, M: int) -> Fraction:
@@ -116,14 +119,16 @@ def sum_mao(M: int, p: int, e: int = 4) -> ResidueClass:
     if M >= p:
         raise TruncationTooLarge(f"M = {M} >= p = {p}: k! not invertible")
     m = p**e
-    x = pow(2, -1, m)
-    i8 = pow(8, -1, m)
-    u = 1
-    s = 1
+    # (1/2)_k^3 / (8^k k!^3) = (1*3*...*(2k-1))^3 / (64^k k!^3)
+    u = 1  # (-1)^k (1*3*...*(2k-1))^3 mod m
+    d = 1  # 64^k k!^3 mod m
+    s = 1  # the partial sum times d
     for k in range(1, M + 1):
-        u = -u * pow(x + k - 1, 3, m) * pow(k, -3, m) * i8 % m
-        s = (s + (6 * k + 1) * u) % m
-    return ResidueClass(s, m)
+        dk, t = 64 * k * k * k, 2 * k - 1
+        u = -u * t * t * t % m
+        d = d * dk % m
+        s = (s * dk + (6 * k + 1) * u) % m
+    return ResidueClass(s * pow(d, -1, m) % m, m)
 
 
 def sum_mao_exact(M: int) -> Fraction:
@@ -198,37 +203,14 @@ def _rhs_sw_f2(p: int, m: int) -> int:
     return 3 * p * _parity_sign((3 * p - 1) // 4) % m
 
 
-def _rhs_e2_mod4(p: int, m: int) -> int:
-    x = _euler_at(p, 1, 3) * pow(9, -1, p)
-    return (p + _p3_times(p, x, m)) % m
-
-
-def _rhs_f2_mod4(p: int, m: int) -> int:
-    x = _euler_at(p, 1, 4) * pow(16, -1, p)
-    return (p * _parity_sign((p - 1) // 4) + _p3_times(p, x, m)) % m
-
-
-def _rhs_sw_e2_mod4(p: int, m: int) -> int:
-    x = 8 * _euler_at(p, 1, 3) * pow(9, -1, p)
-    return (-2 * p + _p3_times(p, x, m)) % m
-
-
-def _rhs_sw_f2_mod4(p: int, m: int) -> int:
-    x = 27 * _euler_at(p, 1, 4) * pow(16, -1, p)
-    return (3 * p * _parity_sign((3 * p - 1) // 4) + _p3_times(p, x, m)) % m
-
-
-def _rhs_sun_b2(p: int, m: int) -> int:
-    x = euler_number_mod(p - 3, p).value
-    return (p * _parity_sign((p - 1) // 2) + _p3_times(p, x, m)) % m
-
-
 @dataclass(frozen=True)
 class TheoremFamily:
     """One (2dk+1)-weighted congruence family.
 
     The summand weight is 2*weight_d*k + 1, i.e. weight_d times the
-    (2k + 1/weight_d) summand of sum_main.
+    (2k + 1/weight_d) summand of sum_main.  rhs_mod gives the mod-p^3
+    right side; a modulus_exp 4 family adds p^3 r^3 E_{p-3}(1/d) / d^2,
+    with d = weight_d and r = p mod d (for d = 2 that is p^3 E_{p-3}).
     """
 
     name: str
@@ -248,15 +230,11 @@ FAMILIES: dict[str, TheoremFamily] = {
         TheoremFamily("F2", 4, 3, 4, 1, lambda p: (p - 1) // 4, _rhs_f2),
         TheoremFamily("SW_E2", 3, 3, 3, 2, lambda p: (2 * p - 1) // 3, _rhs_sw_e2),
         TheoremFamily("SW_F2", 4, 3, 4, 3, lambda p: (3 * p - 1) // 4, _rhs_sw_f2),
-        TheoremFamily("E2_MOD4", 3, 4, 3, 1, lambda p: (p - 1) // 3, _rhs_e2_mod4),
-        TheoremFamily("F2_MOD4", 4, 4, 4, 1, lambda p: (p - 1) // 4, _rhs_f2_mod4),
-        TheoremFamily(
-            "SW_E2_MOD4", 3, 4, 3, 2, lambda p: (2 * p - 1) // 3, _rhs_sw_e2_mod4
-        ),
-        TheoremFamily(
-            "SW_F2_MOD4", 4, 4, 4, 3, lambda p: (3 * p - 1) // 4, _rhs_sw_f2_mod4
-        ),
-        TheoremFamily("SUN_B2", 2, 4, None, None, lambda p: (p - 1) // 2, _rhs_sun_b2),
+        TheoremFamily("E2_MOD4", 3, 4, 3, 1, lambda p: (p - 1) // 3, _rhs_e2),
+        TheoremFamily("F2_MOD4", 4, 4, 4, 1, lambda p: (p - 1) // 4, _rhs_f2),
+        TheoremFamily("SW_E2_MOD4", 3, 4, 3, 2, lambda p: (2 * p - 1) // 3, _rhs_sw_e2),
+        TheoremFamily("SW_F2_MOD4", 4, 4, 4, 3, lambda p: (3 * p - 1) // 4, _rhs_sw_f2),
+        TheoremFamily("SUN_B2", 2, 4, None, None, lambda p: (p - 1) // 2, _rhs_b2),
     )
 }
 
@@ -303,8 +281,13 @@ def verify_theorem(
     M = fam.short_m(p) if truncation == "short" else p - 1
     d = fam.weight_d
     lhs = ResidueClass(d * sum_main(Fraction(1, d), M, p, e).value % m, m)
-    rhs = ResidueClass(fam.rhs_mod(p, m), m)
-    return make_record(fam.name, f"{p}^{e}", lhs, rhs, p=p, truncation=truncation)
+    rhs = fam.rhs_mod(p, m)
+    if fam.modulus_exp == 4:
+        x = (p % d) ** 3 * _euler_at(p, 1, d) * pow(d * d, -1, p)
+        rhs = (rhs + _p3_times(p, x, m)) % m
+    return make_record(
+        fam.name, f"{p}^{e}", lhs, ResidueClass(rhs, m), p=p, truncation=truncation
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +332,9 @@ def verify_tail(alpha: Fraction, p: int) -> VerificationRecord:
             f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
         )
     m = p**4
-    x = reduce_mod(alpha, p, 4).value
-    u = 1
-    s = 0
-    for k in range(1, p):
-        u = -u * pow(x + k - 1, 3, m) * pow(k, -3, m) % m
-        if k > dec.a:
-            s = (s + (2 * k + x) * u) % m
+    s = sum_main(alpha, p - 1, p, 4).value - sum_main(alpha, dec.a, p, 4).value
     return make_record(
-        "TAIL", f"{p}^4", ResidueClass(s, m), ResidueClass(0, m), p=p, alpha=alpha
+        "TAIL", f"{p}^4", ResidueClass(s % m, m), ResidueClass(0, m), p=p, alpha=alpha
     )
 
 

@@ -1,5 +1,6 @@
 """Sweep orchestration, report rendering, CLI subcommands and exit codes."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -168,13 +169,40 @@ def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
         raise ValueError("base is not invertible for the given modulus")
 
     monkeypatch.setattr(sweep, "verify_lemma", broken)
-    with pytest.raises(RuntimeError) as info:
-        main(["verify", "--family", "lemma-sigma", "--pmin", "7", "--pmax", "7",
-              "--alpha", "1/3"])
-    msg = str(info.value)
-    assert "LEMMA_SIGMA p=7 alpha=1/3" in msg and "base is not invertible" in msg
+    argv = ["verify", "--family", "lemma-sigma", "--pmin", "7", "--pmax", "7",
+            "--alpha", "1/3"]
+    with pytest.raises(sweep.InternalError) as info:
+        run_sweep(SweepConfig(families=("lemma-sigma",), p_min=7, p_max=7,
+                              alpha_list=("1/3",)))
     assert isinstance(info.value.__cause__, ValueError)
-    assert "config error" not in capsys.readouterr().err
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: base is not invertible" in err
+    assert "InternalError: internal error checking LEMMA_SIGMA p=7 alpha=1/3" in err
+    assert "config error" not in err
+
+
+def test_cli_defaults_are_the_api_defaults(monkeypatch):
+    monkeypatch.delenv("SUPERCONG_WORKERS", raising=False)
+    parser = build_parser()
+
+    def defaults(fn):
+        return {k: v.default for k, v in inspect.signature(fn).parameters.items()}
+
+    cfg = SweepConfig(families=())
+    args = parser.parse_args(["verify"])
+    assert (args.pmin, args.pmax, args.trunc, args.mod_exp, args.alphas) == (
+        cfg.p_min, cfg.p_max, cfg.trunc, cfg.modulus_exp, cfg.alpha_list
+    )
+    assert args.workers == cfg.workers
+    assert parser.parse_args(["qverify"]).n_list is None  # means cfg.n_list
+    for argv, fn, flags in (
+        (["identities"], run_identities, ("nmax", "mmax", "pmax", "workers")),
+        (["wz"], run_wz, ("nmax", "kmax", "alpha_samples", "seed", "workers")),
+        (["smoke"], run_smoke, ("terms", "tol")),
+    ):
+        args, api = vars(parser.parse_args(argv)), defaults(fn)
+        assert {f: args[f] for f in flags} == {f: api[f] for f in flags}, argv
 
 
 def test_family_name_normalization():

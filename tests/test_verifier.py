@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from supercong.padic import NotPAdicIntegral, reduce_mod
+from supercong.primes import sieve_primes
 from supercong.records import (
     PreconditionViolated,
     ResidueConditionViolated,
@@ -118,6 +119,29 @@ def test_every_family_passes_first_prime():
             assert r.passed, (fam, p, tr)
             assert r.lhs == r.rhs
             assert r.family == fam and r.p == p and r.truncation == tr
+
+
+# The first prime above 2000 in each residue class a family needs.  Each
+# needs E_{p-3} mod p at p > 2000, which the O(p) power sum makes cheap.
+_LARGE_P_CASES = [
+    (fam, sieve_primes(2000, 2100, f.p_mod, f.p_res)[0])
+    for fam, f in FAMILIES.items()
+    if f.modulus_exp == 4
+]
+
+
+@pytest.mark.parametrize("fam,p", _LARGE_P_CASES)
+def test_mod_p4_families_pass_above_2000(fam, p):
+    for tr in ("short", "full"):
+        r = verify_theorem(fam, p, tr)
+        assert r.passed and r.modulus == f"{p}^4", (fam, p, tr)
+
+
+@pytest.mark.parametrize("p", [2003, 2017])
+def test_mao_half_and_main1_pass_above_2000(p):
+    assert verify_mao_equiv(p, "MAO_HALF").passed
+    for tr in ("short", "full"):
+        assert verify_main1(Fraction(-5, 7), p, tr).passed
 
 
 def test_verify_theorem_record_fields():
