@@ -48,7 +48,6 @@ from .sequences import (
     euler_poly_eval_mod,
     harmonic,
     pochhammer,
-    pochhammer_mod,
 )
 from .verifier import (
     FAMILIES,

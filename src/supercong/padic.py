@@ -19,6 +19,7 @@ __all__ = [
     "AlphaDecomposition",
     "parse_rational",
     "is_p_integral",
+    "check_exponent",
     "reduce_mod",
     "least_nonneg_residue",
     "decompose",
@@ -84,14 +85,19 @@ def is_p_integral(x: Fraction, p: int) -> bool:
     return x.denominator % p != 0
 
 
+def check_exponent(e: int) -> None:
+    """Refuse a modulus exponent outside 1..MAX_EXPONENT."""
+    if not 1 <= e <= MAX_EXPONENT:
+        raise ValueError(f"exponent must be in 1..{MAX_EXPONENT}, got {e}")
+
+
 def reduce_mod(x: Fraction, p: int, e: int) -> ResidueClass:
     """Residue of the rational x modulo p**e.
 
     Computed as num * den^(-1) mod p**e; the denominator inverse exists
     exactly when x is a p-adic integer.
     """
-    if not 1 <= e <= MAX_EXPONENT:
-        raise ValueError(f"exponent must be in 1..{MAX_EXPONENT}, got {e}")
+    check_exponent(e)
     x = Fraction(x)
     if not is_p_integral(x, p):
         raise NotPAdicIntegral(f"{x} has no residue mod {p}^{e}")

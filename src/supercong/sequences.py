@@ -26,7 +26,6 @@ __all__ = [
     "InverseMissing",
     "HarmonicValue",
     "pochhammer",
-    "pochhammer_mod",
     "harmonic",
     "alternating_reciprocal_squares",
     "euler_poly_coeffs",
@@ -61,18 +60,6 @@ def pochhammer(alpha: Fraction, k: int) -> Fraction:
     for j in range(k):
         out *= alpha + j
     return out
-
-
-def pochhammer_mod(alpha: Fraction, k: int, p: int, e: int) -> ResidueClass:
-    """(alpha)_k reduced mod p**e without building the exact product."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    m = p**e
-    x = reduce_mod(Fraction(alpha), p, e).value
-    out = 1
-    for j in range(k):
-        out = out * (x + j) % m
-    return ResidueClass(out, m)
 
 
 # ---------------------------------------------------------------------------

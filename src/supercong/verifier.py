@@ -17,10 +17,12 @@ Against it we check:
   the two truncations;
 * the (6k+1)(1/2)_k^3/(8^k k!^3) family (full and half truncations) and its
   equivalence with the (8k+1) family for p ≡ 1 (mod 4);
-* the five auxiliary Pochhammer-quotient congruences the proofs run on.
+* the five auxiliary Pochhammer-quotient congruences the proofs run on,
+  whose left sides are p^v times a unit residue mod p^4: only alpha+a and
+  alpha+a+p among the Pochhammer factors are divisible by p.
 
 Everything is exact: residue pipelines for speed, Fraction oracles for
-cross-checks.
+cross-checks (the lemma oracle lives in the tests).
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 from .padic import (
     NotPAdicIntegral,
     ResidueClass,
+    check_exponent,
     decompose,
     legendre,
     reduce_mod,
@@ -113,11 +116,12 @@ def sum_main_exact(alpha: Fraction, M: int) -> Fraction:
 
 
 def sum_mao(M: int, p: int, e: int = 4) -> ResidueClass:
-    """sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e."""
+    """sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e, 1 <= e <= 4."""
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
     if M >= p:
         raise TruncationTooLarge(f"M = {M} >= p = {p}: k! not invertible")
+    check_exponent(e)
     m = p**e
     # (1/2)_k^3 / (8^k k!^3) = (1*3*...*(2k-1))^3 / (64^k k!^3)
     u = 1  # (-1)^k (1*3*...*(2k-1))^3 mod m
@@ -370,13 +374,53 @@ def verify_mao_equiv(p: int, variant: str) -> VerificationRecord:
 # ---------------------------------------------------------------------------
 # auxiliary Pochhammer-quotient congruences
 
-@lru_cache(maxsize=8)
-def _poch_prefix(alpha: Fraction, p: int) -> tuple[Fraction, ...]:
-    # (alpha)_j for j = 0..2p-1
-    out = [Fraction(1)]
-    for j in range(2 * p - 1):
-        out.append(out[-1] * (alpha + j))
-    return tuple(out)
+def _poch_prefix(alpha: Fraction, p: int) -> tuple[list[int], int, int]:
+    """(u, v0, v1) with (alpha)_j = p^(e_j) u_j for j = 0..2p-1, u_j mod p^4.
+
+    With a = <-alpha>_p the only factors alpha+i (i <= 2p-2) divisible by p
+    are alpha+a = p*t and alpha+a+p = p*(t+1), of valuations v0 and v1.
+    e_j adds v0 once j > a and v1 once j > a+p, and u_j multiplies every
+    other factor with the unit parts of those two.  A zero factor (t = 0 or
+    t+1 = 0: a nonpositive-integer alpha) has unit part 0, so every u_j
+    past it is 0.
+    """
+    m = p**4
+    num, den = alpha.numerator, alpha.denominator
+    inv = pow(den, -1, m)
+    x = num * inv % m
+    a = -x % p
+
+    def split(i: int) -> tuple[int, int]:
+        # unit part mod m and p-adic valuation of alpha+i = (num + i den)/den
+        g, v = num + i * den, 0
+        while g and g % p == 0:
+            g //= p
+            v += 1
+        return g * inv % m, v
+
+    (u0, v0), (u1, v1) = split(a), split(a + p)
+    out = [1]
+    for i in range(2 * p - 1):
+        f = u0 if i == a else u1 if i == a + p else x + i
+        out.append(out[-1] * f % m)
+    return out, v0, v1
+
+
+def _lemma_sum(
+    u: list[int], fact: list[int], p: int, k0: int, k1: int
+) -> tuple[int, int]:
+    """sum_{k=k0}^{k1} (-1)^k u_{p+k-1} / ((p-k)! u_k^2) mod p^4 as (num, den).
+
+    The running denominator den keeps the sum at one inverse for the caller.
+    """
+    m = p**4
+    s, d = 0, 1
+    for k in range(k0, k1 + 1):
+        w = fact[p - k] * u[k] * u[k] % m
+        c = u[p + k - 1] * d
+        s = (s * w + (-c if k & 1 else c)) % m
+        d = d * w % m
+    return s, d
 
 
 def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
@@ -391,8 +435,12 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
     * LEMMA_PROD:    (alpha)_p^2 (alpha)_{p+a} / ((p-1)!^2 (p-a-1)! (alpha)_{a+1}^2).
     * LEMMA_SIGMA:   weighted sum over k = a+2..p-1; needs a <= p-2.
 
-    Nonpositive-integer alphas that zero a denominator Pochhammer raise
-    DivisionByZeroTerm.
+    Each left side is p^v times a p-adic integer, with v read off the
+    valuations of alpha+a and alpha+a+p (see _poch_prefix) and the integer
+    computed mod p^4 from unit residues, in O(p) operations and two
+    inverses.  The right sides are the exact closed forms in a, t, H_a and
+    H_a^(2), reduced mod p^4.  Nonpositive-integer alphas that zero a
+    denominator Pochhammer raise DivisionByZeroTerm.
     """
     fam = norm_family(family)
     if not fam.startswith("LEMMA_"):
@@ -404,46 +452,47 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
     alpha = Fraction(alpha)
     dec = decompose(alpha, p)
     a, t = dec.a, dec.t
-    poch = _poch_prefix(alpha, p)
-    fact = math.factorial
-    fpm1 = Fraction(fact(p - 1))
+    m = p**4
+    u, v0, v1 = _poch_prefix(alpha, p)
+    fact = list(accumulate(range(1, p), lambda f, j: f * j % m, initial=1))
+    f2 = fact[p - 1] ** 2
 
+    # the left side is p^v * num / den, den a unit mod p^4
     if fam == "LEMMA_WZPROD":
         if a == 0:
             raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
-        lhs = poch[2 * p - 1] / fpm1**2
-        if a == p - 1:
-            rhs = p * t
+        num, den = u[2 * p - 1], f2
+        if a == p - 1:  # alpha+a+p is past the last factor
+            v, rhs = v0, p * t
         else:
+            v = v0 + v1
             ha = harmonic(a).value
             rhs = -(p * p * t * (t + 1) / (a + 1)) * (
                 1 + 2 * p * ha + p * (t + 2) / (a + 1)
             )
     elif fam == "LEMMA_ALPHAP3":
-        lhs = poch[p] ** 3 / fpm1**3
+        v, num, den = 3 * v0, u[p] ** 3, fact[p - 1] ** 3
         rhs = (alpha + a) ** 3
     elif fam == "LEMMA_SIGMA1":
         if a == 0:
             raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
-        if poch[a] == 0:
-            raise DivisionByZeroTerm(
-                f"(alpha)_k = 0 for some k <= {a} at alpha = {alpha}"
-            )
-        s = Fraction(0)
-        for k in range(1, a + 1):
-            s += _parity_sign(k) * poch[p + k - 1] / (fact(p - k) * poch[k] ** 2)
-        lhs = poch[p] ** 2 / fpm1**2 * s
+        # (alpha)_k for k <= a has no factor divisible by p, so it is never 0;
+        # (alpha)_{p+k-1} has valuation v0, so every term has valuation v0
+        s, d = _lemma_sum(u, fact, p, 1, a)
+        v, num, den = 3 * v0, u[p] ** 2 * s, f2 * d
         rhs = (
             _parity_sign(a + 1)
             * (alpha + a) ** 3
             * (harmonic(a, 2).value + 2 * alternating_reciprocal_squares(a))
         )
     elif fam == "LEMMA_PROD":
-        if poch[a + 1] == 0:
+        if t == 0:  # only the factor alpha+a of (alpha)_{a+1} can vanish
             raise DivisionByZeroTerm(
                 f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})"
             )
-        lhs = poch[p] ** 2 * poch[p + a] / (fpm1**2 * fact(p - a - 1) * poch[a + 1] ** 2)
+        v = v0  # valuation 3 v0 over (alpha)_{a+1}^2, valuation 2 v0
+        num = u[p] ** 2 * u[p + a]
+        den = f2 * fact[p - a - 1] * u[a + 1] ** 2
         pt = alpha + a
         ha = harmonic(a).value
         ha2 = harmonic(a, 2).value
@@ -456,14 +505,14 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
     else:  # LEMMA_SIGMA
         if a > p - 2:
             raise PreconditionViolated(f"a = p-1 violates a <= p-2 (alpha = {alpha})")
-        if poch[p - 1] == 0:
+        if t == 0:  # likewise for (alpha)_{p-1}
             raise DivisionByZeroTerm(
                 f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
             )
-        s = Fraction(0)
-        for k in range(a + 2, p):
-            s += _parity_sign(k) * poch[p + k - 1] / (fact(p - k) * poch[k] ** 2)
-        lhs = poch[p] ** 2 / fpm1**2 * s
+        # every term is (alpha)_{p+k-1}, valuation v0 + v1, over (alpha)_k^2,
+        # valuation 2 v0
+        s, d = _lemma_sum(u, fact, p, a + 2, p - 1)
+        v, num, den = v0 + v1, u[p] ** 2 * s, f2 * d
         sa = _parity_sign(a)
         ha = harmonic(a).value
         ha2 = harmonic(a, 2).value
@@ -476,10 +525,11 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
             - sa * (t + 2) / (a + 1) ** 2
         )
 
+    lhs = p**v * num * pow(den, -1, m) % m if v < 4 else 0
     return make_record(
         fam,
         f"{p}^4",
-        reduce_mod(lhs, p, 4),
+        ResidueClass(lhs, m),
         reduce_mod(rhs, p, 4),
         p=p,
         alpha=alpha,

@@ -1,7 +1,8 @@
 """Property tests: the residue fast paths against independent exact oracles.
 
 Euler residues are checked against exact Euler polynomials and against
-sympy's Euler numbers; the residue sums against their exact Fraction sums.
+sympy's Euler numbers; the residue sums against their exact Fraction sums;
+the Pochhammer-quotient lemmas against their exact Fraction evaluation.
 sympy is a test-only dependency.
 """
 
@@ -15,20 +16,25 @@ from hypothesis import strategies as st
 
 from supercong.padic import MAX_EXPONENT, decompose, reduce_mod
 from supercong.primes import sieve_primes
-from supercong.records import SkippedWhenAEqualsPMinus1
+from supercong.records import PreconditionViolated, SkippedWhenAEqualsPMinus1
 from supercong.sequences import (
+    alternating_reciprocal_squares,
     euler_number_mod,
     euler_poly_eval,
     euler_poly_eval_mod,
+    harmonic,
     pochhammer,
 )
 from supercong.verifier import (
+    LEMMA_FAMILIES,
     sum_main,
     sum_main_exact,
     sum_mao,
     sum_mao_exact,
+    verify_lemma,
     verify_tail,
 )
+from supercong.wz import DivisionByZeroTerm
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -76,6 +82,10 @@ def test_sum_main_matches_exact(p, data, alpha, e):
 @given(p=primes_to_31, data=st.data(), e=st.integers(1, 5))
 def test_sum_mao_matches_exact(p, data, e):
     M = data.draw(st.integers(0, p - 1), label="M")
+    if e > MAX_EXPONENT:
+        with pytest.raises(ValueError):
+            sum_mao(M, p, e)
+        return
     got = sum_mao(M, p, e)
     assert got.modulus == p**e
     assert got.value == _mod(sum_mao_exact(M), p**e)
@@ -101,3 +111,117 @@ def test_tail_record_matches_exact_tail(p, alpha):
     rec = verify_tail(alpha, p)
     assert rec.lhs.value == _mod(tail, p**4)
     assert rec.passed
+
+
+def _lemma_exact(fam: str, alpha: Fraction, p: int) -> tuple[int, int]:
+    """verify_lemma's (lhs, rhs) mod p^4 from exact Fraction Pochhammer
+    products and factorials, raising what verify_lemma raises."""
+    if p <= 3:
+        raise PreconditionViolated(f"needs p > 3, got p = {p}")
+    dec = decompose(alpha, p)
+    a, t = dec.a, dec.t
+    poch = [Fraction(1)]  # (alpha)_j for j = 0..2p-1
+    for j in range(2 * p - 1):
+        poch.append(poch[-1] * (alpha + j))
+    fact = math.factorial
+    fpm1 = Fraction(fact(p - 1))
+
+    def weighted_sum(ks):
+        return sum(
+            ((-1) ** k * poch[p + k - 1] / (fact(p - k) * poch[k] ** 2) for k in ks),
+            Fraction(0),
+        )
+
+    if fam == "LEMMA_WZPROD":
+        if a == 0:
+            raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
+        lhs = poch[2 * p - 1] / fpm1**2
+        if a == p - 1:
+            rhs = p * t
+        else:
+            ha = harmonic(a).value
+            rhs = -(p * p * t * (t + 1) / (a + 1)) * (
+                1 + 2 * p * ha + p * (t + 2) / (a + 1)
+            )
+    elif fam == "LEMMA_ALPHAP3":
+        lhs = poch[p] ** 3 / fpm1**3
+        rhs = (alpha + a) ** 3
+    elif fam == "LEMMA_SIGMA1":
+        if a == 0:
+            raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
+        if poch[a] == 0:
+            raise DivisionByZeroTerm(
+                f"(alpha)_k = 0 for some k <= {a} at alpha = {alpha}"
+            )
+        lhs = poch[p] ** 2 / fpm1**2 * weighted_sum(range(1, a + 1))
+        rhs = (
+            (-1) ** (a + 1)
+            * (alpha + a) ** 3
+            * (harmonic(a, 2).value + 2 * alternating_reciprocal_squares(a))
+        )
+    elif fam == "LEMMA_PROD":
+        if poch[a + 1] == 0:
+            raise DivisionByZeroTerm(
+                f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})"
+            )
+        lhs = poch[p] ** 2 * poch[p + a] / (
+            fpm1**2 * fact(p - a - 1) * poch[a + 1] ** 2
+        )
+        pt = alpha + a
+        ha = harmonic(a).value
+        ha2 = harmonic(a, 2).value
+        rhs = (
+            pt
+            + p * pt * (t + 1) * ha
+            + p**2 * pt * (t + 1) ** 2 / 2 * ha**2
+            + p**2 * pt * (t**2 + 4 * t + 1) / 2 * ha2
+        )
+    else:  # LEMMA_SIGMA
+        if a > p - 2:
+            raise PreconditionViolated(f"a = p-1 violates a <= p-2 (alpha = {alpha})")
+        if poch[p - 1] == 0:
+            raise DivisionByZeroTerm(
+                f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
+            )
+        lhs = poch[p] ** 2 / fpm1**2 * weighted_sum(range(a + 2, p))
+        sa = (-1) ** a
+        ha = harmonic(a).value
+        ha2 = harmonic(a, 2).value
+        rhs = sa * p**2 * t * (t + 1) * (ha - Fraction(sa, a + 1)) + sa * p**3 * t * (
+            t + 1
+        ) * (
+            (t + 1) / 2 * ha**2
+            + (3 * t + 1) / 2 * ha2
+            - Fraction(2 * sa, a + 1) * ha
+            - sa * (t + 2) / (a + 1) ** 2
+        )
+    return _mod(lhs, p**4), _mod(rhs, p**4)
+
+
+def _lemma_alphas(p: int):
+    """p-integral alphas, including ones with v_p(t) >= 1, v_p(t+1) >= 1
+    (alpha + a = p*t) and the nonpositive integers that zero a factor."""
+    u = rationals.filter(lambda x: x.denominator % p != 0)
+    a = st.integers(0, p - 1)
+    return st.one_of(
+        u,
+        st.builds(lambda u, a: p * p * u - a, u, a),
+        st.builds(lambda u, a: p * p * u - p - a, u, a),
+        st.integers(-2 * p, 0).map(Fraction),
+    )
+
+
+@PROPS
+@given(fam=st.sampled_from(LEMMA_FAMILIES), p=primes_to_31, data=st.data())
+def test_lemma_matches_exact_oracle(fam, p, data):
+    alpha = data.draw(_lemma_alphas(p), label="alpha")
+    try:
+        lhs, rhs = _lemma_exact(fam, alpha, p)
+    except (PreconditionViolated, DivisionByZeroTerm) as exc:
+        with pytest.raises(type(exc)) as got:
+            verify_lemma(fam, alpha, p)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    rec = verify_lemma(fam, alpha, p)
+    assert (rec.lhs.value, rec.rhs.value) == (lhs, rhs)
+    assert rec.passed == (lhs == rhs)

@@ -19,7 +19,6 @@ from supercong.sequences import (
     euler_poly_eval_mod,
     harmonic,
     pochhammer,
-    pochhammer_mod,
 )
 
 
@@ -38,15 +37,6 @@ def test_pochhammer_additivity():
                 assert pochhammer(x, j + k) == pochhammer(x, j) * pochhammer(
                     x + j, k
                 )
-
-
-def test_pochhammer_mod_matches_exact():
-    for p in (5, 7, 13):
-        m = p**4
-        for x in (Fraction(1, 2), Fraction(2, 3), Fraction(7)):
-            for k in range(10):
-                want = reduce_mod(pochhammer(x, k), p, 4)
-                assert pochhammer_mod(x, k, p, 4) == want
 
 
 def test_harmonic_values():

@@ -14,8 +14,10 @@ from supercong.records import (
     TruncationTooLarge,
 )
 from supercong.sequences import euler_number, euler_poly_eval, pochhammer
+from supercong.sweep import RATIONAL_ALPHAS
 from supercong.verifier import (
     FAMILIES,
+    LEMMA_FAMILIES,
     sum_main,
     sum_main_exact,
     sum_mao,
@@ -142,6 +144,14 @@ def test_mao_half_and_main1_pass_above_2000(p):
     assert verify_mao_equiv(p, "MAO_HALF").passed
     for tr in ("short", "full"):
         assert verify_main1(Fraction(-5, 7), p, tr).passed
+
+
+@pytest.mark.parametrize("p", [1009, 2003])
+def test_lemma_families_pass_above_1000(p):
+    # p^3/2 - 1 has a = 1 and t = p^2/2, so v_p(t) = 2
+    for alpha in (*RATIONAL_ALPHAS, Fraction(p**3, 2) - 1):
+        for fam in LEMMA_FAMILIES:
+            assert verify_lemma(fam, alpha, p).passed, (fam, alpha, p)
 
 
 def test_verify_theorem_record_fields():
