@@ -5,11 +5,18 @@ polynomial Phi_n(q) the role of its powers.  The two truncated q-series
 agree with a sign-twisted [n] modulo [n] Phi_n(q)^2, and conjecturally
 with each other modulo [n] Phi_n(q)^3.  Everything here is exact integer
 polynomial arithmetic; q -> 1 recovers the numeric supercongruences.
+Each congruence is tested at roots of unity: for every factor Phi_d^e of
+the modulus, the Hasse derivatives D^j N of the numerator must vanish
+mod Phi_d for j below e plus the multiplicity of Phi_d in the denominator.
 """
 
 from supercong import (
+    RationalFunction,
+    congruence_failure,
     conjecture41_witness,
     cyclotomic,
+    lhs_e2_q,
+    lhs_f2_q,
     q_integer,
     q_limit_term_check,
     verify_conjecture41,
@@ -44,6 +51,16 @@ w = conjecture41_witness(5)
 print("\nwitness payload at n=5 (what a counterexample report would carry):")
 print(f"  difference numerator starts {w['difference_numerator'][:40]}...")
 print(f"  remainder certificate: {w['remainder_certificate']!r} (empty = congruent)")
+print(f"  failing factor Phi_d, derivative order j: "
+      f"{w['cyclotomic_index']}, {w['derivative_order']} (None = congruent)")
+
+print("\na deliberately broken difference, e2(9) - f2(9) + Phi_9^3, mod [9] Phi_9^3:")
+diff = lhs_e2_q(9) - lhs_f2_q(9)
+broken = RationalFunction(diff.num + diff.den * cyclotomic(9) ** 3, diff.den)
+d, j, residue = congruence_failure(broken, q_integer(9) * cyclotomic(9) ** 3)
+print(f"  Phi_3 divides the denominator 6 times, so D^j N must vanish mod Phi_3"
+      f" for j < 7;\n  first nonzero: d={d}, j={j}, D^j N mod Phi_d ="
+      f" {residue.to_string()}")
 
 print("\nq -> 1 limit of each summand matches the numeric series term by term:")
 print("  k=0..7:", all(q_limit_term_check(8, k) for k in range(8)))

@@ -78,6 +78,7 @@ from .qseries import (
     IntPoly,
     RationalFunction,
     ZeroModulus,
+    congruence_failure,
     congruence_witness,
     congruent_mod,
     conjecture41_witness,

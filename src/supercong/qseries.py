@@ -6,6 +6,15 @@ polynomial M means: in the lowest-terms form N/D of A, the denominator D
 is coprime to M and M | N (the standard convention for q-congruences
 whose raw denominators are only coprime to M after cancellation).
 
+Every modulus here is a product of cyclotomic polynomials Phi_d^e, and so
+is the denominator (q^4;q^4)_{n-1}^3 of the sums below.  The congruence
+is therefore tested at roots of unity, without gcds or reducing A: for
+each factor Phi_d^e of M, with v the multiplicity of Phi_d in the raw
+denominator, the Hasse derivatives D^j N (j < v + e) of the raw
+numerator must vanish mod Phi_d.  Each D^j N mod Phi_d is a fold of the
+weighted coefficients mod q^d - 1 followed by one monic remainder (the
+root-of-unity viewpoint of Guo and Zudilin's q-microscope).
+
 The verified statements live on the sums
 
     e2(n) = sum_{k=0}^{n-1} (-1)^k [6k+1] (q;q^2)_k^3 / (q^4;q^4)_k^3 * q^(3k^2)
@@ -19,9 +28,11 @@ n ≡ 1 (mod 4).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .records import (
     ResidueConditionViolated,
@@ -36,8 +47,6 @@ __all__ = [
     "InternalNonExactDivision",
     "IntPoly",
     "RationalFunction",
-    "pseudo_rem",
-    "poly_gcd",
     "q_integer",
     "q_pochhammer",
     "cyclotomic",
@@ -45,6 +54,7 @@ __all__ = [
     "lhs_f2_q",
     "congruent_mod",
     "congruence_witness",
+    "congruence_failure",
     "verify_gz",
     "verify_conjecture41",
     "conjecture41_witness",
@@ -182,12 +192,13 @@ class IntPoly:
             raise ValueError(f"exponent must be >= 0, got {e}")
         out = IntPoly.one()
         base = self
-        while e:
+        while True:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def shift(self, d: int) -> IntPoly:
         """Multiply by q^d."""
@@ -262,41 +273,6 @@ def _coerce(x) -> IntPoly:
     if isinstance(x, int):
         return IntPoly((x,))
     raise TypeError(f"cannot treat {type(x).__name__} as IntPoly")
-
-
-def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
-    """prem(f, g) = lc(g)^(deg f - deg g + 1) * f  mod g (fraction-free)."""
-    if g.is_zero:
-        raise ZeroDivisionError("pseudo-remainder by zero")
-    if f.is_zero or f.degree < g.degree:
-        return f
-    e = int(f.degree - g.degree) + 1
-    lg = g.lc
-    r = f
-    steps = 0
-    while not r.is_zero and r.degree >= g.degree:
-        shift = int(r.degree - g.degree)
-        r = r * lg - IntPoly.monomial(r.lc, shift) * g
-        steps += 1
-    return r * lg ** (e - steps)
-
-
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """gcd in Z[q] (primitive PRS), normalized to positive leading coefficient."""
-    if f.is_zero and g.is_zero:
-        return IntPoly.zero()
-    if f.is_zero:
-        return g if g.lc > 0 else -g
-    if g.is_zero:
-        return f if f.lc > 0 else -f
-    c = math.gcd(f.content(), g.content())
-    a, b = f.primitive_part(), g.primitive_part()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        r = pseudo_rem(a, b)
-        a, b = b, r.primitive_part()
-    return c * a
 
 
 # ---------------------------------------------------------------------------
@@ -391,63 +367,95 @@ class RationalFunction:
     def sub_poly(self, poly: IntPoly) -> RationalFunction:
         return RationalFunction(self.num - poly * self.den, self.den)
 
-    def reduce(self) -> RationalFunction:
-        """Lowest terms, primitive parts, positive leading denominator coefficient."""
-        if self.num.is_zero:
-            return RationalFunction(IntPoly.zero(), IntPoly.one())
-        n, d = self.num, self.den
-        sign = 1 if (n.lc > 0) == (d.lc > 0) else -1
-        np, dp = n.primitive_part(), d.primitive_part()
-        g = poly_gcd(np, dp)
-        np, dp = np.exact_div(g), dp.exact_div(g)
-        cn, cd = n.content(), d.content()
-        c = math.gcd(cn, cd)
-        return RationalFunction(sign * (cn // c) * np, (cd // c) * dp)
-
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def _modulus_part(den: IntPoly, modulus: IntPoly) -> IntPoly:
-    """The largest divisor of den supported on irreducible factors of modulus.
+def _totient(n: int) -> int:
+    """phi(n) = deg Phi_n = sum_{d|n} mu(n/d) d."""
+    return sum(_mobius(n // d) * d for d in _divisors(n))
 
-    Both arguments primitive; extraction by repeated gcd keeps every
-    multiplicity (each pass removes one layer of the shared factors).
+
+def _cyclotomic_factors(m: IntPoly) -> list[tuple[int, int]]:
+    """[(d, e), ...] with m = prod Phi_d^e, d increasing, by trial division.
+
+    m must be primitive with a positive leading coefficient, so the rest is
+    1 once it has degree 0 (the Phi_d are monic).  Only d with
+    phi(d) <= deg(rest) can divide the rest, and phi(d) >= sqrt(d) for
+    d not in {2, 6}, so the search ends by d = max(6, deg(rest)^2).
     """
-    part = IntPoly.one()
-    rest = den
-    g = poly_gcd(rest, modulus)
-    while g.degree > 0:
-        part = part * g
-        rest = rest.exact_div(g)
-        g = poly_gcd(rest, g)
-    return part
+    factors = []
+    rest = m
+    d = 0
+    while rest.degree > 0:
+        d += 1
+        if d > max(6, rest.degree**2):
+            raise ValueError(f"modulus {m!r} has a non-cyclotomic factor")
+        if _totient(d) > rest.degree:
+            continue
+        e = 0
+        while (quo := rest.try_exact_div(cyclotomic(d))) is not None:
+            rest, e = quo, e + 1
+        if e:
+            factors.append((d, e))
+    return factors
+
+
+def _hasse_residues(f: IntPoly, d: int):
+    """Yield D^j f mod Phi_d for j = 0, 1, 2, ...; D^j f = f^(j) / j!.
+
+    D^j f = sum_i C(i, j) c_i q^(i-j).  Its residue comes from folding the
+    exponents i - j mod d (q^d ≡ 1 mod Phi_d) and one remainder by the
+    monic Phi_d.  The weights c_i C(i, j) carry over from one j to the next.
+    """
+    phi = cyclotomic(d)
+    w = list(f.coeffs)
+    j = 0
+    while True:
+        folded = [sum(w[s::d]) for s in range(d)]
+        shift = j % d
+        # Phi_d is monic, so the integer long division always completes
+        yield IntPoly(folded[shift:] + folded[:shift])._long_div(phi)[1]
+        w = [c * (i - j) // (j + 1) for i, c in enumerate(w)]
+        j += 1
+
+
+def congruence_failure(
+    a: RationalFunction, modulus: IntPoly
+) -> tuple[int, int, IntPoly] | None:
+    """None when a ≡ 0 (mod modulus); otherwise (d, j, D^j N mod Phi_d).
+
+    The modulus must be a product of cyclotomic polynomials (up to a
+    constant factor), else ValueError.  Congruence of A = N/D modulo
+    prod Phi_d^e means, in lowest terms, that every Phi_d^e divides the
+    numerator and no Phi_d divides the denominator; that is,
+    v_d(N) >= v_d(D) + e for every factor.  v_d(f) is the order of
+    vanishing of f at a primitive d-th root of unity, i.e. the first j
+    with the Hasse derivative D^j f ≢ 0 (mod Phi_d).  The triple names the
+    first factor (by increasing d) and the first derivative order that
+    breaks this, with its nonzero residue as certificate.
+    """
+    if modulus.is_zero:
+        raise ZeroModulus("congruence modulo the zero polynomial")
+    factors = _cyclotomic_factors(modulus.primitive_part())
+    if a.num.is_zero:
+        return None
+    for d, e in factors:
+        v = next(j for j, r in enumerate(_hasse_residues(a.den, d)) if r)
+        for j, r in zip(range(v + e), _hasse_residues(a.num, d)):
+            if r:
+                return d, j, r
+    return None
 
 
 def congruence_witness(a: RationalFunction, modulus: IntPoly) -> IntPoly | None:
     """None when a ≡ 0 (mod modulus); otherwise a nonzero remainder certificate.
 
-    Equivalent to the lowest-terms definition without reducing a: with
-    N/D the raw pair and dM the modulus-supported part of D, the condition
-    v_P(N) - v_P(D) >= mult_P(modulus) for every irreducible P | modulus
-    is exactly (modulus * dM) | N.  Avoids a full gcd of the near-dense
-    degree-~900 numerator/denominator pairs the q-sums produce.
+    The certificate is the residue of congruence_failure: the first Hasse
+    derivative D^j N of the numerator that does not vanish mod Phi_d.
     """
-    if modulus.is_zero:
-        raise ZeroModulus("congruence modulo the zero polynomial")
-    m = modulus.primitive_part()
-    if m.degree < 1:
-        return None
-    if a.num.is_zero:
-        return None
-    n = a.num.primitive_part()
-    d = a.den.primitive_part()
-    check = m * _modulus_part(d, m)
-    if n.try_exact_div(check) is not None:
-        return None
-    r = pseudo_rem(n, check)
-    assert not r.is_zero
-    return r
+    failure = congruence_failure(a, modulus)
+    return None if failure is None else failure[2]
 
 
 def congruent_mod(a: RationalFunction, modulus: IntPoly) -> bool:
@@ -459,39 +467,47 @@ def congruent_mod(a: RationalFunction, modulus: IntPoly) -> bool:
 # ---------------------------------------------------------------------------
 # the two q-sums
 
-def _cube_of_factor(j: int) -> IntPoly:
-    # (1 - q^(4j))^3 = 1 - 3q^(4j) + 3q^(8j) - q^(12j)
-    out = [0] * (12 * j + 1)
-    out[0] = 1
-    out[4 * j] = -3
-    out[8 * j] = 3
-    out[12 * j] = -1
-    return IntPoly(out)
+def _times_cube(a: list[int], s: int) -> list[int]:
+    """a * (1 - q^s)^3 = a * (1 - 3q^s + 3q^(2s) - q^(3s)), on coefficient lists."""
+    z = [0] * s
+    shifted = zip(a + z + z + z, z + a + z + z, z + z + a + z, z + z + z + a)
+    return [w - 3 * x + 3 * y - u for w, x, y, u in shifted]
+
+
+def _times_q_integer(a: list[int], m: int) -> list[int]:
+    """a * [m] by a running window sum of m coefficients."""
+    prefix = list(accumulate(a + [0] * (m - 1), initial=0))
+    return [x - y for x, y in zip(prefix[1:], [0] * (m - 1) + prefix)]
 
 
 def _lhs_q(n: int, kind: str) -> RationalFunction:
     """e2/f2 partial sum over the common denominator ((q^4;q^4)_{n-1})^3.
 
     The numerator sum_k S_k * prod_{j>k} (1-q^(4j))^3 is assembled by a
-    nested Horner pass so each step multiplies by one sparse 4-term cube.
+    nested Horner pass.  Each step multiplies the accumulator, the running
+    cube (q;q^2)_k^3 resp. (q;q^4)_k^3 and the denominator by one sparse
+    4-term cube, and forms S_k from the running cube by a window sum, so
+    a step costs O(degree).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m = n - 1
-    pk = IntPoly.one()  # (q;q^2)_k resp. (q;q^4)_k
-    acc = IntPoly.zero()
-    for k in range(m + 1):
-        if k > 0:
-            step = 2 * k - 1 if kind == "e2" else 4 * k - 3
-            pk = pk - pk.shift(step)
+    pk3 = [1]  # (q;q^2)_k^3 resp. (q;q^4)_k^3
+    acc = [1]  # S_0 = 1
+    den = [1]
+    for k in range(1, n):
         if kind == "e2":
-            s_k = (q_integer(6 * k + 1) * pk**3).shift(3 * k * k)
+            pk3 = _times_cube(pk3, 2 * k - 1)
+            s_k, shift = _times_q_integer(pk3, 6 * k + 1), 3 * k * k
         else:
-            s_k = (q_integer(8 * k + 1) * pk**3).shift(2 * k * k + k)
-        if k % 2:
-            s_k = -s_k
-        acc = s_k if k == 0 else acc * _cube_of_factor(k) + s_k
-    return RationalFunction(acc, q_pochhammer(4, 4, m) ** 3)
+            pk3 = _times_cube(pk3, 4 * k - 3)
+            s_k, shift = _times_q_integer(pk3, 8 * k + 1), 2 * k * k + k
+        acc = _times_cube(acc, 4 * k)
+        den = _times_cube(den, 4 * k)
+        add = operator.sub if k % 2 else operator.add
+        end = shift + len(s_k)
+        acc += [0] * (end - len(acc))  # f2 terms outgrow the accumulator
+        acc[shift:end] = map(add, acc[shift:end], s_k)
+    return RationalFunction(IntPoly(acc), IntPoly(den))
 
 
 def lhs_e2_q(n: int) -> RationalFunction:
@@ -567,16 +583,24 @@ def verify_conjecture41(n: int) -> VerificationRecord:
     )
 
 
-def conjecture41_witness(n: int) -> dict[str, str]:
-    """Serialized certificate for a failed mod-cubed check at this n."""
+def conjecture41_witness(n: int) -> dict[str, int | str | None]:
+    """Serialized certificate for a failed mod-cubed check at this n.
+
+    cyclotomic_index d and derivative_order j name the first failing
+    factor: remainder_certificate is D^j N mod Phi_d, with D^j N =
+    N^(j) / j! for the difference numerator N.  All three are empty
+    (None, None, "") when the check passes.
+    """
     diff = lhs_e2_q(n) - lhs_f2_q(n)
     modulus = q_integer(n) * cyclotomic(n) ** 3
-    witness = congruence_witness(diff, modulus)
+    d, j, witness = congruence_failure(diff, modulus) or (None, None, None)
     return {
         "n": n,
         "modulus": modulus.to_string(),
         "difference_numerator": diff.num.to_string(),
         "difference_denominator": diff.den.to_string(),
+        "cyclotomic_index": d,
+        "derivative_order": j,
         "remainder_certificate": "" if witness is None else witness.to_string(),
     }
 

@@ -2,20 +2,31 @@
 
 Euler residues are checked against exact Euler polynomials and against
 sympy's Euler numbers; the residue sums against their exact Fraction sums;
-the Pochhammer-quotient lemmas against their exact Fraction evaluation.
-sympy is a test-only dependency.
+the Pochhammer-quotient lemmas against their exact Fraction evaluation;
+the root-of-unity congruence test against the gcd lowest-terms oracle, the
+sparse q-sum construction against the dense one, and cyclotomic
+polynomials against sympy.  sympy is a test-only dependency.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from supercong.padic import MAX_EXPONENT, decompose, reduce_mod
 from supercong.primes import sieve_primes
+from supercong.qseries import (
+    IntPoly,
+    RationalFunction,
+    _lhs_q,
+    congruence_failure,
+    congruent_mod,
+    cyclotomic,
+)
 from supercong.records import PreconditionViolated, SkippedWhenAEqualsPMinus1
 from supercong.sequences import (
     alternating_reciprocal_squares,
@@ -35,6 +46,8 @@ from supercong.verifier import (
     verify_tail,
 )
 from supercong.wz import DivisionByZeroTerm
+
+from gcd_oracle import gcd_witness, lhs_q_dense
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -225,3 +238,62 @@ def test_lemma_matches_exact_oracle(fam, p, data):
     rec = verify_lemma(fam, alpha, p)
     assert (rec.lhs.value, rec.rhs.value) == (lhs, rhs)
     assert rec.passed == (lhs == rhs)
+
+
+Q = sympy.symbols("q")
+
+
+@lru_cache(maxsize=None)
+def _sympy_cyclotomic(d: int) -> IntPoly:
+    coeffs = sympy.Poly(sympy.cyclotomic_poly(d, Q), Q).all_coeffs()
+    return IntPoly(int(c) for c in reversed(coeffs))
+
+
+def test_cyclotomic_matches_sympy():
+    for n in range(1, 201):
+        assert cyclotomic(n) == _sympy_cyclotomic(n), n
+
+
+small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(IntPoly)
+
+
+@st.composite
+def congruence_cases(draw):
+    """(N/D, M) with M = c * prod Phi_d^e, and each Phi_d in N with a
+    multiplicity on either side of the threshold v_d(D) + e."""
+    modulus = IntPoly((draw(st.sampled_from((1, -1, 2, -6))),))
+    num = draw(small_polys)
+    lead = draw(st.sampled_from((-2, -1, 1, 2)))
+    den = IntPoly(draw(st.lists(st.integers(-3, 3), max_size=3)) + [lead])
+    for d in draw(st.lists(st.integers(1, 12), max_size=3, unique=True)):
+        phi = _sympy_cyclotomic(d)
+        e = draw(st.integers(1, 3))
+        v = draw(st.integers(0, 2))
+        u = max(0, v + e + draw(st.integers(-2, 1)))
+        modulus, den, num = modulus * phi**e, den * phi**v, num * phi**u
+    # a denominator factor that may or may not be shared with the modulus
+    den = den * _sympy_cyclotomic(draw(st.integers(1, 12))) ** draw(st.integers(0, 2))
+    return RationalFunction(num, den), modulus
+
+
+@PROPS
+@given(case=congruence_cases())
+def test_congruence_matches_gcd_oracle(case):
+    a, m = case
+    want = gcd_witness(a, m) is None
+    event("congruent" if want else "not congruent")
+    failure = congruence_failure(a, m)
+    assert (failure is None) == want
+    assert congruent_mod(a, m) == want
+    if failure is not None:
+        d, j, r = failure
+        phi = _sympy_cyclotomic(d)
+        assert m.try_exact_div(phi) is not None
+        assert not r.is_zero and r.degree < phi.degree
+
+
+@pytest.mark.parametrize("kind", ["e2", "f2"])
+def test_lhs_q_matches_dense_construction(kind):
+    for n in range(1, 18):
+        got, want = _lhs_q(n, kind), lhs_q_dense(n, kind)
+        assert (got.num, got.den) == (want.num, want.den), n

@@ -4,20 +4,21 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from supercong import qseries
 from supercong.qseries import (
     IntPoly,
     InternalNonExactDivision,
     RationalFunction,
     ZeroModulus,
+    congruence_failure,
     congruence_witness,
     congruent_mod,
     conjecture41_witness,
     cyclotomic,
     lhs_e2_q,
     lhs_f2_q,
-    poly_gcd,
-    pseudo_rem,
     q_integer,
     q_limit_term_check,
     q_pochhammer,
@@ -25,6 +26,8 @@ from supercong.qseries import (
     verify_gz,
 )
 from supercong.records import ResidueConditionViolated
+
+from gcd_oracle import poly_gcd, pseudo_rem, reduce
 
 
 # -- independent oracle helpers: dense Fraction-coefficient arithmetic
@@ -72,6 +75,16 @@ def test_intpoly_mul_pow_shift():
     assert (3 * p).coeffs == (3, 3)
     assert p.shift(2).coeffs == (0, 0, 1, 1)
     assert (p * IntPoly.zero()).is_zero
+
+
+def test_intpoly_pow_is_repeated_multiplication():
+    for p in (IntPoly((1, 1)), IntPoly((2, 0, -1)), cyclotomic(12), IntPoly((-3,))):
+        want = IntPoly.one()
+        for e in range(6):
+            assert p**e == want, (p, e)
+            want = want * p
+    with pytest.raises(ValueError):
+        IntPoly((1, 1)) ** -1
 
 
 def test_intpoly_is_immutable_value_type():
@@ -191,10 +204,10 @@ def test_lhs_q_denominator_shape():
 
 def test_rational_function_reduce():
     a = RationalFunction(IntPoly((-2, 0, 2)), IntPoly((2, 2)))  # 2(q^2-1)/2(q+1)
-    r = a.reduce()
+    r = reduce(a)
     assert r.num == IntPoly((-1, 1)) and r.den == IntPoly.one()
     # sign lands in the numerator; denominator keeps a positive lead
-    b = RationalFunction(IntPoly((1, 1)), IntPoly((0, -1))).reduce()
+    b = reduce(RationalFunction(IntPoly((1, 1)), IntPoly((0, -1))))
     assert b.den.lc > 0
     assert b.num == IntPoly((-1, -1)) and b.den == IntPoly((0, 1))
     with pytest.raises(ZeroDivisionError):
@@ -218,7 +231,7 @@ def test_congruent_mod_worked_cases():
 def test_congruent_mod_against_naive_oracle():
     # oracle: reduce to lowest terms, require gcd(den, M) constant and M | num
     def naive(a, m):
-        r = a.reduce()
+        r = reduce(a)
         if r.num.is_zero:
             return True
         if poly_gcd(r.den, m).degree > 0:
@@ -311,6 +324,67 @@ def test_conjecture41_witness_payload():
     d = lhs_e2_q(5) - lhs_f2_q(5)
     assert num == d.num and den == d.den
     assert w["remainder_certificate"] == ""  # passes, so no remainder
+    assert w["cyclotomic_index"] is None and w["derivative_order"] is None
+
+
+@pytest.mark.parametrize("n, d, j", [(5, 5, 3), (9, 3, 6)])
+def test_conjecture41_witness_certificate_recomputed(monkeypatch, n, d, j):
+    # break f2 so that the difference gains + Phi_n^3.  For n = 9 the first
+    # failing factor is Phi_3, at j = v_3(den) = 3 * #{j <= 8 : 3 | 4j} = 6;
+    # for n = 5 it is Phi_5 itself, at j = 3
+    f2 = qseries.lhs_f2_q
+
+    def broken_f2(k):
+        f = f2(k)
+        return RationalFunction(f.num - f.den * cyclotomic(k) ** 3, f.den)
+
+    monkeypatch.setattr(qseries, "lhs_f2_q", broken_f2)
+    w = conjecture41_witness(n)
+    assert (w["cyclotomic_index"], w["derivative_order"]) == (d, j)
+    q = sympy.symbols("q")
+    coeffs = [int(c) for c in w["difference_numerator"].split(",")]
+    num = sympy.Poly(coeffs[::-1], q, domain="QQ")
+    phi = sympy.Poly(sympy.cyclotomic_poly(d, q), q, domain="QQ")
+
+    def residue(k):  # diff(N, k) / k! rem Phi_d
+        return (num.diff((q, k)) * sympy.Rational(1, math.factorial(k))).rem(phi)
+
+    assert all(residue(k).is_zero for k in range(j))
+    got = residue(j).all_coeffs()[::-1]
+    assert IntPoly(int(c) for c in got) == IntPoly.from_string(w["remainder_certificate"])
+    assert w["remainder_certificate"] not in ("", "0")
+
+
+def test_large_n_congruences():
+    assert verify_gz(29, "GZ_E2").passed
+    assert verify_gz(29, "GZ_F2").passed
+    assert verify_conjecture41(29).passed
+
+
+@pytest.mark.parametrize("n, d, j", [(9, 3, 6), (21, 3, 18), (29, 29, 3)])
+def test_perturbed_difference_fails_at_expected_factor(n, d, j):
+    # Phi_n^3 is not ≡ 0 mod [n] Phi_n^3, so diff + Phi_n^3 fails.  Phi_d
+    # divides the denominator 3 * floor((n-1)/d) times for odd d | n, d < n;
+    # the sum first fails at the smallest such d, at that order, or at
+    # Phi_n itself (j = 3) when n is prime
+    diff = lhs_e2_q(n) - lhs_f2_q(n)
+    m = q_integer(n) * cyclotomic(n) ** 3
+    assert congruence_failure(diff, m) is None
+    broken = RationalFunction(diff.num + diff.den * cyclotomic(n) ** 3, diff.den)
+    got = congruence_failure(broken, m)
+    assert got is not None and got[:2] == (d, j)
+    assert not got[2].is_zero and got[2].degree < cyclotomic(d).degree
+
+
+def test_non_cyclotomic_modulus_is_refused():
+    a = RationalFunction(IntPoly((1, 1)), IntPoly.one())
+    for m in (IntPoly((1, 2)), IntPoly((0, 1)), cyclotomic(5) * IntPoly((1, 1, 0, 1))):
+        with pytest.raises(ValueError, match="non-cyclotomic"):
+            congruence_witness(a, m)
+    # a constant factor and the sign of the modulus do not matter
+    b = RationalFunction(cyclotomic(5) * IntPoly((1, 1)), IntPoly((1, 2)))
+    for m in (cyclotomic(5), -cyclotomic(5), 6 * cyclotomic(5)):
+        assert congruence_witness(b, m) is None
 
 
 def test_q_limit_term_check():
