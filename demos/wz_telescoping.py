@@ -12,15 +12,15 @@ come from p-adic analysis of that closed form.
 
 from fractions import Fraction
 
-from supercong import WZPoint, check_pair, eval_F, eval_G, telescoped_rhs
+from supercong import check_pair, eval_F, eval_G, telescoped_rhs
 
 alpha = Fraction(1, 2)
 
 print("pair relation at a few points (all must be 0):")
 for n in range(1, 5):
     for k in range(1, 4):
-        lhs = eval_F(WZPoint(n, k - 1, alpha)) - eval_F(WZPoint(n, k, alpha))
-        rhs = eval_G(WZPoint(n + 1, k, alpha)) - eval_G(WZPoint(n, k, alpha))
+        lhs = eval_F(n, k - 1, alpha) - eval_F(n, k, alpha)
+        rhs = eval_G(n + 1, k, alpha) - eval_G(n, k, alpha)
         print(f"  n={n} k={k}: {lhs - rhs}")
 
 print("\ngrid check 12x12, three parameters:",
@@ -29,7 +29,7 @@ print("\ngrid check 12x12, three parameters:",
 print("\npartial sums vs telescoped closed form (alpha = 1/2):")
 acc = Fraction(0)
 for N in range(1, 9):
-    acc += eval_F(WZPoint(N - 1, 0, alpha))
+    acc += eval_F(N - 1, 0, alpha)
     closed = telescoped_rhs(N, alpha)
     print(f"  N={N}: sum = {str(acc):>24}  closed = {str(closed):>24}"
           f"  match={acc == closed}")

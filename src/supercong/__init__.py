@@ -27,7 +27,7 @@ from .padic import (
     parse_rational,
     reduce_mod,
 )
-from .primes import EmptyRange, is_prime, sieve_primes
+from .primes import EmptyRange, sieve_primes
 from .records import (
     PreconditionViolated,
     ResidueConditionViolated,
@@ -66,7 +66,6 @@ from .verifier import (
 )
 from .wz import (
     DivisionByZeroTerm,
-    WZPoint,
     check_pair,
     check_telescoped,
     eval_F,

@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument(
         "--mod-exp", type=int, choices=(3, 4), dest="mod_exp",
-        help="check modulo p^3 or p^4 instead of each family's default",
+        help="check the ten classical families modulo p^3 or p^4 instead "
+        "of each one's default; other families keep their modulus",
     )
 
     q = sub.add_parser("qverify", help="polynomial q-congruence checks")

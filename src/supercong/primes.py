@@ -2,26 +2,11 @@
 
 from __future__ import annotations
 
-__all__ = ["EmptyRange", "sieve_primes", "is_prime"]
+__all__ = ["EmptyRange", "sieve_primes"]
 
 
 class EmptyRange(ValueError):
     """p_min..p_max is not a valid range (needs 2 <= p_min <= p_max)."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def sieve_primes(

@@ -15,7 +15,6 @@ binomial identities) are exposed as boolean checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -24,7 +23,6 @@ from .padic import NotPAdicIntegral, ResidueClass, is_p_integral, reduce_mod
 
 __all__ = [
     "InverseMissing",
-    "HarmonicValue",
     "pochhammer",
     "harmonic",
     "alternating_reciprocal_squares",
@@ -41,15 +39,6 @@ __all__ = [
 
 class InverseMissing(ArithmeticError):
     """A required modular inverse does not exist (e.g. 1/2 mod 2)."""
-
-
-@dataclass(frozen=True)
-class HarmonicValue:
-    """H_n^(m) = sum_{j=1}^{n} 1/j^m."""
-
-    n: int
-    m: int
-    value: Fraction
 
 
 def pochhammer(alpha: Fraction, k: int) -> Fraction:
@@ -78,11 +67,11 @@ def _harmonic_value(n: int, m: int) -> Fraction:
     return vals[n]
 
 
-def harmonic(n: int, m: int = 1) -> HarmonicValue:
-    """Generalized harmonic number H_n^(m); H_0 = 0."""
+def harmonic(n: int, m: int = 1) -> Fraction:
+    """Generalized harmonic number H_n^(m) = sum_{j=1}^{n} 1/j^m; H_0 = 0."""
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    return HarmonicValue(n=n, m=m, value=_harmonic_value(n, m))
+    return _harmonic_value(n, m)
 
 
 _altsq_cache: list[Fraction] = [Fraction(0)]

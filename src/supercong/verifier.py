@@ -9,12 +9,14 @@ denominator k!^3, so the whole sum takes one modular inverse.  The
 classical (4k+1)/(6k+1)/(8k+1) families are d * S(1/d, M) for d = 2, 3, 4.
 Against it we check:
 
-* five classical mod-p^3 congruences (one per weight/residue-class pair)
-  and their mod-p^4 refinements with Euler-polynomial correction terms;
 * the general-alpha congruence S(alpha, M) ≡ (-1)^a (alpha+a)
   + (alpha+a)^3 E_{p-3}(alpha) mod p^4 where a = <-alpha>_p, alpha + a = p t,
   with M = p-1 or M = a, plus the tail-vanishing statement that bridges
   the two truncations;
+* the ten classical families, five mod p^3 and five mod p^4, which are
+  that congruence at alpha = 1/d times d: one helper (_closed_form) gives
+  the right side to verify_theorem and verify_main1, so a family is only
+  data (d, residue class, exponent);
 * the (6k+1)(1/2)_k^3/(8^k k!^3) family (full and half truncations) and its
   equivalence with the (8k+1) family for p ≡ 1 (mod 4);
 * the five auxiliary Pochhammer-quotient congruences the proofs run on,
@@ -31,13 +33,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
 
 from .padic import (
     NotPAdicIntegral,
     ResidueClass,
     check_exponent,
     decompose,
+    least_nonneg_residue,
     legendre,
     reduce_mod,
 )
@@ -183,38 +185,36 @@ def _p3_times(p: int, x: int, m: int) -> int:
     return p**3 * (x % p) % m
 
 
-def _euler_at(p: int, num: int, den: int) -> int:
-    return euler_poly_eval_mod(p - 3, Fraction(num, den), p).value
+def _closed_form(alpha: Fraction, p: int, e: int) -> tuple[int, int]:
+    """(a, R) with a = <-alpha>_p and R the right side of the general-alpha
+    congruence, (-1)^a (alpha+a) + (alpha+a)^3 E_{p-3}(alpha) mod p^e.
 
-
-def _rhs_b2(p: int, m: int) -> int:
-    return p * _parity_sign((p - 1) // 2) % m
-
-
-def _rhs_e2(p: int, m: int) -> int:
-    return p % m
-
-
-def _rhs_f2(p: int, m: int) -> int:
-    return p * _parity_sign((p - 1) // 4) % m
-
-
-def _rhs_sw_e2(p: int, m: int) -> int:
-    return -2 * p % m
-
-
-def _rhs_sw_f2(p: int, m: int) -> int:
-    return 3 * p * _parity_sign((3 * p - 1) // 4) % m
+    alpha + a = p*t, so the cube vanishes mod p^3 and E_{p-3} is only
+    evaluated (mod p) when e = 4.  A non-p-integral alpha raises
+    NotPAdicIntegral, as decompose does.
+    """
+    a = least_nonneg_residue(-alpha, p)
+    m = p**e
+    pt = (alpha.numerator * pow(alpha.denominator, -1, m) + a) % m
+    rhs = _parity_sign(a) * pt
+    if e == 4:
+        rhs += pt**3 * euler_poly_eval_mod(p - 3, alpha, p).value
+    return a, rhs % m
 
 
 @dataclass(frozen=True)
 class TheoremFamily:
-    """One (2dk+1)-weighted congruence family.
+    """One (2dk+1)-weighted congruence family, d = weight_d.
 
-    The summand weight is 2*weight_d*k + 1, i.e. weight_d times the
-    (2k + 1/weight_d) summand of sum_main.  rhs_mod gives the mod-p^3
-    right side; a modulus_exp 4 family adds p^3 r^3 E_{p-3}(1/d) / d^2,
-    with d = weight_d and r = p mod d (for d = 2 that is p^3 E_{p-3}).
+    The summand weight 2dk + 1 is d times the (2k + 1/d) summand of
+    sum_main, so the family is d * S(1/d, M) checked against d times the
+    general-alpha closed form at alpha = 1/d.  With r = p mod d that is
+
+        r p (-1)^a + p^3 r^3 E_{p-3}(1/d) / d^2   (the p^3 term mod p^4 only),
+
+    where a = <-1/d>_p = (rp-1)/d is the stated short truncation; the full
+    truncation M = p-1 has the same right side.  A family is claimed mod
+    p^modulus_exp for primes p ≡ p_res (mod p_mod) (every p > 3 if None).
     """
 
     name: str
@@ -222,23 +222,26 @@ class TheoremFamily:
     modulus_exp: int
     p_mod: int | None
     p_res: int | None
-    short_m: Callable[[int], int]
-    rhs_mod: Callable[[int, int], int]
+
+    def short_m(self, p: int) -> int:
+        """The stated truncation <-1/d>_p = ((p mod d) p - 1) / d."""
+        d = self.weight_d
+        return ((p % d) * p - 1) // d
 
 
 FAMILIES: dict[str, TheoremFamily] = {
     f.name: f
     for f in (
-        TheoremFamily("B2", 2, 3, None, None, lambda p: (p - 1) // 2, _rhs_b2),
-        TheoremFamily("E2", 3, 3, 3, 1, lambda p: (p - 1) // 3, _rhs_e2),
-        TheoremFamily("F2", 4, 3, 4, 1, lambda p: (p - 1) // 4, _rhs_f2),
-        TheoremFamily("SW_E2", 3, 3, 3, 2, lambda p: (2 * p - 1) // 3, _rhs_sw_e2),
-        TheoremFamily("SW_F2", 4, 3, 4, 3, lambda p: (3 * p - 1) // 4, _rhs_sw_f2),
-        TheoremFamily("E2_MOD4", 3, 4, 3, 1, lambda p: (p - 1) // 3, _rhs_e2),
-        TheoremFamily("F2_MOD4", 4, 4, 4, 1, lambda p: (p - 1) // 4, _rhs_f2),
-        TheoremFamily("SW_E2_MOD4", 3, 4, 3, 2, lambda p: (2 * p - 1) // 3, _rhs_sw_e2),
-        TheoremFamily("SW_F2_MOD4", 4, 4, 4, 3, lambda p: (3 * p - 1) // 4, _rhs_sw_f2),
-        TheoremFamily("SUN_B2", 2, 4, None, None, lambda p: (p - 1) // 2, _rhs_b2),
+        TheoremFamily("B2", 2, 3, None, None),
+        TheoremFamily("E2", 3, 3, 3, 1),
+        TheoremFamily("F2", 4, 3, 4, 1),
+        TheoremFamily("SW_E2", 3, 3, 3, 2),
+        TheoremFamily("SW_F2", 4, 3, 4, 3),
+        TheoremFamily("E2_MOD4", 3, 4, 3, 1),
+        TheoremFamily("F2_MOD4", 4, 4, 4, 1),
+        TheoremFamily("SW_E2_MOD4", 3, 4, 3, 2),
+        TheoremFamily("SW_F2_MOD4", 4, 4, 4, 3),
+        TheoremFamily("SUN_B2", 2, 4, None, None),
     )
 }
 
@@ -258,10 +261,11 @@ def verify_theorem(
 ) -> VerificationRecord:
     """Check one classical family at one prime.
 
-    truncation "short" uses the family's stated M ((p-1)/2, (p-1)/3,
-    (p-1)/4, (2p-1)/3 or (3p-1)/4); "full" uses M = p-1.  modulus_exp may
-    lower the comparison modulus (a mod-p^4 family checked mod p^3); raising
-    it beyond the family's claim is refused.
+    truncation "short" uses the family's stated M = <-1/d>_p ((p-1)/2,
+    (p-1)/3, (p-1)/4, (2p-1)/3 or (3p-1)/4); "full" uses M = p-1.  Both
+    are compared with d times the general-alpha closed form at 1/d.
+    modulus_exp may lower the comparison modulus (a mod-p^4 family checked
+    mod p^3); raising it beyond the family's claim is refused.
     """
     fam = FAMILIES.get(norm_family(family))
     if fam is None:
@@ -282,15 +286,14 @@ def verify_theorem(
             f"{fam.name} is only claimed mod p^{fam.modulus_exp}"
         )
     m = p**e
-    M = fam.short_m(p) if truncation == "short" else p - 1
     d = fam.weight_d
-    lhs = ResidueClass(d * sum_main(Fraction(1, d), M, p, e).value % m, m)
-    rhs = fam.rhs_mod(p, m)
-    if fam.modulus_exp == 4:
-        x = (p % d) ** 3 * _euler_at(p, 1, d) * pow(d * d, -1, p)
-        rhs = (rhs + _p3_times(p, x, m)) % m
+    alpha = Fraction(1, d)
+    a, rhs = _closed_form(alpha, p, e)
+    M = a if truncation == "short" else p - 1
+    lhs = ResidueClass(d * sum_main(alpha, M, p, e).value % m, m)
     return make_record(
-        fam.name, f"{p}^{e}", lhs, ResidueClass(rhs, m), p=p, truncation=truncation
+        fam.name, f"{p}^{e}", lhs, ResidueClass(d * rhs % m, m),
+        p=p, truncation=truncation,
     )
 
 
@@ -309,19 +312,12 @@ def verify_main1(
     if p <= 3:
         raise PreconditionViolated(f"needs p > 3, got p = {p}")
     alpha = Fraction(alpha)
-    dec = decompose(alpha, p)
-    m = p**4
-    M = p - 1 if truncation == "full" else dec.a
-    lhs = sum_main(alpha, M, p, 4)
-    pt = alpha + dec.a  # = p*t, divisible by p
-    base = reduce_mod(pt, p, 4).value
-    # (pt)^3 ≡ 0 mod p^3, so the Euler factor is only needed mod p
-    cube = reduce_mod(pt**3, p, 4).value
-    ev = euler_poly_eval_mod(p - 3, alpha, p).value
-    rhs = ResidueClass((_parity_sign(dec.a) * base + cube * ev) % m, m)
+    a, rhs = _closed_form(alpha, p, 4)
+    lhs = sum_main(alpha, p - 1 if truncation == "full" else a, p, 4)
     family = "MAIN1" if truncation == "full" else "MAIN1_TRUNC"
     return make_record(
-        family, f"{p}^4", lhs, rhs, p=p, alpha=alpha, truncation=truncation
+        family, f"{p}^4", lhs, ResidueClass(rhs, p**4),
+        p=p, alpha=alpha, truncation=truncation,
     )
 
 
@@ -362,7 +358,7 @@ def verify_mao_equiv(p: int, variant: str) -> VerificationRecord:
         return make_record("EQUIV", f"{p}^4", lhs, rhs, p=p, truncation="full")
     if v == "MAO_HALF":
         M, trunc = p - 1, "full"
-        x = _euler_at(p, 1, 4) * pow(16, -1, p)
+        x = euler_poly_eval_mod(p - 3, Fraction(1, 4), p).value * pow(16, -1, p)
     else:  # SUN_HALF_CONJ
         M, trunc = (p - 1) // 2, "short"
         x = legendre(2, p) * euler_number_mod(p - 3, p).value * pow(4, -1, p)
@@ -466,7 +462,7 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
             v, rhs = v0, p * t
         else:
             v = v0 + v1
-            ha = harmonic(a).value
+            ha = harmonic(a)
             rhs = -(p * p * t * (t + 1) / (a + 1)) * (
                 1 + 2 * p * ha + p * (t + 2) / (a + 1)
             )
@@ -483,7 +479,7 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
         rhs = (
             _parity_sign(a + 1)
             * (alpha + a) ** 3
-            * (harmonic(a, 2).value + 2 * alternating_reciprocal_squares(a))
+            * (harmonic(a, 2) + 2 * alternating_reciprocal_squares(a))
         )
     elif fam == "LEMMA_PROD":
         if t == 0:  # only the factor alpha+a of (alpha)_{a+1} can vanish
@@ -494,8 +490,8 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
         num = u[p] ** 2 * u[p + a]
         den = f2 * fact[p - a - 1] * u[a + 1] ** 2
         pt = alpha + a
-        ha = harmonic(a).value
-        ha2 = harmonic(a, 2).value
+        ha = harmonic(a)
+        ha2 = harmonic(a, 2)
         rhs = (
             pt
             + p * pt * (t + 1) * ha
@@ -514,8 +510,8 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
         s, d = _lemma_sum(u, fact, p, a + 2, p - 1)
         v, num, den = v0 + v1, u[p] ** 2 * s, f2 * d
         sa = _parity_sign(a)
-        ha = harmonic(a).value
-        ha2 = harmonic(a, 2).value
+        ha = harmonic(a)
+        ha2 = harmonic(a, 2)
         rhs = sa * p**2 * t * (t + 1) * (ha - Fraction(sa, a + 1)) + sa * p**3 * t * (
             t + 1
         ) * (

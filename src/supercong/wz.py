@@ -12,14 +12,12 @@ which check_telescoped verifies exactly for any positive N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
 __all__ = [
     "DivisionByZeroTerm",
-    "WZPoint",
     "eval_F",
     "eval_G",
     "check_pair",
@@ -33,18 +31,18 @@ class DivisionByZeroTerm(ZeroDivisionError):
     """A Pochhammer factor in a denominator vanished ((alpha)_k = 0)."""
 
 
-@dataclass(frozen=True)
-class WZPoint:
-    n: int
-    k: int
-    alpha: Fraction
+# (alpha)_0, (alpha)_1, ... per alpha, grown on demand: a miss of the
+# cache below extends this row instead of recursing, so a cold call at
+# large k cannot overflow the stack
+_poch_rows: dict[Fraction, list[Fraction]] = {}
 
 
 @lru_cache(maxsize=None)
 def _poch(alpha: Fraction, k: int) -> Fraction:
-    if k == 0:
-        return Fraction(1)
-    return _poch(alpha, k - 1) * (alpha + k - 1)
+    row = _poch_rows.setdefault(alpha, [Fraction(1)])
+    while len(row) <= k:
+        row.append(row[-1] * (alpha + len(row) - 1))
+    return row[k]
 
 
 def _poch_den(alpha: Fraction, k: int, where: str) -> Fraction:
@@ -54,9 +52,9 @@ def _poch_den(alpha: Fraction, k: int, where: str) -> Fraction:
     return v
 
 
-def eval_F(pt: WZPoint) -> Fraction:
+def eval_F(n: int, k: int, alpha: Fraction) -> Fraction:
     """F(n,k) = (-1)^(n+k) (2n+a)(a)_n^2 (a)_{n+k} / ((1)_n^2 (1)_{n-k} (a)_k^2)."""
-    n, k, a = pt.n, pt.k, Fraction(pt.alpha)
+    a = Fraction(alpha)
     pk = _poch_den(a, k, f"F({n},{k})")
     if n - k < 0:
         return Fraction(0)
@@ -65,13 +63,13 @@ def eval_F(pt: WZPoint) -> Fraction:
     den = Fraction(math.factorial(n)) ** 2 * math.factorial(n - k) * pk**2
     return num / den
 
-def eval_G(pt: WZPoint) -> Fraction:
+def eval_G(n: int, k: int, alpha: Fraction) -> Fraction:
     """G(n,k) = (-1)^(n+k) (a)_n^2 (a)_{n+k-1} / ((1)_{n-1}^2 (1)_{n-k} (a)_k^2).
 
     G(0, k) = 0 via the (1)_{n-1} convention, so the vanishing factors are
     checked before (a)_{n+k-1} is ever formed.
     """
-    n, k, a = pt.n, pt.k, Fraction(pt.alpha)
+    a = Fraction(alpha)
     pk = _poch_den(a, k, f"G({n},{k})")
     if n == 0 or n - k < 0:
         return Fraction(0)
@@ -86,8 +84,8 @@ def check_pair(n_max: int, k_max: int, alphas: list[Fraction]) -> bool:
     for a in alphas:
         for n in range(n_max + 1):
             for k in range(1, k_max + 1):
-                lhs = eval_F(WZPoint(n, k - 1, a)) - eval_F(WZPoint(n, k, a))
-                rhs = eval_G(WZPoint(n + 1, k, a)) - eval_G(WZPoint(n, k, a))
+                lhs = eval_F(n, k - 1, a) - eval_F(n, k, a)
+                rhs = eval_G(n + 1, k, a) - eval_G(n, k, a)
                 if lhs != rhs:
                     return False
     return True
@@ -119,7 +117,7 @@ def telescoped_rhs(N: int, alpha: Fraction) -> Fraction:
 def check_telescoped(N: int, alpha: Fraction) -> bool:
     """Exact equality of the partial sum with telescoped_rhs(N, alpha)."""
     a = Fraction(alpha)
-    lhs = sum((eval_F(WZPoint(k, 0, a)) for k in range(N)), Fraction(0))
+    lhs = sum((eval_F(k, 0, a) for k in range(N)), Fraction(0))
     return lhs == telescoped_rhs(N, a)
 
 

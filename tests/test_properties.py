@@ -152,7 +152,7 @@ def _lemma_exact(fam: str, alpha: Fraction, p: int) -> tuple[int, int]:
         if a == p - 1:
             rhs = p * t
         else:
-            ha = harmonic(a).value
+            ha = harmonic(a)
             rhs = -(p * p * t * (t + 1) / (a + 1)) * (
                 1 + 2 * p * ha + p * (t + 2) / (a + 1)
             )
@@ -170,7 +170,7 @@ def _lemma_exact(fam: str, alpha: Fraction, p: int) -> tuple[int, int]:
         rhs = (
             (-1) ** (a + 1)
             * (alpha + a) ** 3
-            * (harmonic(a, 2).value + 2 * alternating_reciprocal_squares(a))
+            * (harmonic(a, 2) + 2 * alternating_reciprocal_squares(a))
         )
     elif fam == "LEMMA_PROD":
         if poch[a + 1] == 0:
@@ -181,8 +181,8 @@ def _lemma_exact(fam: str, alpha: Fraction, p: int) -> tuple[int, int]:
             fpm1**2 * fact(p - a - 1) * poch[a + 1] ** 2
         )
         pt = alpha + a
-        ha = harmonic(a).value
-        ha2 = harmonic(a, 2).value
+        ha = harmonic(a)
+        ha2 = harmonic(a, 2)
         rhs = (
             pt
             + p * pt * (t + 1) * ha
@@ -198,8 +198,8 @@ def _lemma_exact(fam: str, alpha: Fraction, p: int) -> tuple[int, int]:
             )
         lhs = poch[p] ** 2 / fpm1**2 * weighted_sum(range(a + 2, p))
         sa = (-1) ** a
-        ha = harmonic(a).value
-        ha2 = harmonic(a, 2).value
+        ha = harmonic(a)
+        ha2 = harmonic(a, 2)
         rhs = sa * p**2 * t * (t + 1) * (ha - Fraction(sa, a + 1)) + sa * p**3 * t * (
             t + 1
         ) * (

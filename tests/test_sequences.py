@@ -40,11 +40,11 @@ def test_pochhammer_additivity():
 
 
 def test_harmonic_values():
-    assert harmonic(0).value == 0
-    assert harmonic(4).value == Fraction(25, 12)
-    assert harmonic(6).value == Fraction(49, 20)
-    assert harmonic(4, 2).value == Fraction(205, 144)
-    assert harmonic(3, 2).value == Fraction(49, 36)
+    assert harmonic(0) == 0
+    assert harmonic(4) == Fraction(25, 12)
+    assert harmonic(6) == Fraction(49, 20)
+    assert harmonic(4, 2) == Fraction(205, 144)
+    assert harmonic(3, 2) == Fraction(49, 36)
 
 
 def test_alternating_reciprocal_squares():

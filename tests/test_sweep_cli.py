@@ -10,7 +10,7 @@ import pytest
 
 from supercong import sweep
 from supercong.cli import build_parser, main
-from supercong.primes import EmptyRange, is_prime, sieve_primes
+from supercong.primes import EmptyRange, sieve_primes
 from supercong.records import (
     PreconditionViolated,
     VerificationRecord,
@@ -36,11 +36,16 @@ from supercong.sweep import (
 )
 
 
-def test_is_prime():
-    assert [n for n in range(2, 30) if is_prime(n)] == [
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
-    ]
-    assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+def test_sieve_primes_matches_sympy():
+    import sympy
+
+    want = list(sympy.primerange(2, 5001))
+    assert sieve_primes(2, 5000) == want
+    assert sieve_primes(1000, 1500) == [p for p in want if 1000 <= p <= 1500]
+    for mod, res in ((3, 1), (3, 2), (4, 1), (4, 3), (8, 7)):
+        assert sieve_primes(5, 5000, mod, res) == [
+            p for p in want if p >= 5 and p % mod == res
+        ]
 
 
 def test_sieve_primes():

@@ -13,7 +13,13 @@ from supercong.records import (
     SkippedWhenAEqualsPMinus1,
     TruncationTooLarge,
 )
-from supercong.sequences import euler_number, euler_poly_eval, pochhammer
+from supercong.sequences import (
+    euler_number,
+    euler_number_mod,
+    euler_poly_eval,
+    euler_poly_eval_mod,
+    pochhammer,
+)
 from supercong.sweep import RATIONAL_ALPHAS
 from supercong.verifier import (
     FAMILIES,
@@ -201,6 +207,68 @@ def test_mod_p3_weakening_of_p4_families():
             if p == 3:
                 continue
             assert verify_theorem(fam, p, "full", modulus_exp=3).passed
+
+
+def _sign(j):
+    return -1 if j % 2 else 1
+
+
+THIRD, QUARTER = Fraction(1, 3), Fraction(1, 4)
+
+# The paper's ten families, written out from the README table: weight d,
+# stated short truncation, the mod-p^3 right side, and the mod-p^4
+# correction (c, x) meaning p^3 c E_{p-3}(x), with x = None for the Euler
+# number E_{p-3}.
+PAPER_FAMILIES = {
+    "B2": (2, lambda p: (p - 1) // 2, lambda p: p * _sign((p - 1) // 2), None),
+    "E2": (3, lambda p: (p - 1) // 3, lambda p: p, None),
+    "F2": (4, lambda p: (p - 1) // 4, lambda p: p * _sign((p - 1) // 4), None),
+    "SW_E2": (3, lambda p: (2 * p - 1) // 3, lambda p: -2 * p, None),
+    "SW_F2": (4, lambda p: (3 * p - 1) // 4,
+              lambda p: 3 * p * _sign((3 * p - 1) // 4), None),
+    "E2_MOD4": (3, lambda p: (p - 1) // 3, lambda p: p,
+                (Fraction(1, 9), THIRD)),
+    "F2_MOD4": (4, lambda p: (p - 1) // 4, lambda p: p * _sign((p - 1) // 4),
+                (Fraction(1, 16), QUARTER)),
+    "SW_E2_MOD4": (3, lambda p: (2 * p - 1) // 3, lambda p: -2 * p,
+                   (Fraction(8, 9), THIRD)),
+    "SW_F2_MOD4": (4, lambda p: (3 * p - 1) // 4,
+                   lambda p: 3 * p * _sign((3 * p - 1) // 4),
+                   (Fraction(27, 16), QUARTER)),
+    "SUN_B2": (2, lambda p: (p - 1) // 2, lambda p: p * _sign((p - 1) // 2),
+               (Fraction(1), None)),
+}
+
+
+def _paper_correction(corr, p):
+    c, x = corr
+    ev = euler_number_mod(p - 3, p) if x is None else euler_poly_eval_mod(p - 3, x, p)
+    return p**3 * (reduce_mod(c, p, 1).value * ev.value % p)
+
+
+@pytest.mark.parametrize("fam", sorted(PAPER_FAMILIES))
+def test_classical_records_match_paper_right_sides(fam):
+    # the closed form at alpha = 1/d must reproduce each family's stated
+    # truncation and right side, at every qualifying p < 1000, at both
+    # truncations, and both at the family's exponent and mod p^3
+    d, short_m, base, corr = PAPER_FAMILIES[fam]
+    f = FAMILIES[fam]
+    assert f.weight_d == d
+    primes = sieve_primes(5, 999, f.p_mod, f.p_res)
+    assert len(primes) > 70
+    for p in primes:
+        assert f.short_m(p) == short_m(p)
+        for e in sorted({3, f.modulus_exp}):
+            m = p**e
+            want = base(p) % m
+            if e == 4:
+                want = (want + _paper_correction(corr, p)) % m
+            for tr, M in (("short", short_m(p)), ("full", p - 1)):
+                rec = verify_theorem(fam, p, tr, modulus_exp=e)
+                assert rec.modulus == f"{p}^{e}"
+                assert rec.rhs.value == want, (fam, p, e, tr)
+                assert rec.lhs.value == d * sum_main(Fraction(1, d), M, p, e).value % m
+                assert rec.passed, (fam, p, e, tr)
 
 
 def test_p_cubed_times_residue_truncation():

@@ -1,12 +1,15 @@
 """Rational certificate pair: pointwise values, pair relation, telescoping."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from supercong.wz import (
     DivisionByZeroTerm,
-    WZPoint,
     check_pair,
     check_telescoped,
     eval_F,
@@ -17,21 +20,21 @@ from supercong.wz import (
 
 
 def test_point_values():
-    assert eval_F(WZPoint(0, 0, Fraction(1, 2))) == Fraction(1, 2)
-    assert eval_F(WZPoint(1, 0, Fraction(1, 2))) == Fraction(-5, 16)
-    assert eval_G(WZPoint(1, 0, Fraction(1, 2))) == Fraction(-1, 4)
-    assert eval_G(WZPoint(1, 1, Fraction(2, 3))) == Fraction(2, 3)
+    assert eval_F(0, 0, Fraction(1, 2)) == Fraction(1, 2)
+    assert eval_F(1, 0, Fraction(1, 2)) == Fraction(-5, 16)
+    assert eval_G(1, 0, Fraction(1, 2)) == Fraction(-1, 4)
+    assert eval_G(1, 1, Fraction(2, 3)) == Fraction(2, 3)
 
 
 def test_f_vanishes_below_diagonal():
     # 1/(1)_m = 0 for m < 0 kills k > n
-    assert eval_F(WZPoint(2, 5, Fraction(1, 3))) == 0
-    assert eval_G(WZPoint(2, 5, Fraction(1, 3))) == 0
+    assert eval_F(2, 5, Fraction(1, 3)) == 0
+    assert eval_G(2, 5, Fraction(1, 3)) == 0
 
 
 def test_g_vanishes_at_n_zero():
     for k in range(4):
-        assert eval_G(WZPoint(0, k, Fraction(1, 2))) == 0
+        assert eval_G(0, k, Fraction(1, 2)) == 0
 
 
 def test_f_at_k_zero_is_series_summand():
@@ -47,14 +50,14 @@ def test_f_at_k_zero_is_series_summand():
                 * pochhammer(a, n) ** 3
                 / math.factorial(n) ** 3
             )
-            assert eval_F(WZPoint(n, 0, a)) == want
+            assert eval_F(n, 0, a) == want
 
 
 def test_pole_raises():
     with pytest.raises(DivisionByZeroTerm):
-        eval_F(WZPoint(3, 2, Fraction(-1)))  # (alpha)_k = 0 at alpha = -1, k = 2
+        eval_F(3, 2, Fraction(-1))  # (alpha)_k = 0 at alpha = -1, k = 2
     with pytest.raises(DivisionByZeroTerm):
-        eval_G(WZPoint(3, 2, Fraction(-1)))
+        eval_G(3, 2, Fraction(-1))
 
 
 def test_pair_relation_small_grid():
@@ -71,7 +74,7 @@ def test_telescoped_small():
 def test_telescoped_even_length():
     # regression: the correction-sum sign depends on the parity of N
     assert check_telescoped(2, Fraction(1))
-    lhs = sum(eval_F(WZPoint(k, 0, Fraction(1))) for k in range(2))
+    lhs = sum(eval_F(k, 0, Fraction(1)) for k in range(2))
     assert lhs == Fraction(-2)
     assert telescoped_rhs(2, Fraction(1)) == Fraction(-2)
 
@@ -80,7 +83,7 @@ def test_telescoped_rhs_matches_partial_sums():
     for a in (Fraction(1, 4), Fraction(2, 3)):
         acc = Fraction(0)
         for N in range(1, 9):
-            acc += eval_F(WZPoint(N - 1, 0, a))
+            acc += eval_F(N - 1, 0, a)
             assert telescoped_rhs(N, a) == acc
 
 
@@ -93,3 +96,23 @@ def test_sample_alphas_deterministic_and_pole_free():
         # no nonpositive integers: those put zeros in (alpha)_k
         assert not (a.denominator == 1 and a <= 0)
     assert sample_alphas(5, seed=0) != sample_alphas(5, seed=1)
+
+
+def test_cold_pochhammer_cache_at_large_index():
+    # regression: a recursive cache overflowed the stack on a cold miss at
+    # k ~ 1000, so this runs in a fresh interpreter
+    code = (
+        "from fractions import Fraction\n"
+        "from supercong.wz import eval_F, telescoped_rhs\n"
+        "telescoped_rhs(600, Fraction(1, 3))\n"
+        "eval_F(700, 0, Fraction(2, 7))\n"
+        "print('ok')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
