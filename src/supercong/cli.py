@@ -133,16 +133,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(i, suppress=True)
     d = _defaults(run_identities)
     i.add_argument("--nmax", type=int, default=d["nmax"], help="binomial sums up to n")
-    i.add_argument("--mmax", type=int, default=d["mmax"], help="Euler power-sum depth")
+    i.add_argument(
+        "--mmax", type=int, default=d["mmax"],
+        help="Euler power-sum depth: exponents m = 1..mmax, mmax >= 1",
+    )
     i.add_argument("--pmax", type=int, default=d["pmax"], help="Lehmer prime bound")
 
     w = sub.add_parser("wz", help="rational-certificate pair checks")
     _add_common(w, suppress=True)
     d = _defaults(run_wz)
-    w.add_argument("--nmax", type=int, default=d["nmax"])
-    w.add_argument("--kmax", type=int, default=d["kmax"])
-    w.add_argument("--alpha-samples", type=int, default=d["alpha_samples"])
-    w.add_argument("--seed", type=int, default=d["seed"])
+    w.add_argument(
+        "--nmax", type=int, default=d["nmax"],
+        help="pair relation for n = 0..nmax and telescoped sums for "
+        "N = 1..nmax (>= 1)",
+    )
+    w.add_argument(
+        "--kmax", type=int, default=d["kmax"],
+        help="pair relation for k = 1..kmax (>= 1)",
+    )
+    w.add_argument(
+        "--alpha-samples", type=int, default=d["alpha_samples"],
+        help="distinct alphas drawn from the pool of ±r/d, 1 <= r, d <= 9, "
+        "without the nonpositive integers: at most 101",
+    )
+    w.add_argument(
+        "--seed", type=int, default=d["seed"],
+        help="seed of the alpha draw; the same seed draws the same alphas",
+    )
 
     s = sub.add_parser("smoke", help="floating-point series sanity check")
     _add_common(s, suppress=True)

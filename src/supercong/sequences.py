@@ -15,6 +15,7 @@ binomial identities) are exposed as boolean checks.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -228,25 +229,35 @@ def check_binomial_identities(n: int) -> bool:
     sum (-1)^k C(n,k) / k^2        = -(H_n^(2) + H_n^2) / 2
     sum (-1)^k C(n,k) H_k / k      = -H_n^(2)
 
-    (all sums over k = 1..n).
+    (all sums over k = 1..n).  With L = lcm(1..n), u_k = L/k and
+    h_k = L H_k are integers, and each sum is an integer numerator over a
+    fixed denominator: the second over L, the third and fourth over L^2,
+    and the first over n! L^2, since 1/C(n,k) = k!(n-k)!/n!.  Each identity
+    is then one integer equality, and no Fraction is formed.  The Fraction
+    sums this replaced are kept in tests/wz_oracle.py as the oracle.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    s1 = s2 = s3 = s4 = Fraction(0)
-    hk = Fraction(0)
+    L = math.lcm(*range(1, n + 1))
+    fact = list(accumulate(range(1, n + 1), operator.mul, initial=1))
+    s1 = s2 = s3 = s4 = 0
+    h = h2 = a2 = 0  # L H_k, L^2 H_k^(2), L^2 sum_{j<=k} (-1)^j / j^2
     for k in range(1, n + 1):
-        sign = (-1) ** k
         c = math.comb(n, k)
-        hk += Fraction(1, k)
-        s1 += Fraction(sign, k**2 * c)
-        s2 += Fraction(sign * c, k)
-        s3 += Fraction(sign * c, k**2)
-        s4 += Fraction(sign * c, k) * hk
-    hn = _harmonic_value(n, 1)
-    hn2 = _harmonic_value(n, 2)
+        u = L // k
+        sq = u * u
+        h += u
+        h2 += sq
+        if k % 2:
+            c, sq = -c, -sq
+        a2 += sq
+        s1 += sq * fact[k] * fact[n - k]
+        s2 += c * u
+        s3 += c * u * u
+        s4 += c * u * h
     return (
-        s1 == hn2 + 2 * alternating_reciprocal_squares(n)
-        and s2 == -hn
-        and s3 == -(hn2 + hn * hn) / 2
-        and s4 == -hn2
+        s1 == fact[n] * (h2 + 2 * a2)
+        and s2 == -h
+        and 2 * s3 == -(h2 + h * h)
+        and s4 == -h2
     )

@@ -337,9 +337,13 @@ def run_identities(
     workers: int = 1,
 ) -> ReportSummary:
     """Binomial identities for n = 1..nmax, the Euler-polynomial identity
-    bundle, and Lehmer's congruences for primes 5..pmax."""
+    bundle (power sums up to exponent mmax), and Lehmer's congruences for
+    primes 5..pmax."""
     if nmax < 1 or pmax < 5:
         raise ConfigError(f"need nmax >= 1 and pmax >= 5, got {nmax}, {pmax}")
+    if mmax < 1:
+        # the power-sum identity starts at m = 1: below that it checks nothing
+        raise ConfigError(f"need mmax >= 1, got {mmax}")
     insts = [
         Instance("BINOM_IDS", check_binomial_identities, (n,), n=n)
         for n in range(1, nmax + 1)

@@ -1,19 +1,28 @@
 """A WZ pair for alternating (2k+alpha)(alpha)_k^3/k!^3 sums.
 
-F and G are evaluated exactly from their defining products, with the
-convention 1/(1)_m = 0 for m < 0.  The pair relation
+With alpha = r/d in lowest terms (d > 0), every Pochhammer symbol is an
+integer prefix product over a power of d:
+
+    (alpha)_m = P_m / d^m,    P_m = prod_{j<m} (r + j d).
+
+F and G are evaluated from their defining products as unreduced integer
+(numerator, denominator) pairs read off one table of P_m and factorials,
+with the convention 1/(1)_m = 0 for m < 0.  check_pair compares the two
+sides of the pair relation
 
     F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k)
 
-telescopes (sum over n = 0..N-1) into a closed form for the partial sums,
-which check_telescoped verifies exactly for any positive N.
+by cross-multiplying.  The relation telescopes (sum over n = 0..N-1) into
+a closed form for the partial sums, which check_telescoped verifies for
+any positive N by putting the partial sum and the closed form over one
+common integer denominator.  Only the public evaluators build a Fraction,
+from the same pairs.  The Fraction loops these checks replaced are kept
+in tests/wz_oracle.py as the oracle.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 
 __all__ = [
@@ -31,37 +40,63 @@ class DivisionByZeroTerm(ZeroDivisionError):
     """A Pochhammer factor in a denominator vanished ((alpha)_k = 0)."""
 
 
-# (alpha)_0, (alpha)_1, ... per alpha, grown on demand: a miss of the
-# cache below extends this row instead of recursing, so a cold call at
-# large k cannot overflow the stack
-_poch_rows: dict[Fraction, list[Fraction]] = {}
+class _Table:
+    """alpha = r/d (d > 0) with P_j = d^j (alpha)_j and j! for j <= m."""
+
+    def __init__(self, alpha: Fraction, m: int):
+        self.alpha = Fraction(alpha)
+        r, d = self.alpha.numerator, self.alpha.denominator
+        self.r, self.d = r, d
+        self.P = P = [1]
+        self.fact = fact = [1]
+        for j in range(m):
+            P.append(P[-1] * (r + j * d))
+            fact.append(fact[-1] * (j + 1))
+
+    def first_pole(self, k: int) -> int:
+        """The least j with P_j = 0 if P_k = 0, else 0.
+
+        (alpha)_k = 0 exactly when alpha is an integer in {1-k, ..., 0},
+        and then P_j = 0 for every j from 1 - alpha on.
+        """
+        return self.P.index(0) if self.P[k] == 0 else 0
+
+    def pole_error(self, k: int, where: str) -> DivisionByZeroTerm:
+        msg = f"(alpha)_{k} = 0 for alpha={self.alpha} in {where}"
+        return DivisionByZeroTerm(msg)
+
+    def F(self, n: int, k: int) -> tuple[int, int]:
+        """F(n, k) for 0 <= k <= n:
+        (-1)^(n+k) (2nd + r) P_n^2 P_{n+k} / (d^(3n-k+1) n!^2 (n-k)! P_k^2)."""
+        P, fact, d = self.P, self.fact, self.d
+        num = (2 * n * d + self.r) * P[n] ** 2 * P[n + k]
+        den = d ** (3 * n - k + 1) * fact[n] ** 2 * fact[n - k] * P[k] ** 2
+        return (-num if (n + k) % 2 else num), den
+
+    def G(self, n: int, k: int) -> tuple[int, int]:
+        """G(n, k) for 0 <= k <= n, n >= 1:
+        (-1)^(n+k) P_n^2 P_{n+k-1} / (d^(3n-k-1) (n-1)!^2 (n-k)! P_k^2)."""
+        P, fact = self.P, self.fact
+        num = P[n] ** 2 * P[n + k - 1]
+        den = self.d ** (3 * n - k - 1) * fact[n - 1] ** 2 * fact[n - k] * P[k] ** 2
+        return (-num if (n + k) % 2 else num), den
 
 
-@lru_cache(maxsize=None)
-def _poch(alpha: Fraction, k: int) -> Fraction:
-    row = _poch_rows.setdefault(alpha, [Fraction(1)])
-    while len(row) <= k:
-        row.append(row[-1] * (alpha + len(row) - 1))
-    return row[k]
-
-
-def _poch_den(alpha: Fraction, k: int, where: str) -> Fraction:
-    v = _poch(alpha, k)
-    if v == 0:
-        raise DivisionByZeroTerm(f"(alpha)_{k} = 0 for alpha={alpha} in {where}")
-    return v
+def _table_for_point(n: int, k: int, alpha: Fraction) -> _Table:
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return _Table(alpha, max(k, n + k))
 
 
 def eval_F(n: int, k: int, alpha: Fraction) -> Fraction:
     """F(n,k) = (-1)^(n+k) (2n+a)(a)_n^2 (a)_{n+k} / ((1)_n^2 (1)_{n-k} (a)_k^2)."""
-    a = Fraction(alpha)
-    pk = _poch_den(a, k, f"F({n},{k})")
+    t = _table_for_point(n, k, alpha)
+    if t.P[k] == 0:
+        raise t.pole_error(k, f"F({n},{k})")
     if n - k < 0:
         return Fraction(0)
-    sign = -1 if (n + k) % 2 else 1
-    num = sign * (2 * n + a) * _poch(a, n) ** 2 * _poch(a, n + k)
-    den = Fraction(math.factorial(n)) ** 2 * math.factorial(n - k) * pk**2
-    return num / den
+    return Fraction(*t.F(n, k))
+
 
 def eval_G(n: int, k: int, alpha: Fraction) -> Fraction:
     """G(n,k) = (-1)^(n+k) (a)_n^2 (a)_{n+k-1} / ((1)_{n-1}^2 (1)_{n-k} (a)_k^2).
@@ -69,26 +104,64 @@ def eval_G(n: int, k: int, alpha: Fraction) -> Fraction:
     G(0, k) = 0 via the (1)_{n-1} convention, so the vanishing factors are
     checked before (a)_{n+k-1} is ever formed.
     """
-    a = Fraction(alpha)
-    pk = _poch_den(a, k, f"G({n},{k})")
+    t = _table_for_point(n, k, alpha)
+    if t.P[k] == 0:
+        raise t.pole_error(k, f"G({n},{k})")
     if n == 0 or n - k < 0:
         return Fraction(0)
-    sign = -1 if (n + k) % 2 else 1
-    num = sign * _poch(a, n) ** 2 * _poch(a, n + k - 1)
-    den = Fraction(math.factorial(n - 1)) ** 2 * math.factorial(n - k) * pk**2
-    return num / den
+    return Fraction(*t.G(n, k))
 
 
 def check_pair(n_max: int, k_max: int, alphas: list[Fraction]) -> bool:
-    """F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) on 0<=n<=n_max, 1<=k<=k_max, exactly."""
-    for a in alphas:
+    """F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) on 0<=n<=n_max, 1<=k<=k_max, exactly.
+
+    Points with k > n+1 are 0 = 0 and are skipped.  A pole (alpha)_k = 0
+    with k <= k_max raises DivisionByZeroTerm naming F(0,k), the first
+    point that divides by it.
+    """
+    for alpha in alphas:
+        t = _Table(alpha, max(k_max, 2 * n_max + 1, 0))
+        if n_max >= 0 and k_max >= 1 and (pole := t.first_pole(k_max)):
+            raise t.pole_error(pole, f"F(0,{pole})")
         for n in range(n_max + 1):
-            for k in range(1, k_max + 1):
-                lhs = eval_F(n, k - 1, a) - eval_F(n, k, a)
-                rhs = eval_G(n + 1, k, a) - eval_G(n, k, a)
-                if lhs != rhs:
+            for k in range(1, min(k_max, n + 1) + 1):
+                a, b = t.F(n, k - 1)
+                c, e = t.F(n, k) if k <= n else (0, 1)
+                f, g = t.G(n + 1, k)
+                h, i = t.G(n, k) if k <= n else (0, 1)
+                # a/b - c/e == f/g - h/i
+                if (a * e - c * b) * g * i != (f * i - h * g) * b * e:
                     return False
     return True
+
+
+def _telescope(N: int, alpha: Fraction) -> tuple[int, int, int]:
+    """(lhs, rhs, den): the partial sum sum_{k<N} F(k, 0) is lhs/den and
+    telescoped_rhs(N, alpha) is rhs/den, with
+
+        den = d^(3N-1) (N-1)!^3 P_{N-1}^2.
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    t = _Table(alpha, 2 * N - 1)
+    if pole := t.first_pole(N - 1):
+        raise t.pole_error(pole, f"telescoped_rhs(N={N})")
+    r, d, P, fact = t.r, t.d, t.P, t.fact
+    f = fact[N - 1]
+    # F(k, 0) = (-1)^k (2kd + r) P_k^3 / (d^(3k+1) k!^3) over d^(3N-2) f^3
+    lhs = 0
+    # the correction sum's terms over d^(N-1) f P_{N-1}^2
+    corr = 0
+    for k in range(N):
+        s = -1 if k % 2 else 1
+        scale = d ** (N - 1 - k) * f // fact[k]
+        lhs += s * (2 * k * d + r) * (P[k] * scale) ** 3
+        if k:
+            rest = P[N - 1] // P[k]
+            corr += s * P[N + k - 1] * d**k * (f // fact[N - k]) * rest**2
+    sq = P[N - 1] ** 2
+    rhs = d**N * f * sq * P[2 * N - 1] + (-1 if N % 2 else 1) * P[N] ** 2 * corr
+    return lhs * d * sq, rhs, d ** (3 * N - 1) * f**3 * sq
 
 
 def telescoped_rhs(N: int, alpha: Fraction) -> Fraction:
@@ -100,32 +173,23 @@ def telescoped_rhs(N: int, alpha: Fraction) -> Fraction:
     The (-1)^N factor makes the telescoped identity hold for every N >= 1,
     not only odd N.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    a = Fraction(alpha)
-    fnm1 = Fraction(math.factorial(N - 1))
-    head = _poch(a, 2 * N - 1) / fnm1**2
-    corr = Fraction(0)
-    for k in range(1, N):
-        pk = _poch_den(a, k, f"telescoped_rhs(N={N})")
-        sign = -1 if k % 2 else 1
-        corr += sign * _poch(a, N + k - 1) / (math.factorial(N - k) * pk**2)
-    nsign = -1 if N % 2 else 1
-    return head + nsign * _poch(a, N) ** 2 / fnm1**2 * corr
+    _, rhs, den = _telescope(N, alpha)
+    return Fraction(rhs, den)
 
 
 def check_telescoped(N: int, alpha: Fraction) -> bool:
     """Exact equality of the partial sum with telescoped_rhs(N, alpha)."""
-    a = Fraction(alpha)
-    lhs = sum((eval_F(k, 0, a) for k in range(N)), Fraction(0))
-    return lhs == telescoped_rhs(N, a)
+    lhs, rhs, _ = _telescope(N, alpha)
+    return lhs == rhs
 
 
 def sample_alphas(count: int, seed: int, k_max: int = 30) -> list[Fraction]:
     """Deterministic pole-free sample from {±r/d : 1 <= r,d <= 9}.
 
-    Poles of (alpha)_k for k <= k_max are exactly the integers in
-    {0, -1, ..., -(k_max-1)}; nonpositive integers are excluded outright.
+    The pool is the 110 distinct values ±r/d less the nonpositive integers
+    -1, ..., -9: 101 alphas, and count may not exceed that.  Poles of
+    (alpha)_k are nonpositive integers, all excluded whatever the range of
+    k, so k_max has no effect on the sample.
     """
     pool = sorted(
         {

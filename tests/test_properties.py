@@ -5,7 +5,9 @@ sympy's Euler numbers; the residue sums against their exact Fraction sums;
 the Pochhammer-quotient lemmas against their exact Fraction evaluation;
 the root-of-unity congruence test against the gcd lowest-terms oracle, the
 sparse q-sum construction against the dense one, and cyclotomic
-polynomials against sympy.  sympy is a test-only dependency.
+polynomials against sympy.  The integer certificate-pair, telescope and
+binomial-identity checks are compared with their Fraction loops in
+wz_oracle, verdicts and exceptions alike.  sympy is a test-only dependency.
 """
 
 import math
@@ -30,6 +32,7 @@ from supercong.qseries import (
 from supercong.records import PreconditionViolated, SkippedWhenAEqualsPMinus1
 from supercong.sequences import (
     alternating_reciprocal_squares,
+    check_binomial_identities,
     euler_number_mod,
     euler_poly_eval,
     euler_poly_eval_mod,
@@ -45,8 +48,17 @@ from supercong.verifier import (
     verify_lemma,
     verify_tail,
 )
-from supercong.wz import DivisionByZeroTerm
+from supercong.wz import (
+    DivisionByZeroTerm,
+    _telescope,
+    check_pair,
+    check_telescoped,
+    eval_F,
+    eval_G,
+    telescoped_rhs,
+)
 
+import wz_oracle
 from gcd_oracle import gcd_witness, lhs_q_dense
 
 PROPS = settings(max_examples=150, deadline=None)
@@ -297,3 +309,69 @@ def test_lhs_q_matches_dense_construction(kind):
     for n in range(1, 18):
         got, want = _lhs_q(n, kind), lhs_q_dense(n, kind)
         assert (got.num, got.den) == (want.num, want.den), n
+
+
+def _outcome(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# ±r/d with r, d <= 9 (r = 0 is the pole alpha = 0), and nonpositive
+# integers whose first pole (alpha)_k = 0, at k = 1 - alpha, falls inside
+# or beyond the k-range drawn with them
+wz_alphas = st.one_of(
+    st.builds(
+        lambda s, r, d: Fraction(s * r, d),
+        st.sampled_from((1, -1)), st.integers(0, 9), st.integers(1, 9),
+    ),
+    st.integers(-40, 0).map(Fraction),
+)
+
+
+@PROPS
+@given(
+    n_max=st.integers(0, 9),
+    k_max=st.integers(0, 14),
+    alphas=st.lists(wz_alphas, min_size=1, max_size=2),
+)
+def test_check_pair_matches_fraction_oracle(n_max, k_max, alphas):
+    event("k_max > n_max + 1" if k_max > n_max + 1 else "k_max <= n_max + 1")
+    want = _outcome(wz_oracle.check_pair, n_max, k_max, alphas)
+    event("raises" if want is not True else "passes")
+    assert _outcome(check_pair, n_max, k_max, alphas) == want
+
+
+@PROPS
+@given(n=st.integers(-2, 12), k=st.integers(0, 14), alpha=wz_alphas)
+def test_eval_f_g_match_fraction_oracle(n, k, alpha):
+    assert _outcome(eval_F, n, k, alpha) == _outcome(wz_oracle.eval_F, n, k, alpha)
+    assert _outcome(eval_G, n, k, alpha) == _outcome(wz_oracle.eval_G, n, k, alpha)
+
+
+@PROPS
+@given(N=st.integers(-1, 16), alpha=wz_alphas)
+def test_telescope_matches_fraction_oracle(N, alpha):
+    want = _outcome(wz_oracle.check_telescoped, N, alpha)
+    assert _outcome(check_telescoped, N, alpha) == want
+    assert _outcome(telescoped_rhs, N, alpha) == _outcome(
+        wz_oracle.telescoped_rhs, N, alpha
+    )
+    if want is True:
+        # both sides of the integer comparison, each against its Fraction
+        lhs, rhs, den = _telescope(N, alpha)
+        partial = sum(
+            (wz_oracle.eval_F(k, 0, alpha) for k in range(N)), Fraction(0)
+        )
+        assert Fraction(lhs, den) == partial
+        assert Fraction(rhs, den) == wz_oracle.telescoped_rhs(N, alpha)
+
+
+@PROPS
+@given(n=st.integers(-2, 60))
+def test_binomial_identities_match_fraction_oracle(n):
+    assert _outcome(check_binomial_identities, n) == _outcome(
+        wz_oracle.check_binomial_identities, n
+    )

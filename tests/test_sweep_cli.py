@@ -350,6 +350,15 @@ def test_cli_config_error_exit_2(capsys):
     assert main(["wz", "--alpha-samples", "1000"]) == 2
 
 
+def test_cli_identities_rejects_mmax_below_one(capsys):
+    # below m = 1 the Euler bundle checks no power sum, so a pass means nothing
+    for bad in ("0", "-3"):
+        assert main(["identities", "--mmax", bad]) == 2
+        assert "mmax >= 1" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        run_identities(nmax=1, pmax=5, mmax=0)
+
+
 def test_cli_identities_and_wz_and_smoke(capsys):
     assert main(["identities", "--nmax", "3", "--pmax", "7", "--mmax", "3"]) == 0
     assert main(["wz", "--nmax", "3", "--kmax", "3", "--alpha-samples", "2"]) == 0

@@ -1,6 +1,7 @@
 """Rational certificate pair: pointwise values, pair relation, telescoping."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from supercong import wz
 from supercong.wz import (
     DivisionByZeroTerm,
     check_pair,
@@ -53,6 +55,13 @@ def test_f_at_k_zero_is_series_summand():
             assert eval_F(n, 0, a) == want
 
 
+def test_negative_k_is_refused():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        eval_F(2, -1, Fraction(1, 3))
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        eval_G(2, -1, Fraction(1, 3))
+
+
 def test_pole_raises():
     with pytest.raises(DivisionByZeroTerm):
         eval_F(3, 2, Fraction(-1))  # (alpha)_k = 0 at alpha = -1, k = 2
@@ -63,6 +72,33 @@ def test_pole_raises():
 def test_pair_relation_small_grid():
     assert check_pair(5, 5, [Fraction(1, 2), Fraction(1, 3)])
     assert check_pair(4, 6, [Fraction(-2, 5)])
+
+
+@pytest.mark.parametrize("point", [(3, 2), (3, 3)])
+def test_pair_check_catches_a_broken_certificate(monkeypatch, point):
+    good = wz._Table.G
+
+    def broken(self, n, k):
+        num, den = good(self, n, k)
+        return (num + den, den) if (n, k) == point else (num, den)
+
+    monkeypatch.setattr(wz._Table, "G", broken)
+    # row n = 2 reaches G(3, 2) at k = 2 and G(3, 3) only at k = n + 1
+    assert not check_pair(2, 4, [Fraction(1, 2)])
+    # rows n <= 1 only reach G(2, k) and G(1, k)
+    assert check_pair(1, 4, [Fraction(1, 2)])
+
+
+def test_pole_at_the_edge_of_the_range():
+    # (-2)_k = 0 from k = 3 on: a denominator only when k reaches 3
+    msg = "(alpha)_3 = 0 for alpha=-2 in "
+    with pytest.raises(DivisionByZeroTerm, match=re.escape(msg + "F(0,3)")):
+        check_pair(0, 3, [Fraction(-2)])
+    assert check_pair(4, 2, [Fraction(-2)])
+    where = "telescoped_rhs(N=4)"
+    with pytest.raises(DivisionByZeroTerm, match=re.escape(msg + where)):
+        check_telescoped(4, Fraction(-2))
+    assert check_telescoped(3, Fraction(-2))
 
 
 def test_telescoped_small():
