@@ -1,17 +1,19 @@
 """Mutation check: do the tests notice small breaks of the fast paths?
 
-    python tools/mutants.py                      # every mutation, its own tests
-    python tools/mutants.py tests/test_wz.py     # every mutation, these tests
-    python tools/mutants.py --only wz            # mutations whose name has "wz"
+    python tools/mutants.py
 
 Each mutation replaces one snippet, which must occur exactly once, in one
-file of src/supercong.  For each mutation, src/ and tests/ are copied to a
-fresh temporary directory, the snippet is replaced there, and pytest runs
-the named test files against that copy (stopping at the first failure, with
-a per-mutation time limit).  The working tree is never written to.  A
-mutation is caught when the test run fails or times out, and survives when
-it passes.  The script prints one line per mutation, then the survivors,
-and exits 1 if any survived.
+file of src/supercong, and names the test files that should notice.  Every
+run works in a fresh temporary copy of src/ and tests/; the working tree is
+never written to.  First each distinct list of test files runs once against
+an unmutated copy: if any of these baseline runs fails or hits the time
+limit, the script stops with exit 2, because a failure would then say
+nothing about the mutation.  Then, for each mutation, the snippet is
+replaced in a copy and pytest runs the mutation's test files (stopping at
+the first failure, within TIMEOUT_S seconds).  A mutation is caught when
+that run fails or times out, and survives when it passes.  The script
+prints one line per mutation, then the survivors, and exits 1 if any
+survived.
 
 This is a check on the tests, not one of them: it is slow (one pytest
 run per mutation) and is not collected by the test suite.
@@ -25,7 +27,6 @@ appends a zero coefficient, which IntPoly drops.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -35,6 +36,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300.0  # per pytest run
 
 WZ_TESTS = ("tests/test_wz.py", "tests/test_properties.py", "tests/test_acceptance.py")
 BINOM_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
@@ -116,20 +118,24 @@ MUTATIONS = (
 )
 
 
-def run_mutation(m: Mutation, tests: tuple[str, ...], timeout: float) -> str:
-    """'caught', 'caught (timeout)' or 'survived'."""
+def run_tests(tests: tuple[str, ...], m: Mutation | None = None) -> str:
+    """Run `tests` on a copy of src/, with `m` applied if given.
+
+    Returns 'failed', 'timeout' or 'passed'.
+    """
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "src", work / "src")
         shutil.copytree(ROOT / "tests", work / "tests",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        target = work / "src" / "supercong" / m.file
-        text = target.read_text()
-        if text.count(m.old) != 1:
-            raise SystemExit(
-                f"{m.name}: {m.old!r} occurs {text.count(m.old)} times in {m.file}"
-            )
-        target.write_text(text.replace(m.old, m.new))
+        if m is not None:
+            target = work / "src" / "supercong" / m.file
+            text = target.read_text()
+            if text.count(m.old) != 1:
+                raise SystemExit(
+                    f"{m.name}: {m.old!r} occurs {text.count(m.old)} times in {m.file}"
+                )
+            target.write_text(text.replace(m.old, m.new))
         env = {**os.environ, "PYTHONPATH": str(work / "src")}
         # an installed supercong would shadow the copy and hide every mutation
         where = subprocess.run(
@@ -142,34 +148,33 @@ def run_mutation(m: Mutation, tests: tuple[str, ...], timeout: float) -> str:
                "--rootdir", str(work), *tests]
         try:
             proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
-                                  timeout=timeout)
+                                  timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return "caught (timeout)"
+            return "timeout"
         if proc.returncode not in (0, 1):
             sys.stderr.write(proc.stdout.decode()[-2000:])
             sys.stderr.write(proc.stderr.decode()[-2000:])
-            raise SystemExit(f"{m.name}: pytest exited {proc.returncode}")
-        return "caught" if proc.returncode else "survived"
+            label = m.name if m is not None else "baseline"
+            raise SystemExit(f"{label}: pytest exited {proc.returncode}")
+        return "failed" if proc.returncode else "passed"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("tests", nargs="*",
-                    help="test files to run, relative to the repository root "
-                    "(default: each mutation's own list)")
-    ap.add_argument("--only", default="",
-                    help="run only the mutations whose name contains this")
-    ap.add_argument("--timeout", type=float, default=300.0,
-                    help="seconds per mutation before it counts as caught")
-    args = ap.parse_args(argv)
-    chosen = [m for m in MUTATIONS if args.only in m.name]
+def main() -> int:
+    for tests in dict.fromkeys(m.tests for m in MUTATIONS):
+        outcome = run_tests(tests)
+        print(f"baseline {outcome:<8} {' '.join(tests)}", flush=True)
+        if outcome != "passed":
+            print("the unmutated tests do not pass; no mutation can be judged")
+            return 2
     survivors = []
-    for m in chosen:
-        verdict = run_mutation(m, tuple(args.tests) or m.tests, args.timeout)
+    for m in MUTATIONS:
+        outcome = run_tests(m.tests, m)
+        verdict = {"failed": "caught", "timeout": "caught (timeout)",
+                   "passed": "survived"}[outcome]
         print(f"{verdict:<17} {m.name}: {m.old!r} -> {m.new!r}", flush=True)
         if verdict == "survived":
             survivors.append(m.name)
-    print(f"\n{len(chosen) - len(survivors)} of {len(chosen)} mutations caught")
+    print(f"\n{len(MUTATIONS) - len(survivors)} of {len(MUTATIONS)} mutations caught")
     for name in survivors:
         print(f"survived: {name}")
     return 1 if survivors else 0
