@@ -106,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--trunc", choices=("short", "full", "both"), default=SweepConfig.trunc
     )
-    v.add_argument(
-        "--mod-exp", type=int, choices=(3, 4), dest="mod_exp",
-        help="check the ten classical families modulo p^3 or p^4 instead "
-        "of each one's default; other families keep their modulus",
-    )
 
     q = sub.add_parser("qverify", help="polynomial q-congruence checks")
     _add_common(q, suppress=True)
@@ -177,7 +172,6 @@ def _run(args: argparse.Namespace):
             p_min=args.pmin,
             p_max=args.pmax,
             alpha_list=tuple(args.alphas) if args.alphas else None,
-            modulus_exp=args.mod_exp,
             trunc=args.trunc,
             workers=args.workers,
         )

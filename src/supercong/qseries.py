@@ -536,8 +536,6 @@ def verify_gz(n: int, family: str) -> VerificationRecord:
     family "gz-e2" needs odd n >= 3; "gz-f2" needs n ≡ 1 (mod 4), n >= 5.
     """
     fam = norm_family(family)
-    if not fam.startswith("GZ_"):
-        fam = "GZ_" + fam
     if fam not in ("GZ_E2", "GZ_F2"):
         raise ValueError(f"unknown q-family: {family!r}")
     if fam == "GZ_E2":

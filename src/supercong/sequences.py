@@ -109,13 +109,16 @@ def euler_poly_coeffs(n: int) -> tuple[Fraction, ...]:
     return tuple(math.comb(n, j) * e0[n - j] for j in range(n + 1))
 
 
-def euler_poly_eval(n: int, x: Fraction) -> Fraction:
-    """E_n(x) evaluated exactly (Horner)."""
-    x = Fraction(x)
+def _horner(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
     out = Fraction(0)
-    for coef in reversed(euler_poly_coeffs(n)):
+    for coef in reversed(coeffs):
         out = out * x + coef
     return out
+
+
+def euler_poly_eval(n: int, x: Fraction) -> Fraction:
+    """E_n(x) evaluated exactly (Horner)."""
+    return _horner(euler_poly_coeffs(n), Fraction(x))
 
 
 def euler_number(n: int) -> int:
@@ -179,44 +182,42 @@ def check_lehmer(p: int) -> bool:
     return ok1 and ok2 and ok3
 
 
-def check_euler_identities(
-    n_max: int, m_max: int, sample_points: list[Fraction] | None = None
-) -> bool:
+def check_euler_identities(n_max: int, m_max: int) -> bool:
     """Classical Euler-polynomial identities, checked exactly:
 
     * E_{2n}(0) = E_{2n}(1) = 0 for 1 <= n <= n_max//2;
-    * reflection E_n(1-x) = (-1)^n E_n(x) on >= n_max+1 sample points
-      (enough points to pin down a degree-n_max polynomial);
+    * reflection E_n(1-x) = (-1)^n E_n(x) for n <= n_max at the n_max+2
+      points x = j/2, 0 <= j <= n_max+1 (enough points to pin down a
+      degree-n_max polynomial);
     * sum_{k=1}^{n} (-1)^k k^m = ((-1)^n/2) (E_m(n+1) + (-1)^n E_m(0))
       for n <= n_max, 1 <= m <= m_max (at m = 0 the k = 0 term of the
       telescoped form contributes 1, so the closed form starts at m = 1).
+
+    Each E_n's coefficients are built once per call.
     """
-    if sample_points is None:
-        sample_points = [Fraction(j, 2) for j in range(n_max + 2)]
-    pts = set(sample_points)
-    if len(pts) < n_max + 1:
-        raise ValueError(f"need at least {n_max + 1} distinct sample points")
+    coeffs = [euler_poly_coeffs(n) for n in range(max(n_max, m_max) + 1)]
 
-    for n in range(1, n_max // 2 + 1):
-        if euler_poly_eval(2 * n, Fraction(0)) != 0:
-            return False
-        if euler_poly_eval(2 * n, Fraction(1)) != 0:
+    for n in range(2, n_max + 1, 2):
+        if coeffs[n][0] != 0 or sum(coeffs[n]) != 0:  # E_n(0), E_n(1)
             return False
 
+    points = [Fraction(j, 2) for j in range(n_max + 2)]
     for n in range(n_max + 1):
-        sign = (-1) ** n
-        for x in sample_points:
-            if euler_poly_eval(n, 1 - x) != sign * euler_poly_eval(n, x):
+        c = coeffs[n]
+        flip = n % 2
+        for x in points:
+            y = _horner(c, x)
+            if _horner(c, 1 - x) != (-y if flip else y):
                 return False
 
     for m in range(1, m_max + 1):
-        e_m0 = euler_poly_eval(m, Fraction(0))
-        acc = Fraction(0)
+        c = coeffs[m]
+        e_m0 = c[0]
+        acc = 0
         for n in range(1, n_max + 1):
-            acc += Fraction((-1) ** n) * n**m
             sign = (-1) ** n
-            rhs = Fraction(sign, 2) * (euler_poly_eval(m, Fraction(n + 1)) + sign * e_m0)
-            if acc != rhs:
+            acc += sign * n**m
+            if acc != Fraction(sign, 2) * (_horner(c, Fraction(n + 1)) + sign * e_m0):
                 return False
     return True
 

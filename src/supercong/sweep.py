@@ -25,7 +25,6 @@ from .primes import EmptyRange, sieve_primes
 from .records import (
     PreconditionViolated,
     ResidueConditionViolated,
-    TruncationTooLarge,
     VerificationRecord,
     make_record,
     norm_family,
@@ -112,7 +111,6 @@ class SweepConfig:
     # rationals or their literals like "-1/3"; None: per-prime default set
     alpha_list: tuple[Fraction | str, ...] | None = None
     n_list: tuple[int, ...] = (5, 9, 13)
-    modulus_exp: int | None = None
     trunc: str = "both"
     workers: int = 1
 
@@ -164,8 +162,6 @@ def _validate(cfg: SweepConfig) -> SweepConfig:
         raise ConfigError("n_list entries must be >= 1")
     if cfg.trunc not in ("short", "full", "both"):
         raise ConfigError(f"trunc must be short|full|both, got {cfg.trunc!r}")
-    if cfg.modulus_exp not in (None, 3, 4):
-        raise ConfigError(f"modulus_exp must be 3 or 4, got {cfg.modulus_exp}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     alphas = cfg.alpha_list
@@ -199,8 +195,7 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
                 primes = sieve_primes(cfg.p_min, cfg.p_max, f.p_mod, f.p_res)
                 truncs = ("short", "full") if cfg.trunc == "both" else (cfg.trunc,)
                 out += [
-                    Instance(fam, verify_theorem, (fam, p, tr, cfg.modulus_exp),
-                             p=p, truncation=tr)
+                    Instance(fam, verify_theorem, (fam, p, tr), p=p, truncation=tr)
                     for p in primes
                     for tr in truncs
                 ]
@@ -286,7 +281,6 @@ def _execute(inst: Instance) -> VerificationRecord:
     except (
         ResidueConditionViolated,
         PreconditionViolated,
-        TruncationTooLarge,
         NotPAdicIntegral,
         DivisionByZeroTerm,
     ) as exc:
@@ -329,16 +323,18 @@ def run_sweep(cfg: SweepConfig) -> ReportSummary:
     return summarize(_run_instances(build_instances(cfg), cfg.workers))
 
 
+EULER_NMAX = 25
+
+
 def run_identities(
     nmax: int = 50,
     pmax: int = 199,
     mmax: int = 10,
-    euler_nmax: int = 25,
     workers: int = 1,
 ) -> ReportSummary:
     """Binomial identities for n = 1..nmax, the Euler-polynomial identity
-    bundle (power sums up to exponent mmax), and Lehmer's congruences for
-    primes 5..pmax."""
+    bundle (E_n for n <= EULER_NMAX, power sums up to exponent mmax), and
+    Lehmer's congruences for primes 5..pmax."""
     if nmax < 1 or pmax < 5:
         raise ConfigError(f"need nmax >= 1 and pmax >= 5, got {nmax}, {pmax}")
     if mmax < 1:
@@ -349,7 +345,7 @@ def run_identities(
         for n in range(1, nmax + 1)
     ]
     insts.append(
-        Instance("EULER_IDS", check_euler_identities, (euler_nmax, mmax), n=euler_nmax)
+        Instance("EULER_IDS", check_euler_identities, (EULER_NMAX, mmax), n=EULER_NMAX)
     )
     insts += [Instance("LEHMER", _lehmer, (p,), p=p) for p in sieve_primes(5, pmax)]
     return summarize(_run_instances(insts, workers))
@@ -367,7 +363,7 @@ def run_wz(
     if nmax < 1 or kmax < 1 or alpha_samples < 1:
         raise ConfigError("nmax, kmax and alpha-samples must be >= 1")
     try:
-        alphas = sample_alphas(alpha_samples, seed, k_max=max(nmax, kmax))
+        alphas = sample_alphas(alpha_samples, seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     insts = [
@@ -440,24 +436,11 @@ _CSV_COLUMNS = (
 def render_csv(summary: ReportSummary, timings: bool = False) -> str:
     buf = io.StringIO()
     cols = _CSV_COLUMNS + (("elapsed_ms",) if timings else ())
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
+    w = csv.DictWriter(buf, cols, restval="", lineterminator="\n")
+    w.writeheader()
     for r in summary.records:
-        result = {True: "pass", False: "fail", None: "skip"}[r.passed]
-        row = [
-            r.family,
-            r.p if r.p is not None else "",
-            r.n if r.n is not None else "",
-            str(r.alpha) if r.alpha is not None else "",
-            r.truncation or "",
-            r.modulus,
-            _side(r.lhs),
-            _side(r.rhs),
-            result,
-            r.reason or "",
-        ]
-        if timings:
-            row.append(round(r.elapsed_ms, 3) if r.elapsed_ms is not None else "")
+        row = record_to_dict(r, timings)
+        row["result"] = {True: "pass", False: "fail", None: "skip"}[row.pop("pass")]
         w.writerow(row)
     return buf.getvalue()
 

@@ -256,16 +256,14 @@ LEMMA_FAMILIES = (
 )
 
 
-def verify_theorem(
-    family: str, p: int, truncation: str = "short", modulus_exp: int | None = None
-) -> VerificationRecord:
-    """Check one classical family at one prime.
+def verify_theorem(family: str, p: int, truncation: str = "short") -> VerificationRecord:
+    """Check one classical family at one prime, mod p^(family's modulus_exp).
 
     truncation "short" uses the family's stated M = <-1/d>_p ((p-1)/2,
     (p-1)/3, (p-1)/4, (2p-1)/3 or (3p-1)/4); "full" uses M = p-1.  Both
-    are compared with d times the general-alpha closed form at 1/d.
-    modulus_exp may lower the comparison modulus (a mod-p^4 family checked
-    mod p^3); raising it beyond the family's claim is refused.
+    are compared with d times the general-alpha closed form at 1/d.  The
+    mod-p^3 statements of the mod-p^4 families are the five mod-p^3
+    families themselves (B2, E2, F2, SW_E2, SW_F2).
     """
     fam = FAMILIES.get(norm_family(family))
     if fam is None:
@@ -278,13 +276,7 @@ def verify_theorem(
         )
     if p <= 3:
         raise PreconditionViolated(f"{fam.name} needs p > 3, got p = {p}")
-    e = fam.modulus_exp if modulus_exp is None else modulus_exp
-    if e not in (3, 4):
-        raise ValueError(f"modulus exponent must be 3 or 4, got {e}")
-    if e > fam.modulus_exp:
-        raise PreconditionViolated(
-            f"{fam.name} is only claimed mod p^{fam.modulus_exp}"
-        )
+    e = fam.modulus_exp
     m = p**e
     d = fam.weight_d
     alpha = Fraction(1, d)
@@ -439,8 +431,6 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
     denominator Pochhammer raise DivisionByZeroTerm.
     """
     fam = norm_family(family)
-    if not fam.startswith("LEMMA_"):
-        fam = "LEMMA_" + fam
     if fam not in LEMMA_FAMILIES:
         raise ValueError(f"unknown lemma family: {family!r}")
     if p <= 3:

@@ -183,13 +183,13 @@ def check_telescoped(N: int, alpha: Fraction) -> bool:
     return lhs == rhs
 
 
-def sample_alphas(count: int, seed: int, k_max: int = 30) -> list[Fraction]:
+def sample_alphas(count: int, seed: int) -> list[Fraction]:
     """Deterministic pole-free sample from {±r/d : 1 <= r,d <= 9}.
 
     The pool is the 110 distinct values ±r/d less the nonpositive integers
     -1, ..., -9: 101 alphas, and count may not exceed that.  Poles of
-    (alpha)_k are nonpositive integers, all excluded whatever the range of
-    k, so k_max has no effect on the sample.
+    (alpha)_k are nonpositive integers, so no alpha in the pool has one,
+    whatever the range of k.
     """
     pool = sorted(
         {

@@ -141,7 +141,7 @@ def test_criterion_07_lemma_suite():
 
 def test_criterion_08_certificate_pair_suite():
     t0 = time.perf_counter()
-    alphas = sample_alphas(20, seed=0, k_max=30)
+    alphas = sample_alphas(20, seed=0)
     assert check_pair(30, 30, alphas)
     for alpha in alphas:
         for N in range(1, 31):

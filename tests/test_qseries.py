@@ -297,6 +297,12 @@ def test_verify_gz_f2():
         verify_gz(3, "gz-f2")
 
 
+def test_verify_gz_needs_the_full_family_name():
+    # norm_family only folds case and hyphens; no GZ_ prefix is added
+    with pytest.raises(ValueError):
+        verify_gz(5, "e2")
+
+
 def test_mod_squared_difference():
     # proved statement: the two sums agree mod [n] Phi_n^2
     for n in (5, 9):

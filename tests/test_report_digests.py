@@ -37,18 +37,6 @@ CASES = {
         ),
         "6cf3fbc77c65df31856bbcae36e4e2eed5585ba450171ef5991665a550667030",
     ),
-    "verify_mod_exp3": (
-        lambda: run_sweep(
-            SweepConfig(
-                families=VERIFY_FAMILIES,
-                p_min=2,
-                p_max=97,
-                alpha_list=ALPHAS,
-                modulus_exp=3,
-            )
-        ),
-        "1aaf1718f03bbe5985f2b80bbbedbc96093141b1947ee8f9d6040289b2ae7f10",
-    ),
     "qverify": (
         lambda: run_sweep(SweepConfig(families=Q_FAMILIES, n_list=(5, 9, 13))),
         "12524c22f51e9296f9f207e13ecf5c530235c9473335173d52fc7b0e77829f9f",

@@ -126,8 +126,6 @@ def test_check_lehmer():
 
 def test_check_euler_identities():
     assert check_euler_identities(12, 6)
-    with pytest.raises(ValueError):
-        check_euler_identities(10, 3, sample_points=[Fraction(1)])
 
 
 def test_euler_power_sum_instance():

@@ -13,10 +13,12 @@ from supercong.cli import build_parser, main
 from supercong.primes import EmptyRange, sieve_primes
 from supercong.records import (
     PreconditionViolated,
+    TruncationTooLarge,
     VerificationRecord,
     make_record,
     skipped_record,
 )
+from supercong.sequences import check_euler_identities
 from supercong.sweep import (
     ConfigError,
     RATIONAL_ALPHAS,
@@ -34,6 +36,8 @@ from supercong.sweep import (
     run_wz,
     summarize,
 )
+from supercong.verifier import verify_theorem
+from supercong.wz import sample_alphas
 
 
 def test_sieve_primes_matches_sympy():
@@ -123,8 +127,6 @@ def test_run_sweep_config_errors():
     with pytest.raises(ConfigError):
         run_sweep(SweepConfig(families=("B2",), workers=0))
     with pytest.raises(ConfigError):
-        run_sweep(SweepConfig(families=("B2",), modulus_exp=5))
-    with pytest.raises(ConfigError):
         run_sweep(SweepConfig(families=("CONJ41",), n_list=(0,)))
     with pytest.raises(ConfigError):  # no primes at all in [90, 91]
         run_sweep(SweepConfig(families=("B2",), p_min=90, p_max=91))
@@ -187,6 +189,17 @@ def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
     assert "config error" not in err
 
 
+def test_truncation_too_large_is_an_internal_error(monkeypatch):
+    # every sweep truncation is below p, so this error can only be a bug
+    def too_large(*args):
+        raise TruncationTooLarge("M = 7 >= p = 7: k! not invertible")
+
+    monkeypatch.setattr(sweep, "verify_theorem", too_large)
+    with pytest.raises(sweep.InternalError) as info:
+        run_sweep(SweepConfig(families=("B2",), p_min=7, p_max=7))
+    assert isinstance(info.value.__cause__, TruncationTooLarge)
+
+
 def test_cli_defaults_are_the_api_defaults(monkeypatch):
     monkeypatch.delenv("SUPERCONG_WORKERS", raising=False)
     parser = build_parser()
@@ -196,8 +209,8 @@ def test_cli_defaults_are_the_api_defaults(monkeypatch):
 
     cfg = SweepConfig(families=())
     args = parser.parse_args(["verify"])
-    assert (args.pmin, args.pmax, args.trunc, args.mod_exp, args.alphas) == (
-        cfg.p_min, cfg.p_max, cfg.trunc, cfg.modulus_exp, cfg.alpha_list
+    assert (args.pmin, args.pmax, args.trunc, args.alphas) == (
+        cfg.p_min, cfg.p_max, cfg.trunc, cfg.alpha_list
     )
     assert args.workers == cfg.workers
     assert parser.parse_args(["qverify"]).n_list is None  # means cfg.n_list
@@ -277,7 +290,7 @@ def test_exit_code_mapping():
 
 
 def test_run_identities():
-    s = run_identities(nmax=4, pmax=13, mmax=4, euler_nmax=8)
+    s = run_identities(nmax=4, pmax=13, mmax=4)
     fams = {r.family for r in s.records}
     assert fams == {"BINOM_IDS", "EULER_IDS", "LEHMER"}
     assert s.failed == 0
@@ -332,11 +345,22 @@ def test_cli_verify_subset(tmp_path):
     assert len(lines) > 2 and lines[0].startswith("family,")
 
 
-def test_cli_verify_mod_exp(capsys):
-    assert main(["verify", "--family", "sun-b2", "--pmax", "13",
-                 "--mod-exp", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "^3" in out and "[PASS]" in out
+def test_removed_settings_are_refused(capsys):
+    # the mod-p^3 statements are the five mod-p^3 families, not an option
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--family", "sun-b2", "--pmax", "13", "--mod-exp", "3"])
+    assert info.value.code == 2
+    assert "--mod-exp" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        SweepConfig(families=("B2",), modulus_exp=3)
+    with pytest.raises(TypeError):
+        run_identities(euler_nmax=8)
+    with pytest.raises(TypeError):
+        verify_theorem("E2_MOD4", 7, "short", modulus_exp=3)
+    with pytest.raises(TypeError):
+        sample_alphas(3, 0, k_max=30)
+    with pytest.raises(TypeError):
+        check_euler_identities(10, 3, sample_points=[Fraction(1)])
 
 
 def test_cli_config_error_exit_2(capsys):

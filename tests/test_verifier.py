@@ -188,27 +188,6 @@ def test_verify_theorem_small_p_rejected():
         verify_theorem("B2", 2)
 
 
-def test_modulus_exponent_loosening_only():
-    # a p^4 family may be rechecked mod p^3; a p^3 family cannot claim p^4
-    assert verify_theorem("E2_MOD4", 7, "short", modulus_exp=3).passed
-    assert verify_theorem("E2_MOD4", 7, "short", modulus_exp=3).modulus == "7^3"
-    with pytest.raises(PreconditionViolated):
-        verify_theorem("B2", 5, "short", modulus_exp=4)
-    with pytest.raises(ValueError):
-        verify_theorem("B2", 5, "short", modulus_exp=2)
-
-
-def test_mod_p3_weakening_of_p4_families():
-    for fam in ("E2_MOD4", "SUN_B2", "SW_E2_MOD4"):
-        f = FAMILIES[fam]
-        for p in (5, 7, 11, 13, 17, 19):
-            if f.p_mod is not None and p % f.p_mod != f.p_res:
-                continue
-            if p == 3:
-                continue
-            assert verify_theorem(fam, p, "full", modulus_exp=3).passed
-
-
 def _sign(j):
     return -1 if j % 2 else 1
 
@@ -250,25 +229,50 @@ def _paper_correction(corr, p):
 def test_classical_records_match_paper_right_sides(fam):
     # the closed form at alpha = 1/d must reproduce each family's stated
     # truncation and right side, at every qualifying p < 1000, at both
-    # truncations, and both at the family's exponent and mod p^3
+    # truncations, at the family's own exponent (a mod-p^4 family's mod-p^3
+    # case is its twin's, see the next test)
     d, short_m, base, corr = PAPER_FAMILIES[fam]
     f = FAMILIES[fam]
     assert f.weight_d == d
+    assert (f.modulus_exp == 4) == (corr is not None)
+    e = f.modulus_exp
     primes = sieve_primes(5, 999, f.p_mod, f.p_res)
     assert len(primes) > 70
     for p in primes:
         assert f.short_m(p) == short_m(p)
-        for e in sorted({3, f.modulus_exp}):
-            m = p**e
-            want = base(p) % m
-            if e == 4:
-                want = (want + _paper_correction(corr, p)) % m
-            for tr, M in (("short", short_m(p)), ("full", p - 1)):
-                rec = verify_theorem(fam, p, tr, modulus_exp=e)
-                assert rec.modulus == f"{p}^{e}"
-                assert rec.rhs.value == want, (fam, p, e, tr)
-                assert rec.lhs.value == d * sum_main(Fraction(1, d), M, p, e).value % m
-                assert rec.passed, (fam, p, e, tr)
+        m = p**e
+        want = base(p) % m
+        if e == 4:
+            want = (want + _paper_correction(corr, p)) % m
+        for tr, M in (("short", short_m(p)), ("full", p - 1)):
+            rec = verify_theorem(fam, p, tr)
+            assert rec.modulus == f"{p}^{e}"
+            assert rec.rhs.value == want, (fam, p, tr)
+            assert rec.lhs.value == d * sum_main(Fraction(1, d), M, p, e).value % m
+            assert rec.passed, (fam, p, tr)
+
+
+# each mod-p^4 family and the mod-p^3 family it sharpens
+TWINS = {"E2_MOD4": "E2", "F2_MOD4": "F2", "SW_E2_MOD4": "SW_E2",
+         "SW_F2_MOD4": "SW_F2", "SUN_B2": "B2"}
+
+
+@pytest.mark.parametrize("fam4", sorted(TWINS))
+def test_mod_p4_family_reduced_mod_p3_is_its_twin(fam4):
+    # the mod-p^3 statements of the mod-p^4 families are the five mod-p^3
+    # families: same sum, same primes, same sides mod p^3
+    assert sorted([*TWINS, *TWINS.values()]) == sorted(FAMILIES)
+    f4, f3 = FAMILIES[fam4], FAMILIES[TWINS[fam4]]
+    assert (f4.modulus_exp, f3.modulus_exp) == (4, 3)
+    assert (f4.weight_d, f4.p_mod, f4.p_res) == (f3.weight_d, f3.p_mod, f3.p_res)
+    for p in sieve_primes(5, 999, f4.p_mod, f4.p_res):
+        m = p**3
+        for tr in ("short", "full"):
+            r4, r3 = verify_theorem(f4.name, p, tr), verify_theorem(f3.name, p, tr)
+            assert r3.modulus == f"{p}^3"
+            assert (r4.lhs.value % m, r4.rhs.value % m) == (
+                r3.lhs.value, r3.rhs.value
+            ), (fam4, p, tr)
 
 
 def test_p_cubed_times_residue_truncation():
@@ -386,6 +390,13 @@ def test_verify_lemma_preconditions():
         verify_lemma("LEMMA_PROD", Fraction(-1), 7)  # (alpha)_{a+1} = 0
     with pytest.raises(ValueError):
         verify_lemma("NOPE", Fraction(1, 2), 7)
+
+
+def test_verify_lemma_needs_the_full_family_name():
+    # norm_family only folds case and hyphens; no LEMMA_ prefix is added
+    assert verify_lemma("lemma-wzprod", Fraction(1, 3), 7).passed
+    with pytest.raises(ValueError):
+        verify_lemma("WZPROD", Fraction(1, 3), 7)
 
 
 def test_alphap3_all_alpha_including_zero_mod_p():

@@ -124,8 +124,8 @@ def test_telescoped_rhs_matches_partial_sums():
 
 
 def test_sample_alphas_deterministic_and_pole_free():
-    a1 = sample_alphas(12, seed=3, k_max=30)
-    a2 = sample_alphas(12, seed=3, k_max=30)
+    a1 = sample_alphas(12, seed=3)
+    a2 = sample_alphas(12, seed=3)
     assert a1 == a2
     assert len(set(a1)) == 12
     for a in a1:

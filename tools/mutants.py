@@ -40,6 +40,7 @@ TIMEOUT_S = 300.0  # per pytest run
 
 WZ_TESTS = ("tests/test_wz.py", "tests/test_properties.py", "tests/test_acceptance.py")
 BINOM_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
+EULER_TESTS = ("tests/test_sequences.py",)
 Q_TESTS = ("tests/test_qseries.py", "tests/test_properties.py")
 CLOSED_TESTS = ("tests/test_verifier.py", "tests/test_acceptance.py")
 
@@ -89,6 +90,9 @@ MUTATIONS = (
              "math.lcm(*range(1, n + 1))", "math.lcm(*range(1, n))", BINOM_TESTS),
     Mutation("binomial halved sum", "sequences.py",
              "2 * s3 ==", "s3 ==", BINOM_TESTS),
+    # the exact Euler-polynomial identities
+    Mutation("euler reflection sign", "sequences.py",
+             "(-y if flip else y)", "(y if flip else -y)", EULER_TESTS),
     # the root-of-unity congruence test and the sparse q-sums
     Mutation("qseries derivative orders", "qseries.py",
              "range(v + e)", "range(v + e - 1)", Q_TESTS),
