@@ -15,8 +15,7 @@ statement at alpha in {1/2, 1/3, 1/4} scaled by the denominator.
 
 from fractions import Fraction
 
-from supercong import decompose, sum_main, verify_main1, verify_tail
-from supercong.records import SkippedWhenAEqualsPMinus1
+from supercong import decompose, sum_main, verify_alpha
 
 p = 13
 print(f"p = {p}\n")
@@ -24,8 +23,8 @@ print(f"p = {p}\n")
 for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4),
               Fraction(5, 6), Fraction(7), Fraction(2, 3)):
     d = decompose(alpha, p)
-    full = verify_main1(alpha, p, "full")
-    short = verify_main1(alpha, p, "short")
+    # one call checks both truncations and the tail between them
+    full, short, tail = verify_alpha(alpha, p, ("MAIN1", "MAIN1_TRUNC", "TAIL"))
     print(f"alpha = {str(alpha):>4}:  a = {d.a:2d}, t = {d.t}")
     print(f"  S(alpha, {d.a:2d}) = {int(short.lhs):5d},"
           f"  S(alpha, {p - 1}) = {int(full.lhs):5d},"
@@ -33,11 +32,10 @@ for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4),
           f"  -> {'ok' if full.passed and short.passed else 'FAIL'}")
     # the two truncations agree because the trailing block of terms
     # vanishes mod p^4 on its own
-    try:
-        tail = verify_tail(alpha, p)
-        print(f"  tail k = {d.a + 1}..{p - 1}: {int(tail.lhs)} (mod {p}^4)")
-    except SkippedWhenAEqualsPMinus1:
+    if tail.passed is None:  # skipped: a = p-1
         print("  tail is empty (a = p-1)")
+    else:
+        print(f"  tail k = {d.a + 1}..{p - 1}: {int(tail.lhs)} (mod {p}^4)")
     print()
 
 # integer alpha work too: alpha = 7 has a = p - 7 and the same collapse

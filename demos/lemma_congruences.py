@@ -8,32 +8,27 @@ terms of a = <-alpha>_p and t = (alpha + a)/p alone.
 
 from fractions import Fraction
 
-from supercong import LEMMA_FAMILIES, decompose, pochhammer, verify_lemma
+from supercong import LEMMA_FAMILIES, decompose, pochhammer, verify_alpha
 
 p = 5
 alpha = Fraction(1)
 exact = pochhammer(alpha, 2 * p - 1) / pochhammer(Fraction(1), p - 1) ** 2
 print(f"(1)_9 / 4!^2 = {exact}, and {exact} mod 5^4 = {int(exact) % p**4}")
 
-rec = verify_lemma("LEMMA_WZPROD", alpha, p)
-print(f"verify_lemma agrees: lhs={rec.lhs.value} rhs={rec.rhs.value}"
+[rec] = verify_alpha(alpha, p, ("LEMMA_WZPROD",))
+print(f"verify_alpha agrees: lhs={rec.lhs.value} rhs={rec.rhs.value}"
       f" mod {rec.modulus} passed={rec.passed}")
 
 dec = decompose(Fraction(1, 2), 7)
 print(f"\nalpha = 1/2, p = 7: a = <-1/2>_7 = {dec.a}, t = {dec.t}")
 print("all five congruences at that point:")
-for fam in LEMMA_FAMILIES:
-    r = verify_lemma(fam, Fraction(1, 2), 7)
+for r in verify_alpha(Fraction(1, 2), 7, LEMMA_FAMILIES):
     tag = "ok" if r.passed else "FAIL"
-    print(f"  [{tag}] {fam:<14} lhs={r.lhs.value:>6} rhs={r.rhs.value:>6}"
+    print(f"  [{tag}] {r.family:<14} lhs={r.lhs.value:>6} rhs={r.rhs.value:>6}"
           f"  mod {r.modulus}")
 
 print("\nsame five across primes, alpha = 2/3:")
 for q in (5, 7, 11, 13, 17, 19, 23):
-    marks = []
-    for fam in LEMMA_FAMILIES:
-        r = verify_lemma(fam, Fraction(2, 3), q)
-        marks.append("ok" if r.passed else "FAIL")
     print(f"  p={q:>2}: " + "  ".join(
-        f"{fam.removeprefix('LEMMA_')}={m}"
-        for fam, m in zip(LEMMA_FAMILIES, marks)))
+        f"{r.family.removeprefix('LEMMA_')}={'ok' if r.passed else 'FAIL'}"
+        for r in verify_alpha(Fraction(2, 3), q, LEMMA_FAMILIES)))

@@ -50,6 +50,7 @@ from .sequences import (
     pochhammer,
 )
 from .verifier import (
+    ALPHA_FAMILIES,
     FAMILIES,
     LEMMA_FAMILIES,
     MAO_VARIANTS,
@@ -58,10 +59,8 @@ from .verifier import (
     sum_main_exact,
     sum_mao,
     sum_mao_exact,
-    verify_lemma,
-    verify_main1,
+    verify_alpha,
     verify_mao_equiv,
-    verify_tail,
     verify_theorem,
 )
 from .wz import (

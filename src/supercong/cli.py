@@ -104,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         "alpha-parameterised families (default: built-in sample)",
     )
     v.add_argument(
-        "--trunc", choices=("short", "full", "both"), default=SweepConfig.trunc
+        "--trunc", choices=("short", "full", "both"), default=SweepConfig.trunc,
+        help="truncations of the ten classical families; the other families "
+        "are not filtered (MAIN1 is full, MAIN1_TRUNC short) (default: both)",
     )
 
     q = sub.add_parser("qverify", help="polynomial q-congruence checks")

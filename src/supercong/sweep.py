@@ -3,9 +3,11 @@
 Instances are expanded up front as immutable ``Instance`` values, executed
 either serially or on a process pool, and the records are sorted afterwards
 by (family, p or n, alpha, truncation), so reports are byte-identical for
-any worker count.  A failed precondition becomes a skipped record with a
-reason and the instance's own labels; any other exception is a bug and
-aborts the sweep with an error that names the instance.
+any worker count.  An instance yields one record, except that one instance
+per (alpha, p) checks all the requested alpha families and yields a record
+for each.  A failed precondition becomes a skipped record with a reason and
+the instance's own labels; any other exception is a bug and aborts the
+sweep with an error that names the instance.
 """
 
 from __future__ import annotations
@@ -20,30 +22,22 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .padic import NotPAdicIntegral, ResidueClass, parse_rational
+from .padic import ResidueClass, parse_rational
 from .primes import EmptyRange, sieve_primes
-from .records import (
-    PreconditionViolated,
-    ResidueConditionViolated,
-    VerificationRecord,
-    make_record,
-    norm_family,
-    skipped_record,
-)
+from .records import VerificationRecord, make_record, norm_family, skipped_record
 from .sequences import check_binomial_identities, check_euler_identities, check_lehmer
 from .verifier import (
+    ALPHA_FAMILIES,
     FAMILIES,
-    LEMMA_FAMILIES,
     MAO_VARIANTS,
+    SKIP_ERRORS,
     ramanujan_partial,
-    verify_lemma,
-    verify_main1,
+    verify_alpha,
     verify_mao_equiv,
-    verify_tail,
     verify_theorem,
 )
 from .qseries import verify_conjecture41, verify_gz
-from .wz import DivisionByZeroTerm, check_pair, check_telescoped, sample_alphas
+from .wz import check_pair, check_telescoped, sample_alphas
 
 __all__ = [
     "ConfigError",
@@ -51,7 +45,6 @@ __all__ = [
     "SweepConfig",
     "ReportSummary",
     "RATIONAL_ALPHAS",
-    "ALPHA_FAMILIES",
     "Q_FAMILIES",
     "VERIFY_FAMILIES",
     "default_alphas",
@@ -87,11 +80,8 @@ RATIONAL_ALPHAS: tuple[Fraction, ...] = (
     Fraction(3, 5),
 )
 
-ALPHA_FAMILIES = ("MAIN1", "MAIN1_TRUNC", "TAIL")
 Q_FAMILIES = ("GZ_E2", "GZ_F2", "CONJ41")
-VERIFY_FAMILIES: tuple[str, ...] = (
-    tuple(FAMILIES) + MAO_VARIANTS + ALPHA_FAMILIES + LEMMA_FAMILIES
-)
+VERIFY_FAMILIES: tuple[str, ...] = tuple(FAMILIES) + MAO_VARIANTS + ALPHA_FAMILIES
 
 
 def default_alphas(p: int) -> list[Fraction]:
@@ -126,9 +116,11 @@ class ReportSummary:
 
 
 class Instance(NamedTuple):
-    """One check: run(*args) returns its record, or a bool for an exact
-    identity.  family, p, n, alpha and truncation label that record and,
-    if run raises a precondition error, the skip record in its place."""
+    """One check: run(*args) returns its record, a bool for an exact
+    identity, or the list of records of verify_alpha.  family, p, n, alpha
+    and truncation label that record and, if run raises a precondition
+    error, the skip record in its place.  For verify_alpha, family is the
+    requested families joined by commas; it makes its own skip records."""
 
     family: str
     run: Callable
@@ -206,30 +198,18 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
                     Instance(fam, verify_mao_equiv, (p, fam), p=p, truncation=tr)
                     for p in sieve_primes(cfg.p_min, cfg.p_max, mod, res)
                 ]
-            elif fam in ("MAIN1", "MAIN1_TRUNC"):
-                tr = "full" if fam == "MAIN1" else "short"
-                for p in sieve_primes(cfg.p_min, cfg.p_max):
-                    out += [
-                        Instance(fam, verify_main1, (a, p, tr),
-                                 p=p, alpha=a, truncation=tr)
-                        for a in _alphas_for(cfg, p)
-                    ]
-            elif fam == "TAIL":
-                for p in sieve_primes(cfg.p_min, cfg.p_max):
-                    out += [
-                        Instance(fam, verify_tail, (a, p), p=p, alpha=a)
-                        for a in _alphas_for(cfg, p)
-                    ]
-            elif fam in LEMMA_FAMILIES:
-                for p in sieve_primes(cfg.p_min, cfg.p_max):
-                    out += [
-                        Instance(fam, verify_lemma, (fam, a, p), p=p, alpha=a)
-                        for a in _alphas_for(cfg, p)
-                    ]
             elif fam == "CONJ41":
                 out += [Instance(fam, verify_conjecture41, (n,), n=n) for n in cfg.n_list]
-            else:  # GZ_E2, GZ_F2
+            elif fam in Q_FAMILIES:  # GZ_E2, GZ_F2
                 out += [Instance(fam, verify_gz, (n, fam), n=n) for n in cfg.n_list]
+        # one instance per (alpha, p) checks every requested alpha family
+        fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
+        if fams:
+            for p in sieve_primes(cfg.p_min, cfg.p_max):
+                out += [
+                    Instance(",".join(fams), verify_alpha, (a, p, fams), p=p, alpha=a)
+                    for a in _alphas_for(cfg, p)
+                ]
     except EmptyRange as exc:
         raise ConfigError(str(exc)) from exc
     if not out:
@@ -240,14 +220,14 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
     return out
 
 
-def _dispatch(inst: Instance) -> VerificationRecord:
+def _dispatch(inst: Instance) -> list[VerificationRecord]:
     out = inst.run(*inst.args)
     if isinstance(out, bool):
-        return make_record(
+        out = make_record(
             inst.family, "exact", "equal" if out else "unequal", "equal",
             **inst.labels(),
         )
-    return out
+    return out if isinstance(out, list) else [out]
 
 
 def _lehmer(p: int) -> VerificationRecord:
@@ -274,32 +254,30 @@ def _ramanujan(terms: int, tol: float) -> VerificationRecord:
     )
 
 
-def _execute(inst: Instance) -> VerificationRecord:
+def _execute(inst: Instance) -> list[VerificationRecord]:
     t0 = time.perf_counter()
     try:
-        rec = _dispatch(inst)
-    except (
-        ResidueConditionViolated,
-        PreconditionViolated,
-        NotPAdicIntegral,
-        DivisionByZeroTerm,
-    ) as exc:
-        rec = skipped_record(inst.family, str(exc), **inst.labels())
+        recs = _dispatch(inst)
+    except SKIP_ERRORS as exc:
+        recs = [skipped_record(inst.family, str(exc), **inst.labels())]
     except Exception as exc:
         # a bug, not a verdict: abort the sweep, naming the instance to re-run
         raise InternalError(
             f"internal error checking {inst}: {type(exc).__name__}: {exc}"
         ) from exc
-    return replace(rec, elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    # each record carries the instance's wall time over its number of records
+    ms = (time.perf_counter() - t0) * 1000.0 / len(recs)
+    return [replace(r, elapsed_ms=ms) for r in recs]
 
 
 def _run_instances(insts: list[Instance], workers: int) -> list[VerificationRecord]:
     if workers > 1 and len(insts) > 1:
         chunk = max(1, len(insts) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            records = list(ex.map(_execute, insts, chunksize=chunk))
+            records = [r for recs in ex.map(_execute, insts, chunksize=chunk)
+                       for r in recs]
     else:
-        records = [_execute(i) for i in insts]
+        records = [r for i in insts for r in _execute(i)]
     records.sort(key=VerificationRecord.sort_key)
     return records
 
@@ -380,8 +358,8 @@ def run_wz(
 def run_smoke(terms: int = 50, tol: float = 1e-6) -> ReportSummary:
     if terms < 1:
         raise ConfigError(f"terms must be >= 1, got {terms}")
-    if tol <= 0:
-        raise ConfigError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:  # also refuses nan
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
     inst = Instance("RAMANUJAN", _ramanujan, (terms, tol), n=terms)
     return summarize(_run_instances([inst], workers=1))
 

@@ -15,13 +15,16 @@ Against it we check:
   the two truncations;
 * the ten classical families, five mod p^3 and five mod p^4, which are
   that congruence at alpha = 1/d times d: one helper (_closed_form) gives
-  the right side to verify_theorem and verify_main1, so a family is only
+  the right side to verify_theorem and verify_alpha, so a family is only
   data (d, residue class, exponent);
 * the (6k+1)(1/2)_k^3/(8^k k!^3) family (full and half truncations) and its
   equivalence with the (8k+1) family for p ≡ 1 (mod 4);
 * the five auxiliary Pochhammer-quotient congruences the proofs run on,
   whose left sides are p^v times a unit residue mod p^4: only alpha+a and
   alpha+a+p among the Pochhammer factors are divisible by p.
+
+The general-alpha congruence, its tail and the five lemmas are statements
+about one pair (alpha, p); verify_alpha checks any of them in one call.
 
 Everything is exact: residue pipelines for speed, Fraction oracles for
 cross-checks (the lemma oracle lives in the tests).
@@ -32,7 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
+from typing import Callable
 
 from .padic import (
     NotPAdicIntegral,
@@ -51,6 +56,7 @@ from .records import (
     VerificationRecord,
     make_record,
     norm_family,
+    skipped_record,
 )
 from .sequences import (
     alternating_reciprocal_squares,
@@ -65,16 +71,17 @@ __all__ = [
     "TheoremFamily",
     "FAMILIES",
     "LEMMA_FAMILIES",
+    "ALPHA_FAMILIES",
+    "ALPHA_TRUNCATIONS",
+    "SKIP_ERRORS",
     "MAO_VARIANTS",
     "sum_main",
     "sum_main_exact",
     "sum_mao",
     "sum_mao_exact",
     "verify_theorem",
-    "verify_main1",
-    "verify_tail",
+    "verify_alpha",
     "verify_mao_equiv",
-    "verify_lemma",
     "ramanujan_partial",
 ]
 
@@ -254,6 +261,14 @@ LEMMA_FAMILIES = (
     "LEMMA_PROD",
     "LEMMA_SIGMA",
 )
+# the families checked at a pair (alpha, p), by verify_alpha
+ALPHA_FAMILIES = ("MAIN1", "MAIN1_TRUNC", "TAIL") + LEMMA_FAMILIES
+# the truncation labels of the general-alpha records; the others have none
+ALPHA_TRUNCATIONS = {"MAIN1": "full", "MAIN1_TRUNC": "short"}
+
+# a failed precondition: the instance is skipped with this reason, not failed
+SKIP_ERRORS = (ResidueConditionViolated, PreconditionViolated, NotPAdicIntegral,
+               DivisionByZeroTerm)
 
 
 def verify_theorem(family: str, p: int, truncation: str = "short") -> VerificationRecord:
@@ -290,47 +305,6 @@ def verify_theorem(family: str, p: int, truncation: str = "short") -> Verificati
 
 
 # ---------------------------------------------------------------------------
-# general-alpha congruence and its tail
-
-def verify_main1(
-    alpha: Fraction, p: int, truncation: str = "full"
-) -> VerificationRecord:
-    """S(alpha, M) ≡ (-1)^a (alpha+a) + (alpha+a)^3 E_{p-3}(alpha) mod p^4,
-
-    with a = <-alpha>_p and M = p-1 ("full") or M = a ("short").
-    """
-    if truncation not in ("short", "full"):
-        raise ValueError(f"truncation must be short|full, got {truncation!r}")
-    if p <= 3:
-        raise PreconditionViolated(f"needs p > 3, got p = {p}")
-    alpha = Fraction(alpha)
-    a, rhs = _closed_form(alpha, p, 4)
-    lhs = sum_main(alpha, p - 1 if truncation == "full" else a, p, 4)
-    family = "MAIN1" if truncation == "full" else "MAIN1_TRUNC"
-    return make_record(
-        family, f"{p}^4", lhs, ResidueClass(rhs, p**4),
-        p=p, alpha=alpha, truncation=truncation,
-    )
-
-
-def verify_tail(alpha: Fraction, p: int) -> VerificationRecord:
-    """sum_{k=a+1}^{p-1} of the S(alpha) summand ≡ 0 mod p^4 (a <= p-2)."""
-    if p <= 3:
-        raise PreconditionViolated(f"needs p > 3, got p = {p}")
-    alpha = Fraction(alpha)
-    dec = decompose(alpha, p)
-    if dec.a == p - 1:
-        raise SkippedWhenAEqualsPMinus1(
-            f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
-        )
-    m = p**4
-    s = sum_main(alpha, p - 1, p, 4).value - sum_main(alpha, dec.a, p, 4).value
-    return make_record(
-        "TAIL", f"{p}^4", ResidueClass(s % m, m), ResidueClass(0, m), p=p, alpha=alpha
-    )
-
-
-# ---------------------------------------------------------------------------
 # the (6k+1)(1/2)_k^3/8^k family
 
 def verify_mao_equiv(p: int, variant: str) -> VerificationRecord:
@@ -362,8 +336,9 @@ def verify_mao_equiv(p: int, variant: str) -> VerificationRecord:
 # ---------------------------------------------------------------------------
 # auxiliary Pochhammer-quotient congruences
 
-def _poch_prefix(alpha: Fraction, p: int) -> tuple[list[int], int, int]:
-    """(u, v0, v1) with (alpha)_j = p^(e_j) u_j for j = 0..2p-1, u_j mod p^4.
+def _poch_prefix(alpha: Fraction, p: int) -> tuple[list[int], int, int, list[int]]:
+    """(u, v0, v1, fact) with (alpha)_j = p^(e_j) u_j for j = 0..2p-1, u_j
+    mod p^4, and fact the factorials j! mod p^4 for j = 0..p-1.
 
     With a = <-alpha>_p the only factors alpha+i (i <= 2p-2) divisible by p
     are alpha+a = p*t and alpha+a+p = p*(t+1), of valuations v0 and v1.
@@ -391,7 +366,8 @@ def _poch_prefix(alpha: Fraction, p: int) -> tuple[list[int], int, int]:
     for i in range(2 * p - 1):
         f = u0 if i == a else u1 if i == a + p else x + i
         out.append(out[-1] * f % m)
-    return out, v0, v1
+    fact = list(accumulate(range(1, p), lambda acc, j: acc * j % m, initial=1))
+    return out, v0, v1, fact
 
 
 def _lemma_sum(
@@ -411,8 +387,10 @@ def _lemma_sum(
     return s, d
 
 
-def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
-    """The five Pochhammer-quotient congruences mod p^4.
+def _lemma_sides(
+    fam: str, alpha: Fraction, p: int, a: int, t: Fraction, tables: Callable
+) -> tuple[int, Fraction]:
+    """Left side mod p^4 and exact right side of one LEMMA_* family.
 
     Families (a = <-alpha>_p, alpha + a = p*t throughout):
 
@@ -424,29 +402,31 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
     * LEMMA_SIGMA:   weighted sum over k = a+2..p-1; needs a <= p-2.
 
     Each left side is p^v times a p-adic integer, with v read off the
-    valuations of alpha+a and alpha+a+p (see _poch_prefix) and the integer
-    computed mod p^4 from unit residues, in O(p) operations and two
-    inverses.  The right sides are the exact closed forms in a, t, H_a and
-    H_a^(2), reduced mod p^4.  Nonpositive-integer alphas that zero a
-    denominator Pochhammer raise DivisionByZeroTerm.
+    valuations of alpha+a and alpha+a+p and the integer computed mod p^4
+    from the unit residues of tables() (_poch_prefix's, asked for once the
+    preconditions hold), in O(p) operations and two inverses.  The right
+    sides are the exact closed forms in a, t, H_a and H_a^(2).  Alphas that
+    zero a denominator Pochhammer raise DivisionByZeroTerm.
     """
-    fam = norm_family(family)
-    if fam not in LEMMA_FAMILIES:
-        raise ValueError(f"unknown lemma family: {family!r}")
-    if p <= 3:
-        raise PreconditionViolated(f"needs p > 3, got p = {p}")
-    alpha = Fraction(alpha)
-    dec = decompose(alpha, p)
-    a, t = dec.a, dec.t
+    if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):
+        raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
+    # only the factor alpha+a of (alpha)_{a+1} (LEMMA_PROD), and likewise of
+    # (alpha)_{p-1} (LEMMA_SIGMA), can vanish
+    if fam == "LEMMA_PROD" and t == 0:
+        raise DivisionByZeroTerm(f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})")
+    if fam == "LEMMA_SIGMA":
+        if a > p - 2:
+            raise PreconditionViolated(f"a = p-1 violates a <= p-2 (alpha = {alpha})")
+        if t == 0:
+            raise DivisionByZeroTerm(
+                f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
+            )
     m = p**4
-    u, v0, v1 = _poch_prefix(alpha, p)
-    fact = list(accumulate(range(1, p), lambda f, j: f * j % m, initial=1))
+    u, v0, v1, fact = tables()
     f2 = fact[p - 1] ** 2
 
     # the left side is p^v * num / den, den a unit mod p^4
     if fam == "LEMMA_WZPROD":
-        if a == 0:
-            raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
         num, den = u[2 * p - 1], f2
         if a == p - 1:  # alpha+a+p is past the last factor
             v, rhs = v0, p * t
@@ -460,8 +440,6 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
         v, num, den = 3 * v0, u[p] ** 3, fact[p - 1] ** 3
         rhs = (alpha + a) ** 3
     elif fam == "LEMMA_SIGMA1":
-        if a == 0:
-            raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
         # (alpha)_k for k <= a has no factor divisible by p, so it is never 0;
         # (alpha)_{p+k-1} has valuation v0, so every term has valuation v0
         s, d = _lemma_sum(u, fact, p, 1, a)
@@ -472,10 +450,6 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
             * (harmonic(a, 2) + 2 * alternating_reciprocal_squares(a))
         )
     elif fam == "LEMMA_PROD":
-        if t == 0:  # only the factor alpha+a of (alpha)_{a+1} can vanish
-            raise DivisionByZeroTerm(
-                f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})"
-            )
         v = v0  # valuation 3 v0 over (alpha)_{a+1}^2, valuation 2 v0
         num = u[p] ** 2 * u[p + a]
         den = f2 * fact[p - a - 1] * u[a + 1] ** 2
@@ -489,12 +463,6 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
             + p**2 * pt * (t**2 + 4 * t + 1) / 2 * ha2
         )
     else:  # LEMMA_SIGMA
-        if a > p - 2:
-            raise PreconditionViolated(f"a = p-1 violates a <= p-2 (alpha = {alpha})")
-        if t == 0:  # likewise for (alpha)_{p-1}
-            raise DivisionByZeroTerm(
-                f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
-            )
         # every term is (alpha)_{p+k-1}, valuation v0 + v1, over (alpha)_k^2,
         # valuation 2 v0
         s, d = _lemma_sum(u, fact, p, a + 2, p - 1)
@@ -510,13 +478,64 @@ def verify_lemma(family: str, alpha: Fraction, p: int) -> VerificationRecord:
             - Fraction(2 * sa, a + 1) * ha
             - sa * (t + 2) / (a + 1) ** 2
         )
+    return (p**v * num * pow(den, -1, m) % m if v < 4 else 0), rhs
 
-    lhs = p**v * num * pow(den, -1, m) % m if v < 4 else 0
-    return make_record(
-        fam,
-        f"{p}^4",
-        ResidueClass(lhs, m),
-        reduce_mod(rhs, p, 4),
-        p=p,
-        alpha=alpha,
-    )
+
+# ---------------------------------------------------------------------------
+# the general-alpha congruence, its tail and the lemmas at one (alpha, p)
+
+def verify_alpha(
+    alpha: Fraction, p: int, families: tuple[str, ...] = ALPHA_FAMILIES
+) -> list[VerificationRecord]:
+    """One record mod p^4 per requested family, in the order given.
+
+    With a = <-alpha>_p and S(alpha, M) the sum of sum_main:
+
+    * MAIN1, MAIN1_TRUNC: S(alpha, M) ≡ (-1)^a (alpha+a)
+      + (alpha+a)^3 E_{p-3}(alpha), with M = p-1 ("full") or M = a ("short").
+    * TAIL: S(alpha, p-1) - S(alpha, a) ≡ 0, the terms k = a+1..p-1; a <= p-2.
+    * the five LEMMA_* families (see _lemma_sides).
+
+    Every family needs p > 3 and a p-integral alpha; a family whose
+    precondition fails (one of SKIP_ERRORS) gets a skip record with the
+    reason.  The shared values -- the closed form, S(alpha, a), S(alpha, p-1)
+    and the Pochhammer prefix with its factorial table -- are computed at
+    most once per call, and only when a requested family reads them.
+    """
+    alpha = Fraction(alpha)
+    fams = [norm_family(f) for f in families]
+    if unknown := [f for f in fams if f not in ALPHA_FAMILIES]:
+        raise ValueError(f"unknown alpha families: {unknown}")
+    m = p**4
+    closed = cache(lambda: _closed_form(alpha, p, 4))
+    partial = cache(lambda M: sum_main(alpha, M, p, 4).value)
+    tables = cache(lambda: _poch_prefix(alpha, p))
+
+    def sides(fam: str) -> tuple[int, int]:
+        if p <= 3:
+            raise PreconditionViolated(f"needs p > 3, got p = {p}")
+        if fam in ALPHA_TRUNCATIONS:
+            a, rhs = closed()
+            return partial(p - 1 if fam == "MAIN1" else a), rhs
+        dec = decompose(alpha, p)
+        if fam == "TAIL":
+            if dec.a == p - 1:
+                raise SkippedWhenAEqualsPMinus1(
+                    f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
+                )
+            return (partial(p - 1) - partial(dec.a)) % m, 0
+        lhs, rhs = _lemma_sides(fam, alpha, p, dec.a, dec.t, tables)
+        return lhs, reduce_mod(rhs, p, 4).value
+
+    out = []
+    for fam in fams:
+        labels = {"p": p, "alpha": alpha, "truncation": ALPHA_TRUNCATIONS.get(fam)}
+        try:
+            lhs, rhs = sides(fam)
+        except SKIP_ERRORS as exc:
+            out.append(skipped_record(fam, str(exc), **labels))
+        else:
+            out.append(make_record(
+                fam, f"{p}^4", ResidueClass(lhs, m), ResidueClass(rhs, m), **labels
+            ))
+    return out

@@ -8,7 +8,6 @@ import math
 import time
 from fractions import Fraction
 
-from supercong.padic import NotPAdicIntegral
 from supercong.primes import sieve_primes
 from supercong.qseries import (
     IntPoly,
@@ -20,7 +19,6 @@ from supercong.qseries import (
     verify_conjecture41,
     verify_gz,
 )
-from supercong.records import PreconditionViolated, SkippedWhenAEqualsPMinus1
 from supercong.sequences import (
     check_binomial_identities,
     check_euler_identities,
@@ -39,11 +37,9 @@ from supercong.verifier import (
     LEMMA_FAMILIES,
     ramanujan_partial,
     sum_main_exact,
-    verify_lemma,
-    verify_main1,
-    verify_tail,
+    verify_alpha,
 )
-from supercong.wz import DivisionByZeroTerm, check_pair, check_telescoped, sample_alphas
+from supercong.wz import check_pair, check_telescoped, sample_alphas
 
 
 def _sweep_all_pass(families, p_max, trunc="both"):
@@ -83,17 +79,18 @@ def test_criterion_04_general_alpha_theorem_grid():
     for p in sieve_primes(5, 97):
         alphas = [Fraction(i) for i in range(p)] + list(RATIONAL_ALPHAS)
         for alpha in alphas:
-            try:
-                assert verify_main1(alpha, p, "full").passed, (p, alpha)
-                assert verify_main1(alpha, p, "short").passed, (p, alpha)
-                runs += 2
-            except NotPAdicIntegral:
+            recs = verify_alpha(alpha, p, ("MAIN1", "MAIN1_TRUNC", "TAIL"))
+            if alpha.denominator % p == 0:  # no residue: every family skips
+                assert all(r.passed is None for r in recs), recs
                 continue
-            try:
-                assert verify_tail(alpha, p).passed, (p, alpha)
+            main, trunc, tail = recs
+            assert main.passed and trunc.passed, (p, alpha)
+            runs += 2
+            if tail.passed is None:
+                assert tail.reason.endswith("tail is empty"), tail
+            else:
+                assert tail.passed, (p, alpha)
                 runs += 1
-            except SkippedWhenAEqualsPMinus1:
-                pass
     assert runs > 3500
     print(f"\n[PASS] criterion 4: general-parameter theorem on {runs} "
           f"(p, alpha, truncation) instances, p <= 97")
@@ -125,15 +122,11 @@ def test_criterion_07_lemma_suite():
     assert all(check_binomial_identities(n) for n in range(1, 201))
     assert check_euler_identities(25, 10)
     runs = 0
-    for fam in LEMMA_FAMILIES:
-        for p in sieve_primes(5, 97):
-            for alpha in RATIONAL_ALPHAS:
-                try:
-                    assert verify_lemma(fam, alpha, p).passed, (fam, alpha, p)
-                    runs += 1
-                except (PreconditionViolated, DivisionByZeroTerm,
-                        NotPAdicIntegral):
-                    pass
+    for p in sieve_primes(5, 97):
+        for alpha in RATIONAL_ALPHAS:
+            for rec in verify_alpha(alpha, p, LEMMA_FAMILIES):
+                assert rec.passed is not False, rec
+                runs += rec.passed is True
     assert runs > 1000
     print(f"\n[PASS] criterion 7: harmonic/binomial/Euler identity suites and "
           f"{runs} lemma instances, zero failures")

@@ -29,7 +29,7 @@ from supercong.qseries import (
     congruent_mod,
     cyclotomic,
 )
-from supercong.records import PreconditionViolated, SkippedWhenAEqualsPMinus1
+from supercong.records import PreconditionViolated
 from supercong.sequences import (
     alternating_reciprocal_squares,
     check_binomial_identities,
@@ -45,8 +45,7 @@ from supercong.verifier import (
     sum_main_exact,
     sum_mao,
     sum_mao_exact,
-    verify_lemma,
-    verify_tail,
+    verify_alpha,
 )
 from supercong.wz import (
     DivisionByZeroTerm,
@@ -121,9 +120,12 @@ def test_sum_mao_matches_exact(p, data, e):
 def test_tail_record_matches_exact_tail(p, alpha):
     assume(alpha.denominator % p)
     a = decompose(alpha, p).a
+    [rec] = verify_alpha(alpha, p, ("TAIL",))
     if a == p - 1:
-        with pytest.raises(SkippedWhenAEqualsPMinus1):
-            verify_tail(alpha, p)
+        assert rec.passed is None
+        assert rec.reason == (
+            f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
+        )
         return
     tail = sum(
         (
@@ -133,14 +135,14 @@ def test_tail_record_matches_exact_tail(p, alpha):
         ),
         Fraction(0),
     )
-    rec = verify_tail(alpha, p)
     assert rec.lhs.value == _mod(tail, p**4)
     assert rec.passed
 
 
 def _lemma_exact(fam: str, alpha: Fraction, p: int) -> tuple[int, int]:
-    """verify_lemma's (lhs, rhs) mod p^4 from exact Fraction Pochhammer
-    products and factorials, raising what verify_lemma raises."""
+    """A lemma record's (lhs, rhs) mod p^4 from exact Fraction Pochhammer
+    products and factorials, raising the error whose text verify_alpha
+    gives as the skip reason."""
     if p <= 3:
         raise PreconditionViolated(f"needs p > 3, got p = {p}")
     dec = decompose(alpha, p)
@@ -240,14 +242,12 @@ def _lemma_alphas(p: int):
 @given(fam=st.sampled_from(LEMMA_FAMILIES), p=primes_to_31, data=st.data())
 def test_lemma_matches_exact_oracle(fam, p, data):
     alpha = data.draw(_lemma_alphas(p), label="alpha")
+    [rec] = verify_alpha(alpha, p, (fam,))
     try:
         lhs, rhs = _lemma_exact(fam, alpha, p)
     except (PreconditionViolated, DivisionByZeroTerm) as exc:
-        with pytest.raises(type(exc)) as got:
-            verify_lemma(fam, alpha, p)
-        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        assert rec.passed is None and rec.reason == str(exc)
         return
-    rec = verify_lemma(fam, alpha, p)
     assert (rec.lhs.value, rec.rhs.value) == (lhs, rhs)
     assert rec.passed == (lhs == rhs)
 

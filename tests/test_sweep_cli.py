@@ -4,11 +4,12 @@ import inspect
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from supercong import sweep
+from supercong import sweep, verifier
 from supercong.cli import build_parser, main
 from supercong.primes import EmptyRange, sieve_primes
 from supercong.records import (
@@ -36,7 +37,7 @@ from supercong.sweep import (
     run_wz,
     summarize,
 )
-from supercong.verifier import verify_theorem
+from supercong.verifier import ALPHA_FAMILIES, ALPHA_TRUNCATIONS, verify_theorem
 from supercong.wz import sample_alphas
 
 
@@ -148,10 +149,9 @@ def test_skip_record_has_the_labels_of_the_result(monkeypatch):
 
     # one instance of every kind, each of which passes when run for real
     insts = build_instances(SweepConfig(
-        families=("B2", "MAO_HALF", "SUN_HALF_CONJ", "EQUIV", "MAIN1",
-                  "MAIN1_TRUNC", "TAIL", "LEMMA_SIGMA", "GZ_E2", "GZ_F2",
+        families=("B2", "MAO_HALF", "SUN_HALF_CONJ", "EQUIV", "GZ_E2", "GZ_F2",
                   "CONJ41"),
-        p_min=13, p_max=13, alpha_list=(Fraction(1, 3),), n_list=(5,),
+        p_min=13, p_max=13, n_list=(5,),
     ))
     monkeypatch.setattr(sweep, "_run_instances",
                         lambda batch, workers: insts.extend(batch) or [])
@@ -160,22 +160,46 @@ def test_skip_record_has_the_labels_of_the_result(monkeypatch):
     run_smoke()
     monkeypatch.undo()
     assert {i.family for i in insts} >= {
-        "B2", "MAO_HALF", "MAIN1", "TAIL", "LEMMA_SIGMA", "CONJ41", "BINOM_IDS",
-        "EULER_IDS", "LEHMER", "WZ_PAIR", "WZ_TELESCOPE", "RAMANUJAN",
+        "B2", "MAO_HALF", "CONJ41", "BINOM_IDS", "EULER_IDS", "LEHMER",
+        "WZ_PAIR", "WZ_TELESCOPE", "RAMANUJAN",
     }
     for inst in insts:
-        real = sweep._execute(inst)
-        skip = sweep._execute(inst._replace(run=refuse))
+        [real] = sweep._execute(inst)
+        [skip] = sweep._execute(inst._replace(run=refuse))
         assert real.passed is True, inst
         assert skip.passed is None and skip.reason == "refused"
         assert _labels(skip) == _labels(real), inst
+
+    # verify_alpha makes its own skip records: 1/13 has no residue mod 13,
+    # so every alpha family skips; its labels are those of the family
+    [inst] = build_instances(SweepConfig(
+        families=ALPHA_FAMILIES, p_min=13, p_max=13, alpha_list=(Fraction(1, 3),)
+    ))
+    reals = sweep._execute(inst)
+    skips = sweep._execute(inst._replace(args=(Fraction(1, 13),) + inst.args[1:]))
+    assert [r.family for r in reals] == [r.family for r in skips] == list(ALPHA_FAMILIES)
+    for real, skip in zip(reals, skips):
+        assert real.passed is True, real
+        assert skip.passed is None and skip.reason == "-1/13 has no residue mod 13^1"
+        assert _labels(replace(skip, alpha=real.alpha)) == _labels(real)
+        assert real.truncation == ALPHA_TRUNCATIONS.get(real.family)
+
+
+def test_one_instance_per_alpha_and_prime():
+    cfg = SweepConfig(families=ALPHA_FAMILIES, p_min=2, p_max=13)
+    insts = build_instances(cfg)
+    pairs = [(i.p, i.alpha) for i in insts]
+    assert pairs == [(p, a) for p in sieve_primes(2, 13) for a in default_alphas(p)]
+    assert {i.family for i in insts} == {",".join(ALPHA_FAMILIES)}
+    s = run_sweep(cfg)
+    assert s.total == len(ALPHA_FAMILIES) * len(insts)
 
 
 def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
     def broken(*args):
         raise ValueError("base is not invertible for the given modulus")
 
-    monkeypatch.setattr(sweep, "verify_lemma", broken)
+    monkeypatch.setattr(verifier, "_poch_prefix", broken)
     argv = ["verify", "--family", "lemma-sigma", "--pmin", "7", "--pmax", "7",
             "--alpha", "1/3"]
     with pytest.raises(sweep.InternalError) as info:
@@ -185,8 +209,13 @@ def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "ValueError: base is not invertible" in err
-    assert "InternalError: internal error checking LEMMA_SIGMA p=7 alpha=1/3" in err
+    last = "InternalError: internal error checking LEMMA_SIGMA p=7 alpha=1/3"
+    assert last in err.splitlines()[-1]
     assert "config error" not in err
+    # a grouped instance names every requested family
+    assert main(argv[:3] + ["--family", "main1"] + argv[3:]) == 4
+    last = "InternalError: internal error checking LEMMA_SIGMA,MAIN1 p=7 alpha=1/3"
+    assert last in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_truncation_too_large_is_an_internal_error(monkeypatch):
@@ -313,6 +342,15 @@ def test_run_smoke():
         run_smoke(terms=0)
     with pytest.raises(ConfigError):
         run_smoke(tol=0.0)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_smoke_refuses_a_tolerance_that_is_not_finite(tol, capsys):
+    # nan fails every comparison and inf passes every one: neither is a check
+    with pytest.raises(ConfigError):
+        run_smoke(tol=float(tol))
+    assert main(["smoke", f"--tol={tol}"]) == 2
+    assert "config error: tol must be finite" in capsys.readouterr().err
 
 
 # -- CLI

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import verifier
 from supercong.padic import NotPAdicIntegral, reduce_mod
 from supercong.primes import sieve_primes
 from supercong.records import (
     PreconditionViolated,
     ResidueConditionViolated,
-    SkippedWhenAEqualsPMinus1,
     TruncationTooLarge,
 )
 from supercong.sequences import (
@@ -20,8 +20,9 @@ from supercong.sequences import (
     euler_poly_eval_mod,
     pochhammer,
 )
-from supercong.sweep import RATIONAL_ALPHAS
+from supercong.sweep import RATIONAL_ALPHAS, default_alphas
 from supercong.verifier import (
+    ALPHA_FAMILIES,
     FAMILIES,
     LEMMA_FAMILIES,
     sum_main,
@@ -29,13 +30,17 @@ from supercong.verifier import (
     sum_mao,
     sum_mao_exact,
     ramanujan_partial,
-    verify_lemma,
-    verify_main1,
+    verify_alpha,
     verify_mao_equiv,
-    verify_tail,
     verify_theorem,
 )
-from supercong.wz import DivisionByZeroTerm, telescoped_rhs
+from supercong.wz import telescoped_rhs
+
+
+def _one(fam, alpha, p):
+    # the record of one alpha family at (alpha, p)
+    [rec] = verify_alpha(alpha, p, (fam,))
+    return rec
 
 
 def test_sum_main_exact_small():
@@ -148,16 +153,16 @@ def test_mod_p4_families_pass_above_2000(fam, p):
 @pytest.mark.parametrize("p", [2003, 2017])
 def test_mao_half_and_main1_pass_above_2000(p):
     assert verify_mao_equiv(p, "MAO_HALF").passed
-    for tr in ("short", "full"):
-        assert verify_main1(Fraction(-5, 7), p, tr).passed
+    for rec in verify_alpha(Fraction(-5, 7), p, ("MAIN1", "MAIN1_TRUNC")):
+        assert rec.passed, rec
 
 
 @pytest.mark.parametrize("p", [1009, 2003])
 def test_lemma_families_pass_above_1000(p):
     # p^3/2 - 1 has a = 1 and t = p^2/2, so v_p(t) = 2
     for alpha in (*RATIONAL_ALPHAS, Fraction(p**3, 2) - 1):
-        for fam in LEMMA_FAMILIES:
-            assert verify_lemma(fam, alpha, p).passed, (fam, alpha, p)
+        for rec in verify_alpha(alpha, p, LEMMA_FAMILIES):
+            assert rec.passed, rec
 
 
 def test_verify_theorem_record_fields():
@@ -286,20 +291,21 @@ def test_p_cubed_times_residue_truncation():
 def test_verify_main1_full_and_short():
     for p in (5, 7, 13):
         for a in (Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), Fraction(3)):
-            assert verify_main1(a, p, "full").passed
-            assert verify_main1(a, p, "short").passed
+            assert _one("MAIN1", a, p).passed
+            assert _one("MAIN1_TRUNC", a, p).passed
 
 
 def test_verify_main1_alpha_zero_trivial():
-    r = verify_main1(Fraction(0), 7, "full")
+    r = _one("MAIN1", Fraction(0), 7)
     assert r.passed and int(r.lhs) == 0 and int(r.rhs) == 0
 
 
 def test_verify_main1_records():
-    r = verify_main1(Fraction(1, 3), 7, "short")
+    r = _one("MAIN1_TRUNC", Fraction(1, 3), 7)
     assert r.family == "MAIN1_TRUNC" and r.alpha == Fraction(1, 3)
-    r = verify_main1(Fraction(1, 3), 7, "full")
-    assert r.family == "MAIN1"
+    assert r.truncation == "short"
+    r = _one("MAIN1", Fraction(1, 3), 7)
+    assert r.family == "MAIN1" and r.truncation == "full"
 
 
 def test_truncation_equivalence():
@@ -316,12 +322,12 @@ def test_truncation_equivalence():
 
 
 def test_verify_tail():
-    assert verify_tail(Fraction(1, 3), 7).passed
-    assert verify_tail(Fraction(1, 4), 13).passed
-    with pytest.raises(SkippedWhenAEqualsPMinus1):
-        verify_tail(Fraction(1), 7)
-    with pytest.raises(SkippedWhenAEqualsPMinus1):
-        verify_tail(Fraction(1, 6), 5)
+    assert _one("TAIL", Fraction(1, 3), 7).passed
+    assert _one("TAIL", Fraction(1, 4), 13).passed
+    for alpha, p in ((Fraction(1), 7), (Fraction(1, 6), 5)):
+        r = _one("TAIL", alpha, p)
+        assert r.passed is None
+        assert r.reason == f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
 
 
 def test_sum_matches_telescoped_closed_form():
@@ -360,49 +366,82 @@ def test_equiv_identity_p13():
 
 
 def test_verify_lemma_examples():
-    r = verify_lemma("LEMMA_WZPROD", Fraction(1), 5)
+    r = _one("LEMMA_WZPROD", Fraction(1), 5)
     assert r.passed and int(r.lhs) == 5  # 630 mod 625
-    assert verify_lemma("LEMMA_WZPROD", Fraction(1, 3), 7).passed
-    assert verify_lemma("LEMMA_ALPHAP3", Fraction(1, 3), 7).passed
-    assert verify_lemma("LEMMA_SIGMA1", Fraction(1, 2), 11).passed
-    assert verify_lemma("LEMMA_PROD", Fraction(1, 2), 11).passed
-    assert verify_lemma("LEMMA_SIGMA", Fraction(1, 2), 11).passed
+    assert _one("LEMMA_WZPROD", Fraction(1, 3), 7).passed
+    assert _one("LEMMA_ALPHAP3", Fraction(1, 3), 7).passed
+    assert _one("LEMMA_SIGMA1", Fraction(1, 2), 11).passed
+    assert _one("LEMMA_PROD", Fraction(1, 2), 11).passed
+    assert _one("LEMMA_SIGMA", Fraction(1, 2), 11).passed
 
 
 def test_verify_lemma_sweep():
     alphas = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4))
-    for fam in ("LEMMA_WZPROD", "LEMMA_ALPHAP3", "LEMMA_SIGMA1",
-                "LEMMA_PROD", "LEMMA_SIGMA"):
-        for p in (5, 7, 11, 13, 17):
-            for a in alphas:
-                try:
-                    assert verify_lemma(fam, a, p).passed, (fam, a, p)
-                except (PreconditionViolated, DivisionByZeroTerm):
-                    pass
+    for p in (5, 7, 11, 13, 17):
+        for a in alphas:
+            for rec in verify_alpha(a, p, LEMMA_FAMILIES):
+                assert rec.passed is not False, rec
 
 
 def test_verify_lemma_preconditions():
-    with pytest.raises(PreconditionViolated):
-        verify_lemma("LEMMA_SIGMA", Fraction(1), 7)  # a = p-1 > p-2
-    with pytest.raises(PreconditionViolated):
-        verify_lemma("LEMMA_WZPROD", Fraction(5, 6), 5)  # alpha ≡ 0 (mod 5)
-    with pytest.raises(DivisionByZeroTerm):
-        verify_lemma("LEMMA_PROD", Fraction(-1), 7)  # (alpha)_{a+1} = 0
+    for fam, alpha, p, reason in (
+        ("LEMMA_SIGMA", Fraction(1), 7, "a = p-1 violates a <= p-2 (alpha = 1)"),
+        ("LEMMA_WZPROD", Fraction(5, 6), 5, "alpha = 5/6 ≡ 0 (mod 5)"),
+        ("LEMMA_PROD", Fraction(-1), 7, "(alpha)_2 = 0 at alpha = -1 (p = 7)"),
+    ):
+        r = _one(fam, alpha, p)
+        assert r.passed is None and r.reason == reason, r
     with pytest.raises(ValueError):
-        verify_lemma("NOPE", Fraction(1, 2), 7)
+        verify_alpha(Fraction(1, 2), 7, ("NOPE",))
 
 
 def test_verify_lemma_needs_the_full_family_name():
     # norm_family only folds case and hyphens; no LEMMA_ prefix is added
-    assert verify_lemma("lemma-wzprod", Fraction(1, 3), 7).passed
+    assert _one("lemma-wzprod", Fraction(1, 3), 7).passed
     with pytest.raises(ValueError):
-        verify_lemma("WZPROD", Fraction(1, 3), 7)
+        verify_alpha(Fraction(1, 3), 7, ("WZPROD",))
 
 
 def test_alphap3_all_alpha_including_zero_mod_p():
     # this cube identity has no residue restriction on alpha
-    assert verify_lemma("LEMMA_ALPHAP3", Fraction(5, 6), 5).passed
-    assert verify_lemma("LEMMA_ALPHAP3", Fraction(-2), 7).passed
+    assert _one("LEMMA_ALPHAP3", Fraction(5, 6), 5).passed
+    assert _one("LEMMA_ALPHAP3", Fraction(-2), 7).passed
+
+
+@pytest.mark.parametrize("p", sieve_primes(2, 31))
+def test_verify_alpha_grouped_equals_one_family_at_a_time(p):
+    alphas = default_alphas(p) + [Fraction(0), Fraction(-3), Fraction(1, 5)]
+    for alpha in alphas:
+        recs = verify_alpha(alpha, p)
+        assert recs == [_one(f, alpha, p) for f in ALPHA_FAMILIES], (p, alpha)
+        backwards = verify_alpha(alpha, p, ALPHA_FAMILIES[::-1])
+        assert backwards == recs[::-1], (p, alpha)
+
+
+def test_verify_alpha_computes_shared_values_once(monkeypatch):
+    calls = {"sum_main": 0, "_poch_prefix": 0}
+
+    def counting(name):
+        real = getattr(verifier, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(verifier, name, counting(name))
+
+    def count(families, alpha=Fraction(1, 3), p=13):
+        calls.update(dict.fromkeys(calls, 0))
+        assert all(r.passed for r in verify_alpha(alpha, p, families))
+        return calls["sum_main"], calls["_poch_prefix"]
+
+    assert count(ALPHA_FAMILIES) == (2, 1)
+    assert count(("MAIN1",)) == (1, 0)
+    assert count(("MAIN1", "MAIN1_TRUNC", "TAIL")) == (2, 0)
+    assert count(LEMMA_FAMILIES) == (0, 1)
+    assert count(("TAIL", "TAIL", "LEMMA_PROD", "LEMMA_SIGMA")) == (2, 1)
 
 
 def test_ramanujan_partial():

@@ -22,7 +22,10 @@ Left out on purpose: mutations known to be equivalent, which no test can
 catch.  In qseries._hasse_residues, the weight update (i - j) -> (i - j + 1)
 computes the Hasse derivatives of q*N, which vanish at the same orders.  In
 qseries._times_q_integer, padding `a` with m zeros instead of m - 1 only
-appends a zero coefficient, which IntPoly drops.
+appends a zero coefficient, which IntPoly drops.  In verifier.verify_alpha,
+swapping the truncations of MAIN1 and MAIN1_TRUNC (p - 1 and a) changes no
+record: the theorem makes S(alpha, a) ≡ S(alpha, p-1) (mod p^4), and both
+records compare with the same closed form.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ BINOM_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
 EULER_TESTS = ("tests/test_sequences.py",)
 Q_TESTS = ("tests/test_qseries.py", "tests/test_properties.py")
 CLOSED_TESTS = ("tests/test_verifier.py", "tests/test_acceptance.py")
+ALPHA_TESTS = ("tests/test_verifier.py", "tests/test_properties.py")
 
 
 class Mutation(NamedTuple):
@@ -119,6 +123,16 @@ MUTATIONS = (
     Mutation("closed form Euler index", "verifier.py",
              "euler_poly_eval_mod(p - 3, alpha, p)",
              "euler_poly_eval_mod(p - 2, alpha, p)", CLOSED_TESTS),
+    # the shared values of verify_alpha and the lemma preconditions
+    Mutation("alpha TAIL empty test", "verifier.py",
+             "if dec.a == p - 1:", "if dec.a == p - 2:", ALPHA_TESTS),
+    Mutation("alpha TAIL lower sum", "verifier.py",
+             "partial(p - 1) - partial(dec.a)", "partial(p - 1) - partial(dec.a + 1)",
+             ALPHA_TESTS),
+    Mutation("alpha factorial table range", "verifier.py",
+             "accumulate(range(1, p),", "accumulate(range(2, p + 1),", ALPHA_TESTS),
+    Mutation("alpha lemma a = 0 test", "verifier.py",
+             "if a == 0 and fam in", "if a == 1 and fam in", ALPHA_TESTS),
 )
 
 
