@@ -7,7 +7,7 @@ Euler-polynomial term.  This script runs every family over a small prime
 range and prints the verdicts.
 """
 
-from supercong import FAMILIES, sieve_primes, verify_theorem
+from supercong import FAMILIES, sieve_primes, verify_prime
 
 P_MIN, P_MAX = 5, 60
 
@@ -16,8 +16,7 @@ for name, fam in FAMILIES.items():
     cond = f"p = {fam.p_res} (mod {fam.p_mod})" if fam.p_mod else "all p > 3"
     print(f"{name}: weight ({2 * fam.weight_d}k+1), mod p^{fam.modulus_exp}, {cond}")
     for p in primes:
-        short = verify_theorem(name, p, "short")
-        full = verify_theorem(name, p, "full")
+        short, full = verify_prime(p, (name,), ("short", "full"))
         mark = "ok" if short.passed and full.passed else "FAIL"
         print(f"  p={p:3d}  short M={fam.short_m(p):3d}: {int(short.lhs):>9d}"
               f"  full M={p - 1:3d}: {int(full.lhs):>9d}"

@@ -54,14 +54,14 @@ from .verifier import (
     FAMILIES,
     LEMMA_FAMILIES,
     MAO_VARIANTS,
+    PRIME_FAMILIES,
     ramanujan_partial,
     sum_main,
     sum_main_exact,
     sum_mao,
     sum_mao_exact,
     verify_alpha,
-    verify_mao_equiv,
-    verify_theorem,
+    verify_prime,
 )
 from .wz import (
     DivisionByZeroTerm,

@@ -4,10 +4,12 @@ Instances are expanded up front as immutable ``Instance`` values, executed
 either serially or on a process pool, and the records are sorted afterwards
 by (family, p or n, alpha, truncation), so reports are byte-identical for
 any worker count.  An instance yields one record, except that one instance
-per (alpha, p) checks all the requested alpha families and yields a record
-for each.  A failed precondition becomes a skipped record with a reason and
-the instance's own labels; any other exception is a bug and aborts the
-sweep with an error that names the instance.
+per prime checks all the requested classical and 8^(-k) families that p
+admits, and one per (alpha, p) all the requested alpha families; these
+yield a record per family and truncation.  A failed precondition becomes a
+skipped record with a reason and the instance's own labels; any other
+exception is a bug and aborts the sweep with an error that names the
+instance.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -29,12 +30,11 @@ from .sequences import check_binomial_identities, check_euler_identities, check_
 from .verifier import (
     ALPHA_FAMILIES,
     FAMILIES,
-    MAO_VARIANTS,
+    PRIME_FAMILIES,
     SKIP_ERRORS,
     ramanujan_partial,
     verify_alpha,
-    verify_mao_equiv,
-    verify_theorem,
+    verify_prime,
 )
 from .qseries import verify_conjecture41, verify_gz
 from .wz import check_pair, check_telescoped, sample_alphas
@@ -81,7 +81,7 @@ RATIONAL_ALPHAS: tuple[Fraction, ...] = (
 )
 
 Q_FAMILIES = ("GZ_E2", "GZ_F2", "CONJ41")
-VERIFY_FAMILIES: tuple[str, ...] = tuple(FAMILIES) + MAO_VARIANTS + ALPHA_FAMILIES
+VERIFY_FAMILIES: tuple[str, ...] = PRIME_FAMILIES + ALPHA_FAMILIES
 
 
 def default_alphas(p: int) -> list[Fraction]:
@@ -117,10 +117,11 @@ class ReportSummary:
 
 class Instance(NamedTuple):
     """One check: run(*args) returns its record, a bool for an exact
-    identity, or the list of records of verify_alpha.  family, p, n, alpha
-    and truncation label that record and, if run raises a precondition
-    error, the skip record in its place.  For verify_alpha, family is the
-    requested families joined by commas; it makes its own skip records."""
+    identity, or the list of records of verify_prime or verify_alpha.
+    family, p, n, alpha and truncation label that record and, if run raises
+    a precondition error, the skip record in its place.  For verify_prime
+    and verify_alpha, family is the requested families joined by commas;
+    they make their own skip records."""
 
     family: str
     run: Callable
@@ -178,40 +179,41 @@ def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
 # are built, never stored in a table at import, so a wrapped or patched
 # module attribute (tracing, tests) is what runs.
 
+def _admits(fam: str, p: int) -> bool:
+    # the residue class of p a classical or 8^(-k) family is stated for
+    f = FAMILIES.get(fam)
+    mod, res = (f.p_mod, f.p_res) if f else (4, 1) if fam == "EQUIV" else (None, None)
+    return mod is None or p % mod == res
+
+
 def build_instances(cfg: SweepConfig) -> list[Instance]:
+    """Per prime: one instance for the classical and 8^(-k) families whose
+    residue class admits p, then one per (alpha, p) for the alpha families;
+    after all primes, one per n for each q-family."""
+    prime_fams = tuple(f for f in cfg.families if f in PRIME_FAMILIES)
+    alpha_fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
+    truncs = ("short", "full") if cfg.trunc == "both" else (cfg.trunc,)
     out: list[Instance] = []
     try:
-        for fam in cfg.families:
-            if fam in FAMILIES:
-                f = FAMILIES[fam]
-                primes = sieve_primes(cfg.p_min, cfg.p_max, f.p_mod, f.p_res)
-                truncs = ("short", "full") if cfg.trunc == "both" else (cfg.trunc,)
-                out += [
-                    Instance(fam, verify_theorem, (fam, p, tr), p=p, truncation=tr)
-                    for p in primes
-                    for tr in truncs
-                ]
-            elif fam in MAO_VARIANTS:
-                mod, res = (4, 1) if fam == "EQUIV" else (None, None)
-                tr = "short" if fam == "SUN_HALF_CONJ" else "full"
-                out += [
-                    Instance(fam, verify_mao_equiv, (p, fam), p=p, truncation=tr)
-                    for p in sieve_primes(cfg.p_min, cfg.p_max, mod, res)
-                ]
-            elif fam == "CONJ41":
-                out += [Instance(fam, verify_conjecture41, (n,), n=n) for n in cfg.n_list]
-            elif fam in Q_FAMILIES:  # GZ_E2, GZ_F2
-                out += [Instance(fam, verify_gz, (n, fam), n=n) for n in cfg.n_list]
-        # one instance per (alpha, p) checks every requested alpha family
-        fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
-        if fams:
-            for p in sieve_primes(cfg.p_min, cfg.p_max):
-                out += [
-                    Instance(",".join(fams), verify_alpha, (a, p, fams), p=p, alpha=a)
-                    for a in _alphas_for(cfg, p)
-                ]
+        primes = sieve_primes(cfg.p_min, cfg.p_max)
     except EmptyRange as exc:
         raise ConfigError(str(exc)) from exc
+    for p in primes:
+        # a prime's instances run next to each other, so the Euler residue
+        # table of (p-3, p) that they share is built once
+        if fams := tuple(f for f in prime_fams if _admits(f, p)):
+            out.append(Instance(",".join(fams), verify_prime, (p, fams, truncs), p=p))
+        if alpha_fams:
+            out += [
+                Instance(",".join(alpha_fams), verify_alpha, (a, p, alpha_fams),
+                         p=p, alpha=a)
+                for a in _alphas_for(cfg, p)
+            ]
+    for fam in cfg.families:
+        if fam == "CONJ41":
+            out += [Instance(fam, verify_conjecture41, (n,), n=n) for n in cfg.n_list]
+        elif fam in Q_FAMILIES:  # GZ_E2, GZ_F2
+            out += [Instance(fam, verify_gz, (n, fam), n=n) for n in cfg.n_list]
     if not out:
         raise ConfigError(
             f"selection matches no instances: families {', '.join(cfg.families)}"
@@ -272,6 +274,10 @@ def _execute(inst: Instance) -> list[VerificationRecord]:
 
 def _run_instances(insts: list[Instance], workers: int) -> list[VerificationRecord]:
     if workers > 1 and len(insts) > 1:
+        # imported here: the pool pulls in multiprocessing, which would add
+        # to the start-up of every serial run
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(insts) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as ex:
             records = [r for recs in ex.map(_execute, insts, chunksize=chunk)

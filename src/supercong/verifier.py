@@ -5,7 +5,8 @@ The central object is the alternating sum
     S(alpha, M) = sum_{k=0}^{M} (-1)^k (2k+alpha) (alpha)_k^3 / k!^3,
 
 computed term-by-term in residue arithmetic mod p^e over the running
-denominator k!^3, so the whole sum takes one modular inverse.  The
+denominator k!^3.  One pass walks the sum to the largest truncation M asked
+for and takes one modular inverse at each M it is read at.  The
 classical (4k+1)/(6k+1)/(8k+1) families are d * S(1/d, M) for d = 2, 3, 4.
 Against it we check:
 
@@ -15,7 +16,7 @@ Against it we check:
   the two truncations;
 * the ten classical families, five mod p^3 and five mod p^4, which are
   that congruence at alpha = 1/d times d: one helper (_closed_form) gives
-  the right side to verify_theorem and verify_alpha, so a family is only
+  the right side to verify_prime and verify_alpha, so a family is only
   data (d, residue class, exponent);
 * the (6k+1)(1/2)_k^3/(8^k k!^3) family (full and half truncations) and its
   equivalence with the (8k+1) family for p ≡ 1 (mod 4);
@@ -23,8 +24,11 @@ Against it we check:
   whose left sides are p^v times a unit residue mod p^4: only alpha+a and
   alpha+a+p among the Pochhammer factors are divisible by p.
 
-The general-alpha congruence, its tail and the five lemmas are statements
-about one pair (alpha, p); verify_alpha checks any of them in one call.
+The classical and 8^(-k) families are statements about one prime p;
+verify_prime checks any of them in one call, with one pass per sum read at
+every truncation.  The general-alpha congruence, its tail and the five
+lemmas are statements about one pair (alpha, p); verify_alpha checks any of
+them in one call.
 
 Everything is exact: residue pipelines for speed, Fraction oracles for
 cross-checks (the lemma oracle lives in the tests).
@@ -74,14 +78,15 @@ __all__ = [
     "ALPHA_FAMILIES",
     "ALPHA_TRUNCATIONS",
     "SKIP_ERRORS",
+    "MAO_TRUNCATIONS",
     "MAO_VARIANTS",
+    "PRIME_FAMILIES",
     "sum_main",
     "sum_main_exact",
     "sum_mao",
     "sum_mao_exact",
-    "verify_theorem",
+    "verify_prime",
     "verify_alpha",
-    "verify_mao_equiv",
     "ramanujan_partial",
 ]
 
@@ -89,24 +94,42 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # sums
 
-def sum_main(alpha: Fraction, M: int, p: int, e: int = 4) -> ResidueClass:
-    """sum_{k=0}^{M} (-1)^k (2k+alpha) (alpha)_k^3 / k!^3 mod p^e."""
-    alpha = Fraction(alpha)
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
-    if M >= p:
-        raise TruncationTooLarge(f"M = {M} >= p = {p}: k! not invertible")
+def _checkpoints(Ms, p: int) -> list[int]:
+    """The distinct truncations of Ms in ascending order, each checked 0 <= M < p."""
+    Ms = sorted(set(Ms))
+    if Ms and Ms[0] < 0:
+        raise ValueError(f"M must be >= 0, got {Ms[0]}")
+    if Ms and Ms[-1] >= p:
+        raise TruncationTooLarge(f"M = {Ms[-1]} >= p = {p}: k! not invertible")
+    return Ms
+
+
+def _main_checkpoints(alpha: Fraction, Ms, p: int, e: int = 4) -> dict[int, int]:
+    """{M: S(alpha, M) mod p^e} for every M in Ms, from one pass to max(Ms).
+
+    The pass keeps the partial sum over the running denominator k!^3 and
+    takes one inverse at each checkpoint.
+    """
+    Ms = _checkpoints(Ms, p)
     m = p**e
     x = reduce_mod(alpha, p, e).value
     u = 1  # (-1)^k (alpha)_k^3 mod m
     d = 1  # k!^3 mod m
     s = x % m  # the partial sum times d
-    for k in range(1, M + 1):
-        k3, t = k * k * k, x + k - 1
-        u = -u * t * t * t % m
-        d = d * k3 % m
-        s = (s * k3 + (2 * k + x) * u) % m
-    return ResidueClass(s * pow(d, -1, m) % m, m)
+    out, done = {}, 0
+    for M in Ms:
+        for k in range(done + 1, M + 1):
+            k3, t = k * k * k, x + k - 1
+            u = -u * t * t * t % m
+            d = d * k3 % m
+            s = (s * k3 + (2 * k + x) * u) % m
+        out[M], done = s * pow(d, -1, m) % m, M
+    return out
+
+
+def sum_main(alpha: Fraction, M: int, p: int, e: int = 4) -> ResidueClass:
+    """sum_{k=0}^{M} (-1)^k (2k+alpha) (alpha)_k^3 / k!^3 mod p^e."""
+    return ResidueClass(_main_checkpoints(Fraction(alpha), (M,), p, e)[M], p**e)
 
 
 def sum_main_exact(alpha: Fraction, M: int) -> Fraction:
@@ -124,24 +147,30 @@ def sum_main_exact(alpha: Fraction, M: int) -> Fraction:
     return total
 
 
-def sum_mao(M: int, p: int, e: int = 4) -> ResidueClass:
-    """sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e, 1 <= e <= 4."""
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
-    if M >= p:
-        raise TruncationTooLarge(f"M = {M} >= p = {p}: k! not invertible")
+def _mao_checkpoints(Ms, p: int, e: int = 4) -> dict[int, int]:
+    """{M: sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e} for
+    every M in Ms, from one pass to max(Ms); 1 <= e <= 4."""
+    Ms = _checkpoints(Ms, p)
     check_exponent(e)
     m = p**e
     # (1/2)_k^3 / (8^k k!^3) = (1*3*...*(2k-1))^3 / (64^k k!^3)
     u = 1  # (-1)^k (1*3*...*(2k-1))^3 mod m
     d = 1  # 64^k k!^3 mod m
     s = 1  # the partial sum times d
-    for k in range(1, M + 1):
-        dk, t = 64 * k * k * k, 2 * k - 1
-        u = -u * t * t * t % m
-        d = d * dk % m
-        s = (s * dk + (6 * k + 1) * u) % m
-    return ResidueClass(s * pow(d, -1, m) % m, m)
+    out, done = {}, 0
+    for M in Ms:
+        for k in range(done + 1, M + 1):
+            dk, t = 64 * k * k * k, 2 * k - 1
+            u = -u * t * t * t % m
+            d = d * dk % m
+            s = (s * dk + (6 * k + 1) * u) % m
+        out[M], done = s * pow(d, -1, m) % m, M
+    return out
+
+
+def sum_mao(M: int, p: int, e: int = 4) -> ResidueClass:
+    """sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e, 1 <= e <= 4."""
+    return ResidueClass(_mao_checkpoints((M,), p, e)[M], p**e)
 
 
 def sum_mao_exact(M: int) -> Fraction:
@@ -252,7 +281,11 @@ FAMILIES: dict[str, TheoremFamily] = {
     )
 }
 
-MAO_VARIANTS = ("MAO_HALF", "SUN_HALF_CONJ", "EQUIV")
+# the (6k+1)(1/2)_k^3/8^k families and the truncation each is stated at
+MAO_TRUNCATIONS = {"MAO_HALF": "full", "SUN_HALF_CONJ": "short", "EQUIV": "full"}
+MAO_VARIANTS = tuple(MAO_TRUNCATIONS)
+# the families checked at one prime, by verify_prime
+PRIME_FAMILIES = tuple(FAMILIES) + MAO_VARIANTS
 
 LEMMA_FAMILIES = (
     "LEMMA_WZPROD",
@@ -271,66 +304,76 @@ SKIP_ERRORS = (ResidueConditionViolated, PreconditionViolated, NotPAdicIntegral,
                DivisionByZeroTerm)
 
 
-def verify_theorem(family: str, p: int, truncation: str = "short") -> VerificationRecord:
-    """Check one classical family at one prime, mod p^(family's modulus_exp).
+def verify_prime(
+    p: int,
+    families: tuple[str, ...] = PRIME_FAMILIES,
+    truncations: tuple[str, ...] = ("short", "full"),
+) -> list[VerificationRecord]:
+    """One record per requested classical family and truncation, and one per
+    MAO variant, at one prime, in the order given.
 
-    truncation "short" uses the family's stated M = <-1/d>_p ((p-1)/2,
-    (p-1)/3, (p-1)/4, (2p-1)/3 or (3p-1)/4); "full" uses M = p-1.  Both
-    are compared with d times the general-alpha closed form at 1/d.  The
-    mod-p^3 statements of the mod-p^4 families are the five mod-p^3
-    families themselves (B2, E2, F2, SW_E2, SW_F2).
+    A classical family's record compares d * S(1/d, M) with d times the
+    general-alpha closed form at 1/d, mod p^(modulus_exp), with M =
+    <-1/d>_p ("short", the stated truncation) or p-1 ("full").  A MAO variant gives one record at its own truncation
+    (MAO_TRUNCATIONS): the 8^(-k) sum at p-1 (MAO_HALF) or (p-1)/2
+    (SUN_HALF_CONJ), and its agreement with the (8k+1) sum at p-1 when
+    p ≡ 1 (mod 4) (EQUIV).  Each sum takes one pass mod p^4, read at both
+    of its truncations: one S(1/d, .) pass per weight d (read mod p^3 by
+    the p^3 families) and one 8^(-k) pass.  A family whose precondition
+    fails (one of SKIP_ERRORS) gets a skip record with the reason.
     """
-    fam = FAMILIES.get(norm_family(family))
-    if fam is None:
-        raise ValueError(f"unknown theorem family: {family!r}")
-    if truncation not in ("short", "full"):
-        raise ValueError(f"truncation must be short|full, got {truncation!r}")
-    if fam.p_mod is not None and p % fam.p_mod != fam.p_res:
-        raise ResidueConditionViolated(
-            f"{fam.name} needs p ≡ {fam.p_res} (mod {fam.p_mod}), got p = {p}"
-        )
-    if p <= 3:
-        raise PreconditionViolated(f"{fam.name} needs p > 3, got p = {p}")
-    e = fam.modulus_exp
-    m = p**e
-    d = fam.weight_d
-    alpha = Fraction(1, d)
-    a, rhs = _closed_form(alpha, p, e)
-    M = a if truncation == "short" else p - 1
-    lhs = ResidueClass(d * sum_main(alpha, M, p, e).value % m, m)
-    return make_record(
-        fam.name, f"{p}^{e}", lhs, ResidueClass(d * rhs % m, m),
-        p=p, truncation=truncation,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the (6k+1)(1/2)_k^3/8^k family
-
-def verify_mao_equiv(p: int, variant: str) -> VerificationRecord:
-    """Full/half truncations of the 8^(-k) family, and its agreement with
-    the (8k+1) family at full truncation when p ≡ 1 (mod 4)."""
-    v = norm_family(variant)
-    if v not in MAO_VARIANTS:
-        raise ValueError(f"variant must be one of {MAO_VARIANTS}, got {variant!r}")
-    if p <= 3:
-        raise PreconditionViolated(f"needs p > 3, got p = {p}")
+    fams = [norm_family(f) for f in families]
+    if unknown := [f for f in fams if f not in PRIME_FAMILIES]:
+        raise ValueError(f"unknown prime families: {unknown}")
+    if bad := [t for t in truncations if t not in ("short", "full")]:
+        raise ValueError(f"truncation must be short|full, got {bad[0]!r}")
     m = p**4
-    if v == "EQUIV":
-        if p % 4 != 1:
-            raise ResidueConditionViolated(f"EQUIV needs p ≡ 1 (mod 4), got p = {p}")
-        lhs = sum_mao(p - 1, p, 4)
-        rhs = ResidueClass(4 * sum_main(Fraction(1, 4), p - 1, p, 4).value % m, m)
-        return make_record("EQUIV", f"{p}^4", lhs, rhs, p=p, truncation="full")
-    if v == "MAO_HALF":
-        M, trunc = p - 1, "full"
-        x = euler_poly_eval_mod(p - 3, Fraction(1, 4), p).value * pow(16, -1, p)
-    else:  # SUN_HALF_CONJ
-        M, trunc = (p - 1) // 2, "short"
-        x = legendre(2, p) * euler_number_mod(p - 3, p).value * pow(4, -1, p)
-    lhs = sum_mao(M, p, 4)
-    rhs = ResidueClass((p * legendre(-2, p) + _p3_times(p, x, m)) % m, m)
-    return make_record(v, f"{p}^4", lhs, rhs, p=p, truncation=trunc)
+    closed = cache(lambda d, e: _closed_form(Fraction(1, d), p, e))
+    main = cache(lambda d: _main_checkpoints(
+        Fraction(1, d), (least_nonneg_residue(Fraction(-1, d), p), p - 1), p))
+    mao = cache(lambda: _mao_checkpoints(((p - 1) // 2, p - 1), p))
+
+    def sides(fam: str, truncation: str) -> tuple[int, int, int]:
+        # (e, lhs, rhs) of one record mod p^e
+        if fam in FAMILIES:
+            f = FAMILIES[fam]
+            if f.p_mod is not None and p % f.p_mod != f.p_res:
+                raise ResidueConditionViolated(
+                    f"{fam} needs p ≡ {f.p_res} (mod {f.p_mod}), got p = {p}"
+                )
+            if p <= 3:
+                raise PreconditionViolated(f"{fam} needs p > 3, got p = {p}")
+            d, e = f.weight_d, f.modulus_exp
+            a, rhs = closed(d, e)
+            s = main(d)[a if truncation == "short" else p - 1]
+            return e, d * s % p**e, d * rhs % p**e
+        if p <= 3:
+            raise PreconditionViolated(f"needs p > 3, got p = {p}")
+        if fam == "EQUIV":
+            if p % 4 != 1:
+                raise ResidueConditionViolated(f"EQUIV needs p ≡ 1 (mod 4), got p = {p}")
+            return 4, mao()[p - 1], 4 * main(4)[p - 1] % m
+        if fam == "MAO_HALF":
+            M = p - 1
+            x = euler_poly_eval_mod(p - 3, Fraction(1, 4), p).value * pow(16, -1, p)
+        else:  # SUN_HALF_CONJ
+            M = (p - 1) // 2
+            x = legendre(2, p) * euler_number_mod(p - 3, p).value * pow(4, -1, p)
+        return 4, mao()[M], (p * legendre(-2, p) + _p3_times(p, x, m)) % m
+
+    out = []
+    for fam in fams:
+        for tr in truncations if fam in FAMILIES else (MAO_TRUNCATIONS[fam],):
+            try:
+                e, lhs, rhs = sides(fam, tr)
+            except SKIP_ERRORS as exc:
+                out.append(skipped_record(fam, str(exc), p=p, truncation=tr))
+            else:
+                out.append(make_record(
+                    fam, f"{p}^{e}", ResidueClass(lhs, p**e), ResidueClass(rhs, p**e),
+                    p=p, truncation=tr,
+                ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +541,23 @@ def verify_alpha(
 
     Every family needs p > 3 and a p-integral alpha; a family whose
     precondition fails (one of SKIP_ERRORS) gets a skip record with the
-    reason.  The shared values -- the closed form, S(alpha, a), S(alpha, p-1)
-    and the Pochhammer prefix with its factorial table -- are computed at
-    most once per call, and only when a requested family reads them.
+    reason.  The shared values -- the closed form, the one sum pass that
+    gives S(alpha, a) and S(alpha, p-1), and the Pochhammer prefix with its
+    factorial table -- are computed at most once per call, and only when a
+    requested family reads them.
     """
     alpha = Fraction(alpha)
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in ALPHA_FAMILIES]:
         raise ValueError(f"unknown alpha families: {unknown}")
     m = p**4
+    short = not {"MAIN1_TRUNC", "TAIL"}.isdisjoint(fams)
+    full = not {"MAIN1", "TAIL"}.isdisjoint(fams)
     closed = cache(lambda: _closed_form(alpha, p, 4))
-    partial = cache(lambda M: sum_main(alpha, M, p, 4).value)
+    # one pass of S(alpha, .), checkpointed at the truncations the requested
+    # families read: a (MAIN1_TRUNC, TAIL) and p-1 (MAIN1, TAIL)
+    partial = cache(lambda a: _main_checkpoints(
+        alpha, [M for M, read in ((a, short), (p - 1, full)) if read], p))
     tables = cache(lambda: _poch_prefix(alpha, p))
 
     def sides(fam: str) -> tuple[int, int]:
@@ -516,14 +565,15 @@ def verify_alpha(
             raise PreconditionViolated(f"needs p > 3, got p = {p}")
         if fam in ALPHA_TRUNCATIONS:
             a, rhs = closed()
-            return partial(p - 1 if fam == "MAIN1" else a), rhs
+            return partial(a)[p - 1 if fam == "MAIN1" else a], rhs
         dec = decompose(alpha, p)
         if fam == "TAIL":
             if dec.a == p - 1:
                 raise SkippedWhenAEqualsPMinus1(
                     f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
                 )
-            return (partial(p - 1) - partial(dec.a)) % m, 0
+            s = partial(dec.a)
+            return (s[p - 1] - s[dec.a]) % m, 0
         lhs, rhs = _lemma_sides(fam, alpha, p, dec.a, dec.t, tables)
         return lhs, reduce_mod(rhs, p, 4).value
 

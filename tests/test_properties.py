@@ -1,7 +1,8 @@
 """Property tests: the residue fast paths against independent exact oracles.
 
 Euler residues are checked against exact Euler polynomials and against
-sympy's Euler numbers; the residue sums against their exact Fraction sums;
+sympy's Euler numbers; the residue sums, and every checkpoint of one sum
+pass, against their exact Fraction sums;
 the Pochhammer-quotient lemmas against their exact Fraction evaluation;
 the root-of-unity congruence test against the gcd lowest-terms oracle, the
 sparse q-sum construction against the dense one, and cyclotomic
@@ -41,6 +42,8 @@ from supercong.sequences import (
 )
 from supercong.verifier import (
     LEMMA_FAMILIES,
+    _main_checkpoints,
+    _mao_checkpoints,
     sum_main,
     sum_main_exact,
     sum_mao,
@@ -113,6 +116,20 @@ def test_sum_mao_matches_exact(p, data, e):
     got = sum_mao(M, p, e)
     assert got.modulus == p**e
     assert got.value == _mod(sum_mao_exact(M), p**e)
+
+
+@PROPS
+@given(p=primes_to_31, data=st.data(), alpha=rationals)
+def test_checkpoints_match_exact(p, data, alpha):
+    # one pass read at several truncations (in any order, repeats allowed)
+    # gives each prefix sum
+    assume(alpha.denominator % p)
+    Ms = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6), label="Ms")
+    m = p**4
+    assert _main_checkpoints(alpha, Ms, p) == {
+        M: _mod(sum_main_exact(alpha, M), m) for M in Ms
+    }
+    assert _mao_checkpoints(Ms, p) == {M: _mod(sum_mao_exact(M), m) for M in Ms}
 
 
 @PROPS

@@ -25,6 +25,7 @@ from supercong.sweep import (
     RATIONAL_ALPHAS,
     ReportSummary,
     SweepConfig,
+    VERIFY_FAMILIES,
     build_instances,
     default_alphas,
     exit_code,
@@ -37,7 +38,15 @@ from supercong.sweep import (
     run_wz,
     summarize,
 )
-from supercong.verifier import ALPHA_FAMILIES, ALPHA_TRUNCATIONS, verify_theorem
+from supercong.verifier import (
+    ALPHA_FAMILIES,
+    ALPHA_TRUNCATIONS,
+    FAMILIES,
+    MAO_TRUNCATIONS,
+    PRIME_FAMILIES,
+    verify_alpha,
+    verify_prime,
+)
 from supercong.wz import sample_alphas
 
 
@@ -149,9 +158,7 @@ def test_skip_record_has_the_labels_of_the_result(monkeypatch):
 
     # one instance of every kind, each of which passes when run for real
     insts = build_instances(SweepConfig(
-        families=("B2", "MAO_HALF", "SUN_HALF_CONJ", "EQUIV", "GZ_E2", "GZ_F2",
-                  "CONJ41"),
-        p_min=13, p_max=13, n_list=(5,),
+        families=("GZ_E2", "GZ_F2", "CONJ41"), n_list=(5,),
     ))
     monkeypatch.setattr(sweep, "_run_instances",
                         lambda batch, workers: insts.extend(batch) or [])
@@ -160,7 +167,7 @@ def test_skip_record_has_the_labels_of_the_result(monkeypatch):
     run_smoke()
     monkeypatch.undo()
     assert {i.family for i in insts} >= {
-        "B2", "MAO_HALF", "CONJ41", "BINOM_IDS", "EULER_IDS", "LEHMER",
+        "GZ_E2", "CONJ41", "BINOM_IDS", "EULER_IDS", "LEHMER",
         "WZ_PAIR", "WZ_TELESCOPE", "RAMANUJAN",
     }
     for inst in insts:
@@ -183,6 +190,87 @@ def test_skip_record_has_the_labels_of_the_result(monkeypatch):
         assert skip.passed is None and skip.reason == "-1/13 has no residue mod 13^1"
         assert _labels(replace(skip, alpha=real.alpha)) == _labels(real)
         assert real.truncation == ALPHA_TRUNCATIONS.get(real.family)
+
+    # verify_prime makes its own skip records: at p = 3 every family that
+    # p = 13 admits skips, for p <= 3 or for its residue class
+    [inst] = build_instances(SweepConfig(families=PRIME_FAMILIES, p_min=13, p_max=13))
+    reals = sweep._execute(inst)
+    skips = sweep._execute(inst._replace(args=(3,) + inst.args[1:]))
+    fams = ("B2", "E2", "F2", "E2_MOD4", "F2_MOD4", "SUN_B2")
+    assert [(r.family, r.truncation) for r in reals] == [
+        (f, tr) for f in fams for tr in ("short", "full")
+    ] + list(MAO_TRUNCATIONS.items())
+    reasons = {
+        "B2": "B2 needs p > 3, got p = 3",
+        "E2": "E2 needs p ≡ 1 (mod 3), got p = 3",
+        "F2": "F2 needs p ≡ 1 (mod 4), got p = 3",
+        "E2_MOD4": "E2_MOD4 needs p ≡ 1 (mod 3), got p = 3",
+        "F2_MOD4": "F2_MOD4 needs p ≡ 1 (mod 4), got p = 3",
+        "SUN_B2": "SUN_B2 needs p > 3, got p = 3",
+    }
+    for real, skip in zip(reals, skips, strict=True):
+        assert real.passed is True, real
+        reason = reasons.get(real.family, "needs p > 3, got p = 3")
+        assert skip.passed is None and skip.reason == reason
+        assert _labels(replace(skip, p=real.p)) == _labels(real)
+
+
+# the residue class (mod, res) of p each classical and MAO family is stated
+# for, from the README table; None: every p
+CLASSES = {
+    "B2": None, "E2": (3, 1), "F2": (4, 1), "SW_E2": (3, 2), "SW_F2": (4, 3),
+    "E2_MOD4": (3, 1), "F2_MOD4": (4, 1), "SW_E2_MOD4": (3, 2),
+    "SW_F2_MOD4": (4, 3), "SUN_B2": None,
+    "MAO_HALF": None, "SUN_HALF_CONJ": None, "EQUIV": (4, 1),
+}
+
+
+def _admitted(p):
+    return tuple(
+        f for f in PRIME_FAMILIES
+        if CLASSES[f] is None or p % CLASSES[f][0] == CLASSES[f][1]
+    )
+
+
+def test_one_instance_per_prime():
+    # per prime: one instance for the classical and MAO families p admits,
+    # then the (alpha, p) instances; none at a prime that admits no family
+    assert set(CLASSES) == set(PRIME_FAMILIES)
+    cfg = SweepConfig(families=VERIFY_FAMILIES, p_min=2, p_max=13,
+                      alpha_list=(Fraction(1, 2),))
+    insts = build_instances(cfg)
+    assert [(i.run, i.p) for i in insts] == [
+        (run, p) for p in sieve_primes(2, 13) for run in (verify_prime, verify_alpha)
+    ]
+    for inst in insts[::2]:
+        p = inst.p
+        assert inst.args == (p, _admitted(p), ("short", "full"))
+        assert inst.family == ",".join(_admitted(p))
+    insts = build_instances(replace(cfg, families=("F2", "SUN_B2"), trunc="short"))
+    assert [i.args for i in insts] == [
+        (p, ("F2", "SUN_B2") if p in (5, 13) else ("SUN_B2",), ("short",))
+        for p in sieve_primes(2, 13)
+    ]
+    assert [i.p for i in build_instances(SweepConfig(families=("EQUIV",)))] == (
+        sieve_primes(5, 97, 4, 1)
+    )
+    s = run_sweep(replace(cfg, families=PRIME_FAMILIES))
+    assert s.total == sum(
+        2 * (f in FAMILIES) + (f not in FAMILIES)
+        for p in sieve_primes(2, 13) for f in _admitted(p)
+    )
+    # at p = 2 and at p = 3, four classical families skip twice, two MAO once
+    assert s.failed == 0 and s.skipped == 2 * (4 * 2 + 2)
+
+
+def test_importing_the_cli_does_not_import_the_pool():
+    # the process pool pulls in multiprocessing; only a run with workers > 1
+    # needs it
+    code = ("import sys, supercong.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_one_instance_per_alpha_and_prime():
@@ -223,7 +311,7 @@ def test_truncation_too_large_is_an_internal_error(monkeypatch):
     def too_large(*args):
         raise TruncationTooLarge("M = 7 >= p = 7: k! not invertible")
 
-    monkeypatch.setattr(sweep, "verify_theorem", too_large)
+    monkeypatch.setattr(sweep, "verify_prime", too_large)
     with pytest.raises(sweep.InternalError) as info:
         run_sweep(SweepConfig(families=("B2",), p_min=7, p_max=7))
     assert isinstance(info.value.__cause__, TruncationTooLarge)
@@ -394,7 +482,7 @@ def test_removed_settings_are_refused(capsys):
     with pytest.raises(TypeError):
         run_identities(euler_nmax=8)
     with pytest.raises(TypeError):
-        verify_theorem("E2_MOD4", 7, "short", modulus_exp=3)
+        verify_prime(7, ("E2_MOD4",), ("short",), modulus_exp=3)
     with pytest.raises(TypeError):
         sample_alphas(3, 0, k_max=30)
     with pytest.raises(TypeError):

@@ -6,13 +6,9 @@ from fractions import Fraction
 import pytest
 
 from supercong import verifier
-from supercong.padic import NotPAdicIntegral, reduce_mod
+from supercong.padic import NotPAdicIntegral, decompose, reduce_mod
 from supercong.primes import sieve_primes
-from supercong.records import (
-    PreconditionViolated,
-    ResidueConditionViolated,
-    TruncationTooLarge,
-)
+from supercong.records import TruncationTooLarge
 from supercong.sequences import (
     euler_number,
     euler_number_mod,
@@ -25,14 +21,17 @@ from supercong.verifier import (
     ALPHA_FAMILIES,
     FAMILIES,
     LEMMA_FAMILIES,
+    MAO_VARIANTS,
+    PRIME_FAMILIES,
+    _main_checkpoints,
+    _mao_checkpoints,
     sum_main,
     sum_main_exact,
     sum_mao,
     sum_mao_exact,
     ramanujan_partial,
     verify_alpha,
-    verify_mao_equiv,
-    verify_theorem,
+    verify_prime,
 )
 from supercong.wz import telescoped_rhs
 
@@ -40,6 +39,18 @@ from supercong.wz import telescoped_rhs
 def _one(fam, alpha, p):
     # the record of one alpha family at (alpha, p)
     [rec] = verify_alpha(alpha, p, (fam,))
+    return rec
+
+
+def _theorem(fam, p, truncation):
+    # the record of one classical family at one prime and truncation
+    [rec] = verify_prime(p, (fam,), (truncation,))
+    return rec
+
+
+def _mao(p, variant):
+    # the record of one MAO variant at one prime
+    [rec] = verify_prime(p, (variant,))
     return rec
 
 
@@ -128,7 +139,7 @@ def test_every_family_passes_first_prime():
     assert set(first) == set(FAMILIES)
     for fam, p in first.items():
         for tr in ("short", "full"):
-            r = verify_theorem(fam, p, tr)
+            r = _theorem(fam, p, tr)
             assert r.passed, (fam, p, tr)
             assert r.lhs == r.rhs
             assert r.family == fam and r.p == p and r.truncation == tr
@@ -146,13 +157,13 @@ _LARGE_P_CASES = [
 @pytest.mark.parametrize("fam,p", _LARGE_P_CASES)
 def test_mod_p4_families_pass_above_2000(fam, p):
     for tr in ("short", "full"):
-        r = verify_theorem(fam, p, tr)
+        r = _theorem(fam, p, tr)
         assert r.passed and r.modulus == f"{p}^4", (fam, p, tr)
 
 
 @pytest.mark.parametrize("p", [2003, 2017])
 def test_mao_half_and_main1_pass_above_2000(p):
-    assert verify_mao_equiv(p, "MAO_HALF").passed
+    assert _mao(p, "MAO_HALF").passed
     for rec in verify_alpha(Fraction(-5, 7), p, ("MAIN1", "MAIN1_TRUNC")):
         assert rec.passed, rec
 
@@ -166,31 +177,40 @@ def test_lemma_families_pass_above_1000(p):
 
 
 def test_verify_theorem_record_fields():
-    r = verify_theorem("E2_MOD4", 7, "short")
+    r = _theorem("E2_MOD4", 7, "short")
     assert r.passed is True
     assert r.modulus == "7^4"
     assert int(r.lhs) == int(r.rhs)
 
 
 def test_verify_theorem_name_normalization():
-    assert verify_theorem("e2-mod4", 7).passed
-    assert verify_theorem("sun_b2", 5).passed
+    r = _theorem("e2-mod4", 7, "short")
+    assert r.passed and r.family == "E2_MOD4"
+    assert _theorem("sun_b2", 5, "short").passed
+    assert _mao(7, "mao-half").family == "MAO_HALF"
+    with pytest.raises(ValueError):
+        verify_prime(7, ("MAIN1",))
+    with pytest.raises(ValueError):
+        verify_prime(7, ("B2",), ("half",))
 
 
 def test_verify_theorem_residue_condition():
-    with pytest.raises(ResidueConditionViolated):
-        verify_theorem("E2_MOD4", 5)  # needs p ≡ 1 (mod 3)
-    with pytest.raises(ResidueConditionViolated):
-        verify_theorem("F2_MOD4", 7)  # needs p ≡ 1 (mod 4)
-    with pytest.raises(ResidueConditionViolated):
-        verify_theorem("SW_F2_MOD4", 5)  # needs p ≡ 3 (mod 4)
+    # a prime outside the family's residue class skips, with the reason
+    for fam, p, cls in (
+        ("E2_MOD4", 5, "1 (mod 3)"),
+        ("F2_MOD4", 7, "1 (mod 4)"),
+        ("SW_F2_MOD4", 5, "3 (mod 4)"),
+    ):
+        for tr in ("short", "full"):
+            r = _theorem(fam, p, tr)
+            assert r.passed is None and r.truncation == tr
+            assert r.reason == f"{fam} needs p ≡ {cls}, got p = {p}"
 
 
 def test_verify_theorem_small_p_rejected():
-    with pytest.raises(PreconditionViolated):
-        verify_theorem("B2", 3)
-    with pytest.raises(PreconditionViolated):
-        verify_theorem("B2", 2)
+    for p in (2, 3):
+        r = _theorem("B2", p, "full")
+        assert r.passed is None and r.reason == f"B2 needs p > 3, got p = {p}"
 
 
 def _sign(j):
@@ -250,7 +270,7 @@ def test_classical_records_match_paper_right_sides(fam):
         if e == 4:
             want = (want + _paper_correction(corr, p)) % m
         for tr, M in (("short", short_m(p)), ("full", p - 1)):
-            rec = verify_theorem(fam, p, tr)
+            rec = _theorem(fam, p, tr)
             assert rec.modulus == f"{p}^{e}"
             assert rec.rhs.value == want, (fam, p, tr)
             assert rec.lhs.value == d * sum_main(Fraction(1, d), M, p, e).value % m
@@ -273,7 +293,7 @@ def test_mod_p4_family_reduced_mod_p3_is_its_twin(fam4):
     for p in sieve_primes(5, 999, f4.p_mod, f4.p_res):
         m = p**3
         for tr in ("short", "full"):
-            r4, r3 = verify_theorem(f4.name, p, tr), verify_theorem(f3.name, p, tr)
+            r4, r3 = verify_prime(p, (f4.name, f3.name), (tr,))
             assert r3.modulus == f"{p}^3"
             assert (r4.lhs.value % m, r4.rhs.value % m) == (
                 r3.lhs.value, r3.rhs.value
@@ -341,11 +361,15 @@ def test_sum_matches_telescoped_closed_form():
 
 def test_verify_mao_variants():
     for p in (5, 7, 11, 13):
-        assert verify_mao_equiv(p, "MAO_HALF").passed
-        assert verify_mao_equiv(p, "SUN_HALF_CONJ").passed
-    assert verify_mao_equiv(13, "EQUIV").passed
-    with pytest.raises(ResidueConditionViolated):
-        verify_mao_equiv(7, "EQUIV")  # needs p ≡ 1 (mod 4)
+        half, conj = verify_prime(p, ("MAO_HALF", "SUN_HALF_CONJ"))
+        assert half.passed and half.truncation == "full"
+        assert conj.passed and conj.truncation == "short"
+    assert _mao(13, "EQUIV").passed
+    r = _mao(7, "EQUIV")  # needs p ≡ 1 (mod 4)
+    assert r.passed is None and r.reason == "EQUIV needs p ≡ 1 (mod 4), got p = 7"
+    for variant in MAO_VARIANTS:
+        r = _mao(3, variant)
+        assert r.passed is None and r.reason == "needs p > 3, got p = 3"
 
 
 def test_mao_p5_closed_form_exact():
@@ -418,30 +442,128 @@ def test_verify_alpha_grouped_equals_one_family_at_a_time(p):
         assert backwards == recs[::-1], (p, alpha)
 
 
-def test_verify_alpha_computes_shared_values_once(monkeypatch):
-    calls = {"sum_main": 0, "_poch_prefix": 0}
+def _counting(monkeypatch, names):
+    # calls[name] counts the calls of verifier.<name> from here on
+    calls = dict.fromkeys(names, 0)
 
-    def counting(name):
+    def counted(name):
         real = getattr(verifier, name)
 
-        def counted(*args):
+        def call(*args):
             calls[name] += 1
             return real(*args)
-        return counted
+        return call
 
-    for name in calls:
-        monkeypatch.setattr(verifier, name, counting(name))
+    for name in names:
+        monkeypatch.setattr(verifier, name, counted(name))
+    return calls
+
+
+def test_verify_alpha_computes_shared_values_once(monkeypatch):
+    calls = _counting(monkeypatch, ("_main_checkpoints", "_poch_prefix"))
 
     def count(families, alpha=Fraction(1, 3), p=13):
         calls.update(dict.fromkeys(calls, 0))
         assert all(r.passed for r in verify_alpha(alpha, p, families))
-        return calls["sum_main"], calls["_poch_prefix"]
+        return calls["_main_checkpoints"], calls["_poch_prefix"]
 
-    assert count(ALPHA_FAMILIES) == (2, 1)
+    # one sum pass serves MAIN1, MAIN1_TRUNC and TAIL
+    assert count(ALPHA_FAMILIES) == (1, 1)
     assert count(("MAIN1",)) == (1, 0)
-    assert count(("MAIN1", "MAIN1_TRUNC", "TAIL")) == (2, 0)
+    assert count(("MAIN1", "MAIN1_TRUNC", "TAIL")) == (1, 0)
     assert count(LEMMA_FAMILIES) == (0, 1)
-    assert count(("TAIL", "TAIL", "LEMMA_PROD", "LEMMA_SIGMA")) == (2, 1)
+    assert count(("TAIL", "TAIL", "LEMMA_PROD", "LEMMA_SIGMA")) == (1, 1)
+
+
+def test_verify_prime_runs_one_pass_per_sum(monkeypatch):
+    # the thirteen classical and MAO families at a prime: one S(1/d, .)
+    # pass per weight d in {2, 3, 4} and one 8^(-k) pass
+    calls = _counting(monkeypatch, ("_main_checkpoints", "_mao_checkpoints"))
+    assert len(PRIME_FAMILIES) == 13
+    for p in (5, 7, 13, 2003):
+        calls.update(dict.fromkeys(calls, 0))
+        recs = verify_prime(p)
+        assert all(r.passed is not False for r in recs)
+        assert (calls["_main_checkpoints"], calls["_mao_checkpoints"]) == (3, 1), p
+    calls.update(dict.fromkeys(calls, 0))
+    verify_prime(13, ("B2", "SUN_B2"), ("full",))
+    assert (calls["_main_checkpoints"], calls["_mao_checkpoints"]) == (1, 0)
+
+
+@pytest.mark.parametrize("p", sieve_primes(2, 61))
+def test_verify_prime_grouped_equals_one_family_at_a_time(p):
+    truncs = ("short", "full")
+    recs = verify_prime(p, PRIME_FAMILIES, truncs)
+    one_at_a_time = [
+        rec
+        for f in PRIME_FAMILIES
+        for tr in (truncs if f in FAMILIES else (None,))
+        for rec in (verify_prime(p, (f,), (tr,)) if tr else verify_prime(p, (f,)))
+    ]
+    assert recs == one_at_a_time
+    assert len(recs) == 2 * len(FAMILIES) + len(MAO_VARIANTS)
+    if p <= 3:
+        assert all(r.passed is None for r in recs)
+    assert verify_prime(p, PRIME_FAMILIES[::-1], truncs[::-1]) == recs[::-1]
+
+
+def test_each_record_reads_its_own_checkpoint(monkeypatch):
+    # S(1/d, a) ≡ S(1/d, p-1) (mod p^4), so a record that read the wrong
+    # truncation would still pass: a fake pass that returns M at checkpoint
+    # M shows which one each record read
+    monkeypatch.setattr(verifier, "_main_checkpoints",
+                        lambda alpha, Ms, p: dict(zip(Ms, Ms)))
+    monkeypatch.setattr(verifier, "_mao_checkpoints",
+                        lambda Ms, p: dict(zip(Ms, Ms)))
+    p = 13
+    recs = [r for r in verify_prime(p) if r.passed is not None]
+    assert len(recs) == 15  # 6 families at p ≡ 1 (mod 12), 3 MAO variants
+    for r in recs:
+        if r.family in FAMILIES:
+            f = FAMILIES[r.family]
+            M = f.short_m(p) if r.truncation == "short" else p - 1
+            assert r.lhs.value == f.weight_d * M, r
+        else:
+            M = (p - 1) // 2 if r.truncation == "short" else p - 1
+            assert r.lhs.value == M, r
+            if r.family == "EQUIV":
+                assert r.rhs.value == 4 * (p - 1)
+    alpha = Fraction(1, 3)
+    a = decompose(alpha, p).a
+    got = {r.family: r.lhs.value for r in verify_alpha(alpha, p, ALPHA_FAMILIES[:3])}
+    assert got == {"MAIN1": p - 1, "MAIN1_TRUNC": a, "TAIL": p - 1 - a}
+
+
+def _plain_main_sum(alpha, M, p):
+    # the reference: S(alpha, M) mod p^4 term by term, one inverse per term
+    m = p**4
+    x = reduce_mod(alpha, p, 4).value
+    total, r = 0, 1  # r = (alpha)_k^3 / k!^3 mod m
+    for k in range(M + 1):
+        if k:
+            r = r * pow(x + k - 1, 3, m) * pow(k, -3, m) % m
+        total += (-1) ** k * (2 * k + x) * r
+    return total % m
+
+
+def _plain_mao_sum(M, p):
+    m = p**4
+    total, r = 0, 1  # r = (1/2)_k^3 / (8^k k!^3) mod m
+    for k in range(M + 1):
+        if k:
+            r = r * pow(2 * k - 1, 3, m) * pow(64 * k**3, -1, m) % m
+        total += (-1) ** k * (6 * k + 1) * r
+    return total % m
+
+
+@pytest.mark.parametrize("p", sieve_primes(1900, 2000))
+def test_checkpoints_match_a_plain_loop_near_2000(p):
+    for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-8, 5)):
+        Ms = (0, decompose(alpha, p).a, (p - 1) // 2, p - 1)
+        got = _main_checkpoints(alpha, Ms, p)
+        assert got == {M: _plain_main_sum(alpha, M, p) for M in Ms}, alpha
+    Ms = (1, (p - 1) // 2, p - 1)
+    assert _mao_checkpoints(Ms, p) == {M: _plain_mao_sum(M, p) for M in Ms}
 
 
 def test_ramanujan_partial():

@@ -22,10 +22,14 @@ Left out on purpose: mutations known to be equivalent, which no test can
 catch.  In qseries._hasse_residues, the weight update (i - j) -> (i - j + 1)
 computes the Hasse derivatives of q*N, which vanish at the same orders.  In
 qseries._times_q_integer, padding `a` with m zeros instead of m - 1 only
-appends a zero coefficient, which IntPoly drops.  In verifier.verify_alpha,
-swapping the truncations of MAIN1 and MAIN1_TRUNC (p - 1 and a) changes no
-record: the theorem makes S(alpha, a) ≡ S(alpha, p-1) (mod p^4), and both
-records compare with the same closed form.
+appends a zero coefficient, which IntPoly drops.
+
+Not equivalent, though no record shows them: the theorem makes
+S(alpha, a) ≡ S(alpha, p-1) (mod p^4), so a record that reads the other
+truncation of the sum pass (MAIN1 and MAIN1_TRUNC, a classical family's
+short and full, EQUIV's p-1) still passes.  A test that fakes the pass,
+returning M at checkpoint M, shows which truncation each record read, so
+these swaps are in the list.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ BINOM_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
 EULER_TESTS = ("tests/test_sequences.py",)
 Q_TESTS = ("tests/test_qseries.py", "tests/test_properties.py")
 CLOSED_TESTS = ("tests/test_verifier.py", "tests/test_acceptance.py")
-ALPHA_TESTS = ("tests/test_verifier.py", "tests/test_properties.py")
+VERIFY_TESTS = ("tests/test_verifier.py", "tests/test_properties.py")
 
 
 class Mutation(NamedTuple):
@@ -123,16 +127,37 @@ MUTATIONS = (
     Mutation("closed form Euler index", "verifier.py",
              "euler_poly_eval_mod(p - 3, alpha, p)",
              "euler_poly_eval_mod(p - 2, alpha, p)", CLOSED_TESTS),
+    # the checkpointed sum passes
+    Mutation("main pass segment start", "verifier.py",
+             "range(done + 1, M + 1):\n            k3",
+             "range(done, M + 1):\n            k3", VERIFY_TESTS),
+    Mutation("main pass inverse at the wrong checkpoint", "verifier.py",
+             "for M in Ms:\n        for k in range(done + 1, M + 1):\n            k3",
+             "for M in Ms[::-1]:\n        for k in range(done + 1, M + 1):\n            k3",
+             VERIFY_TESTS),
+    Mutation("mao pass segment start", "verifier.py",
+             "range(done + 1, M + 1):\n            dk",
+             "range(done, M + 1):\n            dk", VERIFY_TESTS),
+    # the shared values of verify_prime
+    Mutation("prime EQUIV reads the short checkpoint", "verifier.py",
+             "4 * main(4)[p - 1]", "4 * main(4)[(p - 1) // 4]", VERIFY_TESTS),
+    Mutation("prime p^3 family not reduced mod p^3", "verifier.py",
+             "d * s % p**e", "d * s % m", VERIFY_TESTS),
+    Mutation("prime short and full checkpoints swapped", "verifier.py",
+             'main(d)[a if truncation == "short" else p - 1]',
+             'main(d)[p - 1 if truncation == "short" else a]', VERIFY_TESTS),
     # the shared values of verify_alpha and the lemma preconditions
+    Mutation("alpha MAIN1 and MAIN1_TRUNC checkpoints swapped", "verifier.py",
+             'partial(a)[p - 1 if fam == "MAIN1" else a]',
+             'partial(a)[a if fam == "MAIN1" else p - 1]', VERIFY_TESTS),
     Mutation("alpha TAIL empty test", "verifier.py",
-             "if dec.a == p - 1:", "if dec.a == p - 2:", ALPHA_TESTS),
-    Mutation("alpha TAIL lower sum", "verifier.py",
-             "partial(p - 1) - partial(dec.a)", "partial(p - 1) - partial(dec.a + 1)",
-             ALPHA_TESTS),
+             "if dec.a == p - 1:", "if dec.a == p - 2:", VERIFY_TESTS),
+    Mutation("alpha TAIL lower checkpoint", "verifier.py",
+             "s[p - 1] - s[dec.a]", "s[p - 1] - s[p - 1]", VERIFY_TESTS),
     Mutation("alpha factorial table range", "verifier.py",
-             "accumulate(range(1, p),", "accumulate(range(2, p + 1),", ALPHA_TESTS),
+             "accumulate(range(1, p),", "accumulate(range(2, p + 1),", VERIFY_TESTS),
     Mutation("alpha lemma a = 0 test", "verifier.py",
-             "if a == 0 and fam in", "if a == 1 and fam in", ALPHA_TESTS),
+             "if a == 0 and fam in", "if a == 1 and fam in", VERIFY_TESTS),
 )
 
 
