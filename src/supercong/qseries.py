@@ -52,8 +52,6 @@ __all__ = [
     "cyclotomic",
     "lhs_e2_q",
     "lhs_f2_q",
-    "congruent_mod",
-    "congruence_witness",
     "congruence_failure",
     "verify_gz",
     "verify_conjecture41",
@@ -106,10 +104,6 @@ class IntPoly:
         if d < 0:
             raise ValueError(f"degree must be >= 0, got {d}")
         return cls((0,) * d + (c,))
-
-    @classmethod
-    def from_string(cls, text: str) -> IntPoly:
-        return cls(int(part) for part in text.strip().split(","))
 
     def to_string(self) -> str:
         if not self.coeffs:
@@ -448,22 +442,6 @@ def congruence_failure(
     return None
 
 
-def congruence_witness(a: RationalFunction, modulus: IntPoly) -> IntPoly | None:
-    """None when a ≡ 0 (mod modulus); otherwise a nonzero remainder certificate.
-
-    The certificate is the residue of congruence_failure: the first Hasse
-    derivative D^j N of the numerator that does not vanish mod Phi_d.
-    """
-    failure = congruence_failure(a, modulus)
-    return None if failure is None else failure[2]
-
-
-def congruent_mod(a: RationalFunction, modulus: IntPoly) -> bool:
-    """a ≡ 0 (mod modulus): reduced denominator coprime to modulus and
-    modulus divides the reduced numerator."""
-    return congruence_witness(a, modulus) is None
-
-
 # ---------------------------------------------------------------------------
 # the two q-sums
 
@@ -549,7 +527,7 @@ def verify_gz(n: int, family: str) -> VerificationRecord:
             )
         lhs = lhs_f2_q(n)
     modulus = q_integer(n) * cyclotomic(n) ** 2
-    ok = congruent_mod(lhs.sub_poly(_gz_rhs(n)), modulus)
+    ok = congruence_failure(lhs.sub_poly(_gz_rhs(n)), modulus) is None
     return make_record(
         fam,
         f"[{n}]*Phi_{n}^2",
@@ -571,7 +549,7 @@ def verify_conjecture41(n: int) -> VerificationRecord:
         )
     diff = lhs_e2_q(n) - lhs_f2_q(n)  # same denominator, fast path
     modulus = q_integer(n) * cyclotomic(n) ** 3
-    ok = congruent_mod(diff, modulus)
+    ok = congruence_failure(diff, modulus) is None
     return make_record(
         "CONJ41",
         f"[{n}]*Phi_{n}^3",

@@ -1,7 +1,8 @@
 """Rising factorials, harmonic numbers, and Euler numbers/polynomials.
 
-Everything here is exact (Fraction or integer residues).  The Euler
-polynomials E_n(x) follow the Appell recurrence
+Pochhammer symbols, harmonic numbers (for Lehmer's congruences) and
+Euler polynomials are exact Fractions; Euler residues are integers.  The
+Euler polynomials E_n(x) follow the Appell recurrence
 
     E_n(x) = x^n - (1/2) * sum_{k<n} C(n,k) E_k(x),
 
@@ -26,7 +27,6 @@ __all__ = [
     "InverseMissing",
     "pochhammer",
     "harmonic",
-    "alternating_reciprocal_squares",
     "euler_poly_coeffs",
     "euler_poly_eval",
     "euler_number",
@@ -73,19 +73,6 @@ def harmonic(n: int, m: int = 1) -> Fraction:
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     return _harmonic_value(n, m)
-
-
-_altsq_cache: list[Fraction] = [Fraction(0)]
-
-
-def alternating_reciprocal_squares(n: int) -> Fraction:
-    """sum_{k=1}^{n} (-1)^k / k^2."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    while len(_altsq_cache) <= n:
-        k = len(_altsq_cache)
-        _altsq_cache.append(_altsq_cache[-1] + Fraction((-1) ** k, k**2))
-    return _altsq_cache[n]
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,9 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
     except EmptyRange as exc:
         raise ConfigError(str(exc)) from exc
     for p in primes:
-        # a prime's instances run next to each other, so the Euler residue
-        # table of (p-3, p) that they share is built once
+        # a prime's instances run next to each other, so the tables they
+        # share, the Euler residues of (p-3, p) and the factorial and
+        # harmonic residues of _prime_tables(p), are built once
         if fams := tuple(f for f in prime_fams if _admits(f, p)):
             out.append(Instance(",".join(fams), verify_prime, (p, fams, truncs), p=p))
         if alpha_fams:

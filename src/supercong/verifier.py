@@ -21,8 +21,10 @@ Against it we check:
 * the (6k+1)(1/2)_k^3/(8^k k!^3) family (full and half truncations) and its
   equivalence with the (8k+1) family for p ≡ 1 (mod 4);
 * the five auxiliary Pochhammer-quotient congruences the proofs run on,
-  whose left sides are p^v times a unit residue mod p^4: only alpha+a and
-  alpha+a+p among the Pochhammer factors are divisible by p.
+  whose left sides are p^v times a unit residue mod p^4 (only alpha+a and
+  alpha+a+p among the Pochhammer factors are divisible by p), and whose
+  right sides are polynomials in t and the harmonic-type prefixes at a,
+  read from one residue table per prime (_prime_tables).
 
 The classical and 8^(-k) families are statements about one prime p;
 verify_prime checks any of them in one call, with one pass per sum read at
@@ -30,16 +32,15 @@ every truncation.  The general-alpha congruence, its tail and the five
 lemmas are statements about one pair (alpha, p); verify_alpha checks any of
 them in one call.
 
-Everything is exact: residue pipelines for speed, Fraction oracles for
-cross-checks (the lemma oracle lives in the tests).
+Everything is exact integer arithmetic mod p^e; the Fraction oracles
+these residues are checked against live in the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Callable
 
@@ -47,7 +48,6 @@ from .padic import (
     NotPAdicIntegral,
     ResidueClass,
     check_exponent,
-    decompose,
     least_nonneg_residue,
     legendre,
     reduce_mod,
@@ -62,13 +62,7 @@ from .records import (
     norm_family,
     skipped_record,
 )
-from .sequences import (
-    alternating_reciprocal_squares,
-    euler_number_mod,
-    euler_poly_eval_mod,
-    harmonic,
-    pochhammer,
-)
+from .sequences import euler_number_mod, euler_poly_eval_mod
 from .wz import DivisionByZeroTerm
 
 __all__ = [
@@ -82,9 +76,7 @@ __all__ = [
     "MAO_VARIANTS",
     "PRIME_FAMILIES",
     "sum_main",
-    "sum_main_exact",
     "sum_mao",
-    "sum_mao_exact",
     "verify_prime",
     "verify_alpha",
     "ramanujan_partial",
@@ -132,21 +124,6 @@ def sum_main(alpha: Fraction, M: int, p: int, e: int = 4) -> ResidueClass:
     return ResidueClass(_main_checkpoints(Fraction(alpha), (M,), p, e)[M], p**e)
 
 
-def sum_main_exact(alpha: Fraction, M: int) -> Fraction:
-    """Same sum as an exact rational; the small-p cross-check oracle."""
-    alpha = Fraction(alpha)
-    total = Fraction(0)
-    for k in range(M + 1):
-        sign = -1 if k % 2 else 1
-        total += (
-            sign
-            * (2 * k + alpha)
-            * pochhammer(alpha, k) ** 3
-            / Fraction(math.factorial(k)) ** 3
-        )
-    return total
-
-
 def _mao_checkpoints(Ms, p: int, e: int = 4) -> dict[int, int]:
     """{M: sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e} for
     every M in Ms, from one pass to max(Ms); 1 <= e <= 4."""
@@ -171,20 +148,6 @@ def _mao_checkpoints(Ms, p: int, e: int = 4) -> dict[int, int]:
 def sum_mao(M: int, p: int, e: int = 4) -> ResidueClass:
     """sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e, 1 <= e <= 4."""
     return ResidueClass(_mao_checkpoints((M,), p, e)[M], p**e)
-
-
-def sum_mao_exact(M: int) -> Fraction:
-    half = Fraction(1, 2)
-    total = Fraction(0)
-    for k in range(M + 1):
-        sign = -1 if k % 2 else 1
-        total += (
-            sign
-            * (6 * k + 1)
-            * pochhammer(half, k) ** 3
-            / (Fraction(math.factorial(k)) ** 3 * 8**k)
-        )
-    return total
 
 
 def ramanujan_partial(N: int) -> float:
@@ -221,21 +184,19 @@ def _p3_times(p: int, x: int, m: int) -> int:
     return p**3 * (x % p) % m
 
 
-def _closed_form(alpha: Fraction, p: int, e: int) -> tuple[int, int]:
-    """(a, R) with a = <-alpha>_p and R the right side of the general-alpha
-    congruence, (-1)^a (alpha+a) + (alpha+a)^3 E_{p-3}(alpha) mod p^e.
+def _closed_form(alpha: Fraction, a: int, p: int, e: int) -> int:
+    """The right side of the general-alpha congruence at a = <-alpha>_p,
+    (-1)^a (alpha+a) + (alpha+a)^3 E_{p-3}(alpha) mod p^e.
 
     alpha + a = p*t, so the cube vanishes mod p^3 and E_{p-3} is only
-    evaluated (mod p) when e = 4.  A non-p-integral alpha raises
-    NotPAdicIntegral, as decompose does.
+    evaluated (mod p) when e = 4.
     """
-    a = least_nonneg_residue(-alpha, p)
     m = p**e
     pt = (alpha.numerator * pow(alpha.denominator, -1, m) + a) % m
     rhs = _parity_sign(a) * pt
     if e == 4:
         rhs += pt**3 * euler_poly_eval_mod(p - 3, alpha, p).value
-    return a, rhs % m
+    return rhs % m
 
 
 @dataclass(frozen=True)
@@ -328,9 +289,9 @@ def verify_prime(
     if bad := [t for t in truncations if t not in ("short", "full")]:
         raise ValueError(f"truncation must be short|full, got {bad[0]!r}")
     m = p**4
-    closed = cache(lambda d, e: _closed_form(Fraction(1, d), p, e))
-    main = cache(lambda d: _main_checkpoints(
-        Fraction(1, d), (least_nonneg_residue(Fraction(-1, d), p), p - 1), p))
+    short = cache(lambda d: least_nonneg_residue(Fraction(-1, d), p))
+    closed = cache(lambda d, e: _closed_form(Fraction(1, d), short(d), p, e))
+    main = cache(lambda d: _main_checkpoints(Fraction(1, d), (short(d), p - 1), p))
     mao = cache(lambda: _mao_checkpoints(((p - 1) // 2, p - 1), p))
 
     def sides(fam: str, truncation: str) -> tuple[int, int, int]:
@@ -344,9 +305,9 @@ def verify_prime(
             if p <= 3:
                 raise PreconditionViolated(f"{fam} needs p > 3, got p = {p}")
             d, e = f.weight_d, f.modulus_exp
-            a, rhs = closed(d, e)
+            a = short(d)
             s = main(d)[a if truncation == "short" else p - 1]
-            return e, d * s % p**e, d * rhs % p**e
+            return e, d * s % p**e, d * closed(d, e) % p**e
         if p <= 3:
             raise PreconditionViolated(f"needs p > 3, got p = {p}")
         if fam == "EQUIV":
@@ -379,9 +340,33 @@ def verify_prime(
 # ---------------------------------------------------------------------------
 # auxiliary Pochhammer-quotient congruences
 
-def _poch_prefix(alpha: Fraction, p: int) -> tuple[list[int], int, int, list[int]]:
-    """(u, v0, v1, fact) with (alpha)_j = p^(e_j) u_j for j = 0..2p-1, u_j
-    mod p^4, and fact the factorials j! mod p^4 for j = 0..p-1.
+# The consecutive instances of a sweep at one prime share these tables.
+@lru_cache(maxsize=4)
+def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """(fact, h1, h2, alt2) mod p^4 for j = 0..p-1: j!, H_j = sum_{k<=j} 1/k,
+    H_j^(2) = sum_{k<=j} 1/k^2 and sum_{k<=j} (-1)^k / k^2.
+
+    Every k < p is a unit mod p^4, so one inverse of (p-1)! and a backward
+    pass give every 1/k! and, through 1/k = (k-1)!/k!, every 1/k.
+    """
+    m = p**4
+    fact = list(accumulate(range(1, p), lambda acc, j: acc * j % m, initial=1))
+    inv_fact = [0] * p
+    inv_fact[p - 1] = pow(fact[p - 1], -1, m)
+    for j in range(p - 1, 0, -1):
+        inv_fact[j - 1] = inv_fact[j] * j % m
+    recip = [fact[k - 1] * inv_fact[k] % m for k in range(1, p)]
+    squares = [r * r % m for r in recip]
+    signed = [-r if k % 2 else r for k, r in enumerate(squares, 1)]
+
+    def prefix(terms):
+        return tuple(s % m for s in accumulate(terms, initial=0))
+
+    return tuple(fact), prefix(recip), prefix(squares), prefix(signed)
+
+
+def _poch_prefix(alpha: Fraction, p: int) -> tuple[list[int], int, int]:
+    """(u, v0, v1) with (alpha)_j = p^(e_j) u_j for j = 0..2p-1, u_j mod p^4.
 
     With a = <-alpha>_p the only factors alpha+i (i <= 2p-2) divisible by p
     are alpha+a = p*t and alpha+a+p = p*(t+1), of valuations v0 and v1.
@@ -409,12 +394,11 @@ def _poch_prefix(alpha: Fraction, p: int) -> tuple[list[int], int, int, list[int
     for i in range(2 * p - 1):
         f = u0 if i == a else u1 if i == a + p else x + i
         out.append(out[-1] * f % m)
-    fact = list(accumulate(range(1, p), lambda acc, j: acc * j % m, initial=1))
-    return out, v0, v1, fact
+    return out, v0, v1
 
 
 def _lemma_sum(
-    u: list[int], fact: list[int], p: int, k0: int, k1: int
+    u: list[int], fact: tuple[int, ...], p: int, k0: int, k1: int
 ) -> tuple[int, int]:
     """sum_{k=k0}^{k1} (-1)^k u_{p+k-1} / ((p-k)! u_k^2) mod p^4 as (num, den).
 
@@ -430,10 +414,23 @@ def _lemma_sum(
     return s, d
 
 
+def _split_alpha(alpha: Fraction, p: int) -> tuple[int, int]:
+    """(a, t mod p^4) with a = <-alpha>_p and alpha + a = p*t.
+
+    t is (num + a den)/p times 1/den, from the integers: alpha + a reduced
+    mod p^4 first would give t only mod p^3.  A non-p-integral alpha raises
+    NotPAdicIntegral.
+    """
+    a = least_nonneg_residue(-alpha, p)
+    m = p**4
+    num, den = alpha.numerator, alpha.denominator
+    return a, (num + a * den) // p * pow(den, -1, m) % m
+
+
 def _lemma_sides(
-    fam: str, alpha: Fraction, p: int, a: int, t: Fraction, tables: Callable
-) -> tuple[int, Fraction]:
-    """Left side mod p^4 and exact right side of one LEMMA_* family.
+    fam: str, alpha: Fraction, p: int, a: int, t: int, tables: Callable
+) -> tuple[int, int]:
+    """Left and right side mod p^4 of one LEMMA_* family.
 
     Families (a = <-alpha>_p, alpha + a = p*t throughout):
 
@@ -448,62 +445,59 @@ def _lemma_sides(
     valuations of alpha+a and alpha+a+p and the integer computed mod p^4
     from the unit residues of tables() (_poch_prefix's, asked for once the
     preconditions hold), in O(p) operations and two inverses.  The right
-    sides are the exact closed forms in a, t, H_a and H_a^(2).  Alphas that
-    zero a denominator Pochhammer raise DivisionByZeroTerm.
+    sides are polynomials in t (given mod p^4), H_a, H_a^(2) and
+    sum_{k<=a} (-1)^k/k^2, read from _prime_tables; the divisions by 2 and
+    by a+1 are by units in every branch that makes them.  Alphas that zero
+    a denominator Pochhammer raise DivisionByZeroTerm.
     """
     if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):
         raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
     # only the factor alpha+a of (alpha)_{a+1} (LEMMA_PROD), and likewise of
-    # (alpha)_{p-1} (LEMMA_SIGMA), can vanish
-    if fam == "LEMMA_PROD" and t == 0:
+    # (alpha)_{p-1} (LEMMA_SIGMA), can vanish: exactly when t = 0, which
+    # t ≡ 0 (mod p^4) does not imply
+    zero = alpha + a == 0
+    if fam == "LEMMA_PROD" and zero:
         raise DivisionByZeroTerm(f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})")
     if fam == "LEMMA_SIGMA":
         if a > p - 2:
             raise PreconditionViolated(f"a = p-1 violates a <= p-2 (alpha = {alpha})")
-        if t == 0:
+        if zero:
             raise DivisionByZeroTerm(
                 f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
             )
     m = p**4
-    u, v0, v1, fact = tables()
+    u, v0, v1 = tables()
+    fact, h1, h2, alt2 = _prime_tables(p)
     f2 = fact[p - 1] ** 2
+    pt, ha, ha2 = p * t, h1[a], h2[a]
+    half = pow(2, -1, m)
 
     # the left side is p^v * num / den, den a unit mod p^4
     if fam == "LEMMA_WZPROD":
         num, den = u[2 * p - 1], f2
         if a == p - 1:  # alpha+a+p is past the last factor
-            v, rhs = v0, p * t
+            v, rhs = v0, pt
         else:
             v = v0 + v1
-            ha = harmonic(a)
-            rhs = -(p * p * t * (t + 1) / (a + 1)) * (
-                1 + 2 * p * ha + p * (t + 2) / (a + 1)
-            )
+            inv = pow(a + 1, -1, m)
+            rhs = -p * pt * (t + 1) * inv * (1 + 2 * p * ha + p * (t + 2) * inv)
     elif fam == "LEMMA_ALPHAP3":
         v, num, den = 3 * v0, u[p] ** 3, fact[p - 1] ** 3
-        rhs = (alpha + a) ** 3
+        rhs = pt**3
     elif fam == "LEMMA_SIGMA1":
         # (alpha)_k for k <= a has no factor divisible by p, so it is never 0;
         # (alpha)_{p+k-1} has valuation v0, so every term has valuation v0
         s, d = _lemma_sum(u, fact, p, 1, a)
         v, num, den = 3 * v0, u[p] ** 2 * s, f2 * d
-        rhs = (
-            _parity_sign(a + 1)
-            * (alpha + a) ** 3
-            * (harmonic(a, 2) + 2 * alternating_reciprocal_squares(a))
-        )
+        rhs = _parity_sign(a + 1) * pt**3 * (ha2 + 2 * alt2[a])
     elif fam == "LEMMA_PROD":
         v = v0  # valuation 3 v0 over (alpha)_{a+1}^2, valuation 2 v0
         num = u[p] ** 2 * u[p + a]
         den = f2 * fact[p - a - 1] * u[a + 1] ** 2
-        pt = alpha + a
-        ha = harmonic(a)
-        ha2 = harmonic(a, 2)
-        rhs = (
-            pt
-            + p * pt * (t + 1) * ha
-            + p**2 * pt * (t + 1) ** 2 / 2 * ha**2
-            + p**2 * pt * (t**2 + 4 * t + 1) / 2 * ha2
+        rhs = pt * (
+            1
+            + p * (t + 1) * ha
+            + p * p * half * ((t + 1) ** 2 * ha * ha + (t * t + 4 * t + 1) * ha2)
         )
     else:  # LEMMA_SIGMA
         # every term is (alpha)_{p+k-1}, valuation v0 + v1, over (alpha)_k^2,
@@ -511,17 +505,16 @@ def _lemma_sides(
         s, d = _lemma_sum(u, fact, p, a + 2, p - 1)
         v, num, den = v0 + v1, u[p] ** 2 * s, f2 * d
         sa = _parity_sign(a)
-        ha = harmonic(a)
-        ha2 = harmonic(a, 2)
-        rhs = sa * p**2 * t * (t + 1) * (ha - Fraction(sa, a + 1)) + sa * p**3 * t * (
-            t + 1
-        ) * (
-            (t + 1) / 2 * ha**2
-            + (3 * t + 1) / 2 * ha2
-            - Fraction(2 * sa, a + 1) * ha
-            - sa * (t + 2) / (a + 1) ** 2
+        inv = pow(a + 1, -1, m)
+        rhs = sa * p * pt * (t + 1) * (
+            ha - sa * inv
+            + p * (
+                half * ((t + 1) * ha * ha + (3 * t + 1) * ha2)
+                - 2 * sa * inv * ha
+                - sa * (t + 2) * inv * inv
+            )
         )
-    return (p**v * num * pow(den, -1, m) % m if v < 4 else 0), rhs
+    return (p**v * num * pow(den, -1, m) % m if v < 4 else 0), rhs % m
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +534,9 @@ def verify_alpha(
 
     Every family needs p > 3 and a p-integral alpha; a family whose
     precondition fails (one of SKIP_ERRORS) gets a skip record with the
-    reason.  The shared values -- the closed form, the one sum pass that
-    gives S(alpha, a) and S(alpha, p-1), and the Pochhammer prefix with its
-    factorial table -- are computed at most once per call, and only when a
+    reason.  The shared values -- a and t, the closed form, the one sum
+    pass that gives S(alpha, a) and S(alpha, p-1), and the Pochhammer
+    prefix -- are computed at most once per call, and only when a
     requested family reads them.
     """
     alpha = Fraction(alpha)
@@ -553,7 +546,8 @@ def verify_alpha(
     m = p**4
     short = not {"MAIN1_TRUNC", "TAIL"}.isdisjoint(fams)
     full = not {"MAIN1", "TAIL"}.isdisjoint(fams)
-    closed = cache(lambda: _closed_form(alpha, p, 4))
+    split = cache(lambda: _split_alpha(alpha, p))
+    closed = cache(lambda a: _closed_form(alpha, a, p, 4))
     # one pass of S(alpha, .), checkpointed at the truncations the requested
     # families read: a (MAIN1_TRUNC, TAIL) and p-1 (MAIN1, TAIL)
     partial = cache(lambda a: _main_checkpoints(
@@ -563,19 +557,17 @@ def verify_alpha(
     def sides(fam: str) -> tuple[int, int]:
         if p <= 3:
             raise PreconditionViolated(f"needs p > 3, got p = {p}")
+        a, t = split()
         if fam in ALPHA_TRUNCATIONS:
-            a, rhs = closed()
-            return partial(a)[p - 1 if fam == "MAIN1" else a], rhs
-        dec = decompose(alpha, p)
+            return partial(a)[p - 1 if fam == "MAIN1" else a], closed(a)
         if fam == "TAIL":
-            if dec.a == p - 1:
+            if a == p - 1:
                 raise SkippedWhenAEqualsPMinus1(
                     f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
                 )
-            s = partial(dec.a)
-            return (s[p - 1] - s[dec.a]) % m, 0
-        lhs, rhs = _lemma_sides(fam, alpha, p, dec.a, dec.t, tables)
-        return lhs, reduce_mod(rhs, p, 4).value
+            s = partial(a)
+            return (s[p - 1] - s[a]) % m, 0
+        return _lemma_sides(fam, alpha, p, a, t, tables)
 
     out = []
     for fam in fams:

@@ -8,7 +8,6 @@ from supercong.padic import NotPAdicIntegral, reduce_mod
 from supercong.primes import sieve_primes
 from supercong.sequences import (
     InverseMissing,
-    alternating_reciprocal_squares,
     check_binomial_identities,
     check_euler_identities,
     check_lehmer,
@@ -20,6 +19,8 @@ from supercong.sequences import (
     harmonic,
     pochhammer,
 )
+
+from exact_oracle import alternating_reciprocal_squares
 
 
 def test_pochhammer_values():

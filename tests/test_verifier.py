@@ -26,14 +26,14 @@ from supercong.verifier import (
     _main_checkpoints,
     _mao_checkpoints,
     sum_main,
-    sum_main_exact,
     sum_mao,
-    sum_mao_exact,
     ramanujan_partial,
     verify_alpha,
     verify_prime,
 )
 from supercong.wz import telescoped_rhs
+
+from exact_oracle import sum_main_exact, sum_mao_exact
 
 
 def _one(fam, alpha, p):
@@ -170,8 +170,9 @@ def test_mao_half_and_main1_pass_above_2000(p):
 
 @pytest.mark.parametrize("p", [1009, 2003])
 def test_lemma_families_pass_above_1000(p):
-    # p^3/2 - 1 has a = 1 and t = p^2/2, so v_p(t) = 2
-    for alpha in (*RATIONAL_ALPHAS, Fraction(p**3, 2) - 1):
+    # p^3/2 - 1 has a = 1 and t = p^2/2, so v_p(t) = 2; p^5 - 1 has a = 1 and
+    # t = p^4, which is 0 mod p^4 but zeroes no factor
+    for alpha in (*RATIONAL_ALPHAS, Fraction(p**3, 2) - 1, Fraction(p**5 - 1)):
         for rec in verify_alpha(alpha, p, LEMMA_FAMILIES):
             assert rec.passed, rec
 

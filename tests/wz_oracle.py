@@ -12,8 +12,10 @@ their messages are those the package must also raise.
 import math
 from fractions import Fraction
 
-from supercong.sequences import alternating_reciprocal_squares, harmonic
+from supercong.sequences import harmonic
 from supercong.wz import DivisionByZeroTerm
+
+from exact_oracle import alternating_reciprocal_squares
 
 
 def poch(alpha: Fraction, k: int) -> Fraction:

@@ -151,13 +151,24 @@ MUTATIONS = (
              'partial(a)[p - 1 if fam == "MAIN1" else a]',
              'partial(a)[a if fam == "MAIN1" else p - 1]', VERIFY_TESTS),
     Mutation("alpha TAIL empty test", "verifier.py",
-             "if dec.a == p - 1:", "if dec.a == p - 2:", VERIFY_TESTS),
+             "if a == p - 1:\n                raise SkippedWhenAEqualsPMinus1",
+             "if a == p - 2:\n                raise SkippedWhenAEqualsPMinus1",
+             VERIFY_TESTS),
     Mutation("alpha TAIL lower checkpoint", "verifier.py",
-             "s[p - 1] - s[dec.a]", "s[p - 1] - s[p - 1]", VERIFY_TESTS),
-    Mutation("alpha factorial table range", "verifier.py",
-             "accumulate(range(1, p),", "accumulate(range(2, p + 1),", VERIFY_TESTS),
+             "s[p - 1] - s[a]", "s[p - 1] - s[p - 1]", VERIFY_TESTS),
     Mutation("alpha lemma a = 0 test", "verifier.py",
              "if a == 0 and fam in", "if a == 1 and fam in", VERIFY_TESTS),
+    Mutation("alpha lemma zero factor tested mod p^4", "verifier.py",
+             "zero = alpha + a == 0", "zero = t == 0", VERIFY_TESTS),
+    Mutation("alpha LEMMA_PROD without the 1/2", "verifier.py",
+             "p * p * half * ((t + 1) ** 2", "p * p * ((t + 1) ** 2", VERIFY_TESTS),
+    # the per-prime residue tables
+    Mutation("prime table factorial range", "verifier.py",
+             "accumulate(range(1, p),", "accumulate(range(2, p + 1),", VERIFY_TESTS),
+    Mutation("prime table backward-pass index", "verifier.py",
+             "inv_fact[j] * j % m", "inv_fact[j] * (j + 1) % m", VERIFY_TESTS),
+    Mutation("prime table alternating sign", "verifier.py",
+             "-r if k % 2 else r", "r if k % 2 else -r", VERIFY_TESTS),
 )
 
 
