@@ -8,10 +8,11 @@ polynomial arithmetic; q -> 1 recovers the numeric supercongruences.
 Each congruence is tested at roots of unity: for every factor Phi_d^e of
 the modulus, the Hasse derivatives D^j N of the numerator must vanish
 mod Phi_d for j below e plus the multiplicity of Phi_d in the denominator.
+Both factorizations are known, so congruence_failure takes the numerator,
+the modulus as its (d, e) list and the denominator's multiplicities.
 """
 
 from supercong import (
-    RationalFunction,
     congruence_failure,
     conjecture41_witness,
     cyclotomic,
@@ -55,9 +56,10 @@ print(f"  failing factor Phi_d, derivative order j: "
       f"{w['cyclotomic_index']}, {w['derivative_order']} (None = congruent)")
 
 print("\na deliberately broken difference, e2(9) - f2(9) + Phi_9^3, mod [9] Phi_9^3:")
-diff = lhs_e2_q(9) - lhs_f2_q(9)
-broken = RationalFunction(diff.num + diff.den * cyclotomic(9) ** 3, diff.den)
-d, j, residue = congruence_failure(broken, q_integer(9) * cyclotomic(9) ** 3)
+e2, f2 = lhs_e2_q(9), lhs_f2_q(9)  # both over den = (q^4;q^4)_8^3
+broken = e2.num - f2.num + e2.den * cyclotomic(9) ** 3
+# [9] Phi_9^3 = Phi_3 Phi_9^4; Phi_3 | 1 - q^(4j) for j = 3, 6, cubed in den
+d, j, residue = congruence_failure(broken, [(3, 1), (9, 4)], {3: 6, 9: 0})
 print(f"  Phi_3 divides the denominator 6 times, so D^j N must vanish mod Phi_3"
       f" for j < 7;\n  first nonzero: d={d}, j={j}, D^j N mod Phi_d ="
       f" {residue.to_string()}")

@@ -30,7 +30,6 @@ from .verifier import (
 )
 from .wz import check_pair, eval_F, eval_G, telescoped_rhs
 from .qseries import (
-    RationalFunction,
     congruence_failure,
     conjecture41_witness,
     cyclotomic,

@@ -1,19 +1,23 @@
 """Exact polynomial algebra in q and the q-analogue congruences.
 
-IntPoly is a dense integer-coefficient polynomial; RationalFunction a
-num/den pair of them.  Congruence of a rational function A modulo a
-polynomial M means: in the lowest-terms form N/D of A, the denominator D
-is coprime to M and M | N (the standard convention for q-congruences
-whose raw denominators are only coprime to M after cancellation).
+IntPoly is a dense integer-coefficient polynomial; RationalFunction the
+plain num/den pair that lhs_e2_q and lhs_f2_q return.  Congruence of a
+rational function N/D modulo a polynomial M means: in lowest terms, the
+denominator is coprime to M and M divides the numerator (the standard
+convention for q-congruences whose raw denominators are only coprime to M
+after cancellation).
 
-Every modulus here is a product of cyclotomic polynomials Phi_d^e, and so
-is the denominator (q^4;q^4)_{n-1}^3 of the sums below.  The congruence
-is therefore tested at roots of unity, without gcds or reducing A: for
-each factor Phi_d^e of M, with v the multiplicity of Phi_d in the raw
-denominator, the Hasse derivatives D^j N (j < v + e) of the raw
-numerator must vanish mod Phi_d.  Each D^j N mod Phi_d is a fold of the
-weighted coefficients mod q^d - 1 followed by one monic remainder (the
-root-of-unity viewpoint of Guo and Zudilin's q-microscope).
+Every modulus here has a known cyclotomic factorization,
+[n] Phi_n^e = prod_{d | n, d > 1} Phi_d * Phi_n^e, and Phi_d divides the
+common denominator (q^4;q^4)_{n-1}^3 of the sums below exactly
+v_d = 3 floor((n-1) / (d / gcd(d, 4))) times.  The congruence is therefore
+tested at roots of unity from these facts, without gcds, without reducing
+and without building the denominator: for each factor Phi_d^e of M, the
+Hasse derivatives D^j N (j < v_d + e) of the raw numerator must vanish mod
+Phi_d.  Each D^j N mod Phi_d is a fold of the weighted coefficients mod
+q^d - 1 followed by one monic remainder (the root-of-unity viewpoint of
+Guo and Zudilin's q-microscope).  The numerator of a weighted sum minus
+its right side comes from one Horner pass.
 
 The verified statements live on the sums
 
@@ -43,7 +47,6 @@ from .records import (
 from .sequences import pochhammer
 
 __all__ = [
-    "ZeroModulus",
     "InternalNonExactDivision",
     "IntPoly",
     "RationalFunction",
@@ -58,10 +61,6 @@ __all__ = [
     "conjecture41_witness",
     "q_limit_term_check",
 ]
-
-
-class ZeroModulus(ZeroDivisionError):
-    """Congruence modulo the zero polynomial is undefined."""
 
 
 class InternalNonExactDivision(ArithmeticError):
@@ -208,19 +207,7 @@ class IntPoly:
             out = out * x + c
         return out
 
-    # -- content and division
-
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
-    def primitive_part(self) -> IntPoly:
-        """self divided by ±content so the leading coefficient is positive."""
-        if self.is_zero:
-            return self
-        c = self.content()
-        if self.lc < 0:
-            c = -c
-        return IntPoly(tuple(x // c for x in self.coeffs))
+    # -- division
 
     def _long_div(self, d: IntPoly) -> tuple[IntPoly, IntPoly] | None:
         """Integer long division; None as soon as a quotient step is non-integral.
@@ -340,60 +327,7 @@ def cyclotomic(n: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# rational functions and congruence
-
-@dataclass(frozen=True)
-class RationalFunction:
-    num: IntPoly
-    den: IntPoly
-
-    def __post_init__(self) -> None:
-        if self.den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-
-    def __sub__(self, other: RationalFunction) -> RationalFunction:
-        if self.den == other.den:
-            return RationalFunction(self.num - other.num, self.den)
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def sub_poly(self, poly: IntPoly) -> RationalFunction:
-        return RationalFunction(self.num - poly * self.den, self.den)
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-
-def _totient(n: int) -> int:
-    """phi(n) = deg Phi_n = sum_{d|n} mu(n/d) d."""
-    return sum(_mobius(n // d) * d for d in _divisors(n))
-
-
-def _cyclotomic_factors(m: IntPoly) -> list[tuple[int, int]]:
-    """[(d, e), ...] with m = prod Phi_d^e, d increasing, by trial division.
-
-    m must be primitive with a positive leading coefficient, so the rest is
-    1 once it has degree 0 (the Phi_d are monic).  Only d with
-    phi(d) <= deg(rest) can divide the rest, and phi(d) >= sqrt(d) for
-    d not in {2, 6}, so the search ends by d = max(6, deg(rest)^2).
-    """
-    factors = []
-    rest = m
-    d = 0
-    while rest.degree > 0:
-        d += 1
-        if d > max(6, rest.degree**2):
-            raise ValueError(f"modulus {m!r} has a non-cyclotomic factor")
-        if _totient(d) > rest.degree:
-            continue
-        e = 0
-        while (quo := rest.try_exact_div(cyclotomic(d))) is not None:
-            rest, e = quo, e + 1
-        if e:
-            factors.append((d, e))
-    return factors
-
+# congruence at roots of unity
 
 def _hasse_residues(f: IntPoly, d: int):
     """Yield D^j f mod Phi_d for j = 0, 1, 2, ...; D^j f = f^(j) / j!.
@@ -415,35 +349,32 @@ def _hasse_residues(f: IntPoly, d: int):
 
 
 def congruence_failure(
-    a: RationalFunction, modulus: IntPoly
+    num: IntPoly, factors: list[tuple[int, int]], den_orders: dict[int, int]
 ) -> tuple[int, int, IntPoly] | None:
-    """None when a ≡ 0 (mod modulus); otherwise (d, j, D^j N mod Phi_d).
+    """None when N/D ≡ 0 (mod prod Phi_d^e); otherwise (d, j, D^j N mod Phi_d).
 
-    The modulus must be a product of cyclotomic polynomials (up to a
-    constant factor), else ValueError.  Congruence of A = N/D modulo
-    prod Phi_d^e means, in lowest terms, that every Phi_d^e divides the
-    numerator and no Phi_d divides the denominator; that is,
-    v_d(N) >= v_d(D) + e for every factor.  v_d(f) is the order of
-    vanishing of f at a primitive d-th root of unity, i.e. the first j
-    with the Hasse derivative D^j f ≢ 0 (mod Phi_d).  The triple names the
-    first factor (by increasing d) and the first derivative order that
-    breaks this, with its nonzero residue as certificate.
+    num is the raw numerator N, factors the modulus as [(d, e), ...], and
+    den_orders[d] the multiplicity v_d of Phi_d in the raw denominator D,
+    which is not needed itself.  Congruence of N/D modulo prod Phi_d^e
+    means, in lowest terms, that every Phi_d^e divides the numerator and no
+    Phi_d divides the denominator; that is, v_d(N) >= v_d(D) + e for every
+    factor.  v_d(f) is the order of vanishing of f at a primitive d-th root
+    of unity, i.e. the first j with the Hasse derivative D^j f ≢ 0
+    (mod Phi_d).  The triple names the first factor (in list order) and the
+    first derivative order that breaks this, with its nonzero residue as
+    certificate.
     """
-    if modulus.is_zero:
-        raise ZeroModulus("congruence modulo the zero polynomial")
-    factors = _cyclotomic_factors(modulus.primitive_part())
-    if a.num.is_zero:
+    if num.is_zero:
         return None
     for d, e in factors:
-        v = next(j for j, r in enumerate(_hasse_residues(a.den, d)) if r)
-        for j, r in zip(range(v + e), _hasse_residues(a.num, d)):
+        for j, r in zip(range(den_orders[d] + e), _hasse_residues(num, d)):
             if r:
                 return d, j, r
     return None
 
 
 # ---------------------------------------------------------------------------
-# the two q-sums
+# the two q-sums over (q^4;q^4)_{n-1}^3
 
 def _times_cube(a: list[int], s: int) -> list[int]:
     """a * (1 - q^s)^3 = a * (1 - 3q^s + 3q^(2s) - q^(3s)), on coefficient lists."""
@@ -458,44 +389,87 @@ def _times_q_integer(a: list[int], m: int) -> list[int]:
     return [x - y for x, y in zip(prefix[1:], [0] * (m - 1) + prefix)]
 
 
-def _lhs_q(n: int, kind: str) -> RationalFunction:
-    """e2/f2 partial sum over the common denominator ((q^4;q^4)_{n-1})^3.
+def _sum_numerator(
+    n: int, w_e2: int, w_f2: int, rhs: IntPoly = IntPoly.zero()
+) -> IntPoly:
+    """Numerator of w_e2 e2(n) + w_f2 f2(n) - rhs over ((q^4;q^4)_{n-1})^3.
 
-    The numerator sum_k S_k * prod_{j>k} (1-q^(4j))^3 is assembled by a
-    nested Horner pass.  Each step multiplies the accumulator, the running
-    cube (q;q^2)_k^3 resp. (q;q^4)_k^3 and the denominator by one sparse
-    4-term cube, and forms S_k from the running cube by a window sum, so
-    a step costs O(degree).
+    The weights are -1, 0 or 1.  The numerator
+    sum_k (w_e2 S_k^e2 + w_f2 S_k^f2) prod_{j>k} (1-q^(4j))^3 minus
+    rhs prod_{j<n} (1-q^(4j))^3 is assembled by a nested Horner pass whose
+    accumulator starts at S_0 - rhs = w_e2 + w_f2 - rhs.  Each step
+    multiplies the accumulator and the running cube (q;q^2)_k^3 resp.
+    (q;q^4)_k^3 of each weighted sum by one sparse 4-term cube, and forms
+    S_k from the running cube by a window sum, so a step costs O(degree).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    pk3 = [1]  # (q;q^2)_k^3 resp. (q;q^4)_k^3
-    acc = [1]  # S_0 = 1
+    acc = list((w_e2 + w_f2 - rhs).coeffs)
+    e3 = f3 = [1]  # (q;q^2)_k^3 and (q;q^4)_k^3
+    for k in range(1, n):
+        acc = _times_cube(acc, 4 * k)
+        terms = []
+        if w_e2:
+            e3 = _times_cube(e3, 2 * k - 1)
+            terms.append((w_e2, _times_q_integer(e3, 6 * k + 1), 3 * k * k))
+        if w_f2:
+            f3 = _times_cube(f3, 4 * k - 3)
+            terms.append((w_f2, _times_q_integer(f3, 8 * k + 1), 2 * k * k + k))
+        for w, s_k, shift in terms:
+            add = operator.add if w * (-1) ** k > 0 else operator.sub
+            end = shift + len(s_k)
+            acc += [0] * (end - len(acc))  # f2 terms outgrow the accumulator
+            acc[shift:end] = map(add, acc[shift:end], s_k)
+    return IntPoly(acc)
+
+
+def _cube_denominator(n: int) -> IntPoly:
+    """((q^4;q^4)_{n-1})^3 by one sparse cube update per factor."""
     den = [1]
     for k in range(1, n):
-        if kind == "e2":
-            pk3 = _times_cube(pk3, 2 * k - 1)
-            s_k, shift = _times_q_integer(pk3, 6 * k + 1), 3 * k * k
-        else:
-            pk3 = _times_cube(pk3, 4 * k - 3)
-            s_k, shift = _times_q_integer(pk3, 8 * k + 1), 2 * k * k + k
-        acc = _times_cube(acc, 4 * k)
         den = _times_cube(den, 4 * k)
-        add = operator.sub if k % 2 else operator.add
-        end = shift + len(s_k)
-        acc += [0] * (end - len(acc))  # f2 terms outgrow the accumulator
-        acc[shift:end] = map(add, acc[shift:end], s_k)
-    return RationalFunction(IntPoly(acc), IntPoly(den))
+    return IntPoly(den)
+
+
+def _den_order(n: int, d: int) -> int:
+    """Multiplicity of Phi_d in ((q^4;q^4)_{n-1})^3.
+
+    q^m - 1 is squarefree and Phi_d divides it iff d | m, so Phi_d divides
+    1 - q^(4j) once when d / gcd(d, 4) divides j and not at all otherwise.
+    """
+    return 3 * ((n - 1) // (d // math.gcd(d, 4)))
+
+
+def _sum_failure(num: IntPoly, n: int, e: int) -> tuple[int, int, IntPoly] | None:
+    """congruence_failure of num / ((q^4;q^4)_{n-1})^3 modulo [n] Phi_n^e.
+
+    [n] = prod_{d | n, d > 1} Phi_d, so the modulus is that product with
+    Phi_n raised to 1 + e.
+    """
+    factors = [(d, 1 + e if d == n else 1) for d in _divisors(n) if d > 1]
+    return congruence_failure(num, factors, {d: _den_order(n, d) for d, _ in factors})
+
+
+@dataclass(frozen=True)
+class RationalFunction:
+    """The raw (num, den) pair of a q-sum, not reduced to lowest terms."""
+
+    num: IntPoly
+    den: IntPoly
+
+    def __post_init__(self) -> None:
+        if self.den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
 
 
 def lhs_e2_q(n: int) -> RationalFunction:
     """sum_{k=0}^{n-1} (-1)^k [6k+1] (q;q^2)_k^3 q^(3k^2) / (q^4;q^4)_k^3."""
-    return _lhs_q(n, "e2")
+    return RationalFunction(_sum_numerator(n, 1, 0), _cube_denominator(n))
 
 
 def lhs_f2_q(n: int) -> RationalFunction:
     """sum_{k=0}^{n-1} (-1)^k [8k+1] (q;q^4)_k^3 q^(2k^2+k) / (q^4;q^4)_k^3."""
-    return _lhs_q(n, "f2")
+    return RationalFunction(_sum_numerator(n, 0, 1), _cube_denominator(n))
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +493,14 @@ def verify_gz(n: int, family: str) -> VerificationRecord:
     if fam == "GZ_E2":
         if n < 3 or n % 2 == 0:
             raise ResidueConditionViolated(f"GZ_E2 needs odd n >= 3, got n = {n}")
-        lhs = lhs_e2_q(n)
+        weights = 1, 0
     else:
         if n < 5 or n % 4 != 1:
             raise ResidueConditionViolated(
                 f"GZ_F2 needs n ≡ 1 (mod 4), n >= 5, got n = {n}"
             )
-        lhs = lhs_f2_q(n)
-    modulus = q_integer(n) * cyclotomic(n) ** 2
-    ok = congruence_failure(lhs.sub_poly(_gz_rhs(n)), modulus) is None
+        weights = 0, 1
+    ok = _sum_failure(_sum_numerator(n, *weights, _gz_rhs(n)), n, 2) is None
     return make_record(
         fam,
         f"[{n}]*Phi_{n}^2",
@@ -547,9 +520,7 @@ def verify_conjecture41(n: int) -> VerificationRecord:
         raise ResidueConditionViolated(
             f"CONJ41 needs n ≡ 1 (mod 4), n >= 5, got n = {n}"
         )
-    diff = lhs_e2_q(n) - lhs_f2_q(n)  # same denominator, fast path
-    modulus = q_integer(n) * cyclotomic(n) ** 3
-    ok = congruence_failure(diff, modulus) is None
+    ok = _sum_failure(_sum_numerator(n, 1, -1), n, 3) is None
     return make_record(
         "CONJ41",
         f"[{n}]*Phi_{n}^3",
@@ -567,14 +538,13 @@ def conjecture41_witness(n: int) -> dict[str, int | str | None]:
     N^(j) / j! for the difference numerator N.  All three are empty
     (None, None, "") when the check passes.
     """
-    diff = lhs_e2_q(n) - lhs_f2_q(n)
-    modulus = q_integer(n) * cyclotomic(n) ** 3
-    d, j, witness = congruence_failure(diff, modulus) or (None, None, None)
+    num = _sum_numerator(n, 1, -1)
+    d, j, witness = _sum_failure(num, n, 3) or (None, None, None)
     return {
         "n": n,
-        "modulus": modulus.to_string(),
-        "difference_numerator": diff.num.to_string(),
-        "difference_denominator": diff.den.to_string(),
+        "modulus": (q_integer(n) * cyclotomic(n) ** 3).to_string(),
+        "difference_numerator": num.to_string(),
+        "difference_denominator": _cube_denominator(n).to_string(),
         "cyclotomic_index": d,
         "derivative_order": j,
         "remainder_certificate": "" if witness is None else witness.to_string(),

@@ -27,9 +27,12 @@ from supercong.primes import sieve_primes
 from supercong.qseries import (
     IntPoly,
     RationalFunction,
-    _lhs_q,
+    _gz_rhs,
+    _sum_numerator,
     congruence_failure,
     cyclotomic,
+    lhs_e2_q,
+    lhs_f2_q,
 )
 from supercong.records import PreconditionViolated
 from supercong.sequences import (
@@ -67,7 +70,7 @@ from exact_oracle import (
     sum_main_exact,
     sum_mao_exact,
 )
-from gcd_oracle import gcd_witness, lhs_q_dense
+from gcd_oracle import cyclotomic_multiplicity, gcd_witness, lhs_q_dense
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -287,43 +290,67 @@ small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(IntPoly)
 
 @st.composite
 def congruence_cases(draw):
-    """(N/D, M) with M = c * prod Phi_d^e, and each Phi_d in N with a
-    multiplicity on either side of the threshold v_d(D) + e."""
-    modulus = IntPoly((draw(st.sampled_from((1, -1, 2, -6))),))
+    """(N/D, [(d, e), ...]) for the modulus prod Phi_d^e, d increasing, and
+    each Phi_d in N with a multiplicity on either side of the threshold
+    v_d(D) + e."""
     num = draw(small_polys)
     lead = draw(st.sampled_from((-2, -1, 1, 2)))
     den = IntPoly(draw(st.lists(st.integers(-3, 3), max_size=3)) + [lead])
-    for d in draw(st.lists(st.integers(1, 12), max_size=3, unique=True)):
+    factors = []
+    for d in sorted(draw(st.lists(st.integers(1, 12), max_size=3, unique=True))):
         phi = _sympy_cyclotomic(d)
         e = draw(st.integers(1, 3))
         v = draw(st.integers(0, 2))
         u = max(0, v + e + draw(st.integers(-2, 1)))
-        modulus, den, num = modulus * phi**e, den * phi**v, num * phi**u
+        factors.append((d, e))
+        den, num = den * phi**v, num * phi**u
     # a denominator factor that may or may not be shared with the modulus
     den = den * _sympy_cyclotomic(draw(st.integers(1, 12))) ** draw(st.integers(0, 2))
-    return RationalFunction(num, den), modulus
+    return RationalFunction(num, den), factors
 
 
 @PROPS
 @given(case=congruence_cases())
 def test_congruence_matches_gcd_oracle(case):
-    a, m = case
+    a, factors = case
+    m = IntPoly.one()
+    for d, e in factors:
+        m = m * _sympy_cyclotomic(d) ** e
     want = gcd_witness(a, m) is None
     event("congruent" if want else "not congruent")
-    failure = congruence_failure(a, m)
+    orders = {d: cyclotomic_multiplicity(a.den, d) for d, _ in factors}
+    failure = congruence_failure(a.num, factors, orders)
     assert (failure is None) == want
     if failure is not None:
         d, j, r = failure
         phi = _sympy_cyclotomic(d)
-        assert m.try_exact_div(phi) is not None
+        assert d in dict(factors)
         assert not r.is_zero and r.degree < phi.degree
 
 
-@pytest.mark.parametrize("kind", ["e2", "f2"])
+WEIGHTS = {"e2": (1, 0), "f2": (0, 1), "e2-f2": (1, -1), "gz-e2": (1, 0), "gz-f2": (0, 1)}
+_dense_sum = lru_cache(maxsize=None)(lhs_q_dense)
+
+
+@pytest.mark.parametrize("kind", list(WEIGHTS))
 def test_lhs_q_matches_dense_construction(kind):
-    for n in range(1, 18):
-        got, want = _lhs_q(n, kind), lhs_q_dense(n, kind)
-        assert (got.num, got.den) == (want.num, want.den), n
+    # the one-pass numerator of e2, f2, e2 - f2 and of each GZ sum minus its
+    # right side (odd n), against the dense sums over the same denominator
+    for n in range(1, 18, 2 if kind.startswith("gz") else 1):
+        e2, f2 = _dense_sum(n, "e2"), _dense_sum(n, "f2")
+        rhs = _gz_rhs(n) if kind.startswith("gz") else IntPoly.zero()
+        want = {
+            "e2": e2.num,
+            "f2": f2.num,
+            "e2-f2": e2.num - f2.num,
+            "gz-e2": e2.num - rhs * e2.den,
+            "gz-f2": f2.num - rhs * f2.den,
+        }[kind]
+        assert _sum_numerator(n, *WEIGHTS[kind], rhs) == want, n
+        public = {"e2": (lhs_e2_q, e2), "f2": (lhs_f2_q, f2)}.get(kind)
+        if public:
+            got = public[0](n)
+            assert (got.num, got.den) == (public[1].num, public[1].den), n
 
 
 def _outcome(fn, *args):

@@ -11,7 +11,9 @@ from supercong.qseries import (
     IntPoly,
     InternalNonExactDivision,
     RationalFunction,
-    ZeroModulus,
+    _den_order,
+    _sum_failure,
+    _sum_numerator,
     congruence_failure,
     conjecture41_witness,
     cyclotomic,
@@ -26,7 +28,7 @@ from supercong.qseries import (
 from supercong.records import ResidueConditionViolated
 
 from exact_oracle import poly_from_string
-from gcd_oracle import poly_gcd, pseudo_rem, reduce
+from gcd_oracle import cyclotomic_multiplicity, poly_gcd, pseudo_rem, reduce, root_order
 
 
 # -- independent oracle helpers: dense Fraction-coefficient arithmetic
@@ -196,9 +198,21 @@ def test_lhs_q_first_terms():
 
 
 def test_lhs_q_denominator_shape():
-    for n in (2, 3, 5):
+    for n in range(1, 18):
         assert lhs_e2_q(n).den == q_pochhammer(4, 4, n - 1) ** 3
         assert lhs_f2_q(n).den == q_pochhammer(4, 4, n - 1) ** 3
+
+
+def test_den_order_is_the_multiplicity_in_the_denominator():
+    # the closed form against the order of vanishing of ((q^4;q^4)_{n-1})^3
+    # itself, built factor by factor, at a primitive d-th root of unity.  Its
+    # factors are Phi_m with m <= 4(n-1) < 160, so root_order is exact
+    den = IntPoly.one()
+    for n in range(1, 41):
+        if n > 1:
+            den = den * (IntPoly.one() - IntPoly.monomial(1, 4 * (n - 1))) ** 3
+        for d in range(1, 4 * (n - 1) + 1):
+            assert _den_order(n, d) == root_order(den, d, 160), (n, d)
 
 
 def test_rational_function_reduce():
@@ -215,16 +229,13 @@ def test_rational_function_reduce():
 
 def test_congruent_mod_worked_cases():
     phi3 = cyclotomic(3)
-    a = RationalFunction(IntPoly((-1, 0, 0, 0, 0, 0, 1)), IntPoly((-1, 0, 1)))
-    assert congruence_failure(a, phi3) is None  # (q^6-1)/(q^2-1) = Phi_3 Phi_6
-    one = RationalFunction(IntPoly.one(), IntPoly.one())
-    assert congruence_failure(one, phi3) is not None
-    m_over_one = RationalFunction(phi3, IntPoly.one())
-    assert congruence_failure(m_over_one, phi3) is None
-    with pytest.raises(ZeroModulus):
-        congruence_failure(one, IntPoly.zero())
-    # constant modulus divides everything
-    assert congruence_failure(one, IntPoly((7,))) is None
+    # (q^6-1)/(q^2-1) = Phi_3 Phi_6, and Phi_3 does not divide q^2-1
+    assert congruence_failure(IntPoly((-1, 0, 0, 0, 0, 0, 1)), [(3, 1)], {3: 0}) is None
+    assert congruence_failure(IntPoly.one(), [(3, 1)], {3: 0}) is not None
+    assert congruence_failure(phi3, [(3, 1)], {3: 0}) is None
+    # Phi_3 / Phi_3 = 1: the denominator's Phi_3 takes the numerator's, and
+    # the certificate is D^1 Phi_3 = 1 + 2q
+    assert congruence_failure(phi3, [(3, 1)], {3: 1}) == (3, 1, IntPoly((1, 2)))
 
 
 def test_congruent_mod_against_naive_oracle():
@@ -248,32 +259,36 @@ def test_congruent_mod_against_naive_oracle():
     ):
         for den in (IntPoly.one(), IntPoly((1, 2)), IntPoly((2, 0, 1)), phi5):
             cases.append(RationalFunction(num, den))
-    for m in (phi5, q_integer(5) * phi5**2, IntPoly((-1, 1))):
+    for m, factors in (
+        (phi5, [(5, 1)]),
+        (q_integer(5) * phi5**2, [(5, 3)]),
+        (IntPoly((-1, 1)), [(1, 1)]),
+    ):
         for a in cases:
-            assert (congruence_failure(a, m) is None) == naive(a, m), (a, m)
+            orders = {d: cyclotomic_multiplicity(a.den, d) for d, _ in factors}
+            got = congruence_failure(a.num, factors, orders)
+            assert (got is None) == naive(a, m), (a, m)
 
 
 def test_congruent_mod_multiplier_invariance():
     import random
 
     rng = random.Random(7)
-    m = q_integer(5) * cyclotomic(5) ** 2
-    base = RationalFunction(m * IntPoly((2, -1, 3)), IntPoly((1, 0, 2)))
-    assert congruence_failure(base, m) is None
+    m = q_integer(5) * cyclotomic(5) ** 2  # Phi_5^3
+    num, den = m * IntPoly((2, -1, 3)), IntPoly((1, 0, 2))
+    assert congruence_failure(num, [(5, 3)], {5: cyclotomic_multiplicity(den, 5)}) is None
     for _ in range(12):
         mult = IntPoly(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5))))
         if poly_gcd(mult, m).degree > 0 or mult.is_zero:
             continue
-        scaled = RationalFunction(base.num * mult, base.den * mult)
-        assert congruence_failure(scaled, m) is None
+        orders = {5: cyclotomic_multiplicity(den * mult, 5)}
+        assert congruence_failure(num * mult, [(5, 3)], orders) is None
 
 
 def test_congruence_witness_nonzero_on_failure():
-    m = cyclotomic(5)
-    a = RationalFunction(IntPoly((1, 1)), IntPoly.one())
-    w = congruence_failure(a, m)
+    w = congruence_failure(IntPoly((1, 1)), [(5, 1)], {5: 0})
     assert w is not None and not w[2].is_zero
-    assert congruence_failure(RationalFunction(m, IntPoly.one()), m) is None
+    assert congruence_failure(cyclotomic(5), [(5, 1)], {5: 0}) is None
 
 
 def test_verify_gz_e2():
@@ -305,9 +320,11 @@ def test_verify_gz_needs_the_full_family_name():
 def test_mod_squared_difference():
     # proved statement: the two sums agree mod [n] Phi_n^2
     for n in (5, 9):
-        d = lhs_e2_q(n) - lhs_f2_q(n)
-        m = q_integer(n) * cyclotomic(n) ** 2
-        assert congruence_failure(d, m) is None
+        e2, f2 = lhs_e2_q(n), lhs_f2_q(n)
+        factors = [(d, 1) for d in sympy.divisors(n)[1:-1]] + [(n, 3)]
+        orders = {d: cyclotomic_multiplicity(e2.den, d) for d, _ in factors}
+        assert congruence_failure(e2.num - f2.num, factors, orders) is None
+        assert _sum_failure(e2.num - f2.num, n, 2) is None
 
 
 def test_verify_conjecture41():
@@ -326,24 +343,23 @@ def test_conjecture41_witness_payload():
     num = poly_from_string(w["difference_numerator"])
     den = poly_from_string(w["difference_denominator"])
     assert not den.is_zero
-    d = lhs_e2_q(5) - lhs_f2_q(5)
-    assert num == d.num and den == d.den
+    e2, f2 = lhs_e2_q(5), lhs_f2_q(5)
+    assert num == e2.num - f2.num and den == e2.den == f2.den
     assert w["remainder_certificate"] == ""  # passes, so no remainder
     assert w["cyclotomic_index"] is None and w["derivative_order"] is None
 
 
 @pytest.mark.parametrize("n, d, j", [(5, 5, 3), (9, 3, 6)])
 def test_conjecture41_witness_certificate_recomputed(monkeypatch, n, d, j):
-    # break f2 so that the difference gains + Phi_n^3.  For n = 9 the first
-    # failing factor is Phi_3, at j = v_3(den) = 3 * #{j <= 8 : 3 | 4j} = 6;
-    # for n = 5 it is Phi_5 itself, at j = 3
-    f2 = qseries.lhs_f2_q
+    # break the difference numerator by + den * Phi_n^3.  For n = 9 the
+    # first failing factor is Phi_3, at j = v_3(den) = 3 * #{j <= 8 : 3 | 4j}
+    # = 6; for n = 5 it is Phi_5 itself, at j = 3
+    numerator = qseries._sum_numerator
 
-    def broken_f2(k):
-        f = f2(k)
-        return RationalFunction(f.num - f.den * cyclotomic(k) ** 3, f.den)
+    def broken(k, *weights):
+        return numerator(k, *weights) + q_pochhammer(4, 4, k - 1) ** 3 * cyclotomic(k) ** 3
 
-    monkeypatch.setattr(qseries, "lhs_f2_q", broken_f2)
+    monkeypatch.setattr(qseries, "_sum_numerator", broken)
     w = conjecture41_witness(n)
     assert (w["cyclotomic_index"], w["derivative_order"]) == (d, j)
     q = sympy.symbols("q")
@@ -372,24 +388,15 @@ def test_perturbed_difference_fails_at_expected_factor(n, d, j):
     # divides the denominator 3 * floor((n-1)/d) times for odd d | n, d < n;
     # the sum first fails at the smallest such d, at that order, or at
     # Phi_n itself (j = 3) when n is prime
-    diff = lhs_e2_q(n) - lhs_f2_q(n)
-    m = q_integer(n) * cyclotomic(n) ** 3
-    assert congruence_failure(diff, m) is None
-    broken = RationalFunction(diff.num + diff.den * cyclotomic(n) ** 3, diff.den)
-    got = congruence_failure(broken, m)
+    num, den = _sum_numerator(n, 1, -1), lhs_e2_q(n).den
+    assert _sum_failure(num, n, 3) is None
+    got = _sum_failure(num + den * cyclotomic(n) ** 3, n, 3)
     assert got is not None and got[:2] == (d, j)
     assert not got[2].is_zero and got[2].degree < cyclotomic(d).degree
-
-
-def test_non_cyclotomic_modulus_is_refused():
-    a = RationalFunction(IntPoly((1, 1)), IntPoly.one())
-    for m in (IntPoly((1, 2)), IntPoly((0, 1)), cyclotomic(5) * IntPoly((1, 1, 0, 1))):
-        with pytest.raises(ValueError, match="non-cyclotomic"):
-            congruence_failure(a, m)
-    # a constant factor and the sign of the modulus do not matter
-    b = RationalFunction(cyclotomic(5) * IntPoly((1, 1)), IntPoly((1, 2)))
-    for m in (cyclotomic(5), -cyclotomic(5), 6 * cyclotomic(5)):
-        assert congruence_failure(b, m) is None
+    # the same failure from the factor list and orders found independently
+    factors = [(m, 1) for m in sympy.divisors(n)[1:-1]] + [(n, 4)]
+    orders = {m: cyclotomic_multiplicity(den, m) for m, _ in factors}
+    assert congruence_failure(num + den * cyclotomic(n) ** 3, factors, orders) == got
 
 
 def test_q_limit_term_check():

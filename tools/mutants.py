@@ -103,21 +103,34 @@ MUTATIONS = (
              "(-y if flip else y)", "(y if flip else -y)", EULER_TESTS),
     # the root-of-unity congruence test and the sparse q-sums
     Mutation("qseries derivative orders", "qseries.py",
-             "range(v + e)", "range(v + e - 1)", Q_TESTS),
-    Mutation("qseries v = 0", "qseries.py", "v = next(", "v = 0 * next(", Q_TESTS),
-    Mutation("qseries v + 1", "qseries.py", "v = next(", "v = 1 + next(", Q_TESTS),
+             "range(den_orders[d] + e)", "range(den_orders[d] + e - 1)", Q_TESTS),
+    Mutation("qseries v = 0", "qseries.py",
+             "range(den_orders[d] + e)", "range(0 * den_orders[d] + e)", Q_TESTS),
+    Mutation("qseries v + 1", "qseries.py",
+             "range(den_orders[d] + e)", "range(1 + den_orders[d] + e)", Q_TESTS),
     Mutation("qseries f2 step", "qseries.py",
-             "_times_cube(pk3, 4 * k - 3)", "_times_cube(pk3, 4 * k - 1)", Q_TESTS),
+             "_times_cube(f3, 4 * k - 3)", "_times_cube(f3, 4 * k - 1)", Q_TESTS),
     Mutation("qseries window", "qseries.py",
              "[0] * (m - 1) + prefix", "[0] * m + prefix", Q_TESTS),
     Mutation("qseries denominator cube", "qseries.py",
              "den = _times_cube(den, 4 * k)", "den = _times_cube(den, 4 * k + 4)",
              Q_TESTS),
     Mutation("qseries pow bit", "qseries.py", "if e & 1:", "if e & 2:", Q_TESTS),
-    Mutation("qseries totient bound", "qseries.py",
-             "_totient(d) > rest.degree", "_totient(d) >= rest.degree", Q_TESTS),
     Mutation("qseries certificate shift", "qseries.py",
              "shift = j % d", "shift = 0", Q_TESTS),
+    Mutation("qseries accumulator start +rhs", "qseries.py",
+             "(w_e2 + w_f2 - rhs).coeffs", "(w_e2 + w_f2 + rhs).coeffs", Q_TESTS),
+    Mutation("qseries CONJ41 weight sign", "qseries.py",
+             "_sum_numerator(n, 1, -1), n, 3)", "_sum_numerator(n, 1, 1), n, 3)",
+             Q_TESTS),
+    Mutation("qseries Phi_n exponent e", "qseries.py",
+             "(d, 1 + e if d == n else 1)", "(d, e if d == n else 1)", Q_TESTS),
+    Mutation("qseries den order n - 1 -> n", "qseries.py",
+             "3 * ((n - 1) // (d", "3 * (n // (d", Q_TESTS),
+    Mutation("qseries den order gcd(d, 2)", "qseries.py",
+             "d // math.gcd(d, 4)", "d // math.gcd(d, 2)", Q_TESTS),
+    Mutation("qseries den order factor 2", "qseries.py",
+             "3 * ((n - 1) // (d", "2 * ((n - 1) // (d", Q_TESTS),
     # the general-alpha closed form
     Mutation("closed form parity", "verifier.py",
              "rhs = _parity_sign(a) * pt", "rhs = _parity_sign(a + 1) * pt",
