@@ -161,12 +161,22 @@ def check_lehmer(p: int) -> bool:
 
     H_{p-1} ≡ 0 (mod p^2),  H_{p-1}^(2) ≡ 0 (mod p),  H_{(p-1)/2}^(2) ≡ 0 (mod p).
     """
-    if p <= 3:
+    if p <= 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be a prime > 3, got {p}")
     ok1 = reduce_mod(_harmonic_value(p - 1, 1), p, 2).value == 0
     ok2 = reduce_mod(_harmonic_value(p - 1, 2), p, 1).value == 0
     ok3 = reduce_mod(_harmonic_value((p - 1) // 2, 2), p, 1).value == 0
     return ok1 and ok2 and ok3
+
+
+def _horner_halves(a: list[int], j: int) -> int:
+    """sum_i a_i j^i 2^(n-i) with n = len(a) - 1: 2^n P(j/2) for the
+    polynomial P with coefficients a, lowest degree first, in integers."""
+    n = len(a) - 1
+    out = 0
+    for i in range(n, -1, -1):
+        out = out * j + (a[i] << (n - i))
+    return out
 
 
 def check_euler_identities(n_max: int, m_max: int) -> bool:
@@ -180,31 +190,43 @@ def check_euler_identities(n_max: int, m_max: int) -> bool:
       for n <= n_max, 1 <= m <= m_max (at m = 0 the k = 0 term of the
       telescoped form contributes 1, so the closed form starts at m = 1).
 
-    Each E_n's coefficients are built once per call.
+    Each E_n's coefficients are built once per call and scaled by D_n,
+    the lcm of their denominators (a power of 2), to integers a_i.  Each
+    identity is then one integer equality: a_0 = 0 and sum a_i = 0;
+    2^n D_n E_n(j/2) = sum_i a_i j^i 2^(n-i) at j and at 2 - j; and
+    2 D_m sum_{k<=n} (-1)^k k^m = s (D_m E_m(n+1) + s a_0), s = (-1)^n.
+    No Fraction is formed after the coefficients.  The Fraction checks
+    this replaced are kept in tests/exact_oracle.py as the oracle.
     """
-    coeffs = [euler_poly_coeffs(n) for n in range(max(n_max, m_max) + 1)]
+    scaled = []  # (D_n, [a_0, ..., a_n])
+    for n in range(max(n_max, m_max) + 1):
+        c = euler_poly_coeffs(n)
+        D = math.lcm(*(q.denominator for q in c))
+        scaled.append((D, [q.numerator * (D // q.denominator) for q in c]))
 
     for n in range(2, n_max + 1, 2):
-        if coeffs[n][0] != 0 or sum(coeffs[n]) != 0:  # E_n(0), E_n(1)
+        a = scaled[n][1]
+        if a[0] != 0 or sum(a) != 0:  # E_n(0), E_n(1)
             return False
 
-    points = [Fraction(j, 2) for j in range(n_max + 2)]
     for n in range(n_max + 1):
-        c = coeffs[n]
+        a = scaled[n][1]
         flip = n % 2
-        for x in points:
-            y = _horner(c, x)
-            if _horner(c, 1 - x) != (-y if flip else y):
+        for j in range(n_max + 2):
+            y = _horner_halves(a, j)
+            if _horner_halves(a, 2 - j) != (-y if flip else y):
                 return False
 
     for m in range(1, m_max + 1):
-        c = coeffs[m]
-        e_m0 = c[0]
+        D, a = scaled[m]
         acc = 0
         for n in range(1, n_max + 1):
-            sign = (-1) ** n
-            acc += sign * n**m
-            if acc != Fraction(sign, 2) * (_horner(c, Fraction(n + 1)) + sign * e_m0):
+            s = -1 if n % 2 else 1
+            acc += s * n**m
+            val = 0  # D_m E_m(n+1)
+            for coef in reversed(a):
+                val = val * (n + 1) + coef
+            if 2 * D * acc != s * (val + s * a[0]):
                 return False
     return True
 
@@ -220,8 +242,10 @@ def check_binomial_identities(n: int) -> bool:
     (all sums over k = 1..n).  With L = lcm(1..n), u_k = L/k and
     h_k = L H_k are integers, and each sum is an integer numerator over a
     fixed denominator: the second over L, the third and fourth over L^2,
-    and the first over n! L^2, since 1/C(n,k) = k!(n-k)!/n!.  Each identity
-    is then one integer equality, and no Fraction is formed.  The Fraction
+    and the first over n! L^2, since 1/C(n,k) = k!(n-k)!/n!.  The term
+    (-1)^k C(n,k) u_k is formed once per k, and the second, third and
+    fourth numerators read it.  Each identity is then one integer
+    equality, and no Fraction is formed.  The Fraction
     sums this replaced are kept in tests/wz_oracle.py as the oracle.
     """
     if n < 1:
@@ -231,18 +255,18 @@ def check_binomial_identities(n: int) -> bool:
     s1 = s2 = s3 = s4 = 0
     h = h2 = a2 = 0  # L H_k, L^2 H_k^(2), L^2 sum_{j<=k} (-1)^j / j^2
     for k in range(1, n + 1):
-        c = math.comb(n, k)
         u = L // k
+        cu = math.comb(n, k) * u
         sq = u * u
         h += u
         h2 += sq
         if k % 2:
-            c, sq = -c, -sq
+            cu, sq = -cu, -sq
         a2 += sq
         s1 += sq * fact[k] * fact[n - k]
-        s2 += c * u
-        s3 += c * u * u
-        s4 += c * u * h
+        s2 += cu
+        s3 += cu * u
+        s4 += cu * h
     return (
         s1 == fact[n] * (h2 + 2 * a2)
         and s2 == -h

@@ -117,21 +117,29 @@ def check_pair(n_max: int, k_max: int, alphas: list[Fraction]) -> bool:
 
     Points with k > n+1 are 0 = 0 and are skipped.  A pole (alpha)_k = 0
     with k <= k_max raises DivisionByZeroTerm naming F(0,k), the first
-    point that divides by it.
+    point that divides by it.  Row n evaluates F(n, k) once for each
+    k <= min(n, k_max) and G(n+1, k) once for each k <= min(n+1, k_max);
+    the G row is carried into row n+1 as its G(n, k), so each value of F
+    and G is formed once per alpha.
     """
     for alpha in alphas:
         t = _Table(alpha, max(k_max, 2 * n_max + 1, 0))
         if n_max >= 0 and k_max >= 1 and (pole := t.first_pole(k_max)):
             raise t.pole_error(pole, f"F(0,{pole})")
+        g_old: list[tuple[int, int]] = []  # G(n, k) for 1 <= k <= min(n, k_max)
         for n in range(n_max + 1):
-            for k in range(1, min(k_max, n + 1) + 1):
-                a, b = t.F(n, k - 1)
-                c, e = t.F(n, k) if k <= n else (0, 1)
-                f, g = t.G(n + 1, k)
-                h, i = t.G(n, k) if k <= n else (0, 1)
+            top = min(k_max, n + 1)
+            f_row = [t.F(n, k) for k in range(min(k_max, n) + 1)]
+            g_new = [t.G(n + 1, k) for k in range(1, top + 1)]
+            for k in range(1, top + 1):
+                a, b = f_row[k - 1]
+                c, e = f_row[k] if k <= n else (0, 1)
+                f, g = g_new[k - 1]
+                h, i = g_old[k - 1] if k <= n else (0, 1)
                 # a/b - c/e == f/g - h/i
                 if (a * e - c * b) * g * i != (f * i - h * g) * b * e:
                     return False
+            g_old = g_new
     return True
 
 

@@ -3,16 +3,19 @@ the prime tables, and the coefficient-list parser of the witness files.
 
 The package computes the sums S(alpha, M) and the 8^(-k) sum term by term
 mod p^e, and the five lemma right sides and the prefix tables j!, H_j,
-H_j^(2) and sum (-1)^k/k^2 as residues mod p^4.  This module keeps the
-exact rational route as an independent check: Pochhammer symbols and
-harmonic sums as Fractions, reduced only at the end.
+H_j^(2) and sum (-1)^k/k^2 as residues mod p^4, and checks the
+Euler-polynomial identities on integer-scaled coefficients.  This module
+keeps the exact rational route as an independent check: Pochhammer
+symbols, harmonic sums and Euler polynomial values as Fractions, reduced
+only at the end.
 """
 
 import math
 from fractions import Fraction
 
+from supercong import sequences
 from supercong.qseries import IntPoly
-from supercong.sequences import harmonic, pochhammer
+from supercong.sequences import _horner, harmonic, pochhammer
 
 
 def sum_main_exact(alpha: Fraction, M: int) -> Fraction:
@@ -95,6 +98,39 @@ def lemma_rhs_exact(fam: str, alpha: Fraction, p: int) -> Fraction:
         - Fraction(2 * sa, a + 1) * ha
         - sa * (t + 2) / (a + 1) ** 2
     )
+
+
+def check_euler_identities(n_max: int, m_max: int) -> bool:
+    """The Euler-polynomial identities of
+    sequences.check_euler_identities, by Fraction Horner evaluation.
+
+    The coefficients come from sequences.euler_poly_coeffs, looked up at
+    call time, so a test that replaces it feeds both routes."""
+    coeffs = [sequences.euler_poly_coeffs(n) for n in range(max(n_max, m_max) + 1)]
+
+    for n in range(2, n_max + 1, 2):
+        if coeffs[n][0] != 0 or sum(coeffs[n]) != 0:  # E_n(0), E_n(1)
+            return False
+
+    points = [Fraction(j, 2) for j in range(n_max + 2)]
+    for n in range(n_max + 1):
+        c = coeffs[n]
+        flip = n % 2
+        for x in points:
+            y = _horner(c, x)
+            if _horner(c, 1 - x) != (-y if flip else y):
+                return False
+
+    for m in range(1, m_max + 1):
+        c = coeffs[m]
+        e_m0 = c[0]
+        acc = 0
+        for n in range(1, n_max + 1):
+            sign = (-1) ** n
+            acc += sign * n**m
+            if acc != Fraction(sign, 2) * (_horner(c, Fraction(n + 1)) + sign * e_m0):
+                return False
+    return True
 
 
 def poly_from_string(text: str) -> IntPoly:

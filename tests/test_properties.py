@@ -1,7 +1,8 @@
 """Property tests: the residue fast paths against independent exact oracles.
 
 Euler residues are checked against exact Euler polynomials and against
-sympy's Euler numbers; the residue sums, and every checkpoint of one sum
+sympy's Euler numbers, and the integer Euler-identity check against its
+Fraction loop in exact_oracle; the residue sums, and every checkpoint of one sum
 pass, against their exact Fraction sums;
 the Pochhammer-quotient lemmas against their exact Fraction evaluation
 (both sides at p <= 31, the right sides at every prime in [1900, 2000]),
@@ -35,8 +36,12 @@ from supercong.qseries import (
     lhs_f2_q,
 )
 from supercong.records import PreconditionViolated
+from supercong import sequences
 from supercong.sequences import (
+    _horner,
+    _horner_halves,
     check_binomial_identities,
+    check_euler_identities,
     euler_number_mod,
     euler_poly_eval,
     euler_poly_eval_mod,
@@ -64,6 +69,7 @@ from supercong.wz import (
 )
 
 import wz_oracle
+import exact_oracle
 from exact_oracle import (
     alternating_reciprocal_squares,
     lemma_rhs_exact,
@@ -98,6 +104,47 @@ def test_euler_poly_residue_matches_exact(p, data, x):
 def test_euler_number_residue_matches_sympy(p, data):
     n = data.draw(st.integers(0, 3 * p), label="n")
     assert euler_number_mod(n, p).value == int(sympy.euler(n)) % p
+
+
+@PROPS
+@given(a=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30),
+       j=st.integers(-40, 40))
+def test_horner_halves_is_the_scaled_half_value(a, j):
+    n = len(a) - 1
+    assert _horner_halves(a, j) == 2**n * _horner(tuple(a), Fraction(j, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_max=st.integers(0, 30), m_max=st.integers(1, 12))
+def test_euler_identities_match_fraction_oracle(n_max, m_max):
+    want = exact_oracle.check_euler_identities(n_max, m_max)
+    assert check_euler_identities(n_max, m_max) == want
+
+
+@pytest.mark.parametrize(
+    "n_max, m_max, index, degree",
+    [
+        (12, 6, 9, 3),  # E_9 is read only by the reflection checks
+        (4, 8, 7, 1),  # E_7 is read only by the power sums
+        (12, 6, 8, 0),  # E_8(0) = 0 is one of the vanishing checks
+    ],
+)
+def test_euler_identities_catch_a_perturbed_coefficient(
+    monkeypatch, n_max, m_max, index, degree
+):
+    good = sequences.euler_poly_coeffs
+
+    def perturbed(n):
+        c = list(good(n))
+        if n == index:
+            c[degree] += 1
+        return tuple(c)
+
+    assert check_euler_identities(n_max, m_max)
+    assert exact_oracle.check_euler_identities(n_max, m_max)
+    monkeypatch.setattr(sequences, "euler_poly_coeffs", perturbed)
+    assert not check_euler_identities(n_max, m_max)
+    assert not exact_oracle.check_euler_identities(n_max, m_max)
 
 
 @PROPS
@@ -375,11 +422,13 @@ wz_alphas = st.one_of(
 
 @PROPS
 @given(
-    n_max=st.integers(0, 9),
-    k_max=st.integers(0, 14),
+    n_max=st.integers(0, 12),
+    k_max=st.integers(0, 16),
     alphas=st.lists(wz_alphas, min_size=1, max_size=2),
 )
 def test_check_pair_matches_fraction_oracle(n_max, k_max, alphas):
+    # rows n >= 1 read G(n, k) carried over from row n - 1
+    event("carried rows" if n_max >= 1 and k_max >= 1 else "no carried row")
     event("k_max > n_max + 1" if k_max > n_max + 1 else "k_max <= n_max + 1")
     want = _outcome(wz_oracle.check_pair, n_max, k_max, alphas)
     event("raises" if want is not True else "passes")

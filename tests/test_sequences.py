@@ -125,6 +125,12 @@ def test_check_lehmer():
         check_lehmer(3)
 
 
+@pytest.mark.parametrize("n", [9, 25, 49])
+def test_check_lehmer_rejects_a_composite(n):
+    with pytest.raises(ValueError, match=f"p must be a prime > 3, got {n}"):
+        check_lehmer(n)
+
+
 def test_check_euler_identities():
     assert check_euler_identities(12, 6)
 

@@ -76,17 +76,28 @@ def test_pair_relation_small_grid():
 
 @pytest.mark.parametrize("point", [(3, 2), (3, 3)])
 def test_pair_check_catches_a_broken_certificate(monkeypatch, point):
-    good = wz._Table.G
+    good_F, good_G = wz._Table.F, wz._Table.G
 
-    def broken(self, n, k):
-        num, den = good(self, n, k)
-        return (num + den, den) if (n, k) == point else (num, den)
+    def bumped(good, points):
+        def value(self, n, k):
+            num, den = good(self, n, k)
+            return (num + den, den) if (n, k) in points else (num, den)
+        return value
 
-    monkeypatch.setattr(wz._Table, "G", broken)
+    monkeypatch.setattr(wz._Table, "G", bumped(good_G, {point}))
     # row n = 2 reaches G(3, 2) at k = 2 and G(3, 3) only at k = n + 1
     assert not check_pair(2, 4, [Fraction(1, 2)])
     # rows n <= 1 only reach G(2, k) and G(1, k)
     assert check_pair(1, 4, [Fraction(1, 2)])
+
+    # Adding 1 to F(2, j) for j < k as well keeps every relation of row 2;
+    # then only row 3, which reads G(3, k) as the G(n, k) carried over
+    # from row 2, sees the break.
+    n, k = point
+    monkeypatch.setattr(wz._Table, "F", bumped(good_F, {(n - 1, j) for j in range(k)}))
+    assert check_pair(2, 4, [Fraction(1, 2)])
+    assert not check_pair(3, 4, [Fraction(1, 2)])
+    assert not check_pair(3, k, [Fraction(1, 2)])
 
 
 def test_pole_at_the_edge_of_the_range():

@@ -24,6 +24,10 @@ computes the Hasse derivatives of q*N, which vanish at the same orders.  In
 qseries._times_q_integer, padding `a` with m zeros instead of m - 1 only
 appends a zero coefficient, which IntPoly drops.
 
+Not equivalent, though check_euler_identities cannot show it: the Horner
+shift 2^(n-i) -> 2^(n-i+1) doubles both sides of every reflection check,
+so only the test that pins sequences._horner_halves to 2^n P(j/2) sees it.
+
 Not equivalent, though no record shows them: the theorem makes
 S(alpha, a) ≡ S(alpha, p-1) (mod p^4), so a record that reads the other
 truncation of the sum pass (MAIN1 and MAIN1_TRUNC, a classical family's
@@ -47,7 +51,7 @@ TIMEOUT_S = 300.0  # per pytest run
 
 WZ_TESTS = ("tests/test_wz.py", "tests/test_properties.py", "tests/test_acceptance.py")
 BINOM_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
-EULER_TESTS = ("tests/test_sequences.py",)
+EULER_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
 Q_TESTS = ("tests/test_qseries.py", "tests/test_properties.py")
 CLOSED_TESTS = ("tests/test_verifier.py", "tests/test_acceptance.py")
 VERIFY_TESTS = ("tests/test_verifier.py", "tests/test_properties.py")
@@ -78,6 +82,10 @@ MUTATIONS = (
              "fact[n - 1] ** 2", "fact[n] ** 2", WZ_TESTS),
     Mutation("wz pair k <= n+1 bound", "wz.py",
              "min(k_max, n + 1)", "min(k_max, n)", WZ_TESTS),
+    Mutation("wz pair carry dropped", "wz.py",
+             "            g_old = g_new\n", "", WZ_TESTS),
+    Mutation("wz pair reads the new G row as the old one", "wz.py",
+             "h, i = g_old[k - 1]", "h, i = g_new[k - 1]", WZ_TESTS),
     Mutation("wz pair pole test", "wz.py",
              "t.first_pole(k_max)", "t.first_pole(k_max - 1)", WZ_TESTS),
     Mutation("wz telescope pole test", "wz.py",
@@ -92,15 +100,23 @@ MUTATIONS = (
     Mutation("binomial factorial index", "sequences.py",
              "fact[k] * fact[n - k]", "fact[k] * fact[n - k + 1]", BINOM_TESTS),
     Mutation("binomial sign parity", "sequences.py",
-             "if k % 2:\n            c, sq", "if k % 2 == 0:\n            c, sq",
+             "if k % 2:\n            cu, sq", "if k % 2 == 0:\n            cu, sq",
              BINOM_TESTS),
+    Mutation("binomial c u sign", "sequences.py",
+             "cu, sq = -cu, -sq", "cu, sq = cu, -sq", BINOM_TESTS),
     Mutation("binomial lcm range", "sequences.py",
              "math.lcm(*range(1, n + 1))", "math.lcm(*range(1, n))", BINOM_TESTS),
     Mutation("binomial halved sum", "sequences.py",
              "2 * s3 ==", "s3 ==", BINOM_TESTS),
-    # the exact Euler-polynomial identities
+    # the integer Euler-polynomial identities
     Mutation("euler reflection sign", "sequences.py",
              "(-y if flip else y)", "(y if flip else -y)", EULER_TESTS),
+    Mutation("euler Horner shift", "sequences.py",
+             "(a[i] << (n - i))", "(a[i] << (n - i + 1))", EULER_TESTS),
+    Mutation("euler reflection point 1 - j", "sequences.py",
+             "_horner_halves(a, 2 - j)", "_horner_halves(a, 1 - j)", EULER_TESTS),
+    Mutation("euler power-sum factor D", "sequences.py",
+             "2 * D * acc", "D * acc", EULER_TESTS),
     # the root-of-unity congruence test and the sparse q-sums
     Mutation("qseries derivative orders", "qseries.py",
              "range(den_orders[d] + e)", "range(den_orders[d] + e - 1)", Q_TESTS),
