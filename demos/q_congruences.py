@@ -20,8 +20,7 @@ from supercong import (
     lhs_f2_q,
     q_integer,
     q_limit_term_check,
-    verify_conjecture41,
-    verify_gz,
+    verify_q,
 )
 
 print("building blocks:")
@@ -34,7 +33,7 @@ print(f"  Phi_105 has degree {cyclotomic(105).degree} and a -2 coefficient:"
 print("\nsign-twisted [n] congruences, modulus [n] Phi_n(q)^2:")
 for fam, ns in (("gz-e2", (3, 5, 7, 9, 11)), ("gz-f2", (5, 9, 13))):
     for n in ns:
-        r = verify_gz(n, fam)
+        [r] = verify_q(n, (fam,))
         tag = "ok" if r.passed else "FAIL"
         e = (n - 1) * (n - 3) // 8
         rhs = q_integer(n).shift(e)  # (-q)^e [n]
@@ -45,7 +44,7 @@ for fam, ns in (("gz-e2", (3, 5, 7, 9, 11)), ("gz-f2", (5, 9, 13))):
 
 print("\nmod [n] Phi_n(q)^3 agreement of the two series (open conjecture):")
 for n in (5, 9, 13):
-    r = verify_conjecture41(n)
+    [r] = verify_q(n, ("CONJ41",))
     print(f"  [{'ok' if r.passed else 'FAIL'}] n={n:>2}  mod {r.modulus}")
 
 w = conjecture41_witness(5)

@@ -37,8 +37,7 @@ from .qseries import (
     lhs_f2_q,
     q_integer,
     q_limit_term_check,
-    verify_conjecture41,
-    verify_gz,
+    verify_q,
 )
 
 __version__ = "0.1.0"

@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(q, suppress=True)
     q.add_argument(
         "--family", action="append", dest="families",
-        choices=("gz-e2", "gz-f2", "conj41"),
-        help="repeatable (default: all three)",
+        choices=[f.lower().replace("_", "-") for f in Q_FAMILIES],
+        help="repeatable (default: all of them)",
     )
     q.add_argument(
         "--n", action="append", dest="n_list", type=int, metavar="N",
@@ -213,9 +213,21 @@ def _write_witnesses(summary, witness_dir: str) -> None:
             print(f"counterexample witness written to {path}", file=sys.stderr)
 
 
+def _check_paths(args: argparse.Namespace) -> None:
+    # a report or witness that cannot be written is refused before the run
+    out = Path(args.output) if args.output else None
+    if out is not None and (out.is_dir() or not out.absolute().parent.is_dir()):
+        raise ConfigError(
+            f"cannot write the report to {out}: not a file in an existing directory")
+    witness_dir = getattr(args, "witness_dir", None)
+    if witness_dir is not None and not Path(witness_dir).is_dir():
+        raise ConfigError(f"witness directory {witness_dir} is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         summary = _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

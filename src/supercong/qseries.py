@@ -37,11 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .records import (
-    ResidueConditionViolated,
+    PreconditionViolated,
     VerificationRecord,
-    make_record,
+    family_records,
     norm_family,
 )
 from .sequences import pochhammer
@@ -56,8 +57,9 @@ __all__ = [
     "lhs_e2_q",
     "lhs_f2_q",
     "congruence_failure",
-    "verify_gz",
-    "verify_conjecture41",
+    "QFamily",
+    "Q_FAMILIES",
+    "verify_q",
     "conjecture41_witness",
     "q_limit_term_check",
 ]
@@ -440,16 +442,6 @@ def _den_order(n: int, d: int) -> int:
     return 3 * ((n - 1) // (d // math.gcd(d, 4)))
 
 
-def _sum_failure(num: IntPoly, n: int, e: int) -> tuple[int, int, IntPoly] | None:
-    """congruence_failure of num / ((q^4;q^4)_{n-1})^3 modulo [n] Phi_n^e.
-
-    [n] = prod_{d | n, d > 1} Phi_d, so the modulus is that product with
-    Phi_n raised to 1 + e.
-    """
-    factors = [(d, 1 + e if d == n else 1) for d in _divisors(n) if d > 1]
-    return congruence_failure(num, factors, {d: _den_order(n, d) for d, _ in factors})
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """The raw (num, den) pair of a q-sum, not reduced to lowest terms."""
@@ -482,52 +474,60 @@ def _gz_rhs(n: int) -> IntPoly:
     return -rhs if e % 2 else rhs
 
 
-def verify_gz(n: int, family: str) -> VerificationRecord:
-    """lhs ≡ (-q)^((n-1)(n-3)/8) [n]  (mod [n] Phi_n(q)^2).
+class QFamily(NamedTuple):
+    """w_e2 e2(n) + w_f2 f2(n), minus (-q)^((n-1)(n-3)/8) [n] if gz_rhs,
+    ≡ 0 (mod [n] Phi_n(q)^phi_exp) for n ≡ 1 (mod n_mod), n >= n_min;
+    condition states that range of n in the skip reason."""
 
-    family "gz-e2" needs odd n >= 3; "gz-f2" needs n ≡ 1 (mod 4), n >= 5.
+    weights: tuple[int, int]
+    gz_rhs: bool
+    phi_exp: int
+    n_mod: int
+    n_min: int
+    condition: str
+
+
+Q_FAMILIES: dict[str, QFamily] = {
+    "GZ_E2": QFamily((1, 0), True, 2, 2, 3, "odd n >= 3"),
+    "GZ_F2": QFamily((0, 1), True, 2, 4, 5, "n ≡ 1 (mod 4), n >= 5"),
+    # an open conjecture: a False verdict is a reportable finding (the sweep
+    # layer gives it a distinguished exit code), not an artifact bug
+    "CONJ41": QFamily((1, -1), False, 3, 4, 5, "n ≡ 1 (mod 4), n >= 5"),
+}
+
+
+def _q_check(n: int, f: QFamily) -> tuple[IntPoly, tuple[int, int, IntPoly] | None]:
+    """The family's numerator N over ((q^4;q^4)_{n-1})^3 and its failure
+    modulo [n] Phi_n^e = prod_{d | n, 1 < d < n} Phi_d * Phi_n^(1+e)."""
+    rhs = _gz_rhs(n) if f.gz_rhs else IntPoly.zero()
+    num = _sum_numerator(n, *f.weights, rhs)
+    factors = [(d, 1 + f.phi_exp if d == n else 1) for d in _divisors(n) if d > 1]
+    return num, congruence_failure(
+        num, factors, {d: _den_order(n, d) for d, _ in factors})
+
+
+def verify_q(
+    n: int, families: tuple[str, ...] = tuple(Q_FAMILIES)
+) -> list[VerificationRecord]:
+    """One record per requested q-family at index n, in the order given.
+
+    GZ_E2 (odd n >= 3) and GZ_F2 (n ≡ 1 mod 4, n >= 5): the sum is
+    ≡ (-q)^((n-1)(n-3)/8) [n] (mod [n] Phi_n(q)^2).  CONJ41 (n ≡ 1 mod 4,
+    n >= 5): e2(n) ≡ f2(n) (mod [n] Phi_n(q)^3).  A family whose condition
+    on n fails gets a skip record with the reason (records.family_records).
     """
-    fam = norm_family(family)
-    if fam not in ("GZ_E2", "GZ_F2"):
-        raise ValueError(f"unknown q-family: {family!r}")
-    if fam == "GZ_E2":
-        if n < 3 or n % 2 == 0:
-            raise ResidueConditionViolated(f"GZ_E2 needs odd n >= 3, got n = {n}")
-        weights = 1, 0
-    else:
-        if n < 5 or n % 4 != 1:
-            raise ResidueConditionViolated(
-                f"GZ_F2 needs n ≡ 1 (mod 4), n >= 5, got n = {n}"
-            )
-        weights = 0, 1
-    ok = _sum_failure(_sum_numerator(n, *weights, _gz_rhs(n)), n, 2) is None
-    return make_record(
-        fam,
-        f"[{n}]*Phi_{n}^2",
-        "0" if ok else "nonzero residue",
-        "0",
-        n=n,
-    )
+    fams = [norm_family(f) for f in families]
+    if unknown := [f for f in fams if f not in Q_FAMILIES]:
+        raise ValueError(f"unknown q-families: {unknown}")
 
+    def sides(fam: str, _) -> tuple[str, str, str]:
+        f = Q_FAMILIES[fam]
+        if n < f.n_min or n % f.n_mod != 1:
+            raise PreconditionViolated(f"{fam} needs {f.condition}, got n = {n}")
+        ok = _q_check(n, f)[1] is None
+        return f"[{n}]*Phi_{n}^{f.phi_exp}", "0" if ok else "nonzero residue", "0"
 
-def verify_conjecture41(n: int) -> VerificationRecord:
-    """e2(n) ≡ f2(n) (mod [n] Phi_n(q)^3) for n ≡ 1 (mod 4), n >= 5.
-
-    An open conjecture: a False verdict is a reportable finding (the
-    sweep layer gives it a distinguished exit code), not an artifact bug.
-    """
-    if n < 5 or n % 4 != 1:
-        raise ResidueConditionViolated(
-            f"CONJ41 needs n ≡ 1 (mod 4), n >= 5, got n = {n}"
-        )
-    ok = _sum_failure(_sum_numerator(n, 1, -1), n, 3) is None
-    return make_record(
-        "CONJ41",
-        f"[{n}]*Phi_{n}^3",
-        "0" if ok else "nonzero residue",
-        "0",
-        n=n,
-    )
+    return family_records([(fam, None) for fam in fams], sides, n=n)
 
 
 def conjecture41_witness(n: int) -> dict[str, int | str | None]:
@@ -538,11 +538,12 @@ def conjecture41_witness(n: int) -> dict[str, int | str | None]:
     N^(j) / j! for the difference numerator N.  All three are empty
     (None, None, "") when the check passes.
     """
-    num = _sum_numerator(n, 1, -1)
-    d, j, witness = _sum_failure(num, n, 3) or (None, None, None)
+    f = Q_FAMILIES["CONJ41"]
+    num, failure = _q_check(n, f)
+    d, j, witness = failure or (None, None, None)
     return {
         "n": n,
-        "modulus": (q_integer(n) * cyclotomic(n) ** 3).to_string(),
+        "modulus": (q_integer(n) * cyclotomic(n) ** f.phi_exp).to_string(),
         "difference_numerator": num.to_string(),
         "difference_denominator": _cube_denominator(n).to_string(),
         "cyclotomic_index": d,

@@ -1,4 +1,4 @@
-"""Verification records and the shared precondition errors.
+"""Verification records, the precondition error and the record loop.
 
 A record captures one checked instance: which family, at which prime p or
 q-index n, which alpha/truncation, the modulus, and the two sides being
@@ -10,36 +10,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Iterable
 
-from .padic import ResidueClass
+from .padic import NotPAdicIntegral, ResidueClass
+from .wz import DivisionByZeroTerm
 
 __all__ = [
-    "TruncationTooLarge",
-    "ResidueConditionViolated",
     "PreconditionViolated",
-    "SkippedWhenAEqualsPMinus1",
+    "SKIP_ERRORS",
     "VerificationRecord",
+    "family_records",
     "make_record",
     "norm_family",
-    "skipped_record",
 ]
 
 
-class TruncationTooLarge(ValueError):
-    """Truncation M must stay below p so that k! is invertible mod p^e."""
-
-
-class ResidueConditionViolated(ValueError):
-    """The instance's p (or n) misses the family's residue-class condition."""
-
-
 class PreconditionViolated(ValueError):
-    """A non-residue precondition fails (p too small, a = p-1, ...)."""
+    """The instance misses a family's hypothesis: the residue class of p or
+    n, p > 3, a <= p-2, ..."""
 
 
-class SkippedWhenAEqualsPMinus1(PreconditionViolated):
-    """Tail sum is empty because <-alpha>_p = p-1."""
-
+# a failed precondition: the family is skipped with this reason, not failed
+SKIP_ERRORS = (PreconditionViolated, NotPAdicIntegral, DivisionByZeroTerm)
 
 Side = ResidueClass | str
 
@@ -76,48 +68,33 @@ class VerificationRecord:
 
 
 def make_record(
-    family: str,
-    modulus: str,
-    lhs: Side,
-    rhs: Side,
-    *,
-    p: int | None = None,
-    n: int | None = None,
-    alpha: Fraction | None = None,
-    truncation: str | None = None,
+    family: str, modulus: str, lhs: Side, rhs: Side, **labels
 ) -> VerificationRecord:
+    """The record comparing lhs with rhs; labels are p, n, alpha, truncation."""
     # passed is derived, never asserted by callers
-    return VerificationRecord(
-        family=family,
-        modulus=modulus,
-        lhs=lhs,
-        rhs=rhs,
-        passed=(lhs == rhs),
-        p=p,
-        n=n,
-        alpha=alpha,
-        truncation=truncation,
-    )
+    return VerificationRecord(family, modulus, lhs, rhs, lhs == rhs, **labels)
 
 
-def skipped_record(
-    family: str,
-    reason: str,
-    *,
-    p: int | None = None,
-    n: int | None = None,
-    alpha: Fraction | None = None,
-    truncation: str | None = None,
-) -> VerificationRecord:
-    return VerificationRecord(
-        family=family,
-        modulus="-",
-        lhs="-",
-        rhs="-",
-        passed=None,
-        p=p,
-        n=n,
-        alpha=alpha,
-        truncation=truncation,
-        reason=reason,
-    )
+def family_records(
+    checks: Iterable[tuple[str, str | None]],
+    sides: Callable[[str, str | None], tuple[str, Side, Side]],
+    **labels,
+) -> list[VerificationRecord]:
+    """One record per (family, truncation) of checks, in order.
+
+    sides(family, truncation) gives the record's (modulus, lhs, rhs).  If
+    it raises one of SKIP_ERRORS, the family gets a skip record instead,
+    with the error's text as its reason.  Both carry the family, the
+    truncation and labels (p, n, alpha).
+    """
+    out = []
+    for fam, truncation in checks:
+        try:
+            modulus, lhs, rhs = sides(fam, truncation)
+        except SKIP_ERRORS as exc:
+            out.append(VerificationRecord(fam, "-", "-", "-", None, **labels,
+                                          truncation=truncation, reason=str(exc)))
+        else:
+            out.append(make_record(fam, modulus, lhs, rhs, **labels,
+                                   truncation=truncation))
+    return out

@@ -24,7 +24,6 @@ from itertools import accumulate
 from .padic import NotPAdicIntegral, ResidueClass, is_p_integral, reduce_mod
 
 __all__ = [
-    "InverseMissing",
     "pochhammer",
     "harmonic",
     "euler_poly_coeffs",
@@ -36,10 +35,6 @@ __all__ = [
     "check_euler_identities",
     "check_binomial_identities",
 ]
-
-
-class InverseMissing(ArithmeticError):
-    """A required modular inverse does not exist (e.g. 1/2 mod 2)."""
 
 
 def pochhammer(alpha: Fraction, k: int) -> Fraction:
@@ -138,7 +133,7 @@ def euler_poly_eval_mod(n: int, x: Fraction, p: int) -> ResidueClass:
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     if p == 2:
-        raise InverseMissing("E_n(x) mod 2 needs 1/2")
+        raise ValueError("E_n(x) mod 2 needs 1/2")
     x = Fraction(x)
     if not is_p_integral(x, p):
         raise NotPAdicIntegral(f"{x} has no residue mod {p}")

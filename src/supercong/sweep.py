@@ -3,13 +3,14 @@
 Instances are expanded up front as immutable ``Instance`` values, executed
 either serially or on a process pool, and the records are sorted afterwards
 by (family, p or n, alpha, truncation), so reports are byte-identical for
-any worker count.  An instance yields one record, except that one instance
-per prime checks all the requested classical and 8^(-k) families that p
-admits, and one per (alpha, p) all the requested alpha families; these
-yield a record per family and truncation.  A failed precondition becomes a
-skipped record with a reason and the instance's own labels; any other
-exception is a bug and aborts the sweep with an error that names the
-instance.
+any worker count.  One instance per prime checks all the requested
+classical and 8^(-k) families that p admits (verify_prime), one per
+(alpha, p) all the requested alpha families (verify_alpha), and one per
+(q-family, n) that family (verify_q); these yield a record per family and
+truncation, a skip record with the reason where a family's precondition
+fails.  An identity, WZ or smoke instance yields one record.  An
+exception that escapes an instance is a bug, whatever its type, and aborts
+the sweep with an error that names the instance.
 """
 
 from __future__ import annotations
@@ -25,18 +26,17 @@ from typing import Callable, NamedTuple
 
 from .padic import ResidueClass, parse_rational
 from .primes import EmptyRange, sieve_primes
-from .records import VerificationRecord, make_record, norm_family, skipped_record
+from .records import VerificationRecord, make_record, norm_family
 from .sequences import check_binomial_identities, check_euler_identities, check_lehmer
 from .verifier import (
     ALPHA_FAMILIES,
     FAMILIES,
     PRIME_FAMILIES,
-    SKIP_ERRORS,
     ramanujan_partial,
     verify_alpha,
     verify_prime,
 )
-from .qseries import verify_conjecture41, verify_gz
+from .qseries import Q_FAMILIES as Q_TABLE, verify_q
 from .wz import check_pair, check_telescoped, sample_alphas
 
 __all__ = [
@@ -80,7 +80,7 @@ RATIONAL_ALPHAS: tuple[Fraction, ...] = (
     Fraction(3, 5),
 )
 
-Q_FAMILIES = ("GZ_E2", "GZ_F2", "CONJ41")
+Q_FAMILIES: tuple[str, ...] = tuple(Q_TABLE)
 VERIFY_FAMILIES: tuple[str, ...] = PRIME_FAMILIES + ALPHA_FAMILIES
 
 
@@ -117,11 +117,11 @@ class ReportSummary:
 
 class Instance(NamedTuple):
     """One check: run(*args) returns its record, a bool for an exact
-    identity, or the list of records of verify_prime or verify_alpha.
-    family, p, n, alpha and truncation label that record and, if run raises
-    a precondition error, the skip record in its place.  For verify_prime
-    and verify_alpha, family is the requested families joined by commas;
-    they make their own skip records."""
+    identity, or the list of records of verify_prime, verify_alpha or
+    verify_q, which make their own skip records.  family, p, n and alpha
+    label the record of a bool and name the instance in an InternalError.
+    For verify_prime and verify_alpha, family is the requested families
+    joined by commas."""
 
     family: str
     run: Callable
@@ -129,11 +129,9 @@ class Instance(NamedTuple):
     p: int | None = None
     n: int | None = None
     alpha: Fraction | None = None
-    truncation: str | None = None
 
     def labels(self) -> dict:
-        return {"p": self.p, "n": self.n, "alpha": self.alpha,
-                "truncation": self.truncation}
+        return {"p": self.p, "n": self.n, "alpha": self.alpha}
 
     def __str__(self) -> str:
         bits = [self.family] + [
@@ -210,11 +208,9 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
                          p=p, alpha=a)
                 for a in _alphas_for(cfg, p)
             ]
-    for fam in cfg.families:
-        if fam == "CONJ41":
-            out += [Instance(fam, verify_conjecture41, (n,), n=n) for n in cfg.n_list]
-        elif fam in Q_FAMILIES:  # GZ_E2, GZ_F2
-            out += [Instance(fam, verify_gz, (n, fam), n=n) for n in cfg.n_list]
+    # one instance per (family, n), so that workers share the q-families out
+    out += [Instance(fam, verify_q, (n, (fam,)), n=n)
+            for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
     if not out:
         raise ConfigError(
             f"selection matches no instances: families {', '.join(cfg.families)}"
@@ -261,8 +257,6 @@ def _execute(inst: Instance) -> list[VerificationRecord]:
     t0 = time.perf_counter()
     try:
         recs = _dispatch(inst)
-    except SKIP_ERRORS as exc:
-        recs = [skipped_record(inst.family, str(exc), **inst.labels())]
     except Exception as exc:
         # a bug, not a verdict: abort the sweep, naming the instance to re-run
         raise InternalError(

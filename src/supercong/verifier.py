@@ -45,7 +45,6 @@ from itertools import accumulate
 from typing import Callable
 
 from .padic import (
-    NotPAdicIntegral,
     ResidueClass,
     check_exponent,
     least_nonneg_residue,
@@ -54,13 +53,10 @@ from .padic import (
 )
 from .records import (
     PreconditionViolated,
-    ResidueConditionViolated,
-    SkippedWhenAEqualsPMinus1,
-    TruncationTooLarge,
+    Side,
     VerificationRecord,
-    make_record,
+    family_records,
     norm_family,
-    skipped_record,
 )
 from .sequences import euler_number_mod, euler_poly_eval_mod
 from .wz import DivisionByZeroTerm
@@ -71,7 +67,6 @@ __all__ = [
     "LEMMA_FAMILIES",
     "ALPHA_FAMILIES",
     "ALPHA_TRUNCATIONS",
-    "SKIP_ERRORS",
     "MAO_TRUNCATIONS",
     "MAO_VARIANTS",
     "PRIME_FAMILIES",
@@ -92,7 +87,7 @@ def _checkpoints(Ms, p: int) -> list[int]:
     if Ms and Ms[0] < 0:
         raise ValueError(f"M must be >= 0, got {Ms[0]}")
     if Ms and Ms[-1] >= p:
-        raise TruncationTooLarge(f"M = {Ms[-1]} >= p = {p}: k! not invertible")
+        raise ValueError(f"M = {Ms[-1]} >= p = {p}: k! not invertible")
     return Ms
 
 
@@ -260,9 +255,10 @@ ALPHA_FAMILIES = ("MAIN1", "MAIN1_TRUNC", "TAIL") + LEMMA_FAMILIES
 # the truncation labels of the general-alpha records; the others have none
 ALPHA_TRUNCATIONS = {"MAIN1": "full", "MAIN1_TRUNC": "short"}
 
-# a failed precondition: the instance is skipped with this reason, not failed
-SKIP_ERRORS = (ResidueConditionViolated, PreconditionViolated, NotPAdicIntegral,
-               DivisionByZeroTerm)
+
+def _residue_sides(p: int, e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]:
+    # a record's (modulus, lhs, rhs) from two residues mod p^e
+    return f"{p}^{e}", ResidueClass(lhs, p**e), ResidueClass(rhs, p**e)
 
 
 def verify_prime(
@@ -275,13 +271,14 @@ def verify_prime(
 
     A classical family's record compares d * S(1/d, M) with d times the
     general-alpha closed form at 1/d, mod p^(modulus_exp), with M =
-    <-1/d>_p ("short", the stated truncation) or p-1 ("full").  A MAO variant gives one record at its own truncation
-    (MAO_TRUNCATIONS): the 8^(-k) sum at p-1 (MAO_HALF) or (p-1)/2
-    (SUN_HALF_CONJ), and its agreement with the (8k+1) sum at p-1 when
-    p ≡ 1 (mod 4) (EQUIV).  Each sum takes one pass mod p^4, read at both
-    of its truncations: one S(1/d, .) pass per weight d (read mod p^3 by
-    the p^3 families) and one 8^(-k) pass.  A family whose precondition
-    fails (one of SKIP_ERRORS) gets a skip record with the reason.
+    <-1/d>_p ("short", the stated truncation) or p-1 ("full").  A MAO
+    variant gives one record at its own truncation (MAO_TRUNCATIONS): the
+    8^(-k) sum at p-1 (MAO_HALF) or (p-1)/2 (SUN_HALF_CONJ), and its
+    agreement with the (8k+1) sum at p-1 when p ≡ 1 (mod 4) (EQUIV).  Each
+    sum takes one pass mod p^4, read at both of its truncations: one
+    S(1/d, .) pass per weight d (read mod p^3 by the p^3 families) and one
+    8^(-k) pass.  A family whose precondition fails gets a skip record with
+    the reason (records.family_records).
     """
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in PRIME_FAMILIES]:
@@ -299,7 +296,7 @@ def verify_prime(
         if fam in FAMILIES:
             f = FAMILIES[fam]
             if f.p_mod is not None and p % f.p_mod != f.p_res:
-                raise ResidueConditionViolated(
+                raise PreconditionViolated(
                     f"{fam} needs p ≡ {f.p_res} (mod {f.p_mod}), got p = {p}"
                 )
             if p <= 3:
@@ -312,7 +309,7 @@ def verify_prime(
             raise PreconditionViolated(f"needs p > 3, got p = {p}")
         if fam == "EQUIV":
             if p % 4 != 1:
-                raise ResidueConditionViolated(f"EQUIV needs p ≡ 1 (mod 4), got p = {p}")
+                raise PreconditionViolated(f"EQUIV needs p ≡ 1 (mod 4), got p = {p}")
             return 4, mao()[p - 1], 4 * main(4)[p - 1] % m
         if fam == "MAO_HALF":
             M = p - 1
@@ -322,19 +319,10 @@ def verify_prime(
             x = legendre(2, p) * euler_number_mod(p - 3, p).value * pow(4, -1, p)
         return 4, mao()[M], (p * legendre(-2, p) + _p3_times(p, x, m)) % m
 
-    out = []
-    for fam in fams:
-        for tr in truncations if fam in FAMILIES else (MAO_TRUNCATIONS[fam],):
-            try:
-                e, lhs, rhs = sides(fam, tr)
-            except SKIP_ERRORS as exc:
-                out.append(skipped_record(fam, str(exc), p=p, truncation=tr))
-            else:
-                out.append(make_record(
-                    fam, f"{p}^{e}", ResidueClass(lhs, p**e), ResidueClass(rhs, p**e),
-                    p=p, truncation=tr,
-                ))
-    return out
+    checks = [(fam, tr) for fam in fams
+              for tr in (truncations if fam in FAMILIES else (MAO_TRUNCATIONS[fam],))]
+    return family_records(checks, lambda fam, tr: _residue_sides(p, *sides(fam, tr)),
+                          p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +521,11 @@ def verify_alpha(
     * the five LEMMA_* families (see _lemma_sides).
 
     Every family needs p > 3 and a p-integral alpha; a family whose
-    precondition fails (one of SKIP_ERRORS) gets a skip record with the
-    reason.  The shared values -- a and t, the closed form, the one sum
-    pass that gives S(alpha, a) and S(alpha, p-1), and the Pochhammer
-    prefix -- are computed at most once per call, and only when a
-    requested family reads them.
+    precondition fails gets a skip record with the reason
+    (records.family_records).  The shared values -- a and t, the closed
+    form, the one sum pass that gives S(alpha, a) and S(alpha, p-1), and
+    the Pochhammer prefix -- are computed at most once per call, and only
+    when a requested family reads them.
     """
     alpha = Fraction(alpha)
     fams = [norm_family(f) for f in families]
@@ -562,22 +550,13 @@ def verify_alpha(
             return partial(a)[p - 1 if fam == "MAIN1" else a], closed(a)
         if fam == "TAIL":
             if a == p - 1:
-                raise SkippedWhenAEqualsPMinus1(
+                raise PreconditionViolated(
                     f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
                 )
             s = partial(a)
             return (s[p - 1] - s[a]) % m, 0
         return _lemma_sides(fam, alpha, p, a, t, tables)
 
-    out = []
-    for fam in fams:
-        labels = {"p": p, "alpha": alpha, "truncation": ALPHA_TRUNCATIONS.get(fam)}
-        try:
-            lhs, rhs = sides(fam)
-        except SKIP_ERRORS as exc:
-            out.append(skipped_record(fam, str(exc), **labels))
-        else:
-            out.append(make_record(
-                fam, f"{p}^4", ResidueClass(lhs, m), ResidueClass(rhs, m), **labels
-            ))
-    return out
+    return family_records([(fam, ALPHA_TRUNCATIONS.get(fam)) for fam in fams],
+                          lambda fam, _: _residue_sides(p, 4, *sides(fam)),
+                          p=p, alpha=alpha)

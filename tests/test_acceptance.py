@@ -8,15 +8,9 @@ import math
 import time
 from fractions import Fraction
 
+from supercong import qseries
 from supercong.primes import sieve_primes
-from supercong.qseries import (
-    IntPoly,
-    _sum_failure,
-    _sum_numerator,
-    cyclotomic,
-    verify_conjecture41,
-    verify_gz,
-)
+from supercong.qseries import IntPoly, _q_check, cyclotomic, verify_q
 from supercong.sequences import (
     check_binomial_identities,
     check_euler_identities,
@@ -152,14 +146,15 @@ def test_criterion_09_q_congruence_suite():
                 prod = prod * cyclotomic(d)
         assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,)), n
     for n in (3, 5, 7, 9, 11, 13):
-        assert verify_gz(n, "GZ_E2").passed, n
+        assert verify_q(n, ("GZ_E2",))[0].passed, n
     for n in (5, 9, 13):
-        assert verify_gz(n, "GZ_F2").passed, n
+        assert verify_q(n, ("GZ_F2",))[0].passed, n
+    mod_squared = qseries.Q_FAMILIES["CONJ41"]._replace(phi_exp=2)
     for n in (5, 9, 13):
-        assert _sum_failure(_sum_numerator(n, 1, -1), n, 2) is None, n
+        assert _q_check(n, mod_squared)[1] is None, n
     t0 = time.perf_counter()
     for n in (5, 9, 13):
-        r = verify_conjecture41(n)
+        [r] = verify_q(n, ("CONJ41",))
         # an honest False here is a counterexample to an open conjecture,
         # reported through exit code 3 by the CLI; the expectation is pass
         assert r.passed, f"conjecture counterexample at n={n}: run the CLI " \

@@ -11,8 +11,9 @@ from supercong.qseries import (
     IntPoly,
     InternalNonExactDivision,
     RationalFunction,
+    Q_FAMILIES,
     _den_order,
-    _sum_failure,
+    _q_check,
     _sum_numerator,
     congruence_failure,
     conjecture41_witness,
@@ -22,10 +23,8 @@ from supercong.qseries import (
     q_integer,
     q_limit_term_check,
     q_pochhammer,
-    verify_conjecture41,
-    verify_gz,
+    verify_q,
 )
-from supercong.records import ResidueConditionViolated
 
 from exact_oracle import poly_from_string
 from gcd_oracle import cyclotomic_multiplicity, poly_gcd, pseudo_rem, reduce, root_order
@@ -291,30 +290,36 @@ def test_congruence_witness_nonzero_on_failure():
     assert congruence_failure(cyclotomic(5), [(5, 1)], {5: 0}) is None
 
 
+def _skip_reason(n, family):
+    [r] = verify_q(n, (family,))
+    assert r.passed is None and (r.n, r.modulus, r.lhs, r.rhs) == (n, "-", "-", "-")
+    return r.reason
+
+
 def test_verify_gz_e2():
     for n in (3, 5, 7):
-        r = verify_gz(n, "GZ_E2")
+        [r] = verify_q(n, ("GZ_E2",))
         assert r.passed, n
-        assert r.n == n and r.family == "GZ_E2"
+        assert r.n == n and r.family == "GZ_E2" and r.truncation is None
         assert r.modulus == f"[{n}]*Phi_{n}^2"
-    with pytest.raises(ResidueConditionViolated):
-        verify_gz(4, "GZ_E2")
-    with pytest.raises(ResidueConditionViolated):
-        verify_gz(1, "GZ_E2")
+    for bad in (4, 1):
+        assert _skip_reason(bad, "GZ_E2") == f"GZ_E2 needs odd n >= 3, got n = {bad}"
 
 
 def test_verify_gz_f2():
-    assert verify_gz(5, "GZ_F2").passed
-    with pytest.raises(ResidueConditionViolated):
-        verify_gz(7, "GZ_F2")  # needs n ≡ 1 (mod 4)
-    with pytest.raises(ResidueConditionViolated):
-        verify_gz(3, "gz-f2")
+    [r] = verify_q(5, ("GZ_F2",))
+    assert r.passed and r.modulus == "[5]*Phi_5^2"
+    for bad in (7, 3):  # needs n ≡ 1 (mod 4), n >= 5
+        assert _skip_reason(bad, "gz-f2") == (
+            f"GZ_F2 needs n ≡ 1 (mod 4), n >= 5, got n = {bad}"
+        )
 
 
 def test_verify_gz_needs_the_full_family_name():
     # norm_family only folds case and hyphens; no GZ_ prefix is added
-    with pytest.raises(ValueError):
-        verify_gz(5, "e2")
+    with pytest.raises(ValueError, match="unknown q-families"):
+        verify_q(5, ("e2",))
+    assert [r.family for r in verify_q(9)] == list(Q_FAMILIES)
 
 
 def test_mod_squared_difference():
@@ -324,16 +329,18 @@ def test_mod_squared_difference():
         factors = [(d, 1) for d in sympy.divisors(n)[1:-1]] + [(n, 3)]
         orders = {d: cyclotomic_multiplicity(e2.den, d) for d, _ in factors}
         assert congruence_failure(e2.num - f2.num, factors, orders) is None
-        assert _sum_failure(e2.num - f2.num, n, 2) is None
+        num, failure = _q_check(n, Q_FAMILIES["CONJ41"]._replace(phi_exp=2))
+        assert num == e2.num - f2.num and failure is None
 
 
 def test_verify_conjecture41():
-    r = verify_conjecture41(5)
+    [r] = verify_q(5, ("CONJ41",))
     assert r.passed and r.family == "CONJ41" and r.modulus == "[5]*Phi_5^3"
-    assert verify_conjecture41(9).passed
+    assert verify_q(9, ("conj41",))[0].passed
     for bad in (1, 3, 7, 8):
-        with pytest.raises(ResidueConditionViolated):
-            verify_conjecture41(bad)
+        assert _skip_reason(bad, "CONJ41") == (
+            f"CONJ41 needs n ≡ 1 (mod 4), n >= 5, got n = {bad}"
+        )
 
 
 def test_conjecture41_witness_payload():
@@ -377,20 +384,25 @@ def test_conjecture41_witness_certificate_recomputed(monkeypatch, n, d, j):
 
 
 def test_large_n_congruences():
-    assert verify_gz(29, "GZ_E2").passed
-    assert verify_gz(29, "GZ_F2").passed
-    assert verify_conjecture41(29).passed
+    assert [(r.family, r.passed) for r in verify_q(29)] == [
+        ("GZ_E2", True), ("GZ_F2", True), ("CONJ41", True)
+    ]
 
 
 @pytest.mark.parametrize("n, d, j", [(9, 3, 6), (21, 3, 18), (29, 29, 3)])
-def test_perturbed_difference_fails_at_expected_factor(n, d, j):
+def test_perturbed_difference_fails_at_expected_factor(monkeypatch, n, d, j):
     # Phi_n^3 is not ≡ 0 mod [n] Phi_n^3, so diff + Phi_n^3 fails.  Phi_d
     # divides the denominator 3 * floor((n-1)/d) times for odd d | n, d < n;
     # the sum first fails at the smallest such d, at that order, or at
     # Phi_n itself (j = 3) when n is prime
     num, den = _sum_numerator(n, 1, -1), lhs_e2_q(n).den
-    assert _sum_failure(num, n, 3) is None
-    got = _sum_failure(num + den * cyclotomic(n) ** 3, n, 3)
+    conj41 = Q_FAMILIES["CONJ41"]
+    assert _q_check(n, conj41) == (num, None)
+    monkeypatch.setattr(qseries, "_sum_numerator",
+                        lambda *args: num + den * cyclotomic(n) ** 3)
+    [r] = verify_q(n, ("CONJ41",))
+    assert r.passed is False and r.lhs == "nonzero residue"
+    got = _q_check(n, conj41)[1]
     assert got is not None and got[:2] == (d, j)
     assert not got[2].is_zero and got[2].degree < cyclotomic(d).degree
     # the same failure from the factor list and orders found independently

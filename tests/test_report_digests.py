@@ -3,7 +3,10 @@
 The digests were taken from `render_json` (without timings) before the
 classical families were rewritten as the general-alpha closed form at
 alpha = 1/d, so any change to a record, a skip reason or the rendering
-shows up here.  A deliberate report change must update them and say why.
+shows up here.  qverify_skips, at n's where each q-family both runs and
+skips for its condition on n, was taken before verify_gz and
+verify_conjecture41 became verify_q.  A deliberate report change must
+update them and say why.
 """
 
 import hashlib
@@ -40,6 +43,10 @@ CASES = {
     "qverify": (
         lambda: run_sweep(SweepConfig(families=Q_FAMILIES, n_list=(5, 9, 13))),
         "12524c22f51e9296f9f207e13ecf5c530235c9473335173d52fc7b0e77829f9f",
+    ),
+    "qverify_skips": (
+        lambda: run_sweep(SweepConfig(families=Q_FAMILIES, n_list=(1, 2, 3, 4, 7, 17))),
+        "dae290073da09215ee1c267d87c921b678197eef3e6252cf3fc2693c20f65e22",
     ),
     "identities": (
         run_identities,

@@ -7,7 +7,6 @@ import pytest
 from supercong.padic import NotPAdicIntegral, reduce_mod
 from supercong.primes import sieve_primes
 from supercong.sequences import (
-    InverseMissing,
     check_binomial_identities,
     check_euler_identities,
     check_lehmer,
@@ -107,7 +106,7 @@ def test_euler_number_mod():
 
 
 def test_euler_mod_p2_rejected():
-    with pytest.raises(InverseMissing):
+    with pytest.raises(ValueError, match="needs 1/2"):
         euler_poly_eval_mod(4, Fraction(1, 3), 2)
 
 

@@ -9,19 +9,19 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import sweep, verifier
+from supercong import cli, sweep, verifier
 from supercong.cli import build_parser, main
 from supercong.primes import EmptyRange, sieve_primes
 from supercong.records import (
     PreconditionViolated,
-    TruncationTooLarge,
     VerificationRecord,
+    family_records,
     make_record,
-    skipped_record,
 )
 from supercong.sequences import check_euler_identities
 from supercong.sweep import (
     ConfigError,
+    Q_FAMILIES,
     RATIONAL_ALPHAS,
     ReportSummary,
     SweepConfig,
@@ -152,30 +152,22 @@ def _labels(r: VerificationRecord) -> tuple:
     return (r.family, r.p, r.n, r.alpha, r.truncation)
 
 
-def test_skip_record_has_the_labels_of_the_result(monkeypatch):
-    def refuse(*args):
-        raise PreconditionViolated("refused")
-
-    # one instance of every kind, each of which passes when run for real
-    insts = build_instances(SweepConfig(
-        families=("GZ_E2", "GZ_F2", "CONJ41"), n_list=(5,),
-    ))
-    monkeypatch.setattr(sweep, "_run_instances",
-                        lambda batch, workers: insts.extend(batch) or [])
-    run_identities(nmax=1, pmax=5, mmax=1)
-    run_wz(nmax=1, kmax=1, alpha_samples=1)
-    run_smoke()
-    monkeypatch.undo()
-    assert {i.family for i in insts} >= {
-        "GZ_E2", "CONJ41", "BINOM_IDS", "EULER_IDS", "LEHMER",
-        "WZ_PAIR", "WZ_TELESCOPE", "RAMANUJAN",
+def test_skip_record_has_the_labels_of_the_result():
+    # verify_q makes its own skip records: at n = 2 every q-family skips for
+    # its condition on n; its labels are those of the family at n = 5
+    insts = build_instances(SweepConfig(families=Q_FAMILIES, n_list=(5,)))
+    reasons = {
+        "GZ_E2": "GZ_E2 needs odd n >= 3, got n = 2",
+        "GZ_F2": "GZ_F2 needs n ≡ 1 (mod 4), n >= 5, got n = 2",
+        "CONJ41": "CONJ41 needs n ≡ 1 (mod 4), n >= 5, got n = 2",
     }
+    assert [i.family for i in insts] == list(reasons)
     for inst in insts:
         [real] = sweep._execute(inst)
-        [skip] = sweep._execute(inst._replace(run=refuse))
-        assert real.passed is True, inst
-        assert skip.passed is None and skip.reason == "refused"
-        assert _labels(skip) == _labels(real), inst
+        [skip] = sweep._execute(inst._replace(args=(2,) + inst.args[1:]))
+        assert real.passed is True, real
+        assert skip.passed is None and skip.reason == reasons[real.family]
+        assert _labels(replace(skip, n=real.n)) == _labels(real)
 
     # verify_alpha makes its own skip records: 1/13 has no residue mod 13,
     # so every alpha family skips; its labels are those of the family
@@ -308,13 +300,34 @@ def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
 
 def test_truncation_too_large_is_an_internal_error(monkeypatch):
     # every sweep truncation is below p, so this error can only be a bug
-    def too_large(*args):
-        raise TruncationTooLarge("M = 7 >= p = 7: k! not invertible")
-
-    monkeypatch.setattr(sweep, "verify_prime", too_large)
+    monkeypatch.setattr(sweep, "verify_prime",
+                        lambda *args: verifier.sum_main(Fraction(1, 2), 7, 7))
     with pytest.raises(sweep.InternalError) as info:
         run_sweep(SweepConfig(families=("B2",), p_min=7, p_max=7))
-    assert isinstance(info.value.__cause__, TruncationTooLarge)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value.__cause__) == "M = 7 >= p = 7: k! not invertible"
+
+
+@pytest.mark.parametrize("family, site, argv", [
+    ("LEHMER", "check_lehmer", ["identities", "--nmax", "1", "--pmax", "5"]),
+    ("WZ_PAIR", "check_pair", ["wz", "--nmax", "1", "--kmax", "1"]),
+    ("RAMANUJAN", "ramanujan_partial", ["smoke"]),
+])
+def test_precondition_error_outside_a_family_is_an_internal_error(
+    monkeypatch, capsys, family, site, argv
+):
+    # only verify_prime, verify_alpha and verify_q turn a failed
+    # precondition into a skip; raised by any other check it is a bug
+    def refuse(*args):
+        raise PreconditionViolated("refused")
+
+    monkeypatch.setattr(sweep, site, refuse)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "supercong.records.PreconditionViolated: refused" in err
+    assert err.splitlines()[-1].startswith(
+        f"supercong.sweep.InternalError: internal error checking {family} "
+    )
 
 
 def test_cli_defaults_are_the_api_defaults(monkeypatch):
@@ -361,12 +374,26 @@ def test_records_sorted_deterministically():
     assert keys == sorted(keys)
 
 
-def test_worker_count_does_not_change_report():
-    cfg1 = SweepConfig(families=("B2", "SUN_B2"), p_min=5, p_max=31, workers=1)
-    cfg2 = SweepConfig(families=("B2", "SUN_B2"), p_min=5, p_max=31, workers=2)
-    r1 = render_json(run_sweep(cfg1))
-    r2 = render_json(run_sweep(cfg2))
-    assert r1 == r2
+# one small run of each instance kind, with skips where the kind has them
+WORKER_RUNS = {
+    "prime": lambda w: run_sweep(SweepConfig(
+        families=PRIME_FAMILIES, p_min=2, p_max=37, workers=w)),
+    "alpha": lambda w: run_sweep(SweepConfig(
+        families=ALPHA_FAMILIES, p_min=2, p_max=13,
+        alpha_list=("1/5", "0", "-3", "1", "1/2", "-1/3"), workers=w)),
+    "q": lambda w: run_sweep(SweepConfig(
+        families=Q_FAMILIES, n_list=(1, 2, 4, 5, 7, 9), workers=w)),
+    "identities": lambda w: run_identities(nmax=6, pmax=31, mmax=3, workers=w),
+    "wz": lambda w: run_wz(nmax=4, kmax=4, alpha_samples=3, workers=w),
+}
+
+
+@pytest.mark.parametrize("kind", WORKER_RUNS)
+def test_worker_count_does_not_change_report(kind):
+    run = WORKER_RUNS[kind]
+    serial = run(1)
+    assert serial.total > 1 and serial.failed == 0
+    assert render_json(serial) == render_json(run(2))
 
 
 def test_render_json_shape():
@@ -400,7 +427,7 @@ def test_exit_code_mapping():
     passing = make_record("B2", "5^3", "1", "1", p=5)
     failing = make_record("B2", "5^3", "1", "2", p=5)
     conj_bad = make_record("CONJ41", "[5]*Phi_5^3", "nonzero", "0", n=5)
-    skip = skipped_record("TAIL", reason="empty", p=5)
+    [skip] = verify_alpha(Fraction(1), 5, ("TAIL",))  # <-1>_5 = p-1: empty
     assert exit_code(summarize([passing, skip])) == 0
     assert exit_code(summarize([passing, failing])) == 1
     assert exit_code(summarize([passing, failing, conj_bad])) == 3
@@ -541,6 +568,31 @@ def test_cli_rejects_bad_worker_flag(command, bad, capsys):
         assert repr(bad) in capsys.readouterr().err
 
 
+def test_cli_unwritable_output_is_refused_before_the_run(
+    tmp_path, monkeypatch, capsys
+):
+    # not exit 1 with a traceback after the whole sweep: exit 1 means a
+    # check failed
+    monkeypatch.setattr(cli, "_run", lambda args: pytest.fail("the run started"))
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["verify", "--pmax", "13", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: cannot write the report to {out}: "
+                       "not a file in an existing directory\n")
+
+
+def test_cli_missing_witness_dir_is_refused_before_the_run(
+    tmp_path, monkeypatch, capsys
+):
+    # otherwise it would only show once CONJ41 finds a counterexample
+    monkeypatch.setattr(cli, "_run", lambda args: pytest.fail("the run started"))
+    missing = tmp_path / "missing"
+    assert main(["qverify", "--n", "5", "--witness-dir", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: witness directory {missing} is not a directory\n"
+    )
+
+
 def test_cli_witness_file_on_conjecture_failure(tmp_path):
     from supercong.cli import _write_witnesses
 
@@ -567,4 +619,19 @@ def test_record_sort_key_and_equality():
     b = make_record("B2", "5^3", "1", "1", p=5, truncation="short")
     assert a == b
     assert a.sort_key() < make_record("B2", "7^3", "1", "1", p=7).sort_key()
-    assert skipped_record("X", reason="r").passed is None
+
+
+def test_family_records_skips_on_a_precondition_only():
+    def sides(fam, truncation):
+        if fam == "X":
+            raise PreconditionViolated("r")
+        if fam == "BUG":
+            raise ZeroDivisionError("a bug")
+        return "5^3", "1", "2"
+
+    skip, fail = family_records([("X", "short"), ("Y", None)], sides, p=5)
+    assert skip == VerificationRecord("X", "-", "-", "-", None, p=5,
+                                      truncation="short", reason="r")
+    assert fail == make_record("Y", "5^3", "1", "2", p=5)
+    with pytest.raises(ZeroDivisionError):
+        family_records([("BUG", None)], sides)

@@ -137,10 +137,12 @@ MUTATIONS = (
     Mutation("qseries accumulator start +rhs", "qseries.py",
              "(w_e2 + w_f2 - rhs).coeffs", "(w_e2 + w_f2 + rhs).coeffs", Q_TESTS),
     Mutation("qseries CONJ41 weight sign", "qseries.py",
-             "_sum_numerator(n, 1, -1), n, 3)", "_sum_numerator(n, 1, 1), n, 3)",
-             Q_TESTS),
+             '"CONJ41": QFamily((1, -1),', '"CONJ41": QFamily((1, 1),', Q_TESTS),
     Mutation("qseries Phi_n exponent e", "qseries.py",
-             "(d, 1 + e if d == n else 1)", "(d, e if d == n else 1)", Q_TESTS),
+             "(d, 1 + f.phi_exp if d == n else 1)", "(d, f.phi_exp if d == n else 1)",
+             Q_TESTS),
+    Mutation("qseries family condition on n mod n_mod", "qseries.py",
+             "n % f.n_mod != 1", "n % f.n_mod > 1", Q_TESTS),
     Mutation("qseries den order n - 1 -> n", "qseries.py",
              "3 * ((n - 1) // (d", "3 * (n // (d", Q_TESTS),
     Mutation("qseries den order gcd(d, 2)", "qseries.py",
@@ -180,8 +182,8 @@ MUTATIONS = (
              'partial(a)[p - 1 if fam == "MAIN1" else a]',
              'partial(a)[a if fam == "MAIN1" else p - 1]', VERIFY_TESTS),
     Mutation("alpha TAIL empty test", "verifier.py",
-             "if a == p - 1:\n                raise SkippedWhenAEqualsPMinus1",
-             "if a == p - 2:\n                raise SkippedWhenAEqualsPMinus1",
+             "if a == p - 1:\n                raise PreconditionViolated",
+             "if a == p - 2:\n                raise PreconditionViolated",
              VERIFY_TESTS),
     Mutation("alpha TAIL lower checkpoint", "verifier.py",
              "s[p - 1] - s[a]", "s[p - 1] - s[p - 1]", VERIFY_TESTS),
