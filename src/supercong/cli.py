@@ -2,8 +2,10 @@
 
 Exit codes: 0 every check passed (skips allowed), 1 at least one check
 failed, 2 invalid configuration, 3 the mod-cubed q-difference check found
-a counterexample (a witness file is written per failing n), 4 internal
-error (its traceback, naming the instance, goes to stderr).
+a counterexample (a witness file is written per failing n), 4 any other
+error, in an instance or outside every instance (a bug, or a resource such
+as memory running out); its traceback, naming the instance if there is
+one, goes to stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from pathlib import Path
 from .qseries import conjecture41_witness
 from .sweep import (
     ConfigError,
-    InternalError,
     Q_FAMILIES,
     SweepConfig,
     VERIFY_FAMILIES,
@@ -229,20 +230,21 @@ def main(argv=None) -> int:
     try:
         _check_paths(args)
         summary = _run(args)
+        report = render(summary, args.format, args.timings)
+        if args.output:
+            Path(args.output).write_text(report)
+        else:
+            sys.stdout.write(report)
+        code = exit_code(summary)
+        if code == 3:
+            _write_witnesses(summary, getattr(args, "witness_dir", "."))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except InternalError as exc:
+    except Exception as exc:
+        # never 1 or 3, which say a check failed
         traceback.print_exception(exc, file=sys.stderr)
         return 4
-    report = render(summary, args.format, args.timings)
-    if args.output:
-        Path(args.output).write_text(report)
-    else:
-        sys.stdout.write(report)
-    code = exit_code(summary)
-    if code == 3:
-        _write_witnesses(summary, getattr(args, "witness_dir", "."))
     return code
 
 

@@ -30,8 +30,8 @@ from .records import VerificationRecord, make_record, norm_family
 from .sequences import check_binomial_identities, check_euler_identities, check_lehmer
 from .verifier import (
     ALPHA_FAMILIES,
-    FAMILIES,
     PRIME_FAMILIES,
+    admits,
     ramanujan_partial,
     verify_alpha,
     verify_prime,
@@ -177,13 +177,6 @@ def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
 # are built, never stored in a table at import, so a wrapped or patched
 # module attribute (tracing, tests) is what runs.
 
-def _admits(fam: str, p: int) -> bool:
-    # the residue class of p a classical or 8^(-k) family is stated for
-    f = FAMILIES.get(fam)
-    mod, res = (f.p_mod, f.p_res) if f else (4, 1) if fam == "EQUIV" else (None, None)
-    return mod is None or p % mod == res
-
-
 def build_instances(cfg: SweepConfig) -> list[Instance]:
     """Per prime: one instance for the classical and 8^(-k) families whose
     residue class admits p, then one per (alpha, p) for the alpha families;
@@ -200,7 +193,7 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
         # a prime's instances run next to each other, so the tables they
         # share, the Euler residues of (p-3, p) and the factorial and
         # harmonic residues of _prime_tables(p), are built once
-        if fams := tuple(f for f in prime_fams if _admits(f, p)):
+        if fams := tuple(f for f in prime_fams if admits(f, p)):
             out.append(Instance(",".join(fams), verify_prime, (p, fams, truncs), p=p))
         if alpha_fams:
             out += [

@@ -4,11 +4,11 @@ The central object is the alternating sum
 
     S(alpha, M) = sum_{k=0}^{M} (-1)^k (2k+alpha) (alpha)_k^3 / k!^3,
 
-computed term-by-term in residue arithmetic mod p^e over the running
-denominator k!^3.  One pass walks the sum to the largest truncation M asked
-for and takes one modular inverse at each M it is read at.  The
-classical (4k+1)/(6k+1)/(8k+1) families are d * S(1/d, M) for d = 2, 3, 4.
-Against it we check:
+computed mod p^4 as the partial sums of two tables: the Pochhammer prefix
+(alpha)_k = p^(e_k) u_k of _poch_prefix, one per (alpha, p), and
+(-1)^k / k!^3 from _prime_tables, one per prime.  One prefix sum gives
+S(alpha, M) at every M < p.  The classical (4k+1)/(6k+1)/(8k+1) families
+are d * S(1/d, M) for d = 2, 3, 4.  Against it we check:
 
 * the general-alpha congruence S(alpha, M) ≡ (-1)^a (alpha+a)
   + (alpha+a)^3 E_{p-3}(alpha) mod p^4 where a = <-alpha>_p, alpha + a = p t,
@@ -27,10 +27,11 @@ Against it we check:
   read from one residue table per prime (_prime_tables).
 
 The classical and 8^(-k) families are statements about one prime p;
-verify_prime checks any of them in one call, with one pass per sum read at
-every truncation.  The general-alpha congruence, its tail and the five
-lemmas are statements about one pair (alpha, p); verify_alpha checks any of
-them in one call.
+verify_prime checks any of them in one call, with one prefix per weight
+and one set of partial sums per sum, read at every truncation.  The
+general-alpha congruence, its tail and the five lemmas are statements
+about one pair (alpha, p); verify_alpha checks any of them in one call,
+on one prefix.
 
 Everything is exact integer arithmetic mod p^e; the Fraction oracles
 these residues are checked against live in the tests.
@@ -41,8 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate
-from typing import Callable
+from itertools import accumulate, repeat
 
 from .padic import (
     ResidueClass,
@@ -70,6 +70,8 @@ __all__ = [
     "MAO_TRUNCATIONS",
     "MAO_VARIANTS",
     "PRIME_FAMILIES",
+    "PRIME_CLASSES",
+    "admits",
     "sum_main",
     "sum_mao",
     "verify_prime",
@@ -81,68 +83,65 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # sums
 
-def _checkpoints(Ms, p: int) -> list[int]:
-    """The distinct truncations of Ms in ascending order, each checked 0 <= M < p."""
-    Ms = sorted(set(Ms))
-    if Ms and Ms[0] < 0:
-        raise ValueError(f"M must be >= 0, got {Ms[0]}")
-    if Ms and Ms[-1] >= p:
-        raise ValueError(f"M = {Ms[-1]} >= p = {p}: k! not invertible")
-    return Ms
+def _partial_sums(
+    pre: tuple, p: int, top: int, b: int, c: int, z: int = 1
+) -> list[int]:
+    """[s_0, ..., s_top] mod p^4, s_M = sum_{k=0}^{M} (b k + c) z^k (-1)^k
+    (alpha)_k^3 / k!^3, from pre = _poch_prefix(alpha, p, n), top <= n and
+    top < p.
 
-
-def _main_checkpoints(alpha: Fraction, Ms, p: int, e: int = 4) -> dict[int, int]:
-    """{M: S(alpha, M) mod p^e} for every M in Ms, from one pass to max(Ms).
-
-    The pass keeps the partial sum over the running denominator k!^3 and
-    takes one inverse at each checkpoint.
+    (alpha)_k is u_k for k <= a = <-alpha>_p and p^v0 u_k past it, so
+    each term is one product of the unit table, the (-1)^k/k!^3 table of
+    _prime_tables and a power of p, reduced once.
     """
-    Ms = _checkpoints(Ms, p)
-    m = p**e
-    x = reduce_mod(alpha, p, e).value
-    u = 1  # (-1)^k (alpha)_k^3 mod m
-    d = 1  # k!^3 mod m
-    s = x % m  # the partial sum times d
-    out, done = {}, 0
-    for M in Ms:
-        for k in range(done + 1, M + 1):
-            k3, t = k * k * k, x + k - 1
-            u = -u * t * t * t % m
-            d = d * k3 % m
-            s = (s * k3 + (2 * k + x) * u) % m
-        out[M], done = s * pow(d, -1, m) % m, M
+    u, v0, _, a, _ = pre
+    m = p**4
+    w = _prime_tables(p)[4]
+    if z != 1:  # fold z^k into the weights
+        zk = accumulate(repeat(z, top), lambda x, y: x * y % m, initial=1)
+        w = [x * y for x, y in zip(w, zk)]
+    out, s, scale = [], 0, 1
+    for lo, hi in ((0, min(a, top) + 1), (a + 1, top + 1)):
+        for k in range(lo, hi):
+            s = (s + scale * (b * k + c) * u[k] ** 3 * w[k]) % m
+            out.append(s)
+        scale = p ** (3 * v0)
     return out
+
+
+def _check_truncation(M: int, p: int) -> None:
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+    if M >= p:
+        raise ValueError(f"M = {M} >= p = {p}: k! not invertible")
+
+
+def _main_sums(pre: tuple, p: int, top: int) -> list[int]:
+    # the partial sums of S(alpha, .); the weight 2k + alpha has alpha = p*t - a
+    _, _, _, a, t = pre
+    return _partial_sums(pre, p, top, 2, p * t - a)
 
 
 def sum_main(alpha: Fraction, M: int, p: int, e: int = 4) -> ResidueClass:
     """sum_{k=0}^{M} (-1)^k (2k+alpha) (alpha)_k^3 / k!^3 mod p^e."""
-    return ResidueClass(_main_checkpoints(Fraction(alpha), (M,), p, e)[M], p**e)
+    _check_truncation(M, p)
+    alpha = Fraction(alpha)
+    reduce_mod(alpha, p, e)  # refuses a bad e or a non-p-integral alpha
+    s = _main_sums(_poch_prefix(alpha, p, M), p, M)[M]
+    return ResidueClass(s % p**e, p**e)
 
 
-def _mao_checkpoints(Ms, p: int, e: int = 4) -> dict[int, int]:
-    """{M: sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e} for
-    every M in Ms, from one pass to max(Ms); 1 <= e <= 4."""
-    Ms = _checkpoints(Ms, p)
-    check_exponent(e)
-    m = p**e
-    # (1/2)_k^3 / (8^k k!^3) = (1*3*...*(2k-1))^3 / (64^k k!^3)
-    u = 1  # (-1)^k (1*3*...*(2k-1))^3 mod m
-    d = 1  # 64^k k!^3 mod m
-    s = 1  # the partial sum times d
-    out, done = {}, 0
-    for M in Ms:
-        for k in range(done + 1, M + 1):
-            dk, t = 64 * k * k * k, 2 * k - 1
-            u = -u * t * t * t % m
-            d = d * dk % m
-            s = (s * dk + (6 * k + 1) * u) % m
-        out[M], done = s * pow(d, -1, m) % m, M
-    return out
+def _mao_sums(half: tuple, p: int, top: int) -> list[int]:
+    # the partial sums of the 8^(-k) family from the prefix at alpha = 1/2
+    return _partial_sums(half, p, top, 6, 1, pow(8, -1, p**4))
 
 
 def sum_mao(M: int, p: int, e: int = 4) -> ResidueClass:
     """sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e, 1 <= e <= 4."""
-    return ResidueClass(_mao_checkpoints((M,), p, e)[M], p**e)
+    _check_truncation(M, p)
+    check_exponent(e)
+    s = _mao_sums(_poch_prefix(Fraction(1, 2), p, M), p, M)[M]
+    return ResidueClass(s % p**e, p**e)
 
 
 def ramanujan_partial(N: int) -> float:
@@ -179,15 +178,15 @@ def _p3_times(p: int, x: int, m: int) -> int:
     return p**3 * (x % p) % m
 
 
-def _closed_form(alpha: Fraction, a: int, p: int, e: int) -> int:
+def _closed_form(alpha: Fraction, a: int, t: int, p: int, e: int) -> int:
     """The right side of the general-alpha congruence at a = <-alpha>_p,
-    (-1)^a (alpha+a) + (alpha+a)^3 E_{p-3}(alpha) mod p^e.
+    (-1)^a (alpha+a) + (alpha+a)^3 E_{p-3}(alpha) mod p^e, alpha + a = p*t.
 
-    alpha + a = p*t, so the cube vanishes mod p^3 and E_{p-3} is only
-    evaluated (mod p) when e = 4.
+    The cube vanishes mod p^3, so E_{p-3} is only evaluated (mod p) when
+    e = 4.
     """
     m = p**e
-    pt = (alpha.numerator * pow(alpha.denominator, -1, m) + a) % m
+    pt = p * t % m
     rhs = _parity_sign(a) * pt
     if e == 4:
         rhs += pt**3 * euler_poly_eval_mod(p - 3, alpha, p).value
@@ -242,6 +241,17 @@ MAO_TRUNCATIONS = {"MAO_HALF": "full", "SUN_HALF_CONJ": "short", "EQUIV": "full"
 MAO_VARIANTS = tuple(MAO_TRUNCATIONS)
 # the families checked at one prime, by verify_prime
 PRIME_FAMILIES = tuple(FAMILIES) + MAO_VARIANTS
+# (p_mod, p_res) of the prime families stated only for p ≡ p_res (mod p_mod)
+PRIME_CLASSES = {
+    **{f.name: (f.p_mod, f.p_res) for f in FAMILIES.values() if f.p_mod is not None},
+    "EQUIV": (4, 1),
+}
+
+
+def admits(fam: str, p: int) -> bool:
+    """Whether p is in the residue class prime family fam is stated for."""
+    mod, res = PRIME_CLASSES.get(fam, (1, 0))
+    return p % mod == res
 
 LEMMA_FAMILIES = (
     "LEMMA_WZPROD",
@@ -275,10 +285,12 @@ def verify_prime(
     variant gives one record at its own truncation (MAO_TRUNCATIONS): the
     8^(-k) sum at p-1 (MAO_HALF) or (p-1)/2 (SUN_HALF_CONJ), and its
     agreement with the (8k+1) sum at p-1 when p ≡ 1 (mod 4) (EQUIV).  Each
-    sum takes one pass mod p^4, read at both of its truncations: one
-    S(1/d, .) pass per weight d (read mod p^3 by the p^3 families) and one
-    8^(-k) pass.  A family whose precondition fails gets a skip record with
-    the reason (records.family_records).
+    sum is computed once mod p^4, as the partial sums of one Pochhammer
+    prefix, and read at both of its truncations: S(1/d, .) from the prefix
+    at 1/d for each weight d (read mod p^3 by the p^3 families), and the
+    8^(-k) sum from the prefix at 1/2.  A family whose precondition fails
+    gets a skip record with the reason (records.family_records); its
+    residue class of p is the one in PRIME_CLASSES.
     """
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in PRIME_FAMILIES]:
@@ -286,30 +298,32 @@ def verify_prime(
     if bad := [t for t in truncations if t not in ("short", "full")]:
         raise ValueError(f"truncation must be short|full, got {bad[0]!r}")
     m = p**4
-    short = cache(lambda d: least_nonneg_residue(Fraction(-1, d), p))
-    closed = cache(lambda d, e: _closed_form(Fraction(1, d), short(d), p, e))
-    main = cache(lambda d: _main_checkpoints(Fraction(1, d), (short(d), p - 1), p))
-    mao = cache(lambda: _mao_checkpoints(((p - 1) // 2, p - 1), p))
+    # one prefix per weight d, the one at 1/2 shared with the 8^(-k) sum
+    pre = cache(lambda d: _poch_prefix(Fraction(1, d), p, p - 1))
+    closed = cache(lambda d, e: _closed_form(Fraction(1, d), *pre(d)[3:], p, e))
+    main = cache(lambda d: _main_sums(pre(d), p, p - 1))
+    mao = cache(lambda: _mao_sums(pre(2), p, p - 1))
+
+    def check_class(fam: str) -> None:
+        if not admits(fam, p):
+            mod, res = PRIME_CLASSES[fam]
+            raise PreconditionViolated(
+                f"{fam} needs p ≡ {res} (mod {mod}), got p = {p}")
 
     def sides(fam: str, truncation: str) -> tuple[int, int, int]:
         # (e, lhs, rhs) of one record mod p^e
         if fam in FAMILIES:
-            f = FAMILIES[fam]
-            if f.p_mod is not None and p % f.p_mod != f.p_res:
-                raise PreconditionViolated(
-                    f"{fam} needs p ≡ {f.p_res} (mod {f.p_mod}), got p = {p}"
-                )
+            check_class(fam)
             if p <= 3:
                 raise PreconditionViolated(f"{fam} needs p > 3, got p = {p}")
+            f = FAMILIES[fam]
             d, e = f.weight_d, f.modulus_exp
-            a = short(d)
-            s = main(d)[a if truncation == "short" else p - 1]
+            s = main(d)[pre(d)[3] if truncation == "short" else p - 1]
             return e, d * s % p**e, d * closed(d, e) % p**e
         if p <= 3:
             raise PreconditionViolated(f"needs p > 3, got p = {p}")
+        check_class(fam)
         if fam == "EQUIV":
-            if p % 4 != 1:
-                raise PreconditionViolated(f"EQUIV needs p ≡ 1 (mod 4), got p = {p}")
             return 4, mao()[p - 1], 4 * main(4)[p - 1] % m
         if fam == "MAO_HALF":
             M = p - 1
@@ -331,8 +345,9 @@ def verify_prime(
 # The consecutive instances of a sweep at one prime share these tables.
 @lru_cache(maxsize=4)
 def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
-    """(fact, h1, h2, alt2) mod p^4 for j = 0..p-1: j!, H_j = sum_{k<=j} 1/k,
-    H_j^(2) = sum_{k<=j} 1/k^2 and sum_{k<=j} (-1)^k / k^2.
+    """(fact, h1, h2, alt2, sinv3) mod p^4 for j = 0..p-1: j!, H_j =
+    sum_{k<=j} 1/k, H_j^(2) = sum_{k<=j} 1/k^2, sum_{k<=j} (-1)^k / k^2 and
+    (-1)^j / j!^3.
 
     Every k < p is a unit mod p^4, so one inverse of (p-1)! and a backward
     pass give every 1/k! and, through 1/k = (k-1)!/k!, every 1/k.
@@ -350,26 +365,32 @@ def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
     def prefix(terms):
         return tuple(s % m for s in accumulate(terms, initial=0))
 
-    return tuple(fact), prefix(recip), prefix(squares), prefix(signed)
+    sinv3 = tuple((-f if j & 1 else f) * f * f % m for j, f in enumerate(inv_fact))
+    return tuple(fact), prefix(recip), prefix(squares), prefix(signed), sinv3
 
 
-def _poch_prefix(alpha: Fraction, p: int) -> tuple[list[int], int, int]:
-    """(u, v0, v1) with (alpha)_j = p^(e_j) u_j for j = 0..2p-1, u_j mod p^4.
+def _poch_prefix(
+    alpha: Fraction, p: int, n: int
+) -> tuple[list[int], int, int, int, int]:
+    """(u, v0, v1, a, t): (alpha)_j = p^(e_j) u_j for j = 0..n <= 2p-1, u_j
+    mod p^4, a = <-alpha>_p and alpha + a = p*t, t mod p^4.
 
-    With a = <-alpha>_p the only factors alpha+i (i <= 2p-2) divisible by p
-    are alpha+a = p*t and alpha+a+p = p*(t+1), of valuations v0 and v1.
-    e_j adds v0 once j > a and v1 once j > a+p, and u_j multiplies every
-    other factor with the unit parts of those two.  A zero factor (t = 0 or
-    t+1 = 0: a nonpositive-integer alpha) has unit part 0, so every u_j
-    past it is 0.
+    The only factors alpha+i (i <= 2p-2) divisible by p are alpha+a = p*t
+    and alpha+a+p = p*(t+1), of valuations v0 and v1.  e_j adds v0 once
+    j > a and v1 once j > a+p, and u_j multiplies every other factor with
+    the unit parts of those two.  A zero factor (t = 0 or t+1 = 0: a
+    nonpositive-integer alpha) has unit part 0, so every u_j past it is 0.
+    t is (num + a den)/p times 1/den, from the integers: alpha + a reduced
+    mod p^4 first would give t only mod p^3.  A non-p-integral alpha raises
+    NotPAdicIntegral.
     """
+    a = least_nonneg_residue(-alpha, p)
     m = p**4
     num, den = alpha.numerator, alpha.denominator
     inv = pow(den, -1, m)
     x = num * inv % m
-    a = -x % p
 
-    def split(i: int) -> tuple[int, int]:
+    def unit(i: int) -> tuple[int, int]:
         # unit part mod m and p-adic valuation of alpha+i = (num + i den)/den
         g, v = num + i * den, 0
         while g and g % p == 0:
@@ -377,12 +398,14 @@ def _poch_prefix(alpha: Fraction, p: int) -> tuple[list[int], int, int]:
             v += 1
         return g * inv % m, v
 
-    (u0, v0), (u1, v1) = split(a), split(a + p)
-    out = [1]
-    for i in range(2 * p - 1):
-        f = u0 if i == a else u1 if i == a + p else x + i
-        out.append(out[-1] * f % m)
-    return out, v0, v1
+    (u0, v0), (u1, v1) = unit(a), unit(a + p)
+    factors = list(range(x, x + 2 * p))  # alpha+i mod m, up to a multiple of m
+    factors[a], factors[a + p] = u0, u1
+    out, acc = [1], 1
+    for f in factors[:n]:
+        acc = acc * f % m
+        out.append(acc)
+    return out, v0, v1, a, (num + a * den) // p * inv % m
 
 
 def _lemma_sum(
@@ -402,22 +425,7 @@ def _lemma_sum(
     return s, d
 
 
-def _split_alpha(alpha: Fraction, p: int) -> tuple[int, int]:
-    """(a, t mod p^4) with a = <-alpha>_p and alpha + a = p*t.
-
-    t is (num + a den)/p times 1/den, from the integers: alpha + a reduced
-    mod p^4 first would give t only mod p^3.  A non-p-integral alpha raises
-    NotPAdicIntegral.
-    """
-    a = least_nonneg_residue(-alpha, p)
-    m = p**4
-    num, den = alpha.numerator, alpha.denominator
-    return a, (num + a * den) // p * pow(den, -1, m) % m
-
-
-def _lemma_sides(
-    fam: str, alpha: Fraction, p: int, a: int, t: int, tables: Callable
-) -> tuple[int, int]:
+def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, int]:
     """Left and right side mod p^4 of one LEMMA_* family.
 
     Families (a = <-alpha>_p, alpha + a = p*t throughout):
@@ -431,13 +439,14 @@ def _lemma_sides(
 
     Each left side is p^v times a p-adic integer, with v read off the
     valuations of alpha+a and alpha+a+p and the integer computed mod p^4
-    from the unit residues of tables() (_poch_prefix's, asked for once the
-    preconditions hold), in O(p) operations and two inverses.  The right
-    sides are polynomials in t (given mod p^4), H_a, H_a^(2) and
-    sum_{k<=a} (-1)^k/k^2, read from _prime_tables; the divisions by 2 and
-    by a+1 are by units in every branch that makes them.  Alphas that zero
-    a denominator Pochhammer raise DivisionByZeroTerm.
+    from the unit residues of pre = _poch_prefix(alpha, p, 2p-1), in O(p)
+    operations and two inverses.  The right sides are polynomials in t
+    (mod p^4), H_a, H_a^(2) and sum_{k<=a} (-1)^k/k^2, read from
+    _prime_tables; the divisions by 2 and by a+1 are by units in every
+    branch that makes them.  Alphas that zero a denominator Pochhammer
+    raise DivisionByZeroTerm.
     """
+    u, v0, v1, a, t = pre
     if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):
         raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
     # only the factor alpha+a of (alpha)_{a+1} (LEMMA_PROD), and likewise of
@@ -454,8 +463,7 @@ def _lemma_sides(
                 f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
             )
     m = p**4
-    u, v0, v1 = tables()
-    fact, h1, h2, alt2 = _prime_tables(p)
+    fact, h1, h2, alt2, _ = _prime_tables(p)
     f2 = fact[p - 1] ** 2
     pt, ha, ha2 = p * t, h1[a], h2[a]
     half = pow(2, -1, m)
@@ -522,40 +530,36 @@ def verify_alpha(
 
     Every family needs p > 3 and a p-integral alpha; a family whose
     precondition fails gets a skip record with the reason
-    (records.family_records).  The shared values -- a and t, the closed
-    form, the one sum pass that gives S(alpha, a) and S(alpha, p-1), and
-    the Pochhammer prefix -- are computed at most once per call, and only
-    when a requested family reads them.
+    (records.family_records).  One Pochhammer prefix, which also gives a
+    and t, serves every family (to p-1, or to 2p-1 when a lemma family is
+    requested); the closed form and the partial sums S(alpha, .) read at a
+    and p-1 are computed at most once per call, and only when a requested
+    family reads them.
     """
     alpha = Fraction(alpha)
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in ALPHA_FAMILIES]:
         raise ValueError(f"unknown alpha families: {unknown}")
     m = p**4
-    short = not {"MAIN1_TRUNC", "TAIL"}.isdisjoint(fams)
-    full = not {"MAIN1", "TAIL"}.isdisjoint(fams)
-    split = cache(lambda: _split_alpha(alpha, p))
-    closed = cache(lambda a: _closed_form(alpha, a, p, 4))
-    # one pass of S(alpha, .), checkpointed at the truncations the requested
-    # families read: a (MAIN1_TRUNC, TAIL) and p-1 (MAIN1, TAIL)
-    partial = cache(lambda a: _main_checkpoints(
-        alpha, [M for M, read in ((a, short), (p - 1, full)) if read], p))
-    tables = cache(lambda: _poch_prefix(alpha, p))
+    lemmas = not set(LEMMA_FAMILIES).isdisjoint(fams)
+    pre = cache(lambda: _poch_prefix(alpha, p, 2 * p - 1 if lemmas else p - 1))
+    closed = cache(lambda: _closed_form(alpha, *pre()[3:], p, 4))
+    partial = cache(lambda: _main_sums(pre(), p, p - 1))
 
     def sides(fam: str) -> tuple[int, int]:
         if p <= 3:
             raise PreconditionViolated(f"needs p > 3, got p = {p}")
-        a, t = split()
+        a = pre()[3]
         if fam in ALPHA_TRUNCATIONS:
-            return partial(a)[p - 1 if fam == "MAIN1" else a], closed(a)
+            return partial()[p - 1 if fam == "MAIN1" else a], closed()
         if fam == "TAIL":
             if a == p - 1:
                 raise PreconditionViolated(
                     f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
                 )
-            s = partial(a)
+            s = partial()
             return (s[p - 1] - s[a]) % m, 0
-        return _lemma_sides(fam, alpha, p, a, t, tables)
+        return _lemma_sides(fam, alpha, p, pre())
 
     return family_records([(fam, ALPHA_TRUNCATIONS.get(fam)) for fam in fams],
                           lambda fam, _: _residue_sides(p, 4, *sides(fam)),

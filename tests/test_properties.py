@@ -2,8 +2,9 @@
 
 Euler residues are checked against exact Euler polynomials and against
 sympy's Euler numbers, and the integer Euler-identity check against its
-Fraction loop in exact_oracle; the residue sums, and every checkpoint of one sum
-pass, against their exact Fraction sums;
+Fraction loop in exact_oracle; the residue sums, and every truncation read
+from one prefix's partial sums, against their exact Fraction sums; the
+Pochhammer prefix against exact Pochhammer symbols;
 the Pochhammer-quotient lemmas against their exact Fraction evaluation
 (both sides at p <= 31, the right sides at every prime in [1900, 2000]),
 and the per-prime factorial and harmonic residue tables entry by entry;
@@ -50,8 +51,9 @@ from supercong.sequences import (
 )
 from supercong.verifier import (
     LEMMA_FAMILIES,
-    _main_checkpoints,
-    _mao_checkpoints,
+    _main_sums,
+    _mao_sums,
+    _poch_prefix,
     _prime_tables,
     sum_main,
     sum_mao,
@@ -177,15 +179,15 @@ def test_sum_mao_matches_exact(p, data, e):
 @PROPS
 @given(p=primes_to_31, data=st.data(), alpha=rationals)
 def test_checkpoints_match_exact(p, data, alpha):
-    # one pass read at several truncations (in any order, repeats allowed)
-    # gives each prefix sum
+    # the partial sums of one prefix, read at several truncations (in any
+    # order, repeats allowed), give each truncated sum
     assume(alpha.denominator % p)
     Ms = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6), label="Ms")
-    m = p**4
-    assert _main_checkpoints(alpha, Ms, p) == {
-        M: _mod(sum_main_exact(alpha, M), m) for M in Ms
-    }
-    assert _mao_checkpoints(Ms, p) == {M: _mod(sum_mao_exact(M), m) for M in Ms}
+    m, top = p**4, max(Ms)
+    got = _main_sums(_poch_prefix(alpha, p, top), p, top)
+    assert [got[M] for M in Ms] == [_mod(sum_main_exact(alpha, M), m) for M in Ms]
+    got = _mao_sums(_poch_prefix(Fraction(1, 2), p, top), p, top)
+    assert [got[M] for M in Ms] == [_mod(sum_mao_exact(M), m) for M in Ms]
 
 
 @PROPS
@@ -292,16 +294,35 @@ def test_lemma_matches_exact_oracle(fam, p, data):
 
 
 @PROPS
+@given(p=primes_to_31, data=st.data())
+def test_poch_prefix_matches_exact(p, data):
+    # p^(e_j) u_j ≡ (alpha)_j (mod p^4) for j <= 2p-1, e_j = v0 [j > a]
+    # + v1 [j > a+p], and a, t as decompose gives them; p^5 - 1 has
+    # t = p^4 ≡ 0 (mod p^4) without a zero factor
+    alpha = data.draw(st.one_of(_lemma_alphas(p), st.just(Fraction(p**5 - 1))),
+                      label="alpha")
+    m, n = p**4, 2 * p - 1
+    u, v0, v1, a, t = _poch_prefix(alpha, p, n)
+    d = decompose(alpha, p)
+    assert (a, t) == (d.a, _mod(d.t, m))
+    assert len(u) == n + 1
+    for j in range(n + 1):
+        e = v0 * (j > a) + v1 * (j > a + p)
+        assert p**e * u[j] % m == _mod(pochhammer(alpha, j), m), j
+
+
+@PROPS
 @given(p=st.sampled_from(sieve_primes(2, 31)))
 def test_prime_tables_match_exact(p):
     m = p**4
-    fact, h1, h2, alt2 = _prime_tables(p)
-    assert len(fact) == len(h1) == len(h2) == len(alt2) == p
+    fact, h1, h2, alt2, sinv3 = _prime_tables(p)
+    assert len(fact) == len(h1) == len(h2) == len(alt2) == len(sinv3) == p
     for j in range(p):
         assert fact[j] == math.factorial(j) % m, j
         assert h1[j] == _mod(harmonic(j), m), j
         assert h2[j] == _mod(harmonic(j, 2), m), j
         assert alt2[j] == _mod(alternating_reciprocal_squares(j), m), j
+        assert sinv3[j] == _mod(Fraction((-1) ** j, math.factorial(j) ** 3), m), j
 
 
 @pytest.mark.parametrize("p", sieve_primes(1900, 2000))

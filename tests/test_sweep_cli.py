@@ -207,6 +207,23 @@ def test_skip_record_has_the_labels_of_the_result():
         assert _labels(replace(skip, p=real.p)) == _labels(real)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--pmax", "3000000000", "--family", "B2"],
+    ["identities", "--pmax", "3000000000"],
+])
+def test_error_outside_every_instance_exits_4(monkeypatch, capsys, argv):
+    # an error raised before any instance runs, here the sieve running out of
+    # memory, is neither a failed check (1) nor a config error (2)
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sweep, "sieve_primes", exhausted)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and err.splitlines()[-1] == "MemoryError"
+    assert "config error" not in err
+
+
 # the residue class (mod, res) of p each classical and MAO family is stated
 # for, from the README table; None: every p
 CLASSES = {
@@ -222,6 +239,23 @@ def _admitted(p):
         f for f in PRIME_FAMILIES
         if CLASSES[f] is None or p % CLASSES[f][0] == CLASSES[f][1]
     )
+
+
+@pytest.mark.parametrize("p", sieve_primes(2, 61))
+def test_prime_skip_reasons(p):
+    for r in verify_prime(p):
+        mod, res = CLASSES[r.family] or (1, 0)
+        small = f"{r.family} needs p > 3" if r.family in FAMILIES else "needs p > 3"
+        # a classical family tests the residue class of p first, a MAO
+        # variant p > 3
+        off = f"{r.family} needs p ≡ {res} (mod {mod})"
+        checks = [(p % mod != res, f"{off}, got p = {p}"),
+                  (p <= 3, f"{small}, got p = {p}")]
+        if r.family not in FAMILIES:
+            checks.reverse()
+        want = next((reason for failed, reason in checks if failed), None)
+        assert r.reason == want, r
+        assert (r.passed is None) == (want is not None), r
 
 
 def test_one_instance_per_prime():

@@ -22,8 +22,9 @@ from supercong.verifier import (
     LEMMA_FAMILIES,
     MAO_VARIANTS,
     PRIME_FAMILIES,
-    _main_checkpoints,
-    _mao_checkpoints,
+    _main_sums,
+    _mao_sums,
+    _poch_prefix,
     sum_main,
     sum_mao,
     ramanujan_partial,
@@ -443,14 +444,15 @@ def test_verify_alpha_grouped_equals_one_family_at_a_time(p):
 
 
 def _counting(monkeypatch, names):
-    # calls[name] counts the calls of verifier.<name> from here on
-    calls = dict.fromkeys(names, 0)
+    # calls[name] lists the arguments of each call of verifier.<name> from
+    # here on
+    calls = {name: [] for name in names}
 
     def counted(name):
         real = getattr(verifier, name)
 
         def call(*args):
-            calls[name] += 1
+            calls[name].append(args)
             return real(*args)
         return call
 
@@ -460,34 +462,48 @@ def _counting(monkeypatch, names):
 
 
 def test_verify_alpha_computes_shared_values_once(monkeypatch):
-    calls = _counting(monkeypatch, ("_main_checkpoints", "_poch_prefix"))
+    calls = _counting(monkeypatch, ("_partial_sums", "_poch_prefix"))
 
     def count(families, alpha=Fraction(1, 3), p=13):
-        calls.update(dict.fromkeys(calls, 0))
+        for args in calls.values():
+            args.clear()
         assert all(r.passed for r in verify_alpha(alpha, p, families))
-        return calls["_main_checkpoints"], calls["_poch_prefix"]
+        # the prefix reaches 2p-1 only for the lemma families
+        lemmas = not set(LEMMA_FAMILIES).isdisjoint(families)
+        assert [n for _, _, n in calls["_poch_prefix"]] == (
+            [2 * p - 1 if lemmas else p - 1] * len(calls["_poch_prefix"]))
+        return len(calls["_partial_sums"]), len(calls["_poch_prefix"])
 
-    # one sum pass serves MAIN1, MAIN1_TRUNC and TAIL
+    # one prefix per call; one set of partial sums serves MAIN1,
+    # MAIN1_TRUNC and TAIL
     assert count(ALPHA_FAMILIES) == (1, 1)
-    assert count(("MAIN1",)) == (1, 0)
-    assert count(("MAIN1", "MAIN1_TRUNC", "TAIL")) == (1, 0)
+    assert count(("MAIN1",)) == (1, 1)
+    assert count(("MAIN1", "MAIN1_TRUNC", "TAIL")) == (1, 1)
     assert count(LEMMA_FAMILIES) == (0, 1)
     assert count(("TAIL", "TAIL", "LEMMA_PROD", "LEMMA_SIGMA")) == (1, 1)
+    for fam in ALPHA_FAMILIES:
+        assert count((fam,))[1] == 1, fam
 
 
 def test_verify_prime_runs_one_pass_per_sum(monkeypatch):
-    # the thirteen classical and MAO families at a prime: one S(1/d, .)
-    # pass per weight d in {2, 3, 4} and one 8^(-k) pass
-    calls = _counting(monkeypatch, ("_main_checkpoints", "_mao_checkpoints"))
+    # the thirteen classical and MAO families at a prime: one prefix per
+    # weight d in {2, 3, 4}, the one at 1/2 shared by the 8^(-k) sum, and
+    # one set of partial sums per sum
+    calls = _counting(monkeypatch, ("_poch_prefix", "_partial_sums"))
     assert len(PRIME_FAMILIES) == 13
     for p in (5, 7, 13, 2003):
-        calls.update(dict.fromkeys(calls, 0))
+        for args in calls.values():
+            args.clear()
         recs = verify_prime(p)
         assert all(r.passed is not False for r in recs)
-        assert (calls["_main_checkpoints"], calls["_mao_checkpoints"]) == (3, 1), p
-    calls.update(dict.fromkeys(calls, 0))
+        assert sorted(alpha for alpha, _, _ in calls["_poch_prefix"]) == [
+            Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)], p
+        assert len(calls["_partial_sums"]) == 4, p
+    for args in calls.values():
+        args.clear()
     verify_prime(13, ("B2", "SUN_B2"), ("full",))
-    assert (calls["_main_checkpoints"], calls["_mao_checkpoints"]) == (1, 0)
+    assert [alpha for alpha, _, _ in calls["_poch_prefix"]] == [Fraction(1, 2)]
+    assert len(calls["_partial_sums"]) == 1
 
 
 @pytest.mark.parametrize("p", sieve_primes(2, 61))
@@ -509,12 +525,10 @@ def test_verify_prime_grouped_equals_one_family_at_a_time(p):
 
 def test_each_record_reads_its_own_checkpoint(monkeypatch):
     # S(1/d, a) ≡ S(1/d, p-1) (mod p^4), so a record that read the wrong
-    # truncation would still pass: a fake pass that returns M at checkpoint
-    # M shows which one each record read
-    monkeypatch.setattr(verifier, "_main_checkpoints",
-                        lambda alpha, Ms, p: dict(zip(Ms, Ms)))
-    monkeypatch.setattr(verifier, "_mao_checkpoints",
-                        lambda Ms, p: dict(zip(Ms, Ms)))
+    # truncation would still pass: fake partial sums that are M at index M
+    # show which one each record read
+    monkeypatch.setattr(verifier, "_partial_sums",
+                        lambda pre, p, top, b, c, z=1: list(range(top + 1)))
     p = 13
     recs = [r for r in verify_prime(p) if r.passed is not None]
     assert len(recs) == 15  # 6 families at p ≡ 1 (mod 12), 3 MAO variants
@@ -560,10 +574,11 @@ def _plain_mao_sum(M, p):
 def test_checkpoints_match_a_plain_loop_near_2000(p):
     for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-8, 5)):
         Ms = (0, decompose(alpha, p).a, (p - 1) // 2, p - 1)
-        got = _main_checkpoints(alpha, Ms, p)
-        assert got == {M: _plain_main_sum(alpha, M, p) for M in Ms}, alpha
+        got = _main_sums(_poch_prefix(alpha, p, p - 1), p, p - 1)
+        assert [got[M] for M in Ms] == [_plain_main_sum(alpha, M, p) for M in Ms], alpha
     Ms = (1, (p - 1) // 2, p - 1)
-    assert _mao_checkpoints(Ms, p) == {M: _plain_mao_sum(M, p) for M in Ms}
+    got = _mao_sums(_poch_prefix(Fraction(1, 2), p, p - 1), p, p - 1)
+    assert [got[M] for M in Ms] == [_plain_mao_sum(M, p) for M in Ms]
 
 
 def test_ramanujan_partial():

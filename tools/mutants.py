@@ -30,10 +30,10 @@ so only the test that pins sequences._horner_halves to 2^n P(j/2) sees it.
 
 Not equivalent, though no record shows them: the theorem makes
 S(alpha, a) ≡ S(alpha, p-1) (mod p^4), so a record that reads the other
-truncation of the sum pass (MAIN1 and MAIN1_TRUNC, a classical family's
-short and full, EQUIV's p-1) still passes.  A test that fakes the pass,
-returning M at checkpoint M, shows which truncation each record read, so
-these swaps are in the list.
+truncation of the partial sums (MAIN1 and MAIN1_TRUNC, a classical
+family's short and full, EQUIV's p-1) still passes.  A test that fakes the
+partial sums, returning M at index M, shows which truncation each record
+read, so these swaps are in the list.
 """
 
 from __future__ import annotations
@@ -158,29 +158,35 @@ MUTATIONS = (
     Mutation("closed form Euler index", "verifier.py",
              "euler_poly_eval_mod(p - 3, alpha, p)",
              "euler_poly_eval_mod(p - 2, alpha, p)", CLOSED_TESTS),
-    # the checkpointed sum passes
-    Mutation("main pass segment start", "verifier.py",
-             "range(done + 1, M + 1):\n            k3",
-             "range(done, M + 1):\n            k3", VERIFY_TESTS),
-    Mutation("main pass inverse at the wrong checkpoint", "verifier.py",
-             "for M in Ms:\n        for k in range(done + 1, M + 1):\n            k3",
-             "for M in Ms[::-1]:\n        for k in range(done + 1, M + 1):\n            k3",
+    # the Pochhammer prefix and its partial sums
+    Mutation("prefix p-part of the factor a + p", "verifier.py",
+             "factors[a + p] = u0, u1", "factors[a + p - 1] = u0, u1", VERIFY_TESTS),
+    Mutation("prefix t from alpha + a reduced mod p^4", "verifier.py",
+             "(num + a * den) // p * inv % m", "(num + a * den) % m // p * inv % m",
              VERIFY_TESTS),
-    Mutation("mao pass segment start", "verifier.py",
-             "range(done + 1, M + 1):\n            dk",
-             "range(done, M + 1):\n            dk", VERIFY_TESTS),
+    Mutation("partial sums scale p^v0 from k = a on", "verifier.py",
+             "((0, min(a, top) + 1), (a + 1, top + 1))",
+             "((0, min(a, top)), (a, top + 1))", VERIFY_TESTS),
+    Mutation("partial sums valuation 3 v0", "verifier.py",
+             "p ** (3 * v0)", "p ** (3 * v0 - 1)", VERIFY_TESTS),
+    Mutation("partial sums 8^(-k) step", "verifier.py",
+             "x * y % m, initial=1)", "x * y % m, initial=z)", VERIFY_TESTS),
+    Mutation("main sums weight 2k + alpha", "verifier.py",
+             "2, p * t - a)", "2, p * t + a)", VERIFY_TESTS),
     # the shared values of verify_prime
     Mutation("prime EQUIV reads the short checkpoint", "verifier.py",
              "4 * main(4)[p - 1]", "4 * main(4)[(p - 1) // 4]", VERIFY_TESTS),
     Mutation("prime p^3 family not reduced mod p^3", "verifier.py",
              "d * s % p**e", "d * s % m", VERIFY_TESTS),
     Mutation("prime short and full checkpoints swapped", "verifier.py",
-             'main(d)[a if truncation == "short" else p - 1]',
-             'main(d)[p - 1 if truncation == "short" else a]', VERIFY_TESTS),
+             'main(d)[pre(d)[3] if truncation == "short" else p - 1]',
+             'main(d)[p - 1 if truncation == "short" else pre(d)[3]]', VERIFY_TESTS),
+    Mutation("prime EQUIV residue class", "verifier.py",
+             '"EQUIV": (4, 1)', '"EQUIV": (4, 3)', VERIFY_TESTS),
     # the shared values of verify_alpha and the lemma preconditions
     Mutation("alpha MAIN1 and MAIN1_TRUNC checkpoints swapped", "verifier.py",
-             'partial(a)[p - 1 if fam == "MAIN1" else a]',
-             'partial(a)[a if fam == "MAIN1" else p - 1]', VERIFY_TESTS),
+             'partial()[p - 1 if fam == "MAIN1" else a]',
+             'partial()[a if fam == "MAIN1" else p - 1]', VERIFY_TESTS),
     Mutation("alpha TAIL empty test", "verifier.py",
              "if a == p - 1:\n                raise PreconditionViolated",
              "if a == p - 2:\n                raise PreconditionViolated",
@@ -200,6 +206,8 @@ MUTATIONS = (
              "inv_fact[j] * j % m", "inv_fact[j] * (j + 1) % m", VERIFY_TESTS),
     Mutation("prime table alternating sign", "verifier.py",
              "-r if k % 2 else r", "r if k % 2 else -r", VERIFY_TESTS),
+    Mutation("prime table sign of (-1)^k/k!^3", "verifier.py",
+             "(-f if j & 1 else f)", "(f if j & 1 else -f)", VERIFY_TESTS),
 )
 
 
