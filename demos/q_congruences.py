@@ -10,18 +10,22 @@ the modulus, the Hasse derivatives D^j N of the numerator must vanish
 mod Phi_d for j below e plus the multiplicity of Phi_d in the denominator.
 Both factorizations are known, so congruence_failure takes the numerator,
 the modulus as its (d, e) list and the denominator's multiplicities.
+The numerator of a weighted sum minus a right side, all over the common
+denominator (q^4;q^4)_{n-1}^3, comes from qseries._sum_numerator.
 """
+
+import math
+from fractions import Fraction
 
 from supercong import (
     congruence_failure,
     conjecture41_witness,
     cyclotomic,
-    lhs_e2_q,
-    lhs_f2_q,
+    pochhammer,
     q_integer,
-    q_limit_term_check,
     verify_q,
 )
+from supercong.qseries import IntPoly, _binomials, _sum_numerator
 
 print("building blocks:")
 print(f"  [5]       = {q_integer(5).to_string()}   (coefficient list, low degree first)")
@@ -55,13 +59,30 @@ print(f"  failing factor Phi_d, derivative order j: "
       f"{w['cyclotomic_index']}, {w['derivative_order']} (None = congruent)")
 
 print("\na deliberately broken difference, e2(9) - f2(9) + Phi_9^3, mod [9] Phi_9^3:")
-e2, f2 = lhs_e2_q(9), lhs_f2_q(9)  # both over den = (q^4;q^4)_8^3
-broken = e2.num - f2.num + e2.den * cyclotomic(9) ** 3
+# Phi_9 = (1 - q^9) / (1 - q^3); over den = (q^4;q^4)_8^3, the numerator of
+# e2 - f2 - rhs with rhs = -Phi_9^3 is e2.num - f2.num + den * Phi_9^3
+phi9_cubed = IntPoly(_binomials({9: 3, 3: -3}))
+broken = _sum_numerator(9, 1, -1, -phi9_cubed)
 # [9] Phi_9^3 = Phi_3 Phi_9^4; Phi_3 | 1 - q^(4j) for j = 3, 6, cubed in den
 d, j, residue = congruence_failure(broken, [(3, 1), (9, 4)], {3: 6, 9: 0})
 print(f"  Phi_3 divides the denominator 6 times, so D^j N must vanish mod Phi_3"
       f" for j < 7;\n  first nonzero: d={d}, j={j}, D^j N mod Phi_d ="
       f" {residue.to_string()}")
 
+
+def q_limit(k):
+    """The k-th e2 summand at q -> 1, up to its sign, factor by factor:
+    [6k+1] -> 6k+1, q^(3k^2) -> 1 and (1 - q^a) / (1 - q^b) -> a / b for the
+    factor pairs 1 - q^(2i+1) of (q;q^2)_k and 1 - q^(4i+4) of (q^4;q^4)_k."""
+    ratio = math.prod(Fraction(2 * i + 1, 4 * i + 4) for i in range(k))
+    return (6 * k + 1) * ratio**3
+
+
+def numeric_term(k):
+    """(6k+1) (1/2)_k^3 / (8^k k!^3), the k-th term of the numeric series."""
+    cube = pochhammer(Fraction(1, 2), k) ** 3
+    return (6 * k + 1) * cube / (8**k * math.factorial(k) ** 3)
+
+
 print("\nq -> 1 limit of each summand matches the numeric series term by term:")
-print("  k=0..7:", all(q_limit_term_check(8, k) for k in range(8)))
+print("  k=0..7:", all(q_limit(k) == numeric_term(k) for k in range(8)))

@@ -13,8 +13,9 @@ The package checks, over ranges of primes p and rational parameters:
   difference conjecture, with counterexample witnesses.
 
 Everything is integer or rational arithmetic; no floats except the one
-floating-point smoke check.  The top level re-exports what the demos and
-the README use; everything else is imported from its module.
+floating-point smoke check.  The top level re-exports the public names
+the demos and the README use; everything else, such as the q-sum numerator
+qseries._sum_numerator, is imported from its module.
 """
 
 from .padic import decompose
@@ -33,10 +34,7 @@ from .qseries import (
     congruence_failure,
     conjecture41_witness,
     cyclotomic,
-    lhs_e2_q,
-    lhs_f2_q,
     q_integer,
-    q_limit_term_check,
     verify_q,
 )
 

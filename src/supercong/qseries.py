@@ -1,11 +1,12 @@
-"""Exact polynomial algebra in q and the q-analogue congruences.
+"""Integer polynomials in q and the q-analogue congruences.
 
-IntPoly is a dense integer-coefficient polynomial; RationalFunction the
-plain num/den pair that lhs_e2_q and lhs_f2_q return.  Congruence of a
-rational function N/D modulo a polynomial M means: in lowest terms, the
-denominator is coprime to M and M divides the numerator (the standard
-convention for q-congruences whose raw denominators are only coprime to M
-after cancellation).
+IntPoly is a dense integer-coefficient polynomial.  Every polynomial built
+here is a product of binomials (1 - q^s)^(+-k), a one-pass Horner sum, or a
+remainder modulo a monic Phi_d.  Congruence of a rational function N/D
+modulo a polynomial M means: in lowest terms, the denominator is coprime
+to M and M divides the numerator (the standard convention for
+q-congruences whose raw denominators are only coprime to M after
+cancellation).
 
 Every modulus here has a known cyclotomic factorization,
 [n] Phi_n^e = prod_{d | n, d > 1} Phi_d * Phi_n^e, and Phi_d divides the
@@ -33,8 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -45,23 +45,17 @@ from .records import (
     family_records,
     norm_family,
 )
-from .sequences import pochhammer
 
 __all__ = [
     "InternalNonExactDivision",
     "IntPoly",
-    "RationalFunction",
     "q_integer",
-    "q_pochhammer",
     "cyclotomic",
-    "lhs_e2_q",
-    "lhs_f2_q",
     "congruence_failure",
     "QFamily",
     "Q_FAMILIES",
     "verify_q",
     "conjecture41_witness",
-    "q_limit_term_check",
 ]
 
 
@@ -96,16 +90,6 @@ class IntPoly:
     def zero(cls) -> IntPoly:
         return cls(())
 
-    @classmethod
-    def one(cls) -> IntPoly:
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, c: int, d: int) -> IntPoly:
-        if d < 0:
-            raise ValueError(f"degree must be >= 0, got {d}")
-        return cls((0,) * d + (c,))
-
     def to_string(self) -> str:
         if not self.coeffs:
             return "0"
@@ -120,11 +104,6 @@ class IntPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -161,40 +140,6 @@ class IntPoly:
     def __rsub__(self, other) -> IntPoly:
         return _coerce(other) + (-self)
 
-    def __mul__(self, other) -> IntPoly:
-        if isinstance(other, int):
-            if other == 0:
-                return IntPoly.zero()
-            return IntPoly(tuple(other * c for c in self.coeffs))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPoly.zero()
-        ia = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        ib = [(j, c) for j, c in enumerate(other.coeffs) if c]
-        if len(ia) > len(ib):
-            ia, ib = ib, ia
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in ia:
-            for j, cj in ib:
-                out[i + j] += ci * cj
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> IntPoly:
-        if e < 0:
-            raise ValueError(f"exponent must be >= 0, got {e}")
-        out = IntPoly.one()
-        base = self
-        while True:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if not e:
-                return out
-            base = base * base
-
     def shift(self, d: int) -> IntPoly:
         """Multiply by q^d."""
         if d < 0:
@@ -202,52 +147,6 @@ class IntPoly:
         if self.is_zero:
             return self
         return IntPoly((0,) * d + self.coeffs)
-
-    def evaluate(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    # -- division
-
-    def _long_div(self, d: IntPoly) -> tuple[IntPoly, IntPoly] | None:
-        """Integer long division; None as soon as a quotient step is non-integral.
-
-        When it returns (q, r), self = q*d + r over Z with deg r < deg d.
-        """
-        if d.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        dd = len(d.coeffs) - 1
-        dc = d.coeffs
-        if len(r) - 1 < dd:
-            return IntPoly.zero(), self
-        q = [0] * (len(r) - dd)
-        for i in range(len(r) - 1 - dd, -1, -1):
-            head = r[i + dd]
-            if head == 0:
-                continue
-            step, rem = divmod(head, dc[-1])
-            if rem:
-                return None
-            q[i] = step
-            for j, c in enumerate(dc):
-                r[i + j] -= step * c
-        return IntPoly(q), IntPoly(r)
-
-    def try_exact_div(self, d: IntPoly) -> IntPoly | None:
-        """self / d when d divides self exactly over Z; None otherwise."""
-        qr = self._long_div(d)
-        if qr is None or not qr[1].is_zero:
-            return None
-        return qr[0]
-
-    def exact_div(self, d: IntPoly) -> IntPoly:
-        q = self.try_exact_div(d)
-        if q is None:
-            raise InternalNonExactDivision(f"{d!r} does not divide {self!r}")
-        return q
 
 
 def _coerce(x) -> IntPoly:
@@ -266,16 +165,6 @@ def q_integer(n: int) -> IntPoly:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return IntPoly((1,) * n)
-
-
-def q_pochhammer(a: int, b: int, k: int) -> IntPoly:
-    """(q^a; q^b)_k = prod_{i=0}^{k-1} (1 - q^(a+b*i))."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    out = IntPoly.one()
-    for i in range(k):
-        out = out - out.shift(a + b * i)
-    return out
 
 
 def _divisors(n: int) -> list[int]:
@@ -305,31 +194,54 @@ def _mobius(n: int) -> int:
     return mu
 
 
+def _binomials(exponents: dict[int, int]) -> list[int]:
+    """prod_s (1 - q^s)^k_s for exponents {s: k_s}, as a coefficient list.
+
+    Every factor with k_s > 0 is multiplied in first, by shift-and-subtract;
+    then each (1 - q^s) with k_s < 0 is divided out by the running sum
+    c[i] += c[i - s], which stays exact whenever the whole product is a
+    polynomial.  A division that leaves a remainder raises.
+    """
+    c = [1]
+    for s, k in sorted(exponents.items(), key=lambda sk: -sk[1]):
+        for _ in range(k):
+            c = [x - y for x, y in zip(c + [0] * s, [0] * s + c)]
+        for _ in range(-k):
+            for r in range(s):
+                c[r::s] = accumulate(c[r::s])
+            if any(c[-s:]):
+                raise InternalNonExactDivision(f"1 - q^{s} leaves a remainder")
+            del c[-s:]
+    return c
+
+
+def _mobius_exponents(n: int, e: int) -> Counter:
+    """{d: e mu(n/d)} for d | n: Phi_n^e = prod_{d|n} (1 - q^d)^(e mu(n/d)) for
+    n > 1, where the signs of the (q^d - 1) cancel since sum mu(n/d) = 0."""
+    return Counter({d: e * mu for d in _divisors(n) if (mu := _mobius(n // d))})
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """Phi_n(q) via the Moebius product prod_{d|n} (q^d - 1)^mu(n/d)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    num = IntPoly.one()
-    dens = []
-    for d in _divisors(n):
-        mu = _mobius(n // d)
-        if mu == 0:
-            continue
-        f = IntPoly.monomial(1, d) - 1
-        if mu == 1:
-            num = num * f
-        else:
-            dens.append(f)
-    # dividing factor by factor stays exact: after each step the quotient
-    # is still Phi_n times a product of the remaining (q^d - 1)
-    for f in dens:
-        num = num.exact_div(f)
-    return num
+    if n == 1:
+        return IntPoly((-1, 1))
+    return IntPoly(_binomials(_mobius_exponents(n, 1)))
 
 
 # ---------------------------------------------------------------------------
 # congruence at roots of unity
+
+def _monic_rem(c: list[int], m: tuple[int, ...]) -> IntPoly:
+    """c mod the monic m, both coefficient lists; c is overwritten."""
+    k = len(m) - 1
+    for i in range(len(c) - 1, k - 1, -1):
+        if t := c[i]:
+            c[i - k:i] = [x - t * y for x, y in zip(c[i - k:i], m)]
+    return IntPoly(c[:k])
+
 
 def _hasse_residues(f: IntPoly, d: int):
     """Yield D^j f mod Phi_d for j = 0, 1, 2, ...; D^j f = f^(j) / j!.
@@ -344,8 +256,7 @@ def _hasse_residues(f: IntPoly, d: int):
     while True:
         folded = [sum(w[s::d]) for s in range(d)]
         shift = j % d
-        # Phi_d is monic, so the integer long division always completes
-        yield IntPoly(folded[shift:] + folded[:shift])._long_div(phi)[1]
+        yield _monic_rem(folded[shift:] + folded[:shift], phi.coeffs)
         w = [c * (i - j) // (j + 1) for i, c in enumerate(w)]
         j += 1
 
@@ -426,11 +337,8 @@ def _sum_numerator(
 
 
 def _cube_denominator(n: int) -> IntPoly:
-    """((q^4;q^4)_{n-1})^3 by one sparse cube update per factor."""
-    den = [1]
-    for k in range(1, n):
-        den = _times_cube(den, 4 * k)
-    return IntPoly(den)
+    """((q^4;q^4)_{n-1})^3 = prod_{k<n} (1 - q^(4k))^3."""
+    return IntPoly(_binomials({4 * k: 3 for k in range(1, n)}))
 
 
 def _den_order(n: int, d: int) -> int:
@@ -440,28 +348,6 @@ def _den_order(n: int, d: int) -> int:
     1 - q^(4j) once when d / gcd(d, 4) divides j and not at all otherwise.
     """
     return 3 * ((n - 1) // (d // math.gcd(d, 4)))
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """The raw (num, den) pair of a q-sum, not reduced to lowest terms."""
-
-    num: IntPoly
-    den: IntPoly
-
-    def __post_init__(self) -> None:
-        if self.den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-
-
-def lhs_e2_q(n: int) -> RationalFunction:
-    """sum_{k=0}^{n-1} (-1)^k [6k+1] (q;q^2)_k^3 q^(3k^2) / (q^4;q^4)_k^3."""
-    return RationalFunction(_sum_numerator(n, 1, 0), _cube_denominator(n))
-
-
-def lhs_f2_q(n: int) -> RationalFunction:
-    """sum_{k=0}^{n-1} (-1)^k [8k+1] (q;q^4)_k^3 q^(2k^2+k) / (q^4;q^4)_k^3."""
-    return RationalFunction(_sum_numerator(n, 0, 1), _cube_denominator(n))
 
 
 # ---------------------------------------------------------------------------
@@ -541,36 +427,15 @@ def conjecture41_witness(n: int) -> dict[str, int | str | None]:
     f = Q_FAMILIES["CONJ41"]
     num, failure = _q_check(n, f)
     d, j, witness = failure or (None, None, None)
+    # [n] Phi_n^e = (1 - q^n) / (1 - q) * Phi_n^e
+    modulus = _mobius_exponents(n, f.phi_exp)
+    modulus.update({n: 1, 1: -1})
     return {
         "n": n,
-        "modulus": (q_integer(n) * cyclotomic(n) ** f.phi_exp).to_string(),
+        "modulus": IntPoly(_binomials(modulus)).to_string(),
         "difference_numerator": num.to_string(),
         "difference_denominator": _cube_denominator(n).to_string(),
         "cyclotomic_index": d,
         "derivative_order": j,
         "remainder_certificate": "" if witness is None else witness.to_string(),
     }
-
-
-def q_limit_term_check(n: int, k: int) -> bool:
-    """q -> 1 specialization of the k-th e2 summand.
-
-    Cancels (1-q)^(3k) from (q;q^2)_k^3 and (q^4;q^4)_k^3, evaluates at
-    q = 1 ([6k+1] -> 6k+1, q-powers -> 1), and compares exactly with
-    (6k+1) (1/2)_k^3 / (8^k k!^3).
-    """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got k = {k}, n = {n}")
-    num = q_pochhammer(1, 2, k) ** 3
-    den = q_pochhammer(4, 4, k) ** 3
-    one_minus_q = IntPoly((1, -1))
-    for _ in range(3 * k):
-        num = num.exact_div(one_minus_q)
-        den = den.exact_div(one_minus_q)
-    left = Fraction(6 * k + 1) * Fraction(num.evaluate(1), den.evaluate(1))
-    right = (
-        Fraction(6 * k + 1)
-        * pochhammer(Fraction(1, 2), k) ** 3
-        / (Fraction(8) ** k * Fraction(math.factorial(k)) ** 3)
-    )
-    return left == right

@@ -1,150 +1,107 @@
-"""Lowest-terms oracle for the q-congruence tests.
+"""Lowest-terms oracle for the q-congruence tests, in sympy's ZZ[q].
 
 The package tests congruences at roots of unity, from factorizations it
-knows.  This module keeps the integer gcd route as an independent check: a
-primitive pseudo-remainder gcd in Z[q], reduction of a rational function to
-lowest terms, and the congruence test built on them.  It also keeps the
-dense construction of the e2/f2 sums (one full cube power per term), and
-two ways to find how often Phi_d divides a polynomial: by exact division,
-and by the order of vanishing at a d-th root of unity mod a prime.
+knows, and builds its polynomials from (1 - q^s) factors on coefficient
+lists.  This module shares no arithmetic with it: its polynomials are
+elements of sympy's sparse polynomial ring ZZ[q], whose cancel, gcd and
+div reduce a rational function to lowest terms and test the congruence,
+and which multiplies out the dense construction of the e2/f2 sums (one
+full cube power per term) and their common denominator; Phi_d comes from
+sympy's cyclotomic_poly.  It also keeps two ways to find how often Phi_d
+divides a polynomial: by exact division, and by the order of vanishing at
+a d-th root of unity mod a prime.
 """
 
-import math
 from functools import lru_cache
 from itertools import accumulate, count, repeat
 from operator import add, mul
 
 import sympy
 
-from supercong.qseries import (
-    IntPoly,
-    RationalFunction,
-    cyclotomic,
-    q_integer,
-    q_pochhammer,
-)
+from supercong.qseries import IntPoly
+
+ZQ, Q = sympy.ring("q", sympy.ZZ)
 
 
-def content(f: IntPoly) -> int:
-    return math.gcd(*f.coeffs) if f.coeffs else 0
+def poly(f: IntPoly):
+    """The element of ZZ[q] with the coefficients of f."""
+    return ZQ.from_list(f.coeffs[::-1])
 
 
-def primitive_part(f: IntPoly) -> IntPoly:
-    """f divided by ±content so the leading coefficient is positive."""
-    if f.is_zero:
-        return f
-    c = content(f)
-    if f.lc < 0:
-        c = -c
-    return IntPoly(tuple(x // c for x in f.coeffs))
+def intpoly(f) -> IntPoly:
+    return IntPoly(reversed(f.to_dense()))
 
 
-def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
-    """prem(f, g) = lc(g)^(deg f - deg g + 1) * f  mod g (fraction-free)."""
-    if g.is_zero:
-        raise ZeroDivisionError("pseudo-remainder by zero")
-    if f.is_zero or f.degree < g.degree:
-        return f
-    e = int(f.degree - g.degree) + 1
-    lg = g.lc
-    r = f
-    steps = 0
-    while not r.is_zero and r.degree >= g.degree:
-        shift = int(r.degree - g.degree)
-        r = r * lg - IntPoly.monomial(r.lc, shift) * g
-        steps += 1
-    return r * lg ** (e - steps)
+@lru_cache(maxsize=None)
+def phi(d: int):
+    """The cyclotomic polynomial Phi_d."""
+    return ZQ(sympy.cyclotomic_poly(d, sympy.Symbol("q")))
 
 
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """gcd in Z[q] (primitive PRS), normalized to positive leading coefficient."""
-    if f.is_zero and g.is_zero:
-        return IntPoly.zero()
-    if f.is_zero:
-        return g if g.lc > 0 else -g
-    if g.is_zero:
-        return f if f.lc > 0 else -f
-    c = math.gcd(content(f), content(g))
-    a, b = primitive_part(f), primitive_part(g)
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        r = pseudo_rem(a, b)
-        a, b = b, primitive_part(r)
-    return c * a
+def q_int(m: int):
+    """[m] = 1 + q + ... + q^(m-1)."""
+    return ZQ.from_list([1] * m)
 
 
-def reduce(a: RationalFunction) -> RationalFunction:
-    """Lowest terms, primitive parts, positive leading denominator coefficient."""
-    if a.num.is_zero:
-        return RationalFunction(IntPoly.zero(), IntPoly.one())
-    n, d = a.num, a.den
-    sign = 1 if (n.lc > 0) == (d.lc > 0) else -1
-    np, dp = primitive_part(n), primitive_part(d)
-    g = poly_gcd(np, dp)
-    np, dp = np.exact_div(g), dp.exact_div(g)
-    cn, cd = content(n), content(d)
-    c = math.gcd(cn, cd)
-    return RationalFunction(sign * (cn // c) * np, (cd // c) * dp)
+def reduce(num, den):
+    """num / den in lowest terms, the denominator with a positive lead."""
+    return num.cancel(den)
 
 
-def modulus_part(den: IntPoly, modulus: IntPoly) -> IntPoly:
-    """The largest divisor of den supported on irreducible factors of modulus.
+def congruent(num, den, modulus) -> bool:
+    """num / den ≡ 0 (mod modulus) for a monic modulus: in lowest terms, the
+    denominator is coprime to the modulus and the modulus divides the
+    numerator (over ZZ, since the modulus is monic)."""
+    n, d = reduce(num, den)
+    return not n or (d.gcd(modulus).degree() == 0 and not n.rem(modulus))
 
-    Both arguments primitive; extraction by repeated gcd keeps every
-    multiplicity (each pass removes one layer of the shared factors).
+
+@lru_cache(maxsize=None)
+def dense_denominator(n: int):
+    """((q^4;q^4)_{n-1})^3, one cube power per factor."""
+    if n <= 1:
+        return ZQ(1)
+    return dense_denominator(n - 1) * (1 - Q ** (4 * (n - 1))) ** 3
+
+
+@lru_cache(maxsize=None)
+def _pochhammer_cube(k: int, kind: str):
+    """(q;q^2)_k^3 for e2, (q;q^4)_k^3 for f2, one cube power per factor."""
+    if k == 0:
+        return ZQ(1)
+    a = 2 * k - 1 if kind == "e2" else 4 * k - 3
+    return _pochhammer_cube(k - 1, kind) * (1 - Q**a) ** 3
+
+
+@lru_cache(maxsize=None)
+def lhs_q_dense(n: int, kind: str):
+    """(num, den) of the e2/f2 partial sum over den = ((q^4;q^4)_{n-1})^3.
+
+    A Horner step in n: the numerator at n is the one at n - 1 times the
+    full cube (1 - q^(4(n-1)))^3, plus the numerator of the summand
+    k = n - 1, whose own denominator (q^4;q^4)_k^3 is the common one.
     """
-    part = IntPoly.one()
-    rest = den
-    g = poly_gcd(rest, modulus)
-    while g.degree > 0:
-        part = part * g
-        rest = rest.exact_div(g)
-        g = poly_gcd(rest, g)
-    return part
+    k = n - 1
+    if kind == "e2":
+        s_k = q_int(6 * k + 1) * _pochhammer_cube(k, kind) * Q ** (3 * k * k)
+    else:
+        s_k = q_int(8 * k + 1) * _pochhammer_cube(k, kind) * Q ** (2 * k * k + k)
+    if k % 2:
+        s_k = -s_k
+    if k == 0:
+        return s_k, ZQ(1)
+    prev = lhs_q_dense(n - 1, kind)[0]
+    return prev * (1 - Q ** (4 * k)) ** 3 + s_k, dense_denominator(n)
 
 
-def gcd_witness(a: RationalFunction, modulus: IntPoly) -> IntPoly | None:
-    """None when a ≡ 0 (mod modulus); otherwise a nonzero pseudo-remainder.
-
-    With N/D the raw pair and dM the modulus-supported part of D, the
-    lowest-terms condition is exactly (modulus * dM) | N.
-    """
-    m = primitive_part(modulus)
-    if m.degree < 1 or a.num.is_zero:
-        return None
-    n = primitive_part(a.num)
-    check = m * modulus_part(primitive_part(a.den), m)
-    if n.try_exact_div(check) is not None:
-        return None
-    return pseudo_rem(n, check)
-
-
-def lhs_q_dense(n: int, kind: str) -> RationalFunction:
-    """e2/f2 partial sum by a Horner pass with dense cube powers per term."""
-    m = n - 1
-    pk = IntPoly.one()
-    acc = IntPoly.zero()
-    for k in range(m + 1):
-        if k > 0:
-            pk = pk - pk.shift(2 * k - 1 if kind == "e2" else 4 * k - 3)
-        if kind == "e2":
-            s_k = (q_integer(6 * k + 1) * pk**3).shift(3 * k * k)
-        else:
-            s_k = (q_integer(8 * k + 1) * pk**3).shift(2 * k * k + k)
-        if k % 2:
-            s_k = -s_k
-        cube = (IntPoly.one() - IntPoly.monomial(1, 4 * k)) ** 3
-        acc = s_k if k == 0 else acc * cube + s_k
-    return RationalFunction(acc, q_pochhammer(4, 4, m) ** 3)
-
-
-def cyclotomic_multiplicity(f: IntPoly, d: int) -> int:
+def cyclotomic_multiplicity(f, d: int) -> int:
     """The largest v with Phi_d^v | f, by repeated exact division (f != 0)."""
     v = 0
-    while (quo := f.try_exact_div(cyclotomic(d))) is not None:
+    while True:
+        quo, rem = f.div(phi(d))
+        if rem:
+            return v
         f, v = quo, v + 1
-    return v
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,6 @@ wz_oracle, verdicts and exceptions alike.  sympy is a test-only dependency.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 import sympy
@@ -28,13 +27,11 @@ from supercong.padic import MAX_EXPONENT, decompose, reduce_mod
 from supercong.primes import sieve_primes
 from supercong.qseries import (
     IntPoly,
-    RationalFunction,
+    _cube_denominator,
     _gz_rhs,
     _sum_numerator,
     congruence_failure,
     cyclotomic,
-    lhs_e2_q,
-    lhs_f2_q,
 )
 from supercong.records import PreconditionViolated
 from supercong import sequences
@@ -78,7 +75,15 @@ from exact_oracle import (
     sum_main_exact,
     sum_mao_exact,
 )
-from gcd_oracle import cyclotomic_multiplicity, gcd_witness, lhs_q_dense
+from gcd_oracle import (
+    ZQ,
+    congruent,
+    cyclotomic_multiplicity,
+    intpoly,
+    lhs_q_dense,
+    phi,
+    poly,
+)
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -339,65 +344,54 @@ def test_lemma_right_sides_match_exact_near_2000(p):
             assert rec.passed, rec
 
 
-Q = sympy.symbols("q")
-
-
-@lru_cache(maxsize=None)
-def _sympy_cyclotomic(d: int) -> IntPoly:
-    coeffs = sympy.Poly(sympy.cyclotomic_poly(d, Q), Q).all_coeffs()
-    return IntPoly(int(c) for c in reversed(coeffs))
-
-
 def test_cyclotomic_matches_sympy():
     for n in range(1, 201):
-        assert cyclotomic(n) == _sympy_cyclotomic(n), n
+        assert cyclotomic(n) == intpoly(phi(n)), n
 
 
-small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(IntPoly)
+small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(
+    lambda cs: ZQ.from_list(cs[::-1]))
 
 
 @st.composite
 def congruence_cases(draw):
-    """(N/D, [(d, e), ...]) for the modulus prod Phi_d^e, d increasing, and
-    each Phi_d in N with a multiplicity on either side of the threshold
-    v_d(D) + e."""
+    """(N, D, [(d, e), ...]) in sympy's ZZ[q] for the modulus prod Phi_d^e,
+    d increasing, and each Phi_d in N with a multiplicity on either side of
+    the threshold v_d(D) + e."""
     num = draw(small_polys)
     lead = draw(st.sampled_from((-2, -1, 1, 2)))
-    den = IntPoly(draw(st.lists(st.integers(-3, 3), max_size=3)) + [lead])
+    den = ZQ.from_list([lead] + draw(st.lists(st.integers(-3, 3), max_size=3))[::-1])
     factors = []
     for d in sorted(draw(st.lists(st.integers(1, 12), max_size=3, unique=True))):
-        phi = _sympy_cyclotomic(d)
         e = draw(st.integers(1, 3))
         v = draw(st.integers(0, 2))
         u = max(0, v + e + draw(st.integers(-2, 1)))
         factors.append((d, e))
-        den, num = den * phi**v, num * phi**u
+        den, num = den * phi(d) ** v, num * phi(d) ** u
     # a denominator factor that may or may not be shared with the modulus
-    den = den * _sympy_cyclotomic(draw(st.integers(1, 12))) ** draw(st.integers(0, 2))
-    return RationalFunction(num, den), factors
+    den = den * phi(draw(st.integers(1, 12))) ** draw(st.integers(0, 2))
+    return num, den, factors
 
 
 @PROPS
 @given(case=congruence_cases())
 def test_congruence_matches_gcd_oracle(case):
-    a, factors = case
-    m = IntPoly.one()
+    num, den, factors = case
+    m = ZQ(1)
     for d, e in factors:
-        m = m * _sympy_cyclotomic(d) ** e
-    want = gcd_witness(a, m) is None
+        m = m * phi(d) ** e
+    want = congruent(num, den, m)
     event("congruent" if want else "not congruent")
-    orders = {d: cyclotomic_multiplicity(a.den, d) for d, _ in factors}
-    failure = congruence_failure(a.num, factors, orders)
+    orders = {d: cyclotomic_multiplicity(den, d) for d, _ in factors}
+    failure = congruence_failure(intpoly(num), factors, orders)
     assert (failure is None) == want
     if failure is not None:
         d, j, r = failure
-        phi = _sympy_cyclotomic(d)
         assert d in dict(factors)
-        assert not r.is_zero and r.degree < phi.degree
+        assert not r.is_zero and r.degree < phi(d).degree()
 
 
 WEIGHTS = {"e2": (1, 0), "f2": (0, 1), "e2-f2": (1, -1), "gz-e2": (1, 0), "gz-f2": (0, 1)}
-_dense_sum = lru_cache(maxsize=None)(lhs_q_dense)
 
 
 @pytest.mark.parametrize("kind", list(WEIGHTS))
@@ -405,20 +399,17 @@ def test_lhs_q_matches_dense_construction(kind):
     # the one-pass numerator of e2, f2, e2 - f2 and of each GZ sum minus its
     # right side (odd n), against the dense sums over the same denominator
     for n in range(1, 18, 2 if kind.startswith("gz") else 1):
-        e2, f2 = _dense_sum(n, "e2"), _dense_sum(n, "f2")
+        (e2, den), (f2, _) = lhs_q_dense(n, "e2"), lhs_q_dense(n, "f2")
         rhs = _gz_rhs(n) if kind.startswith("gz") else IntPoly.zero()
         want = {
-            "e2": e2.num,
-            "f2": f2.num,
-            "e2-f2": e2.num - f2.num,
-            "gz-e2": e2.num - rhs * e2.den,
-            "gz-f2": f2.num - rhs * f2.den,
+            "e2": e2,
+            "f2": f2,
+            "e2-f2": e2 - f2,
+            "gz-e2": e2 - poly(rhs) * den,
+            "gz-f2": f2 - poly(rhs) * den,
         }[kind]
-        assert _sum_numerator(n, *WEIGHTS[kind], rhs) == want, n
-        public = {"e2": (lhs_e2_q, e2), "f2": (lhs_f2_q, f2)}.get(kind)
-        if public:
-            got = public[0](n)
-            assert (got.num, got.den) == (public[1].num, public[1].den), n
+        assert _sum_numerator(n, *WEIGHTS[kind], rhs) == intpoly(want), n
+        assert _cube_denominator(n) == intpoly(den), n
 
 
 def _outcome(fn, *args):

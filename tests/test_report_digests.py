@@ -5,14 +5,18 @@ classical families were rewritten as the general-alpha closed form at
 alpha = 1/d, so any change to a record, a skip reason or the rendering
 shows up here.  qverify_skips, at n's where each q-family both runs and
 skips for its condition on n, was taken before verify_gz and
-verify_conjecture41 became verify_q.  A deliberate report change must
-update them and say why.
+verify_conjecture41 became verify_q.  The stdout of each demo and the
+conjecture-41 witness JSON were pinned before every q-polynomial came to be
+built from (1 - q^s) factors.  A deliberate report change must update them
+and say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from supercong.qseries import conjecture41_witness
 from supercong.sweep import (
     Q_FAMILIES,
     VERIFY_FAMILIES,
@@ -23,6 +27,8 @@ from supercong.sweep import (
     run_sweep,
     run_wz,
 )
+
+from test_demos import DEMOS, run_demo
 
 # 1/5 is not 5-integral, 0 and -3 are nonpositive integers: all hit skips
 ALPHAS = ("1/5", "0", "-3", "1/2", "-1/3", "3/4")
@@ -68,3 +74,43 @@ def test_render_json_digest(name):
     run, want = CASES[name]
     got = hashlib.sha256(render_json(run()).encode()).hexdigest()
     assert got == want, f"{name}: report bytes changed"
+
+
+DEMO_DIGESTS = {
+    "classical_supercongruences":
+        "c150608afa0b4e26492db7d98f3b032f3da84d669183559f508c4da3929d6600",
+    "general_alpha_theorem":
+        "6d40e0e03883ba54c1e8ff7f5ab075541062473d78612f05bbe570e8460ac412",
+    "lemma_congruences":
+        "72bf01c6ba52b26fe7329075994c02a64a2723c4808564a29d8ef7b13c620d3f",
+    "q_congruences":
+        "9c78ce51e277d923ef53f3084cd20b36212f1824cdc764bc70f9eb5fc7096d88",
+    "ramanujan_series":
+        "0406d4c56b98c9c179149976a06dbbb95a426edd5d855d8f8767f70d60d3967a",
+    "wz_telescoping":
+        "98c2dc1d1827905a532f6637883818aecd898a93ad90dd87e32cee0ae72359ea",
+}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_stdout_digest(demo):
+    proc = run_demo(demo)
+    assert proc.returncode == 0, proc.stderr
+    got = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert got == DEMO_DIGESTS[demo.stem], f"{demo.stem}: stdout changed"
+
+
+WITNESS_DIGESTS = {
+    5: "ff942a088dab76155ffac411a9cfeeb6d61cf7c69069ddbb1dd8d3c657facd94",
+    9: "1f2f9c35a65cf1adda6c13cf22dd435e2fbe912a943e157ff996fb962ac89286",
+    13: "d557aa2f6c86f76568ccbf531fe9dbe428d91118f810352368a65d9be4db1f3d",
+    29: "77ef85716705ef369a693fe5c17403bb89b9e4bf46bab43fce66c641e385e44d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(WITNESS_DIGESTS))
+def test_conjecture41_witness_digest(n):
+    # the JSON the CLI writes to conj41_witness_n{n}.json, less its newline
+    text = json.dumps(conjecture41_witness(n), indent=2, sort_keys=True)
+    got = hashlib.sha256(text.encode()).hexdigest()
+    assert got == WITNESS_DIGESTS[n], f"n = {n}: witness bytes changed"

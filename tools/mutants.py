@@ -129,9 +129,26 @@ MUTATIONS = (
     Mutation("qseries window", "qseries.py",
              "[0] * (m - 1) + prefix", "[0] * m + prefix", Q_TESTS),
     Mutation("qseries denominator cube", "qseries.py",
-             "den = _times_cube(den, 4 * k)", "den = _times_cube(den, 4 * k + 4)",
+             "{4 * k: 3 for k in range(1, n)}", "{4 * k: 3 for k in range(1, n + 1)}",
              Q_TESTS),
-    Mutation("qseries pow bit", "qseries.py", "if e & 1:", "if e & 2:", Q_TESTS),
+    # the (1 - q^s) products and the monic remainder
+    Mutation("qseries binomial multiplies by 1 + q^s", "qseries.py",
+             "[x - y for x, y in zip(c + [0] * s", "[x + y for x, y in zip(c + [0] * s",
+             Q_TESTS),
+    Mutation("qseries binomial division skips a residue class", "qseries.py",
+             "for r in range(s):", "for r in range(1, s):", Q_TESTS),
+    Mutation("qseries binomial divides before it multiplies", "qseries.py",
+             "key=lambda sk: -sk[1]", "key=lambda sk: sk[1]", Q_TESTS),
+    Mutation("qseries binomial remainder unchecked", "qseries.py",
+             "if any(c[-s:]):", "if not c:", Q_TESTS),
+    Mutation("qseries Moebius exponent without e", "qseries.py",
+             "{d: e * mu for d", "{d: mu for d", Q_TESTS),
+    Mutation("qseries witness modulus without [n]", "qseries.py",
+             "modulus.update({n: 1, 1: -1})", "modulus.update({n: 0, 1: 0})", Q_TESTS),
+    Mutation("qseries monic remainder stops a step early", "qseries.py",
+             "range(len(c) - 1, k - 1, -1)", "range(len(c) - 1, k, -1)", Q_TESTS),
+    Mutation("qseries monic remainder adds", "qseries.py",
+             "[x - t * y for x, y", "[x + t * y for x, y", Q_TESTS),
     Mutation("qseries certificate shift", "qseries.py",
              "shift = j % d", "shift = 0", Q_TESTS),
     Mutation("qseries accumulator start +rhs", "qseries.py",
