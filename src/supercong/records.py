@@ -3,7 +3,9 @@
 A record captures one checked instance: which family, at which prime p or
 q-index n, which alpha/truncation, the modulus, and the two sides being
 compared.  passed is True/False for an executed check and None for an
-instance that was skipped with a reason.
+instance that was skipped with a reason.  A row is a record's fields up to
+reason as a plain tuple, the form records take between processes:
+VerificationRecord(*row) is the record without its timings.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "SKIP_ERRORS",
     "VerificationRecord",
     "family_records",
+    "family_rows",
     "make_record",
     "norm_family",
 ]
@@ -53,18 +56,27 @@ class VerificationRecord:
     alpha: Fraction | None = None
     truncation: str | None = None
     reason: str | None = None
+    # the wall time of the instance that made the record, and the seconds it
+    # spent in each of verifier.PHASES (None where it has no phases), both
+    # in ms and divided by the instance's number of records
     elapsed_ms: float | None = field(default=None, compare=False)
+    phase_ms: tuple[float, ...] | None = field(default=None, compare=False)
 
     def sort_key(self) -> tuple:
-        a = self.alpha if self.alpha is not None else Fraction(0)
+        a = self.alpha
         return (
             self.family,
             self.p if self.p is not None else 0,
             self.n if self.n is not None else 0,
-            a.numerator,
-            a.denominator,
+            a.numerator if a is not None else 0,
+            a.denominator if a is not None else 1,
             self.truncation or "",
         )
+
+    def row(self) -> tuple:
+        """The fields up to reason: VerificationRecord(*r.row()) == r."""
+        return (self.family, self.modulus, self.lhs, self.rhs, self.passed,
+                self.p, self.n, self.alpha, self.truncation, self.reason)
 
 
 def make_record(
@@ -75,26 +87,37 @@ def make_record(
     return VerificationRecord(family, modulus, lhs, rhs, lhs == rhs, **labels)
 
 
-def family_records(
+def family_rows(
     checks: Iterable[tuple[str, str | None]],
     sides: Callable[[str, str | None], tuple[str, Side, Side]],
-    **labels,
-) -> list[VerificationRecord]:
-    """One record per (family, truncation) of checks, in order.
+    p: int | None = None,
+    n: int | None = None,
+    alpha: Fraction | None = None,
+) -> list[tuple]:
+    """One row per (family, truncation) of checks, in order.
 
     sides(family, truncation) gives the record's (modulus, lhs, rhs).  If
-    it raises one of SKIP_ERRORS, the family gets a skip record instead,
-    with the error's text as its reason.  Both carry the family, the
-    truncation and labels (p, n, alpha).
+    it raises one of SKIP_ERRORS, the family gets a skip row instead, with
+    the error's text as its reason.  Both carry the family, the truncation
+    and the labels p, n and alpha.
     """
     out = []
     for fam, truncation in checks:
         try:
             modulus, lhs, rhs = sides(fam, truncation)
         except SKIP_ERRORS as exc:
-            out.append(VerificationRecord(fam, "-", "-", "-", None, **labels,
-                                          truncation=truncation, reason=str(exc)))
+            out.append((fam, "-", "-", "-", None, p, n, alpha, truncation, str(exc)))
         else:
-            out.append(make_record(fam, modulus, lhs, rhs, **labels,
-                                   truncation=truncation))
+            # passed is derived, never asserted by callers
+            out.append((fam, modulus, lhs, rhs, lhs == rhs, p, n, alpha, truncation,
+                        None))
     return out
+
+
+def family_records(
+    checks: Iterable[tuple[str, str | None]],
+    sides: Callable[[str, str | None], tuple[str, Side, Side]],
+    **labels,
+) -> list[VerificationRecord]:
+    """The records of family_rows(checks, sides, **labels)."""
+    return [VerificationRecord(*row) for row in family_rows(checks, sides, **labels)]

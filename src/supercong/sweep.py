@@ -3,14 +3,17 @@
 Instances are expanded up front as immutable ``Instance`` values, executed
 either serially or on a process pool, and the records are sorted afterwards
 by (family, p or n, alpha, truncation), so reports are byte-identical for
-any worker count.  One instance per prime checks all the requested
-classical and 8^(-k) families that p admits (verify_prime), one per
-(alpha, p) all the requested alpha families (verify_alpha), and one per
-(q-family, n) that family (verify_q); these yield a record per family and
-truncation, a skip record with the reason where a family's precondition
-fails.  An identity, WZ or smoke instance yields one record.  An
-exception that escapes an instance is a bug, whatever its type, and aborts
-the sweep with an error that names the instance.
+any worker count.  One instance per prime checks every requested classical
+and 8^(-k) family that p admits and every requested alpha family at every
+alpha (verifier.verify_at_prime), so the sums at each alpha are computed
+once per prime; one per (q-family, n) checks that family (verify_q).
+These yield a record per family, alpha and truncation, a skip record with
+the reason where a family's precondition fails.  An identity, WZ or smoke
+instance yields one record.  Instances hand their records back as rows
+(plain tuples, cheap to pickle), and the parent builds each record once.
+An exception that escapes an instance is a bug, whatever its type, and
+aborts the sweep with an error that names the instance, and the alpha
+when one was being checked.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import csv
 import io
 import json
 import math
+import re
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -30,11 +35,12 @@ from .records import VerificationRecord, make_record, norm_family
 from .sequences import check_binomial_identities, check_euler_identities, check_lehmer
 from .verifier import (
     ALPHA_FAMILIES,
+    PHASES,
     PRIME_FAMILIES,
+    AlphaCheckError,
     admits,
     ramanujan_partial,
-    verify_alpha,
-    verify_prime,
+    verify_at_prime,
 )
 from .qseries import Q_FAMILIES as Q_TABLE, verify_q
 from .wz import check_pair, check_telescoped, sample_alphas
@@ -117,11 +123,11 @@ class ReportSummary:
 
 class Instance(NamedTuple):
     """One check: run(*args) returns its record, a bool for an exact
-    identity, or the list of records of verify_prime, verify_alpha or
-    verify_q, which make their own skip records.  family, p, n and alpha
-    label the record of a bool and name the instance in an InternalError.
-    For verify_prime and verify_alpha, family is the requested families
-    joined by commas."""
+    identity, the list of records of verify_q, or the rows and phase
+    seconds of verify_at_prime; the last two make their own skip records.
+    family, p, n and alpha label the record of a bool and name the instance
+    in an InternalError.  For verify_at_prime, family is the requested
+    families joined by commas."""
 
     family: str
     run: Callable
@@ -178,10 +184,9 @@ def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
 # module attribute (tracing, tests) is what runs.
 
 def build_instances(cfg: SweepConfig) -> list[Instance]:
-    """Per prime: one instance for the classical and 8^(-k) families whose
-    residue class admits p, then one per (alpha, p) for the alpha families;
-    after all primes, one per n for each q-family."""
-    prime_fams = tuple(f for f in cfg.families if f in PRIME_FAMILIES)
+    """One instance per prime that admits a requested prime family or, with
+    alpha families requested, has alphas; after all primes, one per n for
+    each q-family."""
     alpha_fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
     truncs = ("short", "full") if cfg.trunc == "both" else (cfg.trunc,)
     out: list[Instance] = []
@@ -190,17 +195,16 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
     except EmptyRange as exc:
         raise ConfigError(str(exc)) from exc
     for p in primes:
-        # a prime's instances run next to each other, so the tables they
-        # share, the Euler residues of (p-3, p) and the factorial and
-        # harmonic residues of _prime_tables(p), are built once
-        if fams := tuple(f for f in prime_fams if admits(f, p)):
-            out.append(Instance(",".join(fams), verify_prime, (p, fams, truncs), p=p))
-        if alpha_fams:
-            out += [
-                Instance(",".join(alpha_fams), verify_alpha, (a, p, alpha_fams),
-                         p=p, alpha=a)
-                for a in _alphas_for(cfg, p)
-            ]
+        # one instance per prime, so the residue tables of p and the sums
+        # at each alpha, which the classical and 8^(-k) families read at
+        # 1/2, 1/3 and 1/4, are built once per prime
+        alphas = tuple(_alphas_for(cfg, p)) if alpha_fams else ()
+        fams = tuple(f for f in cfg.families
+                     if (f in PRIME_FAMILIES and admits(f, p))
+                     or (f in ALPHA_FAMILIES and alphas))
+        if fams:
+            out.append(Instance(",".join(fams), verify_at_prime,
+                                (p, fams, alphas, truncs), p=p))
     # one instance per (family, n), so that workers share the q-families out
     out += [Instance(fam, verify_q, (n, (fam,)), n=n)
             for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
@@ -212,14 +216,17 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
     return out
 
 
-def _dispatch(inst: Instance) -> list[VerificationRecord]:
+def _dispatch(inst: Instance) -> tuple[list[tuple], dict[str, float] | None]:
+    # the instance's rows, and its phase seconds if it has phases
     out = inst.run(*inst.args)
+    if isinstance(out, tuple):  # verify_at_prime
+        return out
     if isinstance(out, bool):
         out = make_record(
             inst.family, "exact", "equal" if out else "unequal", "equal",
             **inst.labels(),
         )
-    return out if isinstance(out, list) else [out]
+    return [r.row() for r in (out if isinstance(out, list) else [out])], None
 
 
 def _lehmer(p: int) -> VerificationRecord:
@@ -246,18 +253,25 @@ def _ramanujan(terms: int, tol: float) -> VerificationRecord:
     )
 
 
-def _execute(inst: Instance) -> list[VerificationRecord]:
+def _execute(inst: Instance) -> tuple[list[tuple], float, tuple[float, ...] | None]:
+    """The instance's rows, its wall time and its phase times, both in ms
+    over its number of rows (None if it has no phases)."""
     t0 = time.perf_counter()
     try:
-        recs = _dispatch(inst)
+        rows, phases = _dispatch(inst)
     except Exception as exc:
         # a bug, not a verdict: abort the sweep, naming the instance to re-run
+        where = str(inst)
+        if isinstance(exc, AlphaCheckError):
+            where, exc = f"{where} alpha={exc.alpha}", exc.__cause__
         raise InternalError(
-            f"internal error checking {inst}: {type(exc).__name__}: {exc}"
+            f"internal error checking {where}: {type(exc).__name__}: {exc}"
         ) from exc
-    # each record carries the instance's wall time over its number of records
-    ms = (time.perf_counter() - t0) * 1000.0 / len(recs)
-    return [replace(r, elapsed_ms=ms) for r in recs]
+    per_row = 1000.0 / len(rows)
+    ms = (time.perf_counter() - t0) * per_row
+    if phases is not None:
+        phases = tuple(x * per_row for x in phases.values())
+    return rows, ms, phases
 
 
 def _run_instances(insts: list[Instance], workers: int) -> list[VerificationRecord]:
@@ -268,12 +282,17 @@ def _run_instances(insts: list[Instance], workers: int) -> list[VerificationReco
 
         chunk = max(1, len(insts) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            records = [r for recs in ex.map(_execute, insts, chunksize=chunk)
-                       for r in recs]
+            records = _records(ex.map(_execute, insts, chunksize=chunk))
     else:
-        records = [r for i in insts for r in _execute(i)]
+        records = _records(map(_execute, insts))
     records.sort(key=VerificationRecord.sort_key)
     return records
+
+
+def _records(results) -> list[VerificationRecord]:
+    # each record built once, from its row and its instance's timings
+    return [VerificationRecord(*row, elapsed_ms=ms, phase_ms=phases)
+            for rows, ms, phases in results for row in rows]
 
 
 def summarize(records: list[VerificationRecord]) -> ReportSummary:
@@ -386,17 +405,67 @@ def record_to_dict(r: VerificationRecord, timings: bool = False) -> dict:
     return d
 
 
-def render_json(summary: ReportSummary, timings: bool = False) -> str:
-    doc = {
-        "records": [record_to_dict(r, timings) for r in summary.records],
-        "summary": {
-            "total": summary.total,
-            "passed": summary.passed,
-            "failed": summary.failed,
-            "skipped": summary.skipped,
-        },
+def timing_summary(summary: ReportSummary) -> dict:
+    """The timings of a report: the time per family (the sum of its records'
+    elapsed_ms), the time per phase of verifier.PHASES over all per-prime
+    instances, and the number of skips per family and reason, with the
+    reason's numbers written #."""
+    family_ms: dict[str, float] = {}
+    phase_ms = [0.0] * len(PHASES)
+    skips: Counter[str] = Counter()
+    for r in summary.records:
+        if r.elapsed_ms is not None:
+            family_ms[r.family] = family_ms.get(r.family, 0.0) + r.elapsed_ms
+        if r.phase_ms is not None:
+            phase_ms = [x + y for x, y in zip(phase_ms, r.phase_ms)]
+        if r.passed is None:
+            skips[f"{r.family}: {re.sub(r'[0-9]+', '#', r.reason)}"] += 1
+    return {
+        "family_ms": {f: round(ms, 3) for f, ms in family_ms.items()},
+        "phase_ms": {ph: round(ms, 3) for ph, ms in zip(PHASES, phase_ms)},
+        "skips": dict(skips),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# A record dict is flat, so json's C encoder writes a list of them as
+# indent=2 would at depth 2 inside each record when told to separate items
+# by a newline and that indentation; indent itself would select the
+# pure-Python encoder.  Within a record every item starts with a quote and
+# ends with the end of a scalar, and a string holds no raw newline, so
+# "},<separator>{" occurs only between records: _RECORD_GAP is what indent=2
+# puts there.
+_encode_records = json.JSONEncoder(
+    sort_keys=True, separators=(",\n      ", ": ")).encode
+_RECORD_GAP = "\n    },\n    {\n      "
+_RECORDS_PER_CALL = 128  # bounds the dicts alive at once
+
+
+def _records_json(records, timings: bool):
+    # the records of render_json, less the opening and closing braces
+    for i in range(0, len(records), _RECORDS_PER_CALL):
+        text = _encode_records(
+            [record_to_dict(r, timings) for r in records[i:i + _RECORDS_PER_CALL]])
+        yield text[2:-2].replace("},\n      {", _RECORD_GAP)
+
+
+def render_json(summary: ReportSummary, timings: bool = False) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n" of the report doc,
+    {"records": [...], "summary": {...}}: the frame from json.dumps, the
+    records from _encode_records."""
+    counts = {
+        "total": summary.total,
+        "passed": summary.passed,
+        "failed": summary.failed,
+        "skipped": summary.skipped,
+    }
+    if timings:
+        counts["timings"] = timing_summary(summary)
+    frame = json.dumps({"records": [], "summary": counts}, indent=2, sort_keys=True)
+    if summary.records:
+        body = _RECORD_GAP.join(_records_json(summary.records, timings))
+        frame = frame.replace(
+            '"records": []', '"records": [\n    {\n      ' + body + '\n    }\n  ]', 1)
+    return frame + "\n"
 
 
 _CSV_COLUMNS = (
@@ -442,6 +511,12 @@ def render_text(summary: ReportSummary, timings: bool = False) -> str:
         f"total={summary.total} passed={summary.passed} "
         f"failed={summary.failed} skipped={summary.skipped}"
     )
+    if timings:
+        t = timing_summary(summary)
+        lines.append("phases: " + ", ".join(
+            f"{ph} {ms:.1f} ms" for ph, ms in t["phase_ms"].items()))
+        lines += [f"family {f}: {ms:.1f} ms" for f, ms in sorted(t["family_ms"].items())]
+        lines += [f"skipped {k}x: {why}" for why, k in sorted(t["skips"].items())]
     return "\n".join(lines) + "\n"
 
 

@@ -16,22 +16,24 @@ are d * S(1/d, M) for d = 2, 3, 4.  Against it we check:
   the two truncations;
 * the ten classical families, five mod p^3 and five mod p^4, which are
   that congruence at alpha = 1/d times d: one helper (_closed_form) gives
-  the right side to verify_prime and verify_alpha, so a family is only
-  data (d, residue class, exponent);
+  the right side to both, so a family is only data (d, residue class,
+  exponent);
 * the (6k+1)(1/2)_k^3/(8^k k!^3) family (full and half truncations) and its
   equivalence with the (8k+1) family for p ≡ 1 (mod 4);
 * the five auxiliary Pochhammer-quotient congruences the proofs run on,
   whose left sides are p^v times a unit residue mod p^4 (only alpha+a and
   alpha+a+p among the Pochhammer factors are divisible by p), and whose
   right sides are polynomials in t and the harmonic-type prefixes at a,
-  read from one residue table per prime (_prime_tables).
+  read from one lemma table per prime (_lemma_tables).
 
-The classical and 8^(-k) families are statements about one prime p;
-verify_prime checks any of them in one call, with one prefix per weight
-and one set of partial sums per sum, read at every truncation.  The
-general-alpha congruence, its tail and the five lemmas are statements
-about one pair (alpha, p); verify_alpha checks any of them in one call,
-on one prefix.
+The classical and 8^(-k) families are statements about one prime p, the
+general-alpha congruence, its tail and the five lemmas statements about
+one pair (alpha, p).  verify_at_prime checks any of them at one prime and
+any number of alphas in one call: each distinct alpha, the classical 1/d
+among them, gets one prefix, one set of partial sums read at every
+truncation and one closed form per exponent, and the call times each of
+its phases.  verify_prime (the prime families) and verify_alpha (the
+alpha families at one alpha) are thin calls into it.
 
 Everything is exact integer arithmetic mod p^e; the Fraction oracles
 these residues are checked against live in the tests.
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, repeat
+from time import perf_counter
 
 from .padic import (
     ResidueClass,
@@ -55,7 +58,7 @@ from .records import (
     PreconditionViolated,
     Side,
     VerificationRecord,
-    family_records,
+    family_rows,
     norm_family,
 )
 from .sequences import euler_number_mod, euler_poly_eval_mod
@@ -71,9 +74,12 @@ __all__ = [
     "MAO_VARIANTS",
     "PRIME_FAMILIES",
     "PRIME_CLASSES",
+    "PHASES",
+    "AlphaCheckError",
     "admits",
     "sum_main",
     "sum_mao",
+    "verify_at_prime",
     "verify_prime",
     "verify_alpha",
     "ramanujan_partial",
@@ -86,27 +92,27 @@ __all__ = [
 def _partial_sums(
     pre: tuple, p: int, top: int, b: int, c: int, z: int = 1
 ) -> list[int]:
-    """[s_0, ..., s_top] mod p^4, s_M = sum_{k=0}^{M} (b k + c) z^k (-1)^k
-    (alpha)_k^3 / k!^3, from pre = _poch_prefix(alpha, p, n), top <= n and
-    top < p.
+    """[s_0, ..., s_top], s_M ≡ sum_{k=0}^{M} (b k + c) z^k (-1)^k
+    (alpha)_k^3 / k!^3 (mod p^4), from pre = _poch_prefix(alpha, p, n),
+    top <= n and top < p.  The s_M are not reduced: a caller reduces the
+    ones it reads.
 
     (alpha)_k is u_k for k <= a = <-alpha>_p and p^v0 u_k past it, so
-    each term is one product of the unit table, the (-1)^k/k!^3 table of
-    _prime_tables and a power of p, reduced once.
+    each term is one product of the unit table and the (-1)^k/k!^3 table
+    of _prime_tables, reduced once, times p^(3 v0) past a.
     """
     u, v0, _, a, _ = pre
     m = p**4
-    w = _prime_tables(p)[4]
+    w = _prime_tables(p)[2]
     if z != 1:  # fold z^k into the weights
         zk = accumulate(repeat(z, top), lambda x, y: x * y % m, initial=1)
         w = [x * y for x, y in zip(w, zk)]
-    out, s, scale = [], 0, 1
-    for lo, hi in ((0, min(a, top) + 1), (a + 1, top + 1)):
-        for k in range(lo, hi):
-            s = (s + scale * (b * k + c) * u[k] ** 3 * w[k]) % m
-            out.append(s)
+    c %= m
+    terms = [(b * k + c) * x * x * x * y % m for k, x, y in zip(range(top + 1), u, w)]
+    if a < top:
         scale = p ** (3 * v0)
-    return out
+        terms[a + 1:] = [x * scale for x in terms[a + 1:]]
+    return list(accumulate(terms))
 
 
 def _check_truncation(M: int, p: int) -> None:
@@ -271,93 +277,37 @@ def _residue_sides(p: int, e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]
     return f"{p}^{e}", ResidueClass(lhs, p**e), ResidueClass(rhs, p**e)
 
 
-def verify_prime(
-    p: int,
-    families: tuple[str, ...] = PRIME_FAMILIES,
-    truncations: tuple[str, ...] = ("short", "full"),
-) -> list[VerificationRecord]:
-    """One record per requested classical family and truncation, and one per
-    MAO variant, at one prime, in the order given.
-
-    A classical family's record compares d * S(1/d, M) with d times the
-    general-alpha closed form at 1/d, mod p^(modulus_exp), with M =
-    <-1/d>_p ("short", the stated truncation) or p-1 ("full").  A MAO
-    variant gives one record at its own truncation (MAO_TRUNCATIONS): the
-    8^(-k) sum at p-1 (MAO_HALF) or (p-1)/2 (SUN_HALF_CONJ), and its
-    agreement with the (8k+1) sum at p-1 when p ≡ 1 (mod 4) (EQUIV).  Each
-    sum is computed once mod p^4, as the partial sums of one Pochhammer
-    prefix, and read at both of its truncations: S(1/d, .) from the prefix
-    at 1/d for each weight d (read mod p^3 by the p^3 families), and the
-    8^(-k) sum from the prefix at 1/2.  A family whose precondition fails
-    gets a skip record with the reason (records.family_records); its
-    residue class of p is the one in PRIME_CLASSES.
-    """
-    fams = [norm_family(f) for f in families]
-    if unknown := [f for f in fams if f not in PRIME_FAMILIES]:
-        raise ValueError(f"unknown prime families: {unknown}")
-    if bad := [t for t in truncations if t not in ("short", "full")]:
-        raise ValueError(f"truncation must be short|full, got {bad[0]!r}")
-    m = p**4
-    # one prefix per weight d, the one at 1/2 shared with the 8^(-k) sum
-    pre = cache(lambda d: _poch_prefix(Fraction(1, d), p, p - 1))
-    closed = cache(lambda d, e: _closed_form(Fraction(1, d), *pre(d)[3:], p, e))
-    main = cache(lambda d: _main_sums(pre(d), p, p - 1))
-    mao = cache(lambda: _mao_sums(pre(2), p, p - 1))
-
-    def check_class(fam: str) -> None:
-        if not admits(fam, p):
-            mod, res = PRIME_CLASSES[fam]
-            raise PreconditionViolated(
-                f"{fam} needs p ≡ {res} (mod {mod}), got p = {p}")
-
-    def sides(fam: str, truncation: str) -> tuple[int, int, int]:
-        # (e, lhs, rhs) of one record mod p^e
-        if fam in FAMILIES:
-            check_class(fam)
-            if p <= 3:
-                raise PreconditionViolated(f"{fam} needs p > 3, got p = {p}")
-            f = FAMILIES[fam]
-            d, e = f.weight_d, f.modulus_exp
-            s = main(d)[pre(d)[3] if truncation == "short" else p - 1]
-            return e, d * s % p**e, d * closed(d, e) % p**e
-        if p <= 3:
-            raise PreconditionViolated(f"needs p > 3, got p = {p}")
-        check_class(fam)
-        if fam == "EQUIV":
-            return 4, mao()[p - 1], 4 * main(4)[p - 1] % m
-        if fam == "MAO_HALF":
-            M = p - 1
-            x = euler_poly_eval_mod(p - 3, Fraction(1, 4), p).value * pow(16, -1, p)
-        else:  # SUN_HALF_CONJ
-            M = (p - 1) // 2
-            x = legendre(2, p) * euler_number_mod(p - 3, p).value * pow(4, -1, p)
-        return 4, mao()[M], (p * legendre(-2, p) + _p3_times(p, x, m)) % m
-
-    checks = [(fam, tr) for fam in fams
-              for tr in (truncations if fam in FAMILIES else (MAO_TRUNCATIONS[fam],))]
-    return family_records(checks, lambda fam, tr: _residue_sides(p, *sides(fam, tr)),
-                          p=p)
-
-
 # ---------------------------------------------------------------------------
 # auxiliary Pochhammer-quotient congruences
 
-# The consecutive instances of a sweep at one prime share these tables.
+# The sums and the lemma sides of one prime read these tables, as do the
+# public sums called at one prime in a row.
 @lru_cache(maxsize=4)
 def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
-    """(fact, h1, h2, alt2, sinv3) mod p^4 for j = 0..p-1: j!, H_j =
-    sum_{k<=j} 1/k, H_j^(2) = sum_{k<=j} 1/k^2, sum_{k<=j} (-1)^k / k^2 and
+    """(fact, inv_fact, sinv3) mod p^4 for j = 0..p-1: j!, 1/j! and
     (-1)^j / j!^3.
 
-    Every k < p is a unit mod p^4, so one inverse of (p-1)! and a backward
-    pass give every 1/k! and, through 1/k = (k-1)!/k!, every 1/k.
+    Every j < p is a unit mod p^4, so one inverse of (p-1)! and a backward
+    pass give every 1/j!.
     """
     m = p**4
-    fact = list(accumulate(range(1, p), lambda acc, j: acc * j % m, initial=1))
+    fact = tuple(accumulate(range(1, p), lambda acc, j: acc * j % m, initial=1))
     inv_fact = [0] * p
     inv_fact[p - 1] = pow(fact[p - 1], -1, m)
     for j in range(p - 1, 0, -1):
         inv_fact[j - 1] = inv_fact[j] * j % m
+    sinv3 = tuple((-f if j & 1 else f) * f * f % m for j, f in enumerate(inv_fact))
+    return fact, tuple(inv_fact), sinv3
+
+
+@lru_cache(maxsize=4)
+def _lemma_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """(h1, h2, alt2) mod p^4 for j = 0..p-1: H_j = sum_{k<=j} 1/k, H_j^(2) =
+    sum_{k<=j} 1/k^2 and sum_{k<=j} (-1)^k / k^2, which only the lemma right
+    sides read.  1/k is (k-1)!/k!, from _prime_tables.
+    """
+    m = p**4
+    fact, inv_fact, _ = _prime_tables(p)
     recip = [fact[k - 1] * inv_fact[k] % m for k in range(1, p)]
     squares = [r * r % m for r in recip]
     signed = [-r if k % 2 else r for k, r in enumerate(squares, 1)]
@@ -365,8 +315,7 @@ def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
     def prefix(terms):
         return tuple(s % m for s in accumulate(terms, initial=0))
 
-    sinv3 = tuple((-f if j & 1 else f) * f * f % m for j, f in enumerate(inv_fact))
-    return tuple(fact), prefix(recip), prefix(squares), prefix(signed), sinv3
+    return prefix(recip), prefix(squares), prefix(signed)
 
 
 def _poch_prefix(
@@ -442,7 +391,7 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
     from the unit residues of pre = _poch_prefix(alpha, p, 2p-1), in O(p)
     operations and two inverses.  The right sides are polynomials in t
     (mod p^4), H_a, H_a^(2) and sum_{k<=a} (-1)^k/k^2, read from
-    _prime_tables; the divisions by 2 and by a+1 are by units in every
+    _lemma_tables; the divisions by 2 and by a+1 are by units in every
     branch that makes them.  Alphas that zero a denominator Pochhammer
     raise DivisionByZeroTerm.
     """
@@ -463,7 +412,8 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
                 f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
             )
     m = p**4
-    fact, h1, h2, alt2, _ = _prime_tables(p)
+    fact = _prime_tables(p)[0]
+    h1, h2, alt2 = _lemma_tables(p)
     f2 = fact[p - 1] ** 2
     pt, ha, ha2 = p * t, h1[a], h2[a]
     half = pow(2, -1, m)
@@ -514,7 +464,179 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
 
 
 # ---------------------------------------------------------------------------
-# the general-alpha congruence, its tail and the lemmas at one (alpha, p)
+# every family at one prime
+
+# the phases verify_at_prime times: the residue tables of the prime, the
+# Pochhammer prefixes, the partial sums, the closed forms (right sides) of
+# the sums, and both sides of the lemmas
+PHASES = ("tables", "prefix", "sums", "closed", "lemma")
+
+
+class AlphaCheckError(RuntimeError):
+    """An error other than a failed precondition while checking one alpha,
+    a bug; the error itself is __cause__."""
+
+    def __init__(self, alpha: Fraction):
+        super().__init__(f"alpha={alpha}")
+        self.alpha = alpha
+
+
+def verify_at_prime(
+    p: int,
+    families: tuple[str, ...],
+    alphas: tuple[Fraction, ...] = (),
+    truncations: tuple[str, ...] = ("short", "full"),
+) -> tuple[list[tuple], dict[str, float]]:
+    """The rows (records.family_rows) of every requested family at p, and the
+    seconds spent in each of PHASES.
+
+    A classical family gives one row per truncation, a MAO variant one, in
+    the order given (see verify_prime); then each alpha gives one row per
+    requested alpha family, in the order given (see verify_alpha).  Each
+    distinct p-integral alpha, 1/d for the classical weight d and 1/2 for
+    the 8^(-k) sum among them, gets one Pochhammer prefix (to p-1, or to
+    2p-1 when a lemma family is requested), one set of main partial sums
+    S(alpha, .), read at every truncation, and one closed form per
+    exponent; each is computed when a row first reads it.  A family whose
+    precondition fails gets a skip row with the reason.  Any other error
+    while checking an alpha raises AlphaCheckError, naming that alpha.
+    """
+    fams = [norm_family(f) for f in families]
+    if unknown := [f for f in fams if f not in PRIME_FAMILIES + ALPHA_FAMILIES]:
+        raise ValueError(f"unknown families: {unknown}")
+    if bad := [t for t in truncations if t not in ("short", "full")]:
+        raise ValueError(f"truncation must be short|full, got {bad[0]!r}")
+    m = p**4
+    alpha_fams = [f for f in fams if f in ALPHA_FAMILIES]
+    lemmas = not set(LEMMA_FAMILIES).isdisjoint(alpha_fams)
+    top = 2 * p - 1 if lemmas else p - 1
+    seconds = dict.fromkeys(PHASES, 0.0)
+    alphas = [Fraction(a) for a in alphas]
+    # one slot per distinct alpha, the requested ones and 1/d for each
+    # classical weight d; the values below are cached by slot, which hashes
+    # faster than a Fraction
+    values = list(dict.fromkeys(alphas + [Fraction(1, d) for d in (2, 3, 4)]))
+    slot = {alpha: i for i, alpha in enumerate(values)}
+    weight = {d: slot[Fraction(1, d)] for d in (2, 3, 4)}
+
+    def timed(phase: str, fn, *args):
+        t0 = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            seconds[phase] += perf_counter() - t0
+
+    if p > 3 and fams:  # every check past p > 3 reads the tables
+        timed("tables", _prime_tables, p)
+        if lemmas:
+            timed("tables", _lemma_tables, p)
+
+    @cache
+    def pre(i: int) -> tuple:
+        return timed("prefix", _poch_prefix, values[i], p, top)
+
+    @cache
+    def main(i: int) -> list[int]:
+        return timed("sums", _main_sums, pre(i), p, p - 1)
+
+    @cache
+    def mao() -> list[int]:
+        return timed("sums", _mao_sums, pre(weight[2]), p, p - 1)
+
+    @cache
+    def closed(i: int, e: int) -> int:
+        _, _, _, a, t = pre(i)
+        return timed("closed", _closed_form, values[i], a, t, p, e)
+
+    def check_class(fam: str) -> None:
+        if not admits(fam, p):
+            mod, res = PRIME_CLASSES[fam]
+            raise PreconditionViolated(
+                f"{fam} needs p ≡ {res} (mod {mod}), got p = {p}")
+
+    def mao_rhs(fam: str) -> int:
+        if fam == "MAO_HALF":
+            x = euler_poly_eval_mod(p - 3, Fraction(1, 4), p).value * pow(16, -1, p)
+        else:  # SUN_HALF_CONJ
+            x = legendre(2, p) * euler_number_mod(p - 3, p).value * pow(4, -1, p)
+        return (p * legendre(-2, p) + _p3_times(p, x, m)) % m
+
+    def prime_sides(fam: str, truncation: str) -> tuple[int, int, int]:
+        # (e, lhs, rhs) of one record mod p^e
+        if fam in FAMILIES:
+            check_class(fam)
+            if p <= 3:
+                raise PreconditionViolated(f"{fam} needs p > 3, got p = {p}")
+            f = FAMILIES[fam]
+            d, e = f.weight_d, f.modulus_exp
+            i = weight[d]
+            s = main(i)[pre(i)[3] if truncation == "short" else p - 1]
+            return e, d * s % p**e, d * closed(i, e) % p**e
+        if p <= 3:
+            raise PreconditionViolated(f"needs p > 3, got p = {p}")
+        check_class(fam)
+        if fam == "EQUIV":
+            return 4, mao()[p - 1] % m, 4 * main(weight[4])[p - 1] % m
+        M = p - 1 if fam == "MAO_HALF" else (p - 1) // 2
+        return 4, mao()[M] % m, timed("closed", mao_rhs, fam)
+
+    def alpha_sides(i: int, fam: str) -> tuple[int, int]:
+        if p <= 3:
+            raise PreconditionViolated(f"needs p > 3, got p = {p}")
+        a = pre(i)[3]
+        if fam in ALPHA_TRUNCATIONS:
+            return main(i)[p - 1 if fam == "MAIN1" else a] % m, closed(i, 4)
+        if fam == "TAIL":
+            if a == p - 1:
+                raise PreconditionViolated(
+                    f"<-alpha>_p = p-1 for alpha = {values[i]}, p = {p}: tail is empty"
+                )
+            s = main(i)
+            return (s[p - 1] - s[a]) % m, 0
+        return timed("lemma", _lemma_sides, fam, values[i], p, pre(i))
+
+    checks = [(fam, tr) for fam in fams if fam in PRIME_FAMILIES
+              for tr in (truncations if fam in FAMILIES else (MAO_TRUNCATIONS[fam],))]
+    rows = family_rows(checks, lambda fam, tr: _residue_sides(p, *prime_sides(fam, tr)),
+                       p=p)
+    checks = [(fam, ALPHA_TRUNCATIONS.get(fam)) for fam in alpha_fams]
+    for alpha in alphas:
+        i = slot[alpha]
+        try:
+            rows += family_rows(
+                checks, lambda fam, _: _residue_sides(p, 4, *alpha_sides(i, fam)),
+                p=p, alpha=alpha)
+        except Exception as exc:
+            raise AlphaCheckError(alpha) from exc
+    return rows, seconds
+
+
+def verify_prime(
+    p: int,
+    families: tuple[str, ...] = PRIME_FAMILIES,
+    truncations: tuple[str, ...] = ("short", "full"),
+) -> list[VerificationRecord]:
+    """One record per requested classical family and truncation, and one per
+    MAO variant, at one prime, in the order given.
+
+    A classical family's record compares d * S(1/d, M) with d times the
+    general-alpha closed form at 1/d, mod p^(modulus_exp), with M =
+    <-1/d>_p ("short", the stated truncation) or p-1 ("full").  A MAO
+    variant gives one record at its own truncation (MAO_TRUNCATIONS): the
+    8^(-k) sum at p-1 (MAO_HALF) or (p-1)/2 (SUN_HALF_CONJ), and its
+    agreement with the (8k+1) sum at p-1 when p ≡ 1 (mod 4) (EQUIV).  Each
+    sum is computed once mod p^4 by verify_at_prime: S(1/d, .) from the
+    prefix at 1/d for each weight d (read mod p^3 by the p^3 families), and
+    the 8^(-k) sum from the prefix at 1/2.  A family whose precondition
+    fails gets a skip record with the reason; its residue class of p is the
+    one in PRIME_CLASSES.
+    """
+    fams = [norm_family(f) for f in families]
+    if unknown := [f for f in fams if f not in PRIME_FAMILIES]:
+        raise ValueError(f"unknown prime families: {unknown}")
+    rows, _ = verify_at_prime(p, fams, (), truncations)
+    return [VerificationRecord(*row) for row in rows]
+
 
 def verify_alpha(
     alpha: Fraction, p: int, families: tuple[str, ...] = ALPHA_FAMILIES
@@ -529,38 +651,13 @@ def verify_alpha(
     * the five LEMMA_* families (see _lemma_sides).
 
     Every family needs p > 3 and a p-integral alpha; a family whose
-    precondition fails gets a skip record with the reason
-    (records.family_records).  One Pochhammer prefix, which also gives a
-    and t, serves every family (to p-1, or to 2p-1 when a lemma family is
-    requested); the closed form and the partial sums S(alpha, .) read at a
-    and p-1 are computed at most once per call, and only when a requested
-    family reads them.
+    precondition fails gets a skip record with the reason.  verify_at_prime
+    computes one Pochhammer prefix, which also gives a and t, one closed
+    form and one set of partial sums S(alpha, .), each only when a
+    requested family reads it.
     """
-    alpha = Fraction(alpha)
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in ALPHA_FAMILIES]:
         raise ValueError(f"unknown alpha families: {unknown}")
-    m = p**4
-    lemmas = not set(LEMMA_FAMILIES).isdisjoint(fams)
-    pre = cache(lambda: _poch_prefix(alpha, p, 2 * p - 1 if lemmas else p - 1))
-    closed = cache(lambda: _closed_form(alpha, *pre()[3:], p, 4))
-    partial = cache(lambda: _main_sums(pre(), p, p - 1))
-
-    def sides(fam: str) -> tuple[int, int]:
-        if p <= 3:
-            raise PreconditionViolated(f"needs p > 3, got p = {p}")
-        a = pre()[3]
-        if fam in ALPHA_TRUNCATIONS:
-            return partial()[p - 1 if fam == "MAIN1" else a], closed()
-        if fam == "TAIL":
-            if a == p - 1:
-                raise PreconditionViolated(
-                    f"<-alpha>_p = p-1 for alpha = {alpha}, p = {p}: tail is empty"
-                )
-            s = partial()
-            return (s[p - 1] - s[a]) % m, 0
-        return _lemma_sides(fam, alpha, p, pre())
-
-    return family_records([(fam, ALPHA_TRUNCATIONS.get(fam)) for fam in fams],
-                          lambda fam, _: _residue_sides(p, 4, *sides(fam)),
-                          p=p, alpha=alpha)
+    rows, _ = verify_at_prime(p, fams, (alpha,))
+    return [VerificationRecord(*row) for row in rows]

@@ -50,6 +50,7 @@ from supercong.verifier import (
     LEMMA_FAMILIES,
     _main_sums,
     _mao_sums,
+    _lemma_tables,
     _poch_prefix,
     _prime_tables,
     sum_main,
@@ -185,14 +186,15 @@ def test_sum_mao_matches_exact(p, data, e):
 @given(p=primes_to_31, data=st.data(), alpha=rationals)
 def test_checkpoints_match_exact(p, data, alpha):
     # the partial sums of one prefix, read at several truncations (in any
-    # order, repeats allowed), give each truncated sum
+    # order, repeats allowed), give each truncated sum; they are reduced only
+    # where they are read
     assume(alpha.denominator % p)
     Ms = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6), label="Ms")
     m, top = p**4, max(Ms)
     got = _main_sums(_poch_prefix(alpha, p, top), p, top)
-    assert [got[M] for M in Ms] == [_mod(sum_main_exact(alpha, M), m) for M in Ms]
+    assert [got[M] % m for M in Ms] == [_mod(sum_main_exact(alpha, M), m) for M in Ms]
     got = _mao_sums(_poch_prefix(Fraction(1, 2), p, top), p, top)
-    assert [got[M] for M in Ms] == [_mod(sum_mao_exact(M), m) for M in Ms]
+    assert [got[M] % m for M in Ms] == [_mod(sum_mao_exact(M), m) for M in Ms]
 
 
 @PROPS
@@ -320,10 +322,12 @@ def test_poch_prefix_matches_exact(p, data):
 @given(p=st.sampled_from(sieve_primes(2, 31)))
 def test_prime_tables_match_exact(p):
     m = p**4
-    fact, h1, h2, alt2, sinv3 = _prime_tables(p)
+    fact, inv_fact, sinv3 = _prime_tables(p)
+    h1, h2, alt2 = _lemma_tables(p)
     assert len(fact) == len(h1) == len(h2) == len(alt2) == len(sinv3) == p
     for j in range(p):
         assert fact[j] == math.factorial(j) % m, j
+        assert inv_fact[j] == _mod(Fraction(1, math.factorial(j)), m), j
         assert h1[j] == _mod(harmonic(j), m), j
         assert h2[j] == _mod(harmonic(j, 2), m), j
         assert alt2[j] == _mod(alternating_reciprocal_squares(j), m), j

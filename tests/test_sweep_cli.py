@@ -11,6 +11,7 @@ import pytest
 
 from supercong import cli, sweep, verifier
 from supercong.cli import build_parser, main
+from supercong.padic import ResidueClass
 from supercong.primes import EmptyRange, sieve_primes
 from supercong.records import (
     PreconditionViolated,
@@ -32,6 +33,7 @@ from supercong.sweep import (
     render,
     render_csv,
     render_json,
+    render_text,
     run_identities,
     run_smoke,
     run_sweep,
@@ -45,6 +47,7 @@ from supercong.verifier import (
     MAO_TRUNCATIONS,
     PRIME_FAMILIES,
     verify_alpha,
+    verify_at_prime,
     verify_prime,
 )
 from supercong.wz import sample_alphas
@@ -152,6 +155,13 @@ def _labels(r: VerificationRecord) -> tuple:
     return (r.family, r.p, r.n, r.alpha, r.truncation)
 
 
+def _execute(inst) -> list[VerificationRecord]:
+    # the records of one instance, from the rows it hands back
+    rows, ms, _ = sweep._execute(inst)
+    assert ms >= 0
+    return [VerificationRecord(*row) for row in rows]
+
+
 def test_skip_record_has_the_labels_of_the_result():
     # verify_q makes its own skip records: at n = 2 every q-family skips for
     # its condition on n; its labels are those of the family at n = 5
@@ -163,19 +173,21 @@ def test_skip_record_has_the_labels_of_the_result():
     }
     assert [i.family for i in insts] == list(reasons)
     for inst in insts:
-        [real] = sweep._execute(inst)
-        [skip] = sweep._execute(inst._replace(args=(2,) + inst.args[1:]))
+        [real] = _execute(inst)
+        [skip] = _execute(inst._replace(args=(2,) + inst.args[1:]))
         assert real.passed is True, real
         assert skip.passed is None and skip.reason == reasons[real.family]
         assert _labels(replace(skip, n=real.n)) == _labels(real)
 
-    # verify_alpha makes its own skip records: 1/13 has no residue mod 13,
+    # verify_at_prime makes its own skip records: 1/13 has no residue mod 13,
     # so every alpha family skips; its labels are those of the family
     [inst] = build_instances(SweepConfig(
         families=ALPHA_FAMILIES, p_min=13, p_max=13, alpha_list=(Fraction(1, 3),)
     ))
-    reals = sweep._execute(inst)
-    skips = sweep._execute(inst._replace(args=(Fraction(1, 13),) + inst.args[1:]))
+    p, fams, alphas, truncs = inst.args
+    assert alphas == (Fraction(1, 3),)
+    reals = _execute(inst)
+    skips = _execute(inst._replace(args=(p, fams, (Fraction(1, 13),), truncs)))
     assert [r.family for r in reals] == [r.family for r in skips] == list(ALPHA_FAMILIES)
     for real, skip in zip(reals, skips):
         assert real.passed is True, real
@@ -183,11 +195,11 @@ def test_skip_record_has_the_labels_of_the_result():
         assert _labels(replace(skip, alpha=real.alpha)) == _labels(real)
         assert real.truncation == ALPHA_TRUNCATIONS.get(real.family)
 
-    # verify_prime makes its own skip records: at p = 3 every family that
-    # p = 13 admits skips, for p <= 3 or for its residue class
+    # and for the prime families: at p = 3 every family that p = 13 admits
+    # skips, for p <= 3 or for its residue class
     [inst] = build_instances(SweepConfig(families=PRIME_FAMILIES, p_min=13, p_max=13))
-    reals = sweep._execute(inst)
-    skips = sweep._execute(inst._replace(args=(3,) + inst.args[1:]))
+    reals = _execute(inst)
+    skips = _execute(inst._replace(args=(3,) + inst.args[1:]))
     fams = ("B2", "E2", "F2", "E2_MOD4", "F2_MOD4", "SUN_B2")
     assert [(r.family, r.truncation) for r in reals] == [
         (f, tr) for f in fams for tr in ("short", "full")
@@ -259,22 +271,23 @@ def test_prime_skip_reasons(p):
 
 
 def test_one_instance_per_prime():
-    # per prime: one instance for the classical and MAO families p admits,
-    # then the (alpha, p) instances; none at a prime that admits no family
+    # one instance per prime for the classical and MAO families p admits
+    # and the alpha families at every alpha; none at a prime without any
     assert set(CLASSES) == set(PRIME_FAMILIES)
-    cfg = SweepConfig(families=VERIFY_FAMILIES, p_min=2, p_max=13,
-                      alpha_list=(Fraction(1, 2),))
+    alphas = (Fraction(1, 2), Fraction(-1, 3))
+    cfg = SweepConfig(families=VERIFY_FAMILIES, p_min=2, p_max=13, alpha_list=alphas)
     insts = build_instances(cfg)
     assert [(i.run, i.p) for i in insts] == [
-        (run, p) for p in sieve_primes(2, 13) for run in (verify_prime, verify_alpha)
-    ]
-    for inst in insts[::2]:
+        (verify_at_prime, p) for p in sieve_primes(2, 13)]
+    for inst in insts:
         p = inst.p
-        assert inst.args == (p, _admitted(p), ("short", "full"))
-        assert inst.family == ",".join(_admitted(p))
+        fams = _admitted(p) + ALPHA_FAMILIES
+        assert inst.args == (p, fams, alphas, ("short", "full"))
+        assert inst.family == ",".join(fams)
+        assert inst.alpha is None and str(inst) == f"{inst.family} p={p}"
     insts = build_instances(replace(cfg, families=("F2", "SUN_B2"), trunc="short"))
     assert [i.args for i in insts] == [
-        (p, ("F2", "SUN_B2") if p in (5, 13) else ("SUN_B2",), ("short",))
+        (p, ("F2", "SUN_B2") if p in (5, 13) else ("SUN_B2",), (), ("short",))
         for p in sieve_primes(2, 13)
     ]
     assert [i.p for i in build_instances(SweepConfig(families=("EQUIV",)))] == (
@@ -287,6 +300,12 @@ def test_one_instance_per_prime():
     )
     # at p = 2 and at p = 3, four classical families skip twice, two MAO once
     assert s.failed == 0 and s.skipped == 2 * (4 * 2 + 2)
+    # the records of a prime's instance are those of verify_prime and
+    # verify_alpha at that prime
+    want = [r for p in sieve_primes(2, 13)
+            for r in verify_prime(p, _admitted(p))
+            + [r for a in alphas for r in verify_alpha(a, p)]]
+    assert list(run_sweep(cfg).records) == sorted(want, key=VerificationRecord.sort_key)
 
 
 def test_importing_the_cli_does_not_import_the_pool():
@@ -300,13 +319,17 @@ def test_importing_the_cli_does_not_import_the_pool():
 
 
 def test_one_instance_per_alpha_and_prime():
+    # the alpha families alone: still one instance per prime, which carries
+    # that prime's alphas; an empty alpha list selects nothing
     cfg = SweepConfig(families=ALPHA_FAMILIES, p_min=2, p_max=13)
     insts = build_instances(cfg)
-    pairs = [(i.p, i.alpha) for i in insts]
-    assert pairs == [(p, a) for p in sieve_primes(2, 13) for a in default_alphas(p)]
+    assert [(i.p, i.args[2]) for i in insts] == [
+        (p, tuple(default_alphas(p))) for p in sieve_primes(2, 13)]
     assert {i.family for i in insts} == {",".join(ALPHA_FAMILIES)}
     s = run_sweep(cfg)
-    assert s.total == len(ALPHA_FAMILIES) * len(insts)
+    assert s.total == len(ALPHA_FAMILIES) * sum(len(i.args[2]) for i in insts)
+    with pytest.raises(ConfigError, match="matches no instances"):
+        build_instances(replace(cfg, alpha_list=()))
 
 
 def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
@@ -334,7 +357,7 @@ def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
 
 def test_truncation_too_large_is_an_internal_error(monkeypatch):
     # every sweep truncation is below p, so this error can only be a bug
-    monkeypatch.setattr(sweep, "verify_prime",
+    monkeypatch.setattr(sweep, "verify_at_prime",
                         lambda *args: verifier.sum_main(Fraction(1, 2), 7, 7))
     with pytest.raises(sweep.InternalError) as info:
         run_sweep(SweepConfig(families=("B2",), p_min=7, p_max=7))
@@ -440,6 +463,78 @@ def test_render_json_shape():
     assert doc["summary"]["total"] == s.total
     doc = json.loads(render_json(s, timings=True))
     assert "elapsed_ms" in doc["records"][0]
+
+
+def _render_json_oracle(summary: ReportSummary, timings: bool = False) -> str:
+    # the encoder render_json replaced: indent=2 over the whole report doc
+    counts = {"total": summary.total, "passed": summary.passed,
+              "failed": summary.failed, "skipped": summary.skipped}
+    if timings:
+        counts["timings"] = sweep.timing_summary(summary)
+    doc = {"records": [sweep.record_to_dict(r, timings) for r in summary.records],
+           "summary": counts}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _oracle_reports() -> dict[str, ReportSummary]:
+    timed = run_sweep(SweepConfig(families=VERIFY_FAMILIES, p_min=2, p_max=13,
+                                  alpha_list=("1/2", "1/13", "-1")))
+    # skips for the residue class (the ≡ reasons), a failure, and a reason
+    # with every character JSON escapes
+    odd = make_record("B2", "7^3", ResidueClass(1, 343), ResidueClass(2, 343), p=7,
+                      truncation="short")
+    text = VerificationRecord("TAIL", "-", "-", "-", None, p=5, alpha=Fraction(-1, 2),
+                              reason='quote " backslash \\ newline \n tab \t ≡ é')
+    return {
+        "timed": timed,
+        "mixed": summarize(list(timed.records) + verify_prime(5) + [odd, text]),
+        "q": run_sweep(SweepConfig(families=Q_FAMILIES, n_list=(2, 5))),
+        "identities": run_identities(nmax=3, pmax=11, mmax=2),
+        "empty": summarize([]),
+    }
+
+
+@pytest.mark.parametrize("timings", (False, True))
+def test_render_json_matches_the_indent_encoder(timings):
+    reports = _oracle_reports()
+    assert reports["mixed"].failed == 1
+    assert len(reports["mixed"].records) > sweep._RECORDS_PER_CALL
+    assert any("≡" in (r.reason or "") for r in reports["mixed"].records)
+    for name, summary in reports.items():
+        assert render_json(summary, timings) == _render_json_oracle(summary, timings), name
+
+
+def test_timings_summary():
+    cfg = SweepConfig(families=("E2", "MAO_HALF", "TAIL", "LEMMA_PROD"), p_min=2,
+                      p_max=31, alpha_list=("1/3", "1", "1/7"))
+    s = run_sweep(cfg)
+    t = json.loads(render_json(s, timings=True))["summary"]["timings"]
+    assert set(t) == {"family_ms", "phase_ms", "skips"}
+    # per family: the sum of its records' elapsed_ms
+    for fam in cfg.families:
+        want = sum(r.elapsed_ms for r in s.records if r.family == fam)
+        assert t["family_ms"][fam] == round(want, 3) and want > 0
+    # per phase: every per-prime instance's phase seconds, in ms
+    assert set(t["phase_ms"]) == set(verifier.PHASES)
+    assert all(ms > 0 for ms in t["phase_ms"].values())
+    # elapsed_ms is the instance time over its records: equal at one prime,
+    # and at least the share of its phases
+    for p in sieve_primes(2, 31):
+        recs = [r for r in s.records if r.p == p]
+        assert len({(r.elapsed_ms, r.phase_ms) for r in recs}) == 1, p
+        assert sum(recs[0].phase_ms) <= recs[0].elapsed_ms
+    assert sum(t["skips"].values()) == s.skipped
+    # by family and reason, numbers written #: at p = 2 and 3 for each alpha,
+    # at each p > 3 for alpha = 1, and at p = 7 for alpha = 1/7
+    assert {k: n for k, n in t["skips"].items() if k.startswith("TAIL")} == {
+        "TAIL: needs p > #, got p = #": 2 * 3,
+        "TAIL: <-alpha>_p = p-# for alpha = #, p = #: tail is empty": 9,
+        "TAIL: -#/# has no residue mod #^#": 1,
+    }
+    # the text report ends with the same figures
+    text = render_text(s, timings=True).splitlines()
+    assert text[-len(t["skips"]) - len(t["family_ms"]) - 1].startswith("phases: tables ")
+    assert "phases:" not in render_text(s) and "timings" not in render_json(s)
 
 
 def test_render_csv_shape():

@@ -1,6 +1,7 @@
 """Congruence verification: sums, theorem families, lemmas."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from supercong.verifier import (
     sum_mao,
     ramanujan_partial,
     verify_alpha,
+    verify_at_prime,
     verify_prime,
 )
 from supercong.wz import telescoped_rhs
@@ -462,12 +464,14 @@ def _counting(monkeypatch, names):
 
 
 def test_verify_alpha_computes_shared_values_once(monkeypatch):
-    calls = _counting(monkeypatch, ("_partial_sums", "_poch_prefix"))
+    # verify_alpha is one alpha of verify_at_prime
+    calls = _counting(monkeypatch, ("_partial_sums", "_poch_prefix", "verify_at_prime"))
 
     def count(families, alpha=Fraction(1, 3), p=13):
         for args in calls.values():
             args.clear()
         assert all(r.passed for r in verify_alpha(alpha, p, families))
+        assert calls["verify_at_prime"] == [(p, list(families), (alpha,))]
         # the prefix reaches 2p-1 only for the lemma families
         lemmas = not set(LEMMA_FAMILIES).isdisjoint(families)
         assert [n for _, _, n in calls["_poch_prefix"]] == (
@@ -483,6 +487,56 @@ def test_verify_alpha_computes_shared_values_once(monkeypatch):
     assert count(("TAIL", "TAIL", "LEMMA_PROD", "LEMMA_SIGMA")) == (1, 1)
     for fam in ALPHA_FAMILIES:
         assert count((fam,))[1] == 1, fam
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 37, 2003))
+def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
+    # every family at one prime: one prefix, one set of main partial sums and
+    # one closed form per exponent for each distinct p-integral alpha, the
+    # classical weights' 1/2, 1/3 and 1/4 among them, and one 8^(-k) sum
+    # from the prefix at 1/2; no lemma tables without a lemma family
+    names = ("_poch_prefix", "_partial_sums", "_closed_form", "_lemma_tables")
+    calls = _counting(monkeypatch, names)
+    alphas = (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 5),
+              Fraction(1, 4), Fraction(1, 3))
+    integral = {a for a in alphas if a.denominator % p}
+    for fams in (PRIME_FAMILIES + ALPHA_FAMILIES[:3], ALPHA_FAMILIES[:3] + PRIME_FAMILIES):
+        for args in calls.values():
+            args.clear()
+        rows, seconds = verify_at_prime(p, fams, alphas)
+        assert all(row[4] is not False for row in rows)
+        assert len(rows) == 23 + 3 * len(alphas)
+        prefixes = Counter(args[0] for args in calls["_poch_prefix"])
+        assert {a: k for a, k in prefixes.items() if a in integral} == dict.fromkeys(
+            integral, 1), p
+        sums = [(pre[3], b) for pre, _, _, b, *_ in calls["_partial_sums"]]
+        assert sorted(sums) == sorted(
+            [(decompose(a, p).a, 2) for a in integral]
+            + [(decompose(Fraction(1, 2), p).a, 6)]), p
+        closed = Counter((alpha, e) for alpha, _, _, _, e in calls["_closed_form"])
+        assert set(closed.values()) == {1}
+        assert set(closed) == {(a, 4) for a in integral} | {
+            (Fraction(1, d), 3) for d in (2, 3, 4)}
+        assert calls["_lemma_tables"] == []
+        assert set(seconds) == set(verifier.PHASES) and seconds["lemma"] == 0
+        assert all(x >= 0 for x in seconds.values()) and seconds["sums"] > 0
+    verify_at_prime(p, ("LEMMA_SIGMA",), alphas)
+    assert calls["_lemma_tables"]
+
+
+def test_verify_at_prime_names_the_alpha_of_an_internal_error(monkeypatch):
+    real = verifier._poch_prefix
+
+    def broken(alpha, p, n):
+        if alpha == Fraction(-1, 3):
+            raise ZeroDivisionError("broken")
+        return real(alpha, p, n)
+
+    monkeypatch.setattr(verifier, "_poch_prefix", broken)
+    with pytest.raises(verifier.AlphaCheckError) as info:
+        verify_at_prime(13, ("E2", "MAIN1"), (Fraction(1, 2), Fraction(-1, 3)))
+    assert info.value.alpha == Fraction(-1, 3) and str(info.value) == "alpha=-1/3"
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_verify_prime_runs_one_pass_per_sum(monkeypatch):
@@ -572,13 +626,15 @@ def _plain_mao_sum(M, p):
 
 @pytest.mark.parametrize("p", sieve_primes(1900, 2000))
 def test_checkpoints_match_a_plain_loop_near_2000(p):
+    m = p**4
     for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-8, 5)):
         Ms = (0, decompose(alpha, p).a, (p - 1) // 2, p - 1)
         got = _main_sums(_poch_prefix(alpha, p, p - 1), p, p - 1)
-        assert [got[M] for M in Ms] == [_plain_main_sum(alpha, M, p) for M in Ms], alpha
+        assert [got[M] % m for M in Ms] == [_plain_main_sum(alpha, M, p) for M in Ms], (
+            alpha)
     Ms = (1, (p - 1) // 2, p - 1)
     got = _mao_sums(_poch_prefix(Fraction(1, 2), p, p - 1), p, p - 1)
-    assert [got[M] for M in Ms] == [_plain_mao_sum(M, p) for M in Ms]
+    assert [got[M] % m for M in Ms] == [_plain_mao_sum(M, p) for M in Ms]
 
 
 def test_ramanujan_partial():

@@ -55,6 +55,7 @@ EULER_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
 Q_TESTS = ("tests/test_qseries.py", "tests/test_properties.py")
 CLOSED_TESTS = ("tests/test_verifier.py", "tests/test_acceptance.py")
 VERIFY_TESTS = ("tests/test_verifier.py", "tests/test_properties.py")
+RENDER_TESTS = ("tests/test_sweep_cli.py", "tests/test_report_digests.py")
 
 
 class Mutation(NamedTuple):
@@ -182,28 +183,40 @@ MUTATIONS = (
              "(num + a * den) // p * inv % m", "(num + a * den) % m // p * inv % m",
              VERIFY_TESTS),
     Mutation("partial sums scale p^v0 from k = a on", "verifier.py",
-             "((0, min(a, top) + 1), (a + 1, top + 1))",
-             "((0, min(a, top)), (a, top + 1))", VERIFY_TESTS),
+             "terms[a + 1:] = [x * scale for x in terms[a + 1:]]",
+             "terms[a:] = [x * scale for x in terms[a:]]", VERIFY_TESTS),
+    Mutation("partial sums unscaled when a = top - 1", "verifier.py",
+             "if a < top:", "if a < top - 1:", VERIFY_TESTS),
     Mutation("partial sums valuation 3 v0", "verifier.py",
              "p ** (3 * v0)", "p ** (3 * v0 - 1)", VERIFY_TESTS),
     Mutation("partial sums 8^(-k) step", "verifier.py",
              "x * y % m, initial=1)", "x * y % m, initial=z)", VERIFY_TESTS),
     Mutation("main sums weight 2k + alpha", "verifier.py",
              "2, p * t - a)", "2, p * t + a)", VERIFY_TESTS),
-    # the shared values of verify_prime
+    # the values verify_at_prime shares between the families at a prime
     Mutation("prime EQUIV reads the short checkpoint", "verifier.py",
-             "4 * main(4)[p - 1]", "4 * main(4)[(p - 1) // 4]", VERIFY_TESTS),
+             "4 * main(weight[4])[p - 1]", "4 * main(weight[4])[(p - 1) // 4]",
+             VERIFY_TESTS),
+    Mutation("prime classical weight d reads the sums of 1/2", "verifier.py",
+             "s = main(i)[pre(i)[3]", "s = main(weight[2])[pre(i)[3]", VERIFY_TESTS),
+    Mutation("prime 8^(-k) sum reads the prefix at 1/4", "verifier.py",
+             "_mao_sums, pre(weight[2])", "_mao_sums, pre(weight[4])", VERIFY_TESTS),
+    Mutation("prime lemma tables built without a lemma family", "verifier.py",
+             "if lemmas:\n            timed(", "if True:\n            timed(",
+             VERIFY_TESTS),
+    Mutation("prime prefix to 2p-1 without a lemma family", "verifier.py",
+             "top = 2 * p - 1 if lemmas else p - 1", "top = 2 * p - 1", VERIFY_TESTS),
     Mutation("prime p^3 family not reduced mod p^3", "verifier.py",
              "d * s % p**e", "d * s % m", VERIFY_TESTS),
     Mutation("prime short and full checkpoints swapped", "verifier.py",
-             'main(d)[pre(d)[3] if truncation == "short" else p - 1]',
-             'main(d)[p - 1 if truncation == "short" else pre(d)[3]]', VERIFY_TESTS),
+             'main(i)[pre(i)[3] if truncation == "short" else p - 1]',
+             'main(i)[p - 1 if truncation == "short" else pre(i)[3]]', VERIFY_TESTS),
     Mutation("prime EQUIV residue class", "verifier.py",
              '"EQUIV": (4, 1)', '"EQUIV": (4, 3)', VERIFY_TESTS),
-    # the shared values of verify_alpha and the lemma preconditions
+    # the values of one alpha and the lemma preconditions
     Mutation("alpha MAIN1 and MAIN1_TRUNC checkpoints swapped", "verifier.py",
-             'partial()[p - 1 if fam == "MAIN1" else a]',
-             'partial()[a if fam == "MAIN1" else p - 1]', VERIFY_TESTS),
+             'main(i)[p - 1 if fam == "MAIN1" else a]',
+             'main(i)[a if fam == "MAIN1" else p - 1]', VERIFY_TESTS),
     Mutation("alpha TAIL empty test", "verifier.py",
              "if a == p - 1:\n                raise PreconditionViolated",
              "if a == p - 2:\n                raise PreconditionViolated",
@@ -225,6 +238,19 @@ MUTATIONS = (
              "-r if k % 2 else r", "r if k % 2 else -r", VERIFY_TESTS),
     Mutation("prime table sign of (-1)^k/k!^3", "verifier.py",
              "(-f if j & 1 else f)", "(f if j & 1 else -f)", VERIFY_TESTS),
+    Mutation("lemma table 1/k one index off", "verifier.py",
+             "fact[k - 1] * inv_fact[k] % m", "fact[k - 2] * inv_fact[k - 1] % m",
+             VERIFY_TESTS),
+    # the JSON report from json's C encoder
+    Mutation("render record item separator", "sweep.py",
+             r'separators=(",\n      ", ": ")', r'separators=(",\n     ", ": ")',
+             RENDER_TESTS),
+    Mutation("render gap between records", "sweep.py",
+             r'_RECORD_GAP = "\n    },\n    {\n      "',
+             r'_RECORD_GAP = "\n    },\n  {\n      "', RENDER_TESTS),
+    Mutation("render drops the last record of each call", "sweep.py",
+             "records[i:i + _RECORDS_PER_CALL]", "records[i:i + _RECORDS_PER_CALL - 1]",
+             RENDER_TESTS),
 )
 
 
