@@ -25,14 +25,14 @@ from supercong import (
     q_integer,
     verify_q,
 )
-from supercong.qseries import IntPoly, _binomials, _sum_numerator
+from supercong.qseries import _binomials, _gz_rhs, _poly_str, _sum_numerator
 
 print("building blocks:")
-print(f"  [5]       = {q_integer(5).to_string()}   (coefficient list, low degree first)")
-print(f"  Phi_5(q)  = {cyclotomic(5).to_string()}")
-print(f"  Phi_12(q) = {cyclotomic(12).to_string()}")
-print(f"  Phi_105 has degree {cyclotomic(105).degree} and a -2 coefficient:"
-      f" {min(cyclotomic(105).coeffs)}")
+print(f"  [5]       = {_poly_str(q_integer(5))}   (coefficient list, low degree first)")
+print(f"  Phi_5(q)  = {_poly_str(cyclotomic(5))}")
+print(f"  Phi_12(q) = {_poly_str(cyclotomic(12))}")
+print(f"  Phi_105 has degree {len(cyclotomic(105)) - 1} and a -2 coefficient:"
+      f" {min(cyclotomic(105))}")
 
 print("\nsign-twisted [n] congruences, modulus [n] Phi_n(q)^2:")
 for fam, ns in (("gz-e2", (3, 5, 7, 9, 11)), ("gz-f2", (5, 9, 13))):
@@ -40,11 +40,8 @@ for fam, ns in (("gz-e2", (3, 5, 7, 9, 11)), ("gz-f2", (5, 9, 13))):
         [r] = verify_q(n, (fam,))
         tag = "ok" if r.passed else "FAIL"
         e = (n - 1) * (n - 3) // 8
-        rhs = q_integer(n).shift(e)  # (-q)^e [n]
-        if e % 2:
-            rhs = -rhs
         print(f"  [{tag}] {fam} n={n:>2}: rhs = (-q)^{e} [{n}]"
-              f" = {rhs.to_string():<32}  mod {r.modulus}")
+              f" = {_poly_str(_gz_rhs(n)):<32}  mod {r.modulus}")
 
 print("\nmod [n] Phi_n(q)^3 agreement of the two series (open conjecture):")
 for n in (5, 9, 13):
@@ -61,13 +58,13 @@ print(f"  failing factor Phi_d, derivative order j: "
 print("\na deliberately broken difference, e2(9) - f2(9) + Phi_9^3, mod [9] Phi_9^3:")
 # Phi_9 = (1 - q^9) / (1 - q^3); over den = (q^4;q^4)_8^3, the numerator of
 # e2 - f2 - rhs with rhs = -Phi_9^3 is e2.num - f2.num + den * Phi_9^3
-phi9_cubed = IntPoly(_binomials({9: 3, 3: -3}))
-broken = _sum_numerator(9, 1, -1, -phi9_cubed)
+minus_phi9_cubed = [-c for c in _binomials({9: 3, 3: -3})]
+broken = _sum_numerator(9, 1, -1, minus_phi9_cubed)
 # [9] Phi_9^3 = Phi_3 Phi_9^4; Phi_3 | 1 - q^(4j) for j = 3, 6, cubed in den
 d, j, residue = congruence_failure(broken, [(3, 1), (9, 4)], {3: 6, 9: 0})
 print(f"  Phi_3 divides the denominator 6 times, so D^j N must vanish mod Phi_3"
       f" for j < 7;\n  first nonzero: d={d}, j={j}, D^j N mod Phi_d ="
-      f" {residue.to_string()}")
+      f" {_poly_str(residue)}")
 
 
 def q_limit(k):

@@ -1,10 +1,12 @@
 """Integer polynomials in q and the q-analogue congruences.
 
-IntPoly is a dense integer-coefficient polynomial.  Every polynomial built
+A polynomial is a tuple of its integer coefficients, lowest degree first,
+with no trailing zero; the zero polynomial is ().  Every polynomial built
 here is a product of binomials (1 - q^s)^(+-k), a one-pass Horner sum, or a
-remainder modulo a monic Phi_d.  Congruence of a rational function N/D
-modulo a polynomial M means: in lowest terms, the denominator is coprime
-to M and M divides the numerator (the standard convention for
+remainder modulo a monic Phi_d, computed on coefficient lists; functions
+that take a polynomial accept any int sequence.  Congruence of a rational
+function N/D modulo a polynomial M means: in lowest terms, the denominator
+is coprime to M and M divides the numerator (the standard convention for
 q-congruences whose raw denominators are only coprime to M after
 cancellation).
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -48,7 +51,6 @@ from .records import (
 
 __all__ = [
     "InternalNonExactDivision",
-    "IntPoly",
     "q_integer",
     "cyclotomic",
     "congruence_failure",
@@ -63,108 +65,28 @@ class InternalNonExactDivision(ArithmeticError):
     """A division that must be exact left a remainder (indicates a bug)."""
 
 
-NEG_INF = float("-inf")
+def _trim(c: list[int]) -> tuple[int, ...]:
+    """The normal form of a coefficient list: a tuple, lowest degree first,
+    without trailing zeros, so the zero polynomial is ()."""
+    end = len(c)
+    while end and not c[end - 1]:
+        end -= 1
+    return tuple(c[:end])
 
 
-class IntPoly:
-    """Dense univariate polynomial over Z, lowest degree first.
-
-    Immutable; the zero polynomial has an empty coefficient tuple and
-    degree -inf.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
-
-    # -- constructors
-
-    @classmethod
-    def zero(cls) -> IntPoly:
-        return cls(())
-
-    def to_string(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
-
-    # -- structure
-
-    @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPoly({list(self.coeffs)})"
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    # -- arithmetic
-
-    def __add__(self, other) -> IntPoly:
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> IntPoly:
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> IntPoly:
-        return _coerce(other) + (-self)
-
-    def shift(self, d: int) -> IntPoly:
-        """Multiply by q^d."""
-        if d < 0:
-            raise ValueError(f"shift must be >= 0, got {d}")
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * d + self.coeffs)
-
-
-def _coerce(x) -> IntPoly:
-    if isinstance(x, IntPoly):
-        return x
-    if isinstance(x, int):
-        return IntPoly((x,))
-    raise TypeError(f"cannot treat {type(x).__name__} as IntPoly")
+def _poly_str(f: Sequence[int]) -> str:
+    """The coefficients of f, comma-separated, lowest degree first; "0" for ()."""
+    return ",".join(map(str, f)) or "0"
 
 
 # ---------------------------------------------------------------------------
 # q-objects
 
-def q_integer(n: int) -> IntPoly:
+def q_integer(n: int) -> tuple[int, ...]:
     """[n] = 1 + q + ... + q^(n-1)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return IntPoly((1,) * n)
+    return (1,) * n
 
 
 def _divisors(n: int) -> list[int]:
@@ -222,28 +144,28 @@ def _mobius_exponents(n: int, e: int) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(n: int) -> IntPoly:
+def cyclotomic(n: int) -> tuple[int, ...]:
     """Phi_n(q) via the Moebius product prod_{d|n} (q^d - 1)^mu(n/d)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
-        return IntPoly((-1, 1))
-    return IntPoly(_binomials(_mobius_exponents(n, 1)))
+        return (-1, 1)
+    return tuple(_binomials(_mobius_exponents(n, 1)))
 
 
 # ---------------------------------------------------------------------------
 # congruence at roots of unity
 
-def _monic_rem(c: list[int], m: tuple[int, ...]) -> IntPoly:
+def _monic_rem(c: list[int], m: tuple[int, ...]) -> tuple[int, ...]:
     """c mod the monic m, both coefficient lists; c is overwritten."""
     k = len(m) - 1
     for i in range(len(c) - 1, k - 1, -1):
         if t := c[i]:
             c[i - k:i] = [x - t * y for x, y in zip(c[i - k:i], m)]
-    return IntPoly(c[:k])
+    return _trim(c[:k])
 
 
-def _hasse_residues(f: IntPoly, d: int):
+def _hasse_residues(f: Sequence[int], d: int):
     """Yield D^j f mod Phi_d for j = 0, 1, 2, ...; D^j f = f^(j) / j!.
 
     D^j f = sum_i C(i, j) c_i q^(i-j).  Its residue comes from folding the
@@ -251,19 +173,19 @@ def _hasse_residues(f: IntPoly, d: int):
     monic Phi_d.  The weights c_i C(i, j) carry over from one j to the next.
     """
     phi = cyclotomic(d)
-    w = list(f.coeffs)
+    w = list(f)
     j = 0
     while True:
         folded = [sum(w[s::d]) for s in range(d)]
         shift = j % d
-        yield _monic_rem(folded[shift:] + folded[:shift], phi.coeffs)
+        yield _monic_rem(folded[shift:] + folded[:shift], phi)
         w = [c * (i - j) // (j + 1) for i, c in enumerate(w)]
         j += 1
 
 
 def congruence_failure(
-    num: IntPoly, factors: list[tuple[int, int]], den_orders: dict[int, int]
-) -> tuple[int, int, IntPoly] | None:
+    num: Sequence[int], factors: list[tuple[int, int]], den_orders: dict[int, int]
+) -> tuple[int, int, tuple[int, ...]] | None:
     """None when N/D ≡ 0 (mod prod Phi_d^e); otherwise (d, j, D^j N mod Phi_d).
 
     num is the raw numerator N, factors the modulus as [(d, e), ...], and
@@ -277,8 +199,6 @@ def congruence_failure(
     first derivative order that breaks this, with its nonzero residue as
     certificate.
     """
-    if num.is_zero:
-        return None
     for d, e in factors:
         for j, r in zip(range(den_orders[d] + e), _hasse_residues(num, d)):
             if r:
@@ -303,8 +223,8 @@ def _times_q_integer(a: list[int], m: int) -> list[int]:
 
 
 def _sum_numerator(
-    n: int, w_e2: int, w_f2: int, rhs: IntPoly = IntPoly.zero()
-) -> IntPoly:
+    n: int, w_e2: int, w_f2: int, rhs: Sequence[int] = ()
+) -> tuple[int, ...]:
     """Numerator of w_e2 e2(n) + w_f2 f2(n) - rhs over ((q^4;q^4)_{n-1})^3.
 
     The weights are -1, 0 or 1.  The numerator
@@ -317,7 +237,8 @@ def _sum_numerator(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    acc = list((w_e2 + w_f2 - rhs).coeffs)
+    acc = [-c for c in rhs] or [0]
+    acc[0] += w_e2 + w_f2
     e3 = f3 = [1]  # (q;q^2)_k^3 and (q;q^4)_k^3
     for k in range(1, n):
         acc = _times_cube(acc, 4 * k)
@@ -333,12 +254,12 @@ def _sum_numerator(
             end = shift + len(s_k)
             acc += [0] * (end - len(acc))  # f2 terms outgrow the accumulator
             acc[shift:end] = map(add, acc[shift:end], s_k)
-    return IntPoly(acc)
+    return _trim(acc)
 
 
-def _cube_denominator(n: int) -> IntPoly:
+def _cube_denominator(n: int) -> tuple[int, ...]:
     """((q^4;q^4)_{n-1})^3 = prod_{k<n} (1 - q^(4k))^3."""
-    return IntPoly(_binomials({4 * k: 3 for k in range(1, n)}))
+    return tuple(_binomials({4 * k: 3 for k in range(1, n)}))
 
 
 def _den_order(n: int, d: int) -> int:
@@ -353,11 +274,10 @@ def _den_order(n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # verifications
 
-def _gz_rhs(n: int) -> IntPoly:
+def _gz_rhs(n: int) -> tuple[int, ...]:
     # (-q)^((n-1)(n-3)/8) [n]; the exponent is a nonnegative integer for odd n
     e = (n - 1) * (n - 3) // 8
-    rhs = q_integer(n).shift(e)
-    return -rhs if e % 2 else rhs
+    return (0,) * e + (-1 if e % 2 else 1,) * n
 
 
 class QFamily(NamedTuple):
@@ -382,11 +302,12 @@ Q_FAMILIES: dict[str, QFamily] = {
 }
 
 
-def _q_check(n: int, f: QFamily) -> tuple[IntPoly, tuple[int, int, IntPoly] | None]:
+def _q_check(
+    n: int, f: QFamily
+) -> tuple[tuple[int, ...], tuple[int, int, tuple[int, ...]] | None]:
     """The family's numerator N over ((q^4;q^4)_{n-1})^3 and its failure
     modulo [n] Phi_n^e = prod_{d | n, 1 < d < n} Phi_d * Phi_n^(1+e)."""
-    rhs = _gz_rhs(n) if f.gz_rhs else IntPoly.zero()
-    num = _sum_numerator(n, *f.weights, rhs)
+    num = _sum_numerator(n, *f.weights, _gz_rhs(n) if f.gz_rhs else ())
     factors = [(d, 1 + f.phi_exp if d == n else 1) for d in _divisors(n) if d > 1]
     return num, congruence_failure(
         num, factors, {d: _den_order(n, d) for d, _ in factors})
@@ -432,10 +353,10 @@ def conjecture41_witness(n: int) -> dict[str, int | str | None]:
     modulus.update({n: 1, 1: -1})
     return {
         "n": n,
-        "modulus": IntPoly(_binomials(modulus)).to_string(),
-        "difference_numerator": num.to_string(),
-        "difference_denominator": _cube_denominator(n).to_string(),
+        "modulus": _poly_str(_binomials(modulus)),
+        "difference_numerator": _poly_str(num),
+        "difference_denominator": _poly_str(_cube_denominator(n)),
         "cyclotomic_index": d,
         "derivative_order": j,
-        "remainder_certificate": "" if witness is None else witness.to_string(),
+        "remainder_certificate": "" if witness is None else _poly_str(witness),
     }

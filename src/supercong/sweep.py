@@ -280,6 +280,9 @@ def _run_instances(insts: list[Instance], workers: int) -> list[VerificationReco
         # to the start-up of every serial run
         from concurrent.futures import ProcessPoolExecutor
 
+        # the fork start method forks every worker at the first submit, so
+        # ask for no more workers than there are instances
+        workers = min(workers, len(insts))
         chunk = max(1, len(insts) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as ex:
             records = _records(ex.map(_execute, insts, chunksize=chunk))

@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 
 from supercong import sequences
-from supercong.qseries import IntPoly
 from supercong.sequences import _horner, harmonic, pochhammer
 
 
@@ -133,7 +132,8 @@ def check_euler_identities(n_max: int, m_max: int) -> bool:
     return True
 
 
-def poly_from_string(text: str) -> IntPoly:
-    """The IntPoly of a comma-separated coefficient list, lowest degree first
-    (the inverse of IntPoly.to_string)."""
-    return IntPoly(int(part) for part in text.strip().split(","))
+def poly_from_string(text: str) -> tuple[int, ...]:
+    """The coefficient tuple of a comma-separated list, lowest degree first,
+    with "0" for () (the inverse of qseries._poly_str)."""
+    cs = tuple(int(part) for part in text.strip().split(","))
+    return () if cs == (0,) else cs

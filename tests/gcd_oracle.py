@@ -12,24 +12,25 @@ divides a polynomial: by exact division, and by the order of vanishing at
 a d-th root of unity mod a prime.
 """
 
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, count, repeat
 from operator import add, mul
 
 import sympy
 
-from supercong.qseries import IntPoly
-
 ZQ, Q = sympy.ring("q", sympy.ZZ)
 
 
-def poly(f: IntPoly):
-    """The element of ZZ[q] with the coefficients of f."""
-    return ZQ.from_list(f.coeffs[::-1])
+def poly(f: Sequence[int]):
+    """The element of ZZ[q] with the coefficients f, lowest degree first."""
+    return ZQ.from_list(list(f)[::-1])
 
 
-def intpoly(f) -> IntPoly:
-    return IntPoly(reversed(f.to_dense()))
+def coeff_tuple(f) -> tuple[int, ...]:
+    """The coefficients of f in ZZ[q], lowest degree first, without trailing
+    zeros: the package's polynomial form."""
+    return tuple(int(c) for c in reversed(f.to_dense()))
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +115,7 @@ def _root_of_unity(d: int, bound: int) -> tuple[int, list[int]]:
     return p, [pow(w, i, p) for i in range(p)]
 
 
-def root_order(f: IntPoly, d: int, bound: int) -> int:
+def root_order(f: Sequence[int], d: int, bound: int) -> int:
     """Order of vanishing of f at a primitive d-th root of unity, mod a prime.
 
     The root w lives in F_p for the least prime p ≡ 1 (mod d) above bound.
@@ -126,7 +127,7 @@ def root_order(f: IntPoly, d: int, bound: int) -> int:
     division of g(w y) by y - 1 on fewer than p coefficients.
     """
     p, powers = _root_of_unity(d, bound)
-    cs = list(f.coeffs) + [0] * (-len(f.coeffs) % p)
+    cs = list(f) + [0] * (-len(f) % p)
     g = [0] * p
     for m, start in enumerate(range(0, len(cs), p)):
         g = list(map(add, g, map(mul, cs[start:start + p], repeat(powers[m % d]))))

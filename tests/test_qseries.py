@@ -11,13 +11,14 @@ import sympy
 
 from supercong import qseries
 from supercong.qseries import (
-    IntPoly,
     InternalNonExactDivision,
     Q_FAMILIES,
     _binomials,
     _cube_denominator,
     _den_order,
     _divisors,
+    _gz_rhs,
+    _poly_str,
     _q_check,
     _sum_numerator,
     congruence_failure,
@@ -31,10 +32,10 @@ from exact_oracle import poly_from_string
 from gcd_oracle import (
     Q,
     ZQ,
+    coeff_tuple,
     congruent,
     cyclotomic_multiplicity,
     dense_denominator,
-    intpoly,
     phi,
     poly,
     q_int,
@@ -43,33 +44,36 @@ from gcd_oracle import (
 )
 
 
-def test_intpoly_basics():
-    z = IntPoly.zero()
-    assert z.is_zero and z.degree == float("-inf")
-    assert IntPoly((1,)).degree == 0
-    p = IntPoly((1, 2, 3))
-    assert p.degree == 2 and p.coeffs[-1] == 3
-    assert (p - p).is_zero
-    assert (-p).coeffs == (-1, -2, -3)
-    assert IntPoly((1, 0, 0)).coeffs == (1,)  # trailing zeros trimmed
-    assert IntPoly((1, 1)).shift(2).coeffs == (0, 0, 1, 1)
-    assert z.shift(3).is_zero
-
-
-def test_intpoly_is_immutable_value_type():
-    p = IntPoly((1, 2))
-    with pytest.raises(AttributeError):
-        p.coeffs = (3,)
-    assert p == IntPoly((1, 2))
-    assert hash(p) == hash(IntPoly((1, 2)))
-
-
 def test_serialization_roundtrip():
     for coeffs in ((), (5,), (0, -3, 1), (1, 0, 0, 2)):
-        p = IntPoly(coeffs)
-        assert poly_from_string(p.to_string()) == p
-    assert IntPoly.zero().to_string() == "0"
+        assert poly_from_string(_poly_str(coeffs)) == coeffs
+    assert _poly_str(()) == "0" and _poly_str([0, -3, 1]) == "0,-3,1"
     assert poly_from_string("1,1,1") == q_integer(3)
+
+
+def _is_normal(f) -> bool:
+    """A tuple of ints, lowest degree first, whose last entry is nonzero, or ()."""
+    return type(f) is tuple and all(type(c) is int for c in f) and (not f or f[-1] != 0)
+
+
+def test_polynomials_are_in_normal_form():
+    # every kind of polynomial the module returns, for n <= 40 and every
+    # d | n; the sum numerators of CONJ41 (n ≡ 1 mod 4) and GZ_E2 (n ≡ 3)
+    assert qseries._trim([1, 0, 2, 0, 0]) == (1, 0, 2) and qseries._trim([0, 0]) == ()
+    assert _sum_numerator(1, 1, -1) == () and _sum_numerator(1, 0, 0, (0, 1)) == (0, -1)
+    for n in range(1, 41):
+        assert _is_normal(q_integer(n)) and _is_normal(_cube_denominator(n)), n
+        if n % 4 == 1:
+            assert _is_normal(_sum_numerator(n, 1, -1)), n
+        elif n % 4 == 3:
+            assert _is_normal(_sum_numerator(n, 1, 0, _gz_rhs(n))), n
+        for d in _divisors(n):
+            assert _is_normal(cyclotomic(d)), d
+            # [n] vanishes to order 1 at each root of q^n - 1 but q = 1,
+            # where it is n: the certificate is D^1 [n] or [n] mod Phi_d
+            fail = congruence_failure(q_integer(n), [(d, 2)], {d: 0})
+            assert fail[:2] == (d, 1 if d > 1 else 0) and _is_normal(fail[2]), (n, d)
+            assert fail[2] and len(fail[2]) < len(cyclotomic(d)), (n, d)
 
 
 def test_binomials_against_sympy():
@@ -85,7 +89,7 @@ def test_binomials_against_sympy():
         for s, k in exponents.items():
             if k < 0:
                 want = want.exquo((1 - Q**s) ** -k)
-        assert IntPoly(_binomials(exponents)) == intpoly(want), exponents
+        assert _binomials(exponents) == list(coeff_tuple(want)), exponents
 
 
 def test_binomials_division_must_be_exact():
@@ -95,18 +99,18 @@ def test_binomials_division_must_be_exact():
 
 
 def test_q_integer():
-    assert q_integer(1) == IntPoly((1,))
-    assert q_integer(3).coeffs == (1, 1, 1)
-    assert sum(q_integer(7).coeffs) == 7
+    assert q_integer(1) == (1,)
+    assert q_integer(3) == (1, 1, 1)
+    assert sum(q_integer(7)) == 7
     with pytest.raises(ValueError):
         q_integer(0)
 
 
 def test_cyclotomic_small():
-    assert cyclotomic(1).coeffs == (-1, 1)
-    assert cyclotomic(2).coeffs == (1, 1)
-    assert cyclotomic(6).coeffs == (1, -1, 1)
-    assert cyclotomic(12).coeffs == (1, 0, -1, 0, 1)
+    assert cyclotomic(1) == (-1, 1)
+    assert cyclotomic(2) == (1, 1)
+    assert cyclotomic(6) == (1, -1, 1)
+    assert cyclotomic(12) == (1, 0, -1, 0, 1)
 
 
 def test_cyclotomic_factorization():
@@ -120,38 +124,48 @@ def test_cyclotomic_factorization():
 
 def test_cyclotomic_known_facts():
     for n in range(2, 40):
-        assert cyclotomic(n).coeffs[0] == 1  # constant term 1 for n >= 2
+        assert cyclotomic(n)[0] == 1  # constant term 1 for n >= 2
     # value at 1: p at prime powers, else 1
-    assert sum(cyclotomic(9).coeffs) == 3
-    assert sum(cyclotomic(8).coeffs) == 2
-    assert sum(cyclotomic(15).coeffs) == 1
+    assert sum(cyclotomic(9)) == 3
+    assert sum(cyclotomic(8)) == 2
+    assert sum(cyclotomic(15)) == 1
     # first index with a coefficient outside {-1, 0, 1}
     c = cyclotomic(105)
-    assert c.degree == 48 and c.coeffs[7] == -2 and c.coeffs[41] == -2
+    assert len(c) == 49 and c[7] == -2 and c[41] == -2
 
 
 def test_lhs_q_first_terms():
     for weights in ((1, 0), (0, 1)):
-        assert _sum_numerator(1, *weights) == IntPoly((1,))
-    assert _cube_denominator(1) == IntPoly((1,))
+        assert _sum_numerator(1, *weights) == (1,)
+    assert _cube_denominator(1) == (1,)
     hand = (1 - Q**4) ** 3 - q_int(7) * (1 - Q) ** 3 * Q**3
-    assert _sum_numerator(2, 1, 0) == intpoly(hand)
-    assert _cube_denominator(2) == intpoly((1 - Q**4) ** 3)
+    assert _sum_numerator(2, 1, 0) == coeff_tuple(hand)
+    assert _cube_denominator(2) == coeff_tuple((1 - Q**4) ** 3)
 
 
 def test_lhs_q_denominator_shape():
     for n in range(1, 18):
-        assert _cube_denominator(n) == intpoly(dense_denominator(n))
+        assert _cube_denominator(n) == coeff_tuple(dense_denominator(n))
 
 
 def test_den_order_is_the_multiplicity_in_the_denominator():
     # the closed form against the order of vanishing of ((q^4;q^4)_{n-1})^3
-    # itself, built factor by factor, at a primitive d-th root of unity.  Its
-    # factors are Phi_m with m <= 4(n-1) < 160, so root_order is exact
+    # at a primitive d-th root of unity, summed over its factors
+    # (1 - q^(4j))^3, since orders add under products, and read once from
+    # the whole product at n = 40.  The factors are Phi_m with
+    # m <= 4(n-1) < 160, so root_order is exact
+    top = 4 * 39
+    orders = [[0] * (top + 1)]  # orders[n - 1][d], the order at d of the n-th product
+    for j in range(1, 40):
+        cube = coeff_tuple((1 - Q ** (4 * j)) ** 3)
+        orders.append([v + root_order(cube, d, 160) if d else 0
+                       for d, v in enumerate(orders[-1])])
     for n in range(1, 41):
-        den = intpoly(dense_denominator(n))
         for d in range(1, 4 * (n - 1) + 1):
-            assert _den_order(n, d) == root_order(den, d, 160), (n, d)
+            assert _den_order(n, d) == orders[n - 1][d], (n, d)
+    den = coeff_tuple(dense_denominator(40))
+    for d in range(1, top + 1):
+        assert root_order(den, d, 160) == orders[39][d], d
 
 
 def test_rational_function_reduce():
@@ -164,12 +178,13 @@ def test_rational_function_reduce():
 def test_congruent_mod_worked_cases():
     phi3 = cyclotomic(3)
     # (q^6-1)/(q^2-1) = Phi_3 Phi_6, and Phi_3 does not divide q^2-1
-    assert congruence_failure(IntPoly((-1, 0, 0, 0, 0, 0, 1)), [(3, 1)], {3: 0}) is None
-    assert congruence_failure(IntPoly((1,)), [(3, 1)], {3: 0}) is not None
+    assert congruence_failure((-1, 0, 0, 0, 0, 0, 1), [(3, 1)], {3: 0}) is None
+    assert congruence_failure((1,), [(3, 1)], {3: 0}) is not None
+    assert congruence_failure((), [(3, 1)], {3: 5}) is None
     assert congruence_failure(phi3, [(3, 1)], {3: 0}) is None
     # Phi_3 / Phi_3 = 1: the denominator's Phi_3 takes the numerator's, and
     # the certificate is D^1 Phi_3 = 1 + 2q
-    assert congruence_failure(phi3, [(3, 1)], {3: 1}) == (3, 1, IntPoly((1, 2)))
+    assert congruence_failure(phi3, [(3, 1)], {3: 1}) == (3, 1, (1, 2))
 
 
 def test_congruent_mod_against_naive_oracle():
@@ -192,7 +207,7 @@ def test_congruent_mod_against_naive_oracle():
     ):
         for num, den in cases:
             orders = {d: cyclotomic_multiplicity(den, d) for d, _ in factors}
-            got = congruence_failure(intpoly(num), factors, orders)
+            got = congruence_failure(coeff_tuple(num), factors, orders)
             assert (got is None) == congruent(num, den, m), (num, den, m)
 
 
@@ -202,19 +217,19 @@ def test_congruent_mod_multiplier_invariance():
     rng = random.Random(7)
     m = q_int(5) * phi(5) ** 2  # Phi_5^3
     num, den = m * (2 - Q + 3 * Q**2), 1 + 2 * Q**2
-    assert congruence_failure(intpoly(num), [(5, 3)],
+    assert congruence_failure(coeff_tuple(num), [(5, 3)],
                               {5: cyclotomic_multiplicity(den, 5)}) is None
     for _ in range(12):
         mult = ZQ.from_list([rng.randint(1, 4) for _ in range(rng.randint(1, 5))])
         if not mult or mult.gcd(m).degree() > 0:
             continue
         orders = {5: cyclotomic_multiplicity(den * mult, 5)}
-        assert congruence_failure(intpoly(num * mult), [(5, 3)], orders) is None
+        assert congruence_failure(coeff_tuple(num * mult), [(5, 3)], orders) is None
 
 
 def test_congruence_witness_nonzero_on_failure():
-    w = congruence_failure(IntPoly((1, 1)), [(5, 1)], {5: 0})
-    assert w is not None and not w[2].is_zero
+    w = congruence_failure([1, 1], [(5, 1)], {5: 0})
+    assert w is not None and w[2]
     assert congruence_failure(cyclotomic(5), [(5, 1)], {5: 0}) is None
 
 
@@ -253,13 +268,22 @@ def test_verify_gz_needs_the_full_family_name():
 def test_mod_squared_difference():
     # proved statement: the two sums agree mod [n] Phi_n^2
     for n in (5, 9):
-        diff = _sum_numerator(n, 1, 0) - _sum_numerator(n, 0, 1)
+        diff = coeff_tuple(poly(_sum_numerator(n, 1, 0)) - poly(_sum_numerator(n, 0, 1)))
         factors = [(d, 1) for d in sympy.divisors(n)[1:-1]] + [(n, 3)]
         den = dense_denominator(n)
         orders = {d: cyclotomic_multiplicity(den, d) for d, _ in factors}
         assert congruence_failure(diff, factors, orders) is None
         num, failure = _q_check(n, Q_FAMILIES["CONJ41"]._replace(phi_exp=2))
         assert num == diff and failure is None
+
+
+def test_conj41_numerator_is_the_gz_difference():
+    # e2 - f2 = (e2 - rhs) - (f2 - rhs): at every n where all three families
+    # apply, the CONJ41 numerator is the GZ_E2 one minus the GZ_F2 one
+    for n in range(5, 30, 4):
+        rhs = _gz_rhs(n)
+        gz_e2, gz_f2 = _sum_numerator(n, 1, 0, rhs), _sum_numerator(n, 0, 1, rhs)
+        assert _sum_numerator(n, 1, -1) == coeff_tuple(poly(gz_e2) - poly(gz_f2)), n
 
 
 def test_verify_conjecture41():
@@ -275,11 +299,11 @@ def test_verify_conjecture41():
 def test_conjecture41_witness_payload():
     w = conjecture41_witness(5)
     assert w["n"] == 5
-    assert poly_from_string(w["modulus"]) == intpoly(q_int(5) * phi(5) ** 3)
+    assert poly_from_string(w["modulus"]) == coeff_tuple(q_int(5) * phi(5) ** 3)
     num = poly_from_string(w["difference_numerator"])
     den = poly_from_string(w["difference_denominator"])
-    assert num == _sum_numerator(5, 1, 0) - _sum_numerator(5, 0, 1)
-    assert den == intpoly(dense_denominator(5))
+    assert poly(num) == poly(_sum_numerator(5, 1, 0)) - poly(_sum_numerator(5, 0, 1))
+    assert den == coeff_tuple(dense_denominator(5))
     assert w["remainder_certificate"] == ""  # passes, so no remainder
     assert w["cyclotomic_index"] is None and w["derivative_order"] is None
 
@@ -288,7 +312,7 @@ def test_conjecture41_witness_payload():
 def test_conjecture41_witness_modulus(n):
     # [n] Phi_n^3 from its (1 - q^s) factors, against the sympy product
     want = q_int(n) * phi(n) ** 3
-    assert poly_from_string(conjecture41_witness(n)["modulus"]) == intpoly(want)
+    assert poly_from_string(conjecture41_witness(n)["modulus"]) == coeff_tuple(want)
 
 
 @pytest.mark.parametrize("n, d, j", [(5, 5, 3), (9, 3, 6)])
@@ -299,7 +323,7 @@ def test_conjecture41_witness_certificate_recomputed(monkeypatch, n, d, j):
     numerator = qseries._sum_numerator
 
     def broken(k, *weights):
-        return numerator(k, *weights) + intpoly(dense_denominator(k) * phi(k) ** 3)
+        return coeff_tuple(poly(numerator(k, *weights)) + dense_denominator(k) * phi(k) ** 3)
 
     monkeypatch.setattr(qseries, "_sum_numerator", broken)
     w = conjecture41_witness(n)
@@ -314,7 +338,7 @@ def test_conjecture41_witness_certificate_recomputed(monkeypatch, n, d, j):
 
     assert all(residue(k).is_zero for k in range(j))
     got = residue(j).all_coeffs()[::-1]
-    assert IntPoly(int(c) for c in got) == poly_from_string(w["remainder_certificate"])
+    assert tuple(int(c) for c in got) == poly_from_string(w["remainder_certificate"])
     assert w["remainder_certificate"] not in ("", "0")
 
 
@@ -333,17 +357,17 @@ def test_perturbed_difference_fails_at_expected_factor(monkeypatch, n, d, j):
     num, den = _sum_numerator(n, 1, -1), dense_denominator(n)
     conj41 = Q_FAMILIES["CONJ41"]
     assert _q_check(n, conj41) == (num, None)
-    broken = num + intpoly(den * phi(n) ** 3)
+    broken = coeff_tuple(poly(num) + den * phi(n) ** 3)
     monkeypatch.setattr(qseries, "_sum_numerator", lambda *args: broken)
     [r] = verify_q(n, ("CONJ41",))
     assert r.passed is False and r.lhs == "nonzero residue"
     got = _q_check(n, conj41)[1]
     assert got is not None and got[:2] == (d, j)
-    assert not got[2].is_zero and got[2].degree < cyclotomic(d).degree
+    assert got[2] and len(got[2]) < len(cyclotomic(d))
     # the same failure from the factor list and orders found independently;
     # den is a product of Phi_m with m <= 4(n-1), so root_order is exact
     factors = [(m, 1) for m in sympy.divisors(n)[1:-1]] + [(n, 4)]
-    orders = {m: root_order(intpoly(den), m, 4 * n) for m, _ in factors}
+    orders = {m: root_order(coeff_tuple(den), m, 4 * n) for m, _ in factors}
     assert congruence_failure(broken, factors, orders) == got
 
 

@@ -1,5 +1,6 @@
 """Sweep orchestration, report rendering, CLI subcommands and exit codes."""
 
+import concurrent.futures
 import inspect
 import json
 import subprocess
@@ -451,6 +452,32 @@ def test_worker_count_does_not_change_report(kind):
     serial = run(1)
     assert serial.total > 1 and serial.failed == 0
     assert render_json(serial) == render_json(run(2))
+
+
+def test_pool_has_no_more_workers_than_instances(monkeypatch):
+    # a stand-in pool records its size and maps serially, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = SweepConfig(families=("B2",), p_min=5, p_max=13)
+    insts = build_instances(cfg)
+    assert len(insts) == 4
+    assert sweep._run_instances(insts, 64) == sweep._run_instances(insts, 1)
+    assert sweep._run_instances(insts, 2) == sweep._run_instances(insts, 1)
+    assert sizes == [4, 2]
 
 
 def test_render_json_shape():

@@ -22,7 +22,7 @@ Left out on purpose: mutations known to be equivalent, which no test can
 catch.  In qseries._hasse_residues, the weight update (i - j) -> (i - j + 1)
 computes the Hasse derivatives of q*N, which vanish at the same orders.  In
 qseries._times_q_integer, padding `a` with m zeros instead of m - 1 only
-appends a zero coefficient, which IntPoly drops.
+appends a zero coefficient, which _sum_numerator's final _trim drops.
 
 Not equivalent, though check_euler_identities cannot show it: the Horner
 shift 2^(n-i) -> 2^(n-i+1) doubles both sides of every reflection check,
@@ -150,10 +150,20 @@ MUTATIONS = (
              "range(len(c) - 1, k - 1, -1)", "range(len(c) - 1, k, -1)", Q_TESTS),
     Mutation("qseries monic remainder adds", "qseries.py",
              "[x - t * y for x, y", "[x + t * y for x, y", Q_TESTS),
+    Mutation("qseries monic remainder untrimmed: a zero residue is nonempty",
+             "qseries.py", "return _trim(c[:k])", "return tuple(c[:k])", Q_TESTS),
+    Mutation("qseries sum numerator untrimmed", "qseries.py",
+             "return _trim(acc)", "return tuple(acc)", Q_TESTS),
+    Mutation("qseries trim keeps one trailing zero", "qseries.py",
+             "return tuple(c[:end])", "return tuple(c[:end + 1])", Q_TESTS),
+    Mutation("qseries zero polynomial written as an empty string", "qseries.py",
+             'or "0"', 'or ""', Q_TESTS),
     Mutation("qseries certificate shift", "qseries.py",
              "shift = j % d", "shift = 0", Q_TESTS),
     Mutation("qseries accumulator start +rhs", "qseries.py",
-             "(w_e2 + w_f2 - rhs).coeffs", "(w_e2 + w_f2 + rhs).coeffs", Q_TESTS),
+             "[-c for c in rhs]", "[c for c in rhs]", Q_TESTS),
+    Mutation("qseries GZ right side sign flipped", "qseries.py",
+             "(-1 if e % 2 else 1,) * n", "(1 if e % 2 else -1,) * n", Q_TESTS),
     Mutation("qseries CONJ41 weight sign", "qseries.py",
              '"CONJ41": QFamily((1, -1),', '"CONJ41": QFamily((1, 1),', Q_TESTS),
     Mutation("qseries Phi_n exponent e", "qseries.py",
