@@ -45,7 +45,7 @@ from typing import NamedTuple
 from .records import (
     PreconditionViolated,
     VerificationRecord,
-    family_records,
+    family_rows,
     norm_family,
 )
 
@@ -56,6 +56,7 @@ __all__ = [
     "congruence_failure",
     "QFamily",
     "Q_FAMILIES",
+    "verify_at_n",
     "verify_q",
     "conjecture41_witness",
 ]
@@ -313,15 +314,14 @@ def _q_check(
         num, factors, {d: _den_order(n, d) for d, _ in factors})
 
 
-def verify_q(
-    n: int, families: tuple[str, ...] = tuple(Q_FAMILIES)
-) -> list[VerificationRecord]:
-    """One record per requested q-family at index n, in the order given.
+def verify_at_n(n: int, families: tuple[str, ...]) -> list[tuple]:
+    """One row (records.family_rows) per requested q-family at index n, in
+    the order given.
 
     GZ_E2 (odd n >= 3) and GZ_F2 (n ≡ 1 mod 4, n >= 5): the sum is
     ≡ (-q)^((n-1)(n-3)/8) [n] (mod [n] Phi_n(q)^2).  CONJ41 (n ≡ 1 mod 4,
     n >= 5): e2(n) ≡ f2(n) (mod [n] Phi_n(q)^3).  A family whose condition
-    on n fails gets a skip record with the reason (records.family_records).
+    on n fails gets a skip row with the reason.
     """
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in Q_FAMILIES]:
@@ -334,7 +334,15 @@ def verify_q(
         ok = _q_check(n, f)[1] is None
         return f"[{n}]*Phi_{n}^{f.phi_exp}", "0" if ok else "nonzero residue", "0"
 
-    return family_records([(fam, None) for fam in fams], sides, n=n)
+    return family_rows([(fam, None) for fam in fams], sides, n=n)
+
+
+def verify_q(
+    n: int, families: tuple[str, ...] = tuple(Q_FAMILIES)
+) -> list[VerificationRecord]:
+    """One record per requested q-family at index n, in the order given:
+    the rows of verify_at_n."""
+    return [VerificationRecord(*row) for row in verify_at_n(n, families)]
 
 
 def conjecture41_witness(n: int) -> dict[str, int | str | None]:

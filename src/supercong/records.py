@@ -1,11 +1,12 @@
-"""Verification records, the precondition error and the record loop.
+"""Verification records, the precondition error and the row loop.
 
 A record captures one checked instance: which family, at which prime p or
 q-index n, which alpha/truncation, the modulus, and the two sides being
 compared.  passed is True/False for an executed check and None for an
 instance that was skipped with a reason.  A row is a record's fields up to
-reason as a plain tuple, the form records take between processes:
-VerificationRecord(*row) is the record without its timings.
+reason as a plain tuple, the form in which every check hands back its
+results (cheap to pickle between processes): VerificationRecord(*row) is
+the record without its timings.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ __all__ = [
     "PreconditionViolated",
     "SKIP_ERRORS",
     "VerificationRecord",
-    "family_records",
     "family_rows",
-    "make_record",
     "norm_family",
 ]
 
@@ -73,19 +72,6 @@ class VerificationRecord:
             self.truncation or "",
         )
 
-    def row(self) -> tuple:
-        """The fields up to reason: VerificationRecord(*r.row()) == r."""
-        return (self.family, self.modulus, self.lhs, self.rhs, self.passed,
-                self.p, self.n, self.alpha, self.truncation, self.reason)
-
-
-def make_record(
-    family: str, modulus: str, lhs: Side, rhs: Side, **labels
-) -> VerificationRecord:
-    """The record comparing lhs with rhs; labels are p, n, alpha, truncation."""
-    # passed is derived, never asserted by callers
-    return VerificationRecord(family, modulus, lhs, rhs, lhs == rhs, **labels)
-
 
 def family_rows(
     checks: Iterable[tuple[str, str | None]],
@@ -113,11 +99,3 @@ def family_rows(
                         None))
     return out
 
-
-def family_records(
-    checks: Iterable[tuple[str, str | None]],
-    sides: Callable[[str, str | None], tuple[str, Side, Side]],
-    **labels,
-) -> list[VerificationRecord]:
-    """The records of family_rows(checks, sides, **labels)."""
-    return [VerificationRecord(*row) for row in family_rows(checks, sides, **labels)]

@@ -6,11 +6,12 @@ by (family, p or n, alpha, truncation), so reports are byte-identical for
 any worker count.  One instance per prime checks every requested classical
 and 8^(-k) family that p admits and every requested alpha family at every
 alpha (verifier.verify_at_prime), so the sums at each alpha are computed
-once per prime; one per (q-family, n) checks that family (verify_q).
-These yield a record per family, alpha and truncation, a skip record with
-the reason where a family's precondition fails.  An identity, WZ or smoke
-instance yields one record.  Instances hand their records back as rows
-(plain tuples, cheap to pickle), and the parent builds each record once.
+once per prime; one per (q-family, n) checks that family
+(qseries.verify_at_n).  These yield a record per family, alpha and
+truncation, a skip record with the reason where a family's precondition
+fails.  An identity, WZ or smoke instance yields one record.  Every
+instance hands its records back as rows (records.family_rows: plain
+tuples, cheap to pickle), and the parent builds each record once.
 An exception that escapes an instance is a bug, whatever its type, and
 aborts the sweep with an error that names the instance, and the alpha
 when one was being checked.
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from .padic import ResidueClass, parse_rational
 from .primes import EmptyRange, sieve_primes
-from .records import VerificationRecord, make_record, norm_family
+from .records import VerificationRecord, norm_family
 from .sequences import check_binomial_identities, check_euler_identities, check_lehmer
 from .verifier import (
     ALPHA_FAMILIES,
@@ -42,7 +43,7 @@ from .verifier import (
     ramanujan_partial,
     verify_at_prime,
 )
-from .qseries import Q_FAMILIES as Q_TABLE, verify_q
+from .qseries import Q_FAMILIES as Q_TABLE, verify_at_n
 from .wz import check_pair, check_telescoped, sample_alphas
 
 __all__ = [
@@ -122,10 +123,10 @@ class ReportSummary:
 
 
 class Instance(NamedTuple):
-    """One check: run(*args) returns its record, a bool for an exact
-    identity, the list of records of verify_q, or the rows and phase
-    seconds of verify_at_prime; the last two make their own skip records.
-    family, p, n and alpha label the record of a bool and name the instance
+    """One check: run(*args) returns a bool for an exact identity, or the
+    rows of its records, alone or, from verify_at_prime, with the phase
+    seconds; verify_at_prime and verify_at_n make their own skip rows.
+    family, p, n and alpha label the row of a bool and name the instance
     in an InternalError.  For verify_at_prime, family is the requested
     families joined by commas."""
 
@@ -136,14 +137,10 @@ class Instance(NamedTuple):
     n: int | None = None
     alpha: Fraction | None = None
 
-    def labels(self) -> dict:
-        return {"p": self.p, "n": self.n, "alpha": self.alpha}
-
     def __str__(self) -> str:
-        bits = [self.family] + [
-            f"{k}={v}" for k, v in self.labels().items() if v is not None
-        ]
-        return " ".join(bits)
+        labels = {"p": self.p, "n": self.n, "alpha": self.alpha}
+        return " ".join([self.family] + [
+            f"{k}={v}" for k, v in labels.items() if v is not None])
 
 
 def _validate(cfg: SweepConfig) -> SweepConfig:
@@ -206,7 +203,7 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
             out.append(Instance(",".join(fams), verify_at_prime,
                                 (p, fams, alphas, truncs), p=p))
     # one instance per (family, n), so that workers share the q-families out
-    out += [Instance(fam, verify_q, (n, (fam,)), n=n)
+    out += [Instance(fam, verify_at_n, (n, (fam,)), n=n)
             for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
     if not out:
         raise ConfigError(
@@ -217,40 +214,31 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
 
 
 def _dispatch(inst: Instance) -> tuple[list[tuple], dict[str, float] | None]:
-    # the instance's rows, and its phase seconds if it has phases
+    # the instance's rows (family, modulus, lhs, rhs, passed, p, n, alpha,
+    # truncation, reason), and its phase seconds if it has phases
     out = inst.run(*inst.args)
-    if isinstance(out, tuple):  # verify_at_prime
-        return out
     if isinstance(out, bool):
-        out = make_record(
-            inst.family, "exact", "equal" if out else "unequal", "equal",
-            **inst.labels(),
-        )
-    return [r.row() for r in (out if isinstance(out, list) else [out])], None
+        return [(inst.family, "exact", "equal" if out else "unequal", "equal", out,
+                 inst.p, inst.n, inst.alpha, None, None)], None
+    return out if isinstance(out, tuple) else (out, None)
 
 
-def _lehmer(p: int) -> VerificationRecord:
+def _lehmer(p: int) -> list[tuple]:
     ok = check_lehmer(p)
-    return make_record("LEHMER", f"{p}^2", "0" if ok else "nonzero", "0", p=p)
+    return [("LEHMER", f"{p}^2", "0" if ok else "nonzero", "0", ok, p, None, None,
+             None, None)]
 
 
 def _telescoped(n_max: int, alpha: Fraction) -> bool:
     return all(check_telescoped(N, alpha) for N in range(1, n_max + 1))
 
 
-def _ramanujan(terms: int, tol: float) -> VerificationRecord:
+def _ramanujan(terms: int, tol: float) -> list[tuple]:
     val = ramanujan_partial(terms)
     target = 2 / math.pi
     ok = abs(val - target) < tol
-    return VerificationRecord(
-        family="RAMANUJAN",
-        modulus=f"tol={tol:g}",
-        lhs=f"{val!r}",
-        rhs=f"{target!r}",
-        passed=ok,
-        n=terms,
-        reason=None if ok else f"off by {abs(val - target)!r}",
-    )
+    return [("RAMANUJAN", f"tol={tol:g}", f"{val!r}", f"{target!r}", ok, None,
+             terms, None, None, None if ok else f"off by {abs(val - target)!r}")]
 
 
 def _execute(inst: Instance) -> tuple[list[tuple], float, tuple[float, ...] | None]:
@@ -283,9 +271,10 @@ def _run_instances(insts: list[Instance], workers: int) -> list[VerificationReco
         # the fork start method forks every worker at the first submit, so
         # ask for no more workers than there are instances
         workers = min(workers, len(insts))
-        chunk = max(1, len(insts) // (workers * 4))
+        # one instance at a time: the costliest instances (the largest
+        # primes) come last, and a chunk of them would leave a worker idle
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            records = _records(ex.map(_execute, insts, chunksize=chunk))
+            records = _records(ex.map(_execute, insts))
     else:
         records = _records(map(_execute, insts))
     records.sort(key=VerificationRecord.sort_key)

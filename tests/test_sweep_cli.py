@@ -3,6 +3,7 @@
 import concurrent.futures
 import inspect
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,12 +15,7 @@ from supercong import cli, sweep, verifier
 from supercong.cli import build_parser, main
 from supercong.padic import ResidueClass
 from supercong.primes import EmptyRange, sieve_primes
-from supercong.records import (
-    PreconditionViolated,
-    VerificationRecord,
-    family_records,
-    make_record,
-)
+from supercong.records import PreconditionViolated, VerificationRecord, family_rows
 from supercong.sequences import check_euler_identities
 from supercong.sweep import (
     ConfigError,
@@ -150,6 +146,15 @@ def test_run_sweep_config_errors():
         run_sweep(SweepConfig(families=("MAIN1",), alpha_list=("x/y",)))
     with pytest.raises(ConfigError):
         run_wz(alpha_samples=1000)
+
+
+def make_record(family, modulus, lhs, rhs, **labels) -> VerificationRecord:
+    # the record comparing lhs with rhs; labels are p, n, alpha, truncation
+    return VerificationRecord(family, modulus, lhs, rhs, lhs == rhs, **labels)
+
+
+def family_records(checks, sides, **labels) -> list[VerificationRecord]:
+    return [VerificationRecord(*row) for row in family_rows(checks, sides, **labels)]
 
 
 def _labels(r: VerificationRecord) -> tuple:
@@ -613,6 +618,29 @@ def test_run_smoke():
         run_smoke(terms=0)
     with pytest.raises(ConfigError):
         run_smoke(tol=0.0)
+
+
+def test_failing_checks_outside_the_families_keep_their_records(monkeypatch):
+    # an identity, Lehmer or WZ check that returns False, and a smoke run
+    # too short to converge: each gives one failing record with the labels
+    # of its instance
+    for name in ("check_binomial_identities", "check_lehmer", "check_pair"):
+        monkeypatch.setattr(sweep, name, lambda *args: False)
+    ids = run_identities(nmax=1, pmax=5, mmax=1)
+    assert ids.failures == (
+        VerificationRecord("BINOM_IDS", "exact", "unequal", "equal", False, n=1),
+        VerificationRecord("LEHMER", "5^2", "nonzero", "0", False, p=5),
+    )
+    [alpha] = sample_alphas(1, 0)
+    wz = run_wz(nmax=2, kmax=2, alpha_samples=1, seed=0)
+    assert wz.failures == (VerificationRecord(
+        "WZ_PAIR", "exact", "unequal", "equal", False, n=2, alpha=alpha),)
+    [smoke] = run_smoke(terms=1).records
+    target = 2 / math.pi
+    assert smoke == VerificationRecord(
+        "RAMANUJAN", "tol=1e-06", "1.0", repr(target), False, n=1,
+        reason=f"off by {abs(1.0 - target)!r}")
+    assert smoke.passed is False
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])

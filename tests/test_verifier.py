@@ -303,6 +303,46 @@ def test_mod_p4_family_reduced_mod_p3_is_its_twin(fam4):
             ), (fam4, p, tr)
 
 
+# The primes p <= 1999 at which the p^3 Euler term of a mod-p^4 family
+# vanishes mod p: E_{p-3} ≡ E_{p-3}(1/2) ≡ 0 at 149 and 241, E_{p-3}(1/4) ≡ 0
+# at 1019; E_{p-3}(1/3) never.
+EULER_ZERO_PRIMES = {
+    "E2_MOD4": set(), "F2_MOD4": set(), "SW_E2_MOD4": set(),
+    "SW_F2_MOD4": {1019}, "SUN_B2": {149, 241},
+    "MAO_HALF": {1019}, "SUN_HALF_CONJ": {149, 241},
+}
+
+
+def _without_euler_term(fam: str, p: int) -> int:
+    # the family's right side without its p^3 Euler term, from the paper:
+    # (-1)^a r p for the sums at 1/d, where a = <-1/d>_p and 1 + a d = r p,
+    # and (-2/p) p for the 8^(-k) sums
+    if fam in FAMILIES:
+        d = FAMILIES[fam].weight_d
+        a = -pow(d, -1, p) % p
+        r, rest = divmod(1 + a * d, p)
+        assert rest == 0
+        return (-1) ** a * r * p
+    return (1 if p % 8 in (1, 3) else -1) * p
+
+
+def test_mod_p4_families_fail_without_their_euler_term():
+    # a sharpness control: each mod-p^4 statement says more than its
+    # mod-p^3 twin, so the sum is ≡ the right side less its Euler term
+    # exactly at the primes where that term vanishes mod p
+    checked = set()
+    for p in sieve_primes(5, 1999):
+        fams = tuple(f for f in EULER_ZERO_PRIMES if verifier.admits(f, p))
+        for rec in verify_prime(p, fams):
+            assert rec.passed and rec.modulus == f"{p}^4", rec
+            weak = _without_euler_term(rec.family, p) % p**4
+            assert (rec.lhs.value - weak) % p**3 == 0, (rec.family, p)
+            assert (rec.lhs.value == weak) == (p in EULER_ZERO_PRIMES[rec.family]), (
+                rec.family, p, rec.truncation)
+            checked.add((rec.family, p))
+    assert {(f, p) for f, ps in EULER_ZERO_PRIMES.items() for p in ps} <= checked
+
+
 def test_p_cubed_times_residue_truncation():
     # p^3 * (x mod p) ≡ p^3 * x (mod p^4): the closed forms only ever need
     # their Euler factor mod p

@@ -56,6 +56,7 @@ Q_TESTS = ("tests/test_qseries.py", "tests/test_properties.py")
 CLOSED_TESTS = ("tests/test_verifier.py", "tests/test_acceptance.py")
 VERIFY_TESTS = ("tests/test_verifier.py", "tests/test_properties.py")
 RENDER_TESTS = ("tests/test_sweep_cli.py", "tests/test_report_digests.py")
+SWEEP_TESTS = ("tests/test_sweep_cli.py",)
 
 
 class Mutation(NamedTuple):
@@ -171,6 +172,8 @@ MUTATIONS = (
              Q_TESTS),
     Mutation("qseries family condition on n mod n_mod", "qseries.py",
              "n % f.n_mod != 1", "n % f.n_mod > 1", Q_TESTS),
+    Mutation("qseries rows labelled with the wrong n", "qseries.py",
+             "sides, n=n)", "sides, n=n + 1)", Q_TESTS),
     Mutation("qseries den order n - 1 -> n", "qseries.py",
              "3 * ((n - 1) // (d", "3 * (n // (d", Q_TESTS),
     Mutation("qseries den order gcd(d, 2)", "qseries.py",
@@ -251,6 +254,14 @@ MUTATIONS = (
     Mutation("lemma table 1/k one index off", "verifier.py",
              "fact[k - 1] * inv_fact[k] % m", "fact[k - 2] * inv_fact[k - 1] % m",
              VERIFY_TESTS),
+    # the rows of the instances outside the families
+    Mutation("sweep Lehmer row passes whatever its check says", "sweep.py",
+             '"0", ok, p, None', '"0", True, p, None', SWEEP_TESTS),
+    Mutation("sweep row of an exact identity swaps equal and unequal", "sweep.py",
+             '"equal" if out else "unequal"', '"unequal" if out else "equal"',
+             SWEEP_TESTS),
+    Mutation("sweep smoke row drops its reason", "sweep.py",
+             'None if ok else f"off by {abs(val - target)!r}"', "None", SWEEP_TESTS),
     # the JSON report from json's C encoder
     Mutation("render record item separator", "sweep.py",
              r'separators=(",\n      ", ": ")', r'separators=(",\n     ", ": ")',
