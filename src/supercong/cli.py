@@ -66,7 +66,7 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument(
         "--timings", action="store_true",
         default=d if suppress else False,
-        help="include per-record wall time in the report",
+        help="add record, phase and family times and skip counts to the report",
     )
     p.add_argument(
         "-o", "--output",

@@ -1,4 +1,4 @@
-"""Verification records, the precondition error and the row loop.
+"""Verification records, the skip and bug errors and the row loop.
 
 A record captures one checked instance: which family, at which prime p or
 q-index n, which alpha/truncation, the modulus, and the two sides being
@@ -6,7 +6,8 @@ compared.  passed is True/False for an executed check and None for an
 instance that was skipped with a reason.  A row is a record's fields up to
 reason as a plain tuple, the form in which every check hands back its
 results (cheap to pickle between processes): VerificationRecord(*row) is
-the record without its timings.
+the record without its timings.  Only PreconditionViolated makes a skip
+row: family_rows raises any other error as an InternalError.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .padic import NotPAdicIntegral, ResidueClass
-from .wz import DivisionByZeroTerm
+from .padic import ResidueClass
 
 __all__ = [
+    "InternalError",
     "PreconditionViolated",
-    "SKIP_ERRORS",
     "VerificationRecord",
+    "describe",
     "family_rows",
     "norm_family",
 ]
@@ -32,8 +33,9 @@ class PreconditionViolated(ValueError):
     n, p > 3, a <= p-2, ..."""
 
 
-# a failed precondition: the family is skipped with this reason, not failed
-SKIP_ERRORS = (PreconditionViolated, NotPAdicIntegral, DivisionByZeroTerm)
+class InternalError(RuntimeError):
+    """A check raised an error that is not a precondition: a bug."""
+
 
 Side = ResidueClass | str
 
@@ -41,6 +43,13 @@ Side = ResidueClass | str
 def norm_family(name: str) -> str:
     """Canonical family name: case-insensitive, hyphens for underscores."""
     return name.strip().upper().replace("-", "_")
+
+
+def describe(family: str, p: int | None = None, n: int | None = None,
+             alpha: Fraction | None = None, truncation: str | None = None) -> str:
+    """The check to re-run: the family, then k=v for each label that is set."""
+    labels = {"p": p, "n": n, "alpha": alpha, "truncation": truncation}
+    return " ".join([family] + [f"{k}={v}" for k, v in labels.items() if v is not None])
 
 
 @dataclass(frozen=True)
@@ -83,16 +92,21 @@ def family_rows(
     """One row per (family, truncation) of checks, in order.
 
     sides(family, truncation) gives the record's (modulus, lhs, rhs).  If
-    it raises one of SKIP_ERRORS, the family gets a skip row instead, with
+    it raises PreconditionViolated, the family gets a skip row instead, with
     the error's text as its reason.  Both carry the family, the truncation
-    and the labels p, n and alpha.
+    and the labels p, n and alpha.  Any other error raises InternalError.
     """
     out = []
     for fam, truncation in checks:
         try:
             modulus, lhs, rhs = sides(fam, truncation)
-        except SKIP_ERRORS as exc:
+        except PreconditionViolated as exc:
             out.append((fam, "-", "-", "-", None, p, n, alpha, truncation, str(exc)))
+        except Exception as exc:
+            where = describe(fam, p, n, alpha, truncation)
+            raise InternalError(
+                f"internal error checking {where}: {type(exc).__name__}: {exc}"
+            ) from exc
         else:
             # passed is derived, never asserted by callers
             out.append((fam, modulus, lhs, rhs, lhs == rhs, p, n, alpha, truncation,

@@ -13,8 +13,8 @@ fails.  An identity, WZ or smoke instance yields one record.  Every
 instance hands its records back as rows (records.family_rows: plain
 tuples, cheap to pickle), and the parent builds each record once.
 An exception that escapes an instance is a bug, whatever its type, and
-aborts the sweep with an error that names the instance, and the alpha
-when one was being checked.
+aborts the sweep with an InternalError: family_rows names the family and
+labels it was checking, and _execute names the instance of any other.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from typing import Callable, NamedTuple
 
 from .padic import ResidueClass, parse_rational
 from .primes import EmptyRange, sieve_primes
-from .records import VerificationRecord, norm_family
+from .records import InternalError, VerificationRecord, describe, norm_family
 from .sequences import check_binomial_identities, check_euler_identities, check_lehmer
 from .verifier import (
     ALPHA_FAMILIES,
     PHASES,
     PRIME_FAMILIES,
-    AlphaCheckError,
     admits,
     ramanujan_partial,
     verify_at_prime,
@@ -66,10 +65,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid sweep configuration."""
-
-
-class InternalError(RuntimeError):
-    """An instance raised an error that is not a precondition: a bug."""
 
 
 # rational alpha sample: hits a = 0 branches, a = p-1 branches and the
@@ -127,8 +122,8 @@ class Instance(NamedTuple):
     rows of its records, alone or, from verify_at_prime, with the phase
     seconds; verify_at_prime and verify_at_n make their own skip rows.
     family, p, n and alpha label the row of a bool and name the instance
-    in an InternalError.  For verify_at_prime, family is the requested
-    families joined by commas."""
+    in an InternalError raised outside family_rows.  For verify_at_prime,
+    family is the requested families joined by commas."""
 
     family: str
     run: Callable
@@ -138,9 +133,7 @@ class Instance(NamedTuple):
     alpha: Fraction | None = None
 
     def __str__(self) -> str:
-        labels = {"p": self.p, "n": self.n, "alpha": self.alpha}
-        return " ".join([self.family] + [
-            f"{k}={v}" for k, v in labels.items() if v is not None])
+        return describe(self.family, self.p, self.n, self.alpha)
 
 
 def _validate(cfg: SweepConfig) -> SweepConfig:
@@ -247,13 +240,12 @@ def _execute(inst: Instance) -> tuple[list[tuple], float, tuple[float, ...] | No
     t0 = time.perf_counter()
     try:
         rows, phases = _dispatch(inst)
+    except InternalError:
+        raise  # family_rows named the family it was checking
     except Exception as exc:
         # a bug, not a verdict: abort the sweep, naming the instance to re-run
-        where = str(inst)
-        if isinstance(exc, AlphaCheckError):
-            where, exc = f"{where} alpha={exc.alpha}", exc.__cause__
         raise InternalError(
-            f"internal error checking {where}: {type(exc).__name__}: {exc}"
+            f"internal error checking {inst}: {type(exc).__name__}: {exc}"
         ) from exc
     per_row = 1000.0 / len(rows)
     ms = (time.perf_counter() - t0) * per_row

@@ -33,7 +33,9 @@ any number of alphas in one call: each distinct alpha, the classical 1/d
 among them, gets one prefix, one set of partial sums read at every
 truncation and one closed form per exponent, and the call times each of
 its phases.  verify_prime (the prime families) and verify_alpha (the
-alpha families at one alpha) are thin calls into it.
+alpha families at one alpha) are thin calls into it.  A failed hypothesis
+(p > 3 and its class, alpha p-integral, a <= p-2, no zero Pochhammer
+factor) raises PreconditionViolated where it is tested: a skip row.
 
 Everything is exact integer arithmetic mod p^e; the Fraction oracles
 these residues are checked against live in the tests.
@@ -50,6 +52,7 @@ from time import perf_counter
 from .padic import (
     ResidueClass,
     check_exponent,
+    is_p_integral,
     least_nonneg_residue,
     legendre,
     reduce_mod,
@@ -62,7 +65,6 @@ from .records import (
     norm_family,
 )
 from .sequences import euler_number_mod, euler_poly_eval_mod
-from .wz import DivisionByZeroTerm
 
 __all__ = [
     "TheoremFamily",
@@ -75,7 +77,6 @@ __all__ = [
     "PRIME_FAMILIES",
     "PRIME_CLASSES",
     "PHASES",
-    "AlphaCheckError",
     "admits",
     "sum_main",
     "sum_mao",
@@ -392,8 +393,8 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
     operations and two inverses.  The right sides are polynomials in t
     (mod p^4), H_a, H_a^(2) and sum_{k<=a} (-1)^k/k^2, read from
     _lemma_tables; the divisions by 2 and by a+1 are by units in every
-    branch that makes them.  Alphas that zero a denominator Pochhammer
-    raise DivisionByZeroTerm.
+    branch that makes them.  A family whose hypothesis fails, alphas that
+    zero a denominator Pochhammer among them, raises PreconditionViolated.
     """
     u, v0, v1, a, t = pre
     if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):
@@ -403,12 +404,12 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
     # t ≡ 0 (mod p^4) does not imply
     zero = alpha + a == 0
     if fam == "LEMMA_PROD" and zero:
-        raise DivisionByZeroTerm(f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})")
+        raise PreconditionViolated(f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})")
     if fam == "LEMMA_SIGMA":
         if a > p - 2:
             raise PreconditionViolated(f"a = p-1 violates a <= p-2 (alpha = {alpha})")
         if zero:
-            raise DivisionByZeroTerm(
+            raise PreconditionViolated(
                 f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
             )
     m = p**4
@@ -472,15 +473,6 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
 PHASES = ("tables", "prefix", "sums", "closed", "lemma")
 
 
-class AlphaCheckError(RuntimeError):
-    """An error other than a failed precondition while checking one alpha,
-    a bug; the error itself is __cause__."""
-
-    def __init__(self, alpha: Fraction):
-        super().__init__(f"alpha={alpha}")
-        self.alpha = alpha
-
-
 def verify_at_prime(
     p: int,
     families: tuple[str, ...],
@@ -498,8 +490,8 @@ def verify_at_prime(
     2p-1 when a lemma family is requested), one set of main partial sums
     S(alpha, .), read at every truncation, and one closed form per
     exponent; each is computed when a row first reads it.  A family whose
-    precondition fails gets a skip row with the reason.  Any other error
-    while checking an alpha raises AlphaCheckError, naming that alpha.
+    precondition fails gets a skip row with the reason; any other error
+    raises records.InternalError, naming the family and its labels.
     """
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in PRIME_FAMILIES + ALPHA_FAMILIES]:
@@ -533,7 +525,11 @@ def verify_at_prime(
 
     @cache
     def pre(i: int) -> tuple:
-        return timed("prefix", _poch_prefix, values[i], p, top)
+        alpha = values[i]
+        if not is_p_integral(alpha, p):
+            # padic.reduce_mod's wording, kept so that reports stay byte-identical
+            raise PreconditionViolated(f"{-alpha} has no residue mod {p}^1")
+        return timed("prefix", _poch_prefix, alpha, p, top)
 
     @cache
     def main(i: int) -> list[int]:
@@ -602,12 +598,9 @@ def verify_at_prime(
     checks = [(fam, ALPHA_TRUNCATIONS.get(fam)) for fam in alpha_fams]
     for alpha in alphas:
         i = slot[alpha]
-        try:
-            rows += family_rows(
-                checks, lambda fam, _: _residue_sides(p, 4, *alpha_sides(i, fam)),
-                p=p, alpha=alpha)
-        except Exception as exc:
-            raise AlphaCheckError(alpha) from exc
+        rows += family_rows(
+            checks, lambda fam, _: _residue_sides(p, 4, *alpha_sides(i, fam)),
+            p=p, alpha=alpha)
     return rows, seconds
 
 

@@ -13,9 +13,14 @@ import pytest
 
 from supercong import cli, sweep, verifier
 from supercong.cli import build_parser, main
-from supercong.padic import ResidueClass
+from supercong.padic import NotPAdicIntegral, ResidueClass
 from supercong.primes import EmptyRange, sieve_primes
-from supercong.records import PreconditionViolated, VerificationRecord, family_rows
+from supercong.records import (
+    InternalError,
+    PreconditionViolated,
+    VerificationRecord,
+    family_rows,
+)
 from supercong.sequences import check_euler_identities
 from supercong.sweep import (
     ConfigError,
@@ -47,7 +52,7 @@ from supercong.verifier import (
     verify_at_prime,
     verify_prime,
 )
-from supercong.wz import sample_alphas
+from supercong.wz import DivisionByZeroTerm, sample_alphas
 
 
 def test_sieve_primes_matches_sympy():
@@ -355,9 +360,9 @@ def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
     last = "InternalError: internal error checking LEMMA_SIGMA p=7 alpha=1/3"
     assert last in err.splitlines()[-1]
     assert "config error" not in err
-    # a grouped instance names every requested family
+    # a grouped instance names the family that failed, not every family
     assert main(argv[:3] + ["--family", "main1"] + argv[3:]) == 4
-    last = "InternalError: internal error checking LEMMA_SIGMA,MAIN1 p=7 alpha=1/3"
+    last = "InternalError: internal error checking LEMMA_SIGMA p=7 alpha=1/3: "
     assert last in capsys.readouterr().err.splitlines()[-1]
 
 
@@ -369,6 +374,31 @@ def test_truncation_too_large_is_an_internal_error(monkeypatch):
         run_sweep(SweepConfig(families=("B2",), p_min=7, p_max=7))
     assert isinstance(info.value.__cause__, ValueError)
     assert str(info.value.__cause__) == "M = 7 >= p = 7: k! not invertible"
+
+
+@pytest.mark.parametrize("site, error, families, where", [
+    ("_closed_form", NotPAdicIntegral, ("MAIN1", "E2"), "E2 p=7 truncation=short"),
+    ("_closed_form", NotPAdicIntegral, ("MAIN1",),
+     "MAIN1 p=7 alpha=1/3 truncation=full"),
+    ("_lemma_sum", DivisionByZeroTerm, ("LEMMA_SIGMA",), "LEMMA_SIGMA p=7 alpha=1/3"),
+])
+def test_a_bug_is_not_a_skip(monkeypatch, capsys, site, error, families, where):
+    # a family skips only on the PreconditionViolated its check raises; the
+    # errors of padic and wz raised by a broken step are bugs, named by the
+    # family and labels that were being checked
+    def bug(*args):
+        raise error("bug")
+
+    monkeypatch.setattr(verifier, site, bug)
+    with pytest.raises(InternalError) as info:
+        run_sweep(SweepConfig(families=families, p_min=7, p_max=13,
+                              alpha_list=("1/3",)))
+    last = f"internal error checking {where}: {error.__name__}: bug"
+    assert str(info.value) == last
+    assert type(info.value.__cause__) is error
+    argv = ["verify", "--pmin", "7", "--pmax", "13", "--alpha=1/3"]
+    assert main(argv + [f"--family={f}" for f in families]) == 4
+    assert capsys.readouterr().err.splitlines()[-1].endswith(last)
 
 
 @pytest.mark.parametrize("family, site, argv", [
@@ -389,7 +419,7 @@ def test_precondition_error_outside_a_family_is_an_internal_error(
     err = capsys.readouterr().err
     assert "supercong.records.PreconditionViolated: refused" in err
     assert err.splitlines()[-1].startswith(
-        f"supercong.sweep.InternalError: internal error checking {family} "
+        f"supercong.records.InternalError: internal error checking {family} "
     )
 
 
@@ -817,5 +847,7 @@ def test_family_records_skips_on_a_precondition_only():
     assert skip == VerificationRecord("X", "-", "-", "-", None, p=5,
                                       truncation="short", reason="r")
     assert fail == make_record("Y", "5^3", "1", "2", p=5)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(InternalError) as info:
         family_records([("BUG", None)], sides)
+    assert str(info.value) == "internal error checking BUG: ZeroDivisionError: a bug"
+    assert isinstance(info.value.__cause__, ZeroDivisionError)

@@ -7,13 +7,15 @@ from fractions import Fraction
 import pytest
 
 from supercong import verifier
-from supercong.padic import NotPAdicIntegral, decompose, reduce_mod
+from supercong.padic import NotPAdicIntegral, decompose, is_p_integral, reduce_mod
 from supercong.primes import sieve_primes
+from supercong.records import InternalError
 from supercong.sequences import (
     euler_number,
     euler_number_mod,
     euler_poly_eval,
     euler_poly_eval_mod,
+    harmonic,
     pochhammer,
 )
 from supercong.sweep import RATIONAL_ALPHAS, default_alphas
@@ -450,6 +452,31 @@ def test_verify_lemma_sweep():
                 assert rec.passed is not False, rec
 
 
+def test_lemma_right_sides_are_sharp():
+    # a control: with the p^3 term of its right side dropped, written here
+    # from Fractions, most LEMMA_PROD and LEMMA_SIGMA records would fail, so
+    # their passing shows the congruences hold to the full p^4
+    differs, total = Counter(), Counter()
+    for p in sieve_primes(5, 61):
+        for alpha in default_alphas(p):
+            if not is_p_integral(alpha, p):
+                continue
+            d = decompose(alpha, p)
+            a, t, ha, sa = d.a, d.t, harmonic(d.a), (-1) ** d.a
+            weak = {"LEMMA_PROD": p * t * (1 + p * (t + 1) * ha),
+                    "LEMMA_SIGMA": sa * p * p * t * (t + 1)
+                    * (ha - Fraction(sa, a + 1))}
+            for rec in verify_alpha(alpha, p, tuple(weak)):
+                if rec.passed is None:
+                    continue
+                assert rec.passed, rec
+                total[rec.family] += 1
+                differs[rec.family] += rec.lhs.value != reduce_mod(
+                    weak[rec.family], p, 4).value
+    assert differs == {"LEMMA_PROD": 284, "LEMMA_SIGMA": 266}
+    assert total == {"LEMMA_PROD": 305, "LEMMA_SIGMA": 295}
+
+
 def test_verify_lemma_preconditions():
     for fam, alpha, p, reason in (
         ("LEMMA_SIGMA", Fraction(1), 7, "a = p-1 violates a <= p-2 (alpha = 1)"),
@@ -573,9 +600,10 @@ def test_verify_at_prime_names_the_alpha_of_an_internal_error(monkeypatch):
         return real(alpha, p, n)
 
     monkeypatch.setattr(verifier, "_poch_prefix", broken)
-    with pytest.raises(verifier.AlphaCheckError) as info:
+    with pytest.raises(InternalError) as info:
         verify_at_prime(13, ("E2", "MAIN1"), (Fraction(1, 2), Fraction(-1, 3)))
-    assert info.value.alpha == Fraction(-1, 3) and str(info.value) == "alpha=-1/3"
+    assert str(info.value) == ("internal error checking MAIN1 p=13 alpha=-1/3 "
+                               "truncation=full: ZeroDivisionError: broken")
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 

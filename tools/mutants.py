@@ -242,6 +242,19 @@ MUTATIONS = (
              "zero = alpha + a == 0", "zero = t == 0", VERIFY_TESTS),
     Mutation("alpha LEMMA_PROD without the 1/2", "verifier.py",
              "p * p * half * ((t + 1) ** 2", "p * p * ((t + 1) ** 2", VERIFY_TESTS),
+    Mutation("alpha LEMMA_PROD right side without its p^2 term", "verifier.py",
+             "            + p * p * half * ((t + 1) ** 2 * ha * ha"
+             " + (t * t + 4 * t + 1) * ha2)\n", "", VERIFY_TESTS),
+    # the skips: only a tested hypothesis makes one, and a bug is named
+    Mutation("alpha LEMMA_PROD zero factor untested", "verifier.py",
+             'if fam == "LEMMA_PROD" and zero:', "if False:", VERIFY_TESTS),
+    Mutation("prime prefix without its integrality test", "verifier.py",
+             "if not is_p_integral(alpha, p):", "if False:", SWEEP_TESTS),
+    Mutation("rows skip on any error", "records.py",
+             "except PreconditionViolated as exc:", "except Exception as exc:",
+             SWEEP_TESTS),
+    Mutation("rows name a bug without its alpha", "records.py",
+             '"alpha": alpha, ', "", SWEEP_TESTS),
     # the per-prime residue tables
     Mutation("prime table factorial range", "verifier.py",
              "accumulate(range(1, p),", "accumulate(range(2, p + 1),", VERIFY_TESTS),
