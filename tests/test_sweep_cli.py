@@ -1,11 +1,13 @@
 """Sweep orchestration, report rendering, CLI subcommands and exit codes."""
 
-import concurrent.futures
 import inspect
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -320,13 +322,21 @@ def test_one_instance_per_prime():
 
 
 def test_importing_the_cli_does_not_import_the_pool():
-    # the process pool pulls in multiprocessing; only a run with workers > 1
-    # needs it
+    # the forked run needs pickle and select, which only a run with
+    # workers > 1 imports; no run imports the process pool's modules
+    pool = "('concurrent.futures', 'multiprocessing')"
     code = ("import sys, supercong.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
+            f"print([m for m in {pool} + ('pickle', 'select') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+    code = ("import os, sys, supercong.cli; "
+            "code = supercong.cli.main(['verify', '--pmax', '13', '--family', 'B2', "
+            "'--workers', '2', '--output', os.devnull]); "
+            f"print(code, [m for m in {pool} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_one_instance_per_alpha_and_prime():
@@ -486,33 +496,143 @@ def test_worker_count_does_not_change_report(kind):
     run = WORKER_RUNS[kind]
     serial = run(1)
     assert serial.total > 1 and serial.failed == 0
-    assert render_json(serial) == render_json(run(2))
+    for workers in (2, 3):
+        assert render_json(serial) == render_json(run(workers))
+
+
+def _record_forks(monkeypatch) -> list[int]:
+    # the pids of the children os.fork starts from here on
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _wait_for_exit(pid: int, timeout: float = 60.0) -> None:
+    # until the child has exited, without reaping it: the parent's first
+    # instance waits here, so its one child claims every other instance
+    # (each small enough that the child's results fit in its pipe)
+    deadline = time.monotonic() + timeout
+    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
+        assert time.monotonic() < deadline, f"worker {pid} did not exit"
+        time.sleep(0.001)
+
+
+def _assert_no_child_left(fds: int) -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_pool_has_no_more_workers_than_instances(monkeypatch):
-    # a stand-in pool records its size and maps serially, so no process starts
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    cfg = SweepConfig(families=("B2",), p_min=5, p_max=13)
-    insts = build_instances(cfg)
+    # the parent runs instances too, so it forks one child fewer than the
+    # workers asked for, and no more than there are instances to share
+    pids = _record_forks(monkeypatch)
+    insts = build_instances(SweepConfig(families=("B2",), p_min=5, p_max=13))
     assert len(insts) == 4
-    assert sweep._run_instances(insts, 64) == sweep._run_instances(insts, 1)
-    assert sweep._run_instances(insts, 2) == sweep._run_instances(insts, 1)
-    assert sizes == [4, 2]
+    serial = sweep._run_instances(insts, 1)
+    forks = []
+    for workers in (64, 2, 1):
+        before = len(pids)
+        assert sweep._run_instances(insts, workers) == serial
+        forks.append(len(pids) - before)
+    assert forks == [3, 1, 0]
+
+
+def test_claims_of_chunks_give_the_serial_report(monkeypatch):
+    # more instances than tokens: a token claims a chunk of ceil(13 / 2) = 7
+    # consecutive instances, and the last chunk is short
+    monkeypatch.setattr(sweep, "_MAX_TOKENS", 2)
+    cfg = SweepConfig(families=("B2", "LEMMA_PROD"), p_min=5, p_max=47)
+    assert len(build_instances(cfg)) == 13
+    serial = render_json(run_sweep(cfg))
+    for workers in (2, 3):
+        assert render_json(run_sweep(replace(cfg, workers=workers))) == serial
+
+
+def test_a_bug_in_a_worker_exits_4(monkeypatch, capsys):
+    # the child's error reaches the parent with the message a serial run
+    # gives and the child's traceback as its cause
+    fds = len(os.listdir("/proc/self/fd"))
+    parent, pids = os.getpid(), _record_forks(monkeypatch)
+    check = sweep.verify_at_prime
+
+    def bug_at_11(p, *args):
+        if os.getpid() == parent and pids:
+            _wait_for_exit(pids[-1])
+        if p == 11:
+            raise ZeroDivisionError("bug at 11")
+        return check(p, *args)
+
+    monkeypatch.setattr(sweep, "verify_at_prime", bug_at_11)
+    cfg = SweepConfig(families=("B2",), p_min=5, p_max=13)
+    msg = "internal error checking B2 p=11: ZeroDivisionError: bug at 11"
+    with pytest.raises(InternalError) as serial:
+        run_sweep(cfg)
+    with pytest.raises(InternalError) as forked:
+        run_sweep(replace(cfg, workers=2))
+    assert str(serial.value) == str(forked.value) == msg
+    assert "ZeroDivisionError: bug at 11" in str(forked.value.__cause__)
+    argv = ["verify", "--family", "B2", "--pmin", "5", "--pmax", "13", "--workers", "2"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ZeroDivisionError: bug at 11" in err
+    assert err.splitlines()[-1] == f"supercong.records.InternalError: {msg}"
+    _assert_no_child_left(fds)
+
+
+def test_a_worker_that_dies_exits_4(monkeypatch, capsys):
+    # a child killed mid-run is an error naming it, never a report without
+    # the records of the instances it claimed
+    fds = len(os.listdir("/proc/self/fd"))
+    parent, pids = os.getpid(), _record_forks(monkeypatch)
+    check = sweep.verify_at_prime
+
+    def die_in_a_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        _wait_for_exit(pids[-1])
+        return check(*args)
+
+    monkeypatch.setattr(sweep, "verify_at_prime", die_in_a_child)
+    died = r"worker 1 \(pid \d+\) ended before its last instance: killed by SIGKILL"
+    with pytest.raises(InternalError, match=died):
+        run_sweep(SweepConfig(families=("B2",), p_min=5, p_max=13, workers=2))
+    argv = ["verify", "--family", "B2", "--pmin", "5", "--pmax", "13", "--workers", "2"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "killed by SIGKILL" in err.splitlines()[-1]
+    _assert_no_child_left(fds)
+
+
+@pytest.mark.parametrize("error, raised", [
+    (ZeroDivisionError("bug in the parent"), InternalError),
+    (KeyboardInterrupt(), KeyboardInterrupt),
+], ids=["bug", "interrupt"])
+def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, error, raised):
+    # the children still at work are killed and reaped, and every pipe closed
+    fds = len(os.listdir("/proc/self/fd"))
+    parent, pids = os.getpid(), _record_forks(monkeypatch)
+    check = sweep.verify_at_prime
+
+    def fail_in_the_parent(*args):
+        if os.getpid() == parent:
+            raise error
+        return check(*args)
+
+    monkeypatch.setattr(sweep, "verify_at_prime", fail_in_the_parent)
+    with pytest.raises(raised):
+        run_sweep(SweepConfig(families=("B2",), p_min=5, p_max=61, workers=3))
+    assert len(pids) == 2
+    _assert_no_child_left(fds)
 
 
 def test_render_json_shape():

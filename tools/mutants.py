@@ -275,6 +275,23 @@ MUTATIONS = (
              SWEEP_TESTS),
     Mutation("sweep smoke row drops its reason", "sweep.py",
              'None if ok else f"off by {abs(val - target)!r}"', "None", SWEEP_TESTS),
+    # the forked run: claims, result frames and the clean-up of the children
+    Mutation("forked run reads a worker's EOF as its end", "sweep.py",
+             "if not worker.done:", "if False:", SWEEP_TESTS),
+    Mutation("forked run reads a claim token one byte short", "sweep.py",
+             "os.read(claims, _TOKEN)", "os.read(claims, _TOKEN - 1)", SWEEP_TESTS),
+    Mutation("forked run ends a claimed chunk one instance early", "sweep.py",
+             "min(start + chunk, n)", "min(start + chunk - 1, n)", SWEEP_TESTS),
+    Mutation("forked run leaves its children alive on an error", "sweep.py",
+             "        for fd, worker in live.items():\n"
+             "            os.close(fd)\n"
+             "            if worker.pid is not None:  # not yet reaped, so the pid is ours\n"
+             "                os.kill(worker.pid, signal.SIGKILL)\n"
+             "                os.waitpid(worker.pid, 0)\n",
+             "", SWEEP_TESTS),
+    Mutation("forked run drops a worker's error", "sweep.py",
+             "raise InternalError(msg) from _WorkerTraceback(tb)", "continue",
+             SWEEP_TESTS),
     # the JSON report from json's C encoder
     Mutation("render record item separator", "sweep.py",
              r'separators=(",\n      ", ": ")', r'separators=(",\n     ", ": ")',
