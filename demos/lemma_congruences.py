@@ -8,7 +8,7 @@ terms of a = <-alpha>_p and t = (alpha + a)/p alone.
 
 from fractions import Fraction
 
-from supercong import LEMMA_FAMILIES, decompose, pochhammer, verify_alpha
+from supercong import LEMMA_FAMILIES, least_nonneg_residue, pochhammer, verify_alpha
 
 p = 5
 alpha = Fraction(1)
@@ -19,10 +19,11 @@ print(f"(1)_9 / 4!^2 = {exact}, and {exact} mod 5^4 = {int(exact) % p**4}")
 print(f"verify_alpha agrees: lhs={rec.lhs.value} rhs={rec.rhs.value}"
       f" mod {rec.modulus} passed={rec.passed}")
 
-dec = decompose(Fraction(1, 2), 7)
-print(f"\nalpha = 1/2, p = 7: a = <-1/2>_7 = {dec.a}, t = {dec.t}")
+half = Fraction(1, 2)
+a = least_nonneg_residue(-half, 7)
+print(f"\nalpha = 1/2, p = 7: a = <-1/2>_7 = {a}, t = {(half + a) / 7}")
 print("all five congruences at that point:")
-for r in verify_alpha(Fraction(1, 2), 7, LEMMA_FAMILIES):
+for r in verify_alpha(half, 7, LEMMA_FAMILIES):
     tag = "ok" if r.passed else "FAIL"
     print(f"  [{tag}] {r.family:<14} lhs={r.lhs.value:>6} rhs={r.rhs.value:>6}"
           f"  mod {r.modulus}")

@@ -13,23 +13,24 @@ The package checks, over ranges of primes p and rational parameters:
   difference conjecture, with counterexample witnesses.
 
 Everything is integer or rational arithmetic; no floats except the one
-floating-point smoke check.  The top level re-exports the public names
-the demos and the README use; everything else, such as the q-sum numerator
-qseries._sum_numerator, is imported from its module.
+floating-point smoke check.  A sum is read from the record that checks
+it: verify_alpha(alpha, p, ("MAIN1",))[0].lhs is S(alpha, p-1) mod p^4.
+The top level re-exports the public names the demos and the README use;
+everything else, such as the q-sum numerator qseries._sum_numerator, is
+imported from its module.
 """
 
-from .padic import decompose
+from .padic import least_nonneg_residue
 from .primes import sieve_primes
 from .sequences import pochhammer
 from .verifier import (
     FAMILIES,
     LEMMA_FAMILIES,
     ramanujan_partial,
-    sum_main,
     verify_alpha,
     verify_prime,
 )
-from .wz import check_pair, eval_F, eval_G, telescoped_rhs
+from .wz import check_pair, telescoped_rhs
 from .qseries import (
     congruence_failure,
     conjecture41_witness,

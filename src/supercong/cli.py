@@ -5,7 +5,8 @@ failed, 2 invalid configuration, 3 the mod-cubed q-difference check found
 a counterexample (a witness file is written per failing n), 4 any other
 error, in an instance or outside every instance (a bug, or a resource such
 as memory running out); its traceback, naming the instance if there is
-one, goes to stderr.
+one, goes to stderr.  SIGTERM ends the process as the signal does, after
+a forked run has killed and reaped its workers.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import inspect
 import json
 import os
+import signal
 import sys
 import traceback
 from pathlib import Path
@@ -225,8 +227,17 @@ def _check_paths(args: argparse.Namespace) -> None:
         raise ConfigError(f"witness directory {witness_dir} is not a directory")
 
 
+class _Terminated(BaseException):
+    """SIGTERM as an exception, so that every finally (a forked run's) runs."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    on_term = signal.signal(signal.SIGTERM, _terminate)
     try:
         _check_paths(args)
         summary = _run(args)
@@ -245,6 +256,13 @@ def main(argv=None) -> int:
         # never 1 or 3, which say a check failed
         traceback.print_exception(exc, file=sys.stderr)
         return 4
+    except _Terminated:
+        # cleaned up: end by SIGTERM, as without the handler
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, on_term)
     return code
 
 

@@ -16,13 +16,11 @@ __all__ = [
     "MAX_EXPONENT",
     "NotPAdicIntegral",
     "ResidueClass",
-    "AlphaDecomposition",
     "parse_rational",
     "is_p_integral",
     "check_exponent",
     "reduce_mod",
     "least_nonneg_residue",
-    "decompose",
     "legendre",
 ]
 
@@ -53,20 +51,6 @@ class ResidueClass:
 
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus})"
-
-
-@dataclass(frozen=True)
-class AlphaDecomposition:
-    """alpha written against a prime p as alpha + a = p*t.
-
-    a is the least nonnegative residue of -alpha mod p, so 0 <= a <= p-1
-    and t is again a p-adic integer.
-    """
-
-    alpha: Fraction
-    p: int
-    a: int
-    t: Fraction
 
 
 def parse_rational(text: str) -> Fraction:
@@ -108,16 +92,6 @@ def reduce_mod(x: Fraction, p: int, e: int) -> ResidueClass:
 def least_nonneg_residue(alpha: Fraction, p: int) -> int:
     """The unique r in 0..p-1 with alpha ≡ r (mod p)."""
     return reduce_mod(Fraction(alpha), p, 1).value
-
-
-def decompose(alpha: Fraction, p: int) -> AlphaDecomposition:
-    """Split alpha as alpha + a = p*t with a = least residue of -alpha mod p."""
-    alpha = Fraction(alpha)
-    a = least_nonneg_residue(-alpha, p)
-    t = (alpha + a) / p
-    # alpha + a ≡ 0 (mod p) by construction, so t is p-integral
-    assert is_p_integral(t, p)
-    return AlphaDecomposition(alpha=alpha, p=p, a=a, t=t)
 
 
 def legendre(a: int, p: int) -> int:

@@ -314,17 +314,22 @@ def _send(fd: int, body: bytes) -> None:
 
 
 def _child(k: int, claims: int, out: int, others: list[int],
-           insts: list[Instance], chunk: int):
+           insts: list[Instance], chunk: int, mask: set):
     # runs in forked worker k and leaves through os._exit, so it never
     # returns into the parent's code, flushes the parent's buffers or runs
-    # its exit hooks; others are the result pipes it inherited and closes.
+    # its exit hooks; others are the result pipes it inherited and closes,
+    # mask the signal mask the parent had before it forked.
     # A result frame is the pickle of (index, result), an error frame that
     # of (None, (message, traceback))
     code = 1
     try:
         import pickle
+        import signal
         import traceback
 
+        # a handler the parent installed (cli.main's) is not the child's
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for fd in others:
             os.close(fd)
         try:
@@ -405,6 +410,9 @@ def _run_forked(insts: list[Instance], workers: int) -> list[VerificationRecord]
                 store(i, result)
 
     live: dict[int, _Worker] = {}  # result pipe read end -> its child
+    # SIGINT and SIGTERM wait until every child's pid is recorded: a handler
+    # that raised between a fork and its pid would leave that child running
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
     try:
         for k in range(1, workers):
             r, out = os.pipe()
@@ -412,11 +420,12 @@ def _run_forked(insts: list[Instance], workers: int) -> list[VerificationRecord]
             try:
                 worker.pid = os.fork()
                 if worker.pid == 0:
-                    _child(k, claims, out, list(live), insts, chunk)
+                    _child(k, claims, out, list(live), insts, chunk, mask)
             finally:
                 # the child's write end is held by that child alone, or
                 # its exit would not read as EOF here
                 os.close(out)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for i in _claimed(claims, chunk, n):
             store(i, _execute(insts[i]))
             drain(0)
@@ -429,6 +438,7 @@ def _run_forked(insts: list[Instance], workers: int) -> list[VerificationRecord]
             if worker.pid is not None:  # not yet reaped, so the pid is ours
                 os.kill(worker.pid, signal.SIGKILL)
                 os.waitpid(worker.pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     missing = [str(inst) for inst, rs in zip(insts, results) if rs is None]
     if missing:
         raise InternalError(f"internal error: no result for {', '.join(missing)}")

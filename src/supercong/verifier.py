@@ -49,14 +49,7 @@ from functools import cache, lru_cache
 from itertools import accumulate, repeat
 from time import perf_counter
 
-from .padic import (
-    ResidueClass,
-    check_exponent,
-    is_p_integral,
-    least_nonneg_residue,
-    legendre,
-    reduce_mod,
-)
+from .padic import ResidueClass, is_p_integral, least_nonneg_residue, legendre
 from .records import (
     PreconditionViolated,
     Side,
@@ -78,8 +71,6 @@ __all__ = [
     "PRIME_CLASSES",
     "PHASES",
     "admits",
-    "sum_main",
-    "sum_mao",
     "verify_at_prime",
     "verify_prime",
     "verify_alpha",
@@ -116,39 +107,15 @@ def _partial_sums(
     return list(accumulate(terms))
 
 
-def _check_truncation(M: int, p: int) -> None:
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
-    if M >= p:
-        raise ValueError(f"M = {M} >= p = {p}: k! not invertible")
-
-
 def _main_sums(pre: tuple, p: int, top: int) -> list[int]:
     # the partial sums of S(alpha, .); the weight 2k + alpha has alpha = p*t - a
     _, _, _, a, t = pre
     return _partial_sums(pre, p, top, 2, p * t - a)
 
 
-def sum_main(alpha: Fraction, M: int, p: int, e: int = 4) -> ResidueClass:
-    """sum_{k=0}^{M} (-1)^k (2k+alpha) (alpha)_k^3 / k!^3 mod p^e."""
-    _check_truncation(M, p)
-    alpha = Fraction(alpha)
-    reduce_mod(alpha, p, e)  # refuses a bad e or a non-p-integral alpha
-    s = _main_sums(_poch_prefix(alpha, p, M), p, M)[M]
-    return ResidueClass(s % p**e, p**e)
-
-
 def _mao_sums(half: tuple, p: int, top: int) -> list[int]:
     # the partial sums of the 8^(-k) family from the prefix at alpha = 1/2
     return _partial_sums(half, p, top, 6, 1, pow(8, -1, p**4))
-
-
-def sum_mao(M: int, p: int, e: int = 4) -> ResidueClass:
-    """sum_{k=0}^{M} (-1)^k (6k+1) (1/2)_k^3 / (k!^3 8^k) mod p^e, 1 <= e <= 4."""
-    _check_truncation(M, p)
-    check_exponent(e)
-    s = _mao_sums(_poch_prefix(Fraction(1, 2), p, M), p, M)[M]
-    return ResidueClass(s % p**e, p**e)
 
 
 def ramanujan_partial(N: int) -> float:
@@ -205,7 +172,7 @@ class TheoremFamily:
     """One (2dk+1)-weighted congruence family, d = weight_d.
 
     The summand weight 2dk + 1 is d times the (2k + 1/d) summand of
-    sum_main, so the family is d * S(1/d, M) checked against d times the
+    S(1/d, .), so the family is d * S(1/d, M) checked against d times the
     general-alpha closed form at alpha = 1/d.  With r = p mod d that is
 
         r p (-1)^a + p^3 r^3 E_{p-3}(1/d) / d^2   (the p^3 term mod p^4 only),
@@ -281,8 +248,8 @@ def _residue_sides(p: int, e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]
 # ---------------------------------------------------------------------------
 # auxiliary Pochhammer-quotient congruences
 
-# The sums and the lemma sides of one prime read these tables, as do the
-# public sums called at one prime in a row.
+# The sums and the lemma sides of one prime read these tables, each sum
+# and each lemma table once.
 @lru_cache(maxsize=4)
 def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
     """(fact, inv_fact, sinv3) mod p^4 for j = 0..p-1: j!, 1/j! and
@@ -636,7 +603,8 @@ def verify_alpha(
 ) -> list[VerificationRecord]:
     """One record mod p^4 per requested family, in the order given.
 
-    With a = <-alpha>_p and S(alpha, M) the sum of sum_main:
+    With a = <-alpha>_p and S(alpha, M) = sum_{k<=M} (-1)^k (2k+alpha)
+    (alpha)_k^3 / k!^3:
 
     * MAIN1, MAIN1_TRUNC: S(alpha, M) ≡ (-1)^a (alpha+a)
       + (alpha+a)^3 E_{p-3}(alpha), with M = p-1 ("full") or M = a ("short").

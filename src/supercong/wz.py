@@ -15,9 +15,9 @@ sides of the pair relation
 by cross-multiplying.  The relation telescopes (sum over n = 0..N-1) into
 a closed form for the partial sums, which check_telescoped verifies for
 any positive N by putting the partial sum and the closed form over one
-common integer denominator.  Only the public evaluators build a Fraction,
-from the same pairs.  The Fraction loops these checks replaced are kept
-in tests/wz_oracle.py as the oracle.
+common integer denominator.  Only telescoped_rhs builds a Fraction, from
+the same pairs.  The Fraction loops these checks replaced are kept in
+tests/wz_oracle.py as the oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from random import Random
 
 __all__ = [
     "DivisionByZeroTerm",
-    "eval_F",
-    "eval_G",
     "check_pair",
     "check_telescoped",
     "telescoped_rhs",
@@ -80,36 +78,6 @@ class _Table:
         num = P[n] ** 2 * P[n + k - 1]
         den = self.d ** (3 * n - k - 1) * fact[n - 1] ** 2 * fact[n - k] * P[k] ** 2
         return (-num if (n + k) % 2 else num), den
-
-
-def _table_for_point(n: int, k: int, alpha: Fraction) -> _Table:
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return _Table(alpha, max(k, n + k))
-
-
-def eval_F(n: int, k: int, alpha: Fraction) -> Fraction:
-    """F(n,k) = (-1)^(n+k) (2n+a)(a)_n^2 (a)_{n+k} / ((1)_n^2 (1)_{n-k} (a)_k^2)."""
-    t = _table_for_point(n, k, alpha)
-    if t.P[k] == 0:
-        raise t.pole_error(k, f"F({n},{k})")
-    if n - k < 0:
-        return Fraction(0)
-    return Fraction(*t.F(n, k))
-
-
-def eval_G(n: int, k: int, alpha: Fraction) -> Fraction:
-    """G(n,k) = (-1)^(n+k) (a)_n^2 (a)_{n+k-1} / ((1)_{n-1}^2 (1)_{n-k} (a)_k^2).
-
-    G(0, k) = 0 via the (1)_{n-1} convention, so the vanishing factors are
-    checked before (a)_{n+k-1} is ever formed.
-    """
-    t = _table_for_point(n, k, alpha)
-    if t.P[k] == 0:
-        raise t.pole_error(k, f"G({n},{k})")
-    if n == 0 or n - k < 0:
-        return Fraction(0)
-    return Fraction(*t.G(n, k))
 
 
 def check_pair(n_max: int, k_max: int, alphas: list[Fraction]) -> bool:

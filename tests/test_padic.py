@@ -5,10 +5,8 @@ from fractions import Fraction
 import pytest
 
 from supercong.padic import (
-    AlphaDecomposition,
     NotPAdicIntegral,
     ResidueClass,
-    decompose,
     is_p_integral,
     least_nonneg_residue,
     legendre,
@@ -16,6 +14,7 @@ from supercong.padic import (
     reduce_mod,
 )
 from supercong.primes import sieve_primes
+from supercong.verifier import _poch_prefix
 
 
 def test_parse_rational():
@@ -80,15 +79,20 @@ def test_least_nonneg_residue():
     assert least_nonneg_residue(Fraction(0), 11) == 0
 
 
+def _decompose(alpha, p):
+    # alpha + a = p*t with a = <-alpha>_p, as the paper splits alpha
+    a = least_nonneg_residue(-alpha, p)
+    return a, (alpha + a) / p
+
+
 def test_decompose_examples():
-    d = decompose(Fraction(1, 3), 7)
-    assert d == AlphaDecomposition(Fraction(1, 3), 7, 2, Fraction(1, 3))
-    d = decompose(Fraction(-1, 2), 5)
-    assert (d.a, d.t) == (3, Fraction(1, 2))
-    d = decompose(Fraction(1, 4), 13)
-    assert (d.a, d.t) == (3, Fraction(1, 4))
-    d = decompose(Fraction(1), 11)
-    assert (d.a, d.t) == (10, Fraction(1))
+    for alpha, p, a, t in ((Fraction(1, 3), 7, 2, Fraction(1, 3)),
+                           (Fraction(-1, 2), 5, 3, Fraction(1, 2)),
+                           (Fraction(1, 4), 13, 3, Fraction(1, 4)),
+                           (Fraction(1), 11, 10, Fraction(1))):
+        assert _decompose(alpha, p) == (a, t)
+        # the verifier's prefix carries the same a, and t mod p^4
+        assert _poch_prefix(alpha, p, 0)[3:] == (a, reduce_mod(t, p, 4).value)
 
 
 def test_decompose_identity_holds():
@@ -97,10 +101,10 @@ def test_decompose_identity_holds():
         for alpha in (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(4)):
             if alpha.denominator % p == 0:
                 continue
-            d = decompose(alpha, p)
-            assert 0 <= d.a < p
-            assert alpha + d.a == p * d.t
-            assert d.t.denominator % p != 0
+            a, t = _decompose(alpha, p)
+            assert 0 <= a < p
+            assert alpha + a == p * t
+            assert t.denominator % p != 0
 
 
 def test_legendre_values():

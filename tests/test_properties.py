@@ -23,7 +23,7 @@ import sympy
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from supercong.padic import MAX_EXPONENT, decompose, reduce_mod
+from supercong.padic import MAX_EXPONENT, least_nonneg_residue, reduce_mod
 from supercong.primes import sieve_primes
 from supercong.qseries import (
     _cube_denominator,
@@ -52,18 +52,15 @@ from supercong.verifier import (
     _lemma_tables,
     _poch_prefix,
     _prime_tables,
-    sum_main,
-    sum_mao,
     verify_alpha,
 )
 from supercong.sweep import default_alphas
 from supercong.wz import (
     DivisionByZeroTerm,
+    _Table,
     _telescope,
     check_pair,
     check_telescoped,
-    eval_F,
-    eval_G,
     telescoped_rhs,
 )
 
@@ -155,30 +152,21 @@ def test_euler_identities_catch_a_perturbed_coefficient(
 
 
 @PROPS
-@given(p=primes_to_31, data=st.data(), alpha=rationals, e=st.integers(1, 5))
+@given(p=primes_to_31, data=st.data(), alpha=rationals,
+       e=st.integers(1, MAX_EXPONENT))
 def test_sum_main_matches_exact(p, data, alpha, e):
     assume(alpha.denominator % p)
     M = data.draw(st.integers(0, p - 1), label="M")
-    if e > MAX_EXPONENT:
-        with pytest.raises(ValueError):
-            sum_main(alpha, M, p, e)
-        return
-    got = sum_main(alpha, M, p, e)
-    assert got.modulus == p**e
-    assert got.value == _mod(sum_main_exact(alpha, M), p**e)
+    got = _main_sums(_poch_prefix(alpha, p, M), p, M)[M] % p**e
+    assert got == _mod(sum_main_exact(alpha, M), p**e)
 
 
 @PROPS
-@given(p=primes_to_31, data=st.data(), e=st.integers(1, 5))
+@given(p=primes_to_31, data=st.data(), e=st.integers(1, MAX_EXPONENT))
 def test_sum_mao_matches_exact(p, data, e):
     M = data.draw(st.integers(0, p - 1), label="M")
-    if e > MAX_EXPONENT:
-        with pytest.raises(ValueError):
-            sum_mao(M, p, e)
-        return
-    got = sum_mao(M, p, e)
-    assert got.modulus == p**e
-    assert got.value == _mod(sum_mao_exact(M), p**e)
+    got = _mao_sums(_poch_prefix(Fraction(1, 2), p, M), p, M)[M] % p**e
+    assert got == _mod(sum_mao_exact(M), p**e)
 
 
 @PROPS
@@ -200,7 +188,7 @@ def test_checkpoints_match_exact(p, data, alpha):
 @given(p=st.sampled_from(sieve_primes(5, 23)), alpha=rationals)
 def test_tail_record_matches_exact_tail(p, alpha):
     assume(alpha.denominator % p)
-    a = decompose(alpha, p).a
+    a = least_nonneg_residue(-alpha, p)
     [rec] = verify_alpha(alpha, p, ("TAIL",))
     if a == p - 1:
         assert rec.passed is None
@@ -226,7 +214,7 @@ def _lemma_exact(fam: str, alpha: Fraction, p: int) -> tuple[int, int]:
     verify_alpha gives as the skip reason."""
     if p <= 3:
         raise PreconditionViolated(f"needs p > 3, got p = {p}")
-    a = decompose(alpha, p).a
+    a = least_nonneg_residue(-alpha, p)
     poch = [Fraction(1)]  # (alpha)_j for j = 0..2p-1
     for j in range(2 * p - 1):
         poch.append(poch[-1] * (alpha + j))
@@ -303,14 +291,14 @@ def test_lemma_matches_exact_oracle(fam, p, data):
 @given(p=primes_to_31, data=st.data())
 def test_poch_prefix_matches_exact(p, data):
     # p^(e_j) u_j ≡ (alpha)_j (mod p^4) for j <= 2p-1, e_j = v0 [j > a]
-    # + v1 [j > a+p], and a, t as decompose gives them; p^5 - 1 has
+    # + v1 [j > a+p], a = <-alpha>_p and alpha + a = p*t; p^5 - 1 has
     # t = p^4 ≡ 0 (mod p^4) without a zero factor
     alpha = data.draw(st.one_of(_lemma_alphas(p), st.just(Fraction(p**5 - 1))),
                       label="alpha")
     m, n = p**4, 2 * p - 1
     u, v0, v1, a, t = _poch_prefix(alpha, p, n)
-    d = decompose(alpha, p)
-    assert (a, t) == (d.a, _mod(d.t, m))
+    assert a == least_nonneg_residue(-alpha, p)
+    assert t == _mod((alpha + a) / p, m)
     assert len(u) == n + 1
     for j in range(n + 1):
         e = v0 * (j > a) + v1 * (j > a + p)
@@ -337,7 +325,7 @@ def test_prime_tables_match_exact(p):
 def test_lemma_right_sides_match_exact_near_2000(p):
     # only the right sides: the exact left sides are too slow at this size
     for alpha in default_alphas(p):
-        a = decompose(alpha, p).a
+        a = least_nonneg_residue(-alpha, p)
         for rec in verify_alpha(alpha, p, LEMMA_FAMILIES):
             if rec.family == "LEMMA_SIGMA" and a == p - 1:
                 assert rec.passed is None, rec
@@ -451,10 +439,24 @@ def test_check_pair_matches_fraction_oracle(n_max, k_max, alphas):
 
 
 @PROPS
-@given(n=st.integers(-2, 12), k=st.integers(0, 14), alpha=wz_alphas)
-def test_eval_f_g_match_fraction_oracle(n, k, alpha):
-    assert _outcome(eval_F, n, k, alpha) == _outcome(wz_oracle.eval_F, n, k, alpha)
-    assert _outcome(eval_G, n, k, alpha) == _outcome(wz_oracle.eval_G, n, k, alpha)
+@given(n=st.integers(0, 12), data=st.data(), alpha=wz_alphas)
+def test_eval_f_g_match_fraction_oracle(n, data, alpha):
+    # F(n, k) and G(n + 1, k) as check_pair forms them, k <= n + 1: each
+    # pair has the oracle's value, or a zero denominator where the oracle
+    # raises for a pole
+    k = data.draw(st.integers(0, n + 1), label="k")
+    t = _Table(alpha, 2 * n + 1)
+    points = [(t.G, wz_oracle.eval_G, n + 1)]
+    if k <= n:
+        points.append((t.F, wz_oracle.eval_F, n))
+    for ours, oracle, m in points:
+        num, den = ours(m, k)
+        try:
+            want = oracle(m, k, alpha)
+        except DivisionByZeroTerm:
+            assert den == 0
+        else:
+            assert Fraction(num, den) == want
 
 
 @PROPS

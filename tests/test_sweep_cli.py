@@ -1,5 +1,6 @@
 """Sweep orchestration, report rendering, CLI subcommands and exit codes."""
 
+import contextlib
 import inspect
 import json
 import math
@@ -377,13 +378,18 @@ def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
 
 
 def test_truncation_too_large_is_an_internal_error(monkeypatch):
-    # every sweep truncation is below p, so this error can only be a bug
-    monkeypatch.setattr(sweep, "verify_at_prime",
-                        lambda *args: verifier.sum_main(Fraction(1, 2), 7, 7))
+    # every sweep truncation is below p, so reading the partial sums at
+    # M = p can only be a bug
+    def read_at_p(p, *args):
+        pre = verifier._poch_prefix(Fraction(1, 2), p, p)
+        return verifier._main_sums(pre, p, p)[p]
+
+    monkeypatch.setattr(sweep, "verify_at_prime", read_at_p)
     with pytest.raises(sweep.InternalError) as info:
         run_sweep(SweepConfig(families=("B2",), p_min=7, p_max=7))
-    assert isinstance(info.value.__cause__, ValueError)
-    assert str(info.value.__cause__) == "M = 7 >= p = 7: k! not invertible"
+    assert isinstance(info.value.__cause__, IndexError)
+    assert str(info.value) == (
+        "internal error checking B2 p=7: IndexError: list index out of range")
 
 
 @pytest.mark.parametrize("site, error, families, where", [
@@ -622,17 +628,50 @@ def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, error, raised):
     fds = len(os.listdir("/proc/self/fd"))
     parent, pids = os.getpid(), _record_forks(monkeypatch)
     check = sweep.verify_at_prime
+    # a child blocks in its first instance on a read from a pipe that nothing
+    # writes, so the parent claims an instance and raises while both children
+    # are at work; the read sees EOF only once the test has closed its end
+    wait, hold = os.pipe()
 
     def fail_in_the_parent(*args):
         if os.getpid() == parent:
             raise error
+        with contextlib.suppress(OSError):  # closed by an earlier instance
+            os.close(hold)
+        os.read(wait, 1)
         return check(*args)
 
     monkeypatch.setattr(sweep, "verify_at_prime", fail_in_the_parent)
-    with pytest.raises(raised):
-        run_sweep(SweepConfig(families=("B2",), p_min=5, p_max=61, workers=3))
+    try:
+        with pytest.raises(raised):
+            run_sweep(SweepConfig(families=("B2",), p_min=5, p_max=61, workers=3))
+    finally:
+        os.close(wait)
+        os.close(hold)
     assert len(pids) == 2
     _assert_no_child_left(fds)
+
+
+def test_sigterm_ends_the_cli_after_its_workers():
+    # SIGTERM ends the CLI as the signal does, with no traceback, once the
+    # forked run has killed and reaped its child: the child, which is at
+    # work on an instance of a second or more, is gone with the parent
+    argv = ["qverify", "--n", "85", "--workers", "2"]
+    proc = subprocess.Popen([sys.executable, "-m", "supercong.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    deadline = time.monotonic() + 60
+    while not (pids := open(children).read().split()):
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.001)
+    proc.send_signal(signal.SIGTERM)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (-signal.SIGTERM, "", "")
+    assert not os.path.exists(f"/proc/{pids[0]}")
+    # called in this process, main hands the handler it found back
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["verify", "--pmax", "7", "--family", "B2", "-o", os.devnull]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_render_json_shape():

@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 from supercong import verifier
-from supercong.padic import NotPAdicIntegral, decompose, is_p_integral, reduce_mod
+from supercong.padic import (
+    NotPAdicIntegral,
+    is_p_integral,
+    least_nonneg_residue,
+    reduce_mod,
+)
 from supercong.primes import sieve_primes
 from supercong.records import InternalError
 from supercong.sequences import (
@@ -28,8 +33,6 @@ from supercong.verifier import (
     _main_sums,
     _mao_sums,
     _poch_prefix,
-    sum_main,
-    sum_mao,
     ramanujan_partial,
     verify_alpha,
     verify_at_prime,
@@ -38,6 +41,16 @@ from supercong.verifier import (
 from supercong.wz import telescoped_rhs
 
 from exact_oracle import sum_main_exact, sum_mao_exact
+
+
+def _sum_main(alpha, M, p, e=4):
+    # S(alpha, M) mod p^e from the verifier's prefix and partial sums
+    return _main_sums(_poch_prefix(alpha, p, M), p, M)[M] % p**e
+
+
+def _sum_mao(M, p):
+    # the 8^(-k) sum to M mod p^4, likewise from the prefix at 1/2
+    return _mao_sums(_poch_prefix(Fraction(1, 2), p, M), p, M)[M] % p**4
 
 
 def _one(fam, alpha, p):
@@ -70,22 +83,19 @@ def test_sum_main_residue_matches_exact():
         for a in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2)):
             for M in (0, 1, 3, p - 1):
                 want = reduce_mod(sum_main_exact(a, M), p, 4).value
-                assert sum_main(a, M, p, 4).value == want
+                assert _sum_main(a, M, p) == want
 
 
 def test_sum_main_weight_one_telescopes_to_p():
     # alpha = 1 collapses to sum (-1)^k (2k+1) = p over k < p
     for p in (5, 7, 11, 23):
-        assert sum_main(Fraction(1), p - 1, p, 4).value == p
+        assert _sum_main(Fraction(1), p - 1, p) == p
 
 
 def test_sum_main_validates():
-    with pytest.raises(ValueError, match="k! not invertible"):
-        sum_main(Fraction(1, 2), 7, 7, 4)
-    with pytest.raises(ValueError):
-        sum_main(Fraction(1, 2), -1, 7, 4)
+    # the prefix refuses an alpha with p in its denominator
     with pytest.raises(NotPAdicIntegral):
-        sum_main(Fraction(1, 5), 2, 5, 4)
+        _sum_main(Fraction(1, 5), 2, 5)
 
 
 def test_scaling_identity_per_summand():
@@ -107,7 +117,7 @@ def test_sum_mao_matches_exact():
     for p in (5, 7, 13):
         for M in (0, 2, p - 1):
             want = reduce_mod(sum_mao_exact(M), p, 4).value
-            assert sum_mao(M, p, 4).value == want
+            assert _sum_mao(M, p) == want
 
 
 def test_golden_short_truncation_instance():
@@ -278,7 +288,7 @@ def test_classical_records_match_paper_right_sides(fam):
             rec = _theorem(fam, p, tr)
             assert rec.modulus == f"{p}^{e}"
             assert rec.rhs.value == want, (fam, p, tr)
-            assert rec.lhs.value == d * sum_main(Fraction(1, d), M, p, e).value % m
+            assert rec.lhs.value == d * _sum_main(Fraction(1, d), M, p, e) % m
             assert rec.passed, (fam, p, tr)
 
 
@@ -377,13 +387,8 @@ def test_truncation_equivalence():
     # dropping the tail block does not change the sum mod p^4
     for p in (5, 7, 13):
         for alpha in (Fraction(1, 2), Fraction(2, 3), Fraction(1, 4)):
-            from supercong.padic import decompose
-
-            a = decompose(alpha, p).a
-            assert (
-                sum_main(alpha, a, p, 4).value
-                == sum_main(alpha, p - 1, p, 4).value
-            )
+            a = least_nonneg_residue(-alpha, p)
+            assert _sum_main(alpha, a, p) == _sum_main(alpha, p - 1, p)
 
 
 def test_verify_tail():
@@ -399,7 +404,7 @@ def test_sum_matches_telescoped_closed_form():
     # cross-oracle: residue pipeline vs exact rational certificate sum
     for p in (5, 7, 11):
         for a in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)):
-            lhs = sum_main(a, p - 1, p, 4).value
+            lhs = _sum_main(a, p - 1, p)
             rhs = reduce_mod(telescoped_rhs(p, a), p, 4).value
             assert lhs == rhs
 
@@ -428,10 +433,7 @@ def test_mao_p5_closed_form_exact():
 
 def test_equiv_identity_p13():
     # p ≡ 1 (mod 4): the (6k+1) full sum equals 4 * S(1/4) mod p^4
-    assert (
-        sum_mao(12, 13, 4).value
-        == (4 * sum_main(Fraction(1, 4), 12, 13, 4).value) % 13**4
-    )
+    assert _sum_mao(12, 13) == 4 * _sum_main(Fraction(1, 4), 12, 13) % 13**4
 
 
 def test_verify_lemma_examples():
@@ -461,8 +463,8 @@ def test_lemma_right_sides_are_sharp():
         for alpha in default_alphas(p):
             if not is_p_integral(alpha, p):
                 continue
-            d = decompose(alpha, p)
-            a, t, ha, sa = d.a, d.t, harmonic(d.a), (-1) ** d.a
+            a = least_nonneg_residue(-alpha, p)
+            t, ha, sa = (alpha + a) / p, harmonic(a), (-1) ** a
             weak = {"LEMMA_PROD": p * t * (1 + p * (t + 1) * ha),
                     "LEMMA_SIGMA": sa * p * p * t * (t + 1)
                     * (ha - Fraction(sa, a + 1))}
@@ -578,8 +580,8 @@ def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
             integral, 1), p
         sums = [(pre[3], b) for pre, _, _, b, *_ in calls["_partial_sums"]]
         assert sorted(sums) == sorted(
-            [(decompose(a, p).a, 2) for a in integral]
-            + [(decompose(Fraction(1, 2), p).a, 6)]), p
+            [(least_nonneg_residue(-a, p), 2) for a in integral]
+            + [(least_nonneg_residue(Fraction(-1, 2), p), 6)]), p
         closed = Counter((alpha, e) for alpha, _, _, _, e in calls["_closed_form"])
         assert set(closed.values()) == {1}
         assert set(closed) == {(a, 4) for a in integral} | {
@@ -665,7 +667,7 @@ def test_each_record_reads_its_own_checkpoint(monkeypatch):
             if r.family == "EQUIV":
                 assert r.rhs.value == 4 * (p - 1)
     alpha = Fraction(1, 3)
-    a = decompose(alpha, p).a
+    a = least_nonneg_residue(-alpha, p)
     got = {r.family: r.lhs.value for r in verify_alpha(alpha, p, ALPHA_FAMILIES[:3])}
     assert got == {"MAIN1": p - 1, "MAIN1_TRUNC": a, "TAIL": p - 1 - a}
 
@@ -696,7 +698,7 @@ def _plain_mao_sum(M, p):
 def test_checkpoints_match_a_plain_loop_near_2000(p):
     m = p**4
     for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-8, 5)):
-        Ms = (0, decompose(alpha, p).a, (p - 1) // 2, p - 1)
+        Ms = (0, least_nonneg_residue(-alpha, p), (p - 1) // 2, p - 1)
         got = _main_sums(_poch_prefix(alpha, p, p - 1), p, p - 1)
         assert [got[M] % m for M in Ms] == [_plain_main_sum(alpha, M, p) for M in Ms], (
             alpha)

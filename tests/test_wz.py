@@ -14,29 +14,47 @@ from supercong.wz import (
     DivisionByZeroTerm,
     check_pair,
     check_telescoped,
-    eval_F,
-    eval_G,
     sample_alphas,
     telescoped_rhs,
 )
 
+from exact_oracle import sum_main_exact
+
+
+def _F(n, k, alpha):
+    # F(n, k), 0 <= k <= n, from the integer pair check_pair forms
+    return Fraction(*wz._Table(alpha, n + k).F(n, k))
+
+
+def _G(n, k, alpha):
+    # G(n, k), 0 <= k <= n, n >= 1, likewise
+    return Fraction(*wz._Table(alpha, n + k).G(n, k))
+
 
 def test_point_values():
-    assert eval_F(0, 0, Fraction(1, 2)) == Fraction(1, 2)
-    assert eval_F(1, 0, Fraction(1, 2)) == Fraction(-5, 16)
-    assert eval_G(1, 0, Fraction(1, 2)) == Fraction(-1, 4)
-    assert eval_G(1, 1, Fraction(2, 3)) == Fraction(2, 3)
+    assert _F(0, 0, Fraction(1, 2)) == Fraction(1, 2)
+    assert _F(1, 0, Fraction(1, 2)) == Fraction(-5, 16)
+    assert _G(1, 0, Fraction(1, 2)) == Fraction(-1, 4)
+    assert _G(1, 1, Fraction(2, 3)) == Fraction(2, 3)
 
 
 def test_f_vanishes_below_diagonal():
-    # 1/(1)_m = 0 for m < 0 kills k > n
-    assert eval_F(2, 5, Fraction(1, 3)) == 0
-    assert eval_G(2, 5, Fraction(1, 3)) == 0
+    # 1/(1)_m = 0 for m < 0 kills F(n, k) and G(n, k) at k > n, which
+    # check_pair takes as 0: the relation at k = n + 1 is then
+    # F(n, n) = G(n + 1, n + 1)
+    for a in (Fraction(1, 3), Fraction(-2, 5)):
+        for n in range(1, 5):
+            assert _F(n, n, a) == _G(n + 1, n + 1, a)
+        assert check_pair(4, 7, [a])
 
 
 def test_g_vanishes_at_n_zero():
-    for k in range(4):
-        assert eval_G(0, k, Fraction(1, 2)) == 0
+    # (1)_{n-1} = (1)_{-1} kills G(0, k), so row n = 0 of the relation is
+    # F(0, k-1) - F(0, k) = G(1, k): F(0, 0) = G(1, 1), and 0 = 0 past it
+    for a in (Fraction(1, 2), Fraction(2, 3)):
+        assert _F(0, 0, a) == _G(1, 1, a)
+        for k in range(1, 4):
+            assert check_pair(0, k, [a])
 
 
 def test_f_at_k_zero_is_series_summand():
@@ -52,21 +70,15 @@ def test_f_at_k_zero_is_series_summand():
                 * pochhammer(a, n) ** 3
                 / math.factorial(n) ** 3
             )
-            assert eval_F(n, 0, a) == want
-
-
-def test_negative_k_is_refused():
-    with pytest.raises(ValueError, match="k must be >= 0"):
-        eval_F(2, -1, Fraction(1, 3))
-    with pytest.raises(ValueError, match="k must be >= 0"):
-        eval_G(2, -1, Fraction(1, 3))
+            assert _F(n, 0, a) == want
 
 
 def test_pole_raises():
+    # (alpha)_k = 0 at alpha = -1 from k = 2 on
     with pytest.raises(DivisionByZeroTerm):
-        eval_F(3, 2, Fraction(-1))  # (alpha)_k = 0 at alpha = -1, k = 2
+        check_pair(3, 2, [Fraction(-1)])
     with pytest.raises(DivisionByZeroTerm):
-        eval_G(3, 2, Fraction(-1))
+        check_telescoped(3, Fraction(-1))
 
 
 def test_pair_relation_small_grid():
@@ -121,17 +133,15 @@ def test_telescoped_small():
 def test_telescoped_even_length():
     # regression: the correction-sum sign depends on the parity of N
     assert check_telescoped(2, Fraction(1))
-    lhs = sum(eval_F(k, 0, Fraction(1)) for k in range(2))
+    lhs = sum(_F(k, 0, Fraction(1)) for k in range(2))
     assert lhs == Fraction(-2)
     assert telescoped_rhs(2, Fraction(1)) == Fraction(-2)
 
 
 def test_telescoped_rhs_matches_partial_sums():
     for a in (Fraction(1, 4), Fraction(2, 3)):
-        acc = Fraction(0)
         for N in range(1, 9):
-            acc += eval_F(N - 1, 0, a)
-            assert telescoped_rhs(N, a) == acc
+            assert telescoped_rhs(N, a) == sum_main_exact(a, N - 1)
 
 
 def test_sample_alphas_deterministic_and_pole_free():
@@ -150,9 +160,9 @@ def test_cold_pochhammer_cache_at_large_index():
     # k ~ 1000, so this runs in a fresh interpreter
     code = (
         "from fractions import Fraction\n"
-        "from supercong.wz import eval_F, telescoped_rhs\n"
+        "from supercong.wz import _Table, telescoped_rhs\n"
         "telescoped_rhs(600, Fraction(1, 3))\n"
-        "eval_F(700, 0, Fraction(2, 7))\n"
+        "_Table(Fraction(2, 7), 700).F(700, 0)\n"
         "print('ok')\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
