@@ -15,28 +15,44 @@ The package checks, over ranges of primes p and rational parameters:
 Everything is integer or rational arithmetic; no floats except the one
 floating-point smoke check.  A sum is read from the record that checks
 it: verify_alpha(alpha, p, ("MAIN1",))[0].lhs is S(alpha, p-1) mod p^4.
-The top level re-exports the public names the demos and the README use;
+The top level re-exports the public names the demos and the README use,
+each imported from its module on first use (PEP 562), so that importing a
+submodule such as supercong.cli imports no check module it does not run;
 everything else, such as the q-sum numerator qseries._sum_numerator, is
 imported from its module.
 """
 
-from .padic import least_nonneg_residue
-from .primes import sieve_primes
-from .sequences import pochhammer
-from .verifier import (
-    FAMILIES,
-    LEMMA_FAMILIES,
-    ramanujan_partial,
-    verify_alpha,
-    verify_prime,
-)
-from .wz import check_pair, telescoped_rhs
-from .qseries import (
-    congruence_failure,
-    conjecture41_witness,
-    cyclotomic,
-    q_integer,
-    verify_q,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# each re-exported name and the module it comes from
+_EXPORTS = {
+    "least_nonneg_residue": "padic",
+    "sieve_primes": "primes",
+    "pochhammer": "sequences",
+    "FAMILIES": "records",
+    "LEMMA_FAMILIES": "records",
+    "ramanujan_partial": "verifier",
+    "verify_alpha": "verifier",
+    "verify_prime": "verifier",
+    "check_pair": "wz",
+    "telescoped_rhs": "wz",
+    "congruence_failure": "qseries",
+    "conjecture41_witness": "qseries",
+    "cyclotomic": "qseries",
+    "q_integer": "qseries",
+    "verify_q": "qseries",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -12,15 +12,12 @@ a forked run has killed and reaped its workers.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import signal
 import sys
-import traceback
 from pathlib import Path
 
-from .qseries import conjecture41_witness
 from .sweep import (
     ConfigError,
     Q_FAMILIES,
@@ -77,11 +74,6 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
-def _defaults(fn) -> dict:
-    # flag defaults come from the API's keyword defaults, their one source
-    return {k: v.default for k, v in inspect.signature(fn).parameters.items()}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="supercong",
@@ -92,6 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = p.add_subparsers(dest="command", required=True)
 
+    # every flag default comes from the API's default, its one source: the
+    # field defaults of SweepConfig and the keyword-only defaults of
+    # run_identities, run_wz and run_smoke
+    d = SweepConfig._field_defaults
     v = sub.add_parser("verify", help="prime-indexed congruence sweeps")
     _add_common(v, suppress=True)
     v.add_argument(
@@ -99,15 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable; case-insensitive, hyphens allowed "
         f"(default: all of {', '.join(VERIFY_FAMILIES)})",
     )
-    v.add_argument("--pmin", type=int, default=SweepConfig.p_min)
-    v.add_argument("--pmax", type=int, default=SweepConfig.p_max)
+    v.add_argument("--pmin", type=int, default=d["p_min"])
+    v.add_argument("--pmax", type=int, default=d["p_max"])
     v.add_argument(
         "--alpha", action="append", dest="alphas", metavar="R",
         help="repeatable rational like 1/3 or -2; only used by the "
         "alpha-parameterised families (default: built-in sample)",
     )
     v.add_argument(
-        "--trunc", choices=("short", "full", "both"), default=SweepConfig.trunc,
+        "--trunc", choices=("short", "full", "both"), default=d["trunc"],
         help="truncations of the ten classical families; the other families "
         "are not filtered (MAIN1 is full, MAIN1_TRUNC short) (default: both)",
     )
@@ -122,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--n", action="append", dest="n_list", type=int, metavar="N",
         help="repeatable odd index "
-        f"(default: {' '.join(map(str, SweepConfig.n_list))})",
+        f"(default: {' '.join(map(str, d['n_list']))})",
     )
     q.add_argument(
         "--witness-dir", default=".",
@@ -131,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("identities", help="exact identity suites")
     _add_common(i, suppress=True)
-    d = _defaults(run_identities)
+    d = run_identities.__kwdefaults__
     i.add_argument("--nmax", type=int, default=d["nmax"], help="binomial sums up to n")
     i.add_argument(
         "--mmax", type=int, default=d["mmax"],
@@ -141,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("wz", help="rational-certificate pair checks")
     _add_common(w, suppress=True)
-    d = _defaults(run_wz)
+    d = run_wz.__kwdefaults__
     w.add_argument(
         "--nmax", type=int, default=d["nmax"],
         help="pair relation for n = 0..nmax and telescoped sums for "
@@ -163,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("smoke", help="floating-point series sanity check")
     _add_common(s, suppress=True)
-    d = _defaults(run_smoke)
+    d = run_smoke.__kwdefaults__
     s.add_argument("--terms", type=int, default=d["terms"])
     s.add_argument("--tol", type=float, default=d["tol"])
 
@@ -184,7 +180,7 @@ def _run(args: argparse.Namespace):
     if args.command == "qverify":
         cfg = SweepConfig(
             families=tuple(args.families) if args.families else Q_FAMILIES,
-            n_list=tuple(args.n_list or SweepConfig.n_list),
+            n_list=tuple(args.n_list or SweepConfig._field_defaults["n_list"]),
             workers=args.workers,
         )
         return run_sweep(cfg)
@@ -206,6 +202,8 @@ def _run(args: argparse.Namespace):
 
 
 def _write_witnesses(summary, witness_dir: str) -> None:
+    from .qseries import conjecture41_witness
+
     for r in summary.records:
         if r.family == "CONJ41" and r.passed is False:
             path = Path(witness_dir) / f"conj41_witness_n{r.n}.json"
@@ -254,6 +252,8 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         # never 1 or 3, which say a check failed
+        import traceback
+
         traceback.print_exception(exc, file=sys.stderr)
         return 4
     except _Terminated:

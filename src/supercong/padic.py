@@ -9,7 +9,7 @@ residue mod p**e.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -33,18 +33,25 @@ class NotPAdicIntegral(ArithmeticError):
     """Raised when a residue is requested for x with p dividing den(x)."""
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """An integer residue together with its (prime-power) modulus."""
+class ResidueClass(namedtuple("ResidueClass", ("value", "modulus"))):
+    """An integer residue together with its (prime-power) modulus.
 
-    value: int
-    modulus: int
+    A tuple (value, modulus), so it pickles and compares as one; a value
+    outside [0, modulus) is refused, also when it is unpickled or made by
+    _make or _replace."""
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} outside [0, {self.modulus})")
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int) -> ResidueClass:
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if not 0 <= value < modulus:
+            raise ValueError(f"value {value} outside [0, {modulus})")
+        return tuple.__new__(cls, (value, modulus))
+
+    @classmethod
+    def _make(cls, iterable) -> ResidueClass:
+        return cls(*iterable)
 
     def __int__(self) -> int:
         return self.value

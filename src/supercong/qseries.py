@@ -40,10 +40,11 @@ from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
 
 from .records import (
+    Q_FAMILIES,
     PreconditionViolated,
+    QFamily,
     VerificationRecord,
     family_rows,
     norm_family,
@@ -281,28 +282,8 @@ def _gz_rhs(n: int) -> tuple[int, ...]:
     return (0,) * e + (-1 if e % 2 else 1,) * n
 
 
-class QFamily(NamedTuple):
-    """w_e2 e2(n) + w_f2 f2(n), minus (-q)^((n-1)(n-3)/8) [n] if gz_rhs,
-    ≡ 0 (mod [n] Phi_n(q)^phi_exp) for n ≡ 1 (mod n_mod), n >= n_min;
-    condition states that range of n in the skip reason."""
-
-    weights: tuple[int, int]
-    gz_rhs: bool
-    phi_exp: int
-    n_mod: int
-    n_min: int
-    condition: str
-
-
-Q_FAMILIES: dict[str, QFamily] = {
-    "GZ_E2": QFamily((1, 0), True, 2, 2, 3, "odd n >= 3"),
-    "GZ_F2": QFamily((0, 1), True, 2, 4, 5, "n ≡ 1 (mod 4), n >= 5"),
-    # an open conjecture: a False verdict is a reportable finding (the sweep
-    # layer gives it a distinguished exit code), not an artifact bug
-    "CONJ41": QFamily((1, -1), False, 3, 4, 5, "n ≡ 1 (mod 4), n >= 5"),
-}
-
-
+# the families are the rows of Q_FAMILIES, a table that lives in records,
+# which the CLI reads without importing this module
 def _q_check(
     n: int, f: QFamily
 ) -> tuple[tuple[int, ...], tuple[int, int, tuple[int, ...]] | None]:

@@ -20,7 +20,7 @@ labels it was checking, and _execute names the instance of any other.
 
 from __future__ import annotations
 
-import csv
+import importlib
 import io
 import json
 import math
@@ -28,24 +28,22 @@ import os
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .padic import ResidueClass, parse_rational
 from .primes import EmptyRange, sieve_primes
-from .records import InternalError, VerificationRecord, describe, norm_family
-from .sequences import check_binomial_identities, check_euler_identities, check_lehmer
-from .verifier import (
+from .records import (
     ALPHA_FAMILIES,
     PHASES,
     PRIME_FAMILIES,
+    Q_FAMILIES as Q_TABLE,
+    InternalError,
+    VerificationRecord,
     admits,
-    ramanujan_partial,
-    verify_at_prime,
+    describe,
+    norm_family,
 )
-from .qseries import Q_FAMILIES as Q_TABLE, verify_at_n
-from .wz import check_pair, check_telescoped, sample_alphas
 
 __all__ = [
     "ConfigError",
@@ -97,8 +95,7 @@ def default_alphas(p: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     families: tuple[str, ...]
     p_min: int = 5
     p_max: int = 97
@@ -109,8 +106,7 @@ class SweepConfig:
     workers: int = 1
 
 
-@dataclass(frozen=True)
-class ReportSummary:
+class ReportSummary(NamedTuple):
     total: int
     passed: int
     failed: int
@@ -162,7 +158,7 @@ def _validate(cfg: SweepConfig) -> SweepConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return replace(cfg, families=fams, alpha_list=alphas)
+    return cfg._replace(families=fams, alpha_list=alphas)
 
 
 def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
@@ -171,15 +167,47 @@ def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
     return default_alphas(p)
 
 
-# The check functions are looked up as module globals each time instances
-# are built, never stored in a table at import, so a wrapped or patched
-# module attribute (tracing, tests) is what runs.
+# The check functions live in the modules below, and a command imports
+# only those it runs: each expansion first calls _bind for every module its
+# instances need, in the parent, before any fork.  _bind imports the module
+# and binds each of its functions named here as a global of this module,
+# never over a name already set; the instances and the helpers (_lehmer,
+# _telescoped, _ramanujan) look them up as globals.  So a wrapped or patched
+# sweep attribute (tracing, tests) is what runs.  __getattr__ binds a name
+# on its first lookup from outside, so a patch made before any run finds
+# the real function, and restores it after.
+_CHECKS = {
+    "verifier": ("verify_at_prime", "ramanujan_partial"),
+    "qseries": ("verify_at_n",),
+    "sequences": ("check_binomial_identities", "check_euler_identities",
+                  "check_lehmer"),
+    "wz": ("check_pair", "check_telescoped", "sample_alphas"),
+}
+_MODULE_OF = {name: module for module, names in _CHECKS.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    mod = importlib.import_module(f"{__package__}.{module}")
+    for name in _CHECKS[module]:
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
+
 
 def build_instances(cfg: SweepConfig) -> list[Instance]:
     """One instance per prime that admits a requested prime family or, with
     alpha families requested, has alphas; after all primes, one per n for
     each q-family."""
     alpha_fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
+    if any(f in VERIFY_FAMILIES for f in cfg.families):
+        _bind("verifier")
+    if any(f in Q_FAMILIES for f in cfg.families):
+        _bind("qseries")
     truncs = ("short", "full") if cfg.trunc == "both" else (cfg.trunc,)
     out: list[Instance] = []
     try:
@@ -468,6 +496,7 @@ EULER_NMAX = 25
 
 
 def run_identities(
+    *,
     nmax: int = 50,
     pmax: int = 199,
     mmax: int = 10,
@@ -481,6 +510,7 @@ def run_identities(
     if mmax < 1:
         # the power-sum identity starts at m = 1: below that it checks nothing
         raise ConfigError(f"need mmax >= 1, got {mmax}")
+    _bind("sequences")
     insts = [
         Instance("BINOM_IDS", check_binomial_identities, (n,), n=n)
         for n in range(1, nmax + 1)
@@ -493,6 +523,7 @@ def run_identities(
 
 
 def run_wz(
+    *,
     nmax: int = 12,
     kmax: int = 12,
     alpha_samples: int = 8,
@@ -503,6 +534,7 @@ def run_wz(
     for N = 1..nmax, at seeded pole-free rational alphas."""
     if nmax < 1 or kmax < 1 or alpha_samples < 1:
         raise ConfigError("nmax, kmax and alpha-samples must be >= 1")
+    _bind("wz")
     try:
         alphas = sample_alphas(alpha_samples, seed)
     except ValueError as exc:
@@ -518,11 +550,12 @@ def run_wz(
     return summarize(_run_instances(insts, workers))
 
 
-def run_smoke(terms: int = 50, tol: float = 1e-6) -> ReportSummary:
+def run_smoke(*, terms: int = 50, tol: float = 1e-6) -> ReportSummary:
     if terms < 1:
         raise ConfigError(f"terms must be >= 1, got {terms}")
     if not 0 < tol < math.inf:  # also refuses nan
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
+    _bind("verifier")
     inst = Instance("RAMANUJAN", _ramanujan, (terms, tol), n=terms)
     return summarize(_run_instances([inst], workers=1))
 
@@ -625,6 +658,8 @@ _CSV_COLUMNS = (
 
 
 def render_csv(summary: ReportSummary, timings: bool = False) -> str:
+    import csv  # only the csv report needs it
+
     buf = io.StringIO()
     cols = _CSV_COLUMNS + (("elapsed_ms",) if timings else ())
     w = csv.DictWriter(buf, cols, restval="", lineterminator="\n")

@@ -38,12 +38,14 @@ alpha families at one alpha) are thin calls into it.  A failed hypothesis
 factor) raises PreconditionViolated where it is tested: a skip row.
 
 Everything is exact integer arithmetic mod p^e; the Fraction oracles
-these residues are checked against live in the tests.
+these residues are checked against live in the tests.  The family tables
+(FAMILIES, PRIME_CLASSES, the MAO, LEMMA and ALPHA names, PHASES) live in
+records, which the CLI reads without importing this module; they are
+imported from there and re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, repeat
@@ -51,9 +53,20 @@ from time import perf_counter
 
 from .padic import ResidueClass, is_p_integral, least_nonneg_residue, legendre
 from .records import (
+    ALPHA_FAMILIES,
+    ALPHA_TRUNCATIONS,
+    FAMILIES,
+    LEMMA_FAMILIES,
+    MAO_TRUNCATIONS,
+    MAO_VARIANTS,
+    PHASES,
+    PRIME_CLASSES,
+    PRIME_FAMILIES,
     PreconditionViolated,
     Side,
+    TheoremFamily,
     VerificationRecord,
+    admits,
     family_rows,
     norm_family,
 )
@@ -165,79 +178,6 @@ def _closed_form(alpha: Fraction, a: int, t: int, p: int, e: int) -> int:
     if e == 4:
         rhs += pt**3 * euler_poly_eval_mod(p - 3, alpha, p).value
     return rhs % m
-
-
-@dataclass(frozen=True)
-class TheoremFamily:
-    """One (2dk+1)-weighted congruence family, d = weight_d.
-
-    The summand weight 2dk + 1 is d times the (2k + 1/d) summand of
-    S(1/d, .), so the family is d * S(1/d, M) checked against d times the
-    general-alpha closed form at alpha = 1/d.  With r = p mod d that is
-
-        r p (-1)^a + p^3 r^3 E_{p-3}(1/d) / d^2   (the p^3 term mod p^4 only),
-
-    where a = <-1/d>_p = (rp-1)/d is the stated short truncation; the full
-    truncation M = p-1 has the same right side.  A family is claimed mod
-    p^modulus_exp for primes p ≡ p_res (mod p_mod) (every p > 3 if None).
-    """
-
-    name: str
-    weight_d: int
-    modulus_exp: int
-    p_mod: int | None
-    p_res: int | None
-
-    def short_m(self, p: int) -> int:
-        """The stated truncation <-1/d>_p = ((p mod d) p - 1) / d."""
-        d = self.weight_d
-        return ((p % d) * p - 1) // d
-
-
-FAMILIES: dict[str, TheoremFamily] = {
-    f.name: f
-    for f in (
-        TheoremFamily("B2", 2, 3, None, None),
-        TheoremFamily("E2", 3, 3, 3, 1),
-        TheoremFamily("F2", 4, 3, 4, 1),
-        TheoremFamily("SW_E2", 3, 3, 3, 2),
-        TheoremFamily("SW_F2", 4, 3, 4, 3),
-        TheoremFamily("E2_MOD4", 3, 4, 3, 1),
-        TheoremFamily("F2_MOD4", 4, 4, 4, 1),
-        TheoremFamily("SW_E2_MOD4", 3, 4, 3, 2),
-        TheoremFamily("SW_F2_MOD4", 4, 4, 4, 3),
-        TheoremFamily("SUN_B2", 2, 4, None, None),
-    )
-}
-
-# the (6k+1)(1/2)_k^3/8^k families and the truncation each is stated at
-MAO_TRUNCATIONS = {"MAO_HALF": "full", "SUN_HALF_CONJ": "short", "EQUIV": "full"}
-MAO_VARIANTS = tuple(MAO_TRUNCATIONS)
-# the families checked at one prime, by verify_prime
-PRIME_FAMILIES = tuple(FAMILIES) + MAO_VARIANTS
-# (p_mod, p_res) of the prime families stated only for p ≡ p_res (mod p_mod)
-PRIME_CLASSES = {
-    **{f.name: (f.p_mod, f.p_res) for f in FAMILIES.values() if f.p_mod is not None},
-    "EQUIV": (4, 1),
-}
-
-
-def admits(fam: str, p: int) -> bool:
-    """Whether p is in the residue class prime family fam is stated for."""
-    mod, res = PRIME_CLASSES.get(fam, (1, 0))
-    return p % mod == res
-
-LEMMA_FAMILIES = (
-    "LEMMA_WZPROD",
-    "LEMMA_ALPHAP3",
-    "LEMMA_SIGMA1",
-    "LEMMA_PROD",
-    "LEMMA_SIGMA",
-)
-# the families checked at a pair (alpha, p), by verify_alpha
-ALPHA_FAMILIES = ("MAIN1", "MAIN1_TRUNC", "TAIL") + LEMMA_FAMILIES
-# the truncation labels of the general-alpha records; the others have none
-ALPHA_TRUNCATIONS = {"MAIN1": "full", "MAIN1_TRUNC": "short"}
 
 
 def _residue_sides(p: int, e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]:
@@ -433,12 +373,6 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
 
 # ---------------------------------------------------------------------------
 # every family at one prime
-
-# the phases verify_at_prime times: the residue tables of the prime, the
-# Pochhammer prefixes, the partial sums, the closed forms (right sides) of
-# the sums, and both sides of the lemmas
-PHASES = ("tables", "prefix", "sums", "closed", "lemma")
-
 
 def verify_at_prime(
     p: int,

@@ -149,3 +149,21 @@ def test_residue_class_str_and_int():
         ResidueClass(625, 625)
     with pytest.raises(ValueError):
         ResidueClass(-1, 625)
+
+
+def test_residue_class_refuses_out_of_range_with_its_messages():
+    with pytest.raises(ValueError, match=r"^modulus must be positive, got 0$"):
+        ResidueClass(0, 0)
+    with pytest.raises(ValueError, match=r"^modulus must be positive, got -5$"):
+        ResidueClass(0, -5)
+    with pytest.raises(ValueError, match=r"^value 625 outside \[0, 625\)$"):
+        ResidueClass(625, 625)
+    with pytest.raises(ValueError, match=r"^value -1 outside \[0, 625\)$"):
+        ResidueClass(-1, 625)
+    assert ResidueClass(value=0, modulus=1) == ResidueClass(0, 1)
+    # the namedtuple constructors check too
+    with pytest.raises(ValueError, match=r"^value 7 outside \[0, 5\)$"):
+        ResidueClass(1, 5)._replace(value=7)
+    with pytest.raises(ValueError, match=r"^modulus must be positive, got 0$"):
+        ResidueClass._make((0, 0))
+    assert ResidueClass(1, 5)._replace(value=4) == ResidueClass(4, 5)

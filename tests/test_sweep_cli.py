@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -191,7 +190,7 @@ def test_skip_record_has_the_labels_of_the_result():
         [skip] = _execute(inst._replace(args=(2,) + inst.args[1:]))
         assert real.passed is True, real
         assert skip.passed is None and skip.reason == reasons[real.family]
-        assert _labels(replace(skip, n=real.n)) == _labels(real)
+        assert _labels(skip._replace(n=real.n)) == _labels(real)
 
     # verify_at_prime makes its own skip records: 1/13 has no residue mod 13,
     # so every alpha family skips; its labels are those of the family
@@ -206,7 +205,7 @@ def test_skip_record_has_the_labels_of_the_result():
     for real, skip in zip(reals, skips):
         assert real.passed is True, real
         assert skip.passed is None and skip.reason == "-1/13 has no residue mod 13^1"
-        assert _labels(replace(skip, alpha=real.alpha)) == _labels(real)
+        assert _labels(skip._replace(alpha=real.alpha)) == _labels(real)
         assert real.truncation == ALPHA_TRUNCATIONS.get(real.family)
 
     # and for the prime families: at p = 3 every family that p = 13 admits
@@ -230,7 +229,7 @@ def test_skip_record_has_the_labels_of_the_result():
         assert real.passed is True, real
         reason = reasons.get(real.family, "needs p > 3, got p = 3")
         assert skip.passed is None and skip.reason == reason
-        assert _labels(replace(skip, p=real.p)) == _labels(real)
+        assert _labels(skip._replace(p=real.p)) == _labels(real)
 
 
 @pytest.mark.parametrize("argv", [
@@ -299,7 +298,7 @@ def test_one_instance_per_prime():
         assert inst.args == (p, fams, alphas, ("short", "full"))
         assert inst.family == ",".join(fams)
         assert inst.alpha is None and str(inst) == f"{inst.family} p={p}"
-    insts = build_instances(replace(cfg, families=("F2", "SUN_B2"), trunc="short"))
+    insts = build_instances(cfg._replace(families=("F2", "SUN_B2"), trunc="short"))
     assert [i.args for i in insts] == [
         (p, ("F2", "SUN_B2") if p in (5, 13) else ("SUN_B2",), (), ("short",))
         for p in sieve_primes(2, 13)
@@ -307,7 +306,7 @@ def test_one_instance_per_prime():
     assert [i.p for i in build_instances(SweepConfig(families=("EQUIV",)))] == (
         sieve_primes(5, 97, 4, 1)
     )
-    s = run_sweep(replace(cfg, families=PRIME_FAMILIES))
+    s = run_sweep(cfg._replace(families=PRIME_FAMILIES))
     assert s.total == sum(
         2 * (f in FAMILIES) + (f not in FAMILIES)
         for p in sieve_primes(2, 13) for f in _admitted(p)
@@ -340,6 +339,57 @@ def test_importing_the_cli_does_not_import_the_pool():
     assert proc.stdout.strip() == "0 []"
 
 
+def _modules_after(code: str) -> list[str]:
+    # the supercong modules and the named stdlib modules that code leaves
+    # loaded, in a fresh interpreter
+    watch = ("dataclasses", "inspect", "csv", "traceback")
+    code += (f"; print(*(m for m in sys.modules if m.startswith('supercong.')"
+             f" or m in {watch}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_each_command_imports_only_its_check_module():
+    # a CLI process imports only the check modules its command runs, and
+    # none of dataclasses and inspect (which dataclasses imports), csv or
+    # traceback, which only a csv report and an error use
+    checks = {f"supercong.{m}" for m in ("verifier", "qseries", "sequences", "wz")}
+    loaded = _modules_after("import sys, supercong.cli")
+    assert not {"dataclasses", "inspect", "csv", "traceback"} & set(loaded)
+    assert not checks & set(loaded)
+    for argv, unused in (
+        (["qverify", "--n", "5"], ("verifier", "sequences", "wz")),
+        (["wz"], ("verifier", "qseries", "sequences")),
+        (["identities"], ("verifier", "qseries", "wz")),
+        (["verify"], ("qseries", "wz")),
+    ):
+        loaded = _modules_after(
+            "import os, sys, supercong.cli; "
+            f"assert supercong.cli.main({argv} + ['--output', os.devnull]) == 0")
+        assert not {f"supercong.{m}" for m in unused} & set(loaded), argv
+        assert {"dataclasses", "inspect"}.isdisjoint(loaded), argv
+
+
+def test_top_level_names_are_their_modules_names():
+    # each re-export is imported from its module on first use, and is that
+    # module's object; dir lists every one of them
+    import importlib
+
+    import supercong
+
+    for name, module in supercong._EXPORTS.items():
+        mod = importlib.import_module(f"supercong.{module}")
+        assert getattr(supercong, name) is getattr(mod, name), name
+        assert name in dir(supercong)
+    from supercong import verify_q  # the from-import form
+
+    assert verify_q is supercong.qseries.verify_q
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        supercong.no_such_name
+    assert not hasattr(sweep, "no_such_check")
+
+
 def test_one_instance_per_alpha_and_prime():
     # the alpha families alone: still one instance per prime, which carries
     # that prime's alphas; an empty alpha list selects nothing
@@ -351,7 +401,7 @@ def test_one_instance_per_alpha_and_prime():
     s = run_sweep(cfg)
     assert s.total == len(ALPHA_FAMILIES) * sum(len(i.args[2]) for i in insts)
     with pytest.raises(ConfigError, match="matches no instances"):
-        build_instances(replace(cfg, alpha_list=()))
+        build_instances(cfg._replace(alpha_list=()))
 
 
 def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
@@ -560,7 +610,7 @@ def test_claims_of_chunks_give_the_serial_report(monkeypatch):
     assert len(build_instances(cfg)) == 13
     serial = render_json(run_sweep(cfg))
     for workers in (2, 3):
-        assert render_json(run_sweep(replace(cfg, workers=workers))) == serial
+        assert render_json(run_sweep(cfg._replace(workers=workers))) == serial
 
 
 def test_a_bug_in_a_worker_exits_4(monkeypatch, capsys):
@@ -583,7 +633,7 @@ def test_a_bug_in_a_worker_exits_4(monkeypatch, capsys):
     with pytest.raises(InternalError) as serial:
         run_sweep(cfg)
     with pytest.raises(InternalError) as forked:
-        run_sweep(replace(cfg, workers=2))
+        run_sweep(cfg._replace(workers=2))
     assert str(serial.value) == str(forked.value) == msg
     assert "ZeroDivisionError: bug at 11" in str(forked.value.__cause__)
     argv = ["verify", "--family", "B2", "--pmin", "5", "--pmax", "13", "--workers", "2"]
@@ -992,6 +1042,32 @@ def test_record_sort_key_and_equality():
     b = make_record("B2", "5^3", "1", "1", p=5, truncation="short")
     assert a == b
     assert a.sort_key() < make_record("B2", "7^3", "1", "1", p=7).sort_key()
+
+
+def test_record_timings_take_no_part_in_equality():
+    # records from two runs differ in their timings only, and compare and
+    # hash as equal
+    a = make_record("B2", "5^3", ResidueClass(1, 125), ResidueClass(1, 125), p=5,
+                    truncation="short")
+    b = a._replace(elapsed_ms=1.5, phase_ms=(0.1, 0.2, 0.3, 0.4, 0.5))
+    assert a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert a != a._replace(truncation="full")
+    assert b._asdict()["elapsed_ms"] == 1.5
+
+
+def test_a_row_with_residue_sides_survives_pickle():
+    import pickle
+
+    [row] = family_rows([("B2", "short")],
+                        lambda fam, tr: ("5^3", ResidueClass(1, 125), ResidueClass(2, 125)),
+                        p=5)
+    back = pickle.loads(pickle.dumps(row))
+    assert back == row and type(back[2]) is ResidueClass
+    assert VerificationRecord(*back) == VerificationRecord(*row)
+    rec = VerificationRecord(*row, elapsed_ms=0.5)
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    assert pickle.loads(pickle.dumps(rec)).elapsed_ms == 0.5
 
 
 def test_family_records_skips_on_a_precondition_only():

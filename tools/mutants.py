@@ -57,6 +57,7 @@ CLOSED_TESTS = ("tests/test_verifier.py", "tests/test_acceptance.py")
 VERIFY_TESTS = ("tests/test_verifier.py", "tests/test_properties.py")
 RENDER_TESTS = ("tests/test_sweep_cli.py", "tests/test_report_digests.py")
 SWEEP_TESTS = ("tests/test_sweep_cli.py",)
+PADIC_TESTS = ("tests/test_padic.py",)
 
 
 class Mutation(NamedTuple):
@@ -165,7 +166,7 @@ MUTATIONS = (
              "[-c for c in rhs]", "[c for c in rhs]", Q_TESTS),
     Mutation("qseries GZ right side sign flipped", "qseries.py",
              "(-1 if e % 2 else 1,) * n", "(1 if e % 2 else -1,) * n", Q_TESTS),
-    Mutation("qseries CONJ41 weight sign", "qseries.py",
+    Mutation("qseries CONJ41 weight sign", "records.py",
              '"CONJ41": QFamily((1, -1),', '"CONJ41": QFamily((1, 1),', Q_TESTS),
     Mutation("qseries Phi_n exponent e", "qseries.py",
              "(d, 1 + f.phi_exp if d == n else 1)", "(d, f.phi_exp if d == n else 1)",
@@ -224,7 +225,7 @@ MUTATIONS = (
     Mutation("prime short and full checkpoints swapped", "verifier.py",
              'main(i)[pre(i)[3] if truncation == "short" else p - 1]',
              'main(i)[p - 1 if truncation == "short" else pre(i)[3]]', VERIFY_TESTS),
-    Mutation("prime EQUIV residue class", "verifier.py",
+    Mutation("prime EQUIV residue class", "records.py",
              '"EQUIV": (4, 1)', '"EQUIV": (4, 3)', VERIFY_TESTS),
     # the values of one alpha and the lemma preconditions
     Mutation("alpha MAIN1 and MAIN1_TRUNC checkpoints swapped", "verifier.py",
@@ -255,6 +256,19 @@ MUTATIONS = (
              SWEEP_TESTS),
     Mutation("rows name a bug without its alpha", "records.py",
              '"alpha": alpha, ', "", SWEEP_TESTS),
+    # the record and residue types, and the check functions sweep binds
+    Mutation("record equality compares the timings too", "records.py",
+             "return self[:10] == other[:10]", "return tuple(self) == tuple(other)",
+             SWEEP_TESTS),
+    Mutation("residue class without its range check", "padic.py",
+             "        if modulus < 1:\n"
+             "            raise ValueError(f\"modulus must be positive, got {modulus}\")\n"
+             "        if not 0 <= value < modulus:\n"
+             "            raise ValueError(f\"value {value} outside [0, {modulus})\")\n",
+             "", PADIC_TESTS),
+    Mutation("sweep binds a check function over a patched one", "sweep.py",
+             "globals().setdefault(name, getattr(mod, name))",
+             "globals()[name] = getattr(mod, name)", SWEEP_TESTS),
     # the per-prime residue tables
     Mutation("prime table factorial range", "verifier.py",
              "accumulate(range(1, p),", "accumulate(range(2, p + 1),", VERIFY_TESTS),
