@@ -16,12 +16,12 @@ binomial identities) are exposed as boolean checks.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .padic import NotPAdicIntegral, ResidueClass, is_p_integral, reduce_mod
+from .padic import NotPAdicIntegral, ResidueClass, is_p_integral
+from .padic import reduce_mod  # noqa: F401 (a lookup site perfbench/tracer.py wraps)
 
 __all__ = [
     "pochhammer",
@@ -151,17 +151,56 @@ def euler_number_mod(n: int, p: int) -> ResidueClass:
 # ---------------------------------------------------------------------------
 # identity checks
 
+class _HarmonicPrefix:
+    """H_n^(m) as the integer num over L^m, L = lcm(1..n), advanced in n.
+
+    Each step j takes L to lcm(L, j): if q = j / gcd(L, j) > 1, num is
+    multiplied by q^m and L by q; then (L/j)^m is added.  A call with a
+    smaller n than the prefix holds restarts it from H_0 = 0/1.
+    """
+
+    __slots__ = ("m", "n", "num", "L")
+
+    def __init__(self, m: int):
+        self.m, self.n, self.num, self.L = m, 0, 0, 1
+
+    def at(self, n: int) -> tuple[int, int]:
+        """(num, L) with H_n^(m) = num / L^m."""
+        if n < self.n:
+            self.n, self.num, self.L = 0, 0, 1
+        m, num, L = self.m, self.num, self.L
+        for j in range(self.n + 1, n + 1):
+            q = j // math.gcd(L, j)
+            if q > 1:
+                num *= q**m
+                L *= q
+            num += (L // j) ** m
+        self.n, self.num, self.L = n, num, L
+        return num, L
+
+
+# H_{p-1}, H_{p-1}^(2) and H_{(p-1)/2}^(2): one prefix each, so a run over
+# increasing primes advances each one from the last prime's n
+_LEHMER_PREFIXES = (_HarmonicPrefix(1), _HarmonicPrefix(2), _HarmonicPrefix(2))
+
+
 def check_lehmer(p: int) -> bool:
     """Lehmer's congruences for prime p > 3:
 
     H_{p-1} ≡ 0 (mod p^2),  H_{p-1}^(2) ≡ 0 (mod p),  H_{(p-1)/2}^(2) ≡ 0 (mod p).
+
+    Each harmonic number comes from a running integer prefix num / L^m
+    (_HarmonicPrefix), with L = lcm(1..n) and n < p, so L is a unit mod p
+    and H ≡ 0 (mod p^e) exactly when p^e divides num.  No Fraction is
+    formed; the prefixes persist between calls, so checking the primes in
+    increasing order costs one pass over 1..p-1 in all.
     """
     if p <= 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be a prime > 3, got {p}")
-    ok1 = reduce_mod(_harmonic_value(p - 1, 1), p, 2).value == 0
-    ok2 = reduce_mod(_harmonic_value(p - 1, 2), p, 1).value == 0
-    ok3 = reduce_mod(_harmonic_value((p - 1) // 2, 2), p, 1).value == 0
-    return ok1 and ok2 and ok3
+    h1, h2, h2_half = _LEHMER_PREFIXES
+    return (h1.at(p - 1)[0] % p**2 == 0
+            and h2.at(p - 1)[0] % p == 0
+            and h2_half.at((p - 1) // 2)[0] % p == 0)
 
 
 def _horner_halves(a: list[int], j: int) -> int:
@@ -237,33 +276,37 @@ def check_binomial_identities(n: int) -> bool:
     (all sums over k = 1..n).  With L = lcm(1..n), u_k = L/k and
     h_k = L H_k are integers, and each sum is an integer numerator over a
     fixed denominator: the second over L, the third and fourth over L^2,
-    and the first over n! L^2, since 1/C(n,k) = k!(n-k)!/n!.  The term
+    and the first over Lc L^2, with Lc the lcm of the C(n,k), which is
+    lcm(1..n+1)/(n+1); C(n,k) comes from a running product.  The term
     (-1)^k C(n,k) u_k is formed once per k, and the second, third and
     fourth numerators read it.  Each identity is then one integer
-    equality, and no Fraction is formed.  The Fraction
-    sums this replaced are kept in tests/wz_oracle.py as the oracle.
+    equality, and no Fraction is formed.  The Fraction sums this replaced
+    are kept in tests/wz_oracle.py as the oracle.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     L = math.lcm(*range(1, n + 1))
-    fact = list(accumulate(range(1, n + 1), operator.mul, initial=1))
+    C = [1]  # C(n, k) = C(n, k-1) (n-k+1) / k
+    for k in range(1, n + 1):
+        C.append(C[-1] * (n - k + 1) // k)
+    Lc = math.lcm(L, n + 1) // (n + 1)  # = math.lcm(*C)
     s1 = s2 = s3 = s4 = 0
     h = h2 = a2 = 0  # L H_k, L^2 H_k^(2), L^2 sum_{j<=k} (-1)^j / j^2
     for k in range(1, n + 1):
         u = L // k
-        cu = math.comb(n, k) * u
+        cu = C[k] * u
         sq = u * u
         h += u
         h2 += sq
         if k % 2:
             cu, sq = -cu, -sq
         a2 += sq
-        s1 += sq * fact[k] * fact[n - k]
+        s1 += sq * (Lc // C[k])
         s2 += cu
         s3 += cu * u
         s4 += cu * h
     return (
-        s1 == fact[n] * (h2 + 2 * a2)
+        s1 == Lc * (h2 + 2 * a2)
         and s2 == -h
         and 2 * s3 == -(h2 + h * h)
         and s4 == -h2

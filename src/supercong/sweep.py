@@ -2,8 +2,8 @@
 
 Instances are expanded up front as immutable ``Instance`` values, executed
 either serially or by this process and forked children that claim them
-from one pipe (_run_forked), and the records are sorted afterwards by
-(family, p or n, alpha, truncation), so reports are byte-identical for
+from one pipe (forked._run_forked), and the records are sorted afterwards
+by (family, p or n, alpha, truncation), so reports are byte-identical for
 any worker count.  One instance per prime checks every requested classical
 and 8^(-k) family that p admits and every requested alpha family at every
 alpha (verifier.verify_at_prime), so the sums at each alpha are computed
@@ -170,7 +170,8 @@ def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
 # The check functions live in the modules below, and a command imports
 # only those it runs: each expansion first calls _bind for every module its
 # instances need, in the parent, before any fork.  _bind imports the module
-# and binds each of its functions named here as a global of this module,
+# and binds each of its names listed here (its check functions, and the
+# table class _telescoped shares between N) as a global of this module,
 # never over a name already set; the instances and the helpers (_lehmer,
 # _telescoped, _ramanujan) look them up as globals.  So a wrapped or patched
 # sweep attribute (tracing, tests) is what runs.  __getattr__ binds a name
@@ -181,7 +182,7 @@ _CHECKS = {
     "qseries": ("verify_at_n",),
     "sequences": ("check_binomial_identities", "check_euler_identities",
                   "check_lehmer"),
-    "wz": ("check_pair", "check_telescoped", "sample_alphas"),
+    "wz": ("check_pair", "check_telescoped", "sample_alphas", "_Table"),
 }
 _MODULE_OF = {name: module for module, names in _CHECKS.items() for name in names}
 
@@ -253,7 +254,9 @@ def _lehmer(p: int) -> list[tuple]:
 
 
 def _telescoped(n_max: int, alpha: Fraction) -> bool:
-    return all(check_telescoped(N, alpha) for N in range(1, n_max + 1))
+    # one table of P_j and j! for every N: N reads them up to j = 2N - 1
+    t = _Table(alpha, 2 * n_max - 1)
+    return all(check_telescoped(N, alpha, t) for N in range(1, n_max + 1))
 
 
 def _ramanujan(terms: int, tol: float) -> list[tuple]:
@@ -286,6 +289,8 @@ def _execute(inst: Instance) -> tuple[list[tuple], float, tuple[float, ...] | No
 
 def _run_instances(insts: list[Instance], workers: int) -> list[VerificationRecord]:
     if workers > 1 and len(insts) > 1 and hasattr(os, "fork"):
+        from .forked import _run_forked  # a serial run never compiles it
+
         records = _run_forked(insts, min(workers, len(insts)))
     else:
         records = _records(map(_execute, insts))
@@ -297,180 +302,6 @@ def _records(results) -> list[VerificationRecord]:
     # each record built once, from its row and its instance's timings
     return [VerificationRecord(*row, elapsed_ms=ms, phase_ms=phases)
             for rows, ms, phases in results for row in rows]
-
-
-# The forked run.  Before any worker starts, the parent fills one claim
-# pipe with tokens, each the index of a chunk of consecutive instances, as
-# _TOKEN little-endian bytes; _MAX_TOKENS of them fill one page, which a
-# pipe always holds, so the fill cannot block.  The parent and its
-# workers - 1 forked children each read a token whenever they are free,
-# run that chunk and read the next, until the drained pipe reads as EOF:
-# the costliest instances (the largest primes) come last, and a static
-# split would leave one process idle while another runs them.
-_TOKEN = 2
-_MAX_TOKENS = 4096 // _TOKEN
-
-
-class _WorkerTraceback(Exception):
-    """The traceback of an error in a forked worker, shown as the cause of
-    the InternalError the parent raises for it."""
-
-
-class _Worker:
-    """A forked child as the parent sees it: the bytes read from its result
-    pipe that do not yet make a frame, and whether its end frame came."""
-
-    __slots__ = ("k", "pid", "buf", "done")
-
-    def __init__(self, k: int):
-        self.k, self.pid, self.buf, self.done = k, None, bytearray(), False
-
-
-def _claimed(claims: int, chunk: int, n: int):
-    # the indices of the instances this process claims, chunk by chunk
-    while token := os.read(claims, _TOKEN):
-        start = int.from_bytes(token, "little") * chunk
-        yield from range(start, min(start + chunk, n))
-
-
-def _send(fd: int, body: bytes) -> None:
-    # one frame: the length of body in 4 bytes, then body; an empty body is
-    # the end frame a child sends after its last instance
-    data = memoryview(len(body).to_bytes(4, "big") + body)
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _child(k: int, claims: int, out: int, others: list[int],
-           insts: list[Instance], chunk: int, mask: set):
-    # runs in forked worker k and leaves through os._exit, so it never
-    # returns into the parent's code, flushes the parent's buffers or runs
-    # its exit hooks; others are the result pipes it inherited and closes,
-    # mask the signal mask the parent had before it forked.
-    # A result frame is the pickle of (index, result), an error frame that
-    # of (None, (message, traceback))
-    code = 1
-    try:
-        import pickle
-        import signal
-        import traceback
-
-        # a handler the parent installed (cli.main's) is not the child's
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for fd in others:
-            os.close(fd)
-        try:
-            for i in _claimed(claims, chunk, len(insts)):
-                _send(out, pickle.dumps((i, _execute(insts[i]))))
-            _send(out, b"")
-            code = 0
-        except BaseException as exc:  # whatever it is, the parent reports it
-            msg = str(exc) if isinstance(exc, InternalError) else (
-                f"internal error in worker {k}: {type(exc).__name__}: {exc}")
-            _send(out, pickle.dumps((None, (msg, traceback.format_exc()))))
-    finally:
-        os._exit(code)
-
-
-def _run_forked(insts: list[Instance], workers: int) -> list[VerificationRecord]:
-    """The records of insts, run by this process and workers - 1 forked
-    children.  Between its own instances the parent builds the records of
-    whatever the children have sent, so no result pipe fills up while it
-    works.  Any error, here or in a child, kills and reaps every child
-    that is still alive; a child that ends before its end frame is an
-    InternalError, so its claimed instances never go missing silently.
-    A fork copies only the calling thread, so a caller must start no
-    threads of its own first (Python 3.12+ warns of them); the CLI starts
-    none."""
-    # imported here: a serial run needs none of them
-    import pickle
-    import select
-    import signal
-
-    n = len(insts)
-    chunk = -(-n // _MAX_TOKENS)
-    claims, fill = os.pipe()
-    try:
-        os.write(fill, b"".join(
-            k.to_bytes(_TOKEN, "little") for k in range(-(-n // chunk))))
-    finally:
-        os.close(fill)
-    results: list[list[VerificationRecord] | None] = [None] * n
-
-    def store(i: int, result) -> None:
-        if results[i] is not None:
-            raise InternalError(f"internal error: {insts[i]} ran twice")
-        results[i] = _records([result])
-
-    def drain(timeout: float | None) -> None:
-        ready, _, _ = select.select(list(live), [], [], timeout)
-        for fd in ready:
-            worker = live[fd]
-            data = os.read(fd, 1 << 16)
-            if not data:
-                # the child has exited: reap it, then check it said it was done
-                del live[fd]
-                os.close(fd)
-                code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
-                if not worker.done:
-                    how = (f"killed by {signal.Signals(-code).name}" if code < 0
-                           else f"exit code {code}")
-                    raise InternalError(
-                        f"internal error: worker {worker.k} (pid {worker.pid}) "
-                        f"ended before its last instance: {how}")
-                continue
-            buf = worker.buf
-            buf += data
-            while len(buf) >= 4:
-                end = 4 + int.from_bytes(buf[:4], "big")
-                if len(buf) < end:
-                    break
-                body = buf[4:end]
-                del buf[:end]
-                if not body:
-                    worker.done = True
-                    continue
-                i, result = pickle.loads(body)
-                if i is None:
-                    msg, tb = result
-                    raise InternalError(msg) from _WorkerTraceback(tb)
-                store(i, result)
-
-    live: dict[int, _Worker] = {}  # result pipe read end -> its child
-    # SIGINT and SIGTERM wait until every child's pid is recorded: a handler
-    # that raised between a fork and its pid would leave that child running
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
-    try:
-        for k in range(1, workers):
-            r, out = os.pipe()
-            live[r] = worker = _Worker(k)
-            try:
-                worker.pid = os.fork()
-                if worker.pid == 0:
-                    _child(k, claims, out, list(live), insts, chunk, mask)
-            finally:
-                # the child's write end is held by that child alone, or
-                # its exit would not read as EOF here
-                os.close(out)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for i in _claimed(claims, chunk, n):
-            store(i, _execute(insts[i]))
-            drain(0)
-        while live:
-            drain(None)
-    finally:
-        os.close(claims)
-        for fd, worker in live.items():
-            os.close(fd)
-            if worker.pid is not None:  # not yet reaped, so the pid is ours
-                os.kill(worker.pid, signal.SIGKILL)
-                os.waitpid(worker.pid, 0)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    missing = [str(inst) for inst, rs in zip(insts, results) if rs is None]
-    if missing:
-        raise InternalError(f"internal error: no result for {', '.join(missing)}")
-    return [r for rs in results for r in rs]
 
 
 def summarize(records: list[VerificationRecord]) -> ReportSummary:

@@ -12,12 +12,14 @@ sides of the pair relation
 
     F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k)
 
-by cross-multiplying.  The relation telescopes (sum over n = 0..N-1) into
-a closed form for the partial sums, which check_telescoped verifies for
-any positive N by putting the partial sum and the closed form over one
-common integer denominator.  Only telescoped_rhs builds a Fraction, from
-the same pairs.  The Fraction loops these checks replaced are kept in
-tests/wz_oracle.py as the oracle.
+over one denominator per point, Q = d^(3n-k+2) n!^2 (n-k+1)! P_k^2, which
+each of the four denominators divides with a small integer quotient; so
+only numerators are formed, and never a denominator.  The relation
+telescopes (sum over n = 0..N-1) into a closed form for the partial sums,
+which check_telescoped verifies for any positive N by putting the partial
+sum and the closed form over one common integer denominator.  Only
+telescoped_rhs builds a Fraction, from the same pairs.  The Fraction loops
+these checks replaced are kept in tests/wz_oracle.py as the oracle.
 """
 
 from __future__ import annotations
@@ -79,47 +81,84 @@ class _Table:
         den = self.d ** (3 * n - k - 1) * fact[n - 1] ** 2 * fact[n - k] * P[k] ** 2
         return (-num if (n + k) % 2 else num), den
 
+    def F_row(self, n: int, ks: range) -> list[int]:
+        """The numerators of F(n, k) for k in ks (each k <= n) without
+        their sign (-1)^(n+k): (2nd + r) P_n^2 P_{n+k}, over F's
+        denominators."""
+        P = self.P
+        head = (2 * n * self.d + self.r) * P[n] ** 2
+        return [head * P[n + k] for k in ks]
+
+    def G_row(self, n: int, ks: range) -> list[int]:
+        """The numerators of G(n, k) for k in ks (n >= 1, each k <= n)
+        without their sign (-1)^(n+k): P_n^2 P_{n+k-1}, over G's
+        denominators."""
+        P = self.P
+        head = P[n] ** 2
+        return [head * P[n + k - 1] for k in ks]
+
 
 def check_pair(n_max: int, k_max: int, alphas: list[Fraction]) -> bool:
     """F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) on 0<=n<=n_max, 1<=k<=k_max, exactly.
 
     Points with k > n+1 are 0 = 0 and are skipped.  A pole (alpha)_k = 0
     with k <= k_max raises DivisionByZeroTerm naming F(0,k), the first
-    point that divides by it.  Row n evaluates F(n, k) once for each
-    k <= min(n, k_max) and G(n+1, k) once for each k <= min(n+1, k_max);
-    the G row is carried into row n+1 as its G(n, k), so each value of F
-    and G is formed once per alpha.
+    point that divides by it.  Row n reads the numerators of F(n, k) for
+    k <= min(n, k_max) and of G(n+1, k) for k <= min(n+1, k_max) from
+    _Table.F_row and G_row; the G row is carried into row n+1 as its
+    G(n, k), so each numerator is formed once per alpha.
+
+    Times (-1)^(n+k) Q, with Q = d^(3n-k+2) n!^2 (n-k+1)! P_k^2, the four
+    terms are their unsigned numerators times Q over their denominators:
+
+        F(n, k-1): (r + (k-1) d)^2      F(n, k): d (n-k+1)
+        G(n+1, k): 1                    G(n, k): d^3 n^2 (n-k+1)
+
+    With a, c, f and h these products for F(n, k-1), F(n, k), G(n+1, k)
+    and G(n, k), the relation reads a + c == f + h.  Q is never formed;
+    off a pole it is nonzero, so this is the relation itself.
     """
     for alpha in alphas:
         t = _Table(alpha, max(k_max, 2 * n_max + 1, 0))
         if n_max >= 0 and k_max >= 1 and (pole := t.first_pole(k_max)):
             raise t.pole_error(pole, f"F(0,{pole})")
-        g_old: list[tuple[int, int]] = []  # G(n, k) for 1 <= k <= min(n, k_max)
+        r, d = t.r, t.d
+        d3 = d**3
+        # the multiplier of F(n, k-1): (P_k / P_{k-1})^2, at index k - 1
+        sq = [(r + (k - 1) * d) ** 2 for k in range(1, k_max + 1)]
+        g_old: list[int] = []  # G(n, k) for 1 <= k <= min(n, k_max)
         for n in range(n_max + 1):
             top = min(k_max, n + 1)
-            f_row = [t.F(n, k) for k in range(min(k_max, n) + 1)]
-            g_new = [t.G(n + 1, k) for k in range(1, top + 1)]
+            f_row = t.F_row(n, range(min(k_max, n) + 1))
+            g_new = t.G_row(n + 1, range(1, top + 1))
             for k in range(1, top + 1):
-                a, b = f_row[k - 1]
-                c, e = f_row[k] if k <= n else (0, 1)
-                f, g = g_new[k - 1]
-                h, i = g_old[k - 1] if k <= n else (0, 1)
-                # a/b - c/e == f/g - h/i
-                if (a * e - c * b) * g * i != (f * i - h * g) * b * e:
+                a = f_row[k - 1] * sq[k - 1]
+                if k > n:  # k = n + 1: F(n, k) = G(n, k) = 0
+                    if a != g_new[k - 1]:
+                        return False
+                    continue
+                m = n - k + 1
+                c = f_row[k] * (d * m)
+                h = g_old[k - 1] * (d3 * n * n * m)
+                if a + c != g_new[k - 1] + h:
                     return False
             g_old = g_new
     return True
 
 
-def _telescope(N: int, alpha: Fraction) -> tuple[int, int, int]:
+def _telescope(N: int, alpha: Fraction,
+               table: _Table | None = None) -> tuple[int, int, int]:
     """(lhs, rhs, den): the partial sum sum_{k<N} F(k, 0) is lhs/den and
     telescoped_rhs(N, alpha) is rhs/den, with
 
         den = d^(3N-1) (N-1)!^3 P_{N-1}^2.
+
+    It reads P_j and j! for j <= 2N - 1 from table, a _Table of alpha
+    that reaches that far, or from a new one.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    t = _Table(alpha, 2 * N - 1)
+    t = _Table(alpha, 2 * N - 1) if table is None else table
     if pole := t.first_pole(N - 1):
         raise t.pole_error(pole, f"telescoped_rhs(N={N})")
     r, d, P, fact = t.r, t.d, t.P, t.fact
@@ -153,9 +192,13 @@ def telescoped_rhs(N: int, alpha: Fraction) -> Fraction:
     return Fraction(rhs, den)
 
 
-def check_telescoped(N: int, alpha: Fraction) -> bool:
-    """Exact equality of the partial sum with telescoped_rhs(N, alpha)."""
-    lhs, rhs, _ = _telescope(N, alpha)
+def check_telescoped(N: int, alpha: Fraction, table: _Table | None = None) -> bool:
+    """Exact equality of the partial sum with telescoped_rhs(N, alpha).
+
+    A caller that checks several N at one alpha passes one _Table of alpha
+    with m >= 2N - 1 for the largest N as table, so it is built once.
+    """
+    lhs, rhs, _ = _telescope(N, alpha, table)
     return lhs == rhs
 
 

@@ -464,6 +464,10 @@ def test_eval_f_g_match_fraction_oracle(n, data, alpha):
 def test_telescope_matches_fraction_oracle(N, alpha):
     want = _outcome(wz_oracle.check_telescoped, N, alpha)
     assert _outcome(check_telescoped, N, alpha) == want
+    if N >= 1:
+        # a larger table, as sweep._telescoped shares one between the N's:
+        # the same verdict, and the same pole error at the same N
+        assert _outcome(check_telescoped, N, alpha, _Table(alpha, 2 * N + 7)) == want
     assert _outcome(telescoped_rhs, N, alpha) == _outcome(
         wz_oracle.telescoped_rhs, N, alpha
     )

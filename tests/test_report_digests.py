@@ -62,6 +62,12 @@ CASES = {
         run_wz,
         "50055a3f6a4541a7622579767023d569efe098e50f61188b213265256bc31f14",
     ),
+    # the grid of the one-row-denominator pair check's speed claim, pinned
+    # before that check replaced cross-multiplying
+    "wz_40x40": (
+        lambda: run_wz(nmax=40, kmax=40, alpha_samples=101),
+        "c5fa9c5718955eba9009f1988957ee46818e4552c221e35016a2cdb8024afe8a",
+    ),
     "smoke": (
         run_smoke,
         "4ecad1d429342dfbf391e08b3377bb917289ae66c11318e9c67ec78cccb70365",

@@ -1,5 +1,6 @@
 """Pochhammer, harmonic, and Euler number/polynomial machinery."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from supercong.sequences import (
     euler_poly_eval_mod,
     harmonic,
     pochhammer,
+    _HarmonicPrefix,
 )
 
 from exact_oracle import alternating_reciprocal_squares
@@ -124,6 +126,23 @@ def test_check_lehmer():
         check_lehmer(3)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_harmonic_prefix_matches_the_fractions(m):
+    # the running prefix check_lehmer reads, H_n^(m) = num / L^m with
+    # L = lcm(1..n): at every n <= 400 in increasing order, then at
+    # decreasing n, each a restart, and on from the last of them
+    prefix = _HarmonicPrefix(m)
+    for n in [*range(401), 400, 399, 256, 17, 16, 1, 0, 2, 3, 10]:
+        num, L = prefix.at(n)
+        assert L == math.lcm(*range(1, n + 1)), n
+        assert Fraction(num, L**m) == harmonic(n, m), n
+
+
+def test_lehmer_at_decreasing_primes():
+    # each prefix restarts when asked for a smaller n than it holds
+    assert all(check_lehmer(p) for p in reversed(sieve_primes(5, 199)))
+
+
 @pytest.mark.parametrize("n", [9, 25, 49])
 def test_check_lehmer_rejects_a_composite(n):
     with pytest.raises(ValueError, match=f"p must be a prime > 3, got {n}"):
@@ -143,3 +162,11 @@ def test_euler_power_sum_instance():
 
 def test_check_binomial_identities():
     assert all(check_binomial_identities(n) for n in range(1, 31))
+
+
+def test_lcm_of_a_binomial_row():
+    # check_binomial_identities puts its first sum over lcm(1..n+1)/(n+1),
+    # the lcm of C(n, 0), ..., C(n, n)
+    for n in range(1, 201):
+        row = [math.comb(n, k) for k in range(n + 1)]
+        assert math.lcm(*row) == math.lcm(*range(1, n + 2)) // (n + 1), n

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import cli, sweep, verifier
+from supercong import cli, forked, sweep, verifier
 from supercong.cli import build_parser, main
 from supercong.padic import NotPAdicIntegral, ResidueClass
 from supercong.primes import EmptyRange, sieve_primes
@@ -605,7 +605,7 @@ def test_pool_has_no_more_workers_than_instances(monkeypatch):
 def test_claims_of_chunks_give_the_serial_report(monkeypatch):
     # more instances than tokens: a token claims a chunk of ceil(13 / 2) = 7
     # consecutive instances, and the last chunk is short
-    monkeypatch.setattr(sweep, "_MAX_TOKENS", 2)
+    monkeypatch.setattr(forked, "_MAX_TOKENS", 2)
     cfg = SweepConfig(families=("B2", "LEMMA_PROD"), p_min=5, p_max=47)
     assert len(build_instances(cfg)) == 13
     serial = render_json(run_sweep(cfg))
@@ -700,6 +700,80 @@ def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, error, raised):
         os.close(hold)
     assert len(pids) == 2
     _assert_no_child_left(fds)
+
+
+# Runs the CLI on its argv as the child of a subreaper, so that the CLI's
+# worker, orphaned by a SIGKILL, becomes this process's child.  With a second
+# reader on each of the worker's pipes, neither the claim pipe nor the result
+# pipe breaks when the CLI dies, so only the worker's own check can end it.
+# Prints the bytes of claim tokens left when the CLI died and after the
+# worker ended, and the worker's exit code.
+_ORPHAN_LAUNCHER = r"""
+import contextlib, ctypes, fcntl, os, signal, subprocess, sys, termios, time
+
+assert ctypes.CDLL(None).prctl(36, 1, 0, 0, 0) == 0  # PR_SET_CHILD_SUBREAPER
+# no standard stream is a pipe, so the worker's only pipes are the forked run's
+cli = subprocess.Popen([sys.executable, "-m", "supercong.cli", *sys.argv[1:]],
+                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL)
+deadline = time.monotonic() + 60
+children = f"/proc/{cli.pid}/task/{cli.pid}/children"
+while not (kids := open(children).read().split()):
+    assert cli.poll() is None and time.monotonic() < deadline
+    time.sleep(0.001)
+worker = int(kids[0])
+
+
+def pipes():
+    out = []
+    for fd in os.listdir(f"/proc/{worker}/fd"):
+        with contextlib.suppress(FileNotFoundError):  # closed since the listing
+            if os.readlink(f"/proc/{worker}/fd/{fd}").startswith("pipe:"):
+                out.append(fd)
+    return out
+
+while len(fds := pipes()) != 2:  # until it has closed the result pipes it inherited
+    assert time.monotonic() < deadline
+    time.sleep(0.001)
+ends = {}  # access mode of the worker's end (0 read: claims, 1 write: results)
+for fd in fds:
+    mode = int(open(f"/proc/{worker}/fdinfo/{fd}").read().split()[3], 8) & 3
+    ends[mode] = os.open(f"/proc/{worker}/fd/{fd}", os.O_RDONLY | os.O_NONBLOCK)
+os.kill(worker, signal.SIGSTOP)
+os.kill(cli.pid, signal.SIGKILL)
+cli.wait()
+
+def left():  # the bytes of claim tokens in the claim pipe
+    count = fcntl.ioctl(ends[0], termios.FIONREAD, bytes(4))
+    return int.from_bytes(count, sys.byteorder)
+
+before = left()
+os.kill(worker, signal.SIGCONT)
+while not (ended := os.waitpid(worker, os.WNOHANG))[0]:
+    if time.monotonic() > deadline:
+        os.kill(worker, signal.SIGKILL)
+    with contextlib.suppress(BlockingIOError):
+        os.read(ends[1], 1 << 16)  # the worker's results, so its pipe never fills
+    time.sleep(0.001)
+status = ended[1]
+print(before, left(), os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs prctl and /proc")
+def test_a_worker_claims_nothing_once_its_parent_is_killed():
+    # SIGKILL runs no handler, so the forked run cannot end its children;
+    # each child checks before every claim that the process it was forked
+    # from is still its parent, and exits 1 once it is not.  It may finish
+    # the chunk it holds, and claim one more chunk only if its check ran
+    # just before the CLI died
+    argv = ["verify", "--family", "MAIN1", "--pmax", "1999", "--workers", "2"]
+    proc = subprocess.run([sys.executable, "-c", _ORPHAN_LAUNCHER, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after, code = map(int, proc.stdout.split())
+    assert before > 2 * forked._TOKEN, "the run ended before its worker was stopped"
+    assert before - after <= forked._TOKEN and code == 1
 
 
 def test_sigterm_ends_the_cli_after_its_workers():

@@ -88,15 +88,21 @@ def test_pair_relation_small_grid():
 
 @pytest.mark.parametrize("point", [(3, 2), (3, 3)])
 def test_pair_check_catches_a_broken_certificate(monkeypatch, point):
-    good_F, good_G = wz._Table.F, wz._Table.G
+    # check_pair reads every numerator from the row methods, so the break
+    # is made there: F or G at the points goes up by 1, which moves the
+    # unsigned numerator by (-1)^(n+k) times the point's denominator
+    good_F, good_G = wz._Table.F_row, wz._Table.G_row
 
-    def bumped(good, points):
-        def value(self, n, k):
-            num, den = good(self, n, k)
-            return (num + den, den) if (n, k) in points else (num, den)
-        return value
+    def bumped(good, exact, points):
+        def row(self, n, ks):
+            nums = good(self, n, ks)
+            for i, k in enumerate(ks):
+                if (n, k) in points:
+                    nums[i] += (-1) ** (n + k) * exact(self, n, k)[1]
+            return nums
+        return row
 
-    monkeypatch.setattr(wz._Table, "G", bumped(good_G, {point}))
+    monkeypatch.setattr(wz._Table, "G_row", bumped(good_G, wz._Table.G, {point}))
     # row n = 2 reaches G(3, 2) at k = 2 and G(3, 3) only at k = n + 1
     assert not check_pair(2, 4, [Fraction(1, 2)])
     # rows n <= 1 only reach G(2, k) and G(1, k)
@@ -106,10 +112,38 @@ def test_pair_check_catches_a_broken_certificate(monkeypatch, point):
     # then only row 3, which reads G(3, k) as the G(n, k) carried over
     # from row 2, sees the break.
     n, k = point
-    monkeypatch.setattr(wz._Table, "F", bumped(good_F, {(n - 1, j) for j in range(k)}))
+    monkeypatch.setattr(wz._Table, "F_row",
+                        bumped(good_F, wz._Table.F, {(n - 1, j) for j in range(k)}))
     assert check_pair(2, 4, [Fraction(1, 2)])
     assert not check_pair(3, 4, [Fraction(1, 2)])
     assert not check_pair(3, k, [Fraction(1, 2)])
+
+
+# alphas with d from 1 to 7 and both signs of r, and nonpositive integers,
+# whose P_k vanish from k = 1 - alpha on
+ROW_ALPHAS = tuple(map(Fraction, ("1/2", "-2/3", "5/7", "7/4", "1", "0", "-3", "-1")))
+
+
+@pytest.mark.parametrize("alpha", ROW_ALPHAS, ids=str)
+def test_row_multipliers_bring_each_term_over_one_denominator(alpha):
+    # check_pair's multipliers are Q over each term's denominator, with
+    # Q = d^(3n-k+2) n!^2 (n-k+1)! P_k^2, and the row numerators are the
+    # numerators of F and G less their sign (-1)^(n+k)
+    t = wz._Table(alpha, 41)
+    r, d, P, fact = t.r, t.d, t.P, t.fact
+    for n in range(21):
+        s = (-1) ** n
+        assert [s * x for x in t.F_row(n, range(n + 1))] == [
+            (-1) ** k * t.F(n, k)[0] for k in range(n + 1)]
+        assert [-s * x for x in t.G_row(n + 1, range(n + 2))] == [
+            (-1) ** k * t.G(n + 1, k)[0] for k in range(n + 2)]
+        for k in range(1, n + 2):
+            Q = d ** (3 * n - k + 2) * fact[n] ** 2 * fact[n - k + 1] * P[k] ** 2
+            assert t.F(n, k - 1)[1] * (r + (k - 1) * d) ** 2 == Q
+            assert t.G(n + 1, k)[1] == Q
+            if k <= n:
+                assert t.F(n, k)[1] * d * (n - k + 1) == Q
+                assert t.G(n, k)[1] * d**3 * n**2 * (n - k + 1) == Q
 
 
 def test_pole_at_the_edge_of_the_range():

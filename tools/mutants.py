@@ -22,7 +22,10 @@ Left out on purpose: mutations known to be equivalent, which no test can
 catch.  In qseries._hasse_residues, the weight update (i - j) -> (i - j + 1)
 computes the Hasse derivatives of q*N, which vanish at the same orders.  In
 qseries._times_q_integer, padding `a` with m zeros instead of m - 1 only
-appends a zero coefficient, which _sum_numerator's final _trim drops.
+appends a zero coefficient, which _sum_numerator's final _trim drops.  In
+sequences._HarmonicPrefix.at, restarting on n <= self.n instead of
+n < self.n recomputes the value the prefix already holds.  In wz._telescope,
+building a new table when one is passed reads the same P_j and j!.
 
 Not equivalent, though check_euler_identities cannot show it: the Horner
 shift 2^(n-i) -> 2^(n-i+1) doubles both sides of every reflection check,
@@ -51,6 +54,7 @@ TIMEOUT_S = 300.0  # per pytest run
 
 WZ_TESTS = ("tests/test_wz.py", "tests/test_properties.py", "tests/test_acceptance.py")
 BINOM_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
+LEHMER_TESTS = ("tests/test_sequences.py", "tests/test_acceptance.py")
 EULER_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
 Q_TESTS = ("tests/test_qseries.py", "tests/test_properties.py")
 CLOSED_TESTS = ("tests/test_verifier.py", "tests/test_acceptance.py")
@@ -88,7 +92,26 @@ MUTATIONS = (
     Mutation("wz pair carry dropped", "wz.py",
              "            g_old = g_new\n", "", WZ_TESTS),
     Mutation("wz pair reads the new G row as the old one", "wz.py",
-             "h, i = g_old[k - 1]", "h, i = g_new[k - 1]", WZ_TESTS),
+             "h = g_old[k - 1]", "h = g_new[k - 1]", WZ_TESTS),
+    Mutation("wz pair multipliers n - k + 1 -> n - k", "wz.py",
+             "m = n - k + 1", "m = n - k", WZ_TESTS),
+    Mutation("wz pair G(n, k) multiplier d^3 -> d^2", "wz.py",
+             "d3 = d**3", "d3 = d**2", WZ_TESTS),
+    Mutation("wz pair F(n, k-1) multiplier (k - 1) -> k", "wz.py",
+             "(r + (k - 1) * d) ** 2", "(r + k * d) ** 2", WZ_TESTS),
+    Mutation("wz pair F(n, k) multiplier without d", "wz.py",
+             "f_row[k] * (d * m)", "f_row[k] * m", WZ_TESTS),
+    Mutation("wz pair G(n, k) multiplier n^2 -> n", "wz.py",
+             "(d3 * n * n * m)", "(d3 * n * m)", WZ_TESTS),
+    Mutation("wz F row factor 2nd + r -> 2n + r", "wz.py",
+             "(2 * n * self.d + self.r) * P[n] ** 2", "(2 * n + self.r) * P[n] ** 2",
+             WZ_TESTS),
+    Mutation("wz G row reads P_{n+k}", "wz.py",
+             "[head * P[n + k - 1] for k in ks]", "[head * P[n + k] for k in ks]",
+             WZ_TESTS),
+    Mutation("sweep telescope table one entry short", "sweep.py",
+             "_Table(alpha, 2 * n_max - 1)", "_Table(alpha, 2 * n_max - 2)",
+             RENDER_TESTS),
     Mutation("wz pair pole test", "wz.py",
              "t.first_pole(k_max)", "t.first_pole(k_max - 1)", WZ_TESTS),
     Mutation("wz telescope pole test", "wz.py",
@@ -100,8 +123,25 @@ MUTATIONS = (
     Mutation("wz telescope factorial index", "wz.py",
              "(f // fact[N - k])", "(f // fact[N - k - 1])", WZ_TESTS),
     # the integer binomial identities
-    Mutation("binomial factorial index", "sequences.py",
-             "fact[k] * fact[n - k]", "fact[k] * fact[n - k + 1]", BINOM_TESTS),
+    Mutation("binomial running product", "sequences.py",
+             "C[-1] * (n - k + 1) // k", "C[-1] * (n - k + 2) // k", BINOM_TESTS),
+    Mutation("binomial lcm of the row over n", "sequences.py",
+             "math.lcm(L, n + 1) // (n + 1)", "math.lcm(L, n + 1) // n", BINOM_TESTS),
+    # the integer harmonic prefixes of check_lehmer
+    Mutation("harmonic prefix lcm step q^m -> q", "sequences.py",
+             "num *= q**m", "num *= q", LEHMER_TESTS),
+    Mutation("harmonic prefix never restarts", "sequences.py",
+             "if n < self.n:", "if n < 0:", LEHMER_TESTS),
+    Mutation("harmonic prefix adds (L/j)^m before the lcm step", "sequences.py",
+             "            if q > 1:\n"
+             "                num *= q**m\n"
+             "                L *= q\n"
+             "            num += (L // j) ** m\n",
+             "            num += (L // j) ** m\n"
+             "            if q > 1:\n"
+             "                num *= q**m\n"
+             "                L *= q\n",
+             LEHMER_TESTS),
     Mutation("binomial sign parity", "sequences.py",
              "if k % 2:\n            cu, sq", "if k % 2 == 0:\n            cu, sq",
              BINOM_TESTS),
@@ -290,20 +330,23 @@ MUTATIONS = (
     Mutation("sweep smoke row drops its reason", "sweep.py",
              'None if ok else f"off by {abs(val - target)!r}"', "None", SWEEP_TESTS),
     # the forked run: claims, result frames and the clean-up of the children
-    Mutation("forked run reads a worker's EOF as its end", "sweep.py",
+    Mutation("forked run reads a worker's EOF as its end", "forked.py",
              "if not worker.done:", "if False:", SWEEP_TESTS),
-    Mutation("forked run reads a claim token one byte short", "sweep.py",
+    Mutation("forked run reads a claim token one byte short", "forked.py",
              "os.read(claims, _TOKEN)", "os.read(claims, _TOKEN - 1)", SWEEP_TESTS),
-    Mutation("forked run ends a claimed chunk one instance early", "sweep.py",
+    Mutation("forked run ends a claimed chunk one instance early", "forked.py",
              "min(start + chunk, n)", "min(start + chunk - 1, n)", SWEEP_TESTS),
-    Mutation("forked run leaves its children alive on an error", "sweep.py",
+    Mutation("forked run leaves its children alive on an error", "forked.py",
              "        for fd, worker in live.items():\n"
              "            os.close(fd)\n"
              "            if worker.pid is not None:  # not yet reaped, so the pid is ours\n"
              "                os.kill(worker.pid, signal.SIGKILL)\n"
              "                os.waitpid(worker.pid, 0)\n",
              "", SWEEP_TESTS),
-    Mutation("forked run drops a worker's error", "sweep.py",
+    Mutation("forked run child claims on after its parent died", "forked.py",
+             "if parent is not None and os.getppid() != parent:", "if False:",
+             SWEEP_TESTS),
+    Mutation("forked run drops a worker's error", "forked.py",
              "raise InternalError(msg) from _WorkerTraceback(tb)", "continue",
              SWEEP_TESTS),
     # the JSON report from json's C encoder
