@@ -155,8 +155,8 @@ class _HarmonicPrefix:
     """H_n^(m) as the integer num over L^m, L = lcm(1..n), advanced in n.
 
     Each step j takes L to lcm(L, j): if q = j / gcd(L, j) > 1, num is
-    multiplied by q^m and L by q; then (L/j)^m is added.  A call with a
-    smaller n than the prefix holds restarts it from H_0 = 0/1.
+    multiplied by q^m and L by q; then (L/j)^m is added.  The prefix only
+    moves forward: a smaller n than it holds is refused.
     """
 
     __slots__ = ("m", "n", "num", "L")
@@ -167,7 +167,7 @@ class _HarmonicPrefix:
     def at(self, n: int) -> tuple[int, int]:
         """(num, L) with H_n^(m) = num / L^m."""
         if n < self.n:
-            self.n, self.num, self.L = 0, 0, 1
+            raise ValueError(f"the prefix holds H_{self.n}, cannot go back to H_{n}")
         m, num, L = self.m, self.num, self.L
         for j in range(self.n + 1, n + 1):
             q = j // math.gcd(L, j)
@@ -179,28 +179,29 @@ class _HarmonicPrefix:
         return num, L
 
 
-# H_{p-1}, H_{p-1}^(2) and H_{(p-1)/2}^(2): one prefix each, so a run over
-# increasing primes advances each one from the last prime's n
-_LEHMER_PREFIXES = (_HarmonicPrefix(1), _HarmonicPrefix(2), _HarmonicPrefix(2))
+def check_lehmer(primes: list[int]) -> list[bool]:
+    """Lehmer's congruences at each of strictly increasing primes p > 3:
 
+    H_{p-1} ≡ 0 (mod p^2),  H_{p-1}^(2) ≡ 0 (mod p),  H_{(p-1)/2}^(2) ≡ 0 (mod p),
 
-def check_lehmer(p: int) -> bool:
-    """Lehmer's congruences for prime p > 3:
-
-    H_{p-1} ≡ 0 (mod p^2),  H_{p-1}^(2) ≡ 0 (mod p),  H_{(p-1)/2}^(2) ≡ 0 (mod p).
-
-    Each harmonic number comes from a running integer prefix num / L^m
-    (_HarmonicPrefix), with L = lcm(1..n) and n < p, so L is a unit mod p
-    and H ≡ 0 (mod p^e) exactly when p^e divides num.  No Fraction is
-    formed; the prefixes persist between calls, so checking the primes in
-    increasing order costs one pass over 1..p-1 in all.
+    one verdict per prime.  Each harmonic number comes from an integer
+    prefix num / L^m (_HarmonicPrefix), with L = lcm(1..n) and n < p, so
+    L is a unit mod p and H ≡ 0 (mod p^e) exactly when p^e divides num.
+    The call's three prefixes advance from one prime to the next: one
+    pass over 1..p-1 for the largest p, and no Fraction.
     """
-    if p <= 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"p must be a prime > 3, got {p}")
-    h1, h2, h2_half = _LEHMER_PREFIXES
-    return (h1.at(p - 1)[0] % p**2 == 0
-            and h2.at(p - 1)[0] % p == 0
-            and h2_half.at((p - 1) // 2)[0] % p == 0)
+    h1, h2, h2_half = _HarmonicPrefix(1), _HarmonicPrefix(2), _HarmonicPrefix(2)
+    out, last = [], 3
+    for p in primes:
+        if p <= 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"p must be a prime > 3, got {p}")
+        if p <= last:
+            raise ValueError(f"primes must be strictly increasing, got {p} after {last}")
+        last = p
+        out.append(h1.at(p - 1)[0] % p**2 == 0
+                   and h2.at(p - 1)[0] % p == 0
+                   and h2_half.at((p - 1) // 2)[0] % p == 0)
+    return out
 
 
 def _horner_halves(a: list[int], j: int) -> int:

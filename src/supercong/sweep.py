@@ -10,9 +10,12 @@ alpha (verifier.verify_at_prime), so the sums at each alpha are computed
 once per prime; one per (q-family, n) checks that family
 (qseries.verify_at_n).  These yield a record per family, alpha and
 truncation, a skip record with the reason where a family's precondition
-fails.  An identity, WZ or smoke instance yields one record.  Every
-instance hands its records back as rows (records.family_rows: plain
-tuples, cheap to pickle), and the parent builds each record once.
+fails.  One Lehmer instance checks every prime, with one record per
+prime; an identity, WZ or smoke instance yields one record.  Each
+instance builds the state it reads, so none depends on another having
+run first.  Every instance hands its records back as rows
+(records.family_rows: plain tuples, cheap to pickle), and the parent
+builds each record once.
 An exception that escapes an instance is a bug, whatever its type, and
 aborts the sweep with an InternalError: family_rows names the family and
 labels it was checking, and _execute names the instance of any other.
@@ -170,10 +173,9 @@ def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
 # The check functions live in the modules below, and a command imports
 # only those it runs: each expansion first calls _bind for every module its
 # instances need, in the parent, before any fork.  _bind imports the module
-# and binds each of its names listed here (its check functions, and the
-# table class _telescoped shares between N) as a global of this module,
-# never over a name already set; the instances and the helpers (_lehmer,
-# _telescoped, _ramanujan) look them up as globals.  So a wrapped or patched
+# and binds each of its check functions listed here as a global of this
+# module, never over a name already set; the instances and the helpers
+# (_lehmer, _ramanujan) look them up as globals.  So a wrapped or patched
 # sweep attribute (tracing, tests) is what runs.  __getattr__ binds a name
 # on its first lookup from outside, so a patch made before any run finds
 # the real function, and restores it after.
@@ -182,7 +184,7 @@ _CHECKS = {
     "qseries": ("verify_at_n",),
     "sequences": ("check_binomial_identities", "check_euler_identities",
                   "check_lehmer"),
-    "wz": ("check_pair", "check_telescoped", "sample_alphas", "_Table"),
+    "wz": ("check_pair", "check_telescoped", "sample_alphas"),
 }
 _MODULE_OF = {name: module for module, names in _CHECKS.items() for name in names}
 
@@ -247,16 +249,9 @@ def _dispatch(inst: Instance) -> tuple[list[tuple], dict[str, float] | None]:
     return out if isinstance(out, tuple) else (out, None)
 
 
-def _lehmer(p: int) -> list[tuple]:
-    ok = check_lehmer(p)
+def _lehmer(primes: list[int]) -> list[tuple]:
     return [("LEHMER", f"{p}^2", "0" if ok else "nonzero", "0", ok, p, None, None,
-             None, None)]
-
-
-def _telescoped(n_max: int, alpha: Fraction) -> bool:
-    # one table of P_j and j! for every N: N reads them up to j = 2N - 1
-    t = _Table(alpha, 2 * n_max - 1)
-    return all(check_telescoped(N, alpha, t) for N in range(1, n_max + 1))
+             None, None) for p, ok in zip(primes, check_lehmer(primes))]
 
 
 def _ramanujan(terms: int, tol: float) -> list[tuple]:
@@ -349,7 +344,8 @@ def run_identities(
     insts.append(
         Instance("EULER_IDS", check_euler_identities, (EULER_NMAX, mmax), n=EULER_NMAX)
     )
-    insts += [Instance("LEHMER", _lehmer, (p,), p=p) for p in sieve_primes(5, pmax)]
+    primes = sieve_primes(5, pmax)  # one pass over all: p labels the largest
+    insts.append(Instance("LEHMER", _lehmer, (primes,), p=primes[-1]))
     return summarize(_run_instances(insts, workers))
 
 
@@ -375,7 +371,7 @@ def run_wz(
         for a in alphas
     ]
     insts += [
-        Instance("WZ_TELESCOPE", _telescoped, (nmax, a), n=nmax, alpha=a)
+        Instance("WZ_TELESCOPE", check_telescoped, (nmax, a), n=nmax, alpha=a)
         for a in alphas
     ]
     return summarize(_run_instances(insts, workers))

@@ -16,8 +16,8 @@ over one denominator per point, Q = d^(3n-k+2) n!^2 (n-k+1)! P_k^2, which
 each of the four denominators divides with a small integer quotient; so
 only numerators are formed, and never a denominator.  The relation
 telescopes (sum over n = 0..N-1) into a closed form for the partial sums,
-which check_telescoped verifies for any positive N by putting the partial
-sum and the closed form over one common integer denominator.  Only
+which check_telescoped verifies for N = 1..n_max from one table, each
+partial sum and its closed form over one integer denominator.  Only
 telescoped_rhs builds a Fraction, from the same pairs.  The Fraction loops
 these checks replaced are kept in tests/wz_oracle.py as the oracle.
 """
@@ -146,19 +146,14 @@ def check_pair(n_max: int, k_max: int, alphas: list[Fraction]) -> bool:
     return True
 
 
-def _telescope(N: int, alpha: Fraction,
-               table: _Table | None = None) -> tuple[int, int, int]:
+def _telescope(N: int, t: _Table) -> tuple[int, int, int]:
     """(lhs, rhs, den): the partial sum sum_{k<N} F(k, 0) is lhs/den and
     telescoped_rhs(N, alpha) is rhs/den, with
 
-        den = d^(3N-1) (N-1)!^3 P_{N-1}^2.
+        den = d^(3N-1) (N-1)!^3 P_{N-1}^2,
 
-    It reads P_j and j! for j <= 2N - 1 from table, a _Table of alpha
-    that reaches that far, or from a new one.
+    for N >= 1, from t, a _Table of alpha with P_j and j! for j <= 2N - 1.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    t = _Table(alpha, 2 * N - 1) if table is None else table
     if pole := t.first_pole(N - 1):
         raise t.pole_error(pole, f"telescoped_rhs(N={N})")
     r, d, P, fact = t.r, t.d, t.P, t.fact
@@ -188,18 +183,25 @@ def telescoped_rhs(N: int, alpha: Fraction) -> Fraction:
     The (-1)^N factor makes the telescoped identity hold for every N >= 1,
     not only odd N.
     """
-    _, rhs, den = _telescope(N, alpha)
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    _, rhs, den = _telescope(N, _Table(alpha, 2 * N - 1))
     return Fraction(rhs, den)
 
 
-def check_telescoped(N: int, alpha: Fraction, table: _Table | None = None) -> bool:
-    """Exact equality of the partial sum with telescoped_rhs(N, alpha).
+def check_telescoped(n_max: int, alpha: Fraction) -> bool:
+    """Exact equality of the partial sum with telescoped_rhs(N, alpha) for
+    every N = 1..n_max, in increasing N.
 
-    A caller that checks several N at one alpha passes one _Table of alpha
-    with m >= 2N - 1 for the largest N as table, so it is built once.
+    One _Table of alpha, of P_j and j! for j <= 2 n_max - 1, serves every
+    N.  The first N that fails gives False; a pole raises
+    DivisionByZeroTerm naming telescoped_rhs at the first N that reads it.
     """
-    lhs, rhs, _ = _telescope(N, alpha, table)
-    return lhs == rhs
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    t = _Table(alpha, 2 * n_max - 1)
+    sides = (_telescope(N, t) for N in range(1, n_max + 1))
+    return all(lhs == rhs for lhs, rhs, _ in sides)
 
 
 def sample_alphas(count: int, seed: int) -> list[Fraction]:

@@ -112,7 +112,8 @@ def test_criterion_06_classical_mod_p3_and_weight_6k_families():
 
 
 def test_criterion_07_lemma_suite():
-    assert all(check_lehmer(p) for p in sieve_primes(5, 1999))
+    primes = sieve_primes(5, 1999)
+    assert check_lehmer(primes) == [True] * len(primes)
     assert all(check_binomial_identities(n) for n in range(1, 201))
     assert check_euler_identities(25, 10)
     runs = 0
@@ -131,8 +132,7 @@ def test_criterion_08_certificate_pair_suite():
     alphas = sample_alphas(20, seed=0)
     assert check_pair(30, 30, alphas)
     for alpha in alphas:
-        for N in range(1, 31):
-            assert check_telescoped(N, alpha), (N, alpha)
+        assert check_telescoped(30, alpha), alpha  # N = 1..30
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     print(f"\n[PASS] criterion 8: pair relation on 30x30 grid and telescoped "

@@ -462,23 +462,30 @@ def test_eval_f_g_match_fraction_oracle(n, data, alpha):
 @PROPS
 @given(N=st.integers(-1, 16), alpha=wz_alphas)
 def test_telescope_matches_fraction_oracle(N, alpha):
+    # check_telescoped(N) runs the oracle's check at M = 1..N in turn, from
+    # one table: it gives the first outcome that is not True (False, or the
+    # pole error at that M), else True
     want = _outcome(wz_oracle.check_telescoped, N, alpha)
-    assert _outcome(check_telescoped, N, alpha) == want
-    if N >= 1:
-        # a larger table, as sweep._telescoped shares one between the N's:
-        # the same verdict, and the same pole error at the same N
-        assert _outcome(check_telescoped, N, alpha, _Table(alpha, 2 * N + 7)) == want
+    if N < 1:
+        assert _outcome(check_telescoped, N, alpha) == (
+            ValueError, f"n_max must be >= 1, got {N}")
+    else:
+        every = (_outcome(wz_oracle.check_telescoped, M, alpha) for M in range(1, N))
+        first = next((x for x in every if x is not True), want)
+        assert _outcome(check_telescoped, N, alpha) == first
     assert _outcome(telescoped_rhs, N, alpha) == _outcome(
         wz_oracle.telescoped_rhs, N, alpha
     )
     if want is True:
-        # both sides of the integer comparison, each against its Fraction
-        lhs, rhs, den = _telescope(N, alpha)
+        # both sides of the integer comparison, each against its Fraction,
+        # from a table that reaches just far enough or further
         partial = sum(
             (wz_oracle.eval_F(k, 0, alpha) for k in range(N)), Fraction(0)
         )
-        assert Fraction(lhs, den) == partial
-        assert Fraction(rhs, den) == wz_oracle.telescoped_rhs(N, alpha)
+        for m in (2 * N - 1, 2 * N + 7):
+            lhs, rhs, den = _telescope(N, _Table(alpha, m))
+            assert Fraction(lhs, den) == partial
+            assert Fraction(rhs, den) == wz_oracle.telescoped_rhs(N, alpha)
 
 
 @PROPS

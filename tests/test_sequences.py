@@ -118,35 +118,67 @@ def test_euler_mod_non_integral_point():
 
 
 def test_check_lehmer():
-    assert check_lehmer(5)
-    assert check_lehmer(7)
-    assert check_lehmer(13)
-    assert all(check_lehmer(p) for p in sieve_primes(5, 199))
-    with pytest.raises(ValueError):
-        check_lehmer(3)
+    assert check_lehmer([5]) == [True]
+    assert check_lehmer([5, 7, 13]) == [True, True, True]
+    primes = sieve_primes(5, 199)
+    assert check_lehmer(primes) == [True] * len(primes)
+    assert check_lehmer([]) == []
+    # a prime checked alone or after others gets the same verdict
+    assert check_lehmer([197, 199]) == check_lehmer(primes)[-2:]
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_harmonic_prefix_matches_the_fractions(m):
     # the running prefix check_lehmer reads, H_n^(m) = num / L^m with
-    # L = lcm(1..n): at every n <= 400 in increasing order, then at
-    # decreasing n, each a restart, and on from the last of them
+    # L = lcm(1..n): at every n <= 400 in increasing order, and at every
+    # seventh n once more, the n the prefix already holds
     prefix = _HarmonicPrefix(m)
-    for n in [*range(401), 400, 399, 256, 17, 16, 1, 0, 2, 3, 10]:
+    for n in sorted([*range(401), *range(0, 401, 7)]):
         num, L = prefix.at(n)
         assert L == math.lcm(*range(1, n + 1)), n
         assert Fraction(num, L**m) == harmonic(n, m), n
 
 
+def test_harmonic_prefix_refuses_a_smaller_n():
+    prefix = _HarmonicPrefix(2)
+    held = prefix.at(17)
+    with pytest.raises(ValueError, match=r"the prefix holds H_17, cannot go back to H_16"):
+        prefix.at(16)
+    assert prefix.at(17) == held  # the same n is not a step back
+
+
+def _out_of_order(later, last):
+    return pytest.raises(
+        ValueError, match=f"primes must be strictly increasing, got {later} after {last}")
+
+
 def test_lehmer_at_decreasing_primes():
-    # each prefix restarts when asked for a smaller n than it holds
-    assert all(check_lehmer(p) for p in reversed(sieve_primes(5, 199)))
+    # the prefixes only move forward, so primes out of order are refused
+    with _out_of_order(197, 199):
+        check_lehmer(list(reversed(sieve_primes(5, 199))))
+    with _out_of_order(11, 13):
+        check_lehmer([5, 13, 11])
+
+
+def test_lehmer_at_a_repeated_prime():
+    with _out_of_order(5, 5):
+        check_lehmer([5, 5])
+    with _out_of_order(7, 7):
+        check_lehmer([5, 7, 7, 11])
 
 
 @pytest.mark.parametrize("n", [9, 25, 49])
 def test_check_lehmer_rejects_a_composite(n):
     with pytest.raises(ValueError, match=f"p must be a prime > 3, got {n}"):
-        check_lehmer(n)
+        check_lehmer([n])
+    with pytest.raises(ValueError, match=f"p must be a prime > 3, got {n}"):
+        check_lehmer([5, 7, n])
+
+
+@pytest.mark.parametrize("n", [3, 2, 1, 0, -5])
+def test_check_lehmer_rejects_3_and_below(n):
+    with pytest.raises(ValueError, match=f"p must be a prime > 3, got {n}"):
+        check_lehmer([n])
 
 
 def test_check_euler_identities():

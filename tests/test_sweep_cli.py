@@ -917,6 +917,36 @@ def test_run_identities():
     )
 
 
+def test_run_identities_checks_every_prime_in_one_instance(monkeypatch):
+    # one instance per n, one for the Euler bundle and one Lehmer instance
+    # for all 301 primes up to 1999, labelled by the largest
+    built = []
+    run = sweep._run_instances
+
+    def spy(insts, workers):
+        built.extend(insts)
+        return run(insts, workers)
+
+    monkeypatch.setattr(sweep, "_run_instances", spy)
+    s = run_identities(nmax=200, pmax=1999, mmax=20)
+    assert len(built) == 202
+    [lehmer] = [i for i in built if i.family == "LEHMER"]
+    primes = sieve_primes(5, 1999)
+    assert lehmer.p == 1999 and lehmer.args == (primes,)
+    assert [r.p for r in s.records if r.family == "LEHMER"] == primes
+    assert s.failed == 0
+
+
+def test_an_error_in_the_lehmer_pass_names_the_largest_prime(monkeypatch):
+    def bug(primes):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(sweep, "check_lehmer", bug)
+    with pytest.raises(InternalError,
+                       match=r"^internal error checking LEHMER p=13: KeyError: 'bug'$"):
+        run_identities(nmax=1, pmax=13, mmax=1)
+
+
 def test_run_wz():
     s = run_wz(nmax=4, kmax=4, alpha_samples=3, seed=1)
     assert s.total == 6 and s.failed == 0
@@ -937,13 +967,17 @@ def test_failing_checks_outside_the_families_keep_their_records(monkeypatch):
     # an identity, Lehmer or WZ check that returns False, and a smoke run
     # too short to converge: each gives one failing record with the labels
     # of its instance
-    for name in ("check_binomial_identities", "check_lehmer", "check_pair"):
+    for name in ("check_binomial_identities", "check_pair"):
         monkeypatch.setattr(sweep, name, lambda *args: False)
-    ids = run_identities(nmax=1, pmax=5, mmax=1)
+    # Lehmer fails at 7 only, and the records of 5 and 11 still pass
+    monkeypatch.setattr(sweep, "check_lehmer", lambda ps: [p != 7 for p in ps])
+    ids = run_identities(nmax=1, pmax=11, mmax=1)
     assert ids.failures == (
         VerificationRecord("BINOM_IDS", "exact", "unequal", "equal", False, n=1),
-        VerificationRecord("LEHMER", "5^2", "nonzero", "0", False, p=5),
+        VerificationRecord("LEHMER", "7^2", "nonzero", "0", False, p=7),
     )
+    assert [r for r in ids.records if r.family == "LEHMER" and r.passed] == [
+        VerificationRecord("LEHMER", f"{p}^2", "0", "0", True, p=p) for p in (5, 11)]
     [alpha] = sample_alphas(1, 0)
     wz = run_wz(nmax=2, kmax=2, alpha_samples=1, seed=0)
     assert wz.failures == (VerificationRecord(

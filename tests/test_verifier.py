@@ -30,6 +30,8 @@ from supercong.verifier import (
     LEMMA_FAMILIES,
     MAO_VARIANTS,
     PRIME_FAMILIES,
+    _closed_form,
+    _lemma_sides,
     _main_sums,
     _mao_sums,
     _poch_prefix,
@@ -477,6 +479,46 @@ def test_lemma_right_sides_are_sharp():
                     weak[rec.family], p, 4).value
     assert differs == {"LEMMA_PROD": 284, "LEMMA_SIGMA": 266}
     assert total == {"LEMMA_PROD": 305, "LEMMA_SIGMA": 295}
+
+
+def _proof_chain(x, a, p):
+    # the lemmas' combination that the proof of the general-alpha
+    # congruence telescopes S(alpha, p-1) into, from one side of each
+    if a == p - 1:  # LEMMA_PROD's and LEMMA_SIGMA's terms are past the sum
+        return x["LEMMA_WZPROD"] + (-1) ** p * x["LEMMA_SIGMA1"]
+    return x["LEMMA_WZPROD"] + (-1) ** p * (
+        x["LEMMA_SIGMA1"] + (-1) ** (a + 1) * x["LEMMA_PROD"] + x["LEMMA_SIGMA"])
+
+
+def test_lemmas_chain_into_the_general_alpha_congruence():
+    # Each lemma record compares its two sides alone, so the same error in
+    # both sides of one lemma passes every record.  The proof chains them:
+    # mod p^4, S(alpha, p-1) is the combination of the left sides, and the
+    # same combination of the right sides is the closed form.  Checked at
+    # every p-integral default alpha for 5 <= p <= 400 and near 2000, and
+    # for p <= 31 against the exact S(alpha, p-1) too.
+    chain = ("LEMMA_WZPROD", "LEMMA_SIGMA1", "LEMMA_PROD", "LEMMA_SIGMA")
+    pairs = edge = 0
+    for p in sieve_primes(5, 400) + sieve_primes(1980, 2000):
+        m = p**4
+        for alpha in default_alphas(p):
+            if not is_p_integral(alpha, p):
+                continue
+            pre = _poch_prefix(alpha, p, 2 * p - 1)
+            _, _, _, a, t = pre
+            if a == 0:  # alpha ≡ 0 (mod p): LEMMA_WZPROD and LEMMA_SIGMA1 skip
+                continue
+            fams = chain[:2] if a == p - 1 else chain
+            sides = {fam: _lemma_sides(fam, alpha, p, pre) for fam in fams}
+            lhs = _proof_chain({f: x for f, (x, _) in sides.items()}, a, p)
+            rhs = _proof_chain({f: y for f, (_, y) in sides.items()}, a, p)
+            assert lhs % m == _main_sums(pre, p, p - 1)[p - 1] % m, (alpha, p)
+            assert rhs % m == _closed_form(alpha, a, t, p, 4), (alpha, p)
+            if p <= 31:  # and to the exact sum, the telescoped closed form
+                assert lhs % m == reduce_mod(telescoped_rhs(p, alpha), p, 4).value
+            pairs += 1
+            edge += a == p - 1
+    assert (pairs, edge) == (944, 10)
 
 
 def test_verify_lemma_preconditions():

@@ -158,6 +158,26 @@ def test_pole_at_the_edge_of_the_range():
     assert check_telescoped(3, Fraction(-2))
 
 
+@pytest.mark.parametrize("bad", [1, 4, 7])
+def test_telescoped_fails_when_one_n_fails(monkeypatch, bad):
+    # one N of 1..7 whose two sides differ: check_telescoped(n_max) is
+    # False exactly when n_max reaches it, and reads N in increasing order
+    good = wz._telescope
+    seen = []
+
+    def broken(N, t):
+        seen.append(N)
+        lhs, rhs, den = good(N, t)
+        return lhs, rhs + (N == bad), den
+
+    monkeypatch.setattr(wz, "_telescope", broken)
+    alpha = Fraction(1, 3)
+    for n_max in range(1, 8):
+        seen.clear()
+        assert check_telescoped(n_max, alpha) is (n_max < bad), n_max
+        assert seen == list(range(1, min(n_max, bad) + 1)), n_max
+
+
 def test_telescoped_small():
     for N in (1, 2, 3, 10):
         for a in (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)):

@@ -22,14 +22,17 @@ Left out on purpose: mutations known to be equivalent, which no test can
 catch.  In qseries._hasse_residues, the weight update (i - j) -> (i - j + 1)
 computes the Hasse derivatives of q*N, which vanish at the same orders.  In
 qseries._times_q_integer, padding `a` with m zeros instead of m - 1 only
-appends a zero coefficient, which _sum_numerator's final _trim drops.  In
-sequences._HarmonicPrefix.at, restarting on n <= self.n instead of
-n < self.n recomputes the value the prefix already holds.  In wz._telescope,
-building a new table when one is passed reads the same P_j and j!.
+appends a zero coefficient, which _sum_numerator's final _trim drops.
 
 Not equivalent, though check_euler_identities cannot show it: the Horner
 shift 2^(n-i) -> 2^(n-i+1) doubles both sides of every reflection check,
 so only the test that pins sequences._horner_halves to 2^n P(j/2) sees it.
+
+Not equivalent, though no record shows it: the same p^3 added to both
+sides of LEMMA_SIGMA1 passes every lemma record, and only the proof chain
+in tests/test_verifier.py, which sums the lemmas' sides into S(alpha, p-1)
+and into the closed form, sees it among the verifier tests (the Fraction
+oracle in tests/test_properties.py sees it too).
 
 Not equivalent, though no record shows them: the theorem makes
 S(alpha, a) ≡ S(alpha, p-1) (mod p^4), so a record that reads the other
@@ -109,9 +112,12 @@ MUTATIONS = (
     Mutation("wz G row reads P_{n+k}", "wz.py",
              "[head * P[n + k - 1] for k in ks]", "[head * P[n + k] for k in ks]",
              WZ_TESTS),
-    Mutation("sweep telescope table one entry short", "sweep.py",
+    Mutation("wz telescope table one entry short", "wz.py",
              "_Table(alpha, 2 * n_max - 1)", "_Table(alpha, 2 * n_max - 2)",
-             RENDER_TESTS),
+             WZ_TESTS),
+    Mutation("wz telescope skips N = 1", "wz.py",
+             "for N in range(1, n_max + 1))", "for N in range(2, n_max + 1))",
+             WZ_TESTS),
     Mutation("wz pair pole test", "wz.py",
              "t.first_pole(k_max)", "t.first_pole(k_max - 1)", WZ_TESTS),
     Mutation("wz telescope pole test", "wz.py",
@@ -130,8 +136,14 @@ MUTATIONS = (
     # the integer harmonic prefixes of check_lehmer
     Mutation("harmonic prefix lcm step q^m -> q", "sequences.py",
              "num *= q**m", "num *= q", LEHMER_TESTS),
-    Mutation("harmonic prefix never restarts", "sequences.py",
+    Mutation("harmonic prefix goes back without refusing", "sequences.py",
              "if n < self.n:", "if n < 0:", LEHMER_TESTS),
+    Mutation("lehmer accepts a repeated prime", "sequences.py",
+             "if p <= last:", "if p < last:", LEHMER_TESTS),
+    Mutation("lehmer order guard never moves past 3", "sequences.py",
+             "        last = p\n", "", LEHMER_TESTS),
+    Mutation("lehmer half prefix (p - 1) // 2 -> (p + 1) // 2", "sequences.py",
+             "h2_half.at((p - 1) // 2)", "h2_half.at((p + 1) // 2)", LEHMER_TESTS),
     Mutation("harmonic prefix adds (L/j)^m before the lcm step", "sequences.py",
              "            if q > 1:\n"
              "                num *= q**m\n"
@@ -281,6 +293,12 @@ MUTATIONS = (
              "if a == 0 and fam in", "if a == 1 and fam in", VERIFY_TESTS),
     Mutation("alpha lemma zero factor tested mod p^4", "verifier.py",
              "zero = alpha + a == 0", "zero = t == 0", VERIFY_TESTS),
+    Mutation("alpha LEMMA_SIGMA1 sides both shifted by p^3", "verifier.py",
+             "    return (p**v * num * pow(den, -1, m) % m if v < 4 else 0), rhs % m\n",
+             "    lhs = p**v * num * pow(den, -1, m) % m if v < 4 else 0\n"
+             "    shift = p**3 if fam == \"LEMMA_SIGMA1\" else 0\n"
+             "    return (lhs + shift) % m, (rhs + shift) % m\n",
+             ("tests/test_verifier.py",)),
     Mutation("alpha LEMMA_PROD without the 1/2", "verifier.py",
              "p * p * half * ((t + 1) ** 2", "p * p * ((t + 1) ** 2", VERIFY_TESTS),
     Mutation("alpha LEMMA_PROD right side without its p^2 term", "verifier.py",
