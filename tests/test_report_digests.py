@@ -17,6 +17,7 @@ import json
 import pytest
 
 from supercong.qseries import conjecture41_witness
+from supercong.records import PRIME_FAMILIES
 from supercong.sweep import (
     Q_FAMILIES,
     VERIFY_FAMILIES,
@@ -45,6 +46,14 @@ CASES = {
             )
         ),
         "6cf3fbc77c65df31856bbcae36e4e2eed5585ba450171ef5991665a550667030",
+    ),
+    # the families the remainder trees compute, to p = 1999 with the default
+    # alphas: pinned before the trees replaced the per-prime sums
+    "verify_trees_1999": (
+        lambda: run_sweep(SweepConfig(
+            families=PRIME_FAMILIES + ("MAIN1", "MAIN1_TRUNC", "TAIL"),
+            p_min=5, p_max=1999)),
+        "15ece8ba11fb83bd1f8af44d32323e0f5fde72430b83eb8a42c5fdb7fc523262",
     ),
     "qverify": (
         lambda: run_sweep(SweepConfig(families=Q_FAMILIES, n_list=(5, 9, 13))),
