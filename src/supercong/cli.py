@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .sweep import (
     ConfigError,
+    P_MAX,
     Q_FAMILIES,
     SweepConfig,
     VERIFY_FAMILIES,
@@ -96,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: all of {', '.join(VERIFY_FAMILIES)})",
     )
     v.add_argument("--pmin", type=int, default=d["p_min"])
-    v.add_argument("--pmax", type=int, default=d["p_max"])
+    v.add_argument("--pmax", type=int, default=d["p_max"],
+                   help=f"largest prime, at most {P_MAX} (default: {d['p_max']})")
     v.add_argument(
         "--alpha", action="append", dest="alphas", metavar="R",
         help="repeatable rational like 1/3 or -2; only used by the "
@@ -133,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mmax", type=int, default=d["mmax"],
         help="Euler power-sum depth: exponents m = 1..mmax, mmax >= 1",
     )
-    i.add_argument("--pmax", type=int, default=d["pmax"], help="Lehmer prime bound")
+    i.add_argument("--pmax", type=int, default=d["pmax"],
+                   help=f"Lehmer prime bound, at most {P_MAX}")
 
     w = sub.add_parser("wz", help="rational-certificate pair checks")
     _add_common(w, suppress=True)

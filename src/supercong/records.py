@@ -14,7 +14,7 @@ as an InternalError.
 
 The family tables live here, not in the modules that check them: the
 names, residue classes and truncations of the prime and alpha families
-(verifier), the phases verify_at_prime times, and the q-family table
+(verifier), the phases verify_primes times, and the q-family table
 (qseries).  The CLI's parser and the sweep's expansion read them without
 importing a check module; verifier and qseries import them from here, so
 verifier.FAMILIES and qseries.Q_FAMILIES still resolve.
@@ -30,6 +30,7 @@ from .padic import ResidueClass
 __all__ = [
     "ALPHA_FAMILIES",
     "ALPHA_TRUNCATIONS",
+    "BLOCK_FAMILIES",
     "FAMILIES",
     "InternalError",
     "LEMMA_FAMILIES",
@@ -223,10 +224,13 @@ LEMMA_FAMILIES = (
 ALPHA_FAMILIES = ("MAIN1", "MAIN1_TRUNC", "TAIL") + LEMMA_FAMILIES
 # the truncation labels of the general-alpha records; the others have none
 ALPHA_TRUNCATIONS = {"MAIN1": "full", "MAIN1_TRUNC": "short"}
+# the families whose sums and right sides verifier.verify_primes reads off
+# remainder trees over a block of primes; the lemmas are checked per prime
+BLOCK_FAMILIES = PRIME_FAMILIES + ("MAIN1", "MAIN1_TRUNC", "TAIL")
 
-# the phases verifier.verify_at_prime times: the residue tables of the
-# prime, the Pochhammer prefixes, the partial sums, the closed forms (right
-# sides) of the sums, and both sides of the lemmas
+# the phases verifier.verify_primes times: the lemma tables of a prime, the
+# lemmas' Pochhammer prefixes, the sums trees, the Euler tree and the closed
+# forms (right sides) of the sums, and both sides of the lemmas
 PHASES = ("tables", "prefix", "sums", "closed", "lemma")
 
 

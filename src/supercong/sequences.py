@@ -1,13 +1,13 @@
 """Rising factorials, harmonic numbers, and Euler numbers/polynomials.
 
 Pochhammer symbols, harmonic numbers (for Lehmer's congruences) and
-Euler polynomials are exact Fractions; Euler residues are integers.  The
-Euler polynomials E_n(x) follow the Appell recurrence
+Euler polynomials are exact Fractions.  The Euler polynomials E_n(x)
+follow the Appell recurrence
 
     E_n(x) = x^n - (1/2) * sum_{k<n} C(n,k) E_k(x),
 
-and the Euler numbers are E_n = 2^n E_n(1/2); their residues mod an odd p
-come from an alternating power sum in O(p) per (n, p).  The classical
+and the Euler numbers are E_n = 2^n E_n(1/2); the residues E_{p-3}(x) mod
+p that the congruences read come from verifier's Euler tree.  The classical
 identities the congruence machinery relies on (Lehmer's harmonic
 congruences, the Euler reflection/vanishing rules, four alternating
 binomial identities) are exposed as boolean checks.
@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
 
-from .padic import NotPAdicIntegral, ResidueClass, is_p_integral
 from .padic import reduce_mod  # noqa: F401 (a lookup site perfbench/tracer.py wraps)
 
 __all__ = [
@@ -29,8 +26,6 @@ __all__ = [
     "euler_poly_coeffs",
     "euler_poly_eval",
     "euler_number",
-    "euler_poly_eval_mod",
-    "euler_number_mod",
     "check_lehmer",
     "check_euler_identities",
     "check_binomial_identities",
@@ -108,44 +103,6 @@ def euler_number(n: int) -> int:
     val = 2**n * euler_poly_eval(n, Fraction(1, 2))
     assert val.denominator == 1
     return val.numerator
-
-
-# ---------------------------------------------------------------------------
-# Euler polynomials mod p
-
-
-# E_n(x) + E_n(x+1) = 2x^n telescopes to
-#     sum_{k<p} (-1)^k (x+k)^n = (E_n(x) + E_n(x+p)) / 2,
-# and since E_n has only 2-power denominators, E_n(x+p) ≡ E_n(x) (mod p)
-# for odd p: the sum is E_n(x) mod p.  Folding x+k into 0..p-1 with the
-# prefix sums P_i = sum_{j<i} (-1)^j j^n gives, for a residue 0 <= r < p,
-#     E_n(r) ≡ (-1)^r (P_p - 2 P_r)  (mod p).
-# One table costs O(p) and needs an odd modulus p; callers ask for several
-# residues at one (n, p) in a row, so a few tables are kept.
-@lru_cache(maxsize=8)
-def _euler_prefix(n: int, p: int) -> tuple[int, ...]:
-    terms = (-pow(j, n, p) if j % 2 else pow(j, n, p) for j in range(p))
-    return tuple(accumulate(terms, initial=0))
-
-
-def euler_poly_eval_mod(n: int, x: Fraction, p: int) -> ResidueClass:
-    """E_n(x) mod p for odd prime p and p-integral x."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if p == 2:
-        raise ValueError("E_n(x) mod 2 needs 1/2")
-    x = Fraction(x)
-    if not is_p_integral(x, p):
-        raise NotPAdicIntegral(f"{x} has no residue mod {p}")
-    r = x.numerator * pow(x.denominator, -1, p) % p
-    pre = _euler_prefix(n, p)
-    return ResidueClass((-1) ** r * (pre[p] - 2 * pre[r]) % p, p)
-
-
-def euler_number_mod(n: int, p: int) -> ResidueClass:
-    """E_n mod p (via 2^n E_n(1/2))."""
-    v = euler_poly_eval_mod(n, Fraction(1, 2), p).value
-    return ResidueClass(pow(2, n, p) * v % p, p)
 
 
 # ---------------------------------------------------------------------------

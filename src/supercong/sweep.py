@@ -4,18 +4,20 @@ Instances are expanded up front as immutable ``Instance`` values, executed
 either serially or by this process and forked children that claim them
 from one pipe (forked._run_forked), and the records are sorted afterwards
 by (family, p or n, alpha, truncation), so reports are byte-identical for
-any worker count.  One instance per prime checks every requested classical
-and 8^(-k) family that p admits and every requested alpha family at every
-alpha (verifier.verify_at_prime), so the sums at each alpha are computed
-once per prime; one per (q-family, n) checks that family
-(qseries.verify_at_n).  These yield a record per family, alpha and
+any worker count.  The classical, 8^(-k), MAIN1, MAIN1_TRUNC and TAIL
+families run as one instance per contiguous block of primes
+(verifier.verify_primes), which reads every sum from one remainder tree
+per alpha: a serial run has one block, a run on w workers w blocks.  One
+instance per prime checks the requested lemma families at every alpha
+(verifier.verify_at_prime); one per (q-family, n) checks that family
+(qseries.verify_at_n).  These yield a record per family, prime, alpha and
 truncation, a skip record with the reason where a family's precondition
 fails.  One Lehmer instance checks every prime, with one record per
 prime; an identity, WZ or smoke instance yields one record.  Each
 instance builds the state it reads, so none depends on another having
-run first.  Every instance hands its records back as rows
-(records.family_rows: plain tuples, cheap to pickle), and the parent
-builds each record once.
+run first: each block builds its trees from k = 1.  Every instance hands
+its records back as rows (records.family_rows: plain tuples, cheap to
+pickle), and the parent builds each record once.
 An exception that escapes an instance is a bug, whatever its type, and
 aborts the sweep with an InternalError: family_rows names the family and
 labels it was checking, and _execute names the instance of any other.
@@ -38,6 +40,8 @@ from .padic import ResidueClass, parse_rational
 from .primes import EmptyRange, sieve_primes
 from .records import (
     ALPHA_FAMILIES,
+    BLOCK_FAMILIES,
+    LEMMA_FAMILIES,
     PHASES,
     PRIME_FAMILIES,
     Q_FAMILIES as Q_TABLE,
@@ -51,6 +55,7 @@ from .records import (
 __all__ = [
     "ConfigError",
     "InternalError",
+    "P_MAX",
     "SweepConfig",
     "ReportSummary",
     "RATIONAL_ALPHAS",
@@ -88,6 +93,13 @@ RATIONAL_ALPHAS: tuple[Fraction, ...] = (
 Q_FAMILIES: tuple[str, ...] = tuple(Q_TABLE)
 VERIFY_FAMILIES: tuple[str, ...] = PRIME_FAMILIES + ALPHA_FAMILIES
 
+# The largest p_max of verify and identities, checked before the sieve
+# runs, so that a larger bound is a config error, not a memory error.  A
+# remainder tree holds products of about N log N bits for N its largest
+# prime: one tree to 10^5 peaks 42 MB above the interpreter, so one to
+# 10^6 needs about 0.5 GB.
+P_MAX = 10**6
+
 
 def default_alphas(p: int) -> list[Fraction]:
     """Integer residues 1..p-1 for small p, plus the fixed rational sample."""
@@ -120,11 +132,12 @@ class ReportSummary(NamedTuple):
 
 class Instance(NamedTuple):
     """One check: run(*args) returns a bool for an exact identity, or the
-    rows of its records, alone or, from verify_at_prime, with the phase
-    seconds; verify_at_prime and verify_at_n make their own skip rows.
+    rows of its records, alone or, from verify_primes and verify_at_prime,
+    with the phase seconds; these and verify_at_n make their own skip rows.
     family, p, n and alpha label the row of a bool and name the instance
-    in an InternalError raised outside family_rows.  For verify_at_prime,
-    family is the requested families joined by commas."""
+    in an InternalError raised outside family_rows.  For verify_primes and
+    verify_at_prime, family is the requested families joined by commas,
+    and p the largest prime."""
 
     family: str
     run: Callable
@@ -146,6 +159,8 @@ def _validate(cfg: SweepConfig) -> SweepConfig:
             raise ConfigError(f"unknown family: {f}")
     if not 2 <= cfg.p_min <= cfg.p_max:
         raise ConfigError(f"need 2 <= p_min <= p_max, got [{cfg.p_min}, {cfg.p_max}]")
+    if cfg.p_max > P_MAX:
+        raise ConfigError(f"p_max must be <= {P_MAX}, got {cfg.p_max}")
     if any(n < 1 for n in cfg.n_list):
         raise ConfigError("n_list entries must be >= 1")
     if cfg.trunc not in ("short", "full", "both"):
@@ -180,7 +195,7 @@ def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
 # on its first lookup from outside, so a patch made before any run finds
 # the real function, and restores it after.
 _CHECKS = {
-    "verifier": ("verify_at_prime", "ramanujan_partial"),
+    "verifier": ("verify_primes", "verify_at_prime", "ramanujan_partial"),
     "qseries": ("verify_at_n",),
     "sequences": ("check_binomial_identities", "check_euler_identities",
                   "check_lehmer"),
@@ -203,31 +218,43 @@ def __getattr__(name: str):
 
 
 def build_instances(cfg: SweepConfig) -> list[Instance]:
-    """One instance per prime that admits a requested prime family or, with
-    alpha families requested, has alphas; after all primes, one per n for
-    each q-family."""
+    """One instance per block of the primes that admit a requested block
+    family or, with alpha families requested, have alphas: a block for
+    each of cfg.workers, labelled by its largest prime.  Then one per
+    prime for the requested lemma families, and after all primes one per
+    n for each q-family."""
     alpha_fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
     if any(f in VERIFY_FAMILIES for f in cfg.families):
         _bind("verifier")
     if any(f in Q_FAMILIES for f in cfg.families):
         _bind("qseries")
     truncs = ("short", "full") if cfg.trunc == "both" else (cfg.trunc,)
-    out: list[Instance] = []
     try:
         primes = sieve_primes(cfg.p_min, cfg.p_max)
     except EmptyRange as exc:
         raise ConfigError(str(exc)) from exc
+    jobs, lemmas = [], []
     for p in primes:
-        # one instance per prime, so the residue tables of p and the sums
-        # at each alpha, which the classical and 8^(-k) families read at
-        # 1/2, 1/3 and 1/4, are built once per prime
         alphas = tuple(_alphas_for(cfg, p)) if alpha_fams else ()
         fams = tuple(f for f in cfg.families
                      if (f in PRIME_FAMILIES and admits(f, p))
                      or (f in ALPHA_FAMILIES and alphas))
-        if fams:
-            out.append(Instance(",".join(fams), verify_at_prime,
-                                (p, fams, alphas, truncs), p=p))
+        if block := tuple(f for f in fams if f in BLOCK_FAMILIES):
+            jobs.append((p, block, alphas))
+        if lemma := tuple(f for f in fams if f in LEMMA_FAMILIES):
+            lemmas.append(Instance(",".join(lemma), verify_at_prime,
+                                   (p, lemma, alphas, truncs), p=p))
+    # contiguous blocks, each building its own trees from k = 1, so no
+    # block reads another's state; they go first, so that a forked run
+    # starts every block before it shares out the lemma instances
+    k = min(cfg.workers, len(jobs))
+    out: list[Instance] = []
+    for i in range(k):
+        block = tuple(jobs[i * len(jobs) // k:(i + 1) * len(jobs) // k])
+        label = ",".join(f for f in dict.fromkeys(cfg.families)
+                         if any(f in fams for _, fams, _ in block))
+        out.append(Instance(label, verify_primes, (block, truncs), p=block[-1][0]))
+    out += lemmas
     # one instance per (family, n), so that workers share the q-families out
     out += [Instance(fam, verify_at_n, (n, (fam,)), n=n)
             for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
@@ -333,6 +360,8 @@ def run_identities(
     Lehmer's congruences for primes 5..pmax."""
     if nmax < 1 or pmax < 5:
         raise ConfigError(f"need nmax >= 1 and pmax >= 5, got {nmax}, {pmax}")
+    if pmax > P_MAX:
+        raise ConfigError(f"pmax must be <= {P_MAX}, got {pmax}")
     if mmax < 1:
         # the power-sum identity starts at m = 1: below that it checks nothing
         raise ConfigError(f"need mmax >= 1, got {mmax}")
@@ -417,7 +446,7 @@ def record_to_dict(r: VerificationRecord, timings: bool = False) -> dict:
 
 def timing_summary(summary: ReportSummary) -> dict:
     """The timings of a report: the time per family (the sum of its records'
-    elapsed_ms), the time per phase of verifier.PHASES over all per-prime
+    elapsed_ms), the time per phase of verifier.PHASES over all verify
     instances, and the number of skips per family and reason, with the
     reason's numbers written #."""
     family_ms: dict[str, float] = {}

@@ -2,13 +2,10 @@
 
 The central object is the alternating sum
 
-    S(alpha, M) = sum_{k=0}^{M} (-1)^k (2k+alpha) (alpha)_k^3 / k!^3,
+    S(alpha, M) = sum_{k=0}^{M} (-1)^k (2k+alpha) (alpha)_k^3 / k!^3.
 
-computed mod p^4 as the partial sums of two tables: the Pochhammer prefix
-(alpha)_k = p^(e_k) u_k of _poch_prefix, one per (alpha, p), and
-(-1)^k / k!^3 from _prime_tables, one per prime.  One prefix sum gives
-S(alpha, M) at every M < p.  The classical (4k+1)/(6k+1)/(8k+1) families
-are d * S(1/d, M) for d = 2, 3, 4.  Against it we check:
+The classical (4k+1)/(6k+1)/(8k+1) families are d * S(1/d, M) for
+d = 2, 3, 4.  Against it we check:
 
 * the general-alpha congruence S(alpha, M) ≡ (-1)^a (alpha+a)
   + (alpha+a)^3 E_{p-3}(alpha) mod p^4 where a = <-alpha>_p, alpha + a = p t,
@@ -26,35 +23,56 @@ are d * S(1/d, M) for d = 2, 3, 4.  Against it we check:
   right sides are polynomials in t and the harmonic-type prefixes at a,
   read from one lemma table per prime (_lemma_tables).
 
-The classical and 8^(-k) families are statements about one prime p, the
-general-alpha congruence, its tail and the five lemmas statements about
-one pair (alpha, p).  verify_at_prime checks any of them at one prime and
-any number of alphas in one call: each distinct alpha, the classical 1/d
-among them, gets one prefix, one set of partial sums read at every
-truncation and one closed form per exponent, and the call times each of
-its phases.  verify_prime (the prime families) and verify_alpha (the
-alpha families at one alpha) are thin calls into it.  A failed hypothesis
+The sums and the Euler residues of the right sides come from accumulating
+remainder trees (Costa, Gerbicz and Harvey, "A search for Wilson primes",
+Math. Comp. 2014) over a block of primes.  Each sum is a row of integers
+advanced by one lower-triangular matrix per term k, the same matrix for
+every prime (_sums): one tree per distinct alpha multiplies these out once
+and reads every prime's breakpoints a = <-alpha>_p and p-1 ((p-1)/2 and
+p-1 for the 8^(-k) sum) off it, each reduced mod its own p^4.  A second
+tree, mod p, gives every E_{p-3}(r) (_euler_residues).  Where a pass per
+(alpha, p) costs O(p) interpreted steps at each prime, a tree makes O(N)
+big-integer products and reductions for N the block's largest prime,
+with operands of up to about N log N bits near its root.  The lemmas'
+Pochhammer quotients hold (p-k)! terms, which no fixed matrix carries, so
+they keep a per-prime path: a prefix (alpha)_j = p^(e_j) u_j to 2p-1
+(_poch_prefix) per (alpha, p), and the factorial and harmonic-type tables
+of p.
+
+verify_primes checks any families at a block of jobs (p, families,
+alphas), and times each of its phases; verify_at_prime is one job,
+verify_prime (the prime families) and verify_alpha (the alpha families at
+one alpha) are thin calls into it.  The classical and 8^(-k) families are
+statements about one prime p, the general-alpha congruence, its tail and
+the five lemmas statements about one pair (alpha, p).  A failed hypothesis
 (p > 3 and its class, alpha p-integral, a <= p-2, no zero Pochhammer
 factor) raises PreconditionViolated where it is tested: a skip row.
 
-Everything is exact integer arithmetic mod p^e; the Fraction oracles
-these residues are checked against live in the tests.  The family tables
-(FAMILIES, PRIME_CLASSES, the MAO, LEMMA and ALPHA names, PHASES) live in
-records, which the CLI reads without importing this module; they are
-imported from there and re-exported here.
+Everything is exact integer arithmetic; the Fraction oracles these
+residues are checked against, and the per-prime passes the trees
+replaced, live in the tests.  The family tables (FAMILIES, PRIME_CLASSES,
+the MAO, LEMMA and ALPHA names, BLOCK_FAMILIES, PHASES) live in records,
+which the CLI reads without importing this module; they are imported from
+there and re-exported here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from time import perf_counter
 
-from .padic import ResidueClass, is_p_integral, least_nonneg_residue, legendre
+from .padic import (
+    NotPAdicIntegral,
+    ResidueClass,
+    is_p_integral,
+    legendre,
+)
 from .records import (
     ALPHA_FAMILIES,
     ALPHA_TRUNCATIONS,
+    BLOCK_FAMILIES,
     FAMILIES,
     LEMMA_FAMILIES,
     MAO_TRUNCATIONS,
@@ -70,7 +88,6 @@ from .records import (
     family_rows,
     norm_family,
 )
-from .sequences import euler_number_mod, euler_poly_eval_mod
 
 __all__ = [
     "TheoremFamily",
@@ -78,12 +95,14 @@ __all__ = [
     "LEMMA_FAMILIES",
     "ALPHA_FAMILIES",
     "ALPHA_TRUNCATIONS",
+    "BLOCK_FAMILIES",
     "MAO_TRUNCATIONS",
     "MAO_VARIANTS",
     "PRIME_FAMILIES",
     "PRIME_CLASSES",
     "PHASES",
     "admits",
+    "verify_primes",
     "verify_at_prime",
     "verify_prime",
     "verify_alpha",
@@ -92,43 +111,142 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# sums
+# accumulating remainder trees
 
-def _partial_sums(
-    pre: tuple, p: int, top: int, b: int, c: int, z: int = 1
-) -> list[int]:
-    """[s_0, ..., s_top], s_M ≡ sum_{k=0}^{M} (b k + c) z^k (-1)^k
-    (alpha)_k^3 / k!^3 (mod p^4), from pre = _poch_prefix(alpha, p, n),
-    top <= n and top < p.  The s_M are not reduced: a caller reduces the
-    ones it reads.
+# A leaf (x, y, z) is the lower-triangular matrix [[x, 0], [y, z]].  It
+# acts on a row (A, P, D) from the right, with D multiplied by x alongside:
+# (A, P, D) -> (A x + P y, P z, D x).
 
-    (alpha)_k is u_k for k <= a = <-alpha>_p and p^v0 u_k past it, so
-    each term is one product of the unit table and the (-1)^k/k!^3 table
-    of _prime_tables, reduced once, times p^(3 v0) past a.
+def _times(left: tuple, right: tuple) -> tuple[int, int, int]:
+    # the product of two leaves, left acting first
+    x1, y1, z1 = left
+    x2, y2, z2 = right
+    return x1 * x2, y1 * x2 + z1 * y2, z1 * z2
+
+
+def _leaves(leaf, lo: int, hi: int) -> tuple[int, int, int]:
+    """leaf(lo + 1) ... leaf(hi), by binary splitting; (1, 0, 1) if lo = hi."""
+    if hi - lo > 16:
+        mid = (lo + hi) // 2
+        return _times(_leaves(leaf, lo, mid), _leaves(leaf, mid, hi))
+    acc = (1, 0, 1)
+    for k in range(lo + 1, hi + 1):
+        acc = _times(acc, leaf(k))
+    return acc
+
+
+def _build(segs: list, mods: list, lo: int, hi: int, product: bool) -> tuple:
+    """The node over segments lo..hi-1: (their product, or None unless
+    product is set, the product of their moduli, the two children or None,
+    lo).  Only a left child's product is ever read."""
+    if hi - lo == 1:
+        return segs[lo], mods[lo], None, lo
+    mid = (lo + hi) // 2
+    left = _build(segs, mods, lo, mid, True)
+    right = _build(segs, mods, mid, hi, product)
+    return (_times(left[0], right[0]) if product else None,
+            left[1] * right[1], (left, right), lo)
+
+
+def _descend(node: tuple, row: tuple, out: list) -> None:
+    """out[i] = the row after segment i, mod the modulus of segment i, for
+    each segment i under node.  row is the prefix before the node's first
+    segment, reduced mod the node's modulus: the left child reads it
+    reduced mod its own, the right child after the left child's product."""
+    seg, m, kids, i = node
+    A, P, D = row
+    if kids is None:
+        x, y, z = seg
+        out[i] = ((A * x + P * y) % m, P * z % m, D * x % m)
+        return
+    left, right = kids
+    ml, mr = left[1], right[1]
+    _descend(left, (A % ml, P % ml, D % ml), out)
+    x, y, z = left[0]
+    _descend(right, ((A * x + P * y) % mr, P * z % mr, D * x % mr), out)
+
+
+def _tree(leaf, row: tuple, points: dict[int, int]) -> dict[int, tuple[int, int, int]]:
+    """{M: row times leaf(1) ... leaf(M), mod points[M]} for each M >= 0
+    of points: an accumulating remainder tree.
+
+    The segments between consecutive M are multiplied out once, and so
+    are, up a binary tree, the products of the segments and of their
+    moduli.  Going down, each node gets the prefix before it reduced mod
+    the product of its moduli, so no prefix grows past the moduli below
+    it.
     """
-    u, v0, _, a, _ = pre
-    m = p**4
-    w = _prime_tables(p)[2]
-    if z != 1:  # fold z^k into the weights
-        zk = accumulate(repeat(z, top), lambda x, y: x * y % m, initial=1)
-        w = [x * y for x, y in zip(w, zk)]
-    c %= m
-    terms = [(b * k + c) * x * x * x * y % m for k, x, y in zip(range(top + 1), u, w)]
-    if a < top:
-        scale = p ** (3 * v0)
-        terms[a + 1:] = [x * scale for x in terms[a + 1:]]
-    return list(accumulate(terms))
+    cuts = sorted(points)
+    segs = [_leaves(leaf, lo, hi) for lo, hi in zip([0] + cuts, cuts)]
+    root = _build(segs, [points[M] for M in cuts], 0, len(cuts), False)
+    out: list = [None] * len(cuts)
+    _descend(root, tuple(v % root[1] for v in row), out)
+    return dict(zip(cuts, out))
 
 
-def _main_sums(pre: tuple, p: int, top: int) -> list[int]:
-    # the partial sums of S(alpha, .); the weight 2k + alpha has alpha = p*t - a
-    _, _, _, a, t = pre
-    return _partial_sums(pre, p, top, 2, p * t - a)
+def _sums(alpha: Fraction | None, cuts: dict[int, tuple[int, ...]]) -> dict:
+    """{p: (the sum to M mod p^4, for each M of cuts[p])}, every M < p, from
+    one tree: S(alpha, M), or for alpha None the 8^(-k) sum
+    sum_{k<=M} (-1)^k (6k+1) (1/2)_k^3 / (8^k k!^3).
+
+    For alpha = r/s the row (A, P, D) starts at (r, r^3, 1), and leaf k is
+    ((sk)^3, (-1)^k (2ks + r), (r+ks)^3).  After leaf M, P is
+    prod_{i<=M} (r+is)^3, D = s^(3M) M!^3, and A / D is s times S(alpha, M).
+    The 8^(-k) sum has leaf ((4k)^3, (-1)^k (6k+1), (1+2k)^3) from the row
+    (1, 1, 1), and is A / D.  D is a unit mod p for M < p, and a factor
+    alpha + i divisible by p stays in the integer product P.  An alpha that
+    is not p-integral at some p of cuts raises NotPAdicIntegral.
+    """
+    if alpha is None:
+        r, s, q, b, c, den = 1, 2, 4, 6, 1, 1
+    else:
+        r, s = alpha.numerator, alpha.denominator
+        q, b, c, den = s, 2 * s, r, s
+        if bad := [p for p in cuts if s % p == 0]:
+            raise NotPAdicIntegral(f"{alpha} has no residue mod {bad[0]}")
+
+    def leaf(k: int) -> tuple[int, int, int]:
+        w = b * k + c
+        return (q * k) ** 3, (-w if k & 1 else w), (r + s * k) ** 3
+
+    points: dict[int, int] = {}
+    for p, Ms in cuts.items():
+        for M in set(Ms):
+            points[M] = points.get(M, 1) * p**4
+    rows = _tree(leaf, (c, r**3, 1), points)
+    out = {}
+    for p, Ms in cuts.items():
+        m = p**4
+        out[p] = tuple(rows[M][0] * pow(den * rows[M][2], -1, m) % m for M in Ms)
+    return out
 
 
-def _mao_sums(half: tuple, p: int, top: int) -> list[int]:
-    # the partial sums of the 8^(-k) family from the prefix at alpha = 1/2
-    return _partial_sums(half, p, top, 6, 1, pow(8, -1, p**4))
+# E_n(x) + E_n(x+1) = 2x^n telescopes to
+#     sum_{k<p} (-1)^k (x+k)^n = (E_n(x) + E_n(x+p)) / 2,
+# and since E_n has only 2-power denominators, E_n(x+p) ≡ E_n(x) (mod p)
+# for odd p: the sum is E_n(x) mod p.  Folding x+k into 0..p-1 gives, for
+# 0 <= r < p, E_n(r) ≡ (-1)^r (P_p - 2 P_r) (mod p) with
+# P_i = sum_{j<i} (-1)^j j^n.  At n = p-3 > 0, j^(p-3) ≡ 1/j^2, so
+# P_i ≡ A_i = sum_{1<=j<i} (-1)^j / j^2, whose terms do not depend on p.
+def _euler_residues(wanted: dict[int, set[int]]) -> dict[int, dict[int, int]]:
+    """{p: {r: E_{p-3}(r) mod p}} for each residue 0 <= r < p in wanted[p],
+    p > 3, from one tree mod p: the row (B, Q, Q) starts at (0, 1, 1), and
+    leaf j is (j^2, (-1)^j, j^2), so after leaf i-1, A_i = B / Q."""
+    points: dict[int, int] = {}
+    for p, rs in wanted.items():
+        for M in {p - 1} | {max(r - 1, 0) for r in rs}:
+            points[M] = points.get(M, 1) * p
+    rows = _tree(lambda j: (j * j, -1 if j & 1 else 1, j * j), (0, 1, 1), points)
+
+    def alt(p: int, i: int) -> int:  # A_i mod p; A_0 = A_1 = 0
+        B, Q, _ = rows[max(i - 1, 0)]
+        return B * pow(Q, -1, p) % p
+
+    out = {}
+    for p, rs in wanted.items():
+        full = alt(p, p)
+        out[p] = {r: _parity_sign(r) * (full - 2 * alt(p, r)) % p for r in rs}
+    return out
 
 
 def ramanujan_partial(N: int) -> float:
@@ -165,18 +283,35 @@ def _p3_times(p: int, x: int, m: int) -> int:
     return p**3 * (x % p) % m
 
 
-def _closed_form(alpha: Fraction, a: int, t: int, p: int, e: int) -> int:
-    """The right side of the general-alpha congruence at a = <-alpha>_p,
-    (-1)^a (alpha+a) + (alpha+a)^3 E_{p-3}(alpha) mod p^e, alpha + a = p*t.
+def _a_t(alpha: Fraction, p: int) -> tuple[int, int]:
+    """a = <-alpha>_p and t = (alpha + a)/p mod p^4, for p-integral alpha.
 
-    The cube vanishes mod p^3, so E_{p-3} is only evaluated (mod p) when
-    e = 4.
+    t is (num + a den)/p times 1/den, from the integers: alpha + a reduced
+    mod p^4 first would give t only mod p^3.  A non-p-integral alpha raises
+    NotPAdicIntegral.
+    """
+    num, den = alpha.numerator, alpha.denominator
+    if den % p == 0:
+        raise NotPAdicIntegral(f"{alpha} has no residue mod {p}")
+    m = p**4
+    inv = pow(den, -1, m)
+    a = -num * inv % p
+    return a, (num + a * den) // p * inv % m
+
+
+def _closed_form(alpha: Fraction, a: int, t: int, p: int, e: int,
+                 euler: int | None) -> int:
+    """The right side of the general-alpha congruence at a = <-alpha>_p,
+    (-1)^a (alpha+a) + (alpha+a)^3 E_{p-3}(alpha) mod p^e, alpha + a = p*t,
+    with euler = E_{p-3}(alpha) mod p.
+
+    The cube vanishes mod p^3, so euler is only read when e = 4.
     """
     m = p**e
     pt = p * t % m
     rhs = _parity_sign(a) * pt
     if e == 4:
-        rhs += pt**3 * euler_poly_eval_mod(p - 3, alpha, p).value
+        rhs += pt**3 * euler
     return rhs % m
 
 
@@ -188,12 +323,10 @@ def _residue_sides(p: int, e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]
 # ---------------------------------------------------------------------------
 # auxiliary Pochhammer-quotient congruences
 
-# The sums and the lemma sides of one prime read these tables, each sum
-# and each lemma table once.
+# The lemma sides of one prime read these tables, each lemma table once.
 @lru_cache(maxsize=4)
 def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
-    """(fact, inv_fact, sinv3) mod p^4 for j = 0..p-1: j!, 1/j! and
-    (-1)^j / j!^3.
+    """(fact, inv_fact) mod p^4 for j = 0..p-1: j! and 1/j!.
 
     Every j < p is a unit mod p^4, so one inverse of (p-1)! and a backward
     pass give every 1/j!.
@@ -204,8 +337,7 @@ def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
     inv_fact[p - 1] = pow(fact[p - 1], -1, m)
     for j in range(p - 1, 0, -1):
         inv_fact[j - 1] = inv_fact[j] * j % m
-    sinv3 = tuple((-f if j & 1 else f) * f * f % m for j, f in enumerate(inv_fact))
-    return fact, tuple(inv_fact), sinv3
+    return fact, tuple(inv_fact)
 
 
 @lru_cache(maxsize=4)
@@ -215,7 +347,7 @@ def _lemma_tables(p: int) -> tuple[tuple[int, ...], ...]:
     sides read.  1/k is (k-1)!/k!, from _prime_tables.
     """
     m = p**4
-    fact, inv_fact, _ = _prime_tables(p)
+    fact, inv_fact = _prime_tables(p)
     recip = [fact[k - 1] * inv_fact[k] % m for k in range(1, p)]
     squares = [r * r % m for r in recip]
     signed = [-r if k % 2 else r for k, r in enumerate(squares, 1)]
@@ -237,11 +369,9 @@ def _poch_prefix(
     j > a and v1 once j > a+p, and u_j multiplies every other factor with
     the unit parts of those two.  A zero factor (t = 0 or t+1 = 0: a
     nonpositive-integer alpha) has unit part 0, so every u_j past it is 0.
-    t is (num + a den)/p times 1/den, from the integers: alpha + a reduced
-    mod p^4 first would give t only mod p^3.  A non-p-integral alpha raises
-    NotPAdicIntegral.
+    a and t are those of _a_t.
     """
-    a = least_nonneg_residue(-alpha, p)
+    a, t = _a_t(alpha, p)
     m = p**4
     num, den = alpha.numerator, alpha.denominator
     inv = pow(den, -1, m)
@@ -262,7 +392,7 @@ def _poch_prefix(
     for f in factors[:n]:
         acc = acc * f % m
         out.append(acc)
-    return out, v0, v1, a, (num + a * den) // p * inv % m
+    return out, v0, v1, a, t
 
 
 def _lemma_sum(
@@ -372,45 +502,99 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
 
 
 # ---------------------------------------------------------------------------
-# every family at one prime
+# every family at a block of primes
 
-def verify_at_prime(
-    p: int,
-    families: tuple[str, ...],
-    alphas: tuple[Fraction, ...] = (),
+# the slots of 1/2, 1/3 and 1/4, the first three of every block: 1/d is d - 2
+_HALF, _QUARTER = 0, 2
+
+
+def _tree_values(jobs: list, values: list[Fraction], seconds: dict) -> tuple[dict, dict]:
+    """The sums and Euler residues the rows of jobs read, from the trees:
+    ({i: {p: (sum to the short cut, sum to p-1)}} for each slot i of values,
+    and i = None for the 8^(-k) sum, whose short cut is (p-1)/2 where the
+    others' is a = <-alpha>_p; {p: {r: E_{p-3}(r) mod p}}).  A family reads
+    them at p > 3 in its residue class, and an alpha family at each
+    p-integral alpha of its job; the alphas of a job are slots of values."""
+    fracs = [(x.numerator, x.denominator) for x in values]
+    cuts: dict = {}
+    residues: dict[int, set[int]] = {}
+    for p, fams, slots in jobs:
+        if p <= 3:
+            continue
+        sums, eulers = set(), set()
+        for fam in fams:
+            if fam in PRIME_FAMILIES and not admits(fam, p):
+                continue
+            if fam in FAMILIES:
+                f = FAMILIES[fam]
+                sums.add(f.weight_d - 2)  # the slot of 1/d
+                if f.modulus_exp == 4:
+                    eulers.add(f.weight_d - 2)
+            elif fam in MAO_TRUNCATIONS:
+                sums.add(None)
+                if fam == "EQUIV":
+                    sums.add(_QUARTER)
+                else:
+                    eulers.add(_QUARTER if fam == "MAO_HALF" else _HALF)
+            elif fam in BLOCK_FAMILIES:
+                here = [i for i in slots if fracs[i][1] % p]
+                sums.update(here)
+                if fam != "TAIL":
+                    eulers.update(here)
+        for i in sums:
+            if i is None:
+                cut = (p - 1) // 2
+            else:
+                num, den = fracs[i]
+                cut = -num * pow(den, -1, p) % p
+            cuts.setdefault(i, {})[p] = (cut, p - 1)
+        if eulers:
+            residues.setdefault(p, set()).update(
+                fracs[i][0] * pow(fracs[i][1], -1, p) % p for i in eulers)
+    t0 = perf_counter()
+    sums = {i: _sums(None if i is None else values[i], c) for i, c in cuts.items()}
+    t1 = perf_counter()
+    euler = _euler_residues(residues) if residues else {}
+    seconds["sums"] += t1 - t0
+    seconds["closed"] += perf_counter() - t1
+    return sums, euler
+
+
+def verify_primes(
+    jobs: tuple[tuple[int, tuple[str, ...], tuple[Fraction, ...]], ...],
     truncations: tuple[str, ...] = ("short", "full"),
 ) -> tuple[list[tuple], dict[str, float]]:
-    """The rows (records.family_rows) of every requested family at p, and the
-    seconds spent in each of PHASES.
+    """The rows (records.family_rows) of every job (p, families, alphas), in
+    order, and the seconds spent in each of PHASES.
 
-    A classical family gives one row per truncation, a MAO variant one, in
-    the order given (see verify_prime); then each alpha gives one row per
-    requested alpha family, in the order given (see verify_alpha).  Each
-    distinct p-integral alpha, 1/d for the classical weight d and 1/2 for
-    the 8^(-k) sum among them, gets one Pochhammer prefix (to p-1, or to
-    2p-1 when a lemma family is requested), one set of main partial sums
-    S(alpha, .), read at every truncation, and one closed form per
-    exponent; each is computed when a row first reads it.  A family whose
-    precondition fails gets a skip row with the reason; any other error
-    raises records.InternalError, naming the family and its labels.
+    At each job's prime, a classical family gives one row per truncation, a
+    MAO variant one, in the order given (see verify_prime); then each alpha
+    gives one row per requested alpha family, in the order given (see
+    verify_alpha).  Every sum and Euler residue of the classical, 8^(-k),
+    MAIN1, MAIN1_TRUNC and TAIL rows of all jobs comes from one remainder
+    tree per distinct alpha and one Euler tree (_tree_values), built before
+    the first row.  A lemma family reads a Pochhammer prefix to 2p-1 per
+    p-integral alpha and the lemma tables of p, each built when a row
+    first reads it.  A family whose precondition fails gets a skip row with
+    the reason; any other error raises records.InternalError, naming the
+    family and its labels.
     """
-    fams = [norm_family(f) for f in families]
-    if unknown := [f for f in fams if f not in PRIME_FAMILIES + ALPHA_FAMILIES]:
-        raise ValueError(f"unknown families: {unknown}")
+    # one slot per distinct alpha of the block, 1/2, 1/3 and 1/4 first;
+    # the values of an alpha are kept by slot, which hashes faster than a
+    # Fraction
+    slot = {Fraction(1, d): d - 2 for d in (2, 3, 4)}
+    normed = []
+    for p, fams, alphas in jobs:
+        fams = [norm_family(f) for f in fams]
+        if unknown := [f for f in fams if f not in PRIME_FAMILIES + ALPHA_FAMILIES]:
+            raise ValueError(f"unknown families: {unknown}")
+        normed.append((p, fams, [slot.setdefault(Fraction(a), len(slot))
+                                 for a in alphas]))
     if bad := [t for t in truncations if t not in ("short", "full")]:
         raise ValueError(f"truncation must be short|full, got {bad[0]!r}")
-    m = p**4
-    alpha_fams = [f for f in fams if f in ALPHA_FAMILIES]
-    lemmas = not set(LEMMA_FAMILIES).isdisjoint(alpha_fams)
-    top = 2 * p - 1 if lemmas else p - 1
+    values = list(slot)
     seconds = dict.fromkeys(PHASES, 0.0)
-    alphas = [Fraction(a) for a in alphas]
-    # one slot per distinct alpha, the requested ones and 1/d for each
-    # classical weight d; the values below are cached by slot, which hashes
-    # faster than a Fraction
-    values = list(dict.fromkeys(alphas + [Fraction(1, d) for d in (2, 3, 4)]))
-    slot = {alpha: i for i, alpha in enumerate(values)}
-    weight = {d: slot[Fraction(1, d)] for d in (2, 3, 4)}
+    sums, euler = _tree_values(normed, values, seconds)
 
     def timed(phase: str, fn, *args):
         t0 = perf_counter()
@@ -419,31 +603,43 @@ def verify_at_prime(
         finally:
             seconds[phase] += perf_counter() - t0
 
-    if p > 3 and fams:  # every check past p > 3 reads the tables
+    rows: list[tuple] = []
+    for p, fams, slots in normed:
+        rows += _job_rows(p, fams, slots, truncations, values, sums, euler, timed)
+    return rows, seconds
+
+
+def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str, ...],
+              values: list[Fraction], sums: dict, euler: dict, timed) -> list[tuple]:
+    # the rows of one job of verify_primes; alphas are slots of values
+    m = p**4
+    alpha_fams = [f for f in fams if f in ALPHA_FAMILIES]
+    if p > 3 and not set(LEMMA_FAMILIES).isdisjoint(alpha_fams):
         timed("tables", _prime_tables, p)
-        if lemmas:
-            timed("tables", _lemma_tables, p)
+        timed("tables", _lemma_tables, p)
 
     @cache
-    def pre(i: int) -> tuple:
+    def a_t(i: int) -> tuple[int, int]:
         alpha = values[i]
         if not is_p_integral(alpha, p):
             # padic.reduce_mod's wording, kept so that reports stay byte-identical
             raise PreconditionViolated(f"{-alpha} has no residue mod {p}^1")
-        return timed("prefix", _poch_prefix, alpha, p, top)
+        return _a_t(alpha, p)
 
-    @cache
-    def main(i: int) -> list[int]:
-        return timed("sums", _main_sums, pre(i), p, p - 1)
-
-    @cache
-    def mao() -> list[int]:
-        return timed("sums", _mao_sums, pre(weight[2]), p, p - 1)
+    def euler_at(i: int) -> int:
+        x = values[i]
+        return euler[p][x.numerator * pow(x.denominator, -1, p) % p]
 
     @cache
     def closed(i: int, e: int) -> int:
-        _, _, _, a, t = pre(i)
-        return timed("closed", _closed_form, values[i], a, t, p, e)
+        a, t = a_t(i)
+        return timed("closed", _closed_form, values[i], a, t, p, e,
+                     euler_at(i) if e == 4 else None)
+
+    @cache
+    def pre(i: int) -> tuple:
+        a_t(i)
+        return timed("prefix", _poch_prefix, values[i], p, 2 * p - 1)
 
     def check_class(fam: str) -> None:
         if not admits(fam, p):
@@ -453,9 +649,9 @@ def verify_at_prime(
 
     def mao_rhs(fam: str) -> int:
         if fam == "MAO_HALF":
-            x = euler_poly_eval_mod(p - 3, Fraction(1, 4), p).value * pow(16, -1, p)
-        else:  # SUN_HALF_CONJ
-            x = legendre(2, p) * euler_number_mod(p - 3, p).value * pow(4, -1, p)
+            x = euler_at(_QUARTER) * pow(16, -1, p)
+        else:  # SUN_HALF_CONJ: E_{p-3} = 2^(p-3) E_{p-3}(1/2) ≡ E_{p-3}(1/2) / 4
+            x = legendre(2, p) * euler_at(_HALF) * pow(16, -1, p)
         return (p * legendre(-2, p) + _p3_times(p, x, m)) % m
 
     def prime_sides(fam: str, truncation: str) -> tuple[int, int, int]:
@@ -466,30 +662,29 @@ def verify_at_prime(
                 raise PreconditionViolated(f"{fam} needs p > 3, got p = {p}")
             f = FAMILIES[fam]
             d, e = f.weight_d, f.modulus_exp
-            i = weight[d]
-            s = main(i)[pre(i)[3] if truncation == "short" else p - 1]
-            return e, d * s % p**e, d * closed(i, e) % p**e
+            s = sums[d - 2][p][0 if truncation == "short" else 1]
+            return e, d * s % p**e, d * closed(d - 2, e) % p**e
         if p <= 3:
             raise PreconditionViolated(f"needs p > 3, got p = {p}")
         check_class(fam)
+        half, full = sums[None][p]
         if fam == "EQUIV":
-            return 4, mao()[p - 1] % m, 4 * main(weight[4])[p - 1] % m
-        M = p - 1 if fam == "MAO_HALF" else (p - 1) // 2
-        return 4, mao()[M] % m, timed("closed", mao_rhs, fam)
+            return 4, full, 4 * sums[_QUARTER][p][1] % m
+        return 4, (full if fam == "MAO_HALF" else half), timed("closed", mao_rhs, fam)
 
     def alpha_sides(i: int, fam: str) -> tuple[int, int]:
         if p <= 3:
             raise PreconditionViolated(f"needs p > 3, got p = {p}")
-        a = pre(i)[3]
+        a, _ = a_t(i)
         if fam in ALPHA_TRUNCATIONS:
-            return main(i)[p - 1 if fam == "MAIN1" else a] % m, closed(i, 4)
+            return sums[i][p][1 if fam == "MAIN1" else 0], closed(i, 4)
         if fam == "TAIL":
             if a == p - 1:
                 raise PreconditionViolated(
                     f"<-alpha>_p = p-1 for alpha = {values[i]}, p = {p}: tail is empty"
                 )
-            s = main(i)
-            return (s[p - 1] - s[a]) % m, 0
+            short, full = sums[i][p]
+            return (full - short) % m, 0
         return timed("lemma", _lemma_sides, fam, values[i], p, pre(i))
 
     checks = [(fam, tr) for fam in fams if fam in PRIME_FAMILIES
@@ -497,12 +692,21 @@ def verify_at_prime(
     rows = family_rows(checks, lambda fam, tr: _residue_sides(p, *prime_sides(fam, tr)),
                        p=p)
     checks = [(fam, ALPHA_TRUNCATIONS.get(fam)) for fam in alpha_fams]
-    for alpha in alphas:
-        i = slot[alpha]
+    for i in slots:
         rows += family_rows(
             checks, lambda fam, _: _residue_sides(p, 4, *alpha_sides(i, fam)),
-            p=p, alpha=alpha)
-    return rows, seconds
+            p=p, alpha=values[i])
+    return rows
+
+
+def verify_at_prime(
+    p: int,
+    families: tuple[str, ...],
+    alphas: tuple[Fraction, ...] = (),
+    truncations: tuple[str, ...] = ("short", "full"),
+) -> tuple[list[tuple], dict[str, float]]:
+    """verify_primes at the one job (p, families, alphas)."""
+    return verify_primes(((p, families, alphas),), truncations)
 
 
 def verify_prime(
@@ -519,11 +723,11 @@ def verify_prime(
     variant gives one record at its own truncation (MAO_TRUNCATIONS): the
     8^(-k) sum at p-1 (MAO_HALF) or (p-1)/2 (SUN_HALF_CONJ), and its
     agreement with the (8k+1) sum at p-1 when p ≡ 1 (mod 4) (EQUIV).  Each
-    sum is computed once mod p^4 by verify_at_prime: S(1/d, .) from the
-    prefix at 1/d for each weight d (read mod p^3 by the p^3 families), and
-    the 8^(-k) sum from the prefix at 1/2.  A family whose precondition
-    fails gets a skip record with the reason; its residue class of p is the
-    one in PRIME_CLASSES.
+    sum is computed once mod p^4 by verify_at_prime, a block of one prime:
+    S(1/d, .) from the tree at 1/d for each weight d (read mod p^3 by the
+    p^3 families), and the 8^(-k) sum from its own tree.  A family whose
+    precondition fails gets a skip record with the reason; its residue
+    class of p is the one in PRIME_CLASSES.
     """
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in PRIME_FAMILIES]:
@@ -547,9 +751,9 @@ def verify_alpha(
 
     Every family needs p > 3 and a p-integral alpha; a family whose
     precondition fails gets a skip record with the reason.  verify_at_prime
-    computes one Pochhammer prefix, which also gives a and t, one closed
-    form and one set of partial sums S(alpha, .), each only when a
-    requested family reads it.
+    computes one tree for S(alpha, .), one closed form and, for the lemma
+    families, one Pochhammer prefix, each only when a requested family
+    reads it.
     """
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in ALPHA_FAMILIES]:

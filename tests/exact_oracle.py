@@ -1,20 +1,120 @@
 """Exact Fraction oracles for the residue sums, the lemma right sides and
-the prime tables, and the coefficient-list parser of the witness files.
+the prime tables, the per-prime residue passes the remainder trees
+replaced, and the coefficient-list parser of the witness files.
 
-The package computes the sums S(alpha, M) and the 8^(-k) sum term by term
-mod p^e, and the five lemma right sides and the prefix tables j!, H_j,
+The package reads the sums S(alpha, M), the 8^(-k) sum and the Euler
+residues E_{p-3}(x) mod p off remainder trees over a block of primes,
+computes the five lemma right sides and the prefix tables j!, H_j,
 H_j^(2) and sum (-1)^k/k^2 as residues mod p^4, and checks the
 Euler-polynomial identities on integer-scaled coefficients.  This module
 keeps the exact rational route as an independent check: Pochhammer
 symbols, harmonic sums and Euler polynomial values as Fractions, reduced
-only at the end.
+only at the end.  It also keeps the O(p) pass per (alpha, p) and the O(p)
+Euler table per (n, p) that the trees replaced, as a second, per-prime
+oracle that is fast enough for every prime up to a few thousand.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, repeat
 
 from supercong import sequences
+from supercong.padic import NotPAdicIntegral, ResidueClass, is_p_integral
 from supercong.sequences import _horner, harmonic, pochhammer
+from supercong.verifier import _poch_prefix
+
+
+@lru_cache(maxsize=4)
+def _signed_inverse_cubes(p: int) -> tuple[int, ...]:
+    # (-1)^j / j!^3 mod p^4 for j = 0..p-1
+    m = p**4
+    out, f = [], 1
+    for j in range(p):
+        if j:
+            f = f * pow(j, -1, m) % m
+        out.append((-f if j & 1 else f) * f * f % m)
+    return tuple(out)
+
+
+def _partial_sums(
+    pre: tuple, p: int, top: int, b: int, c: int, z: int = 1
+) -> list[int]:
+    """[s_0, ..., s_top], s_M ≡ sum_{k=0}^{M} (b k + c) z^k (-1)^k
+    (alpha)_k^3 / k!^3 (mod p^4), from pre = _poch_prefix(alpha, p, n),
+    top <= n and top < p.  The s_M are not reduced: a caller reduces the
+    ones it reads.
+
+    (alpha)_k is u_k for k <= a = <-alpha>_p and p^v0 u_k past it, so
+    each term is one product of the unit table and the (-1)^k/k!^3 table,
+    reduced once, times p^(3 v0) past a.
+    """
+    u, v0, _, a, _ = pre
+    m = p**4
+    w = _signed_inverse_cubes(p)
+    if z != 1:  # fold z^k into the weights
+        zk = accumulate(repeat(z, top), lambda x, y: x * y % m, initial=1)
+        w = [x * y for x, y in zip(w, zk)]
+    c %= m
+    terms = [(b * k + c) * x * x * x * y % m for k, x, y in zip(range(top + 1), u, w)]
+    if a < top:
+        scale = p ** (3 * v0)
+        terms[a + 1:] = [x * scale for x in terms[a + 1:]]
+    return list(accumulate(terms))
+
+
+def _main_sums(pre: tuple, p: int, top: int) -> list[int]:
+    # the partial sums of S(alpha, .); the weight 2k + alpha has alpha = p*t - a
+    _, _, _, a, t = pre
+    return _partial_sums(pre, p, top, 2, p * t - a)
+
+
+def _mao_sums(half: tuple, p: int, top: int) -> list[int]:
+    # the partial sums of the 8^(-k) family from the prefix at alpha = 1/2
+    return _partial_sums(half, p, top, 6, 1, pow(8, -1, p**4))
+
+
+def sum_main_mod(alpha: Fraction, M: int, p: int) -> int:
+    """S(alpha, M) mod p^4 by one O(p) pass at p."""
+    return _main_sums(_poch_prefix(alpha, p, M), p, M)[M] % p**4
+
+
+def sum_mao_mod(M: int, p: int) -> int:
+    """The 8^(-k) sum to M mod p^4 by one O(p) pass at p."""
+    return _mao_sums(_poch_prefix(Fraction(1, 2), p, M), p, M)[M] % p**4
+
+
+# E_n(x) + E_n(x+1) = 2x^n telescopes to
+#     sum_{k<p} (-1)^k (x+k)^n = (E_n(x) + E_n(x+p)) / 2,
+# and since E_n has only 2-power denominators, E_n(x+p) ≡ E_n(x) (mod p)
+# for odd p: the sum is E_n(x) mod p.  Folding x+k into 0..p-1 with the
+# prefix sums P_i = sum_{j<i} (-1)^j j^n gives, for a residue 0 <= r < p,
+#     E_n(r) ≡ (-1)^r (P_p - 2 P_r)  (mod p).
+# One table costs O(p) and needs an odd modulus p.
+@lru_cache(maxsize=8)
+def _euler_prefix(n: int, p: int) -> tuple[int, ...]:
+    terms = (-pow(j, n, p) if j % 2 else pow(j, n, p) for j in range(p))
+    return tuple(accumulate(terms, initial=0))
+
+
+def euler_poly_eval_mod(n: int, x: Fraction, p: int) -> ResidueClass:
+    """E_n(x) mod p for odd prime p and p-integral x."""
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    if p == 2:
+        raise ValueError("E_n(x) mod 2 needs 1/2")
+    x = Fraction(x)
+    if not is_p_integral(x, p):
+        raise NotPAdicIntegral(f"{x} has no residue mod {p}")
+    r = x.numerator * pow(x.denominator, -1, p) % p
+    pre = _euler_prefix(n, p)
+    return ResidueClass((-1) ** r * (pre[p] - 2 * pre[r]) % p, p)
+
+
+def euler_number_mod(n: int, p: int) -> ResidueClass:
+    """E_n mod p (via 2^n E_n(1/2))."""
+    v = euler_poly_eval_mod(n, Fraction(1, 2), p).value
+    return ResidueClass(pow(2, n, p) * v % p, p)
 
 
 def sum_main_exact(alpha: Fraction, M: int) -> Fraction:

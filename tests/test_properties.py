@@ -1,10 +1,11 @@
 """Property tests: the residue fast paths against independent exact oracles.
 
-Euler residues are checked against exact Euler polynomials and against
-sympy's Euler numbers, and the integer Euler-identity check against its
-Fraction loop in exact_oracle; the residue sums, and every truncation read
-from one prefix's partial sums, against their exact Fraction sums; the
-Pochhammer prefix against exact Pochhammer symbols;
+Euler residues, from the Euler tree and from the per-prime oracle, are
+checked against exact Euler polynomials and against sympy's Euler numbers,
+and the integer Euler-identity check against its Fraction loop in
+exact_oracle; the residue sums, and every truncation read from one
+remainder tree, against their exact Fraction sums; the Pochhammer prefix
+against exact Pochhammer symbols;
 the Pochhammer-quotient lemmas against their exact Fraction evaluation
 (both sides at p <= 31, the right sides at every prime in [1900, 2000]),
 and the per-prime factorial and harmonic residue tables entry by entry;
@@ -39,19 +40,17 @@ from supercong.sequences import (
     _horner_halves,
     check_binomial_identities,
     check_euler_identities,
-    euler_number_mod,
     euler_poly_eval,
-    euler_poly_eval_mod,
     harmonic,
     pochhammer,
 )
 from supercong.verifier import (
     LEMMA_FAMILIES,
-    _main_sums,
-    _mao_sums,
+    _euler_residues,
     _lemma_tables,
     _poch_prefix,
     _prime_tables,
+    _sums,
     verify_alpha,
 )
 from supercong.sweep import default_alphas
@@ -67,7 +66,10 @@ from supercong.wz import (
 import wz_oracle
 import exact_oracle
 from exact_oracle import (
+    _signed_inverse_cubes,
     alternating_reciprocal_squares,
+    euler_number_mod,
+    euler_poly_eval_mod,
     lemma_rhs_exact,
     sum_main_exact,
     sum_mao_exact,
@@ -108,6 +110,21 @@ def test_euler_poly_residue_matches_exact(p, data, x):
 def test_euler_number_residue_matches_sympy(p, data):
     n = data.draw(st.integers(0, 3 * p), label="n")
     assert euler_number_mod(n, p).value == int(sympy.euler(n)) % p
+
+
+@PROPS
+@given(ps=st.lists(st.sampled_from(sieve_primes(5, 60)), min_size=1, max_size=4),
+       data=st.data())
+def test_euler_tree_matches_exact(ps, data):
+    # E_{p-3}(r) mod p from one Euler tree over several primes, at any
+    # residues 0 <= r < p
+    wanted = {p: set(data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                        max_size=5), label=f"r{p}")) for p in ps}
+    got = _euler_residues(wanted)
+    assert set(got) == set(wanted)
+    for p, rs in wanted.items():
+        assert got[p] == {
+            r: reduce_mod(euler_poly_eval(p - 3, Fraction(r)), p, 1).value for r in rs}
 
 
 @PROPS
@@ -157,31 +174,30 @@ def test_euler_identities_catch_a_perturbed_coefficient(
 def test_sum_main_matches_exact(p, data, alpha, e):
     assume(alpha.denominator % p)
     M = data.draw(st.integers(0, p - 1), label="M")
-    got = _main_sums(_poch_prefix(alpha, p, M), p, M)[M] % p**e
-    assert got == _mod(sum_main_exact(alpha, M), p**e)
+    [got] = _sums(alpha, {p: (M,)})[p]
+    assert got % p**e == _mod(sum_main_exact(alpha, M), p**e)
 
 
 @PROPS
 @given(p=primes_to_31, data=st.data(), e=st.integers(1, MAX_EXPONENT))
 def test_sum_mao_matches_exact(p, data, e):
     M = data.draw(st.integers(0, p - 1), label="M")
-    got = _mao_sums(_poch_prefix(Fraction(1, 2), p, M), p, M)[M] % p**e
-    assert got == _mod(sum_mao_exact(M), p**e)
+    [got] = _sums(None, {p: (M,)})[p]
+    assert got % p**e == _mod(sum_mao_exact(M), p**e)
 
 
 @PROPS
 @given(p=primes_to_31, data=st.data(), alpha=rationals)
 def test_checkpoints_match_exact(p, data, alpha):
-    # the partial sums of one prefix, read at several truncations (in any
-    # order, repeats allowed), give each truncated sum; they are reduced only
-    # where they are read
+    # one tree, read at several truncations (in any order, repeats
+    # allowed), gives each truncated sum
     assume(alpha.denominator % p)
-    Ms = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6), label="Ms")
-    m, top = p**4, max(Ms)
-    got = _main_sums(_poch_prefix(alpha, p, top), p, top)
-    assert [got[M] % m for M in Ms] == [_mod(sum_main_exact(alpha, M), m) for M in Ms]
-    got = _mao_sums(_poch_prefix(Fraction(1, 2), p, top), p, top)
-    assert [got[M] % m for M in Ms] == [_mod(sum_mao_exact(M), m) for M in Ms]
+    Ms = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6),
+                         label="Ms"))
+    m = p**4
+    assert list(_sums(alpha, {p: Ms})[p]) == [
+        _mod(sum_main_exact(alpha, M), m) for M in Ms]
+    assert list(_sums(None, {p: Ms})[p]) == [_mod(sum_mao_exact(M), m) for M in Ms]
 
 
 @PROPS
@@ -309,7 +325,8 @@ def test_poch_prefix_matches_exact(p, data):
 @given(p=st.sampled_from(sieve_primes(2, 31)))
 def test_prime_tables_match_exact(p):
     m = p**4
-    fact, inv_fact, sinv3 = _prime_tables(p)
+    fact, inv_fact = _prime_tables(p)
+    sinv3 = _signed_inverse_cubes(p)  # the oracle's own table
     h1, h2, alt2 = _lemma_tables(p)
     assert len(fact) == len(h1) == len(h2) == len(alt2) == len(sinv3) == p
     for j in range(p):

@@ -12,16 +12,18 @@ from supercong.sequences import (
     check_euler_identities,
     check_lehmer,
     euler_number,
-    euler_number_mod,
     euler_poly_coeffs,
     euler_poly_eval,
-    euler_poly_eval_mod,
     harmonic,
     pochhammer,
     _HarmonicPrefix,
 )
 
-from exact_oracle import alternating_reciprocal_squares
+from exact_oracle import (
+    alternating_reciprocal_squares,
+    euler_number_mod,
+    euler_poly_eval_mod,
+)
 
 
 def test_pochhammer_values():

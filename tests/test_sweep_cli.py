@@ -26,6 +26,7 @@ from supercong.records import (
 from supercong.sequences import check_euler_identities
 from supercong.sweep import (
     ConfigError,
+    P_MAX,
     Q_FAMILIES,
     RATIONAL_ALPHAS,
     ReportSummary,
@@ -48,11 +49,13 @@ from supercong.verifier import (
     ALPHA_FAMILIES,
     ALPHA_TRUNCATIONS,
     FAMILIES,
+    LEMMA_FAMILIES,
     MAO_TRUNCATIONS,
     PRIME_FAMILIES,
     verify_alpha,
     verify_at_prime,
     verify_prime,
+    verify_primes,
 )
 from supercong.wz import DivisionByZeroTerm, sample_alphas
 
@@ -175,6 +178,18 @@ def _execute(inst) -> list[VerificationRecord]:
     return [VerificationRecord(*row) for row in rows]
 
 
+def _moved(inst, p=None, alphas=None):
+    # a one-prime instance, a block of one job or a lemma instance, at
+    # another prime or with other alphas
+    if inst.run is verify_primes:
+        [(p0, fams, alphas0)], truncs = inst.args
+        job = (p or p0, fams, alphas0 if alphas is None else alphas)
+        return inst._replace(args=((job,), truncs))
+    p0, fams, alphas0, truncs = inst.args
+    return inst._replace(args=(p or p0, fams, alphas0 if alphas is None else alphas,
+                               truncs))
+
+
 def test_skip_record_has_the_labels_of_the_result():
     # verify_q makes its own skip records: at n = 2 every q-family skips for
     # its condition on n; its labels are those of the family at n = 5
@@ -192,15 +207,17 @@ def test_skip_record_has_the_labels_of_the_result():
         assert skip.passed is None and skip.reason == reasons[real.family]
         assert _labels(skip._replace(n=real.n)) == _labels(real)
 
-    # verify_at_prime makes its own skip records: 1/13 has no residue mod 13,
-    # so every alpha family skips; its labels are those of the family
-    [inst] = build_instances(SweepConfig(
+    # verify_primes and verify_at_prime make their own skip records: 1/13
+    # has no residue mod 13, so every alpha family skips; its labels are
+    # those of the family
+    block, lemmas = build_instances(SweepConfig(
         families=ALPHA_FAMILIES, p_min=13, p_max=13, alpha_list=(Fraction(1, 3),)
     ))
-    p, fams, alphas, truncs = inst.args
-    assert alphas == (Fraction(1, 3),)
-    reals = _execute(inst)
-    skips = _execute(inst._replace(args=(p, fams, (Fraction(1, 13),), truncs)))
+    assert block.args[0] == ((13, ALPHA_FAMILIES[:3], (Fraction(1, 3),)),)
+    assert lemmas.args[:3] == (13, LEMMA_FAMILIES, (Fraction(1, 3),))
+    reals = _execute(block) + _execute(lemmas)
+    skips = [r for inst in (block, lemmas)
+             for r in _execute(_moved(inst, alphas=(Fraction(1, 13),)))]
     assert [r.family for r in reals] == [r.family for r in skips] == list(ALPHA_FAMILIES)
     for real, skip in zip(reals, skips):
         assert real.passed is True, real
@@ -212,7 +229,7 @@ def test_skip_record_has_the_labels_of_the_result():
     # skips, for p <= 3 or for its residue class
     [inst] = build_instances(SweepConfig(families=PRIME_FAMILIES, p_min=13, p_max=13))
     reals = _execute(inst)
-    skips = _execute(inst._replace(args=(3,) + inst.args[1:]))
+    skips = _execute(_moved(inst, p=3))
     fams = ("B2", "E2", "F2", "E2_MOD4", "F2_MOD4", "SUN_B2")
     assert [(r.family, r.truncation) for r in reals] == [
         (f, tr) for f in fams for tr in ("short", "full")
@@ -233,8 +250,8 @@ def test_skip_record_has_the_labels_of_the_result():
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--pmax", "3000000000", "--family", "B2"],
-    ["identities", "--pmax", "3000000000"],
+    ["verify", "--pmax", str(P_MAX), "--family", "B2"],
+    ["identities", "--pmax", str(P_MAX)],
 ])
 def test_error_outside_every_instance_exits_4(monkeypatch, capsys, argv):
     # an error raised before any instance runs, here the sieve running out of
@@ -247,6 +264,30 @@ def test_error_outside_every_instance_exits_4(monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" in err and err.splitlines()[-1] == "MemoryError"
     assert "config error" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--family", "B2"], "p_max"),
+    (["identities"], "pmax"),
+])
+def test_pmax_past_p_max_is_a_config_error(monkeypatch, capsys, argv, name):
+    # the stated limit is checked before the sieve runs: a run past it
+    # allocates nothing and exits 2, and --help states it
+    def unreachable(*args):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr(sweep, "sieve_primes", unreachable)
+    assert main(argv + ["--pmax", str(P_MAX + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {name} must be <= {P_MAX}, got {P_MAX + 1}\n")
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"at most {P_MAX}" in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(ConfigError):
+        if argv[0] == "verify":
+            run_sweep(SweepConfig(families=("B2",), p_max=P_MAX + 1))
+        else:
+            run_identities(pmax=P_MAX + 1)
 
 
 # the residue class (mod, res) of p each classical and MAO family is stated
@@ -283,29 +324,32 @@ def test_prime_skip_reasons(p):
         assert (r.passed is None) == (want is not None), r
 
 
-def test_one_instance_per_prime():
-    # one instance per prime for the classical and MAO families p admits
-    # and the alpha families at every alpha; none at a prime without any
+def test_one_block_and_one_lemma_instance_per_prime():
+    # one block of jobs, one job per prime for the classical and MAO
+    # families p admits and the block alpha families at every alpha, and
+    # one instance per prime for the lemma families; none at a prime
+    # without any
     assert set(CLASSES) == set(PRIME_FAMILIES)
     alphas = (Fraction(1, 2), Fraction(-1, 3))
     cfg = SweepConfig(families=VERIFY_FAMILIES, p_min=2, p_max=13, alpha_list=alphas)
-    insts = build_instances(cfg)
-    assert [(i.run, i.p) for i in insts] == [
-        (verify_at_prime, p) for p in sieve_primes(2, 13)]
-    for inst in insts:
+    block, *lemmas = build_instances(cfg)
+    primes = sieve_primes(2, 13)
+    assert (block.run, block.p) == (verify_primes, 13)
+    assert block.args == (tuple((p, _admitted(p) + ALPHA_FAMILIES[:3], alphas)
+                                for p in primes), ("short", "full"))
+    assert block.family == ",".join(PRIME_FAMILIES + ALPHA_FAMILIES[:3])
+    assert [(i.run, i.p) for i in lemmas] == [(verify_at_prime, p) for p in primes]
+    for inst in lemmas:
         p = inst.p
-        fams = _admitted(p) + ALPHA_FAMILIES
-        assert inst.args == (p, fams, alphas, ("short", "full"))
-        assert inst.family == ",".join(fams)
+        assert inst.args == (p, LEMMA_FAMILIES, alphas, ("short", "full"))
+        assert inst.family == ",".join(LEMMA_FAMILIES)
         assert inst.alpha is None and str(inst) == f"{inst.family} p={p}"
-    insts = build_instances(cfg._replace(families=("F2", "SUN_B2"), trunc="short"))
-    assert [i.args for i in insts] == [
-        (p, ("F2", "SUN_B2") if p in (5, 13) else ("SUN_B2",), (), ("short",))
-        for p in sieve_primes(2, 13)
-    ]
-    assert [i.p for i in build_instances(SweepConfig(families=("EQUIV",)))] == (
-        sieve_primes(5, 97, 4, 1)
-    )
+    [inst] = build_instances(cfg._replace(families=("F2", "SUN_B2"), trunc="short"))
+    assert inst.args == (tuple(
+        (p, ("F2", "SUN_B2") if p in (5, 13) else ("SUN_B2",), ()) for p in primes),
+        ("short",))
+    [inst] = build_instances(SweepConfig(families=("EQUIV",)))
+    assert [p for p, _, _ in inst.args[0]] == sieve_primes(5, 97, 4, 1)
     s = run_sweep(cfg._replace(families=PRIME_FAMILIES))
     assert s.total == sum(
         2 * (f in FAMILIES) + (f not in FAMILIES)
@@ -391,15 +435,18 @@ def test_top_level_names_are_their_modules_names():
 
 
 def test_one_instance_per_alpha_and_prime():
-    # the alpha families alone: still one instance per prime, which carries
-    # that prime's alphas; an empty alpha list selects nothing
+    # the alpha families alone: still one job per prime in the block and
+    # one lemma instance per prime, each carrying that prime's alphas; an
+    # empty alpha list selects nothing
     cfg = SweepConfig(families=ALPHA_FAMILIES, p_min=2, p_max=13)
-    insts = build_instances(cfg)
-    assert [(i.p, i.args[2]) for i in insts] == [
-        (p, tuple(default_alphas(p))) for p in sieve_primes(2, 13)]
-    assert {i.family for i in insts} == {",".join(ALPHA_FAMILIES)}
+    block, *lemmas = build_instances(cfg)
+    want = [(p, tuple(default_alphas(p))) for p in sieve_primes(2, 13)]
+    assert [(p, alphas) for p, _, alphas in block.args[0]] == want
+    assert [(i.p, i.args[2]) for i in lemmas] == want
+    assert block.family == ",".join(ALPHA_FAMILIES[:3])
+    assert {i.family for i in lemmas} == {",".join(LEMMA_FAMILIES)}
     s = run_sweep(cfg)
-    assert s.total == len(ALPHA_FAMILIES) * sum(len(i.args[2]) for i in insts)
+    assert s.total == len(ALPHA_FAMILIES) * sum(len(a) for _, a in want)
     with pytest.raises(ConfigError, match="matches no instances"):
         build_instances(cfg._replace(alpha_list=()))
 
@@ -428,18 +475,18 @@ def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
 
 
 def test_truncation_too_large_is_an_internal_error(monkeypatch):
-    # every sweep truncation is below p, so reading the partial sums at
-    # M = p can only be a bug
-    def read_at_p(p, *args):
-        pre = verifier._poch_prefix(Fraction(1, 2), p, p)
-        return verifier._main_sums(pre, p, p)[p]
+    # every sweep truncation is below p, so reading a tree at M = p, where
+    # p divides M!, can only be a bug
+    def read_at_p(jobs, truncs):
+        [(p, _, _)] = jobs
+        return verifier._sums(Fraction(1, 2), {p: (p,)})
 
-    monkeypatch.setattr(sweep, "verify_at_prime", read_at_p)
+    monkeypatch.setattr(sweep, "verify_primes", read_at_p)
     with pytest.raises(sweep.InternalError) as info:
         run_sweep(SweepConfig(families=("B2",), p_min=7, p_max=7))
-    assert isinstance(info.value.__cause__, IndexError)
-    assert str(info.value) == (
-        "internal error checking B2 p=7: IndexError: list index out of range")
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value) == ("internal error checking B2 p=7: ValueError: "
+                               "base is not invertible for the given modulus")
 
 
 @pytest.mark.parametrize("site, error, families, where", [
@@ -591,7 +638,8 @@ def test_pool_has_no_more_workers_than_instances(monkeypatch):
     # the parent runs instances too, so it forks one child fewer than the
     # workers asked for, and no more than there are instances to share
     pids = _record_forks(monkeypatch)
-    insts = build_instances(SweepConfig(families=("B2",), p_min=5, p_max=13))
+    insts = build_instances(SweepConfig(families=("LEMMA_ALPHAP3",), p_min=5,
+                                        p_max=13, alpha_list=("1/3",)))
     assert len(insts) == 4
     serial = sweep._run_instances(insts, 1)
     forks = []
@@ -603,10 +651,11 @@ def test_pool_has_no_more_workers_than_instances(monkeypatch):
 
 
 def test_claims_of_chunks_give_the_serial_report(monkeypatch):
-    # more instances than tokens: a token claims a chunk of ceil(13 / 2) = 7
-    # consecutive instances, and the last chunk is short
+    # more instances than tokens: a token claims a chunk of ceil(n / 2)
+    # consecutive instances, and the last chunk is short for n = 13 and 15:
+    # a block per worker and a lemma instance for each of the 12 primes
     monkeypatch.setattr(forked, "_MAX_TOKENS", 2)
-    cfg = SweepConfig(families=("B2", "LEMMA_PROD"), p_min=5, p_max=47)
+    cfg = SweepConfig(families=("B2", "LEMMA_PROD"), p_min=5, p_max=43)
     assert len(build_instances(cfg)) == 13
     serial = render_json(run_sweep(cfg))
     for workers in (2, 3):
@@ -628,15 +677,17 @@ def test_a_bug_in_a_worker_exits_4(monkeypatch, capsys):
         return check(p, *args)
 
     monkeypatch.setattr(sweep, "verify_at_prime", bug_at_11)
-    cfg = SweepConfig(families=("B2",), p_min=5, p_max=13)
-    msg = "internal error checking B2 p=11: ZeroDivisionError: bug at 11"
+    cfg = SweepConfig(families=("LEMMA_ALPHAP3",), p_min=5, p_max=13,
+                      alpha_list=("1/3",))
+    msg = "internal error checking LEMMA_ALPHAP3 p=11: ZeroDivisionError: bug at 11"
     with pytest.raises(InternalError) as serial:
         run_sweep(cfg)
     with pytest.raises(InternalError) as forked:
         run_sweep(cfg._replace(workers=2))
     assert str(serial.value) == str(forked.value) == msg
     assert "ZeroDivisionError: bug at 11" in str(forked.value.__cause__)
-    argv = ["verify", "--family", "B2", "--pmin", "5", "--pmax", "13", "--workers", "2"]
+    argv = ["verify", "--family", "LEMMA_ALPHAP3", "--alpha", "1/3", "--pmin", "5",
+            "--pmax", "13", "--workers", "2"]
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -661,8 +712,10 @@ def test_a_worker_that_dies_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(sweep, "verify_at_prime", die_in_a_child)
     died = r"worker 1 \(pid \d+\) ended before its last instance: killed by SIGKILL"
     with pytest.raises(InternalError, match=died):
-        run_sweep(SweepConfig(families=("B2",), p_min=5, p_max=13, workers=2))
-    argv = ["verify", "--family", "B2", "--pmin", "5", "--pmax", "13", "--workers", "2"]
+        run_sweep(SweepConfig(families=("LEMMA_ALPHAP3",), p_min=5, p_max=13,
+                              alpha_list=("1/3",), workers=2))
+    argv = ["verify", "--family", "LEMMA_ALPHAP3", "--alpha", "1/3", "--pmin", "5",
+            "--pmax", "13", "--workers", "2"]
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == "" and "killed by SIGKILL" in err.splitlines()[-1]
@@ -694,7 +747,8 @@ def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, error, raised):
     monkeypatch.setattr(sweep, "verify_at_prime", fail_in_the_parent)
     try:
         with pytest.raises(raised):
-            run_sweep(SweepConfig(families=("B2",), p_min=5, p_max=61, workers=3))
+            run_sweep(SweepConfig(families=("LEMMA_ALPHAP3",), p_min=5, p_max=61,
+                                  alpha_list=("1/3",), workers=3))
     finally:
         os.close(wait)
         os.close(hold)
@@ -767,7 +821,7 @@ def test_a_worker_claims_nothing_once_its_parent_is_killed():
     # from is still its parent, and exits 1 once it is not.  It may finish
     # the chunk it holds, and claim one more chunk only if its check ran
     # just before the CLI died
-    argv = ["verify", "--family", "MAIN1", "--pmax", "1999", "--workers", "2"]
+    argv = ["verify", "--family", "LEMMA_ALPHAP3", "--pmax", "1999", "--workers", "2"]
     proc = subprocess.run([sys.executable, "-c", _ORPHAN_LAUNCHER, *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -859,14 +913,17 @@ def test_timings_summary():
     for fam in cfg.families:
         want = sum(r.elapsed_ms for r in s.records if r.family == fam)
         assert t["family_ms"][fam] == round(want, 3) and want > 0
-    # per phase: every per-prime instance's phase seconds, in ms
+    # per phase: every verify instance's phase seconds, in ms
     assert set(t["phase_ms"]) == set(verifier.PHASES)
     assert all(ms > 0 for ms in t["phase_ms"].values())
-    # elapsed_ms is the instance time over its records: equal at one prime,
-    # and at least the share of its phases
-    for p in sieve_primes(2, 31):
-        recs = [r for r in s.records if r.p == p]
-        assert len({(r.elapsed_ms, r.phase_ms) for r in recs}) == 1, p
+    # elapsed_ms is the instance time over its records, and at least the
+    # share of its phases: the same for all records of the one block, and
+    # for the lemma records at one prime
+    instances = [[r for r in s.records if r.family != "LEMMA_PROD"]] + [
+        [r for r in s.records if r.family == "LEMMA_PROD" and r.p == p]
+        for p in sieve_primes(2, 31)]
+    for recs in instances:
+        assert len({(r.elapsed_ms, r.phase_ms) for r in recs}) == 1, recs[0]
         assert sum(recs[0].phase_ms) <= recs[0].elapsed_ms
     assert sum(t["skips"].values()) == s.skipped
     # by family and reason, numbers written #: at p = 2 and 3 for each alpha,

@@ -1,0 +1,116 @@
+"""The remainder trees against the per-prime oracle.
+
+verifier reads every sum and Euler residue of the classical, 8^(-k),
+MAIN1, MAIN1_TRUNC and TAIL records off accumulating remainder trees over
+a block of primes.  exact_oracle keeps the O(p) pass per (alpha, p) and
+the O(p) Euler table per prime that the trees replaced.  Here every value
+the trees give a block of jobs is compared with that oracle: the sums at
+a = <-alpha>_p and p-1 for the default alphas and those of the report
+digests, the 8^(-k) sum at (p-1)/2 and p-1, and E_{p-3} at every residue
+the rows read, for every prime 5 <= p <= 600 and in [1900, 2000].
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from supercong import verifier
+from supercong.primes import sieve_primes
+from supercong.records import BLOCK_FAMILIES, PHASES, admits
+from supercong.sweep import RATIONAL_ALPHAS, default_alphas
+from supercong.verifier import _sums, _tree_values, verify_primes
+
+from exact_oracle import _main_sums, _mao_sums, euler_poly_eval_mod
+from test_report_digests import ALPHAS
+
+PRIMES = sieve_primes(5, 600) + sieve_primes(1900, 2000)
+EXTRA = tuple(dict.fromkeys(Fraction(a) for a in ALPHAS))
+
+
+def _jobs(primes):
+    # every block family p admits, at the default alphas and the digests'
+    return [(p, tuple(f for f in BLOCK_FAMILIES if admits(f, p)),
+             tuple(dict.fromkeys(default_alphas(p) + list(EXTRA))))
+            for p in primes]
+
+
+@pytest.fixture(scope="module")
+def values():
+    # _tree_values reads the alphas as slots of a list that starts with 1/2,
+    # 1/3 and 1/4; its sums are keyed by slot, here by alpha again
+    jobs = _jobs(PRIMES)
+    fracs = list(dict.fromkeys([Fraction(1, d) for d in (2, 3, 4)]
+                               + [a for _, _, alphas in jobs for a in alphas]))
+    slot = {a: i for i, a in enumerate(fracs)}
+    sums, euler = _tree_values(
+        [(p, fams, [slot[a] for a in alphas]) for p, fams, alphas in jobs], fracs,
+        dict.fromkeys(PHASES, 0.0))
+    return jobs, ({None if i is None else fracs[i]: v for i, v in sums.items()}, euler)
+
+
+def test_every_sum_matches_the_per_prime_pass(values):
+    jobs, (sums, _) = values
+    # one tree per p-integral alpha that some job reads, and one 8^(-k) tree
+    want = {a for p, _, alphas in jobs for a in alphas if a.denominator % p}
+    assert set(sums) == want | {None}
+    assert set(RATIONAL_ALPHAS) | {Fraction(i) for i in range(1, 31)} <= want
+    checked = 0
+    for alpha, by_p in sums.items():
+        for p, got in by_p.items():
+            pre = verifier._poch_prefix(Fraction(1, 2) if alpha is None else alpha,
+                                        p, p - 1)
+            if alpha is None:
+                cuts, oracle = ((p - 1) // 2, p - 1), _mao_sums(pre, p, p - 1)
+            else:
+                cuts, oracle = (pre[3], p - 1), _main_sums(pre, p, p - 1)
+            assert got == tuple(oracle[M] % p**4 for M in cuts), (alpha, p)
+            checked += 1
+    # every prime reads the 8^(-k) sum and 1/2, 1/3, 1/4
+    assert all(set(sums[a]) == set(PRIMES)
+               for a in (None, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)))
+    assert checked > 1500
+
+
+def test_every_euler_residue_matches_the_per_prime_table(values):
+    jobs, (_, euler) = values
+    assert set(euler) == set(PRIMES)
+    for p, _, alphas in jobs:
+        # the closed forms at 1/2, 1/3, 1/4 and at each p-integral alpha
+        xs = [Fraction(1, d) for d in (2, 3, 4)] + [a for a in alphas if a.denominator % p]
+        rs = {x.numerator * pow(x.denominator, -1, p) % p for x in xs}
+        assert set(euler[p]) == rs, p
+        for r in rs:
+            assert euler[p][r] == euler_poly_eval_mod(p - 3, Fraction(r), p).value, (p, r)
+
+
+def test_blocks_give_the_rows_of_one_block():
+    # a block builds its trees from k = 1, so splitting the jobs into
+    # contiguous blocks changes no row
+    jobs = _jobs(sieve_primes(5, 400))
+    one, _ = verify_primes(jobs)
+    for k in (2, 3):
+        rows = []
+        for i in range(k):
+            rows += verify_primes(jobs[i * len(jobs) // k:(i + 1) * len(jobs) // k])[0]
+        assert rows == one, k
+
+
+def test_each_node_reads_its_prefix_reduced(monkeypatch):
+    # the prefix a node receives is reduced mod the product of its moduli,
+    # so no prefix grows past the moduli below it
+    seen = []
+    descend = verifier._descend
+
+    def check(node, row, out):
+        seen.append(all(0 <= v < node[1] for v in row))
+        return descend(node, row, out)
+
+    monkeypatch.setattr(verifier, "_descend", check)
+    primes = sieve_primes(5, 300)
+    alpha = Fraction(-1, 3)
+    cuts = {p: (verifier._a_t(alpha, p)[0], p - 1) for p in primes}
+    got = _sums(alpha, cuts)
+    assert len(seen) > 2 * len(primes) and all(seen)
+    for p, Ms in cuts.items():
+        oracle = _main_sums(verifier._poch_prefix(alpha, p, p - 1), p, p - 1)
+        assert got[p] == tuple(oracle[M] % p**4 for M in Ms), p

@@ -17,9 +17,7 @@ from supercong.primes import sieve_primes
 from supercong.records import InternalError
 from supercong.sequences import (
     euler_number,
-    euler_number_mod,
     euler_poly_eval,
-    euler_poly_eval_mod,
     harmonic,
     pochhammer,
 )
@@ -32,9 +30,8 @@ from supercong.verifier import (
     PRIME_FAMILIES,
     _closed_form,
     _lemma_sides,
-    _main_sums,
-    _mao_sums,
     _poch_prefix,
+    _sums,
     ramanujan_partial,
     verify_alpha,
     verify_at_prime,
@@ -42,17 +39,23 @@ from supercong.verifier import (
 )
 from supercong.wz import telescoped_rhs
 
-from exact_oracle import sum_main_exact, sum_mao_exact
+from exact_oracle import (
+    euler_number_mod,
+    euler_poly_eval_mod,
+    sum_main_exact,
+    sum_main_mod,
+    sum_mao_exact,
+)
 
 
 def _sum_main(alpha, M, p, e=4):
-    # S(alpha, M) mod p^e from the verifier's prefix and partial sums
-    return _main_sums(_poch_prefix(alpha, p, M), p, M)[M] % p**e
+    # S(alpha, M) mod p^e from the verifier's remainder tree at one prime
+    return _sums(alpha, {p: (M,)})[p][0] % p**e
 
 
 def _sum_mao(M, p):
-    # the 8^(-k) sum to M mod p^4, likewise from the prefix at 1/2
-    return _mao_sums(_poch_prefix(Fraction(1, 2), p, M), p, M)[M] % p**4
+    # the 8^(-k) sum to M mod p^4, likewise
+    return _sums(None, {p: (M,)})[p][0]
 
 
 def _one(fam, alpha, p):
@@ -95,7 +98,7 @@ def test_sum_main_weight_one_telescopes_to_p():
 
 
 def test_sum_main_validates():
-    # the prefix refuses an alpha with p in its denominator
+    # the tree refuses an alpha with p in its denominator
     with pytest.raises(NotPAdicIntegral):
         _sum_main(Fraction(1, 5), 2, 5)
 
@@ -512,8 +515,9 @@ def test_lemmas_chain_into_the_general_alpha_congruence():
             sides = {fam: _lemma_sides(fam, alpha, p, pre) for fam in fams}
             lhs = _proof_chain({f: x for f, (x, _) in sides.items()}, a, p)
             rhs = _proof_chain({f: y for f, (_, y) in sides.items()}, a, p)
-            assert lhs % m == _main_sums(pre, p, p - 1)[p - 1] % m, (alpha, p)
-            assert rhs % m == _closed_form(alpha, a, t, p, 4), (alpha, p)
+            assert lhs % m == sum_main_mod(alpha, p - 1, p), (alpha, p)
+            euler = euler_poly_eval_mod(p - 3, alpha, p).value
+            assert rhs % m == _closed_form(alpha, a, t, p, 4, euler), (alpha, p)
             if p <= 31:  # and to the exact sum, the telescoped closed form
                 assert lhs % m == reduce_mod(telescoped_rhs(p, alpha), p, 4).value
             pairs += 1
@@ -576,37 +580,36 @@ def _counting(monkeypatch, names):
 
 def test_verify_alpha_computes_shared_values_once(monkeypatch):
     # verify_alpha is one alpha of verify_at_prime
-    calls = _counting(monkeypatch, ("_partial_sums", "_poch_prefix", "verify_at_prime"))
+    calls = _counting(monkeypatch, ("_sums", "_poch_prefix", "verify_at_prime"))
 
     def count(families, alpha=Fraction(1, 3), p=13):
         for args in calls.values():
             args.clear()
         assert all(r.passed for r in verify_alpha(alpha, p, families))
         assert calls["verify_at_prime"] == [(p, list(families), (alpha,))]
-        # the prefix reaches 2p-1 only for the lemma families
-        lemmas = not set(LEMMA_FAMILIES).isdisjoint(families)
+        # only the lemma families read a prefix, and it reaches 2p-1
         assert [n for _, _, n in calls["_poch_prefix"]] == (
-            [2 * p - 1 if lemmas else p - 1] * len(calls["_poch_prefix"]))
-        return len(calls["_partial_sums"]), len(calls["_poch_prefix"])
+            [2 * p - 1] * len(calls["_poch_prefix"]))
+        return len(calls["_sums"]), len(calls["_poch_prefix"])
 
-    # one prefix per call; one set of partial sums serves MAIN1,
-    # MAIN1_TRUNC and TAIL
+    # one tree serves MAIN1, MAIN1_TRUNC and TAIL; one prefix the lemmas
     assert count(ALPHA_FAMILIES) == (1, 1)
-    assert count(("MAIN1",)) == (1, 1)
-    assert count(("MAIN1", "MAIN1_TRUNC", "TAIL")) == (1, 1)
+    assert count(("MAIN1",)) == (1, 0)
+    assert count(("MAIN1", "MAIN1_TRUNC", "TAIL")) == (1, 0)
     assert count(LEMMA_FAMILIES) == (0, 1)
     assert count(("TAIL", "TAIL", "LEMMA_PROD", "LEMMA_SIGMA")) == (1, 1)
     for fam in ALPHA_FAMILIES:
-        assert count((fam,))[1] == 1, fam
+        assert count((fam,)) == ((0, 1) if fam in LEMMA_FAMILIES else (1, 0)), fam
 
 
 @pytest.mark.parametrize("p", (5, 7, 13, 37, 2003))
 def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
-    # every family at one prime: one prefix, one set of main partial sums and
-    # one closed form per exponent for each distinct p-integral alpha, the
-    # classical weights' 1/2, 1/3 and 1/4 among them, and one 8^(-k) sum
-    # from the prefix at 1/2; no lemma tables without a lemma family
-    names = ("_poch_prefix", "_partial_sums", "_closed_form", "_lemma_tables")
+    # every family at one prime: one tree for each distinct p-integral
+    # alpha, the classical weights' 1/2, 1/3 and 1/4 among them, one for
+    # the 8^(-k) sum, one Euler tree and one closed form per exponent for
+    # each alpha; no prefix or lemma tables without a lemma family
+    names = ("_sums", "_euler_residues", "_poch_prefix", "_closed_form",
+             "_lemma_tables")
     calls = _counting(monkeypatch, names)
     alphas = (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 5),
               Fraction(1, 4), Fraction(1, 3))
@@ -617,18 +620,18 @@ def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
         rows, seconds = verify_at_prime(p, fams, alphas)
         assert all(row[4] is not False for row in rows)
         assert len(rows) == 23 + 3 * len(alphas)
-        prefixes = Counter(args[0] for args in calls["_poch_prefix"])
-        assert {a: k for a, k in prefixes.items() if a in integral} == dict.fromkeys(
-            integral, 1), p
-        sums = [(pre[3], b) for pre, _, _, b, *_ in calls["_partial_sums"]]
-        assert sorted(sums) == sorted(
-            [(least_nonneg_residue(-a, p), 2) for a in integral]
-            + [(least_nonneg_residue(Fraction(-1, 2), p), 6)]), p
-        closed = Counter((alpha, e) for alpha, _, _, _, e in calls["_closed_form"])
+        trees = Counter(alpha for alpha, _ in calls["_sums"])
+        assert trees == dict.fromkeys(integral | {None}, 1), p
+        for alpha, cuts in calls["_sums"]:
+            cut = (p - 1) // 2 if alpha is None else least_nonneg_residue(-alpha, p)
+            assert cuts == {p: (cut, p - 1)}, (alpha, p)
+        [(wanted,)] = calls["_euler_residues"]
+        assert wanted == {p: {least_nonneg_residue(a, p) for a in integral}}
+        closed = Counter((alpha, e) for alpha, _, _, _, e, _ in calls["_closed_form"])
         assert set(closed.values()) == {1}
         assert set(closed) == {(a, 4) for a in integral} | {
             (Fraction(1, d), 3) for d in (2, 3, 4)}
-        assert calls["_lemma_tables"] == []
+        assert calls["_poch_prefix"] == calls["_lemma_tables"] == []
         assert set(seconds) == set(verifier.PHASES) and seconds["lemma"] == 0
         assert all(x >= 0 for x in seconds.values()) and seconds["sums"] > 0
     verify_at_prime(p, ("LEMMA_SIGMA",), alphas)
@@ -636,14 +639,14 @@ def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
 
 
 def test_verify_at_prime_names_the_alpha_of_an_internal_error(monkeypatch):
-    real = verifier._poch_prefix
+    real = verifier._closed_form
 
-    def broken(alpha, p, n):
+    def broken(alpha, *args):
         if alpha == Fraction(-1, 3):
             raise ZeroDivisionError("broken")
-        return real(alpha, p, n)
+        return real(alpha, *args)
 
-    monkeypatch.setattr(verifier, "_poch_prefix", broken)
+    monkeypatch.setattr(verifier, "_closed_form", broken)
     with pytest.raises(InternalError) as info:
         verify_at_prime(13, ("E2", "MAIN1"), (Fraction(1, 2), Fraction(-1, 3)))
     assert str(info.value) == ("internal error checking MAIN1 p=13 alpha=-1/3 "
@@ -652,24 +655,25 @@ def test_verify_at_prime_names_the_alpha_of_an_internal_error(monkeypatch):
 
 
 def test_verify_prime_runs_one_pass_per_sum(monkeypatch):
-    # the thirteen classical and MAO families at a prime: one prefix per
-    # weight d in {2, 3, 4}, the one at 1/2 shared by the 8^(-k) sum, and
-    # one set of partial sums per sum
-    calls = _counting(monkeypatch, ("_poch_prefix", "_partial_sums"))
+    # the thirteen classical and MAO families at a prime: one tree per
+    # weight d in {2, 3, 4} and one for the 8^(-k) sum, and one Euler tree
+    calls = _counting(monkeypatch, ("_sums", "_euler_residues", "_poch_prefix"))
     assert len(PRIME_FAMILIES) == 13
     for p in (5, 7, 13, 2003):
         for args in calls.values():
             args.clear()
         recs = verify_prime(p)
         assert all(r.passed is not False for r in recs)
-        assert sorted(alpha for alpha, _, _ in calls["_poch_prefix"]) == [
-            Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)], p
-        assert len(calls["_partial_sums"]) == 4, p
+        assert Counter(alpha for alpha, _ in calls["_sums"]) == dict.fromkeys(
+            [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), None], 1), p
+        assert len(calls["_euler_residues"]) == 1 and calls["_poch_prefix"] == []
     for args in calls.values():
         args.clear()
     verify_prime(13, ("B2", "SUN_B2"), ("full",))
-    assert [alpha for alpha, _, _ in calls["_poch_prefix"]] == [Fraction(1, 2)]
-    assert len(calls["_partial_sums"]) == 1
+    assert [alpha for alpha, _ in calls["_sums"]] == [Fraction(1, 2)]
+    # B2 is stated mod p^3, so the only Euler residue read is SUN_B2's E(1/2)
+    [(wanted,)] = calls["_euler_residues"]
+    assert wanted == {13: {least_nonneg_residue(Fraction(1, 2), 13)}}
 
 
 @pytest.mark.parametrize("p", sieve_primes(2, 61))
@@ -691,10 +695,9 @@ def test_verify_prime_grouped_equals_one_family_at_a_time(p):
 
 def test_each_record_reads_its_own_checkpoint(monkeypatch):
     # S(1/d, a) ≡ S(1/d, p-1) (mod p^4), so a record that read the wrong
-    # truncation would still pass: fake partial sums that are M at index M
-    # show which one each record read
-    monkeypatch.setattr(verifier, "_partial_sums",
-                        lambda pre, p, top, b, c, z=1: list(range(top + 1)))
+    # truncation would still pass: fake trees whose sum to M is M show
+    # which one each record read
+    monkeypatch.setattr(verifier, "_sums", lambda alpha, cuts: dict(cuts))
     p = 13
     recs = [r for r in verify_prime(p) if r.passed is not None]
     assert len(recs) == 15  # 6 families at p ≡ 1 (mod 12), 3 MAO variants
@@ -738,15 +741,13 @@ def _plain_mao_sum(M, p):
 
 @pytest.mark.parametrize("p", sieve_primes(1900, 2000))
 def test_checkpoints_match_a_plain_loop_near_2000(p):
-    m = p**4
     for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-8, 5)):
         Ms = (0, least_nonneg_residue(-alpha, p), (p - 1) // 2, p - 1)
-        got = _main_sums(_poch_prefix(alpha, p, p - 1), p, p - 1)
-        assert [got[M] % m for M in Ms] == [_plain_main_sum(alpha, M, p) for M in Ms], (
-            alpha)
+        got = _sums(alpha, {p: Ms})[p]
+        assert list(got) == [_plain_main_sum(alpha, M, p) for M in Ms], alpha
     Ms = (1, (p - 1) // 2, p - 1)
-    got = _mao_sums(_poch_prefix(Fraction(1, 2), p, p - 1), p, p - 1)
-    assert [got[M] % m for M in Ms] == [_plain_mao_sum(M, p) for M in Ms]
+    got = _sums(None, {p: Ms})[p]
+    assert list(got) == [_plain_mao_sum(M, p) for M in Ms]
 
 
 def test_ramanujan_partial():

@@ -36,10 +36,12 @@ oracle in tests/test_properties.py sees it too).
 
 Not equivalent, though no record shows them: the theorem makes
 S(alpha, a) ≡ S(alpha, p-1) (mod p^4), so a record that reads the other
-truncation of the partial sums (MAIN1 and MAIN1_TRUNC, a classical
-family's short and full, EQUIV's p-1) still passes.  A test that fakes the
-partial sums, returning M at index M, shows which truncation each record
-read, so these swaps are in the list.
+truncation of the sums (MAIN1 and MAIN1_TRUNC, a classical family's short
+and full, EQUIV's p-1) still passes.  A test that fakes the trees, whose
+sum to M is then M, shows which truncation each record read, so these
+swaps are in the list.  Likewise a descent that skips a reduction gives
+the same values, only from ever larger prefixes: a test that checks each
+node's prefix is reduced below its modulus sees it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ EULER_TESTS = ("tests/test_sequences.py", "tests/test_properties.py")
 Q_TESTS = ("tests/test_qseries.py", "tests/test_properties.py")
 CLOSED_TESTS = ("tests/test_verifier.py", "tests/test_acceptance.py")
 VERIFY_TESTS = ("tests/test_verifier.py", "tests/test_properties.py")
+TREE_TESTS = ("tests/test_trees.py", "tests/test_verifier.py")
 RENDER_TESTS = ("tests/test_sweep_cli.py", "tests/test_report_digests.py")
 SWEEP_TESTS = ("tests/test_sweep_cli.py",)
 PADIC_TESTS = ("tests/test_padic.py",)
@@ -239,56 +242,78 @@ MUTATIONS = (
              CLOSED_TESTS),
     Mutation("closed form e == 4", "verifier.py", "if e == 4:", "if e != 4:",
              CLOSED_TESTS),
-    Mutation("closed form Euler index", "verifier.py",
-             "euler_poly_eval_mod(p - 3, alpha, p)",
-             "euler_poly_eval_mod(p - 2, alpha, p)", CLOSED_TESTS),
-    # the Pochhammer prefix and its partial sums
+    # the Pochhammer prefix of the lemmas, and a and t
     Mutation("prefix p-part of the factor a + p", "verifier.py",
              "factors[a + p] = u0, u1", "factors[a + p - 1] = u0, u1", VERIFY_TESTS),
-    Mutation("prefix t from alpha + a reduced mod p^4", "verifier.py",
+    Mutation("t from alpha + a reduced mod p^4", "verifier.py",
              "(num + a * den) // p * inv % m", "(num + a * den) % m // p * inv % m",
              VERIFY_TESTS),
-    Mutation("partial sums scale p^v0 from k = a on", "verifier.py",
-             "terms[a + 1:] = [x * scale for x in terms[a + 1:]]",
-             "terms[a:] = [x * scale for x in terms[a:]]", VERIFY_TESTS),
-    Mutation("partial sums unscaled when a = top - 1", "verifier.py",
-             "if a < top:", "if a < top - 1:", VERIFY_TESTS),
-    Mutation("partial sums valuation 3 v0", "verifier.py",
-             "p ** (3 * v0)", "p ** (3 * v0 - 1)", VERIFY_TESTS),
-    Mutation("partial sums 8^(-k) step", "verifier.py",
-             "x * y % m, initial=1)", "x * y % m, initial=z)", VERIFY_TESTS),
-    Mutation("main sums weight 2k + alpha", "verifier.py",
-             "2, p * t - a)", "2, p * t + a)", VERIFY_TESTS),
-    # the values verify_at_prime shares between the families at a prime
+    # the leaves of the sums trees and of the Euler tree
+    Mutation("sums leaf sign (-1)^k", "verifier.py",
+             "(-w if k & 1 else w)", "(w if k & 1 else -w)", TREE_TESTS),
+    Mutation("sums leaf weight 2ks + r -> 2ks - r", "verifier.py",
+             "w = b * k + c", "w = b * k - c", TREE_TESTS),
+    Mutation("sums leaf factor (r+ks)^3 -> (r+(k-1)s)^3", "verifier.py",
+             "(r + s * k) ** 3", "(r + s * (k - 1)) ** 3", TREE_TESTS),
+    Mutation("sums leaf D multiplied by z", "verifier.py",
+             "P * z % m, D * x % m)", "P * z % m, D * z % m)", TREE_TESTS),
+    Mutation("leaf product y1 x2 + z1 y2 -> y1 z2 + z1 y2", "verifier.py",
+             "return x1 * x2, y1 * x2 + z1 * y2, z1 * z2",
+             "return x1 * x2, y1 * z2 + z1 * y2, z1 * z2", TREE_TESTS),
+    Mutation("Euler leaf sign (-1)^j", "verifier.py",
+             "(j * j, -1 if j & 1 else 1, j * j)", "(j * j, 1 if j & 1 else -1, j * j)",
+             TREE_TESTS),
+    Mutation("Euler A_p read as A_(p-1)", "verifier.py",
+             "full = alt(p, p)", "full = alt(p, p - 1)", TREE_TESTS),
+    Mutation("Euler residue sign (-1)^r", "verifier.py",
+             "_parity_sign(r) * (full", "_parity_sign(r + 1) * (full", TREE_TESTS),
+    # the breakpoints and the descent
+    Mutation("breakpoint a -> a + 1", "verifier.py",
+             "cut = -num * pow(den, -1, p) % p", "cut = -num * pow(den, -1, p) % p + 1",
+             TREE_TESTS),
+    Mutation("breakpoint (p - 1)/2 -> (p + 1)/2", "verifier.py",
+             "cut = (p - 1) // 2", "cut = (p + 1) // 2", TREE_TESTS),
+    Mutation("descent feeds the right child the unreduced prefix", "verifier.py",
+             "_descend(right, ((A * x + P * y) % mr, P * z % mr, D * x % mr), out)",
+             "_descend(right, (A * x + P * y, P * z, D * x), out)", TREE_TESTS),
+    Mutation("descent feeds the left child the unreduced prefix", "verifier.py",
+             "_descend(left, (A % ml, P % ml, D % ml), out)",
+             "_descend(left, row, out)", TREE_TESTS),
+    Mutation("descent feeds the right child a prefix without the left product",
+             "verifier.py",
+             "_descend(right, ((A * x + P * y) % mr, P * z % mr, D * x % mr), out)",
+             "_descend(right, (A % mr, P % mr, D % mr), out)", TREE_TESTS),
+    Mutation("sweep block boundary off by one prime", "sweep.py",
+             "jobs[i * len(jobs) // k:(i + 1) * len(jobs) // k]",
+             "jobs[i * len(jobs) // k:(i + 1) * len(jobs) // k + 1]", SWEEP_TESTS),
+    # the values the rows of one prime read
     Mutation("prime EQUIV reads the short checkpoint", "verifier.py",
-             "4 * main(weight[4])[p - 1]", "4 * main(weight[4])[(p - 1) // 4]",
-             VERIFY_TESTS),
+             "4 * sums[_QUARTER][p][1]", "4 * sums[_QUARTER][p][0]", VERIFY_TESTS),
     Mutation("prime classical weight d reads the sums of 1/2", "verifier.py",
-             "s = main(i)[pre(i)[3]", "s = main(weight[2])[pre(i)[3]", VERIFY_TESTS),
-    Mutation("prime 8^(-k) sum reads the prefix at 1/4", "verifier.py",
-             "_mao_sums, pre(weight[2])", "_mao_sums, pre(weight[4])", VERIFY_TESTS),
-    Mutation("prime lemma tables built without a lemma family", "verifier.py",
-             "if lemmas:\n            timed(", "if True:\n            timed(",
+             "s = sums[d - 2][p]", "s = sums[_HALF][p]", VERIFY_TESTS),
+    Mutation("prime MAO_HALF reads the half sum", "verifier.py",
+             '(full if fam == "MAO_HALF" else half)', '(half if fam == "MAO_HALF" else half)',
              VERIFY_TESTS),
-    Mutation("prime prefix to 2p-1 without a lemma family", "verifier.py",
-             "top = 2 * p - 1 if lemmas else p - 1", "top = 2 * p - 1", VERIFY_TESTS),
+    Mutation("prime lemma tables built without a lemma family", "verifier.py",
+             "if p > 3 and not set(LEMMA_FAMILIES).isdisjoint(alpha_fams):",
+             "if p > 3:", VERIFY_TESTS),
     Mutation("prime p^3 family not reduced mod p^3", "verifier.py",
              "d * s % p**e", "d * s % m", VERIFY_TESTS),
     Mutation("prime short and full checkpoints swapped", "verifier.py",
-             'main(i)[pre(i)[3] if truncation == "short" else p - 1]',
-             'main(i)[p - 1 if truncation == "short" else pre(i)[3]]', VERIFY_TESTS),
+             '[0 if truncation == "short" else 1]', '[1 if truncation == "short" else 0]',
+             VERIFY_TESTS),
     Mutation("prime EQUIV residue class", "records.py",
              '"EQUIV": (4, 1)', '"EQUIV": (4, 3)', VERIFY_TESTS),
     # the values of one alpha and the lemma preconditions
     Mutation("alpha MAIN1 and MAIN1_TRUNC checkpoints swapped", "verifier.py",
-             'main(i)[p - 1 if fam == "MAIN1" else a]',
-             'main(i)[a if fam == "MAIN1" else p - 1]', VERIFY_TESTS),
+             '[1 if fam == "MAIN1" else 0]', '[0 if fam == "MAIN1" else 1]',
+             VERIFY_TESTS),
     Mutation("alpha TAIL empty test", "verifier.py",
              "if a == p - 1:\n                raise PreconditionViolated",
              "if a == p - 2:\n                raise PreconditionViolated",
              VERIFY_TESTS),
     Mutation("alpha TAIL lower checkpoint", "verifier.py",
-             "s[p - 1] - s[a]", "s[p - 1] - s[p - 1]", VERIFY_TESTS),
+             "(full - short) % m", "(full - full) % m", VERIFY_TESTS),
     Mutation("alpha lemma a = 0 test", "verifier.py",
              "if a == 0 and fam in", "if a == 1 and fam in", VERIFY_TESTS),
     Mutation("alpha lemma zero factor tested mod p^4", "verifier.py",
@@ -334,8 +359,6 @@ MUTATIONS = (
              "inv_fact[j] * j % m", "inv_fact[j] * (j + 1) % m", VERIFY_TESTS),
     Mutation("prime table alternating sign", "verifier.py",
              "-r if k % 2 else r", "r if k % 2 else -r", VERIFY_TESTS),
-    Mutation("prime table sign of (-1)^k/k!^3", "verifier.py",
-             "(-f if j & 1 else f)", "(f if j & 1 else -f)", VERIFY_TESTS),
     Mutation("lemma table 1/k one index off", "verifier.py",
              "fact[k - 1] * inv_fact[k] % m", "fact[k - 2] * inv_fact[k - 1] % m",
              VERIFY_TESTS),
