@@ -1,9 +1,11 @@
-"""Exact rationals reduced modulo prime powers.
+"""Rationals and their residues: the residue type, rational literals,
+p-integrality, the least residue mod p and the Legendre symbol.
 
 Rationals are stdlib :class:`fractions.Fraction` values, which are always
 stored in lowest terms with positive denominator.  A rational x is a p-adic
 integer when p does not divide its denominator; only such values have a
-residue mod p**e.
+residue mod p**e.  The checks reduce their integers mod p**e where they
+read them; the exact reduction of a Fraction mod p**e is a test oracle.
 """
 
 from __future__ import annotations
@@ -13,18 +15,13 @@ from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
-    "MAX_EXPONENT",
     "NotPAdicIntegral",
     "ResidueClass",
     "parse_rational",
     "is_p_integral",
-    "check_exponent",
-    "reduce_mod",
     "least_nonneg_residue",
     "legendre",
 ]
-
-MAX_EXPONENT = 4  # residue arithmetic in this package never leaves p**4
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
 
@@ -76,29 +73,16 @@ def is_p_integral(x: Fraction, p: int) -> bool:
     return x.denominator % p != 0
 
 
-def check_exponent(e: int) -> None:
-    """Refuse a modulus exponent outside 1..MAX_EXPONENT."""
-    if not 1 <= e <= MAX_EXPONENT:
-        raise ValueError(f"exponent must be in 1..{MAX_EXPONENT}, got {e}")
-
-
-def reduce_mod(x: Fraction, p: int, e: int) -> ResidueClass:
-    """Residue of the rational x modulo p**e.
-
-    Computed as num * den^(-1) mod p**e; the denominator inverse exists
-    exactly when x is a p-adic integer.
-    """
-    check_exponent(e)
-    x = Fraction(x)
-    if not is_p_integral(x, p):
-        raise NotPAdicIntegral(f"{x} has no residue mod {p}^{e}")
-    m = p**e
-    return ResidueClass(x.numerator * pow(x.denominator, -1, m) % m, m)
-
-
 def least_nonneg_residue(alpha: Fraction, p: int) -> int:
-    """The unique r in 0..p-1 with alpha ≡ r (mod p)."""
-    return reduce_mod(Fraction(alpha), p, 1).value
+    """The unique r in 0..p-1 with alpha ≡ r (mod p): num * den^(-1) mod p.
+
+    The denominator inverse exists exactly when alpha is a p-adic integer;
+    otherwise NotPAdicIntegral is raised.
+    """
+    x = Fraction(alpha)
+    if not is_p_integral(x, p):
+        raise NotPAdicIntegral(f"{x} has no residue mod {p}^1")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def legendre(a: int, p: int) -> int:

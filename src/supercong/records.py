@@ -16,8 +16,8 @@ The family tables live here, not in the modules that check them: the
 names, residue classes and truncations of the prime and alpha families
 (verifier), the phases verify_primes times, and the q-family table
 (qseries).  The CLI's parser and the sweep's expansion read them without
-importing a check module; verifier and qseries import them from here, so
-verifier.FAMILIES and qseries.Q_FAMILIES still resolve.
+importing a check module; verifier and qseries import them from here,
+and verifier re-exports none of them.
 """
 
 from __future__ import annotations

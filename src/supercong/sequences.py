@@ -1,8 +1,7 @@
-"""Rising factorials, harmonic numbers, and Euler numbers/polynomials.
+"""Rising factorials, Euler polynomials and the classical identity checks.
 
-Pochhammer symbols, harmonic numbers (for Lehmer's congruences) and
-Euler polynomials are exact Fractions.  The Euler polynomials E_n(x)
-follow the Appell recurrence
+Pochhammer symbols and the coefficients of the Euler polynomials E_n(x)
+are exact Fractions.  The Euler polynomials follow the Appell recurrence
 
     E_n(x) = x^n - (1/2) * sum_{k<n} C(n,k) E_k(x),
 
@@ -10,7 +9,9 @@ and the Euler numbers are E_n = 2^n E_n(1/2); the residues E_{p-3}(x) mod
 p that the congruences read come from verifier's Euler tree.  The classical
 identities the congruence machinery relies on (Lehmer's harmonic
 congruences, the Euler reflection/vanishing rules, four alternating
-binomial identities) are exposed as boolean checks.
+binomial identities) are exposed as boolean checks on integers.  The
+Fraction harmonic numbers and Euler values they replaced are kept in
+tests/exact_oracle.py as the oracle.
 """
 
 from __future__ import annotations
@@ -18,14 +19,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import reduce_mod  # noqa: F401 (a lookup site perfbench/tracer.py wraps)
-
 __all__ = [
     "pochhammer",
-    "harmonic",
     "euler_poly_coeffs",
-    "euler_poly_eval",
-    "euler_number",
     "check_lehmer",
     "check_euler_identities",
     "check_binomial_identities",
@@ -40,29 +36,6 @@ def pochhammer(alpha: Fraction, k: int) -> Fraction:
     for j in range(k):
         out *= alpha + j
     return out
-
-
-# ---------------------------------------------------------------------------
-# harmonic numbers
-
-_harmonic_cache: dict[int, list[Fraction]] = {}
-
-
-def _harmonic_value(n: int, m: int) -> Fraction:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    vals = _harmonic_cache.setdefault(m, [Fraction(0)])
-    while len(vals) <= n:
-        j = len(vals)
-        vals.append(vals[-1] + Fraction(1, j**m))
-    return vals[n]
-
-
-def harmonic(n: int, m: int = 1) -> Fraction:
-    """Generalized harmonic number H_n^(m) = sum_{j=1}^{n} 1/j^m; H_0 = 0."""
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    return _harmonic_value(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -84,25 +57,6 @@ def euler_poly_coeffs(n: int) -> tuple[Fraction, ...]:
         m = len(e0)
         e0.append(-sum(math.comb(m, k) * e0[k] for k in range(m)) / 2)
     return tuple(math.comb(n, j) * e0[n - j] for j in range(n + 1))
-
-
-def _horner(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for coef in reversed(coeffs):
-        out = out * x + coef
-    return out
-
-
-def euler_poly_eval(n: int, x: Fraction) -> Fraction:
-    """E_n(x) evaluated exactly (Horner)."""
-    return _horner(euler_poly_coeffs(n), Fraction(x))
-
-
-def euler_number(n: int) -> int:
-    """Euler number E_n = 2^n E_n(1/2); always an integer."""
-    val = 2**n * euler_poly_eval(n, Fraction(1, 2))
-    assert val.denominator == 1
-    return val.numerator
 
 
 # ---------------------------------------------------------------------------

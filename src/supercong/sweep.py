@@ -9,10 +9,10 @@ families run as one instance per contiguous block of primes
 (verifier.verify_primes), which reads every sum from one remainder tree
 per alpha: a serial run has one block, a run on w workers w blocks.  One
 instance per prime checks the requested lemma families at every alpha
-(verifier.verify_at_prime); one per (q-family, n) checks that family
-(qseries.verify_at_n).  These yield a record per family, prime, alpha and
-truncation, a skip record with the reason where a family's precondition
-fails.  One Lehmer instance checks every prime, with one record per
+(verifier.verify_primes at one job); one per (q-family, n) checks that
+family (qseries.verify_at_n).  These yield a record per family, prime,
+alpha and truncation, a skip record with the reason where a family's
+precondition fails.  One Lehmer instance checks every prime, with one record per
 prime; an identity, WZ or smoke instance yields one record.  Each
 instance builds the state it reads, so none depends on another having
 run first: each block builds its trees from k = 1.  Every instance hands
@@ -132,12 +132,12 @@ class ReportSummary(NamedTuple):
 
 class Instance(NamedTuple):
     """One check: run(*args) returns a bool for an exact identity, or the
-    rows of its records, alone or, from verify_primes and verify_at_prime,
-    with the phase seconds; these and verify_at_n make their own skip rows.
+    rows of its records, alone or, from verify_primes, with the phase
+    seconds; verify_primes and verify_at_n make their own skip rows.
     family, p, n and alpha label the row of a bool and name the instance
-    in an InternalError raised outside family_rows.  For verify_primes and
-    verify_at_prime, family is the requested families joined by commas,
-    and p the largest prime."""
+    in an InternalError raised outside family_rows.  For verify_primes,
+    family is the requested families joined by commas, and p the largest
+    prime of its jobs."""
 
     family: str
     run: Callable
@@ -195,7 +195,7 @@ def _alphas_for(cfg: SweepConfig, p: int) -> list[Fraction]:
 # on its first lookup from outside, so a patch made before any run finds
 # the real function, and restores it after.
 _CHECKS = {
-    "verifier": ("verify_primes", "verify_at_prime", "ramanujan_partial"),
+    "verifier": ("verify_primes", "ramanujan_partial"),
     "qseries": ("verify_at_n",),
     "sequences": ("check_binomial_identities", "check_euler_identities",
                   "check_lehmer"),
@@ -242,8 +242,8 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
         if block := tuple(f for f in fams if f in BLOCK_FAMILIES):
             jobs.append((p, block, alphas))
         if lemma := tuple(f for f in fams if f in LEMMA_FAMILIES):
-            lemmas.append(Instance(",".join(lemma), verify_at_prime,
-                                   (p, lemma, alphas, truncs), p=p))
+            lemmas.append(Instance(",".join(lemma), verify_primes,
+                                   (((p, lemma, alphas),), truncs), p=p))
     # contiguous blocks, each building its own trees from k = 1, so no
     # block reads another's state; they go first, so that a forked run
     # starts every block before it shares out the lemma instances

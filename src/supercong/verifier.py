@@ -21,7 +21,7 @@ d = 2, 3, 4.  Against it we check:
   whose left sides are p^v times a unit residue mod p^4 (only alpha+a and
   alpha+a+p among the Pochhammer factors are divisible by p), and whose
   right sides are polynomials in t and the harmonic-type prefixes at a,
-  read from one lemma table per prime (_lemma_tables).
+  read from one lemma table per job (_lemma_tables).
 
 The sums and the Euler residues of the right sides come from accumulating
 remainder trees (Costa, Gerbicz and Harvey, "A search for Wilson primes",
@@ -37,14 +37,14 @@ with operands of up to about N log N bits near its root.  The lemmas'
 Pochhammer quotients hold (p-k)! terms, which no fixed matrix carries, so
 they keep a per-prime path: a prefix (alpha)_j = p^(e_j) u_j to 2p-1
 (_poch_prefix) per (alpha, p), and the factorial and harmonic-type tables
-of p.
+of p, built once per job.
 
 verify_primes checks any families at a block of jobs (p, families,
-alphas), and times each of its phases; verify_at_prime is one job,
-verify_prime (the prime families) and verify_alpha (the alpha families at
-one alpha) are thin calls into it.  The classical and 8^(-k) families are
-statements about one prime p, the general-alpha congruence, its tail and
-the five lemmas statements about one pair (alpha, p).  A failed hypothesis
+alphas), and times each of its phases; verify_prime (the prime families)
+and verify_alpha (the alpha families at one alpha) are thin calls into it
+with one job.  The classical and 8^(-k) families are statements about one
+prime p, the general-alpha congruence, its tail and the five lemmas
+statements about one pair (alpha, p).  A failed hypothesis
 (p > 3 and its class, alpha p-integral, a <= p-2, no zero Pochhammer
 factor) raises PreconditionViolated where it is tested: a skip row.
 
@@ -52,14 +52,14 @@ Everything is exact integer arithmetic; the Fraction oracles these
 residues are checked against, and the per-prime passes the trees
 replaced, live in the tests.  The family tables (FAMILIES, PRIME_CLASSES,
 the MAO, LEMMA and ALPHA names, BLOCK_FAMILIES, PHASES) live in records,
-which the CLI reads without importing this module; they are imported from
-there and re-exported here.
+which the CLI reads without importing this module; they are imported
+from there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate
 from time import perf_counter
 
@@ -76,13 +76,11 @@ from .records import (
     FAMILIES,
     LEMMA_FAMILIES,
     MAO_TRUNCATIONS,
-    MAO_VARIANTS,
     PHASES,
     PRIME_CLASSES,
     PRIME_FAMILIES,
     PreconditionViolated,
     Side,
-    TheoremFamily,
     VerificationRecord,
     admits,
     family_rows,
@@ -90,20 +88,7 @@ from .records import (
 )
 
 __all__ = [
-    "TheoremFamily",
-    "FAMILIES",
-    "LEMMA_FAMILIES",
-    "ALPHA_FAMILIES",
-    "ALPHA_TRUNCATIONS",
-    "BLOCK_FAMILIES",
-    "MAO_TRUNCATIONS",
-    "MAO_VARIANTS",
-    "PRIME_FAMILIES",
-    "PRIME_CLASSES",
-    "PHASES",
-    "admits",
     "verify_primes",
-    "verify_at_prime",
     "verify_prime",
     "verify_alpha",
     "ramanujan_partial",
@@ -323,13 +308,13 @@ def _residue_sides(p: int, e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]
 # ---------------------------------------------------------------------------
 # auxiliary Pochhammer-quotient congruences
 
-# The lemma sides of one prime read these tables, each lemma table once.
-@lru_cache(maxsize=4)
-def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
-    """(fact, inv_fact) mod p^4 for j = 0..p-1: j! and 1/j!.
+def _lemma_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """(fact, h1, h2, alt2) mod p^4 for j = 0..p-1: j!, H_j = sum_{k<=j} 1/k,
+    H_j^(2) = sum_{k<=j} 1/k^2 and sum_{k<=j} (-1)^k / k^2, which only the
+    lemma sides read.
 
     Every j < p is a unit mod p^4, so one inverse of (p-1)! and a backward
-    pass give every 1/j!.
+    pass give every 1/j!, and 1/k is (k-1)!/k!.
     """
     m = p**4
     fact = tuple(accumulate(range(1, p), lambda acc, j: acc * j % m, initial=1))
@@ -337,17 +322,6 @@ def _prime_tables(p: int) -> tuple[tuple[int, ...], ...]:
     inv_fact[p - 1] = pow(fact[p - 1], -1, m)
     for j in range(p - 1, 0, -1):
         inv_fact[j - 1] = inv_fact[j] * j % m
-    return fact, tuple(inv_fact)
-
-
-@lru_cache(maxsize=4)
-def _lemma_tables(p: int) -> tuple[tuple[int, ...], ...]:
-    """(h1, h2, alt2) mod p^4 for j = 0..p-1: H_j = sum_{k<=j} 1/k, H_j^(2) =
-    sum_{k<=j} 1/k^2 and sum_{k<=j} (-1)^k / k^2, which only the lemma right
-    sides read.  1/k is (k-1)!/k!, from _prime_tables.
-    """
-    m = p**4
-    fact, inv_fact = _prime_tables(p)
     recip = [fact[k - 1] * inv_fact[k] % m for k in range(1, p)]
     squares = [r * r % m for r in recip]
     signed = [-r if k % 2 else r for k, r in enumerate(squares, 1)]
@@ -355,7 +329,7 @@ def _lemma_tables(p: int) -> tuple[tuple[int, ...], ...]:
     def prefix(terms):
         return tuple(s % m for s in accumulate(terms, initial=0))
 
-    return prefix(recip), prefix(squares), prefix(signed)
+    return fact, prefix(recip), prefix(squares), prefix(signed)
 
 
 def _poch_prefix(
@@ -412,7 +386,8 @@ def _lemma_sum(
     return s, d
 
 
-def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, int]:
+def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple,
+                 tables: tuple) -> tuple[int, int]:
     """Left and right side mod p^4 of one LEMMA_* family.
 
     Families (a = <-alpha>_p, alpha + a = p*t throughout):
@@ -428,8 +403,8 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
     valuations of alpha+a and alpha+a+p and the integer computed mod p^4
     from the unit residues of pre = _poch_prefix(alpha, p, 2p-1), in O(p)
     operations and two inverses.  The right sides are polynomials in t
-    (mod p^4), H_a, H_a^(2) and sum_{k<=a} (-1)^k/k^2, read from
-    _lemma_tables; the divisions by 2 and by a+1 are by units in every
+    (mod p^4), H_a, H_a^(2) and sum_{k<=a} (-1)^k/k^2, read from tables =
+    _lemma_tables(p); the divisions by 2 and by a+1 are by units in every
     branch that makes them.  A family whose hypothesis fails, alphas that
     zero a denominator Pochhammer among them, raises PreconditionViolated.
     """
@@ -450,8 +425,7 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple) -> tuple[int, in
                 f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
             )
     m = p**4
-    fact = _prime_tables(p)[0]
-    h1, h2, alt2 = _lemma_tables(p)
+    fact, h1, h2, alt2 = tables
     f2 = fact[p - 1] ** 2
     pt, ha, ha2 = p * t, h1[a], h2[a]
     half = pow(2, -1, m)
@@ -574,10 +548,10 @@ def verify_primes(
     MAIN1, MAIN1_TRUNC and TAIL rows of all jobs comes from one remainder
     tree per distinct alpha and one Euler tree (_tree_values), built before
     the first row.  A lemma family reads a Pochhammer prefix to 2p-1 per
-    p-integral alpha and the lemma tables of p, each built when a row
-    first reads it.  A family whose precondition fails gets a skip row with
-    the reason; any other error raises records.InternalError, naming the
-    family and its labels.
+    p-integral alpha, built when a row first reads it, and the lemma tables
+    of p, built once per job.  A family whose precondition fails gets a
+    skip row with the reason; any other error raises records.InternalError,
+    naming the family and its labels.
     """
     # one slot per distinct alpha of the block, 1/2, 1/3 and 1/4 first;
     # the values of an alpha are kept by slot, which hashes faster than a
@@ -614,15 +588,15 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
     # the rows of one job of verify_primes; alphas are slots of values
     m = p**4
     alpha_fams = [f for f in fams if f in ALPHA_FAMILIES]
+    tables = None  # the lemma tables of p, read by the lemma families only
     if p > 3 and not set(LEMMA_FAMILIES).isdisjoint(alpha_fams):
-        timed("tables", _prime_tables, p)
-        timed("tables", _lemma_tables, p)
+        tables = timed("tables", _lemma_tables, p)
 
     @cache
     def a_t(i: int) -> tuple[int, int]:
         alpha = values[i]
         if not is_p_integral(alpha, p):
-            # padic.reduce_mod's wording, kept so that reports stay byte-identical
+            # least_nonneg_residue's wording at -alpha, kept for byte identity
             raise PreconditionViolated(f"{-alpha} has no residue mod {p}^1")
         return _a_t(alpha, p)
 
@@ -685,7 +659,7 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
                 )
             short, full = sums[i][p]
             return (full - short) % m, 0
-        return timed("lemma", _lemma_sides, fam, values[i], p, pre(i))
+        return timed("lemma", _lemma_sides, fam, values[i], p, pre(i), tables)
 
     checks = [(fam, tr) for fam in fams if fam in PRIME_FAMILIES
               for tr in (truncations if fam in FAMILIES else (MAO_TRUNCATIONS[fam],))]
@@ -697,16 +671,6 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
             checks, lambda fam, _: _residue_sides(p, 4, *alpha_sides(i, fam)),
             p=p, alpha=values[i])
     return rows
-
-
-def verify_at_prime(
-    p: int,
-    families: tuple[str, ...],
-    alphas: tuple[Fraction, ...] = (),
-    truncations: tuple[str, ...] = ("short", "full"),
-) -> tuple[list[tuple], dict[str, float]]:
-    """verify_primes at the one job (p, families, alphas)."""
-    return verify_primes(((p, families, alphas),), truncations)
 
 
 def verify_prime(
@@ -723,7 +687,7 @@ def verify_prime(
     variant gives one record at its own truncation (MAO_TRUNCATIONS): the
     8^(-k) sum at p-1 (MAO_HALF) or (p-1)/2 (SUN_HALF_CONJ), and its
     agreement with the (8k+1) sum at p-1 when p ≡ 1 (mod 4) (EQUIV).  Each
-    sum is computed once mod p^4 by verify_at_prime, a block of one prime:
+    sum is computed once mod p^4 by verify_primes, a block of one prime:
     S(1/d, .) from the tree at 1/d for each weight d (read mod p^3 by the
     p^3 families), and the 8^(-k) sum from its own tree.  A family whose
     precondition fails gets a skip record with the reason; its residue
@@ -732,7 +696,7 @@ def verify_prime(
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in PRIME_FAMILIES]:
         raise ValueError(f"unknown prime families: {unknown}")
-    rows, _ = verify_at_prime(p, fams, (), truncations)
+    rows, _ = verify_primes(((p, fams, ()),), truncations)
     return [VerificationRecord(*row) for row in rows]
 
 
@@ -750,13 +714,13 @@ def verify_alpha(
     * the five LEMMA_* families (see _lemma_sides).
 
     Every family needs p > 3 and a p-integral alpha; a family whose
-    precondition fails gets a skip record with the reason.  verify_at_prime
-    computes one tree for S(alpha, .), one closed form and, for the lemma
-    families, one Pochhammer prefix, each only when a requested family
-    reads it.
+    precondition fails gets a skip record with the reason.  verify_primes,
+    at one job, computes one tree for S(alpha, .), one closed form and, for
+    the lemma families, one Pochhammer prefix and the lemma tables of p,
+    each only when a requested family reads it.
     """
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in ALPHA_FAMILIES]:
         raise ValueError(f"unknown alpha families: {unknown}")
-    rows, _ = verify_at_prime(p, fams, (alpha,))
+    rows, _ = verify_primes(((p, fams, (alpha,)),))
     return [VerificationRecord(*row) for row in rows]

@@ -5,10 +5,10 @@ integer prefix product over a power of d:
 
     (alpha)_m = P_m / d^m,    P_m = prod_{j<m} (r + j d).
 
-F and G are evaluated from their defining products as unreduced integer
-(numerator, denominator) pairs read off one table of P_m and factorials,
-with the convention 1/(1)_m = 0 for m < 0.  check_pair compares the two
-sides of the pair relation
+F and G are read from their defining products as unreduced integer
+numerators off one table of P_m and factorials, with the convention
+1/(1)_m = 0 for m < 0.  check_pair compares the two sides of the pair
+relation
 
     F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k)
 
@@ -18,8 +18,9 @@ only numerators are formed, and never a denominator.  The relation
 telescopes (sum over n = 0..N-1) into a closed form for the partial sums,
 which check_telescoped verifies for N = 1..n_max from one table, each
 partial sum and its closed form over one integer denominator.  Only
-telescoped_rhs builds a Fraction, from the same pairs.  The Fraction loops
-these checks replaced are kept in tests/wz_oracle.py as the oracle.
+telescoped_rhs builds a Fraction, from the same integers.  The Fraction
+loops these checks replaced, and F and G of a table as (numerator,
+denominator) pairs, are kept in tests/wz_oracle.py as the oracle.
 """
 
 from __future__ import annotations
@@ -65,26 +66,10 @@ class _Table:
         msg = f"(alpha)_{k} = 0 for alpha={self.alpha} in {where}"
         return DivisionByZeroTerm(msg)
 
-    def F(self, n: int, k: int) -> tuple[int, int]:
-        """F(n, k) for 0 <= k <= n:
-        (-1)^(n+k) (2nd + r) P_n^2 P_{n+k} / (d^(3n-k+1) n!^2 (n-k)! P_k^2)."""
-        P, fact, d = self.P, self.fact, self.d
-        num = (2 * n * d + self.r) * P[n] ** 2 * P[n + k]
-        den = d ** (3 * n - k + 1) * fact[n] ** 2 * fact[n - k] * P[k] ** 2
-        return (-num if (n + k) % 2 else num), den
-
-    def G(self, n: int, k: int) -> tuple[int, int]:
-        """G(n, k) for 0 <= k <= n, n >= 1:
-        (-1)^(n+k) P_n^2 P_{n+k-1} / (d^(3n-k-1) (n-1)!^2 (n-k)! P_k^2)."""
-        P, fact = self.P, self.fact
-        num = P[n] ** 2 * P[n + k - 1]
-        den = self.d ** (3 * n - k - 1) * fact[n - 1] ** 2 * fact[n - k] * P[k] ** 2
-        return (-num if (n + k) % 2 else num), den
-
     def F_row(self, n: int, ks: range) -> list[int]:
         """The numerators of F(n, k) for k in ks (each k <= n) without
         their sign (-1)^(n+k): (2nd + r) P_n^2 P_{n+k}, over F's
-        denominators."""
+        denominators d^(3n-k+1) n!^2 (n-k)! P_k^2."""
         P = self.P
         head = (2 * n * self.d + self.r) * P[n] ** 2
         return [head * P[n + k] for k in ks]
@@ -92,7 +77,7 @@ class _Table:
     def G_row(self, n: int, ks: range) -> list[int]:
         """The numerators of G(n, k) for k in ks (n >= 1, each k <= n)
         without their sign (-1)^(n+k): P_n^2 P_{n+k-1}, over G's
-        denominators."""
+        denominators d^(3n-k-1) (n-1)!^2 (n-k)! P_k^2."""
         P = self.P
         head = P[n] ** 2
         return [head * P[n + k - 1] for k in ks]

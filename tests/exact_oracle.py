@@ -2,6 +2,12 @@
 the prime tables, the per-prime residue passes the remainder trees
 replaced, and the coefficient-list parser of the witness files.
 
+The Fraction definitions themselves live here too: the reduction of a
+rational mod p^e (reduce_mod), the harmonic numbers H_n^(m), and the Euler
+polynomial values E_n(x) and Euler numbers E_n by Horner evaluation of
+sequences.euler_poly_coeffs.  No command runs them; the tests compare the
+package's integer paths against them.
+
 The package reads the sums S(alpha, M), the 8^(-k) sum and the Euler
 residues E_{p-3}(x) mod p off remainder trees over a block of primes,
 computes the five lemma right sides and the prefix tables j!, H_j,
@@ -21,8 +27,69 @@ from itertools import accumulate, repeat
 
 from supercong import sequences
 from supercong.padic import NotPAdicIntegral, ResidueClass, is_p_integral
-from supercong.sequences import _horner, harmonic, pochhammer
+from supercong.sequences import pochhammer
 from supercong.verifier import _poch_prefix
+
+MAX_EXPONENT = 4  # residue arithmetic in the package never leaves p**4
+
+
+def check_exponent(e: int) -> None:
+    """Refuse a modulus exponent outside 1..MAX_EXPONENT."""
+    if not 1 <= e <= MAX_EXPONENT:
+        raise ValueError(f"exponent must be in 1..{MAX_EXPONENT}, got {e}")
+
+
+def reduce_mod(x: Fraction, p: int, e: int) -> ResidueClass:
+    """Residue of the rational x modulo p**e.
+
+    Computed as num * den^(-1) mod p**e; the denominator inverse exists
+    exactly when x is a p-adic integer.
+    """
+    check_exponent(e)
+    x = Fraction(x)
+    if not is_p_integral(x, p):
+        raise NotPAdicIntegral(f"{x} has no residue mod {p}^{e}")
+    m = p**e
+    return ResidueClass(x.numerator * pow(x.denominator, -1, m) % m, m)
+
+
+_harmonic_cache: dict[int, list[Fraction]] = {}
+
+
+def _harmonic_value(n: int, m: int) -> Fraction:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    vals = _harmonic_cache.setdefault(m, [Fraction(0)])
+    while len(vals) <= n:
+        j = len(vals)
+        vals.append(vals[-1] + Fraction(1, j**m))
+    return vals[n]
+
+
+def harmonic(n: int, m: int = 1) -> Fraction:
+    """Generalized harmonic number H_n^(m) = sum_{j=1}^{n} 1/j^m; H_0 = 0."""
+    if m < 1:
+        raise ValueError(f"order must be >= 1, got {m}")
+    return _harmonic_value(n, m)
+
+
+def _horner(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
+    out = Fraction(0)
+    for coef in reversed(coeffs):
+        out = out * x + coef
+    return out
+
+
+def euler_poly_eval(n: int, x: Fraction) -> Fraction:
+    """E_n(x) evaluated exactly (Horner)."""
+    return _horner(sequences.euler_poly_coeffs(n), Fraction(x))
+
+
+def euler_number(n: int) -> int:
+    """Euler number E_n = 2^n E_n(1/2); always an integer."""
+    val = 2**n * euler_poly_eval(n, Fraction(1, 2))
+    assert val.denominator == 1
+    return val.numerator
 
 
 @lru_cache(maxsize=4)

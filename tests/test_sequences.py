@@ -5,24 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from supercong.padic import NotPAdicIntegral, reduce_mod
+from supercong.padic import NotPAdicIntegral
 from supercong.primes import sieve_primes
 from supercong.sequences import (
     check_binomial_identities,
     check_euler_identities,
     check_lehmer,
-    euler_number,
     euler_poly_coeffs,
-    euler_poly_eval,
-    harmonic,
     pochhammer,
     _HarmonicPrefix,
 )
 
 from exact_oracle import (
     alternating_reciprocal_squares,
+    euler_number,
     euler_number_mod,
+    euler_poly_eval,
     euler_poly_eval_mod,
+    harmonic,
+    reduce_mod,
 )
 
 

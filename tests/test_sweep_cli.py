@@ -18,6 +18,13 @@ from supercong.cli import build_parser, main
 from supercong.padic import NotPAdicIntegral, ResidueClass
 from supercong.primes import EmptyRange, sieve_primes
 from supercong.records import (
+    ALPHA_FAMILIES,
+    ALPHA_TRUNCATIONS,
+    FAMILIES,
+    LEMMA_FAMILIES,
+    MAO_TRUNCATIONS,
+    PHASES,
+    PRIME_FAMILIES,
     InternalError,
     PreconditionViolated,
     VerificationRecord,
@@ -45,18 +52,7 @@ from supercong.sweep import (
     run_wz,
     summarize,
 )
-from supercong.verifier import (
-    ALPHA_FAMILIES,
-    ALPHA_TRUNCATIONS,
-    FAMILIES,
-    LEMMA_FAMILIES,
-    MAO_TRUNCATIONS,
-    PRIME_FAMILIES,
-    verify_alpha,
-    verify_at_prime,
-    verify_prime,
-    verify_primes,
-)
+from supercong.verifier import verify_alpha, verify_prime, verify_primes
 from supercong.wz import DivisionByZeroTerm, sample_alphas
 
 
@@ -179,15 +175,11 @@ def _execute(inst) -> list[VerificationRecord]:
 
 
 def _moved(inst, p=None, alphas=None):
-    # a one-prime instance, a block of one job or a lemma instance, at
-    # another prime or with other alphas
-    if inst.run is verify_primes:
-        [(p0, fams, alphas0)], truncs = inst.args
-        job = (p or p0, fams, alphas0 if alphas is None else alphas)
-        return inst._replace(args=((job,), truncs))
-    p0, fams, alphas0, truncs = inst.args
-    return inst._replace(args=(p or p0, fams, alphas0 if alphas is None else alphas,
-                               truncs))
+    # a block of one job or a lemma instance, each verify_primes at one job,
+    # at another prime or with other alphas
+    [(p0, fams, alphas0)], truncs = inst.args
+    job = (p or p0, fams, alphas0 if alphas is None else alphas)
+    return inst._replace(args=((job,), truncs))
 
 
 def test_skip_record_has_the_labels_of_the_result():
@@ -207,14 +199,15 @@ def test_skip_record_has_the_labels_of_the_result():
         assert skip.passed is None and skip.reason == reasons[real.family]
         assert _labels(skip._replace(n=real.n)) == _labels(real)
 
-    # verify_primes and verify_at_prime make their own skip records: 1/13
+    # verify_primes makes its own skip records, for a block and for the
+    # lemma instance alike: 1/13
     # has no residue mod 13, so every alpha family skips; its labels are
     # those of the family
     block, lemmas = build_instances(SweepConfig(
         families=ALPHA_FAMILIES, p_min=13, p_max=13, alpha_list=(Fraction(1, 3),)
     ))
     assert block.args[0] == ((13, ALPHA_FAMILIES[:3], (Fraction(1, 3),)),)
-    assert lemmas.args[:3] == (13, LEMMA_FAMILIES, (Fraction(1, 3),))
+    assert lemmas.args[0] == ((13, LEMMA_FAMILIES, (Fraction(1, 3),)),)
     reals = _execute(block) + _execute(lemmas)
     skips = [r for inst in (block, lemmas)
              for r in _execute(_moved(inst, alphas=(Fraction(1, 13),)))]
@@ -338,10 +331,10 @@ def test_one_block_and_one_lemma_instance_per_prime():
     assert block.args == (tuple((p, _admitted(p) + ALPHA_FAMILIES[:3], alphas)
                                 for p in primes), ("short", "full"))
     assert block.family == ",".join(PRIME_FAMILIES + ALPHA_FAMILIES[:3])
-    assert [(i.run, i.p) for i in lemmas] == [(verify_at_prime, p) for p in primes]
+    assert [(i.run, i.p) for i in lemmas] == [(verify_primes, p) for p in primes]
     for inst in lemmas:
         p = inst.p
-        assert inst.args == (p, LEMMA_FAMILIES, alphas, ("short", "full"))
+        assert inst.args == (((p, LEMMA_FAMILIES, alphas),), ("short", "full"))
         assert inst.family == ",".join(LEMMA_FAMILIES)
         assert inst.alpha is None and str(inst) == f"{inst.family} p={p}"
     [inst] = build_instances(cfg._replace(families=("F2", "SUN_B2"), trunc="short"))
@@ -442,7 +435,7 @@ def test_one_instance_per_alpha_and_prime():
     block, *lemmas = build_instances(cfg)
     want = [(p, tuple(default_alphas(p))) for p in sieve_primes(2, 13)]
     assert [(p, alphas) for p, _, alphas in block.args[0]] == want
-    assert [(i.p, i.args[2]) for i in lemmas] == want
+    assert [(i.p, i.args[0][0][2]) for i in lemmas] == want
     assert block.family == ",".join(ALPHA_FAMILIES[:3])
     assert {i.family for i in lemmas} == {",".join(LEMMA_FAMILIES)}
     s = run_sweep(cfg)
@@ -667,16 +660,16 @@ def test_a_bug_in_a_worker_exits_4(monkeypatch, capsys):
     # gives and the child's traceback as its cause
     fds = len(os.listdir("/proc/self/fd"))
     parent, pids = os.getpid(), _record_forks(monkeypatch)
-    check = sweep.verify_at_prime
+    check = sweep.verify_primes
 
-    def bug_at_11(p, *args):
+    def bug_at_11(jobs, *args):
         if os.getpid() == parent and pids:
             _wait_for_exit(pids[-1])
-        if p == 11:
+        if jobs[0][0] == 11:
             raise ZeroDivisionError("bug at 11")
-        return check(p, *args)
+        return check(jobs, *args)
 
-    monkeypatch.setattr(sweep, "verify_at_prime", bug_at_11)
+    monkeypatch.setattr(sweep, "verify_primes", bug_at_11)
     cfg = SweepConfig(families=("LEMMA_ALPHAP3",), p_min=5, p_max=13,
                       alpha_list=("1/3",))
     msg = "internal error checking LEMMA_ALPHAP3 p=11: ZeroDivisionError: bug at 11"
@@ -701,7 +694,7 @@ def test_a_worker_that_dies_exits_4(monkeypatch, capsys):
     # the records of the instances it claimed
     fds = len(os.listdir("/proc/self/fd"))
     parent, pids = os.getpid(), _record_forks(monkeypatch)
-    check = sweep.verify_at_prime
+    check = sweep.verify_primes
 
     def die_in_a_child(*args):
         if os.getpid() != parent:
@@ -709,7 +702,7 @@ def test_a_worker_that_dies_exits_4(monkeypatch, capsys):
         _wait_for_exit(pids[-1])
         return check(*args)
 
-    monkeypatch.setattr(sweep, "verify_at_prime", die_in_a_child)
+    monkeypatch.setattr(sweep, "verify_primes", die_in_a_child)
     died = r"worker 1 \(pid \d+\) ended before its last instance: killed by SIGKILL"
     with pytest.raises(InternalError, match=died):
         run_sweep(SweepConfig(families=("LEMMA_ALPHAP3",), p_min=5, p_max=13,
@@ -730,7 +723,7 @@ def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, error, raised):
     # the children still at work are killed and reaped, and every pipe closed
     fds = len(os.listdir("/proc/self/fd"))
     parent, pids = os.getpid(), _record_forks(monkeypatch)
-    check = sweep.verify_at_prime
+    check = sweep.verify_primes
     # a child blocks in its first instance on a read from a pipe that nothing
     # writes, so the parent claims an instance and raises while both children
     # are at work; the read sees EOF only once the test has closed its end
@@ -744,7 +737,7 @@ def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, error, raised):
         os.read(wait, 1)
         return check(*args)
 
-    monkeypatch.setattr(sweep, "verify_at_prime", fail_in_the_parent)
+    monkeypatch.setattr(sweep, "verify_primes", fail_in_the_parent)
     try:
         with pytest.raises(raised):
             run_sweep(SweepConfig(families=("LEMMA_ALPHAP3",), p_min=5, p_max=61,
@@ -914,7 +907,7 @@ def test_timings_summary():
         want = sum(r.elapsed_ms for r in s.records if r.family == fam)
         assert t["family_ms"][fam] == round(want, 3) and want > 0
     # per phase: every verify instance's phase seconds, in ms
-    assert set(t["phase_ms"]) == set(verifier.PHASES)
+    assert set(t["phase_ms"]) == set(PHASES)
     assert all(ms > 0 for ms in t["phase_ms"].values())
     # elapsed_ms is the instance time over its records, and at least the
     # share of its phases: the same for all records of the one block, and

@@ -11,37 +11,40 @@ from supercong.padic import (
     NotPAdicIntegral,
     is_p_integral,
     least_nonneg_residue,
-    reduce_mod,
 )
 from supercong.primes import sieve_primes
-from supercong.records import InternalError
-from supercong.sequences import (
-    euler_number,
-    euler_poly_eval,
-    harmonic,
-    pochhammer,
-)
-from supercong.sweep import RATIONAL_ALPHAS, default_alphas
-from supercong.verifier import (
+from supercong.records import (
     ALPHA_FAMILIES,
     FAMILIES,
     LEMMA_FAMILIES,
     MAO_VARIANTS,
+    PHASES,
     PRIME_FAMILIES,
+    InternalError,
+    admits,
+)
+from supercong.sequences import pochhammer
+from supercong.sweep import RATIONAL_ALPHAS, default_alphas
+from supercong.verifier import (
     _closed_form,
     _lemma_sides,
+    _lemma_tables,
     _poch_prefix,
     _sums,
     ramanujan_partial,
     verify_alpha,
-    verify_at_prime,
     verify_prime,
+    verify_primes,
 )
 from supercong.wz import telescoped_rhs
 
 from exact_oracle import (
+    euler_number,
     euler_number_mod,
+    euler_poly_eval,
     euler_poly_eval_mod,
+    harmonic,
+    reduce_mod,
     sum_main_exact,
     sum_main_mod,
     sum_mao_exact,
@@ -349,7 +352,7 @@ def test_mod_p4_families_fail_without_their_euler_term():
     # exactly at the primes where that term vanishes mod p
     checked = set()
     for p in sieve_primes(5, 1999):
-        fams = tuple(f for f in EULER_ZERO_PRIMES if verifier.admits(f, p))
+        fams = tuple(f for f in EULER_ZERO_PRIMES if admits(f, p))
         for rec in verify_prime(p, fams):
             assert rec.passed and rec.modulus == f"{p}^4", rec
             weak = _without_euler_term(rec.family, p) % p**4
@@ -504,6 +507,7 @@ def test_lemmas_chain_into_the_general_alpha_congruence():
     pairs = edge = 0
     for p in sieve_primes(5, 400) + sieve_primes(1980, 2000):
         m = p**4
+        tables = _lemma_tables(p)
         for alpha in default_alphas(p):
             if not is_p_integral(alpha, p):
                 continue
@@ -512,7 +516,7 @@ def test_lemmas_chain_into_the_general_alpha_congruence():
             if a == 0:  # alpha ≡ 0 (mod p): LEMMA_WZPROD and LEMMA_SIGMA1 skip
                 continue
             fams = chain[:2] if a == p - 1 else chain
-            sides = {fam: _lemma_sides(fam, alpha, p, pre) for fam in fams}
+            sides = {fam: _lemma_sides(fam, alpha, p, pre, tables) for fam in fams}
             lhs = _proof_chain({f: x for f, (x, _) in sides.items()}, a, p)
             rhs = _proof_chain({f: y for f, (_, y) in sides.items()}, a, p)
             assert lhs % m == sum_main_mod(alpha, p - 1, p), (alpha, p)
@@ -579,14 +583,14 @@ def _counting(monkeypatch, names):
 
 
 def test_verify_alpha_computes_shared_values_once(monkeypatch):
-    # verify_alpha is one alpha of verify_at_prime
-    calls = _counting(monkeypatch, ("_sums", "_poch_prefix", "verify_at_prime"))
+    # verify_alpha is verify_primes at one job with one alpha
+    calls = _counting(monkeypatch, ("_sums", "_poch_prefix", "verify_primes"))
 
     def count(families, alpha=Fraction(1, 3), p=13):
         for args in calls.values():
             args.clear()
         assert all(r.passed for r in verify_alpha(alpha, p, families))
-        assert calls["verify_at_prime"] == [(p, list(families), (alpha,))]
+        assert calls["verify_primes"] == [(((p, list(families), (alpha,)),),)]
         # only the lemma families read a prefix, and it reaches 2p-1
         assert [n for _, _, n in calls["_poch_prefix"]] == (
             [2 * p - 1] * len(calls["_poch_prefix"]))
@@ -617,7 +621,7 @@ def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
     for fams in (PRIME_FAMILIES + ALPHA_FAMILIES[:3], ALPHA_FAMILIES[:3] + PRIME_FAMILIES):
         for args in calls.values():
             args.clear()
-        rows, seconds = verify_at_prime(p, fams, alphas)
+        rows, seconds = verify_primes(((p, fams, alphas),))
         assert all(row[4] is not False for row in rows)
         assert len(rows) == 23 + 3 * len(alphas)
         trees = Counter(alpha for alpha, _ in calls["_sums"])
@@ -632,9 +636,9 @@ def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
         assert set(closed) == {(a, 4) for a in integral} | {
             (Fraction(1, d), 3) for d in (2, 3, 4)}
         assert calls["_poch_prefix"] == calls["_lemma_tables"] == []
-        assert set(seconds) == set(verifier.PHASES) and seconds["lemma"] == 0
+        assert set(seconds) == set(PHASES) and seconds["lemma"] == 0
         assert all(x >= 0 for x in seconds.values()) and seconds["sums"] > 0
-    verify_at_prime(p, ("LEMMA_SIGMA",), alphas)
+    verify_primes(((p, ("LEMMA_SIGMA",), alphas),))
     assert calls["_lemma_tables"]
 
 
@@ -648,7 +652,7 @@ def test_verify_at_prime_names_the_alpha_of_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(verifier, "_closed_form", broken)
     with pytest.raises(InternalError) as info:
-        verify_at_prime(13, ("E2", "MAIN1"), (Fraction(1, 2), Fraction(-1, 3)))
+        verify_primes(((13, ("E2", "MAIN1"), (Fraction(1, 2), Fraction(-1, 3))),))
     assert str(info.value) == ("internal error checking MAIN1 p=13 alpha=-1/3 "
                                "truncation=full: ZeroDivisionError: broken")
     assert isinstance(info.value.__cause__, ZeroDivisionError)

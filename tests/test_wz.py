@@ -19,16 +19,17 @@ from supercong.wz import (
 )
 
 from exact_oracle import sum_main_exact
+from wz_oracle import F, G
 
 
 def _F(n, k, alpha):
     # F(n, k), 0 <= k <= n, from the integer pair check_pair forms
-    return Fraction(*wz._Table(alpha, n + k).F(n, k))
+    return Fraction(*F(wz._Table(alpha, n + k), n, k))
 
 
 def _G(n, k, alpha):
     # G(n, k), 0 <= k <= n, n >= 1, likewise
-    return Fraction(*wz._Table(alpha, n + k).G(n, k))
+    return Fraction(*G(wz._Table(alpha, n + k), n, k))
 
 
 def test_point_values():
@@ -102,7 +103,7 @@ def test_pair_check_catches_a_broken_certificate(monkeypatch, point):
             return nums
         return row
 
-    monkeypatch.setattr(wz._Table, "G_row", bumped(good_G, wz._Table.G, {point}))
+    monkeypatch.setattr(wz._Table, "G_row", bumped(good_G, G, {point}))
     # row n = 2 reaches G(3, 2) at k = 2 and G(3, 3) only at k = n + 1
     assert not check_pair(2, 4, [Fraction(1, 2)])
     # rows n <= 1 only reach G(2, k) and G(1, k)
@@ -113,7 +114,7 @@ def test_pair_check_catches_a_broken_certificate(monkeypatch, point):
     # from row 2, sees the break.
     n, k = point
     monkeypatch.setattr(wz._Table, "F_row",
-                        bumped(good_F, wz._Table.F, {(n - 1, j) for j in range(k)}))
+                        bumped(good_F, F, {(n - 1, j) for j in range(k)}))
     assert check_pair(2, 4, [Fraction(1, 2)])
     assert not check_pair(3, 4, [Fraction(1, 2)])
     assert not check_pair(3, k, [Fraction(1, 2)])
@@ -134,16 +135,16 @@ def test_row_multipliers_bring_each_term_over_one_denominator(alpha):
     for n in range(21):
         s = (-1) ** n
         assert [s * x for x in t.F_row(n, range(n + 1))] == [
-            (-1) ** k * t.F(n, k)[0] for k in range(n + 1)]
+            (-1) ** k * F(t, n, k)[0] for k in range(n + 1)]
         assert [-s * x for x in t.G_row(n + 1, range(n + 2))] == [
-            (-1) ** k * t.G(n + 1, k)[0] for k in range(n + 2)]
+            (-1) ** k * G(t, n + 1, k)[0] for k in range(n + 2)]
         for k in range(1, n + 2):
             Q = d ** (3 * n - k + 2) * fact[n] ** 2 * fact[n - k + 1] * P[k] ** 2
-            assert t.F(n, k - 1)[1] * (r + (k - 1) * d) ** 2 == Q
-            assert t.G(n + 1, k)[1] == Q
+            assert F(t, n, k - 1)[1] * (r + (k - 1) * d) ** 2 == Q
+            assert G(t, n + 1, k)[1] == Q
             if k <= n:
-                assert t.F(n, k)[1] * d * (n - k + 1) == Q
-                assert t.G(n, k)[1] * d**3 * n**2 * (n - k + 1) == Q
+                assert F(t, n, k)[1] * d * (n - k + 1) == Q
+                assert G(t, n, k)[1] * d**3 * n**2 * (n - k + 1) == Q
 
 
 def test_pole_at_the_edge_of_the_range():
@@ -215,12 +216,14 @@ def test_cold_pochhammer_cache_at_large_index():
     code = (
         "from fractions import Fraction\n"
         "from supercong.wz import _Table, telescoped_rhs\n"
+        "from wz_oracle import F\n"
         "telescoped_rhs(600, Fraction(1, 3))\n"
-        "_Table(Fraction(2, 7), 700).F(700, 0)\n"
+        "F(_Table(Fraction(2, 7), 700), 700, 0)\n"
         "print('ok')\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(map(str, (here.parent / "src", here)))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
         timeout=120,

@@ -6,16 +6,17 @@ the exact Fraction route as an independent check: Pochhammer symbols as
 Fraction products, the pair relation compared point by point with every
 point of the grid visited, the partial sum against the closed form, and
 the four binomial sums accumulated term by term.  The exceptions and
-their messages are those the package must also raise.
+their messages are those the package must also raise.  F and G also come
+as unreduced integer (numerator, denominator) pairs off a wz._Table, the
+table of P_m and factorials whose rows check_pair reads.
 """
 
 import math
 from fractions import Fraction
 
-from supercong.sequences import harmonic
 from supercong.wz import DivisionByZeroTerm
 
-from exact_oracle import alternating_reciprocal_squares
+from exact_oracle import alternating_reciprocal_squares, harmonic
 
 
 def poch(alpha: Fraction, k: int) -> Fraction:
@@ -52,6 +53,24 @@ def eval_G(n: int, k: int, alpha: Fraction) -> Fraction:
     num = sign * poch(a, n) ** 2 * poch(a, n + k - 1)
     den = Fraction(math.factorial(n - 1)) ** 2 * math.factorial(n - k) * pk**2
     return num / den
+
+
+def F(t, n: int, k: int) -> tuple[int, int]:
+    """F(n, k) for 0 <= k <= n from the wz._Table t:
+    (-1)^(n+k) (2nd + r) P_n^2 P_{n+k} / (d^(3n-k+1) n!^2 (n-k)! P_k^2)."""
+    P, fact, d = t.P, t.fact, t.d
+    num = (2 * n * d + t.r) * P[n] ** 2 * P[n + k]
+    den = d ** (3 * n - k + 1) * fact[n] ** 2 * fact[n - k] * P[k] ** 2
+    return (-num if (n + k) % 2 else num), den
+
+
+def G(t, n: int, k: int) -> tuple[int, int]:
+    """G(n, k) for 0 <= k <= n, n >= 1, from the wz._Table t:
+    (-1)^(n+k) P_n^2 P_{n+k-1} / (d^(3n-k-1) (n-1)!^2 (n-k)! P_k^2)."""
+    P, fact = t.P, t.fact
+    num = P[n] ** 2 * P[n + k - 1]
+    den = t.d ** (3 * n - k - 1) * fact[n - 1] ** 2 * fact[n - k] * P[k] ** 2
+    return (-num if (n + k) % 2 else num), den
 
 
 def check_pair(n_max: int, k_max: int, alphas) -> bool:

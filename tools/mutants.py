@@ -80,19 +80,6 @@ class Mutation(NamedTuple):
 
 MUTATIONS = (
     # the integer certificate pair and telescope
-    Mutation("wz F sign parity", "wz.py",
-             "return (-num if (n + k) % 2 else num), den\n\n    def G",
-             "return (-num if (n + k + 1) % 2 else num), den\n\n    def G",
-             WZ_TESTS),
-    Mutation("wz F exponent of d", "wz.py",
-             "d ** (3 * n - k + 1)", "d ** (3 * n - k + 2)", WZ_TESTS),
-    Mutation("wz G exponent of d", "wz.py",
-             "self.d ** (3 * n - k - 1)", "self.d ** (3 * n - k)", WZ_TESTS),
-    Mutation("wz F factorial index", "wz.py",
-             "fact[n] ** 2 * fact[n - k]", "fact[n] ** 2 * fact[n - k + 1]",
-             WZ_TESTS),
-    Mutation("wz G factorial index", "wz.py",
-             "fact[n - 1] ** 2", "fact[n] ** 2", WZ_TESTS),
     Mutation("wz pair k <= n+1 bound", "wz.py",
              "min(k_max, n + 1)", "min(k_max, n)", WZ_TESTS),
     Mutation("wz pair carry dropped", "wz.py",
@@ -343,6 +330,10 @@ MUTATIONS = (
     Mutation("record equality compares the timings too", "records.py",
              "return self[:10] == other[:10]", "return tuple(self) == tuple(other)",
              SWEEP_TESTS),
+    Mutation("least_nonneg_residue without its integrality check", "padic.py",
+             "    if not is_p_integral(x, p):\n"
+             "        raise NotPAdicIntegral(f\"{x} has no residue mod {p}^1\")\n",
+             "", PADIC_TESTS),
     Mutation("residue class without its range check", "padic.py",
              "        if modulus < 1:\n"
              "            raise ValueError(f\"modulus must be positive, got {modulus}\")\n"
