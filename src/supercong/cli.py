@@ -60,8 +60,8 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument(
         "--workers", type=_worker_count,
         default=d if suppress else os.environ.get("SUPERCONG_WORKERS", "1"),
-        help="process count; reports are identical for any value "
-        "(default: $SUPERCONG_WORKERS or 1)",
+        help="most processes to use (a run with little work uses one); "
+        "reports are identical for any value (default: $SUPERCONG_WORKERS or 1)",
     )
     p.add_argument(
         "--timings", action="store_true",

@@ -7,8 +7,11 @@ fill cannot block.  The parent and its workers - 1 forked children each
 read a token whenever they are free, run that chunk and read the next,
 until the drained pipe reads as EOF: the costliest instances (the largest
 primes) come last, and a static split would leave one process idle while
-another runs them.  sweep imports this module only for a run with more
-than one worker, so a serial run never compiles it.
+another runs them.  sweep imports this module only for a run it forks:
+more than one worker, and estimated serial work at or above
+sweep._FORK_FLOOR, about five times the 20 ms of CPU a fork costs.  A
+smaller run, whatever --workers asks, is the serial run and never
+compiles this module.
 """
 
 from __future__ import annotations
@@ -73,8 +76,6 @@ def _child(k: int, parent: int, claims: int, out: int, others: list[int],
     # of (None, (message, traceback))
     code = 1
     try:
-        import traceback
-
         # a handler the parent installed (cli.main's) is not the child's
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -86,6 +87,8 @@ def _child(k: int, parent: int, claims: int, out: int, others: list[int],
             _send(out, b"")
             code = 0
         except BaseException as exc:  # whatever it is, the parent reports it
+            import traceback  # only an error pays for the import
+
             msg = str(exc) if isinstance(exc, InternalError) else (
                 f"internal error in worker {k}: {type(exc).__name__}: {exc}")
             _send(out, pickle.dumps((None, (msg, traceback.format_exc()))))

@@ -4,10 +4,13 @@ Instances are expanded up front as immutable ``Instance`` values, executed
 either serially or by this process and forked children that claim them
 from one pipe (forked._run_forked), and the records are sorted afterwards
 by (family, p or n, alpha, truncation), so reports are byte-identical for
-any worker count.  The classical, 8^(-k), MAIN1, MAIN1_TRUNC and TAIL
-families run as one instance per contiguous block of primes
-(verifier.verify_primes), which reads every sum from one remainder tree
-per alpha: a serial run has one block, a run on w workers w blocks.  One
+any worker count.  A run forks only when its estimated serial work (the
+sum of Instance.work) reaches _FORK_FLOOR: below it, the fork costs more
+than it saves, and a run asked for w workers is exactly the serial run.
+The classical, 8^(-k), MAIN1, MAIN1_TRUNC and TAIL families run as one
+instance per contiguous block of primes (verifier.verify_primes), which
+reads every sum from one remainder tree per alpha: a serial run has one
+block, a forked run on w workers w blocks.  One
 instance per prime checks the requested lemma families at every alpha
 (verifier.verify_primes at one job); one per (q-family, n) checks that
 family (qseries.verify_at_n).  These yield a record per family, prime,
@@ -100,6 +103,20 @@ VERIFY_FAMILIES: tuple[str, ...] = PRIME_FAMILIES + ALPHA_FAMILIES
 # 10^6 needs about 0.5 GB.
 P_MAX = 10**6
 
+# The work floor of a forked run, in estimated microseconds of serial work
+# (the sum of Instance.work): five times the cost of a fork.  On a shared
+# 2-vCPU x86 host (CPython 3.11) a run of the five lemma families at 10
+# alphas took 15 to 32 ms more CPU with 2 workers than with 1, for p <= 131
+# to 401: about 20 ms for the fork, the child's copy-on-write faults and
+# the pickled rows.  A run of work W saves at most W/2 of wall time, and
+# only while the child has a core of its own, which a shared host does
+# not promise: there, two busy processes often took twice as long as one.
+# At the floor a fork loses at most a fifth of the run's work and can save
+# half.  Below it stays the benchmark's lemma run (p <= 199, about 0.06 s
+# of work), which took 0.152 s with 2 workers against 0.134 s serial;
+# verify --pmax 499 (about 0.35 s) and larger runs fork.
+_FORK_FLOOR = 100_000
+
 
 def default_alphas(p: int) -> list[Fraction]:
     """Integer residues 1..p-1 for small p, plus the fixed rational sample."""
@@ -128,6 +145,7 @@ class ReportSummary(NamedTuple):
     skipped: int
     failures: tuple[VerificationRecord, ...]
     records: tuple[VerificationRecord, ...]
+    workers: int = 1  # the processes that ran the records' instances
 
 
 class Instance(NamedTuple):
@@ -137,7 +155,9 @@ class Instance(NamedTuple):
     family, p, n and alpha label the row of a bool and name the instance
     in an InternalError raised outside family_rows.  For verify_primes,
     family is the requested families joined by commas, and p the largest
-    prime of its jobs."""
+    prime of its jobs.  work is the instance's share of the serial run's
+    work, in microseconds, estimated from its inputs alone; only the
+    choice to fork reads it (_processes)."""
 
     family: str
     run: Callable
@@ -145,6 +165,7 @@ class Instance(NamedTuple):
     p: int | None = None
     n: int | None = None
     alpha: Fraction | None = None
+    work: int = 0
 
     def __str__(self) -> str:
         return describe(self.family, self.p, self.n, self.alpha)
@@ -220,9 +241,10 @@ def __getattr__(name: str):
 def build_instances(cfg: SweepConfig) -> list[Instance]:
     """One instance per block of the primes that admit a requested block
     family or, with alpha families requested, have alphas: a block for
-    each of cfg.workers, labelled by its largest prime.  Then one per
-    prime for the requested lemma families, and after all primes one per
-    n for each q-family."""
+    each process the run uses (one below _FORK_FLOOR, whatever
+    cfg.workers), labelled by its largest prime.  Then one per prime for
+    the requested lemma families, and after all primes one per n for
+    each q-family.  Each carries its estimated work (Instance.work)."""
     alpha_fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
     if any(f in VERIFY_FAMILIES for f in cfg.families):
         _bind("verifier")
@@ -233,31 +255,47 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
         primes = sieve_primes(cfg.p_min, cfg.p_max)
     except EmptyRange as exc:
         raise ConfigError(str(exc)) from exc
-    jobs, lemmas = [], []
+    jobs, work, rest = [], [], []
     for p in primes:
         alphas = tuple(_alphas_for(cfg, p)) if alpha_fams else ()
         fams = tuple(f for f in cfg.families
                      if (f in PRIME_FAMILIES and admits(f, p))
                      or (f in ALPHA_FAMILIES and alphas))
         if block := tuple(f for f in fams if f in BLOCK_FAMILIES):
+            # a job extends its block's trees from the last job's prime to p,
+            # about 8 us per prime and tree (blocks of 14 trees to p = 307,
+            # 1999 and 5000 took 6.6, 8.0 and 12): one tree per alpha if an
+            # alpha family reads them, and at most four (1/2, 1/3, 1/4 and
+            # 8^(-k)) for the prime families
+            trees = (len(alphas) * any(f in ALPHA_FAMILIES for f in block)
+                     + min(4, sum(f in PRIME_FAMILIES for f in block)))
+            work.append(8 * (p - (jobs[-1][0] if jobs else 0)) * trees)
             jobs.append((p, block, alphas))
         if lemma := tuple(f for f in fams if f in LEMMA_FAMILIES):
-            lemmas.append(Instance(",".join(lemma), verify_primes,
-                                   (((p, lemma, alphas),), truncs), p=p))
+            # a Pochhammer prefix to 2p-1 and two sums, about 3p steps of
+            # 0.5 us, per alpha
+            rest.append(Instance(",".join(lemma), verify_primes,
+                                 (((p, lemma, alphas),), truncs), p=p,
+                                 work=3 * p * len(alphas) // 2))
+    # one instance per (family, n), so that workers share the q-families
+    # out; the sums and gcds of one take about n^3 us
+    rest += [Instance(fam, verify_at_n, (n, (fam,)), n=n, work=n**3)
+             for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
     # contiguous blocks, each building its own trees from k = 1, so no
     # block reads another's state; they go first, so that a forked run
-    # starts every block before it shares out the lemma instances
-    k = min(cfg.workers, len(jobs))
+    # starts every block before it shares out the other instances.  A
+    # block's work is that of its jobs, so the blocks of any split add up
+    # to the serial run's estimate, and _run_instances decides as here
+    k = _processes(sum(work) + sum(i.work for i in rest), cfg.workers, len(jobs))
     out: list[Instance] = []
     for i in range(k):
-        block = tuple(jobs[i * len(jobs) // k:(i + 1) * len(jobs) // k])
+        lo, hi = i * len(jobs) // k, (i + 1) * len(jobs) // k
+        block = tuple(jobs[lo:hi])
         label = ",".join(f for f in dict.fromkeys(cfg.families)
                          if any(f in fams for _, fams, _ in block))
-        out.append(Instance(label, verify_primes, (block, truncs), p=block[-1][0]))
-    out += lemmas
-    # one instance per (family, n), so that workers share the q-families out
-    out += [Instance(fam, verify_at_n, (n, (fam,)), n=n)
-            for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
+        out.append(Instance(label, verify_primes, (block, truncs), p=block[-1][0],
+                            work=sum(work[lo:hi])))
+    out += rest
     if not out:
         raise ConfigError(
             f"selection matches no instances: families {', '.join(cfg.families)}"
@@ -309,11 +347,24 @@ def _execute(inst: Instance) -> tuple[list[tuple], float, tuple[float, ...] | No
     return rows, ms, phases
 
 
+def _processes(work: int, workers: int, count: int) -> int:
+    """The processes that share count instances, or blocks of primes, of
+    estimated serial work `work` when workers are asked for: no more than
+    count, and only this one below _FORK_FLOOR or without os.fork."""
+    if work < _FORK_FLOOR or not hasattr(os, "fork"):
+        workers = 1
+    return min(workers, count)
+
+
+def _pool_size(insts: list[Instance], workers: int) -> int:
+    return _processes(sum(inst.work for inst in insts), workers, len(insts))
+
+
 def _run_instances(insts: list[Instance], workers: int) -> list[VerificationRecord]:
-    if workers > 1 and len(insts) > 1 and hasattr(os, "fork"):
+    if (workers := _pool_size(insts, workers)) > 1:
         from .forked import _run_forked  # a serial run never compiles it
 
-        records = _run_forked(insts, min(workers, len(insts)))
+        records = _run_forked(insts, workers)
     else:
         records = _records(map(_execute, insts))
     records.sort(key=VerificationRecord.sort_key)
@@ -326,7 +377,7 @@ def _records(results) -> list[VerificationRecord]:
             for rows, ms, phases in results for row in rows]
 
 
-def summarize(records: list[VerificationRecord]) -> ReportSummary:
+def summarize(records: list[VerificationRecord], workers: int = 1) -> ReportSummary:
     passed = sum(1 for r in records if r.passed is True)
     failed = sum(1 for r in records if r.passed is False)
     skipped = sum(1 for r in records if r.passed is None)
@@ -337,12 +388,17 @@ def summarize(records: list[VerificationRecord]) -> ReportSummary:
         skipped=skipped,
         failures=tuple(r for r in records if r.passed is False),
         records=tuple(records),
+        workers=workers,
     )
+
+
+def _summary(insts: list[Instance], workers: int) -> ReportSummary:
+    return summarize(_run_instances(insts, workers), _pool_size(insts, workers))
 
 
 def run_sweep(cfg: SweepConfig) -> ReportSummary:
     cfg = _validate(cfg)
-    return summarize(_run_instances(build_instances(cfg), cfg.workers))
+    return _summary(build_instances(cfg), cfg.workers)
 
 
 EULER_NMAX = 25
@@ -366,16 +422,20 @@ def run_identities(
         # the power-sum identity starts at m = 1: below that it checks nothing
         raise ConfigError(f"need mmax >= 1, got {mmax}")
     _bind("sequences")
+    # work in us: a binomial check at n takes about n^2/64, the Euler bundle
+    # EULER_NMAX^2 mmax/4, and the harmonic prefixes of Lehmer's pass pmax^2/200
     insts = [
-        Instance("BINOM_IDS", check_binomial_identities, (n,), n=n)
+        Instance("BINOM_IDS", check_binomial_identities, (n,), n=n, work=n * n // 64)
         for n in range(1, nmax + 1)
     ]
     insts.append(
-        Instance("EULER_IDS", check_euler_identities, (EULER_NMAX, mmax), n=EULER_NMAX)
+        Instance("EULER_IDS", check_euler_identities, (EULER_NMAX, mmax), n=EULER_NMAX,
+                 work=EULER_NMAX**2 * mmax // 4)
     )
     primes = sieve_primes(5, pmax)  # one pass over all: p labels the largest
-    insts.append(Instance("LEHMER", _lehmer, (primes,), p=primes[-1]))
-    return summarize(_run_instances(insts, workers))
+    insts.append(Instance("LEHMER", _lehmer, (primes,), p=primes[-1],
+                          work=pmax * pmax // 200))
+    return _summary(insts, workers)
 
 
 def run_wz(
@@ -395,15 +455,19 @@ def run_wz(
         alphas = sample_alphas(alpha_samples, seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # work in us: about one per point of the pair's grid, and nmax^2 for
+    # the telescope's table
     insts = [
-        Instance("WZ_PAIR", check_pair, (nmax, kmax, (a,)), n=nmax, alpha=a)
+        Instance("WZ_PAIR", check_pair, (nmax, kmax, (a,)), n=nmax, alpha=a,
+                 work=nmax * kmax)
         for a in alphas
     ]
     insts += [
-        Instance("WZ_TELESCOPE", check_telescoped, (nmax, a), n=nmax, alpha=a)
+        Instance("WZ_TELESCOPE", check_telescoped, (nmax, a), n=nmax, alpha=a,
+                 work=nmax * nmax)
         for a in alphas
     ]
-    return summarize(_run_instances(insts, workers))
+    return _summary(insts, workers)
 
 
 def run_smoke(*, terms: int = 50, tol: float = 1e-6) -> ReportSummary:
@@ -447,8 +511,9 @@ def record_to_dict(r: VerificationRecord, timings: bool = False) -> dict:
 def timing_summary(summary: ReportSummary) -> dict:
     """The timings of a report: the time per family (the sum of its records'
     elapsed_ms), the time per phase of verifier.PHASES over all verify
-    instances, and the number of skips per family and reason, with the
-    reason's numbers written #."""
+    instances, the number of skips per family and reason, with the
+    reason's numbers written #, and the number of processes that ran the
+    instances (1 for a run below the fork floor, whatever --workers asked)."""
     family_ms: dict[str, float] = {}
     phase_ms = [0.0] * len(PHASES)
     skips: Counter[str] = Counter()
@@ -463,6 +528,7 @@ def timing_summary(summary: ReportSummary) -> dict:
         "family_ms": {f: round(ms, 3) for f, ms in family_ms.items()},
         "phase_ms": {ph: round(ms, 3) for ph, ms in zip(PHASES, phase_ms)},
         "skips": dict(skips),
+        "workers": summary.workers,
     }
 
 
@@ -554,6 +620,7 @@ def render_text(summary: ReportSummary, timings: bool = False) -> str:
     )
     if timings:
         t = timing_summary(summary)
+        lines.append(f"workers: {t['workers']}")
         lines.append("phases: " + ", ".join(
             f"{ph} {ms:.1f} ms" for ph, ms in t["phase_ms"].items()))
         lines += [f"family {f}: {ms:.1f} ms" for f, ms in sorted(t["family_ms"].items())]

@@ -414,7 +414,7 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple,
     # only the factor alpha+a of (alpha)_{a+1} (LEMMA_PROD), and likewise of
     # (alpha)_{p-1} (LEMMA_SIGMA), can vanish: exactly when t = 0, which
     # t ≡ 0 (mod p^4) does not imply
-    zero = alpha + a == 0
+    zero = alpha.numerator + a * alpha.denominator == 0
     if fam == "LEMMA_PROD" and zero:
         raise PreconditionViolated(f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})")
     if fam == "LEMMA_SIGMA":
@@ -428,7 +428,6 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple,
     fact, h1, h2, alt2 = tables
     f2 = fact[p - 1] ** 2
     pt, ha, ha2 = p * t, h1[a], h2[a]
-    half = pow(2, -1, m)
 
     # the left side is p^v * num / den, den a unit mod p^4
     if fam == "LEMMA_WZPROD":
@@ -452,6 +451,7 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple,
         v = v0  # valuation 3 v0 over (alpha)_{a+1}^2, valuation 2 v0
         num = u[p] ** 2 * u[p + a]
         den = f2 * fact[p - a - 1] * u[a + 1] ** 2
+        half = (m + 1) // 2  # 1/2 mod p^4
         rhs = pt * (
             1
             + p * (t + 1) * ha
@@ -464,6 +464,7 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple,
         v, num, den = v0 + v1, u[p] ** 2 * s, f2 * d
         sa = _parity_sign(a)
         inv = pow(a + 1, -1, m)
+        half = (m + 1) // 2
         rhs = sa * p * pt * (t + 1) * (
             ha - sa * inv
             + p * (

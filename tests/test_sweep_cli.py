@@ -359,21 +359,24 @@ def test_one_block_and_one_lemma_instance_per_prime():
 
 
 def test_importing_the_cli_does_not_import_the_pool():
-    # the forked run needs pickle and select, which only a run with
-    # workers > 1 imports; no run imports the process pool's modules
+    # the forked run needs pickle and select, which only a run that forks
+    # imports; no run imports the process pool's modules
     pool = "('concurrent.futures', 'multiprocessing')"
     code = ("import sys, supercong.cli; "
             f"print([m for m in {pool} + ('pickle', 'select') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
-    code = ("import os, sys, supercong.cli; "
+    # a run this small forks only with the floor lowered
+    code = ("import os, sys, supercong.cli, supercong.sweep; "
+            "supercong.sweep._FORK_FLOOR = 0; "
             "code = supercong.cli.main(['verify', '--pmax', '13', '--family', 'B2', "
             "'--workers', '2', '--output', os.devnull]); "
-            f"print(code, [m for m in {pool} if m in sys.modules])")
+            f"print(code, [m for m in {pool} if m in sys.modules], "
+            "'supercong.forked' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip() == "0 [] True"
 
 
 def _modules_after(code: str) -> list[str]:
@@ -587,13 +590,22 @@ WORKER_RUNS = {
 }
 
 
+@pytest.fixture
+def no_floor(monkeypatch):
+    # every run with more than one worker forks, however small its work:
+    # the forked run's own tests use runs far below sweep._FORK_FLOOR
+    monkeypatch.setattr(sweep, "_FORK_FLOOR", 0)
+
+
 @pytest.mark.parametrize("kind", WORKER_RUNS)
-def test_worker_count_does_not_change_report(kind):
+def test_worker_count_does_not_change_report(kind, monkeypatch, no_floor):
     run = WORKER_RUNS[kind]
     serial = run(1)
     assert serial.total > 1 and serial.failed == 0
+    pids = _record_forks(monkeypatch)
     for workers in (2, 3):
         assert render_json(serial) == render_json(run(workers))
+    assert len(pids) == 1 + 2
 
 
 def _record_forks(monkeypatch) -> list[int]:
@@ -627,7 +639,7 @@ def _assert_no_child_left(fds: int) -> None:
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
-def test_pool_has_no_more_workers_than_instances(monkeypatch):
+def test_pool_has_no_more_workers_than_instances(monkeypatch, no_floor):
     # the parent runs instances too, so it forks one child fewer than the
     # workers asked for, and no more than there are instances to share
     pids = _record_forks(monkeypatch)
@@ -643,7 +655,71 @@ def test_pool_has_no_more_workers_than_instances(monkeypatch):
     assert forks == [3, 1, 0]
 
 
-def test_claims_of_chunks_give_the_serial_report(monkeypatch):
+# the benchmark's lemma run: five families, p <= 199, ten alphas; about
+# 0.06 s of work, below the fork floor
+LEMMA_ARGV = ["verify", *(a for f in LEMMA_FAMILIES for a in ("--family", f)),
+              "--pmin", "5", "--pmax", "199",
+              *(f"--alpha={a}" for a in ("1/2", "1/3", "1/4", "-1/2", "5/3", "-1/4",
+                                         "-8/5", "1/6", "5/6", "-1/3"))]
+
+
+def test_a_run_below_the_floor_is_the_serial_run(monkeypatch, tmp_path):
+    # --workers 2 below the floor: the instances of --workers 1, one block
+    # of primes among them, run here without a fork or the forked module
+    code = ("import os, sys, supercong.cli; forks = []; fork = os.fork; "
+            "os.fork = lambda: forks.append(1) or fork(); "
+            "code = supercong.cli.main(sys.argv[1:]); "
+            "print(code, len(forks), 'supercong.forked' in sys.modules)")
+    reports = []
+    for workers in ("2", "1"):
+        out = tmp_path / f"w{workers}.json"
+        argv = [*LEMMA_ARGV, "--workers", workers, "--format", "json", "-o", str(out)]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split() == ["0", "0", "False"]
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    cfg = SweepConfig(families=VERIFY_FAMILIES, p_min=5, p_max=97)
+    assert sum(i.work for i in build_instances(cfg)) < sweep._FORK_FLOOR
+    assert build_instances(cfg._replace(workers=3)) == build_instances(cfg)
+    pids = _record_forks(monkeypatch)
+    s = run_sweep(cfg._replace(workers=3))
+    assert pids == [] and s.workers == 1
+    assert json.loads(render_json(s, timings=True))["summary"]["timings"]["workers"] == 1
+    assert render_json(s) == render_json(run_sweep(cfg))
+
+
+def test_a_run_above_the_floor_forks(monkeypatch):
+    # one prefix to 2p-1 per alpha at every prime to 499 is above the floor:
+    # two blocks of primes, one child, and the serial report
+    cfg = SweepConfig(families=("B2", "LEMMA_ALPHAP3"), p_min=5, p_max=499)
+    insts = build_instances(cfg._replace(workers=2))
+    assert sum(i.work for i in insts) >= sweep._FORK_FLOOR
+    assert [i.family for i in insts[:3]] == ["B2", "B2", "LEMMA_ALPHAP3"]
+    serial = run_sweep(cfg)
+    pids = _record_forks(monkeypatch)
+    s = run_sweep(cfg._replace(workers=2))
+    assert len(pids) == 1 and s.workers == 2
+    assert render_json(s) == render_json(serial)
+    assert json.loads(render_json(s, timings=True))["summary"]["timings"]["workers"] == 2
+    assert "workers: 2" in render_text(s, timings=True).splitlines()
+
+
+def test_the_blocks_of_any_split_add_up_to_the_serial_estimate(no_floor):
+    # a job extends its trees from the last job's prime: 8 us per prime and
+    # tree, here the trees of 1/2 and 1/3 for MAIN1 and of 1/3 for B2, so
+    # the serial block and any split agree on the choice to fork
+    cfg = SweepConfig(families=("B2", "MAIN1"), p_min=5, p_max=97,
+                      alpha_list=("1/2", "1/3"))
+    [block] = build_instances(cfg)
+    assert block.work == 8 * 97 * 3
+    for workers in (2, 3, 64):
+        blocks = build_instances(cfg._replace(workers=workers))
+        assert len(blocks) == min(workers, len(sieve_primes(5, 97)))
+        assert sum(b.work for b in blocks) == block.work
+
+
+def test_claims_of_chunks_give_the_serial_report(monkeypatch, no_floor):
     # more instances than tokens: a token claims a chunk of ceil(n / 2)
     # consecutive instances, and the last chunk is short for n = 13 and 15:
     # a block per worker and a lemma instance for each of the 12 primes
@@ -651,11 +727,13 @@ def test_claims_of_chunks_give_the_serial_report(monkeypatch):
     cfg = SweepConfig(families=("B2", "LEMMA_PROD"), p_min=5, p_max=43)
     assert len(build_instances(cfg)) == 13
     serial = render_json(run_sweep(cfg))
+    pids = _record_forks(monkeypatch)
     for workers in (2, 3):
         assert render_json(run_sweep(cfg._replace(workers=workers))) == serial
+    assert len(pids) == 1 + 2
 
 
-def test_a_bug_in_a_worker_exits_4(monkeypatch, capsys):
+def test_a_bug_in_a_worker_exits_4(monkeypatch, capsys, no_floor):
     # the child's error reaches the parent with the message a serial run
     # gives and the child's traceback as its cause
     fds = len(os.listdir("/proc/self/fd"))
@@ -686,10 +764,11 @@ def test_a_bug_in_a_worker_exits_4(monkeypatch, capsys):
     assert out == ""
     assert "ZeroDivisionError: bug at 11" in err
     assert err.splitlines()[-1] == f"supercong.records.InternalError: {msg}"
+    assert len(pids) == 2
     _assert_no_child_left(fds)
 
 
-def test_a_worker_that_dies_exits_4(monkeypatch, capsys):
+def test_a_worker_that_dies_exits_4(monkeypatch, capsys, no_floor):
     # a child killed mid-run is an error naming it, never a report without
     # the records of the instances it claimed
     fds = len(os.listdir("/proc/self/fd"))
@@ -712,6 +791,7 @@ def test_a_worker_that_dies_exits_4(monkeypatch, capsys):
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == "" and "killed by SIGKILL" in err.splitlines()[-1]
+    assert len(pids) == 2
     _assert_no_child_left(fds)
 
 
@@ -719,7 +799,7 @@ def test_a_worker_that_dies_exits_4(monkeypatch, capsys):
     (ZeroDivisionError("bug in the parent"), InternalError),
     (KeyboardInterrupt(), KeyboardInterrupt),
 ], ids=["bug", "interrupt"])
-def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, error, raised):
+def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, error, raised, no_floor):
     # the children still at work are killed and reaped, and every pipe closed
     fds = len(os.listdir("/proc/self/fd"))
     parent, pids = os.getpid(), _record_forks(monkeypatch)
@@ -901,7 +981,8 @@ def test_timings_summary():
                       p_max=31, alpha_list=("1/3", "1", "1/7"))
     s = run_sweep(cfg)
     t = json.loads(render_json(s, timings=True))["summary"]["timings"]
-    assert set(t) == {"family_ms", "phase_ms", "skips"}
+    assert set(t) == {"family_ms", "phase_ms", "skips", "workers"}
+    assert t["workers"] == 1
     # per family: the sum of its records' elapsed_ms
     for fam in cfg.families:
         want = sum(r.elapsed_ms for r in s.records if r.family == fam)
@@ -929,6 +1010,7 @@ def test_timings_summary():
     # the text report ends with the same figures
     text = render_text(s, timings=True).splitlines()
     assert text[-len(t["skips"]) - len(t["family_ms"]) - 1].startswith("phases: tables ")
+    assert text[-len(t["skips"]) - len(t["family_ms"]) - 2] == "workers: 1"
     assert "phases:" not in render_text(s) and "timings" not in render_json(s)
 
 

@@ -232,6 +232,11 @@ MUTATIONS = (
     # the Pochhammer prefix of the lemmas, and a and t
     Mutation("prefix p-part of the factor a + p", "verifier.py",
              "factors[a + p] = u0, u1", "factors[a + p - 1] = u0, u1", VERIFY_TESTS),
+    Mutation("lemma zero test reads alpha - a", "verifier.py",
+             "alpha.numerator + a * alpha.denominator == 0",
+             "alpha.numerator - a * alpha.denominator == 0", VERIFY_TESTS),
+    Mutation("lemma 1/2 mod p^4 one off", "verifier.py",
+             "half = (m + 1) // 2  # 1/2 mod p^4", "half = (m - 1) // 2", VERIFY_TESTS),
     Mutation("t from alpha + a reduced mod p^4", "verifier.py",
              "(num + a * den) // p * inv % m", "(num + a * den) % m // p * inv % m",
              VERIFY_TESTS),
@@ -271,8 +276,20 @@ MUTATIONS = (
              "_descend(right, ((A * x + P * y) % mr, P * z % mr, D * x % mr), out)",
              "_descend(right, (A % mr, P % mr, D % mr), out)", TREE_TESTS),
     Mutation("sweep block boundary off by one prime", "sweep.py",
-             "jobs[i * len(jobs) // k:(i + 1) * len(jobs) // k]",
-             "jobs[i * len(jobs) // k:(i + 1) * len(jobs) // k + 1]", SWEEP_TESTS),
+             "lo, hi = i * len(jobs) // k, (i + 1) * len(jobs) // k",
+             "lo, hi = i * len(jobs) // k, (i + 1) * len(jobs) // k + 1", SWEEP_TESTS),
+    # the work floor of a forked run, and the estimates it is compared with
+    Mutation("fork floor compared the wrong way", "sweep.py",
+             "if work < _FORK_FLOOR or", "if work >= _FORK_FLOOR or", SWEEP_TESTS),
+    Mutation("fork floor ignored", "sweep.py",
+             "if work < _FORK_FLOOR or not", "if not", SWEEP_TESTS),
+    Mutation("lemma work estimate without the alpha count", "sweep.py",
+             "work=3 * p * len(alphas) // 2", "work=3 * p // 2", SWEEP_TESTS),
+    Mutation("tree work estimate from each job's prime, not its gap", "sweep.py",
+             "8 * (p - (jobs[-1][0] if jobs else 0)) * trees", "8 * p * trees",
+             SWEEP_TESTS),
+    Mutation("block work estimate from its last job alone", "sweep.py",
+             "work=sum(work[lo:hi])", "work=work[hi - 1]", SWEEP_TESTS),
     # the values the rows of one prime read
     Mutation("prime EQUIV reads the short checkpoint", "verifier.py",
              "4 * sums[_QUARTER][p][1]", "4 * sums[_QUARTER][p][0]", VERIFY_TESTS),
@@ -304,7 +321,8 @@ MUTATIONS = (
     Mutation("alpha lemma a = 0 test", "verifier.py",
              "if a == 0 and fam in", "if a == 1 and fam in", VERIFY_TESTS),
     Mutation("alpha lemma zero factor tested mod p^4", "verifier.py",
-             "zero = alpha + a == 0", "zero = t == 0", VERIFY_TESTS),
+             "zero = alpha.numerator + a * alpha.denominator == 0", "zero = t == 0",
+             VERIFY_TESTS),
     Mutation("alpha LEMMA_SIGMA1 sides both shifted by p^3", "verifier.py",
              "    return (p**v * num * pow(den, -1, m) % m if v < 4 else 0), rhs % m\n",
              "    lhs = p**v * num * pow(den, -1, m) % m if v < 4 else 0\n"
