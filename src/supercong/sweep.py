@@ -7,10 +7,11 @@ by (family, p or n, alpha, truncation), so reports are byte-identical for
 any worker count.  A run forks only when its estimated serial work (the
 sum of Instance.work) reaches _FORK_FLOOR: below it, the fork costs more
 than it saves, and a run asked for w workers is exactly the serial run.
+The instances depend on the selection alone, never on the worker count.
 The classical, 8^(-k), MAIN1, MAIN1_TRUNC and TAIL families run as one
-instance per contiguous block of primes (verifier.verify_primes), which
-reads every sum from one remainder tree per alpha: a serial run has one
-block, a forked run on w workers w blocks.  One
+instance over all primes (verifier.verify_primes), which reads every sum
+from one remainder tree per alpha, so a run of these families alone is
+one instance and never forks; a forked run shares out the others.  One
 instance per prime checks the requested lemma families at every alpha
 (verifier.verify_primes at one job); one per (q-family, n) checks that
 family (qseries.verify_at_n).  These yield a record per family, prime,
@@ -18,9 +19,9 @@ alpha and truncation, a skip record with the reason where a family's
 precondition fails.  One Lehmer instance checks every prime, with one record per
 prime; an identity, WZ or smoke instance yields one record.  Each
 instance builds the state it reads, so none depends on another having
-run first: each block builds its trees from k = 1.  Every instance hands
-its records back as rows (records.family_rows: plain tuples, cheap to
-pickle), and the parent builds each record once.
+run first: the tree instance builds its trees from k = 1.  Every
+instance hands its records back as rows (records.family_rows: plain
+tuples, cheap to pickle), and the parent builds each record once.
 An exception that escapes an instance is a bug, whatever its type, and
 aborts the sweep with an InternalError: family_rows names the family and
 labels it was checking, and _execute names the instance of any other.
@@ -157,7 +158,7 @@ class Instance(NamedTuple):
     family is the requested families joined by commas, and p the largest
     prime of its jobs.  work is the instance's share of the serial run's
     work, in microseconds, estimated from its inputs alone; only the
-    choice to fork reads it (_processes)."""
+    choice to fork reads it (_pool_size)."""
 
     family: str
     run: Callable
@@ -239,12 +240,12 @@ def __getattr__(name: str):
 
 
 def build_instances(cfg: SweepConfig) -> list[Instance]:
-    """One instance per block of the primes that admit a requested block
-    family or, with alpha families requested, have alphas: a block for
-    each process the run uses (one below _FORK_FLOOR, whatever
-    cfg.workers), labelled by its largest prime.  Then one per prime for
-    the requested lemma families, and after all primes one per n for
-    each q-family.  Each carries its estimated work (Instance.work)."""
+    """One instance for the jobs of every prime that admits a requested
+    block family or, with alpha families requested, has alphas, labelled
+    by its largest prime; then one per prime for the requested lemma
+    families, and after all primes one per n for each q-family.  The list
+    depends on the selection alone, never on cfg.workers.  Each instance
+    carries its estimated work (Instance.work)."""
     alpha_fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
     if any(f in VERIFY_FAMILIES for f in cfg.families):
         _bind("verifier")
@@ -255,7 +256,7 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
         primes = sieve_primes(cfg.p_min, cfg.p_max)
     except EmptyRange as exc:
         raise ConfigError(str(exc)) from exc
-    jobs, work, rest = [], [], []
+    jobs, work, out = [], 0, []
     for p in primes:
         alphas = tuple(_alphas_for(cfg, p)) if alpha_fams else ()
         fams = tuple(f for f in cfg.families
@@ -269,33 +270,26 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
             # 8^(-k)) for the prime families
             trees = (len(alphas) * any(f in ALPHA_FAMILIES for f in block)
                      + min(4, sum(f in PRIME_FAMILIES for f in block)))
-            work.append(8 * (p - (jobs[-1][0] if jobs else 0)) * trees)
+            work += 8 * (p - (jobs[-1][0] if jobs else 0)) * trees
             jobs.append((p, block, alphas))
         if lemma := tuple(f for f in fams if f in LEMMA_FAMILIES):
             # a Pochhammer prefix to 2p-1 and two sums, about 3p steps of
             # 0.5 us, per alpha
-            rest.append(Instance(",".join(lemma), verify_primes,
-                                 (((p, lemma, alphas),), truncs), p=p,
-                                 work=3 * p * len(alphas) // 2))
+            out.append(Instance(",".join(lemma), verify_primes,
+                                (((p, lemma, alphas),), truncs), p=p,
+                                work=3 * p * len(alphas) // 2))
     # one instance per (family, n), so that workers share the q-families
     # out; the sums and gcds of one take about n^3 us
-    rest += [Instance(fam, verify_at_n, (n, (fam,)), n=n, work=n**3)
-             for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
-    # contiguous blocks, each building its own trees from k = 1, so no
-    # block reads another's state; they go first, so that a forked run
-    # starts every block before it shares out the other instances.  A
-    # block's work is that of its jobs, so the blocks of any split add up
-    # to the serial run's estimate, and _run_instances decides as here
-    k = _processes(sum(work) + sum(i.work for i in rest), cfg.workers, len(jobs))
-    out: list[Instance] = []
-    for i in range(k):
-        lo, hi = i * len(jobs) // k, (i + 1) * len(jobs) // k
-        block = tuple(jobs[lo:hi])
+    out += [Instance(fam, verify_at_n, (n, (fam,)), n=n, work=n**3)
+            for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
+    if jobs:
+        # the trees grow from k = 1 once for all jobs, as one instance: a
+        # split would rebuild them from k = 1 in every part.  It goes first,
+        # so that a forked run starts it before it shares out the others
         label = ",".join(f for f in dict.fromkeys(cfg.families)
-                         if any(f in fams for _, fams, _ in block))
-        out.append(Instance(label, verify_primes, (block, truncs), p=block[-1][0],
-                            work=sum(work[lo:hi])))
-    out += rest
+                         if any(f in fams for _, fams, _ in jobs))
+        out.insert(0, Instance(label, verify_primes, (tuple(jobs), truncs),
+                               p=jobs[-1][0], work=work))
     if not out:
         raise ConfigError(
             f"selection matches no instances: families {', '.join(cfg.families)}"
@@ -347,24 +341,22 @@ def _execute(inst: Instance) -> tuple[list[tuple], float, tuple[float, ...] | No
     return rows, ms, phases
 
 
-def _processes(work: int, workers: int, count: int) -> int:
-    """The processes that share count instances, or blocks of primes, of
-    estimated serial work `work` when workers are asked for: no more than
-    count, and only this one below _FORK_FLOOR or without os.fork."""
-    if work < _FORK_FLOOR or not hasattr(os, "fork"):
-        workers = 1
-    return min(workers, count)
-
-
 def _pool_size(insts: list[Instance], workers: int) -> int:
-    return _processes(sum(inst.work for inst in insts), workers, len(insts))
+    """The processes that share insts when workers are asked for: no more
+    than there are instances, and only this one below _FORK_FLOOR (the
+    sum of their Instance.work) or without os.fork."""
+    if sum(inst.work for inst in insts) < _FORK_FLOOR or not hasattr(os, "fork"):
+        workers = 1
+    return min(workers, len(insts))
 
 
-def _run_instances(insts: list[Instance], workers: int) -> list[VerificationRecord]:
-    if (workers := _pool_size(insts, workers)) > 1:
+def _run_instances(insts: list[Instance], processes: int) -> list[VerificationRecord]:
+    # the sorted records of insts, run by this process and processes - 1
+    # forked children
+    if processes > 1:
         from .forked import _run_forked  # a serial run never compiles it
 
-        records = _run_forked(insts, workers)
+        records = _run_forked(insts, processes)
     else:
         records = _records(map(_execute, insts))
     records.sort(key=VerificationRecord.sort_key)
@@ -393,7 +385,8 @@ def summarize(records: list[VerificationRecord], workers: int = 1) -> ReportSumm
 
 
 def _summary(insts: list[Instance], workers: int) -> ReportSummary:
-    return summarize(_run_instances(insts, workers), _pool_size(insts, workers))
+    processes = _pool_size(insts, workers)
+    return summarize(_run_instances(insts, processes), processes)
 
 
 def run_sweep(cfg: SweepConfig) -> ReportSummary:
@@ -476,8 +469,7 @@ def run_smoke(*, terms: int = 50, tol: float = 1e-6) -> ReportSummary:
     if not 0 < tol < math.inf:  # also refuses nan
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
     _bind("verifier")
-    inst = Instance("RAMANUJAN", _ramanujan, (terms, tol), n=terms)
-    return summarize(_run_instances([inst], workers=1))
+    return _summary([Instance("RAMANUJAN", _ramanujan, (terms, tol), n=terms)], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -169,15 +169,16 @@ def test_criterion_10_series_smoke():
 
 
 def test_criterion_11_reports_deterministic_across_workers():
+    # both runs are above the fork floor, so at 8 workers each forks
     reports = []
     for workers in (1, 8):
-        cfg = SweepConfig(families=VERIFY_FAMILIES, p_min=5, p_max=97,
+        cfg = SweepConfig(families=VERIFY_FAMILIES, p_min=5, p_max=307,
                           workers=workers)
-        doc = render_json(run_sweep(cfg))
-        qcfg = SweepConfig(families=Q_FAMILIES, n_list=(5, 9, 13),
+        qcfg = SweepConfig(families=Q_FAMILIES, n_list=(25, 29, 33),
                            workers=workers)
-        doc += render_json(run_sweep(qcfg))
-        reports.append(doc)
+        summaries = [run_sweep(cfg), run_sweep(qcfg)]
+        assert all((s.workers > 1) == (workers > 1) for s in summaries)
+        reports.append("".join(render_json(s) for s in summaries))
     assert reports[0] == reports[1]
     assert '"pass": false' not in reports[0]
     print("\n[PASS] criterion 11: full-suite JSON byte-identical for "

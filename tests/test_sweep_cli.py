@@ -370,7 +370,8 @@ def test_importing_the_cli_does_not_import_the_pool():
     # a run this small forks only with the floor lowered
     code = ("import os, sys, supercong.cli, supercong.sweep; "
             "supercong.sweep._FORK_FLOOR = 0; "
-            "code = supercong.cli.main(['verify', '--pmax', '13', '--family', 'B2', "
+            "code = supercong.cli.main(['verify', '--pmax', '13', "
+            "'--family', 'LEMMA_ALPHAP3', "
             "'--workers', '2', '--output', os.devnull]); "
             f"print(code, [m for m in {pool} if m in sys.modules], "
             "'supercong.forked' in sys.modules)")
@@ -605,7 +606,8 @@ def test_worker_count_does_not_change_report(kind, monkeypatch, no_floor):
     pids = _record_forks(monkeypatch)
     for workers in (2, 3):
         assert render_json(serial) == render_json(run(workers))
-    assert len(pids) == 1 + 2
+    # the prime families run as one tree instance, which never forks
+    assert len(pids) == (0 if kind == "prime" else 1 + 2)
 
 
 def _record_forks(monkeypatch) -> list[int]:
@@ -646,11 +648,12 @@ def test_pool_has_no_more_workers_than_instances(monkeypatch, no_floor):
     insts = build_instances(SweepConfig(families=("LEMMA_ALPHAP3",), p_min=5,
                                         p_max=13, alpha_list=("1/3",)))
     assert len(insts) == 4
-    serial = sweep._run_instances(insts, 1)
+    serial = sweep._summary(insts, 1)
     forks = []
     for workers in (64, 2, 1):
         before = len(pids)
-        assert sweep._run_instances(insts, workers) == serial
+        s = sweep._summary(insts, workers)
+        assert s.records == serial.records and s.workers == min(workers, 4)
         forks.append(len(pids) - before)
     assert forks == [3, 1, 0]
 
@@ -664,8 +667,8 @@ LEMMA_ARGV = ["verify", *(a for f in LEMMA_FAMILIES for a in ("--family", f)),
 
 
 def test_a_run_below_the_floor_is_the_serial_run(monkeypatch, tmp_path):
-    # --workers 2 below the floor: the instances of --workers 1, one block
-    # of primes among them, run here without a fork or the forked module
+    # --workers 2 below the floor: the instances of --workers 1 run here
+    # without a fork or the forked module
     code = ("import os, sys, supercong.cli; forks = []; fork = os.fork; "
             "os.fork = lambda: forks.append(1) or fork(); "
             "code = supercong.cli.main(sys.argv[1:]); "
@@ -691,11 +694,12 @@ def test_a_run_below_the_floor_is_the_serial_run(monkeypatch, tmp_path):
 
 def test_a_run_above_the_floor_forks(monkeypatch):
     # one prefix to 2p-1 per alpha at every prime to 499 is above the floor:
-    # two blocks of primes, one child, and the serial report
+    # the tree instance first, then one lemma instance per prime, one
+    # child, and the serial report
     cfg = SweepConfig(families=("B2", "LEMMA_ALPHAP3"), p_min=5, p_max=499)
     insts = build_instances(cfg._replace(workers=2))
     assert sum(i.work for i in insts) >= sweep._FORK_FLOOR
-    assert [i.family for i in insts[:3]] == ["B2", "B2", "LEMMA_ALPHAP3"]
+    assert [i.family for i in insts] == ["B2"] + ["LEMMA_ALPHAP3"] * (len(insts) - 1)
     serial = run_sweep(cfg)
     pids = _record_forks(monkeypatch)
     s = run_sweep(cfg._replace(workers=2))
@@ -705,24 +709,47 @@ def test_a_run_above_the_floor_forks(monkeypatch):
     assert "workers: 2" in render_text(s, timings=True).splitlines()
 
 
-def test_the_blocks_of_any_split_add_up_to_the_serial_estimate(no_floor):
-    # a job extends its trees from the last job's prime: 8 us per prime and
-    # tree, here the trees of 1/2 and 1/3 for MAIN1 and of 1/3 for B2, so
-    # the serial block and any split agree on the choice to fork
-    cfg = SweepConfig(families=("B2", "MAIN1"), p_min=5, p_max=97,
+def test_a_tree_only_run_above_the_floor_never_forks(monkeypatch):
+    # the tree families alone are one instance, which one process runs
+    # whatever --workers asks, though its work is above the floor
+    cfg = SweepConfig(families=("B2", "SW_F2_MOD4", "MAO_HALF", "EQUIV",
+                                "MAIN1_TRUNC", "TAIL"), p_min=5, p_max=2000)
+    [inst] = build_instances(cfg._replace(workers=3))
+    assert inst.work >= sweep._FORK_FLOOR
+    serial = run_sweep(cfg)
+    pids = _record_forks(monkeypatch)
+    s = run_sweep(cfg._replace(workers=3))
+    assert pids == [] and s.workers == 1
+    assert json.loads(render_json(s, timings=True))["summary"]["timings"]["workers"] == 1
+    assert render_json(s) == render_json(serial)
+
+
+@pytest.mark.parametrize("families", [
+    ("B2", "MAIN1"), ALPHA_FAMILIES, ("LEMMA_PROD", "EQUIV", "TAIL", "GZ_E2"),
+], ids=["trees", "alpha", "mixed"])
+def test_the_instances_do_not_depend_on_the_worker_count(families, no_floor):
+    # the selection alone decides the instances: one tree instance for the
+    # tree jobs of every prime, however many workers are asked for and
+    # whatever the work
+    cfg = SweepConfig(families=families, p_min=5, p_max=97,
                       alpha_list=("1/2", "1/3"))
-    [block] = build_instances(cfg)
-    assert block.work == 8 * 97 * 3
+    insts = build_instances(cfg)
+    assert [p for p, _, _ in insts[0].args[0]] == sieve_primes(5, 97)
+    assert all(len(i.args[0]) == 1 for i in insts[1:] if i.run is verify_primes)
     for workers in (2, 3, 64):
-        blocks = build_instances(cfg._replace(workers=workers))
-        assert len(blocks) == min(workers, len(sieve_primes(5, 97)))
-        assert sum(b.work for b in blocks) == block.work
+        assert build_instances(cfg._replace(workers=workers)) == insts
+    if families == ("B2", "MAIN1"):
+        # a job extends the trees from the last job's prime: 8 us per prime
+        # and tree, here the trees of 1/2 and 1/3 for MAIN1 and of 1/3 for B2
+        [tree] = insts
+        assert tree.work == 8 * 97 * 3
 
 
 def test_claims_of_chunks_give_the_serial_report(monkeypatch, no_floor):
     # more instances than tokens: a token claims a chunk of ceil(n / 2)
-    # consecutive instances, and the last chunk is short for n = 13 and 15:
-    # a block per worker and a lemma instance for each of the 12 primes
+    # consecutive instances, and the last chunk is short for n = 13: the
+    # tree instance and a lemma instance for each of the 12 primes, at
+    # every worker count
     monkeypatch.setattr(forked, "_MAX_TOKENS", 2)
     cfg = SweepConfig(families=("B2", "LEMMA_PROD"), p_min=5, p_max=43)
     assert len(build_instances(cfg)) == 13

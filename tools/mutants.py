@@ -275,21 +275,26 @@ MUTATIONS = (
              "verifier.py",
              "_descend(right, ((A * x + P * y) % mr, P * z % mr, D * x % mr), out)",
              "_descend(right, (A % mr, P % mr, D % mr), out)", TREE_TESTS),
-    Mutation("sweep block boundary off by one prime", "sweep.py",
-             "lo, hi = i * len(jobs) // k, (i + 1) * len(jobs) // k",
-             "lo, hi = i * len(jobs) // k, (i + 1) * len(jobs) // k + 1", SWEEP_TESTS),
+    # the old split: one contiguous block of tree jobs per worker
+    Mutation("tree jobs split by cfg.workers again", "sweep.py",
+             "out.insert(0, Instance(label, verify_primes, (tuple(jobs), truncs),\n"
+             "                               p=jobs[-1][0], work=work))",
+             "k = min(cfg.workers, len(jobs))\n"
+             "        out[:0] = [Instance(label, verify_primes, (tuple(\n"
+             "            jobs[i * len(jobs) // k:(i + 1) * len(jobs) // k]), truncs),\n"
+             "            p=jobs[-1][0], work=work) for i in range(k)]",
+             SWEEP_TESTS),
     # the work floor of a forked run, and the estimates it is compared with
     Mutation("fork floor compared the wrong way", "sweep.py",
-             "if work < _FORK_FLOOR or", "if work >= _FORK_FLOOR or", SWEEP_TESTS),
+             ") < _FORK_FLOOR or", ") >= _FORK_FLOOR or", SWEEP_TESTS),
     Mutation("fork floor ignored", "sweep.py",
-             "if work < _FORK_FLOOR or not", "if not", SWEEP_TESTS),
+             "if sum(inst.work for inst in insts) < _FORK_FLOOR or not", "if not",
+             SWEEP_TESTS),
     Mutation("lemma work estimate without the alpha count", "sweep.py",
              "work=3 * p * len(alphas) // 2", "work=3 * p // 2", SWEEP_TESTS),
     Mutation("tree work estimate from each job's prime, not its gap", "sweep.py",
              "8 * (p - (jobs[-1][0] if jobs else 0)) * trees", "8 * p * trees",
              SWEEP_TESTS),
-    Mutation("block work estimate from its last job alone", "sweep.py",
-             "work=sum(work[lo:hi])", "work=work[hi - 1]", SWEEP_TESTS),
     # the values the rows of one prime read
     Mutation("prime EQUIV reads the short checkpoint", "verifier.py",
              "4 * sums[_QUARTER][p][1]", "4 * sums[_QUARTER][p][0]", VERIFY_TESTS),
