@@ -30,7 +30,6 @@ from .padic import ResidueClass
 __all__ = [
     "ALPHA_FAMILIES",
     "ALPHA_TRUNCATIONS",
-    "BLOCK_FAMILIES",
     "FAMILIES",
     "InternalError",
     "LEMMA_FAMILIES",
@@ -224,9 +223,6 @@ LEMMA_FAMILIES = (
 ALPHA_FAMILIES = ("MAIN1", "MAIN1_TRUNC", "TAIL") + LEMMA_FAMILIES
 # the truncation labels of the general-alpha records; the others have none
 ALPHA_TRUNCATIONS = {"MAIN1": "full", "MAIN1_TRUNC": "short"}
-# the families whose sums and right sides verifier.verify_primes reads off
-# remainder trees over a block of primes; the lemmas are checked per prime
-BLOCK_FAMILIES = PRIME_FAMILIES + ("MAIN1", "MAIN1_TRUNC", "TAIL")
 
 # the phases verifier.verify_primes times: the lemma tables of a prime, the
 # lemmas' Pochhammer prefixes, the sums trees, the Euler tree and the closed

@@ -9,15 +9,18 @@ and the Euler numbers are E_n = 2^n E_n(1/2); the residues E_{p-3}(x) mod
 p that the congruences read come from verifier's Euler tree.  The classical
 identities the congruence machinery relies on (Lehmer's harmonic
 congruences, the Euler reflection/vanishing rules, four alternating
-binomial identities) are exposed as boolean checks on integers.  The
-Fraction harmonic numbers and Euler values they replaced are kept in
-tests/exact_oracle.py as the oracle.
+binomial identities) are exposed as boolean checks on integers; Lehmer's
+reads its harmonic numbers off the remainder trees of primes._tree, as
+verifier reads its sums.  The Fraction harmonic numbers and Euler values
+they replaced are kept in tests/exact_oracle.py as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .primes import _tree
 
 __all__ = [
     "pochhammer",
@@ -62,57 +65,29 @@ def euler_poly_coeffs(n: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # identity checks
 
-class _HarmonicPrefix:
-    """H_n^(m) as the integer num over L^m, L = lcm(1..n), advanced in n.
-
-    Each step j takes L to lcm(L, j): if q = j / gcd(L, j) > 1, num is
-    multiplied by q^m and L by q; then (L/j)^m is added.  The prefix only
-    moves forward: a smaller n than it holds is refused.
-    """
-
-    __slots__ = ("m", "n", "num", "L")
-
-    def __init__(self, m: int):
-        self.m, self.n, self.num, self.L = m, 0, 0, 1
-
-    def at(self, n: int) -> tuple[int, int]:
-        """(num, L) with H_n^(m) = num / L^m."""
-        if n < self.n:
-            raise ValueError(f"the prefix holds H_{self.n}, cannot go back to H_{n}")
-        m, num, L = self.m, self.num, self.L
-        for j in range(self.n + 1, n + 1):
-            q = j // math.gcd(L, j)
-            if q > 1:
-                num *= q**m
-                L *= q
-            num += (L // j) ** m
-        self.n, self.num, self.L = n, num, L
-        return num, L
-
-
 def check_lehmer(primes: list[int]) -> list[bool]:
-    """Lehmer's congruences at each of strictly increasing primes p > 3:
+    """Lehmer's congruences at each prime p > 3 of primes, in any order:
 
     H_{p-1} ≡ 0 (mod p^2),  H_{p-1}^(2) ≡ 0 (mod p),  H_{(p-1)/2}^(2) ≡ 0 (mod p),
 
-    one verdict per prime.  Each harmonic number comes from an integer
-    prefix num / L^m (_HarmonicPrefix), with L = lcm(1..n) and n < p, so
-    L is a unit mod p and H ≡ 0 (mod p^e) exactly when p^e divides num.
-    The call's three prefixes advance from one prime to the next: one
-    pass over 1..p-1 for the largest p, and no Fraction.
+    one verdict per entry, repeats included.  H_M^(m) is A / M!^m for the
+    row (A, M!^m, M!^m) after the leaves (j^m, 1, j^m), j = 1..M, from the
+    row (0, 1, 1): one remainder tree (primes._tree) reads every H_{p-1}
+    mod p^2, and a second every H^(2) mod p at p-1 and (p-1)/2.  M! is a
+    unit mod p for M < p, so H ≡ 0 (mod p^e) exactly when p^e divides A.
     """
-    h1, h2, h2_half = _HarmonicPrefix(1), _HarmonicPrefix(2), _HarmonicPrefix(2)
-    out, last = [], 3
     for p in primes:
         if p <= 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise ValueError(f"p must be a prime > 3, got {p}")
-        if p <= last:
-            raise ValueError(f"primes must be strictly increasing, got {p} after {last}")
-        last = p
-        out.append(h1.at(p - 1)[0] % p**2 == 0
-                   and h2.at(p - 1)[0] % p == 0
-                   and h2_half.at((p - 1) // 2)[0] % p == 0)
-    return out
+    cuts = {p: (p - 1, (p - 1) // 2) for p in primes}  # the M of H^(2) at p
+    h1 = _tree(lambda j: (j, 1, j), (0, 1, 1), {p - 1: p * p for p in cuts})
+    points: dict[int, int] = {}
+    for p, Ms in cuts.items():
+        for M in Ms:  # (p-1)/2 of p = 2q-1 is q-1 of q
+            points[M] = points.get(M, 1) * p
+    h2 = _tree(lambda j: (j * j, 1, j * j), (0, 1, 1), points)
+    return [h1[p - 1][0] % p**2 == 0 and all(h2[M][0] % p == 0 for M in cuts[p])
+            for p in primes]
 
 
 def _horner_halves(a: list[int], j: int) -> int:

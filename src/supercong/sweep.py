@@ -44,7 +44,6 @@ from .padic import ResidueClass, parse_rational
 from .primes import EmptyRange, sieve_primes
 from .records import (
     ALPHA_FAMILIES,
-    BLOCK_FAMILIES,
     LEMMA_FAMILIES,
     PHASES,
     PRIME_FAMILIES,
@@ -187,8 +186,6 @@ def _validate(cfg: SweepConfig) -> SweepConfig:
         raise ConfigError("n_list entries must be >= 1")
     if cfg.trunc not in ("short", "full", "both"):
         raise ConfigError(f"trunc must be short|full|both, got {cfg.trunc!r}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     alphas = cfg.alpha_list
     if alphas is not None:
         try:
@@ -241,11 +238,11 @@ def __getattr__(name: str):
 
 def build_instances(cfg: SweepConfig) -> list[Instance]:
     """One instance for the jobs of every prime that admits a requested
-    block family or, with alpha families requested, has alphas, labelled
-    by its largest prime; then one per prime for the requested lemma
-    families, and after all primes one per n for each q-family.  The list
-    depends on the selection alone, never on cfg.workers.  Each instance
-    carries its estimated work (Instance.work)."""
+    tree family (any verify family but a lemma) or, with alpha families
+    requested, has alphas, labelled by its largest prime; then one per
+    prime for the requested lemma families, and after all primes one per n
+    for each q-family.  The list depends on the selection alone, never on
+    cfg.workers.  Each instance carries its estimated work (Instance.work)."""
     alpha_fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
     if any(f in VERIFY_FAMILIES for f in cfg.families):
         _bind("verifier")
@@ -262,16 +259,16 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
         fams = tuple(f for f in cfg.families
                      if (f in PRIME_FAMILIES and admits(f, p))
                      or (f in ALPHA_FAMILIES and alphas))
-        if block := tuple(f for f in fams if f in BLOCK_FAMILIES):
-            # a job extends its block's trees from the last job's prime to p,
-            # about 8 us per prime and tree (blocks of 14 trees to p = 307,
-            # 1999 and 5000 took 6.6, 8.0 and 12): one tree per alpha if an
-            # alpha family reads them, and at most four (1/2, 1/3, 1/4 and
-            # 8^(-k)) for the prime families
-            trees = (len(alphas) * any(f in ALPHA_FAMILIES for f in block)
-                     + min(4, sum(f in PRIME_FAMILIES for f in block)))
+        if tree := tuple(f for f in fams if f not in LEMMA_FAMILIES):
+            # a job extends the trees from the last job's prime to p, about
+            # 8 us per prime and tree (14 trees to p = 307, 1999 and 5000
+            # took 6.6, 8.0 and 12): one tree per alpha if an alpha family
+            # reads them, and at most four (1/2, 1/3, 1/4 and 8^(-k)) for the
+            # prime families
+            trees = (len(alphas) * any(f in ALPHA_FAMILIES for f in tree)
+                     + min(4, sum(f in PRIME_FAMILIES for f in tree)))
             work += 8 * (p - (jobs[-1][0] if jobs else 0)) * trees
-            jobs.append((p, block, alphas))
+            jobs.append((p, tree, alphas))
         if lemma := tuple(f for f in fams if f in LEMMA_FAMILIES):
             # a Pochhammer prefix to 2p-1 and two sums, about 3p steps of
             # 0.5 us, per alpha
@@ -385,6 +382,9 @@ def summarize(records: list[VerificationRecord], workers: int = 1) -> ReportSumm
 
 
 def _summary(insts: list[Instance], workers: int) -> ReportSummary:
+    # every runner ends here, so this is where workers is checked
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     processes = _pool_size(insts, workers)
     return summarize(_run_instances(insts, processes), processes)
 
@@ -416,7 +416,8 @@ def run_identities(
         raise ConfigError(f"need mmax >= 1, got {mmax}")
     _bind("sequences")
     # work in us: a binomial check at n takes about n^2/64, the Euler bundle
-    # EULER_NMAX^2 mmax/4, and the harmonic prefixes of Lehmer's pass pmax^2/200
+    # EULER_NMAX^2 mmax/4, and Lehmer's two harmonic trees pmax^1.5/14 (6,
+    # 23 and 233 ms at pmax 1999, 5000 and 20000 on a 2-vCPU x86 host)
     insts = [
         Instance("BINOM_IDS", check_binomial_identities, (n,), n=n, work=n * n // 64)
         for n in range(1, nmax + 1)
@@ -427,7 +428,7 @@ def run_identities(
     )
     primes = sieve_primes(5, pmax)  # one pass over all: p labels the largest
     insts.append(Instance("LEHMER", _lehmer, (primes,), p=primes[-1],
-                          work=pmax * pmax // 200))
+                          work=pmax * math.isqrt(pmax) // 14))
     return _summary(insts, workers)
 
 

@@ -24,22 +24,22 @@ d = 2, 3, 4.  Against it we check:
   read from one lemma table per job (_lemma_tables).
 
 The sums and the Euler residues of the right sides come from accumulating
-remainder trees (Costa, Gerbicz and Harvey, "A search for Wilson primes",
-Math. Comp. 2014) over a block of primes.  Each sum is a row of integers
-advanced by one lower-triangular matrix per term k, the same matrix for
-every prime (_sums): one tree per distinct alpha multiplies these out once
-and reads every prime's breakpoints a = <-alpha>_p and p-1 ((p-1)/2 and
-p-1 for the 8^(-k) sum) off it, each reduced mod its own p^4.  A second
-tree, mod p, gives every E_{p-3}(r) (_euler_residues).  Where a pass per
-(alpha, p) costs O(p) interpreted steps at each prime, a tree makes O(N)
-big-integer products and reductions for N the block's largest prime,
-with operands of up to about N log N bits near its root.  The lemmas'
-Pochhammer quotients hold (p-k)! terms, which no fixed matrix carries, so
-they keep a per-prime path: a prefix (alpha)_j = p^(e_j) u_j to 2p-1
-(_poch_prefix) per (alpha, p), and the factorial and harmonic-type tables
-of p, built once per job.
+remainder trees (primes._tree; Costa, Gerbicz and Harvey, "A search for
+Wilson primes", Math. Comp. 2014) over the primes of all jobs.  Each sum
+is a row of integers advanced by one lower-triangular matrix per term k,
+the same matrix for every prime (_sums): one tree per distinct alpha
+multiplies these out once and reads every prime's breakpoints
+a = <-alpha>_p and p-1 ((p-1)/2 and p-1 for the 8^(-k) sum) off it, each
+reduced mod its own p^4.  A second tree, mod p, gives every E_{p-3}(r)
+(_euler_residues).  Where a pass per (alpha, p) costs O(p) interpreted
+steps at each prime, a tree makes O(N) big-integer products and
+reductions for N the jobs' largest prime, with operands of up to about
+N log N bits near its root.  The lemmas' Pochhammer quotients hold (p-k)!
+terms, which no fixed matrix carries, so they keep a per-prime path: a
+prefix (alpha)_j = p^(e_j) u_j to 2p-1 (_poch_prefix) per (alpha, p), and
+the factorial and harmonic-type tables of p, built once per job.
 
-verify_primes checks any families at a block of jobs (p, families,
+verify_primes checks any families at a list of jobs (p, families,
 alphas), and times each of its phases; verify_prime (the prime families)
 and verify_alpha (the alpha families at one alpha) are thin calls into it
 with one job.  The classical and 8^(-k) families are statements about one
@@ -51,9 +51,8 @@ factor) raises PreconditionViolated where it is tested: a skip row.
 Everything is exact integer arithmetic; the Fraction oracles these
 residues are checked against, and the per-prime passes the trees
 replaced, live in the tests.  The family tables (FAMILIES, PRIME_CLASSES,
-the MAO, LEMMA and ALPHA names, BLOCK_FAMILIES, PHASES) live in records,
-which the CLI reads without importing this module; they are imported
-from there.
+the MAO, LEMMA and ALPHA names, PHASES) live in records, which the CLI
+reads without importing this module; they are imported from there.
 """
 
 from __future__ import annotations
@@ -69,10 +68,10 @@ from .padic import (
     is_p_integral,
     legendre,
 )
+from .primes import _tree
 from .records import (
     ALPHA_FAMILIES,
     ALPHA_TRUNCATIONS,
-    BLOCK_FAMILIES,
     FAMILIES,
     LEMMA_FAMILIES,
     MAO_TRUNCATIONS,
@@ -93,80 +92,6 @@ __all__ = [
     "verify_alpha",
     "ramanujan_partial",
 ]
-
-
-# ---------------------------------------------------------------------------
-# accumulating remainder trees
-
-# A leaf (x, y, z) is the lower-triangular matrix [[x, 0], [y, z]].  It
-# acts on a row (A, P, D) from the right, with D multiplied by x alongside:
-# (A, P, D) -> (A x + P y, P z, D x).
-
-def _times(left: tuple, right: tuple) -> tuple[int, int, int]:
-    # the product of two leaves, left acting first
-    x1, y1, z1 = left
-    x2, y2, z2 = right
-    return x1 * x2, y1 * x2 + z1 * y2, z1 * z2
-
-
-def _leaves(leaf, lo: int, hi: int) -> tuple[int, int, int]:
-    """leaf(lo + 1) ... leaf(hi), by binary splitting; (1, 0, 1) if lo = hi."""
-    if hi - lo > 16:
-        mid = (lo + hi) // 2
-        return _times(_leaves(leaf, lo, mid), _leaves(leaf, mid, hi))
-    acc = (1, 0, 1)
-    for k in range(lo + 1, hi + 1):
-        acc = _times(acc, leaf(k))
-    return acc
-
-
-def _build(segs: list, mods: list, lo: int, hi: int, product: bool) -> tuple:
-    """The node over segments lo..hi-1: (their product, or None unless
-    product is set, the product of their moduli, the two children or None,
-    lo).  Only a left child's product is ever read."""
-    if hi - lo == 1:
-        return segs[lo], mods[lo], None, lo
-    mid = (lo + hi) // 2
-    left = _build(segs, mods, lo, mid, True)
-    right = _build(segs, mods, mid, hi, product)
-    return (_times(left[0], right[0]) if product else None,
-            left[1] * right[1], (left, right), lo)
-
-
-def _descend(node: tuple, row: tuple, out: list) -> None:
-    """out[i] = the row after segment i, mod the modulus of segment i, for
-    each segment i under node.  row is the prefix before the node's first
-    segment, reduced mod the node's modulus: the left child reads it
-    reduced mod its own, the right child after the left child's product."""
-    seg, m, kids, i = node
-    A, P, D = row
-    if kids is None:
-        x, y, z = seg
-        out[i] = ((A * x + P * y) % m, P * z % m, D * x % m)
-        return
-    left, right = kids
-    ml, mr = left[1], right[1]
-    _descend(left, (A % ml, P % ml, D % ml), out)
-    x, y, z = left[0]
-    _descend(right, ((A * x + P * y) % mr, P * z % mr, D * x % mr), out)
-
-
-def _tree(leaf, row: tuple, points: dict[int, int]) -> dict[int, tuple[int, int, int]]:
-    """{M: row times leaf(1) ... leaf(M), mod points[M]} for each M >= 0
-    of points: an accumulating remainder tree.
-
-    The segments between consecutive M are multiplied out once, and so
-    are, up a binary tree, the products of the segments and of their
-    moduli.  Going down, each node gets the prefix before it reduced mod
-    the product of its moduli, so no prefix grows past the moduli below
-    it.
-    """
-    cuts = sorted(points)
-    segs = [_leaves(leaf, lo, hi) for lo, hi in zip([0] + cuts, cuts)]
-    root = _build(segs, [points[M] for M in cuts], 0, len(cuts), False)
-    out: list = [None] * len(cuts)
-    _descend(root, tuple(v % root[1] for v in row), out)
-    return dict(zip(cuts, out))
 
 
 def _sums(alpha: Fraction | None, cuts: dict[int, tuple[int, ...]]) -> dict:
@@ -477,9 +402,9 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple,
 
 
 # ---------------------------------------------------------------------------
-# every family at a block of primes
+# every family at a list of jobs
 
-# the slots of 1/2, 1/3 and 1/4, the first three of every block: 1/d is d - 2
+# the slots of 1/2, 1/3 and 1/4, the first three of every run: 1/d is d - 2
 _HALF, _QUARTER = 0, 2
 
 
@@ -511,7 +436,7 @@ def _tree_values(jobs: list, values: list[Fraction], seconds: dict) -> tuple[dic
                     sums.add(_QUARTER)
                 else:
                     eulers.add(_QUARTER if fam == "MAO_HALF" else _HALF)
-            elif fam in BLOCK_FAMILIES:
+            elif fam not in LEMMA_FAMILIES:
                 here = [i for i in slots if fracs[i][1] % p]
                 sums.update(here)
                 if fam != "TAIL":
@@ -529,7 +454,7 @@ def _tree_values(jobs: list, values: list[Fraction], seconds: dict) -> tuple[dic
     t0 = perf_counter()
     sums = {i: _sums(None if i is None else values[i], c) for i, c in cuts.items()}
     t1 = perf_counter()
-    euler = _euler_residues(residues) if residues else {}
+    euler = _euler_residues(residues)
     seconds["sums"] += t1 - t0
     seconds["closed"] += perf_counter() - t1
     return sums, euler
@@ -554,7 +479,7 @@ def verify_primes(
     skip row with the reason; any other error raises records.InternalError,
     naming the family and its labels.
     """
-    # one slot per distinct alpha of the block, 1/2, 1/3 and 1/4 first;
+    # one slot per distinct alpha of the jobs, 1/2, 1/3 and 1/4 first;
     # the values of an alpha are kept by slot, which hashes faster than a
     # Fraction
     slot = {Fraction(1, d): d - 2 for d in (2, 3, 4)}
@@ -688,7 +613,7 @@ def verify_prime(
     variant gives one record at its own truncation (MAO_TRUNCATIONS): the
     8^(-k) sum at p-1 (MAO_HALF) or (p-1)/2 (SUN_HALF_CONJ), and its
     agreement with the (8k+1) sum at p-1 when p ≡ 1 (mod 4) (EQUIV).  Each
-    sum is computed once mod p^4 by verify_primes, a block of one prime:
+    sum is computed once mod p^4 by verify_primes at one job:
     S(1/d, .) from the tree at 1/d for each weight d (read mod p^3 by the
     p^3 families), and the 8^(-k) sum from its own tree.  A family whose
     precondition fails gets a skip record with the reason; its residue

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import sequences
 from supercong.padic import NotPAdicIntegral
-from supercong.primes import sieve_primes
+from supercong.primes import _tree, sieve_primes
 from supercong.sequences import (
     check_binomial_identities,
     check_euler_identities,
     check_lehmer,
     euler_poly_coeffs,
     pochhammer,
-    _HarmonicPrefix,
 )
 
 from exact_oracle import (
@@ -130,44 +130,79 @@ def test_check_lehmer():
     assert check_lehmer([197, 199]) == check_lehmer(primes)[-2:]
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_harmonic_prefix_matches_the_fractions(m):
-    # the running prefix check_lehmer reads, H_n^(m) = num / L^m with
-    # L = lcm(1..n): at every n <= 400 in increasing order, and at every
-    # seventh n once more, the n the prefix already holds
-    prefix = _HarmonicPrefix(m)
-    for n in sorted([*range(401), *range(0, 401, 7)]):
-        num, L = prefix.at(n)
-        assert L == math.lcm(*range(1, n + 1)), n
-        assert Fraction(num, L**m) == harmonic(n, m), n
+def test_lehmer_in_any_order_and_with_repeats():
+    # one verdict per entry, each that of its prime checked alone
+    for primes in ([7, 5, 7], [13, 11, 7, 5], [199, 5, 199, 5, 13, 7]):
+        assert check_lehmer(primes) == [check_lehmer([p])[0] for p in primes]
+    primes = sieve_primes(5, 199)
+    assert check_lehmer(primes[::-1] + primes) == [True] * (2 * len(primes))
 
 
-def test_harmonic_prefix_refuses_a_smaller_n():
-    prefix = _HarmonicPrefix(2)
-    held = prefix.at(17)
-    with pytest.raises(ValueError, match=r"the prefix holds H_17, cannot go back to H_16"):
-        prefix.at(16)
-    assert prefix.at(17) == held  # the same n is not a step back
+def _lehmer_trees(monkeypatch, shift=None):
+    """The (leaf, row, points) of each tree check_lehmer builds, in order;
+    with shift, the H_{p-1} tree (the first) starts from row[0] +
+    shift(points)."""
+    trees = []
+    tree = sequences._tree
+
+    def spy(leaf, row, points):
+        if shift is not None and not trees:
+            row = (row[0] + shift(points), *row[1:])
+        trees.append((leaf, row, points))
+        return tree(leaf, row, points)
+
+    monkeypatch.setattr(sequences, "_tree", spy)
+    return trees
 
 
-def _out_of_order(later, last):
-    return pytest.raises(
-        ValueError, match=f"primes must be strictly increasing, got {later} after {last}")
+def test_lehmer_trees_read_the_harmonic_numbers(monkeypatch):
+    # check_lehmer's two trees, rebuilt mod p^3 at every prime 5 <= p <= 2000,
+    # against the Fraction oracle: the first gives H_{p-1}, the second
+    # H_{p-1}^(2) and H_{(p-1)/2}^(2), each as A / D with D = M!^m.  H_{p-1}
+    # mod p^3 is nonzero at these primes, so a tree that reads the wrong
+    # power of p, or the wrong harmonic order, fails here
+    trees = _lehmer_trees(monkeypatch)
+    check_lehmer([5])
+    [(leaf1, row1, _), (leaf2, row2, _)] = trees
+    primes = sieve_primes(5, 2000)
+    for leaf, row, m, halves in ((leaf1, row1, 1, False), (leaf2, row2, 2, True)):
+        cuts = {p: (p - 1, (p - 1) // 2) if halves else (p - 1,) for p in primes}
+        points = {}
+        for p, Ms in cuts.items():
+            for M in Ms:
+                points[M] = points.get(M, 1) * p**3
+        rows = _tree(leaf, row, points)
+        for p, Ms in cuts.items():
+            for M in Ms:
+                A, _, D = rows[M]
+                got = A * pow(D, -1, p**3) % p**3
+                assert got == reduce_mod(harmonic(M, m), p, 3).value, (p, M, m)
+    assert all(reduce_mod(harmonic(p - 1), p, 3).value for p in primes)
 
 
-def test_lehmer_at_decreasing_primes():
-    # the prefixes only move forward, so primes out of order are refused
-    with _out_of_order(197, 199):
-        check_lehmer(list(reversed(sieve_primes(5, 199))))
-    with _out_of_order(11, 13):
-        check_lehmer([5, 13, 11])
+def test_lehmer_trees_read_each_prime_mod_its_power(monkeypatch):
+    # every H_{p-1} mod p^2, every H^(2) mod p at p-1 and (p-1)/2; a cut
+    # that two primes share ((p-1)/2 of 13 is 7-1) needs both.  At a true
+    # prime each residue is 0, and 0 mod the kept prime reads as 0 mod any
+    # other, so no verdict shows a modulus that drops a prime
+    trees = _lehmer_trees(monkeypatch)
+    primes = sieve_primes(5, 199)
+    check_lehmer(primes)
+    [(_, _, h1), (_, _, h2)] = trees
+    for p in primes:
+        assert h1[p - 1] % p**2 == 0, p
+        assert h2[p - 1] % p == 0 and h2[(p - 1) // 2] % p == 0, p
+    assert h2[6] % (7 * 13) == 0
 
 
-def test_lehmer_at_a_repeated_prime():
-    with _out_of_order(5, 5):
-        check_lehmer([5, 5])
-    with _out_of_order(7, 7):
-        check_lehmer([5, 7, 7, 11])
+def test_lehmer_tells_mod_p_from_mod_p_squared(monkeypatch):
+    # Wolstenholme: H_{p-1} ≡ 0 (mod p^2) at every p > 3, so no true prime
+    # shows a read of H_{p-1} mod p only.  Started from the product of the
+    # primes, the H_{p-1} tree gives A ≡ p u (mod p^2), u a unit: 0 mod p
+    # but not mod p^2, which must fail at every prime
+    trees = _lehmer_trees(monkeypatch, lambda points: math.prod(M + 1 for M in points))
+    assert check_lehmer([5, 7, 13, 199]) == [False] * 4
+    assert len(trees) == 2
 
 
 @pytest.mark.parametrize("n", [9, 25, 49])

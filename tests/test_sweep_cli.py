@@ -148,6 +148,18 @@ def test_run_sweep_config_errors():
         run_sweep(SweepConfig(families=("B2",), p_min=90, p_max=91))
     with pytest.raises(ConfigError):  # no p = 1 (mod 4) primes in [7, 11]
         run_sweep(SweepConfig(families=("F2",), p_min=7, p_max=11))
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_every_runner_refuses_fewer_than_one_worker(workers):
+    # the one check sits where every runner ends, so none reports workers < 1
+    refused = pytest.raises(ConfigError, match=f"^workers must be >= 1, got {workers}$")
+    with refused:
+        run_sweep(SweepConfig(families=("B2",), workers=workers))
+    with refused:
+        run_identities(nmax=20, pmax=50, workers=workers)
+    with refused:
+        run_wz(nmax=4, kmax=4, alpha_samples=3, workers=workers)
     with pytest.raises(ConfigError):
         run_sweep(SweepConfig(families=("MAIN1",), alpha_list=("x/y",)))
     with pytest.raises(ConfigError):

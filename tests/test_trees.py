@@ -1,10 +1,11 @@
 """The remainder trees against the per-prime oracle.
 
 verifier reads every sum and Euler residue of the classical, 8^(-k),
-MAIN1, MAIN1_TRUNC and TAIL records off accumulating remainder trees over
-a block of primes.  exact_oracle keeps the O(p) pass per (alpha, p) and
-the O(p) Euler table per prime that the trees replaced.  Here every value
-the trees give a block of jobs is compared with that oracle: the sums at
+MAIN1, MAIN1_TRUNC and TAIL records off accumulating remainder trees
+(primes._tree) over the primes of its jobs.  exact_oracle keeps the O(p)
+pass per (alpha, p) and the O(p) Euler table per prime that the trees
+replaced.  Here every value the trees give a list of jobs is compared
+with that oracle: the sums at
 a = <-alpha>_p and p-1 for the default alphas and those of the report
 digests, the 8^(-k) sum at (p-1)/2 and p-1, and E_{p-3} at every residue
 the rows read, for every prime 5 <= p <= 600 and in [1900, 2000].
@@ -14,9 +15,10 @@ from fractions import Fraction
 
 import pytest
 
+import supercong.primes
 from supercong import verifier
 from supercong.primes import sieve_primes
-from supercong.records import BLOCK_FAMILIES, PHASES, admits
+from supercong.records import ALPHA_FAMILIES, LEMMA_FAMILIES, PHASES, PRIME_FAMILIES, admits
 from supercong.sweep import RATIONAL_ALPHAS, default_alphas
 from supercong.verifier import _sums, _tree_values, verify_primes
 
@@ -28,8 +30,10 @@ EXTRA = tuple(dict.fromkeys(Fraction(a) for a in ALPHAS))
 
 
 def _jobs(primes):
-    # every block family p admits, at the default alphas and the digests'
-    return [(p, tuple(f for f in BLOCK_FAMILIES if admits(f, p)),
+    # every tree family (all but the lemmas) p admits, at the default alphas
+    # and the digests'
+    return [(p, tuple(f for f in PRIME_FAMILIES + ALPHA_FAMILIES
+                      if f not in LEMMA_FAMILIES and admits(f, p)),
              tuple(dict.fromkeys(default_alphas(p) + list(EXTRA))))
             for p in primes]
 
@@ -99,13 +103,13 @@ def test_each_node_reads_its_prefix_reduced(monkeypatch):
     # the prefix a node receives is reduced mod the product of its moduli,
     # so no prefix grows past the moduli below it
     seen = []
-    descend = verifier._descend
+    descend = supercong.primes._descend
 
     def check(node, row, out):
         seen.append(all(0 <= v < node[1] for v in row))
         return descend(node, row, out)
 
-    monkeypatch.setattr(verifier, "_descend", check)
+    monkeypatch.setattr(supercong.primes, "_descend", check)
     primes = sieve_primes(5, 300)
     alpha = Fraction(-1, 3)
     cuts = {p: (verifier._a_t(alpha, p)[0], p - 1) for p in primes}
@@ -114,3 +118,10 @@ def test_each_node_reads_its_prefix_reduced(monkeypatch):
     for p, Ms in cuts.items():
         oracle = _main_sums(verifier._poch_prefix(alpha, p, p - 1), p, p - 1)
         assert got[p] == tuple(oracle[M] % p**4 for M in Ms), p
+
+
+def test_a_tree_without_points_is_empty():
+    # no cut, no segment: the tree is {} rather than a descent into nothing
+    assert supercong.primes._tree(lambda k: (k, 1, k), (0, 1, 1), {}) == {}
+    assert verifier._euler_residues({}) == {}
+    assert _sums(Fraction(1, 3), {}) == {}

@@ -42,6 +42,13 @@ sum to M is then M, shows which truncation each record read, so these
 swaps are in the list.  Likewise a descent that skips a reduction gives
 the same values, only from ever larger prefixes: a test that checks each
 node's prefix is reduced below its modulus sees it.
+
+Not equivalent, though no verdict of check_lehmer shows them: every
+residue Lehmer's congruences read is 0 at a true prime, so reading
+H_{p-1} mod p instead of p^2 (Wolstenholme's theorem makes it 0 mod p^2
+too), or keeping one prime's modulus at a cut two primes share, passes
+every prime.  The tests that spy on check_lehmer's trees see them: one
+checks the moduli it asks for, one moves H_{p-1} by a multiple of p.
 """
 
 from __future__ import annotations
@@ -123,27 +130,17 @@ MUTATIONS = (
              "C[-1] * (n - k + 1) // k", "C[-1] * (n - k + 2) // k", BINOM_TESTS),
     Mutation("binomial lcm of the row over n", "sequences.py",
              "math.lcm(L, n + 1) // (n + 1)", "math.lcm(L, n + 1) // n", BINOM_TESTS),
-    # the integer harmonic prefixes of check_lehmer
-    Mutation("harmonic prefix lcm step q^m -> q", "sequences.py",
-             "num *= q**m", "num *= q", LEHMER_TESTS),
-    Mutation("harmonic prefix goes back without refusing", "sequences.py",
-             "if n < self.n:", "if n < 0:", LEHMER_TESTS),
-    Mutation("lehmer accepts a repeated prime", "sequences.py",
-             "if p <= last:", "if p < last:", LEHMER_TESTS),
-    Mutation("lehmer order guard never moves past 3", "sequences.py",
-             "        last = p\n", "", LEHMER_TESTS),
-    Mutation("lehmer half prefix (p - 1) // 2 -> (p + 1) // 2", "sequences.py",
-             "h2_half.at((p - 1) // 2)", "h2_half.at((p + 1) // 2)", LEHMER_TESTS),
-    Mutation("harmonic prefix adds (L/j)^m before the lcm step", "sequences.py",
-             "            if q > 1:\n"
-             "                num *= q**m\n"
-             "                L *= q\n"
-             "            num += (L // j) ** m\n",
-             "            num += (L // j) ** m\n"
-             "            if q > 1:\n"
-             "                num *= q**m\n"
-             "                L *= q\n",
-             LEHMER_TESTS),
+    # the harmonic trees of check_lehmer
+    Mutation("lehmer H_{p-1} read mod p", "sequences.py",
+             "h1[p - 1][0] % p**2 == 0", "h1[p - 1][0] % p == 0", LEHMER_TESTS),
+    Mutation("lehmer H_{p-1} tree mod p", "sequences.py",
+             "{p - 1: p * p for p in cuts}", "{p - 1: p for p in cuts}", LEHMER_TESTS),
+    Mutation("lehmer H^(2) leaf (j^2, 1, j^2) -> (j, 1, j)", "sequences.py",
+             "(j * j, 1, j * j)", "(j, 1, j)", LEHMER_TESTS),
+    Mutation("lehmer half cut (p - 1) // 2 -> (p + 1) // 2", "sequences.py",
+             "(p - 1, (p - 1) // 2)", "(p - 1, (p + 1) // 2)", LEHMER_TESTS),
+    Mutation("lehmer shared cut keeps one prime's modulus", "sequences.py",
+             "points[M] = points.get(M, 1) * p", "points[M] = p", LEHMER_TESTS),
     Mutation("binomial sign parity", "sequences.py",
              "if k % 2:\n            cu, sq", "if k % 2 == 0:\n            cu, sq",
              BINOM_TESTS),
@@ -247,9 +244,9 @@ MUTATIONS = (
              "w = b * k + c", "w = b * k - c", TREE_TESTS),
     Mutation("sums leaf factor (r+ks)^3 -> (r+(k-1)s)^3", "verifier.py",
              "(r + s * k) ** 3", "(r + s * (k - 1)) ** 3", TREE_TESTS),
-    Mutation("sums leaf D multiplied by z", "verifier.py",
+    Mutation("sums leaf D multiplied by z", "primes.py",
              "P * z % m, D * x % m)", "P * z % m, D * z % m)", TREE_TESTS),
-    Mutation("leaf product y1 x2 + z1 y2 -> y1 z2 + z1 y2", "verifier.py",
+    Mutation("leaf product y1 x2 + z1 y2 -> y1 z2 + z1 y2", "primes.py",
              "return x1 * x2, y1 * x2 + z1 * y2, z1 * z2",
              "return x1 * x2, y1 * z2 + z1 * y2, z1 * z2", TREE_TESTS),
     Mutation("Euler leaf sign (-1)^j", "verifier.py",
@@ -260,19 +257,21 @@ MUTATIONS = (
     Mutation("Euler residue sign (-1)^r", "verifier.py",
              "_parity_sign(r) * (full", "_parity_sign(r + 1) * (full", TREE_TESTS),
     # the breakpoints and the descent
+    Mutation("tree without points descends into nothing", "primes.py",
+             "    if not points:\n        return {}\n", "", TREE_TESTS),
     Mutation("breakpoint a -> a + 1", "verifier.py",
              "cut = -num * pow(den, -1, p) % p", "cut = -num * pow(den, -1, p) % p + 1",
              TREE_TESTS),
     Mutation("breakpoint (p - 1)/2 -> (p + 1)/2", "verifier.py",
              "cut = (p - 1) // 2", "cut = (p + 1) // 2", TREE_TESTS),
-    Mutation("descent feeds the right child the unreduced prefix", "verifier.py",
+    Mutation("descent feeds the right child the unreduced prefix", "primes.py",
              "_descend(right, ((A * x + P * y) % mr, P * z % mr, D * x % mr), out)",
              "_descend(right, (A * x + P * y, P * z, D * x), out)", TREE_TESTS),
-    Mutation("descent feeds the left child the unreduced prefix", "verifier.py",
+    Mutation("descent feeds the left child the unreduced prefix", "primes.py",
              "_descend(left, (A % ml, P % ml, D % ml), out)",
              "_descend(left, row, out)", TREE_TESTS),
     Mutation("descent feeds the right child a prefix without the left product",
-             "verifier.py",
+             "primes.py",
              "_descend(right, ((A * x + P * y) % mr, P * z % mr, D * x % mr), out)",
              "_descend(right, (A % mr, P % mr, D % mr), out)", TREE_TESTS),
     # the old split: one contiguous block of tree jobs per worker
