@@ -155,28 +155,28 @@ def _lehmer_trees(monkeypatch, shift=None):
     return trees
 
 
-def test_lehmer_trees_read_the_harmonic_numbers(monkeypatch):
-    # check_lehmer's two trees, rebuilt mod p^3 at every prime 5 <= p <= 2000,
-    # against the Fraction oracle: the first gives H_{p-1}, the second
-    # H_{p-1}^(2) and H_{(p-1)/2}^(2), each as A / D with D = M!^m.  H_{p-1}
-    # mod p^3 is nonzero at these primes, so a tree that reads the wrong
-    # power of p, or the wrong harmonic order, fails here
+@pytest.mark.parametrize("m", [1, 2])
+def test_harmonic_prefix_matches_the_fractions(monkeypatch, m):
+    # check_lehmer's tree of order m, rebuilt mod p^3 at every prime
+    # 5 <= p <= 2000, against the Fraction oracle: the first tree gives
+    # H_{p-1}, the second H_{p-1}^(2) and H_{(p-1)/2}^(2), each as A / D with
+    # D = M!^m.  H_{p-1} mod p^3 is nonzero at these primes, so a tree that
+    # reads the wrong power of p, or the wrong harmonic order, fails here
     trees = _lehmer_trees(monkeypatch)
     check_lehmer([5])
-    [(leaf1, row1, _), (leaf2, row2, _)] = trees
+    leaf, row, _ = trees[m - 1]
     primes = sieve_primes(5, 2000)
-    for leaf, row, m, halves in ((leaf1, row1, 1, False), (leaf2, row2, 2, True)):
-        cuts = {p: (p - 1, (p - 1) // 2) if halves else (p - 1,) for p in primes}
-        points = {}
-        for p, Ms in cuts.items():
-            for M in Ms:
-                points[M] = points.get(M, 1) * p**3
-        rows = _tree(leaf, row, points)
-        for p, Ms in cuts.items():
-            for M in Ms:
-                A, _, D = rows[M]
-                got = A * pow(D, -1, p**3) % p**3
-                assert got == reduce_mod(harmonic(M, m), p, 3).value, (p, M, m)
+    cuts = {p: (p - 1, (p - 1) // 2) if m == 2 else (p - 1,) for p in primes}
+    points = {}
+    for p, Ms in cuts.items():
+        for M in Ms:
+            points[M] = points.get(M, 1) * p**3
+    rows = _tree(leaf, row, points)
+    for p, Ms in cuts.items():
+        for M in Ms:
+            A, _, D = rows[M]
+            got = A * pow(D, -1, p**3) % p**3
+            assert got == reduce_mod(harmonic(M, m), p, 3).value, (p, M, m)
     assert all(reduce_mod(harmonic(p - 1), p, 3).value for p in primes)
 
 
