@@ -6,10 +6,10 @@ bytes; _MAX_TOKENS of them fill one page, which a pipe always holds, so the
 fill cannot block.  The parent and its workers - 1 forked children each
 read a token whenever they are free, run that chunk and read the next,
 until the drained pipe reads as EOF: the costliest instances (the largest
-primes) come last, and a static split would leave one process idle while
+n) come last, and a static split would leave one process idle while
 another runs them.  The remainder-tree instance of a verify run, if it has
 one, comes first, so one process starts it at once while the others share
-out the lemma and q-instances.  sweep imports this module only for a run it
+out the q-instances.  sweep imports this module only for a run it
 forks: more than one worker and more than one instance, and estimated
 serial work at or above sweep._FORK_FLOOR, about five times the 20 ms of
 CPU a fork costs.  Any other run, whatever --workers asks, is the serial

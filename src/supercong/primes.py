@@ -4,9 +4,9 @@ sieve_primes lists the primes of a range, optionally in one residue class.
 _tree reads a running product of 2x2 lower-triangular integer matrices
 off one accumulating remainder tree (Costa, Gerbicz and Harvey, "A search
 for Wilson primes", Math. Comp. 2014), each prefix reduced mod its own
-modulus: verifier reads its sums and Euler residues from it, and
-sequences.check_lehmer its harmonic numbers.  Both live here because
-every command imports this module.
+modulus: verifier reads its sums, Euler residues and lemma values from
+it, and sequences.check_lehmer its harmonic numbers.  Both live here
+because every command imports this module.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ def sieve_primes(
 
 # A leaf (x, y, z) is the lower-triangular matrix [[x, 0], [y, z]].  It
 # acts on a row (A, P, D) from the right, with D multiplied by x alongside:
-# (A, P, D) -> (A x + P y, P z, D x).
+# (A, P, D) -> (A x + P y, P z, D x).  Entries are integers or verifier's
+# truncated polynomials, which have +, * and % by an integer.
 
 def _times(left: tuple, right: tuple) -> tuple[int, int, int]:
     # the product of two leaves, left acting first
@@ -61,8 +62,8 @@ def _leaves(leaf, lo: int, hi: int) -> tuple[int, int, int]:
     if hi - lo > 16:
         mid = (lo + hi) // 2
         return _times(_leaves(leaf, lo, mid), _leaves(leaf, mid, hi))
-    acc = (1, 0, 1)
-    for k in range(lo + 1, hi + 1):
+    acc = leaf(lo + 1) if hi > lo else (1, 0, 1)
+    for k in range(lo + 2, hi + 1):
         acc = _times(acc, leaf(k))
     return acc
 

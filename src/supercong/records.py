@@ -224,10 +224,10 @@ ALPHA_FAMILIES = ("MAIN1", "MAIN1_TRUNC", "TAIL") + LEMMA_FAMILIES
 # the truncation labels of the general-alpha records; the others have none
 ALPHA_TRUNCATIONS = {"MAIN1": "full", "MAIN1_TRUNC": "short"}
 
-# the phases verifier.verify_primes times: the lemma tables of a prime, the
-# lemmas' Pochhammer prefixes, the sums trees, the Euler tree and the closed
-# forms (right sides) of the sums, and both sides of the lemmas
-PHASES = ("tables", "prefix", "sums", "closed", "lemma")
+# the phases verifier.verify_primes times: the sums trees, the Euler tree
+# and the closed forms (right sides) of the sums, and the lemmas' trees and
+# both of their sides
+PHASES = ("sums", "closed", "lemma")
 
 
 class QFamily(NamedTuple):

@@ -8,20 +8,19 @@ any worker count.  A run forks only when its estimated serial work (the
 sum of Instance.work) reaches _FORK_FLOOR: below it, the fork costs more
 than it saves, and a run asked for w workers is exactly the serial run.
 The instances depend on the selection alone, never on the worker count.
-The classical, 8^(-k), MAIN1, MAIN1_TRUNC and TAIL families run as one
+Every verify family, the five lemma families among them, runs as one
 instance over all primes (verifier.verify_primes), which reads every sum
-from one remainder tree per alpha, so a run of these families alone is
-one instance and never forks; a forked run shares out the others.  One
-instance per prime checks the requested lemma families at every alpha
-(verifier.verify_primes at one job); one per (q-family, n) checks that
-family (qseries.verify_at_n).  These yield a record per family, prime,
-alpha and truncation, a skip record with the reason where a family's
-precondition fails.  One Lehmer instance checks every prime, with one record per
-prime; an identity, WZ or smoke instance yields one record.  Each
-instance builds the state it reads, so none depends on another having
-run first: the tree instance builds its trees from k = 1.  Every
-instance hands its records back as rows (records.family_rows: plain
-tuples, cheap to pickle), and the parent builds each record once.
+and lemma side off remainder trees shared by all primes, so a verify run
+is one instance and never forks; a forked run shares out the others.  One
+instance per (q-family, n) checks that family (qseries.verify_at_n).
+These yield a record per family, prime, alpha and truncation, a skip
+record with the reason where a family's precondition fails.  One Lehmer
+instance checks every prime, with one record per prime; an identity, WZ
+or smoke instance yields one record.  Each instance builds the state it
+reads, so none depends on another having run first: the tree instance
+builds its trees from k = 1.  Every instance hands its records back as
+rows (records.family_rows: plain tuples, cheap to pickle), and the parent
+builds each record once.
 An exception that escapes an instance is a bug, whatever its type, and
 aborts the sweep with an InternalError: family_rows names the family and
 labels it was checking, and _execute names the instance of any other.
@@ -104,17 +103,13 @@ VERIFY_FAMILIES: tuple[str, ...] = PRIME_FAMILIES + ALPHA_FAMILIES
 P_MAX = 10**6
 
 # The work floor of a forked run, in estimated microseconds of serial work
-# (the sum of Instance.work): five times the cost of a fork.  On a shared
-# 2-vCPU x86 host (CPython 3.11) a run of the five lemma families at 10
-# alphas took 15 to 32 ms more CPU with 2 workers than with 1, for p <= 131
-# to 401: about 20 ms for the fork, the child's copy-on-write faults and
-# the pickled rows.  A run of work W saves at most W/2 of wall time, and
-# only while the child has a core of its own, which a shared host does
-# not promise: there, two busy processes often took twice as long as one.
-# At the floor a fork loses at most a fifth of the run's work and can save
-# half.  Below it stays the benchmark's lemma run (p <= 199, about 0.06 s
-# of work), which took 0.152 s with 2 workers against 0.134 s serial;
-# verify --pmax 499 (about 0.35 s) and larger runs fork.
+# (the sum of Instance.work): five times the cost of a fork, about 20 ms
+# of CPU for the fork, the child's copy-on-write faults and the pickled
+# rows on a shared 2-vCPU x86 host (CPython 3.11).  A run of work W saves
+# at most W/2 of wall time, and only while the child has a core of its
+# own, which a shared host does not promise.  At the floor a fork loses at
+# most a fifth of the run's work and can save half.  A verify run without
+# q-families is one instance, which never forks whatever its work.
 _FORK_FLOOR = 100_000
 
 
@@ -238,11 +233,10 @@ def __getattr__(name: str):
 
 def build_instances(cfg: SweepConfig) -> list[Instance]:
     """One instance for the jobs of every prime that admits a requested
-    tree family (any verify family but a lemma) or, with alpha families
-    requested, has alphas, labelled by its largest prime; then one per
-    prime for the requested lemma families, and after all primes one per n
-    for each q-family.  The list depends on the selection alone, never on
-    cfg.workers.  Each instance carries its estimated work (Instance.work)."""
+    prime family or, with alpha families requested, has alphas, labelled by
+    its largest prime; then one per n for each q-family.  The list depends
+    on the selection alone, never on cfg.workers.  Each instance carries
+    its estimated work (Instance.work)."""
     alpha_fams = tuple(f for f in cfg.families if f in ALPHA_FAMILIES)
     if any(f in VERIFY_FAMILIES for f in cfg.families):
         _bind("verifier")
@@ -253,40 +247,37 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
         primes = sieve_primes(cfg.p_min, cfg.p_max)
     except EmptyRange as exc:
         raise ConfigError(str(exc)) from exc
-    jobs, work, out = [], 0, []
+    jobs, work = [], 0
     for p in primes:
         alphas = tuple(_alphas_for(cfg, p)) if alpha_fams else ()
         fams = tuple(f for f in cfg.families
                      if (f in PRIME_FAMILIES and admits(f, p))
                      or (f in ALPHA_FAMILIES and alphas))
-        if tree := tuple(f for f in fams if f not in LEMMA_FAMILIES):
-            # a job extends the trees from the last job's prime to p, about
-            # 8 us per prime and tree (14 trees to p = 307, 1999 and 5000
-            # took 6.6, 8.0 and 12): one tree per alpha if an alpha family
-            # reads them, and at most four (1/2, 1/3, 1/4 and 8^(-k)) for the
-            # prime families
-            trees = (len(alphas) * any(f in ALPHA_FAMILIES for f in tree)
-                     + min(4, sum(f in PRIME_FAMILIES for f in tree)))
-            work += 8 * (p - (jobs[-1][0] if jobs else 0)) * trees
-            jobs.append((p, tree, alphas))
-        if lemma := tuple(f for f in fams if f in LEMMA_FAMILIES):
-            # a Pochhammer prefix to 2p-1 and two sums, about 3p steps of
-            # 0.5 us, per alpha
-            out.append(Instance(",".join(lemma), verify_primes,
-                                (((p, lemma, alphas),), truncs), p=p,
-                                work=3 * p * len(alphas) // 2))
-    # one instance per (family, n), so that workers share the q-families
-    # out; the sums and gcds of one take about n^3 us
-    out += [Instance(fam, verify_at_n, (n, (fam,)), n=n, work=n**3)
-            for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
+        if not fams:
+            continue
+        # a job extends the trees from the last job's prime to p, about 8 us
+        # per prime and tree (6.6, 8.0, 12 at p = 307, 1999, 5000): up to 4
+        # for the prime families, per alpha 1 for MAIN1, MAIN1_TRUNC or TAIL
+        # and 3 for the lemmas' Pi and W trees (14, 27, 49 us), and 3 harmonic
+        lemma = any(f in LEMMA_FAMILIES for f in fams)
+        sums = any(f in ALPHA_FAMILIES and f not in LEMMA_FAMILIES for f in fams)
+        trees = (len(alphas) * (sums + 3 * lemma) + 3 * lemma
+                 + min(4, sum(f in PRIME_FAMILIES for f in fams)))
+        work += 8 * (p - (jobs[-1][0] if jobs else 0)) * trees
+        jobs.append((p, fams, alphas))
+    out = []
     if jobs:
         # the trees grow from k = 1 once for all jobs, as one instance: a
         # split would rebuild them from k = 1 in every part.  It goes first,
         # so that a forked run starts it before it shares out the others
         label = ",".join(f for f in dict.fromkeys(cfg.families)
                          if any(f in fams for _, fams, _ in jobs))
-        out.insert(0, Instance(label, verify_primes, (tuple(jobs), truncs),
-                               p=jobs[-1][0], work=work))
+        out.append(Instance(label, verify_primes, (tuple(jobs), truncs),
+                            p=jobs[-1][0], work=work))
+    # one instance per (family, n), so that workers share the q-families
+    # out; the sums and gcds of one take about n^3 us
+    out += [Instance(fam, verify_at_n, (n, (fam,)), n=n, work=n**3)
+            for fam in cfg.families if fam in Q_FAMILIES for n in cfg.n_list]
     if not out:
         raise ConfigError(
             f"selection matches no instances: families {', '.join(cfg.families)}"

@@ -20,8 +20,7 @@ d = 2, 3, 4.  Against it we check:
 * the five auxiliary Pochhammer-quotient congruences the proofs run on,
   whose left sides are p^v times a unit residue mod p^4 (only alpha+a and
   alpha+a+p among the Pochhammer factors are divisible by p), and whose
-  right sides are polynomials in t and the harmonic-type prefixes at a,
-  read from one lemma table per job (_lemma_tables).
+  right sides are polynomials in t and the harmonic-type prefixes at a.
 
 The sums and the Euler residues of the right sides come from accumulating
 remainder trees (primes._tree; Costa, Gerbicz and Harvey, "A search for
@@ -34,23 +33,22 @@ reduced mod its own p^4.  A second tree, mod p, gives every E_{p-3}(r)
 (_euler_residues).  Where a pass per (alpha, p) costs O(p) interpreted
 steps at each prime, a tree makes O(N) big-integer products and
 reductions for N the jobs' largest prime, with operands of up to about
-N log N bits near its root.  The lemmas' Pochhammer quotients hold (p-k)!
-terms, which no fixed matrix carries, so they keep a per-prime path: a
-prefix (alpha)_j = p^(e_j) u_j to 2p-1 (_poch_prefix) per (alpha, p), and
-the factorial and harmonic-type tables of p, built once per job.
+N log N bits near its root.  The lemmas read trees too (_lemma_trees):
+per alpha = r/s, one of the products r(r+s)...(r+(j-1)s), and one whose
+entries are polynomials in P mod P^4 (_Trunc), since the lemma sums' terms
+hold p-dependent factors (alpha+p+i) and (p-1)!/(p-k)!: one leaf serves
+every prime, read at P = p.  Three harmonic-type trees serve all alphas.
 
 verify_primes checks any families at a list of jobs (p, families,
 alphas), and times each of its phases; verify_prime (the prime families)
 and verify_alpha (the alpha families at one alpha) are thin calls into it
-with one job.  The classical and 8^(-k) families are statements about one
-prime p, the general-alpha congruence, its tail and the five lemmas
-statements about one pair (alpha, p).  A failed hypothesis
-(p > 3 and its class, alpha p-integral, a <= p-2, no zero Pochhammer
-factor) raises PreconditionViolated where it is tested: a skip row.
+with one job.  A failed hypothesis (p > 3 and its class, alpha p-integral,
+a <= p-2, no zero Pochhammer factor) raises PreconditionViolated where it
+is tested: a skip row.
 
 Everything is exact integer arithmetic; the Fraction oracles these
-residues are checked against, and the per-prime passes the trees
-replaced, live in the tests.  The family tables (FAMILIES, PRIME_CLASSES,
+residues are checked against, and the per-prime passes and lemma path the
+trees replaced, live in the tests.  The family tables (FAMILIES, PRIME_CLASSES,
 the MAO, LEMMA and ALPHA names, PHASES) live in records, which the CLI
 reads without importing this module; they are imported from there.
 """
@@ -59,7 +57,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from time import perf_counter
 
 from .padic import (
@@ -94,6 +91,12 @@ __all__ = [
 ]
 
 
+def _cut(points: dict[int, int], Ms, q: int) -> None:
+    # the cuts Ms of one prime, each mod its modulus q once
+    for M in Ms:
+        points[M] = points.get(M, 1) * q
+
+
 def _sums(alpha: Fraction | None, cuts: dict[int, tuple[int, ...]]) -> dict:
     """{p: (the sum to M mod p^4, for each M of cuts[p])}, every M < p, from
     one tree: S(alpha, M), or for alpha None the 8^(-k) sum
@@ -121,8 +124,7 @@ def _sums(alpha: Fraction | None, cuts: dict[int, tuple[int, ...]]) -> dict:
 
     points: dict[int, int] = {}
     for p, Ms in cuts.items():
-        for M in set(Ms):
-            points[M] = points.get(M, 1) * p**4
+        _cut(points, set(Ms), p**4)
     rows = _tree(leaf, (c, r**3, 1), points)
     out = {}
     for p, Ms in cuts.items():
@@ -144,8 +146,7 @@ def _euler_residues(wanted: dict[int, set[int]]) -> dict[int, dict[int, int]]:
     leaf j is (j^2, (-1)^j, j^2), so after leaf i-1, A_i = B / Q."""
     points: dict[int, int] = {}
     for p, rs in wanted.items():
-        for M in {p - 1} | {max(r - 1, 0) for r in rs}:
-            points[M] = points.get(M, 1) * p
+        _cut(points, {p - 1} | {max(r - 1, 0) for r in rs}, p)
     rows = _tree(lambda j: (j * j, -1 if j & 1 else 1, j * j), (0, 1, 1), points)
 
     def alt(p: int, i: int) -> int:  # A_i mod p; A_0 = A_1 = 0
@@ -233,107 +234,118 @@ def _residue_sides(p: int, e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]
 # ---------------------------------------------------------------------------
 # auxiliary Pochhammer-quotient congruences
 
-def _lemma_tables(p: int) -> tuple[tuple[int, ...], ...]:
-    """(fact, h1, h2, alt2) mod p^4 for j = 0..p-1: j!, H_j = sum_{k<=j} 1/k,
-    H_j^(2) = sum_{k<=j} 1/k^2 and sum_{k<=j} (-1)^k / k^2, which only the
-    lemma sides read.
+class _Trunc(tuple):
+    """c0 + c1 P + c2 P^2 + c3 P^3 in Z[P]/(P^4), as (c0, c1, c2, c3): with
+    +, * (by another or by an int) and % (coefficient-wise), so primes._tree
+    runs unchanged on rows whose entries are these."""
 
-    Every j < p is a unit mod p^4, so one inverse of (p-1)! and a backward
-    pass give every 1/j!, and 1/k is (k-1)!/k!.
+    __slots__ = ()
+
+    def __add__(self, other):
+        a0, a1, a2, a3 = self
+        b0, b1, b2, b3 = (other, 0, 0, 0) if isinstance(other, int) else other
+        return _Trunc((a0 + b0, a1 + b1, a2 + b2, a3 + b3))
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        a0, a1, a2, a3 = self
+        if isinstance(other, int):
+            return _Trunc((a0 * other, a1 * other, a2 * other, a3 * other))
+        b0, b1, b2, b3 = other
+        return _Trunc((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+                       a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0))
+    __rmul__ = __mul__
+
+    def __mod__(self, m: int):
+        c0, c1, c2, c3 = self
+        return _Trunc((c0 % m, c1 % m, c2 % m, c3 % m))
+
+    def at(self, p: int, m: int) -> int:  # the value at P = p, mod m
+        c0, c1, c2, c3 = self
+        return ((c3 * p + c2) * p + c1) * p % m + c0 % m
+
+
+def _w_leaf(r: int, s: int):
+    """Leaf k of the W tree of alpha = r/s, ((r+(k-1)s)^2, n_k, n_k), n_1 = -s
+    and n_k = -s (r+(k-2)s+sP)(P-(k-1)): from (0, s, 1), the row after leaf
+    M is (A_M, s n_1...n_M, Pi_M^2), and A_M / Pi_M^2 at P = p is
+    W_M = sum_{k<=M} (-1)^k (alpha+p)_{k-1} (p-1)!/(p-k)! / (alpha)_k^2."""
+    def leaf(k: int) -> tuple:
+        g, c, j = r + (k - 1) * s, r + (k - 2) * s, k - 1
+        # -s (c + sP)(P - j) = s c j - s (c - s j) P - s^2 P^2
+        n = _Trunc((s * c * j, -s * (c - s * j), -s * s, 0) if k > 1 else (-s, 0, 0, 0))
+        return g * g, n, n
+    return leaf
+
+
+def _lemma_trees(jobs: list, values: list[Fraction]) -> dict[int, tuple]:
+    """{i: (pi, w, h, v0s)} for each slot i of values that a lemma row of jobs
+    reads: the rows of the Pi and W trees of values[i], of the three
+    harmonic trees all alphas share (see _lemma_sides), and v0s = {p: v0}.  At
+    each prime p > 3 of a job with a lemma family, each p-integral alpha =
+    r/s of the job, with a = <-alpha>_p and v0 = v_p(r+as) (0 if r+as = 0),
+    cuts its Pi tree at p, a+1, p+a and 2p-1 and its W tree at a, and p-1
+    if a <= p-2 and r+as != 0, mod p^(4+2v0); the harmonic trees are cut at
+    every a, p-1 and p-a-1 mod p^4.  A prime enters each of its cuts once."""
+    pi_cuts: dict[int, dict[int, int]] = {}
+    w_cuts: dict[int, dict[int, int]] = {}
+    v0s: dict[int, dict[int, int]] = {}
+    h_cuts: dict[int, int] = {}
+    for p, fams, slots in jobs:
+        if p <= 3 or set(LEMMA_FAMILIES).isdisjoint(fams):
+            continue
+        wanted = {p - 1}
+        for i in slots:
+            r, s = values[i].numerator, values[i].denominator
+            if s % p == 0:
+                continue
+            a, v0 = -r * pow(s, -1, p) % p, 0
+            while r + a * s and (r + a * s) % p ** (v0 + 1) == 0:
+                v0 += 1
+            v0s.setdefault(i, {})[p] = v0
+            q = p ** (4 + 2 * v0)
+            _cut(pi_cuts.setdefault(i, {}), {p, a + 1, p + a, 2 * p - 1}, q)
+            _cut(w_cuts.setdefault(i, {}),
+                 {a, p - 1} if a <= p - 2 and r + a * s else {a}, q)
+            wanted |= {a, p - a - 1}
+        _cut(h_cuts, wanted, p**4)
+    h = tuple(_tree(leaf, (0, 1, 1), h_cuts) for leaf in (
+        lambda j: (j, 1, j), lambda j: (j * j, 1, j * j),
+        lambda j: (j * j, (-1) ** j, j * j)))
+    out = {}
+    for i, cuts in pi_cuts.items():
+        r, s = values[i].numerator, values[i].denominator
+        pi = _tree(lambda j: (1, 0, r + (j - 1) * s), (0, 1, 1), cuts)
+        out[i] = pi, _tree(_w_leaf(r, s), (0, s, 1), w_cuts[i]), h, v0s[i]
+    return out
+
+
+
+def _lemma_sides(fam: str, alpha: Fraction, p: int, a: int, t: int,
+                 trees: tuple) -> tuple[int, int]:
+    """Left and right side mod p^4 of one LEMMA_* family, from (a, t) =
+    _a_t(alpha, p) and the trees (pi, w, h, v0s) of _lemma_trees.  With
+    alpha = r/s, Pi_M = s^M (alpha)_M, v0 = v_p(r+as) and U_M = Pi_M / p^v0
+    for M > a, each cut read mod p^(4+2v0), the left sides are:
+
+    * LEMMA_WZPROD:  (alpha)_{2p-1}/(p-1)!^2 = Pi_{2p-1} / (s^(2p-1) (p-1)!^2),
+      two branches (a = p-1 / a < p-1); needs alpha ≢ 0 (mod p).
+    * LEMMA_ALPHAP3: (alpha)_p^3/(p-1)!^3 = Pi_p^3 / (s^(3p) (p-1)!^3) ≡ (alpha+a)^3.
+    * LEMMA_SIGMA1:  the sum over k = 1..a, LEMMA_ALPHAP3's left side times
+      W_a; needs alpha ≢ 0 (mod p).
+    * LEMMA_PROD:    (alpha)_p^2 (alpha)_{p+a} / ((p-1)!^2 (p-a-1)! (alpha)_{a+1}^2)
+      = p^v0 U_p^2 U_{p+a} s^(a+2) / (s^(3p) (p-1)!^2 (p-a-1)! U_{a+1}^2).
+    * LEMMA_SIGMA:   the sum over k = a+2..p-1, p^v0 U_p^3 X / (s^(3p)
+      (p-1)!^3) with X = p^(2v0) (W_{p-1} - W_{a+1}); needs a <= p-2.
+
+    W_M is A_M(p) / D_M for the W tree's row (A_M, N_M, D_M); D_M holds
+    (r+as)^2 from M = a+1 on, so X reads the unit D_M / p^(2v0), and the row
+    at a+1 is the row at a times leaf a+1.  The right sides are polynomials
+    in t, H_a, H_a^(2) and sum_{k<=a} (-1)^k/k^2 from h, mod p^4; the
+    divisions by 2 and by a+1 are by units where they are made.  A family
+    whose hypothesis fails, a zero denominator Pochhammer among them,
+    raises PreconditionViolated.
     """
-    m = p**4
-    fact = tuple(accumulate(range(1, p), lambda acc, j: acc * j % m, initial=1))
-    inv_fact = [0] * p
-    inv_fact[p - 1] = pow(fact[p - 1], -1, m)
-    for j in range(p - 1, 0, -1):
-        inv_fact[j - 1] = inv_fact[j] * j % m
-    recip = [fact[k - 1] * inv_fact[k] % m for k in range(1, p)]
-    squares = [r * r % m for r in recip]
-    signed = [-r if k % 2 else r for k, r in enumerate(squares, 1)]
-
-    def prefix(terms):
-        return tuple(s % m for s in accumulate(terms, initial=0))
-
-    return fact, prefix(recip), prefix(squares), prefix(signed)
-
-
-def _poch_prefix(
-    alpha: Fraction, p: int, n: int
-) -> tuple[list[int], int, int, int, int]:
-    """(u, v0, v1, a, t): (alpha)_j = p^(e_j) u_j for j = 0..n <= 2p-1, u_j
-    mod p^4, a = <-alpha>_p and alpha + a = p*t, t mod p^4.
-
-    The only factors alpha+i (i <= 2p-2) divisible by p are alpha+a = p*t
-    and alpha+a+p = p*(t+1), of valuations v0 and v1.  e_j adds v0 once
-    j > a and v1 once j > a+p, and u_j multiplies every other factor with
-    the unit parts of those two.  A zero factor (t = 0 or t+1 = 0: a
-    nonpositive-integer alpha) has unit part 0, so every u_j past it is 0.
-    a and t are those of _a_t.
-    """
-    a, t = _a_t(alpha, p)
-    m = p**4
-    num, den = alpha.numerator, alpha.denominator
-    inv = pow(den, -1, m)
-    x = num * inv % m
-
-    def unit(i: int) -> tuple[int, int]:
-        # unit part mod m and p-adic valuation of alpha+i = (num + i den)/den
-        g, v = num + i * den, 0
-        while g and g % p == 0:
-            g //= p
-            v += 1
-        return g * inv % m, v
-
-    (u0, v0), (u1, v1) = unit(a), unit(a + p)
-    factors = list(range(x, x + 2 * p))  # alpha+i mod m, up to a multiple of m
-    factors[a], factors[a + p] = u0, u1
-    out, acc = [1], 1
-    for f in factors[:n]:
-        acc = acc * f % m
-        out.append(acc)
-    return out, v0, v1, a, t
-
-
-def _lemma_sum(
-    u: list[int], fact: tuple[int, ...], p: int, k0: int, k1: int
-) -> tuple[int, int]:
-    """sum_{k=k0}^{k1} (-1)^k u_{p+k-1} / ((p-k)! u_k^2) mod p^4 as (num, den).
-
-    The running denominator den keeps the sum at one inverse for the caller.
-    """
-    m = p**4
-    s, d = 0, 1
-    for k in range(k0, k1 + 1):
-        w = fact[p - k] * u[k] * u[k] % m
-        c = u[p + k - 1] * d
-        s = (s * w + (-c if k & 1 else c)) % m
-        d = d * w % m
-    return s, d
-
-
-def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple,
-                 tables: tuple) -> tuple[int, int]:
-    """Left and right side mod p^4 of one LEMMA_* family.
-
-    Families (a = <-alpha>_p, alpha + a = p*t throughout):
-
-    * LEMMA_WZPROD:  (alpha)_{2p-1}/(p-1)!^2, two branches (a = p-1 / a < p-1);
-      needs alpha ≢ 0 (mod p).
-    * LEMMA_ALPHAP3: (alpha)_p^3/(p-1)!^3 ≡ (alpha+a)^3.
-    * LEMMA_SIGMA1:  weighted sum over k = 1..a; needs alpha ≢ 0 (mod p).
-    * LEMMA_PROD:    (alpha)_p^2 (alpha)_{p+a} / ((p-1)!^2 (p-a-1)! (alpha)_{a+1}^2).
-    * LEMMA_SIGMA:   weighted sum over k = a+2..p-1; needs a <= p-2.
-
-    Each left side is p^v times a p-adic integer, with v read off the
-    valuations of alpha+a and alpha+a+p and the integer computed mod p^4
-    from the unit residues of pre = _poch_prefix(alpha, p, 2p-1), in O(p)
-    operations and two inverses.  The right sides are polynomials in t
-    (mod p^4), H_a, H_a^(2) and sum_{k<=a} (-1)^k/k^2, read from tables =
-    _lemma_tables(p); the divisions by 2 and by a+1 are by units in every
-    branch that makes them.  A family whose hypothesis fails, alphas that
-    zero a denominator Pochhammer among them, raises PreconditionViolated.
-    """
-    u, v0, v1, a, t = pre
     if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):
         raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
     # only the factor alpha+a of (alpha)_{a+1} (LEMMA_PROD), and likewise of
@@ -350,46 +362,48 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple,
                 f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
             )
     m = p**4
-    fact, h1, h2, alt2 = tables
-    f2 = fact[p - 1] ** 2
-    pt, ha, ha2 = p * t, h1[a], h2[a]
+    r, s = alpha.numerator, alpha.denominator
+    pi, w, (h1, h2, alt), v0s = trees
+    sf = pow(s, p, m) * h1[p - 1][1]  # s^p (p-1)!
+    pt = p * t
+    if fam == "LEMMA_ALPHAP3":
+        return pi[p][1] ** 3 * pow(sf, -3, m) % m, pt**3 % m
+    ia = pow(h1[a][1], -1, m)  # 1/a!
+    ha, ha2 = h1[a][0] * ia % m, h2[a][0] * ia * ia % m
+    half = (m + 1) // 2  # 1/2 mod p^4
+    q, pv = p ** (4 + 2 * v0s[p]), p ** v0s[p]
 
-    # the left side is p^v * num / den, den a unit mod p^4
+    def unit(M: int) -> int:  # U_M mod p^4, for M > a
+        return pi[M][1] % q // pv
+    # the left side is num / den, den a unit mod p^4
     if fam == "LEMMA_WZPROD":
-        num, den = u[2 * p - 1], f2
+        num, den = pi[2 * p - 1][1] * s, sf * sf
         if a == p - 1:  # alpha+a+p is past the last factor
-            v, rhs = v0, pt
+            rhs = pt
         else:
-            v = v0 + v1
             inv = pow(a + 1, -1, m)
             rhs = -p * pt * (t + 1) * inv * (1 + 2 * p * ha + p * (t + 2) * inv)
-    elif fam == "LEMMA_ALPHAP3":
-        v, num, den = 3 * v0, u[p] ** 3, fact[p - 1] ** 3
-        rhs = pt**3
     elif fam == "LEMMA_SIGMA1":
-        # (alpha)_k for k <= a has no factor divisible by p, so it is never 0;
-        # (alpha)_{p+k-1} has valuation v0, so every term has valuation v0
-        s, d = _lemma_sum(u, fact, p, 1, a)
-        v, num, den = 3 * v0, u[p] ** 2 * s, f2 * d
-        rhs = _parity_sign(a + 1) * pt**3 * (ha2 + 2 * alt2[a])
+        A, _, D = w[a]
+        num, den = pi[p][1] ** 3 * A.at(p, m), sf**3 * D
+        rhs = _parity_sign(a + 1) * pt**3 * (ha2 + 2 * alt[a][0] * ia * ia)
     elif fam == "LEMMA_PROD":
-        v = v0  # valuation 3 v0 over (alpha)_{a+1}^2, valuation 2 v0
-        num = u[p] ** 2 * u[p + a]
-        den = f2 * fact[p - a - 1] * u[a + 1] ** 2
-        half = (m + 1) // 2  # 1/2 mod p^4
+        num = pv * unit(p) ** 2 * unit(p + a) * pow(s, a + 2, m)
+        den = sf * sf * pow(s, p, m) * h1[p - a - 1][1] * unit(a + 1) ** 2
         rhs = pt * (
             1
             + p * (t + 1) * ha
             + p * p * half * ((t + 1) ** 2 * ha * ha + (t * t + 4 * t + 1) * ha2)
         )
     else:  # LEMMA_SIGMA
-        # every term is (alpha)_{p+k-1}, valuation v0 + v1, over (alpha)_k^2,
-        # valuation 2 v0
-        s, d = _lemma_sum(u, fact, p, a + 2, p - 1)
-        v, num, den = v0 + v1, u[p] ** 2 * s, f2 * d
+        A, N, D = w[a]
+        x, y, _ = _w_leaf(r, s)(a + 1)
+        A1, D1 = (A * x + N * y) % q, D * x % q // pv**2
+        D2 = w[p - 1][2] % q // pv**2
+        num = pv * unit(p) ** 3 * (w[p - 1][0].at(p, m) * D1 - A1.at(p, m) * D2)
+        den = sf**3 * D1 * D2
         sa = _parity_sign(a)
         inv = pow(a + 1, -1, m)
-        half = (m + 1) // 2
         rhs = sa * p * pt * (t + 1) * (
             ha - sa * inv
             + p * (
@@ -398,7 +412,7 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, pre: tuple,
                 - sa * (t + 2) * inv * inv
             )
         )
-    return (p**v * num * pow(den, -1, m) % m if v < 4 else 0), rhs % m
+    return num * pow(den, -1, m) % m, rhs % m
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +486,9 @@ def verify_primes(
     gives one row per requested alpha family, in the order given (see
     verify_alpha).  Every sum and Euler residue of the classical, 8^(-k),
     MAIN1, MAIN1_TRUNC and TAIL rows of all jobs comes from one remainder
-    tree per distinct alpha and one Euler tree (_tree_values), built before
-    the first row.  A lemma family reads a Pochhammer prefix to 2p-1 per
-    p-integral alpha, built when a row first reads it, and the lemma tables
-    of p, built once per job.  A family whose precondition fails gets a
+    tree per distinct alpha and one Euler tree (_tree_values), and every
+    lemma value from the lemma trees (_lemma_trees), all built before the
+    first row.  A family whose precondition fails gets a
     skip row with the reason; any other error raises records.InternalError,
     naming the family and its labels.
     """
@@ -494,7 +507,6 @@ def verify_primes(
         raise ValueError(f"truncation must be short|full, got {bad[0]!r}")
     values = list(slot)
     seconds = dict.fromkeys(PHASES, 0.0)
-    sums, euler = _tree_values(normed, values, seconds)
 
     def timed(phase: str, fn, *args):
         t0 = perf_counter()
@@ -503,20 +515,21 @@ def verify_primes(
         finally:
             seconds[phase] += perf_counter() - t0
 
+    sums, euler = _tree_values(normed, values, seconds)
+    lemma = {}
+    if any(f in LEMMA_FAMILIES for _, fams, _ in normed for f in fams):
+        lemma = timed("lemma", _lemma_trees, normed, values)
     rows: list[tuple] = []
     for p, fams, slots in normed:
-        rows += _job_rows(p, fams, slots, truncations, values, sums, euler, timed)
+        rows += _job_rows(p, fams, slots, truncations, values, sums, euler, lemma, timed)
     return rows, seconds
 
 
 def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str, ...],
-              values: list[Fraction], sums: dict, euler: dict, timed) -> list[tuple]:
+              values: list[Fraction], sums: dict, euler: dict, lemma: dict, timed):
     # the rows of one job of verify_primes; alphas are slots of values
     m = p**4
     alpha_fams = [f for f in fams if f in ALPHA_FAMILIES]
-    tables = None  # the lemma tables of p, read by the lemma families only
-    if p > 3 and not set(LEMMA_FAMILIES).isdisjoint(alpha_fams):
-        tables = timed("tables", _lemma_tables, p)
 
     @cache
     def a_t(i: int) -> tuple[int, int]:
@@ -535,11 +548,6 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
         a, t = a_t(i)
         return timed("closed", _closed_form, values[i], a, t, p, e,
                      euler_at(i) if e == 4 else None)
-
-    @cache
-    def pre(i: int) -> tuple:
-        a_t(i)
-        return timed("prefix", _poch_prefix, values[i], p, 2 * p - 1)
 
     def check_class(fam: str) -> None:
         if not admits(fam, p):
@@ -575,7 +583,7 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
     def alpha_sides(i: int, fam: str) -> tuple[int, int]:
         if p <= 3:
             raise PreconditionViolated(f"needs p > 3, got p = {p}")
-        a, _ = a_t(i)
+        a, t = a_t(i)
         if fam in ALPHA_TRUNCATIONS:
             return sums[i][p][1 if fam == "MAIN1" else 0], closed(i, 4)
         if fam == "TAIL":
@@ -585,7 +593,7 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
                 )
             short, full = sums[i][p]
             return (full - short) % m, 0
-        return timed("lemma", _lemma_sides, fam, values[i], p, pre(i), tables)
+        return timed("lemma", _lemma_sides, fam, values[i], p, a, t, lemma[i])
 
     checks = [(fam, tr) for fam in fams if fam in PRIME_FAMILIES
               for tr in (truncations if fam in FAMILIES else (MAO_TRUNCATIONS[fam],))]
@@ -642,8 +650,7 @@ def verify_alpha(
     Every family needs p > 3 and a p-integral alpha; a family whose
     precondition fails gets a skip record with the reason.  verify_primes,
     at one job, computes one tree for S(alpha, .), one closed form and, for
-    the lemma families, one Pochhammer prefix and the lemma tables of p,
-    each only when a requested family reads it.
+    the lemma families, the lemma trees, each only when a family reads it.
     """
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in ALPHA_FAMILIES]:

@@ -1,6 +1,7 @@
 """Exact Fraction oracles for the residue sums, the lemma right sides and
-the prime tables, the per-prime residue passes the remainder trees
-replaced, and the coefficient-list parser of the witness files.
+the prime tables, the per-prime residue passes and lemma path the
+remainder trees replaced, and the coefficient-list parser of the witness
+files.
 
 The Fraction definitions themselves live here too: the reduction of a
 rational mod p^e (reduce_mod), the harmonic numbers H_n^(m), and the Euler
@@ -8,16 +9,18 @@ polynomial values E_n(x) and Euler numbers E_n by Horner evaluation of
 sequences.euler_poly_coeffs.  No command runs them; the tests compare the
 package's integer paths against them.
 
-The package reads the sums S(alpha, M), the 8^(-k) sum and the Euler
-residues E_{p-3}(x) mod p off remainder trees over a block of primes,
-computes the five lemma right sides and the prefix tables j!, H_j,
-H_j^(2) and sum (-1)^k/k^2 as residues mod p^4, and checks the
-Euler-polynomial identities on integer-scaled coefficients.  This module
-keeps the exact rational route as an independent check: Pochhammer
-symbols, harmonic sums and Euler polynomial values as Fractions, reduced
-only at the end.  It also keeps the O(p) pass per (alpha, p) and the O(p)
-Euler table per (n, p) that the trees replaced, as a second, per-prime
-oracle that is fast enough for every prime up to a few thousand.
+The package reads the sums S(alpha, M), the 8^(-k) sum, the Euler
+residues E_{p-3}(x) mod p and both sides of the five lemmas (with the
+prefix values j!, H_j, H_j^(2) and sum (-1)^k/k^2 mod p^4) off remainder
+trees over a block of primes, and checks the Euler-polynomial identities
+on integer-scaled coefficients.  This module keeps the exact rational
+route as an independent check: Pochhammer symbols, harmonic sums and
+Euler polynomial values as Fractions, reduced only at the end.  It also
+keeps the O(p) pass per (alpha, p), the O(p) Euler table per (n, p) and
+the per-prime lemma path (a Pochhammer prefix to 2p-1 per (alpha, p), the
+lemma tables of p and the sides read from them) that the trees replaced,
+as a second, per-prime oracle that is fast enough for every prime up to a
+few thousand.
 """
 
 import math
@@ -28,7 +31,8 @@ from itertools import accumulate, repeat
 from supercong import sequences
 from supercong.padic import NotPAdicIntegral, ResidueClass, is_p_integral
 from supercong.sequences import pochhammer
-from supercong.verifier import _poch_prefix
+from supercong.records import PreconditionViolated
+from supercong.verifier import _a_t, _parity_sign
 
 MAX_EXPONENT = 4  # residue arithmetic in the package never leaves p**4
 
@@ -90,6 +94,166 @@ def euler_number(n: int) -> int:
     val = 2**n * euler_poly_eval(n, Fraction(1, 2))
     assert val.denominator == 1
     return val.numerator
+
+
+# ---------------------------------------------------------------------------
+# the per-prime lemma path the remainder trees replaced: O(p) per (alpha, p)
+
+def _lemma_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """(fact, h1, h2, alt2) mod p^4 for j = 0..p-1: j!, H_j = sum_{k<=j} 1/k,
+    H_j^(2) = sum_{k<=j} 1/k^2 and sum_{k<=j} (-1)^k / k^2, which only the
+    lemma sides read.
+
+    Every j < p is a unit mod p^4, so one inverse of (p-1)! and a backward
+    pass give every 1/j!, and 1/k is (k-1)!/k!.
+    """
+    m = p**4
+    fact = tuple(accumulate(range(1, p), lambda acc, j: acc * j % m, initial=1))
+    inv_fact = [0] * p
+    inv_fact[p - 1] = pow(fact[p - 1], -1, m)
+    for j in range(p - 1, 0, -1):
+        inv_fact[j - 1] = inv_fact[j] * j % m
+    recip = [fact[k - 1] * inv_fact[k] % m for k in range(1, p)]
+    squares = [r * r % m for r in recip]
+    signed = [-r if k % 2 else r for k, r in enumerate(squares, 1)]
+
+    def prefix(terms):
+        return tuple(s % m for s in accumulate(terms, initial=0))
+
+    return fact, prefix(recip), prefix(squares), prefix(signed)
+
+
+def _poch_prefix(
+    alpha: Fraction, p: int, n: int
+) -> tuple[list[int], int, int, int, int]:
+    """(u, v0, v1, a, t): (alpha)_j = p^(e_j) u_j for j = 0..n <= 2p-1, u_j
+    mod p^4, a = <-alpha>_p and alpha + a = p*t, t mod p^4.
+
+    The only factors alpha+i (i <= 2p-2) divisible by p are alpha+a = p*t
+    and alpha+a+p = p*(t+1), of valuations v0 and v1.  e_j adds v0 once
+    j > a and v1 once j > a+p, and u_j multiplies every other factor with
+    the unit parts of those two.  A zero factor (t = 0 or t+1 = 0: a
+    nonpositive-integer alpha) has unit part 0, so every u_j past it is 0.
+    a and t are those of _a_t.
+    """
+    a, t = _a_t(alpha, p)
+    m = p**4
+    num, den = alpha.numerator, alpha.denominator
+    inv = pow(den, -1, m)
+    x = num * inv % m
+
+    def unit(i: int) -> tuple[int, int]:
+        # unit part mod m and p-adic valuation of alpha+i = (num + i den)/den
+        g, v = num + i * den, 0
+        while g and g % p == 0:
+            g //= p
+            v += 1
+        return g * inv % m, v
+
+    (u0, v0), (u1, v1) = unit(a), unit(a + p)
+    factors = list(range(x, x + 2 * p))  # alpha+i mod m, up to a multiple of m
+    factors[a], factors[a + p] = u0, u1
+    out, acc = [1], 1
+    for f in factors[:n]:
+        acc = acc * f % m
+        out.append(acc)
+    return out, v0, v1, a, t
+
+
+def _lemma_sum(
+    u: list[int], fact: tuple[int, ...], p: int, k0: int, k1: int
+) -> tuple[int, int]:
+    """sum_{k=k0}^{k1} (-1)^k u_{p+k-1} / ((p-k)! u_k^2) mod p^4 as (num, den).
+
+    The running denominator den keeps the sum at one inverse for the caller.
+    """
+    m = p**4
+    s, d = 0, 1
+    for k in range(k0, k1 + 1):
+        w = fact[p - k] * u[k] * u[k] % m
+        c = u[p + k - 1] * d
+        s = (s * w + (-c if k & 1 else c)) % m
+        d = d * w % m
+    return s, d
+
+
+def lemma_sides_per_prime(fam: str, alpha: Fraction, p: int, pre: tuple,
+                          tables: tuple) -> tuple[int, int]:
+    """Left and right side mod p^4 of one LEMMA_* family, by the per-prime
+    path: pre = _poch_prefix(alpha, p, 2p-1) and tables = _lemma_tables(p).
+
+    Each left side is p^v times a p-adic integer, with v read off the
+    valuations of alpha+a and alpha+a+p and the integer computed mod p^4
+    from the unit residues of pre, in O(p) operations and two inverses.
+    The preconditions, skip reasons and right sides are those of
+    verifier._lemma_sides.
+    """
+    u, v0, v1, a, t = pre
+    if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):
+        raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
+    # only the factor alpha+a of (alpha)_{a+1} (LEMMA_PROD), and likewise of
+    # (alpha)_{p-1} (LEMMA_SIGMA), can vanish: exactly when t = 0, which
+    # t ≡ 0 (mod p^4) does not imply
+    zero = alpha.numerator + a * alpha.denominator == 0
+    if fam == "LEMMA_PROD" and zero:
+        raise PreconditionViolated(f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})")
+    if fam == "LEMMA_SIGMA":
+        if a > p - 2:
+            raise PreconditionViolated(f"a = p-1 violates a <= p-2 (alpha = {alpha})")
+        if zero:
+            raise PreconditionViolated(
+                f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
+            )
+    m = p**4
+    fact, h1, h2, alt2 = tables
+    f2 = fact[p - 1] ** 2
+    pt, ha, ha2 = p * t, h1[a], h2[a]
+
+    # the left side is p^v * num / den, den a unit mod p^4
+    if fam == "LEMMA_WZPROD":
+        num, den = u[2 * p - 1], f2
+        if a == p - 1:  # alpha+a+p is past the last factor
+            v, rhs = v0, pt
+        else:
+            v = v0 + v1
+            inv = pow(a + 1, -1, m)
+            rhs = -p * pt * (t + 1) * inv * (1 + 2 * p * ha + p * (t + 2) * inv)
+    elif fam == "LEMMA_ALPHAP3":
+        v, num, den = 3 * v0, u[p] ** 3, fact[p - 1] ** 3
+        rhs = pt**3
+    elif fam == "LEMMA_SIGMA1":
+        # (alpha)_k for k <= a has no factor divisible by p, so it is never 0;
+        # (alpha)_{p+k-1} has valuation v0, so every term has valuation v0
+        s, d = _lemma_sum(u, fact, p, 1, a)
+        v, num, den = 3 * v0, u[p] ** 2 * s, f2 * d
+        rhs = _parity_sign(a + 1) * pt**3 * (ha2 + 2 * alt2[a])
+    elif fam == "LEMMA_PROD":
+        v = v0  # valuation 3 v0 over (alpha)_{a+1}^2, valuation 2 v0
+        num = u[p] ** 2 * u[p + a]
+        den = f2 * fact[p - a - 1] * u[a + 1] ** 2
+        half = (m + 1) // 2  # 1/2 mod p^4
+        rhs = pt * (
+            1
+            + p * (t + 1) * ha
+            + p * p * half * ((t + 1) ** 2 * ha * ha + (t * t + 4 * t + 1) * ha2)
+        )
+    else:  # LEMMA_SIGMA
+        # every term is (alpha)_{p+k-1}, valuation v0 + v1, over (alpha)_k^2,
+        # valuation 2 v0
+        s, d = _lemma_sum(u, fact, p, a + 2, p - 1)
+        v, num, den = v0 + v1, u[p] ** 2 * s, f2 * d
+        sa = _parity_sign(a)
+        inv = pow(a + 1, -1, m)
+        half = (m + 1) // 2
+        rhs = sa * p * pt * (t + 1) * (
+            ha - sa * inv
+            + p * (
+                half * ((t + 1) * ha * ha + (3 * t + 1) * ha2)
+                - 2 * sa * inv * ha
+                - sa * (t + 2) * inv * inv
+            )
+        )
+    return (p**v * num * pow(den, -1, m) % m if v < 4 else 0), rhs % m
 
 
 @lru_cache(maxsize=4)

@@ -14,9 +14,7 @@ from supercong.padic import (
     parse_rational,
 )
 from supercong.primes import sieve_primes
-from supercong.verifier import _poch_prefix
-
-from exact_oracle import reduce_mod
+from exact_oracle import _poch_prefix, reduce_mod
 
 
 def test_parse_rational():
@@ -107,7 +105,7 @@ def test_decompose_examples():
                            (Fraction(1, 4), 13, 3, Fraction(1, 4)),
                            (Fraction(1), 11, 10, Fraction(1))):
         assert _decompose(alpha, p) == (a, t)
-        # the verifier's prefix carries the same a, and t mod p^4
+        # the per-prime oracle's prefix carries the same a, and t mod p^4
         assert _poch_prefix(alpha, p, 0)[3:] == (a, reduce_mod(t, p, 4).value)
 
 

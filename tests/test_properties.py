@@ -4,11 +4,13 @@ Euler residues, from the Euler tree and from the per-prime oracle, are
 checked against exact Euler polynomials and against sympy's Euler numbers,
 and the integer Euler-identity check against its Fraction loop in
 exact_oracle; the residue sums, and every truncation read from one
-remainder tree, against their exact Fraction sums; the Pochhammer prefix
-against exact Pochhammer symbols;
-the Pochhammer-quotient lemmas against their exact Fraction evaluation
-(both sides at p <= 31, the right sides at every prime in [1900, 2000]),
-and the per-prime factorial and harmonic residue tables entry by entry;
+remainder tree, against their exact Fraction sums; the per-prime oracle's
+Pochhammer prefix against exact Pochhammer symbols;
+the Pochhammer-quotient lemmas, read off their remainder trees, against
+their exact Fraction evaluation (both sides at p <= 31, at the default
+alphas and at edge alphas with zero factors and v_p(alpha + a) >= 2, the
+right sides at every prime in [1900, 2000]), and the per-prime oracle's
+factorial and harmonic residue tables entry by entry;
 the root-of-unity congruence test against the gcd lowest-terms oracle, the
 sparse q-sum construction against the dense one, and cyclotomic
 polynomials against sympy.  The integer certificate-pair, telescope and
@@ -44,10 +46,9 @@ from supercong.sequences import (
 )
 from supercong.verifier import (
     _euler_residues,
-    _lemma_tables,
-    _poch_prefix,
     _sums,
     verify_alpha,
+    verify_primes,
 )
 from supercong.sweep import default_alphas
 from supercong.wz import (
@@ -64,6 +65,8 @@ import exact_oracle
 from exact_oracle import (
     MAX_EXPONENT,
     _horner,
+    _lemma_tables,
+    _poch_prefix,
     _signed_inverse_cubes,
     alternating_reciprocal_squares,
     euler_number_mod,
@@ -302,6 +305,29 @@ def test_lemma_matches_exact_oracle(fam, p, data):
         return
     assert (rec.lhs.value, rec.rhs.value) == (lhs, rhs)
     assert rec.passed == (lhs == rhs)
+
+
+# zero factors, v_p(alpha + a) >= 2 at some p (25 and -25 at 5, 49 at 7,
+# 169/2 at 13, 121/3 at 11) and two plain fractions
+EDGE_ALPHAS = tuple(Fraction(x) for x in (
+    "0", "-1", "-3", "-13", "-30", "-125", "25", "-25", "49", "169/2", "121/3",
+    "-7/2", "7/3"))
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 23))
+def test_lemma_records_match_exact_at_edge_and_default_alphas(p):
+    # every lemma record from the trees at one job, against the Fractions
+    alphas = tuple(a for a in dict.fromkeys(default_alphas(p) + list(EDGE_ALPHAS))
+                   if a.denominator % p)
+    rows, _ = verify_primes(((p, LEMMA_FAMILIES, alphas),))
+    assert len(rows) == len(LEMMA_FAMILIES) * len(alphas)
+    for fam, _, lhs, rhs, passed, _, _, alpha, _, reason in rows:
+        try:
+            want = _lemma_exact(fam, alpha, p)
+        except (PreconditionViolated, DivisionByZeroTerm) as exc:
+            assert passed is None and reason == str(exc), (fam, alpha)
+            continue
+        assert (lhs.value, rhs.value) == want and passed, (fam, alpha)
 
 
 @PROPS

@@ -26,10 +26,8 @@ from supercong.records import (
 from supercong.sequences import pochhammer
 from supercong.sweep import RATIONAL_ALPHAS, default_alphas
 from supercong.verifier import (
+    _a_t,
     _closed_form,
-    _lemma_sides,
-    _lemma_tables,
-    _poch_prefix,
     _sums,
     ramanujan_partial,
     verify_alpha,
@@ -504,21 +502,25 @@ def test_lemmas_chain_into_the_general_alpha_congruence():
     # every p-integral default alpha for 5 <= p <= 400 and near 2000, and
     # for p <= 31 against the exact S(alpha, p-1) too.
     chain = ("LEMMA_WZPROD", "LEMMA_SIGMA1", "LEMMA_PROD", "LEMMA_SIGMA")
+    primes = sieve_primes(5, 400) + sieve_primes(1980, 2000)
+    rows, _ = verify_primes(tuple((p, chain, tuple(default_alphas(p))) for p in primes))
+    sides = {}  # (alpha, p) -> {family: (lhs, rhs)} of the rows that ran
+    for fam, _, lhs, rhs, passed, p, _, alpha, _, _ in rows:
+        if passed is not None:
+            sides.setdefault((alpha, p), {})[fam] = lhs.value, rhs.value
     pairs = edge = 0
-    for p in sieve_primes(5, 400) + sieve_primes(1980, 2000):
+    for p in primes:
         m = p**4
-        tables = _lemma_tables(p)
         for alpha in default_alphas(p):
             if not is_p_integral(alpha, p):
                 continue
-            pre = _poch_prefix(alpha, p, 2 * p - 1)
-            _, _, _, a, t = pre
+            a, t = _a_t(alpha, p)
             if a == 0:  # alpha ≡ 0 (mod p): LEMMA_WZPROD and LEMMA_SIGMA1 skip
                 continue
-            fams = chain[:2] if a == p - 1 else chain
-            sides = {fam: _lemma_sides(fam, alpha, p, pre, tables) for fam in fams}
-            lhs = _proof_chain({f: x for f, (x, _) in sides.items()}, a, p)
-            rhs = _proof_chain({f: y for f, (_, y) in sides.items()}, a, p)
+            got = sides[alpha, p]
+            assert set(chain[:2] if a == p - 1 else chain) <= set(got), (alpha, p)
+            lhs = _proof_chain({f: x for f, (x, _) in got.items()}, a, p)
+            rhs = _proof_chain({f: y for f, (_, y) in got.items()}, a, p)
             assert lhs % m == sum_main_mod(alpha, p - 1, p), (alpha, p)
             euler = euler_poly_eval_mod(p - 3, alpha, p).value
             assert rhs % m == _closed_form(alpha, a, t, p, 4, euler), (alpha, p)
@@ -584,19 +586,19 @@ def _counting(monkeypatch, names):
 
 def test_verify_alpha_computes_shared_values_once(monkeypatch):
     # verify_alpha is verify_primes at one job with one alpha
-    calls = _counting(monkeypatch, ("_sums", "_poch_prefix", "verify_primes"))
+    calls = _counting(monkeypatch, ("_sums", "_lemma_trees", "_lemma_sides",
+                                    "verify_primes"))
 
     def count(families, alpha=Fraction(1, 3), p=13):
         for args in calls.values():
             args.clear()
         assert all(r.passed for r in verify_alpha(alpha, p, families))
         assert calls["verify_primes"] == [(((p, list(families), (alpha,)),),)]
-        # only the lemma families read a prefix, and it reaches 2p-1
-        assert [n for _, _, n in calls["_poch_prefix"]] == (
-            [2 * p - 1] * len(calls["_poch_prefix"]))
-        return len(calls["_sums"]), len(calls["_poch_prefix"])
+        # only the lemma families read the lemma trees, once per family
+        assert len(calls["_lemma_sides"]) == sum(f in LEMMA_FAMILIES for f in families)
+        return len(calls["_sums"]), len(calls["_lemma_trees"])
 
-    # one tree serves MAIN1, MAIN1_TRUNC and TAIL; one prefix the lemmas
+    # one tree serves MAIN1, MAIN1_TRUNC and TAIL; one set of trees the lemmas
     assert count(ALPHA_FAMILIES) == (1, 1)
     assert count(("MAIN1",)) == (1, 0)
     assert count(("MAIN1", "MAIN1_TRUNC", "TAIL")) == (1, 0)
@@ -611,9 +613,8 @@ def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
     # every family at one prime: one tree for each distinct p-integral
     # alpha, the classical weights' 1/2, 1/3 and 1/4 among them, one for
     # the 8^(-k) sum, one Euler tree and one closed form per exponent for
-    # each alpha; no prefix or lemma tables without a lemma family
-    names = ("_sums", "_euler_residues", "_poch_prefix", "_closed_form",
-             "_lemma_tables")
+    # each alpha; no lemma trees without a lemma family
+    names = ("_sums", "_euler_residues", "_closed_form", "_lemma_trees")
     calls = _counting(monkeypatch, names)
     alphas = (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 5),
               Fraction(1, 4), Fraction(1, 3))
@@ -635,11 +636,11 @@ def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
         assert set(closed.values()) == {1}
         assert set(closed) == {(a, 4) for a in integral} | {
             (Fraction(1, d), 3) for d in (2, 3, 4)}
-        assert calls["_poch_prefix"] == calls["_lemma_tables"] == []
+        assert calls["_lemma_trees"] == []
         assert set(seconds) == set(PHASES) and seconds["lemma"] == 0
         assert all(x >= 0 for x in seconds.values()) and seconds["sums"] > 0
     verify_primes(((p, ("LEMMA_SIGMA",), alphas),))
-    assert calls["_lemma_tables"]
+    assert calls["_lemma_trees"]
 
 
 def test_verify_at_prime_names_the_alpha_of_an_internal_error(monkeypatch):
@@ -661,7 +662,7 @@ def test_verify_at_prime_names_the_alpha_of_an_internal_error(monkeypatch):
 def test_verify_prime_runs_one_pass_per_sum(monkeypatch):
     # the thirteen classical and MAO families at a prime: one tree per
     # weight d in {2, 3, 4} and one for the 8^(-k) sum, and one Euler tree
-    calls = _counting(monkeypatch, ("_sums", "_euler_residues", "_poch_prefix"))
+    calls = _counting(monkeypatch, ("_sums", "_euler_residues", "_lemma_trees"))
     assert len(PRIME_FAMILIES) == 13
     for p in (5, 7, 13, 2003):
         for args in calls.values():
@@ -670,7 +671,7 @@ def test_verify_prime_runs_one_pass_per_sum(monkeypatch):
         assert all(r.passed is not False for r in recs)
         assert Counter(alpha for alpha, _ in calls["_sums"]) == dict.fromkeys(
             [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), None], 1), p
-        assert len(calls["_euler_residues"]) == 1 and calls["_poch_prefix"] == []
+        assert len(calls["_euler_residues"]) == 1 and calls["_lemma_trees"] == []
     for args in calls.values():
         args.clear()
     verify_prime(13, ("B2", "SUN_B2"), ("full",))

@@ -43,6 +43,12 @@ swaps are in the list.  Likewise a descent that skips a reduction gives
 the same values, only from ever larger prefixes: a test that checks each
 node's prefix is reduced below its modulus sees it.
 
+Not equivalent, though no record shows it: reading a truncated
+polynomial at P = p without its P^3 term moves each W sum of the lemma
+trees by a multiple of p^3, but every lemma left side multiplies a W sum
+by p^v0 or p^(3 v0), v0 >= 1, so no record changes.  The test that pins
+the W tree's rows to exact Fractions mod p^4 sees it.
+
 Not equivalent, though no verdict of check_lehmer shows them: every
 residue Lehmer's congruences read is 0 at a true prime, so reading
 H_{p-1} mod p instead of p^2 (Wolstenholme's theorem makes it 0 mod p^2
@@ -226,9 +232,23 @@ MUTATIONS = (
              CLOSED_TESTS),
     Mutation("closed form e == 4", "verifier.py", "if e == 4:", "if e != 4:",
              CLOSED_TESTS),
-    # the Pochhammer prefix of the lemmas, and a and t
-    Mutation("prefix p-part of the factor a + p", "verifier.py",
-             "factors[a + p] = u0, u1", "factors[a + p - 1] = u0, u1", VERIFY_TESTS),
+    # the lemmas' trees, the values read off them, and a and t
+    Mutation("lemma W leaf sign", "verifier.py",
+             "_Trunc((s * c * j, -s * (c - s * j), -s * s, 0)",
+             "_Trunc((-s * c * j, s * (c - s * j), s * s, 0)", TREE_TESTS),
+    Mutation("lemma W leaf P coefficient (c - sj) -> (c + sj)", "verifier.py",
+             "-s * (c - s * j), -s * s", "-s * (c + s * j), -s * s", TREE_TESTS),
+    Mutation("truncated polynomial read at P = p without its P^3 term", "verifier.py",
+             "((c3 * p + c2) * p + c1) * p % m", "(c2 * p + c1) * p % m", TREE_TESTS),
+    Mutation("lemma cuts mod p^4 where p^(4 + 2 v0) is needed", "verifier.py",
+             "q = p ** (4 + 2 * v0)", "q = p**4", TREE_TESTS),
+    Mutation("lemma sides read v0 one too large", "verifier.py",
+             "v0s.setdefault(i, {})[p] = v0", "v0s.setdefault(i, {})[p] = v0 + 1",
+             TREE_TESTS),
+    Mutation("lemma alternating harmonic leaf sign", "verifier.py",
+             "(j * j, (-1) ** j, j * j)", "(j * j, (-1) ** (j + 1), j * j)", TREE_TESTS),
+    Mutation("lemma Pi leaf r + (j-1)s -> r + js", "verifier.py",
+             "(1, 0, r + (j - 1) * s)", "(1, 0, r + j * s)", TREE_TESTS),
     Mutation("lemma zero test reads alpha - a", "verifier.py",
              "alpha.numerator + a * alpha.denominator == 0",
              "alpha.numerator - a * alpha.denominator == 0", VERIFY_TESTS),
@@ -276,10 +296,10 @@ MUTATIONS = (
              "_descend(right, (A % mr, P % mr, D % mr), out)", TREE_TESTS),
     # the old split: one contiguous block of tree jobs per worker
     Mutation("tree jobs split by cfg.workers again", "sweep.py",
-             "out.insert(0, Instance(label, verify_primes, (tuple(jobs), truncs),\n"
-             "                               p=jobs[-1][0], work=work))",
+             "out.append(Instance(label, verify_primes, (tuple(jobs), truncs),\n"
+             "                            p=jobs[-1][0], work=work))",
              "k = min(cfg.workers, len(jobs))\n"
-             "        out[:0] = [Instance(label, verify_primes, (tuple(\n"
+             "        out += [Instance(label, verify_primes, (tuple(\n"
              "            jobs[i * len(jobs) // k:(i + 1) * len(jobs) // k]), truncs),\n"
              "            p=jobs[-1][0], work=work) for i in range(k)]",
              SWEEP_TESTS),
@@ -289,8 +309,8 @@ MUTATIONS = (
     Mutation("fork floor ignored", "sweep.py",
              "if sum(inst.work for inst in insts) < _FORK_FLOOR or not", "if not",
              SWEEP_TESTS),
-    Mutation("lemma work estimate without the alpha count", "sweep.py",
-             "work=3 * p * len(alphas) // 2", "work=3 * p // 2", SWEEP_TESTS),
+    Mutation("tree work estimate without the lemma trees", "sweep.py",
+             "(sums + 3 * lemma)", "sums", SWEEP_TESTS),
     Mutation("tree work estimate from each job's prime, not its gap", "sweep.py",
              "8 * (p - (jobs[-1][0] if jobs else 0)) * trees", "8 * p * trees",
              SWEEP_TESTS),
@@ -302,9 +322,9 @@ MUTATIONS = (
     Mutation("prime MAO_HALF reads the half sum", "verifier.py",
              '(full if fam == "MAO_HALF" else half)', '(half if fam == "MAO_HALF" else half)',
              VERIFY_TESTS),
-    Mutation("prime lemma tables built without a lemma family", "verifier.py",
-             "if p > 3 and not set(LEMMA_FAMILIES).isdisjoint(alpha_fams):",
-             "if p > 3:", VERIFY_TESTS),
+    Mutation("lemma trees built without a lemma family", "verifier.py",
+             "if any(f in LEMMA_FAMILIES for _, fams, _ in normed for f in fams):",
+             "if True:", VERIFY_TESTS),
     Mutation("prime p^3 family not reduced mod p^3", "verifier.py",
              "d * s % p**e", "d * s % m", VERIFY_TESTS),
     Mutation("prime short and full checkpoints swapped", "verifier.py",
@@ -328,10 +348,9 @@ MUTATIONS = (
              "zero = alpha.numerator + a * alpha.denominator == 0", "zero = t == 0",
              VERIFY_TESTS),
     Mutation("alpha LEMMA_SIGMA1 sides both shifted by p^3", "verifier.py",
-             "    return (p**v * num * pow(den, -1, m) % m if v < 4 else 0), rhs % m\n",
-             "    lhs = p**v * num * pow(den, -1, m) % m if v < 4 else 0\n"
+             "    return num * pow(den, -1, m) % m, rhs % m\n",
              "    shift = p**3 if fam == \"LEMMA_SIGMA1\" else 0\n"
-             "    return (lhs + shift) % m, (rhs + shift) % m\n",
+             "    return (num * pow(den, -1, m) + shift) % m, (rhs + shift) % m\n",
              ("tests/test_verifier.py",)),
     Mutation("alpha LEMMA_PROD without the 1/2", "verifier.py",
              "p * p * half * ((t + 1) ** 2", "p * p * ((t + 1) ** 2", VERIFY_TESTS),
@@ -341,7 +360,7 @@ MUTATIONS = (
     # the skips: only a tested hypothesis makes one, and a bug is named
     Mutation("alpha LEMMA_PROD zero factor untested", "verifier.py",
              'if fam == "LEMMA_PROD" and zero:', "if False:", VERIFY_TESTS),
-    Mutation("prime prefix without its integrality test", "verifier.py",
+    Mutation("alpha a and t without their integrality test", "verifier.py",
              "if not is_p_integral(alpha, p):", "if False:", SWEEP_TESTS),
     Mutation("rows skip on any error", "records.py",
              "except PreconditionViolated as exc:", "except Exception as exc:",
@@ -365,16 +384,6 @@ MUTATIONS = (
     Mutation("sweep binds a check function over a patched one", "sweep.py",
              "globals().setdefault(name, getattr(mod, name))",
              "globals()[name] = getattr(mod, name)", SWEEP_TESTS),
-    # the per-prime residue tables
-    Mutation("prime table factorial range", "verifier.py",
-             "accumulate(range(1, p),", "accumulate(range(2, p + 1),", VERIFY_TESTS),
-    Mutation("prime table backward-pass index", "verifier.py",
-             "inv_fact[j] * j % m", "inv_fact[j] * (j + 1) % m", VERIFY_TESTS),
-    Mutation("prime table alternating sign", "verifier.py",
-             "-r if k % 2 else r", "r if k % 2 else -r", VERIFY_TESTS),
-    Mutation("lemma table 1/k one index off", "verifier.py",
-             "fact[k - 1] * inv_fact[k] % m", "fact[k - 2] * inv_fact[k - 1] % m",
-             VERIFY_TESTS),
     # the rows of the instances outside the families
     Mutation("sweep Lehmer row passes whatever its check says", "sweep.py",
              '"0", ok, p, None', '"0", True, p, None', SWEEP_TESTS),
