@@ -258,7 +258,7 @@ def build_instances(cfg: SweepConfig) -> list[Instance]:
         # a job extends the trees from the last job's prime to p, about 8 us
         # per prime and tree (6.6, 8.0, 12 at p = 307, 1999, 5000): up to 4
         # for the prime families, per alpha 1 for MAIN1, MAIN1_TRUNC or TAIL
-        # and 3 for the lemmas' Pi and W trees (14, 27, 49 us), and 3 harmonic
+        # and 3 for the lemmas' Pi and W trees (11, 23, 43 us), and 3 harmonic
         lemma = any(f in LEMMA_FAMILIES for f in fams)
         sums = any(f in ALPHA_FAMILIES and f not in LEMMA_FAMILIES for f in fams)
         trees = (len(alphas) * (sums + 3 * lemma) + 3 * lemma

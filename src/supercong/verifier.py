@@ -34,10 +34,10 @@ reduced mod its own p^4.  A second tree, mod p, gives every E_{p-3}(r)
 steps at each prime, a tree makes O(N) big-integer products and
 reductions for N the jobs' largest prime, with operands of up to about
 N log N bits near its root.  The lemmas read trees too (_lemma_trees):
-per alpha = r/s, one of the products r(r+s)...(r+(j-1)s), and one whose
-entries are polynomials in P mod P^4 (_Trunc), since the lemma sums' terms
-hold p-dependent factors (alpha+p+i) and (p-1)!/(p-k)!: one leaf serves
-every prime, read at P = p.  Three harmonic-type trees serve all alphas.
+per alpha = r/s, one of the products r(r+s)...(r+(j-1)s), and one over
+Z[P]/(P^3) (_Trunc) for the factors (alpha+p+i) and (p-1)!/(p-k)! of the
+lemma sums: one leaf serves every prime, read at P = p.  With three
+harmonic-type trees, one pass per (alpha, p) reads them (_lemma_pass_at).
 
 verify_primes checks any families at a list of jobs (p, families,
 alphas), and times each of its phases; verify_prime (the prime families)
@@ -235,58 +235,56 @@ def _residue_sides(p: int, e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]
 # auxiliary Pochhammer-quotient congruences
 
 class _Trunc(tuple):
-    """c0 + c1 P + c2 P^2 + c3 P^3 in Z[P]/(P^4), as (c0, c1, c2, c3): with
-    +, * (by another or by an int) and % (coefficient-wise), so primes._tree
-    runs unchanged on rows whose entries are these."""
+    """c0 + c1 P + c2 P^2 in Z[P]/(P^3), as (c0, c1, c2), with +, * (by
+    another or by an int) and % (coefficient-wise) for primes._tree.  At P = p
+    the dropped terms are multiples of p^3, and a record reads a W sum only
+    times p^v0 or p^(3 v0), v0 >= 1 (_lemma_pass_at)."""
 
     __slots__ = ()
 
     def __add__(self, other):
-        a0, a1, a2, a3 = self
-        b0, b1, b2, b3 = (other, 0, 0, 0) if isinstance(other, int) else other
-        return _Trunc((a0 + b0, a1 + b1, a2 + b2, a3 + b3))
+        a0, a1, a2 = self
+        b0, b1, b2 = (other, 0, 0) if isinstance(other, int) else other
+        return _Trunc((a0 + b0, a1 + b1, a2 + b2))
     __radd__ = __add__
 
     def __mul__(self, other):
-        a0, a1, a2, a3 = self
+        a0, a1, a2 = self
         if isinstance(other, int):
-            return _Trunc((a0 * other, a1 * other, a2 * other, a3 * other))
-        b0, b1, b2, b3 = other
-        return _Trunc((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-                       a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0))
+            return _Trunc((a0 * other, a1 * other, a2 * other))
+        b0, b1, b2 = other
+        return _Trunc((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0))
     __rmul__ = __mul__
 
     def __mod__(self, m: int):
-        c0, c1, c2, c3 = self
-        return _Trunc((c0 % m, c1 % m, c2 % m, c3 % m))
+        c0, c1, c2 = self
+        return _Trunc((c0 % m, c1 % m, c2 % m))
 
     def at(self, p: int, m: int) -> int:  # the value at P = p, mod m
-        c0, c1, c2, c3 = self
-        return ((c3 * p + c2) * p + c1) * p % m + c0 % m
+        c0, c1, c2 = self
+        return (c2 * p + c1) * p % m + c0 % m
 
 
-def _w_leaf(r: int, s: int):
-    """Leaf k of the W tree of alpha = r/s, ((r+(k-1)s)^2, n_k, n_k), n_1 = -s
-    and n_k = -s (r+(k-2)s+sP)(P-(k-1)): from (0, s, 1), the row after leaf
-    M is (A_M, s n_1...n_M, Pi_M^2), and A_M / Pi_M^2 at P = p is
+def _w_tree(r: int, s: int, cuts: dict[int, int]) -> dict[int, tuple]:
+    """The W tree of alpha = r/s: leaf k is (g^2, 1, n_{k+1}) with g = r+(k-1)s,
+    n_1 = -s and n_{k+1} = -s (g+sP)(P-k).  From (0, s n_1, 1), the row after
+    leaf M is (A_M, s n_1...n_{M+1}, Pi_M^2), and A_M / Pi_M^2 at P = p is
     W_M = sum_{k<=M} (-1)^k (alpha+p)_{k-1} (p-1)!/(p-k)! / (alpha)_k^2."""
     def leaf(k: int) -> tuple:
-        g, c, j = r + (k - 1) * s, r + (k - 2) * s, k - 1
-        # -s (c + sP)(P - j) = s c j - s (c - s j) P - s^2 P^2
-        n = _Trunc((s * c * j, -s * (c - s * j), -s * s, 0) if k > 1 else (-s, 0, 0, 0))
-        return g * g, n, n
-    return leaf
+        g = r + (k - 1) * s  # n_{k+1} = s g k + s (s - r) P - s^2 P^2
+        return g * g, 1, _Trunc((s * g * k, s * (s - r), -s * s))
+    return _tree(leaf, (0, _Trunc((-s * s, 0, 0)), 1), cuts)
 
 
 def _lemma_trees(jobs: list, values: list[Fraction]) -> dict[int, tuple]:
     """{i: (pi, w, h, v0s)} for each slot i of values that a lemma row of jobs
     reads: the rows of the Pi and W trees of values[i], of the three
-    harmonic trees all alphas share (see _lemma_sides), and v0s = {p: v0}.  At
+    harmonic trees all alphas share (see _lemma_pass_at), and v0s = {p: v0}.  At
     each prime p > 3 of a job with a lemma family, each p-integral alpha =
     r/s of the job, with a = <-alpha>_p and v0 = v_p(r+as) (0 if r+as = 0),
-    cuts its Pi tree at p, a+1, p+a and 2p-1 and its W tree at a, and p-1
-    if a <= p-2 and r+as != 0, mod p^(4+2v0); the harmonic trees are cut at
-    every a, p-1 and p-a-1 mod p^4.  A prime enters each of its cuts once."""
+    cuts its Pi tree at p, p+a and 2p-1 mod p^4, and its W tree at a, and
+    p-1 if a <= p-2 and r+as != 0, mod p^(4+2v0); the harmonic trees are cut
+    at every a, p-1 and p-a-1 mod p^4.  A prime enters each of its cuts once."""
     pi_cuts: dict[int, dict[int, int]] = {}
     w_cuts: dict[int, dict[int, int]] = {}
     v0s: dict[int, dict[int, int]] = {}
@@ -303,10 +301,9 @@ def _lemma_trees(jobs: list, values: list[Fraction]) -> dict[int, tuple]:
             while r + a * s and (r + a * s) % p ** (v0 + 1) == 0:
                 v0 += 1
             v0s.setdefault(i, {})[p] = v0
-            q = p ** (4 + 2 * v0)
-            _cut(pi_cuts.setdefault(i, {}), {p, a + 1, p + a, 2 * p - 1}, q)
+            _cut(pi_cuts.setdefault(i, {}), {p, p + a, 2 * p - 1}, p**4)
             _cut(w_cuts.setdefault(i, {}),
-                 {a, p - 1} if a <= p - 2 and r + a * s else {a}, q)
+                 {a, p - 1} if a <= p - 2 and r + a * s else {a}, p ** (4 + 2 * v0))
             wanted |= {a, p - a - 1}
         _cut(h_cuts, wanted, p**4)
     h = tuple(_tree(leaf, (0, 1, 1), h_cuts) for leaf in (
@@ -316,17 +313,16 @@ def _lemma_trees(jobs: list, values: list[Fraction]) -> dict[int, tuple]:
     for i, cuts in pi_cuts.items():
         r, s = values[i].numerator, values[i].denominator
         pi = _tree(lambda j: (1, 0, r + (j - 1) * s), (0, 1, 1), cuts)
-        out[i] = pi, _tree(_w_leaf(r, s), (0, s, 1), w_cuts[i]), h, v0s[i]
+        out[i] = pi, _w_tree(r, s, w_cuts[i]), h, v0s[i]
     return out
 
 
-
-def _lemma_sides(fam: str, alpha: Fraction, p: int, a: int, t: int,
-                 trees: tuple) -> tuple[int, int]:
-    """Left and right side mod p^4 of one LEMMA_* family, from (a, t) =
-    _a_t(alpha, p) and the trees (pi, w, h, v0s) of _lemma_trees.  With
-    alpha = r/s, Pi_M = s^M (alpha)_M, v0 = v_p(r+as) and U_M = Pi_M / p^v0
-    for M > a, each cut read mod p^(4+2v0), the left sides are:
+def _lemma_pass_at(alpha: Fraction, p: int, a: int, t: int, trees: tuple):
+    """One pass over the LEMMA_* families at (alpha, p), from (a, t) =
+    _a_t(alpha, p) and the trees (pi, w, h, v0s) of _lemma_trees: makes what
+    they share, and returns sides(fam, truncation), one family's record sides
+    mod p^4 (records.family_rows).  With alpha = r/s, Pi_M = s^M (alpha)_M,
+    v0 = v_p(r+as) and U_M = Pi_M / p^v0 for M > a, the left sides are:
 
     * LEMMA_WZPROD:  (alpha)_{2p-1}/(p-1)!^2 = Pi_{2p-1} / (s^(2p-1) (p-1)!^2),
       two branches (a = p-1 / a < p-1); needs alpha ≢ 0 (mod p).
@@ -338,81 +334,79 @@ def _lemma_sides(fam: str, alpha: Fraction, p: int, a: int, t: int,
     * LEMMA_SIGMA:   the sum over k = a+2..p-1, p^v0 U_p^3 X / (s^(3p)
       (p-1)!^3) with X = p^(2v0) (W_{p-1} - W_{a+1}); needs a <= p-2.
 
-    W_M is A_M(p) / D_M for the W tree's row (A_M, N_M, D_M); D_M holds
-    (r+as)^2 from M = a+1 on, so X reads the unit D_M / p^(2v0), and the row
-    at a+1 is the row at a times leaf a+1.  The right sides are polynomials
-    in t, H_a, H_a^(2) and sum_{k<=a} (-1)^k/k^2 from h, mod p^4; the
-    divisions by 2 and by a+1 are by units where they are made.  A family
-    whose hypothesis fails, a zero denominator Pochhammer among them,
-    raises PreconditionViolated.
+    W_M is A_M(p) / D_M for the W tree's row (A_M, N_M, D_M), D_M = Pi_M^2;
+    the row at a+1 is the row at a times leaf a+1, so U_{a+1}^2 = D_a
+    ((r+as)/p^v0)^2, and X reads the units D_M / p^(2v0).  The families
+    share s^p (p-1)!, its inverse cube, 1/a!, H_a, H_a^(2), U_p and
+    U_{a+1}^2.  The right sides are polynomials in t, H_a, H_a^(2) and
+    sum_{k<=a} (-1)^k/k^2 from h, mod p^4, divided by 2 and a+1 where those
+    are units.  A family whose hypothesis fails raises PreconditionViolated:
+    among them a zero denominator Pochhammer, whose only factor that can
+    vanish is alpha+a, exactly when t = 0, which t ≡ 0 (mod p^4) does not imply.
     """
-    if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):
-        raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
-    # only the factor alpha+a of (alpha)_{a+1} (LEMMA_PROD), and likewise of
-    # (alpha)_{p-1} (LEMMA_SIGMA), can vanish: exactly when t = 0, which
-    # t ≡ 0 (mod p^4) does not imply
-    zero = alpha.numerator + a * alpha.denominator == 0
-    if fam == "LEMMA_PROD" and zero:
-        raise PreconditionViolated(f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})")
-    if fam == "LEMMA_SIGMA":
-        if a > p - 2:
-            raise PreconditionViolated(f"a = p-1 violates a <= p-2 (alpha = {alpha})")
-        if zero:
-            raise PreconditionViolated(
-                f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}"
-            )
     m = p**4
     r, s = alpha.numerator, alpha.denominator
     pi, w, (h1, h2, alt), v0s = trees
-    sf = pow(s, p, m) * h1[p - 1][1]  # s^p (p-1)!
-    pt = p * t
-    if fam == "LEMMA_ALPHAP3":
-        return pi[p][1] ** 3 * pow(sf, -3, m) % m, pt**3 % m
+    q, pv = p ** (4 + 2 * v0s[p]), p ** v0s[p]
+    sf = pow(s, p, m) * h1[p - 1][1] % m  # s^p (p-1)!
+    isf3 = pow(sf, -3, m)
     ia = pow(h1[a][1], -1, m)  # 1/a!
     ha, ha2 = h1[a][0] * ia % m, h2[a][0] * ia * ia % m
+    inv = pow(a + 1, -1, m) if a < p - 1 else None
+    up = pi[p][1] % m // pv  # U_p mod p^(4-v0)
+    ua2 = w[a][2] * ((r + a * s) // pv) ** 2 % m  # U_{a+1}^2
+    pt = p * t
     half = (m + 1) // 2  # 1/2 mod p^4
-    q, pv = p ** (4 + 2 * v0s[p]), p ** v0s[p]
+    zero = r + a * s == 0  # t = 0
 
-    def unit(M: int) -> int:  # U_M mod p^4, for M > a
-        return pi[M][1] % q // pv
-    # the left side is num / den, den a unit mod p^4
-    if fam == "LEMMA_WZPROD":
-        num, den = pi[2 * p - 1][1] * s, sf * sf
-        if a == p - 1:  # alpha+a+p is past the last factor
-            rhs = pt
-        else:
-            inv = pow(a + 1, -1, m)
-            rhs = -p * pt * (t + 1) * inv * (1 + 2 * p * ha + p * (t + 2) * inv)
-    elif fam == "LEMMA_SIGMA1":
-        A, _, D = w[a]
-        num, den = pi[p][1] ** 3 * A.at(p, m), sf**3 * D
-        rhs = _parity_sign(a + 1) * pt**3 * (ha2 + 2 * alt[a][0] * ia * ia)
-    elif fam == "LEMMA_PROD":
-        num = pv * unit(p) ** 2 * unit(p + a) * pow(s, a + 2, m)
-        den = sf * sf * pow(s, p, m) * h1[p - a - 1][1] * unit(a + 1) ** 2
-        rhs = pt * (
-            1
-            + p * (t + 1) * ha
-            + p * p * half * ((t + 1) ** 2 * ha * ha + (t * t + 4 * t + 1) * ha2)
-        )
-    else:  # LEMMA_SIGMA
-        A, N, D = w[a]
-        x, y, _ = _w_leaf(r, s)(a + 1)
-        A1, D1 = (A * x + N * y) % q, D * x % q // pv**2
-        D2 = w[p - 1][2] % q // pv**2
-        num = pv * unit(p) ** 3 * (w[p - 1][0].at(p, m) * D1 - A1.at(p, m) * D2)
-        den = sf**3 * D1 * D2
-        sa = _parity_sign(a)
-        inv = pow(a + 1, -1, m)
-        rhs = sa * p * pt * (t + 1) * (
-            ha - sa * inv
-            + p * (
-                half * ((t + 1) * ha * ha + (3 * t + 1) * ha2)
-                - 2 * sa * inv * ha
-                - sa * (t + 2) * inv * inv
+    def sides(fam: str, _) -> tuple[str, Side, Side]:
+        if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):
+            raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
+        if fam == "LEMMA_PROD" and zero:
+            raise PreconditionViolated(
+                f"(alpha)_{a + 1} = 0 at alpha = {alpha} (p = {p})")
+        if fam == "LEMMA_SIGMA" and a > p - 2:
+            raise PreconditionViolated(f"a = p-1 violates a <= p-2 (alpha = {alpha})")
+        if fam == "LEMMA_SIGMA" and zero:
+            raise PreconditionViolated(
+                f"(alpha)_k = 0 for some k <= {p - 1} at alpha = {alpha}")
+        if fam == "LEMMA_ALPHAP3":
+            lhs, rhs = pi[p][1] ** 3 * isf3, pt**3
+        elif fam == "LEMMA_WZPROD":
+            lhs = pi[2 * p - 1][1] * s * sf * isf3  # 1/sf^2 = sf/sf^3
+            if a == p - 1:  # alpha+a+p is past the last factor
+                rhs = pt
+            else:
+                rhs = -p * pt * (t + 1) * inv * (1 + 2 * p * ha + p * (t + 2) * inv)
+        elif fam == "LEMMA_SIGMA1":
+            A, _, D = w[a]
+            lhs = pi[p][1] ** 3 * A.at(p, m) * isf3 * pow(D, -1, m)
+            rhs = _parity_sign(a + 1) * pt**3 * (ha2 + 2 * alt[a][0] * ia * ia)
+        elif fam == "LEMMA_PROD":
+            num = pv * up * up * (pi[p + a][1] % m // pv) * pow(s, a + 2 - p, m) * sf
+            lhs = num * isf3 * pow(h1[p - a - 1][1] * ua2, -1, m)
+            rhs = pt * (
+                1
+                + p * (t + 1) * ha
+                + p * p * half * ((t + 1) ** 2 * ha * ha + (t * t + 4 * t + 1) * ha2)
             )
-        )
-    return num * pow(den, -1, m) % m, rhs % m
+        else:  # LEMMA_SIGMA
+            A, N, _ = w[a]
+            A1 = (A * (r + a * s) ** 2 + N) % q  # times leaf a+1
+            D2 = w[p - 1][2] % q // pv**2
+            num = pv * up**3 * (w[p - 1][0].at(p, m) * ua2 - A1.at(p, m) * D2)
+            lhs = num * isf3 * pow(ua2 * D2, -1, m)
+            sa = _parity_sign(a)
+            rhs = sa * p * pt * (t + 1) * (
+                ha - sa * inv
+                + p * (
+                    half * ((t + 1) * ha * ha + (3 * t + 1) * ha2)
+                    - 2 * sa * inv * ha
+                    - sa * (t + 2) * inv * inv
+                )
+            )
+        return _residue_sides(p, 4, lhs % m, rhs % m)
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +477,14 @@ def verify_primes(
 
     At each job's prime, a classical family gives one row per truncation, a
     MAO variant one, in the order given (see verify_prime); then each alpha
-    gives one row per requested alpha family, in the order given (see
-    verify_alpha).  Every sum and Euler residue of the classical, 8^(-k),
-    MAIN1, MAIN1_TRUNC and TAIL rows of all jobs comes from one remainder
-    tree per distinct alpha and one Euler tree (_tree_values), and every
-    lemma value from the lemma trees (_lemma_trees), all built before the
-    first row.  A family whose precondition fails gets a
-    skip row with the reason; any other error raises records.InternalError,
-    naming the family and its labels.
+    one row per requested alpha family, in the order given but the lemma
+    families last (see verify_alpha).  Every sum and Euler residue of the
+    classical, 8^(-k), MAIN1, MAIN1_TRUNC and TAIL rows of all jobs comes
+    from one remainder tree per distinct alpha and one Euler tree
+    (_tree_values), and every lemma value from the lemma trees
+    (_lemma_trees) and one pass per alpha and prime (_lemma_pass_at).  A family
+    whose precondition fails gets a skip row with the reason; any other
+    error raises records.InternalError, naming the family and its labels.
     """
     # one slot per distinct alpha of the jobs, 1/2, 1/3 and 1/4 first;
     # the values of an alpha are kept by slot, which hashes faster than a
@@ -529,10 +523,11 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
               values: list[Fraction], sums: dict, euler: dict, lemma: dict, timed):
     # the rows of one job of verify_primes; alphas are slots of values
     m = p**4
-    alpha_fams = [f for f in fams if f in ALPHA_FAMILIES]
 
     @cache
     def a_t(i: int) -> tuple[int, int]:
+        if p <= 3:
+            raise PreconditionViolated(f"needs p > 3, got p = {p}")
         alpha = values[i]
         if not is_p_integral(alpha, p):
             # least_nonneg_residue's wording at -alpha, kept for byte identity
@@ -581,29 +576,33 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
         return 4, (full if fam == "MAO_HALF" else half), timed("closed", mao_rhs, fam)
 
     def alpha_sides(i: int, fam: str) -> tuple[int, int]:
-        if p <= 3:
-            raise PreconditionViolated(f"needs p > 3, got p = {p}")
         a, t = a_t(i)
         if fam in ALPHA_TRUNCATIONS:
             return sums[i][p][1 if fam == "MAIN1" else 0], closed(i, 4)
-        if fam == "TAIL":
-            if a == p - 1:
-                raise PreconditionViolated(
-                    f"<-alpha>_p = p-1 for alpha = {values[i]}, p = {p}: tail is empty"
-                )
-            short, full = sums[i][p]
-            return (full - short) % m, 0
-        return timed("lemma", _lemma_sides, fam, values[i], p, a, t, lemma[i])
+        if a == p - 1:  # TAIL
+            raise PreconditionViolated(
+                f"<-alpha>_p = p-1 for alpha = {values[i]}, p = {p}: tail is empty"
+            )
+        short, full = sums[i][p]
+        return (full - short) % m, 0
+
+    # one pass per alpha, made at its first lemma row, which names its errors
+    lemma_pass = cache(lambda i: _lemma_pass_at(values[i], p, *a_t(i), lemma[i]))
 
     checks = [(fam, tr) for fam in fams if fam in PRIME_FAMILIES
               for tr in (truncations if fam in FAMILIES else (MAO_TRUNCATIONS[fam],))]
     rows = family_rows(checks, lambda fam, tr: _residue_sides(p, *prime_sides(fam, tr)),
                        p=p)
-    checks = [(fam, ALPHA_TRUNCATIONS.get(fam)) for fam in alpha_fams]
+    checks = [(fam, ALPHA_TRUNCATIONS.get(fam)) for fam in fams
+              if fam in ALPHA_FAMILIES and fam not in LEMMA_FAMILIES]
+    lemmas = [(fam, None) for fam in fams if fam in LEMMA_FAMILIES]
     for i in slots:
         rows += family_rows(
             checks, lambda fam, _: _residue_sides(p, 4, *alpha_sides(i, fam)),
             p=p, alpha=values[i])
+        if lemmas:
+            rows += timed("lemma", family_rows, lemmas, lambda *c: lemma_pass(i)(*c),
+                          p, None, values[i])
     return rows
 
 
@@ -645,15 +644,16 @@ def verify_alpha(
     * MAIN1, MAIN1_TRUNC: S(alpha, M) ≡ (-1)^a (alpha+a)
       + (alpha+a)^3 E_{p-3}(alpha), with M = p-1 ("full") or M = a ("short").
     * TAIL: S(alpha, p-1) - S(alpha, a) ≡ 0, the terms k = a+1..p-1; a <= p-2.
-    * the five LEMMA_* families (see _lemma_sides).
+    * the five LEMMA_* families (see _lemma_pass_at).
 
     Every family needs p > 3 and a p-integral alpha; a family whose
     precondition fails gets a skip record with the reason.  verify_primes,
     at one job, computes one tree for S(alpha, .), one closed form and, for
-    the lemma families, the lemma trees, each only when a family reads it.
+    the lemma families, the lemma trees and a pass, each only when read.
     """
     fams = [norm_family(f) for f in families]
     if unknown := [f for f in fams if f not in ALPHA_FAMILIES]:
         raise ValueError(f"unknown alpha families: {unknown}")
     rows, _ = verify_primes(((p, fams, (alpha,)),))
+    rows.sort(key=lambda row: fams.index(row[0]))  # verify_primes puts lemmas last
     return [VerificationRecord(*row) for row in rows]

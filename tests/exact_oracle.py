@@ -186,7 +186,7 @@ def lemma_sides_per_prime(fam: str, alpha: Fraction, p: int, pre: tuple,
     valuations of alpha+a and alpha+a+p and the integer computed mod p^4
     from the unit residues of pre, in O(p) operations and two inverses.
     The preconditions, skip reasons and right sides are those of
-    verifier._lemma_sides.
+    verifier._lemma_pass_at.
     """
     u, v0, v1, a, t = pre
     if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):

@@ -453,8 +453,9 @@ def test_internal_error_is_not_a_config_error(monkeypatch, capsys):
     def broken(*args):
         raise ValueError("base is not invertible for the given modulus")
 
-    # a per-row site: the lemma sides of one (family, alpha, p)
-    monkeypatch.setattr(verifier, "_lemma_sides", broken)
+    # the part the lemma families of one (alpha, p) share, which the first
+    # of their rows makes
+    monkeypatch.setattr(verifier, "_lemma_pass_at", broken)
     argv = ["verify", "--family", "lemma-sigma", "--pmin", "7", "--pmax", "7",
             "--alpha", "1/3"]
     with pytest.raises(sweep.InternalError) as info:
@@ -492,7 +493,8 @@ def test_truncation_too_large_is_an_internal_error(monkeypatch):
     ("_closed_form", NotPAdicIntegral, ("MAIN1", "E2"), "E2 p=7 truncation=short"),
     ("_closed_form", NotPAdicIntegral, ("MAIN1",),
      "MAIN1 p=7 alpha=1/3 truncation=full"),
-    ("_lemma_sides", DivisionByZeroTerm, ("LEMMA_SIGMA",), "LEMMA_SIGMA p=7 alpha=1/3"),
+    ("_lemma_pass_at", DivisionByZeroTerm, ("LEMMA_SIGMA",),
+     "LEMMA_SIGMA p=7 alpha=1/3"),
 ])
 def test_a_bug_is_not_a_skip(monkeypatch, capsys, site, error, families, where):
     # a family skips only on the PreconditionViolated its check raises; the

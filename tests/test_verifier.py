@@ -586,16 +586,19 @@ def _counting(monkeypatch, names):
 
 def test_verify_alpha_computes_shared_values_once(monkeypatch):
     # verify_alpha is verify_primes at one job with one alpha
-    calls = _counting(monkeypatch, ("_sums", "_lemma_trees", "_lemma_sides",
+    calls = _counting(monkeypatch, ("_sums", "_lemma_trees", "_lemma_pass_at",
                                     "verify_primes"))
 
     def count(families, alpha=Fraction(1, 3), p=13):
         for args in calls.values():
             args.clear()
-        assert all(r.passed for r in verify_alpha(alpha, p, families))
+        recs = verify_alpha(alpha, p, families)
+        assert all(r.passed for r in recs)
+        assert [r.family for r in recs] == list(families)
         assert calls["verify_primes"] == [(((p, list(families), (alpha,)),),)]
-        # only the lemma families read the lemma trees, once per family
-        assert len(calls["_lemma_sides"]) == sum(f in LEMMA_FAMILIES for f in families)
+        # only the lemma families read the lemma trees, all in one pass
+        lemma = any(f in LEMMA_FAMILIES for f in families)
+        assert [args[:2] for args in calls["_lemma_pass_at"]] == [(alpha, p)] * lemma
         return len(calls["_sums"]), len(calls["_lemma_trees"])
 
     # one tree serves MAIN1, MAIN1_TRUNC and TAIL; one set of trees the lemmas

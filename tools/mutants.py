@@ -43,12 +43,6 @@ swaps are in the list.  Likewise a descent that skips a reduction gives
 the same values, only from ever larger prefixes: a test that checks each
 node's prefix is reduced below its modulus sees it.
 
-Not equivalent, though no record shows it: reading a truncated
-polynomial at P = p without its P^3 term moves each W sum of the lemma
-trees by a multiple of p^3, but every lemma left side multiplies a W sum
-by p^v0 or p^(3 v0), v0 >= 1, so no record changes.  The test that pins
-the W tree's rows to exact Fractions mod p^4 sees it.
-
 Not equivalent, though no verdict of check_lehmer shows them: every
 residue Lehmer's congruences read is 0 at a true prime, so reading
 H_{p-1} mod p instead of p^2 (Wolstenholme's theorem makes it 0 mod p^2
@@ -234,14 +228,14 @@ MUTATIONS = (
              CLOSED_TESTS),
     # the lemmas' trees, the values read off them, and a and t
     Mutation("lemma W leaf sign", "verifier.py",
-             "_Trunc((s * c * j, -s * (c - s * j), -s * s, 0)",
-             "_Trunc((-s * c * j, s * (c - s * j), s * s, 0)", TREE_TESTS),
-    Mutation("lemma W leaf P coefficient (c - sj) -> (c + sj)", "verifier.py",
-             "-s * (c - s * j), -s * s", "-s * (c + s * j), -s * s", TREE_TESTS),
-    Mutation("truncated polynomial read at P = p without its P^3 term", "verifier.py",
-             "((c3 * p + c2) * p + c1) * p % m", "(c2 * p + c1) * p % m", TREE_TESTS),
-    Mutation("lemma cuts mod p^4 where p^(4 + 2 v0) is needed", "verifier.py",
-             "q = p ** (4 + 2 * v0)", "q = p**4", TREE_TESTS),
+             "_Trunc((s * g * k, s * (s - r), -s * s))",
+             "_Trunc((-s * g * k, -s * (s - r), s * s))", TREE_TESTS),
+    Mutation("lemma W leaf P coefficient s(s - r) -> s(s + r)", "verifier.py",
+             "s * (s - r), -s * s", "s * (s + r), -s * s", TREE_TESTS),
+    Mutation("truncated polynomial read at P = p without its P^2 term", "verifier.py",
+             "(c2 * p + c1) * p % m", "c1 * p % m", TREE_TESTS),
+    Mutation("lemma W cuts mod p^4 where p^(4 + 2 v0) is needed", "verifier.py",
+             "{a}, p ** (4 + 2 * v0))", "{a}, p**4)", TREE_TESTS),
     Mutation("lemma sides read v0 one too large", "verifier.py",
              "v0s.setdefault(i, {})[p] = v0", "v0s.setdefault(i, {})[p] = v0 + 1",
              TREE_TESTS),
@@ -250,8 +244,13 @@ MUTATIONS = (
     Mutation("lemma Pi leaf r + (j-1)s -> r + js", "verifier.py",
              "(1, 0, r + (j - 1) * s)", "(1, 0, r + j * s)", TREE_TESTS),
     Mutation("lemma zero test reads alpha - a", "verifier.py",
-             "alpha.numerator + a * alpha.denominator == 0",
-             "alpha.numerator - a * alpha.denominator == 0", VERIFY_TESTS),
+             "zero = r + a * s == 0", "zero = r - a * s == 0", VERIFY_TESTS),
+    Mutation("lemma U_{a+1} from the W row without the factor (r+as)^2", "verifier.py",
+             "ua2 = w[a][2] * ((r + a * s) // pv) ** 2 % m", "ua2 = w[a][2] % m",
+             TREE_TESTS),
+    Mutation("lemma shared inverse cube used as a square", "verifier.py",
+             "lhs = pi[2 * p - 1][1] * s * sf * isf3", "lhs = pi[2 * p - 1][1] * s * isf3",
+             VERIFY_TESTS),
     Mutation("lemma 1/2 mod p^4 one off", "verifier.py",
              "half = (m + 1) // 2  # 1/2 mod p^4", "half = (m - 1) // 2", VERIFY_TESTS),
     Mutation("t from alpha + a reduced mod p^4", "verifier.py",
@@ -337,25 +336,28 @@ MUTATIONS = (
              '[1 if fam == "MAIN1" else 0]', '[0 if fam == "MAIN1" else 1]',
              VERIFY_TESTS),
     Mutation("alpha TAIL empty test", "verifier.py",
-             "if a == p - 1:\n                raise PreconditionViolated",
-             "if a == p - 2:\n                raise PreconditionViolated",
+             "if a == p - 1:  # TAIL\n            raise PreconditionViolated",
+             "if a == p - 2:  # TAIL\n            raise PreconditionViolated",
              VERIFY_TESTS),
     Mutation("alpha TAIL lower checkpoint", "verifier.py",
              "(full - short) % m", "(full - full) % m", VERIFY_TESTS),
     Mutation("alpha lemma a = 0 test", "verifier.py",
              "if a == 0 and fam in", "if a == 1 and fam in", VERIFY_TESTS),
+    Mutation("alpha lemma a = 0 skip applied to LEMMA_PROD", "verifier.py",
+             '("LEMMA_WZPROD", "LEMMA_SIGMA1")',
+             '("LEMMA_WZPROD", "LEMMA_SIGMA1", "LEMMA_PROD")', VERIFY_TESTS),
     Mutation("alpha lemma zero factor tested mod p^4", "verifier.py",
-             "zero = alpha.numerator + a * alpha.denominator == 0", "zero = t == 0",
+             "zero = r + a * s == 0", "zero = t == 0",
              VERIFY_TESTS),
     Mutation("alpha LEMMA_SIGMA1 sides both shifted by p^3", "verifier.py",
-             "    return num * pow(den, -1, m) % m, rhs % m\n",
-             "    shift = p**3 if fam == \"LEMMA_SIGMA1\" else 0\n"
-             "    return (num * pow(den, -1, m) + shift) % m, (rhs + shift) % m\n",
+             "        return _residue_sides(p, 4, lhs % m, rhs % m)\n",
+             "        shift = p**3 if fam == \"LEMMA_SIGMA1\" else 0\n"
+             "        return _residue_sides(p, 4, (lhs + shift) % m, (rhs + shift) % m)\n",
              ("tests/test_verifier.py",)),
     Mutation("alpha LEMMA_PROD without the 1/2", "verifier.py",
              "p * p * half * ((t + 1) ** 2", "p * p * ((t + 1) ** 2", VERIFY_TESTS),
     Mutation("alpha LEMMA_PROD right side without its p^2 term", "verifier.py",
-             "            + p * p * half * ((t + 1) ** 2 * ha * ha"
+             "                + p * p * half * ((t + 1) ** 2 * ha * ha"
              " + (t * t + 4 * t + 1) * ha2)\n", "", VERIFY_TESTS),
     # the skips: only a tested hypothesis makes one, and a bug is named
     Mutation("alpha LEMMA_PROD zero factor untested", "verifier.py",
