@@ -105,14 +105,16 @@ class VerificationRecord(NamedTuple):
         return hash(self[:10])
 
     def sort_key(self) -> tuple:
-        a = self.alpha
+        # (family, p, n, alpha's numerator and denominator, truncation), the
+        # fields read by position; an unset label sorts as 0, 0/1 or ""
+        a = self[7]
         return (
-            self.family,
-            self.p if self.p is not None else 0,
-            self.n if self.n is not None else 0,
+            self[0],
+            self[5] or 0,
+            self[6] or 0,
             a.numerator if a is not None else 0,
             a.denominator if a is not None else 1,
-            self.truncation or "",
+            self[8] or "",
         )
 
 

@@ -164,7 +164,8 @@ def check_binomial_identities(n: int) -> bool:
     h_k = L H_k are integers, and each sum is an integer numerator over a
     fixed denominator: the second over L, the third and fourth over L^2,
     and the first over Lc L^2, with Lc the lcm of the C(n,k), which is
-    lcm(1..n+1)/(n+1); C(n,k) comes from a running product.  The term
+    lcm(1..n+1)/(n+1).  C(n,k) and Lc/C(n,k) are running products, the
+    second exact because each of its values is an integer.  The term
     (-1)^k C(n,k) u_k is formed once per k, and the second, third and
     fourth numerators read it.  Each identity is then one integer
     equality, and no Fraction is formed.  The Fraction sums this replaced
@@ -173,22 +174,22 @@ def check_binomial_identities(n: int) -> bool:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     L = math.lcm(*range(1, n + 1))
-    C = [1]  # C(n, k) = C(n, k-1) (n-k+1) / k
-    for k in range(1, n + 1):
-        C.append(C[-1] * (n - k + 1) // k)
-    Lc = math.lcm(L, n + 1) // (n + 1)  # = math.lcm(*C)
+    Lc = math.lcm(L, n + 1) // (n + 1)  # = lcm of C(n, 0..n)
     s1 = s2 = s3 = s4 = 0
     h = h2 = a2 = 0  # L H_k, L^2 H_k^(2), L^2 sum_{j<=k} (-1)^j / j^2
+    c, q = 1, Lc  # C(n, k) and Lc / C(n, k)
     for k in range(1, n + 1):
+        c = c * (n - k + 1) // k
+        q = q * k // (n - k + 1)  # exact: Lc / C(n, k) is an integer
         u = L // k
-        cu = C[k] * u
+        cu = c * u
         sq = u * u
         h += u
         h2 += sq
         if k % 2:
             cu, sq = -cu, -sq
         a2 += sq
-        s1 += sq * (Lc // C[k])
+        s1 += sq * q
         s2 += cu
         s3 += cu * u
         s4 += cu * h

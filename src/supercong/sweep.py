@@ -20,7 +20,8 @@ or smoke instance yields one record.  Each instance builds the state it
 reads, so none depends on another having run first: the tree instance
 builds its trees from k = 1.  Every instance hands its records back as
 rows (records.family_rows: plain tuples, cheap to pickle), and the parent
-builds each record once.
+builds each record once, by position.  A JSON report is written one
+formatting step per record, straight from the record's fields.
 An exception that escapes an instance is a bug, whatever its type, and
 aborts the sweep with an InternalError: family_rows names the family and
 labels it was checking, and _execute names the instance of any other.
@@ -352,22 +353,32 @@ def _run_instances(insts: list[Instance], processes: int) -> list[VerificationRe
 
 
 def _records(results) -> list[VerificationRecord]:
-    # each record built once, from its row and its instance's timings
-    return [VerificationRecord(*row, elapsed_ms=ms, phase_ms=phases)
-            for rows, ms, phases in results for row in rows]
+    # each record built once, by position, from its row and its instance's
+    # timings
+    make = VerificationRecord._make
+    return [make(row + (ms, phases)) for rows, ms, phases in results for row in rows]
 
 
 def summarize(records: list[VerificationRecord], workers: int = 1) -> ReportSummary:
-    passed = sum(1 for r in records if r.passed is True)
-    failed = sum(1 for r in records if r.passed is False)
-    skipped = sum(1 for r in records if r.passed is None)
+    # one pass: passed is True, False or None (a skip)
+    records = tuple(records)
+    passed = skipped = 0
+    failures = []
+    for r in records:
+        verdict = r[4]
+        if verdict is True:
+            passed += 1
+        elif verdict is None:
+            skipped += 1
+        else:
+            failures.append(r)
     return ReportSummary(
         total=len(records),
         passed=passed,
-        failed=failed,
+        failed=len(failures),
         skipped=skipped,
-        failures=tuple(r for r in records if r.passed is False),
-        records=tuple(records),
+        failures=tuple(failures),
+        records=records,
         workers=workers,
     )
 
@@ -496,8 +507,9 @@ def timing_summary(summary: ReportSummary) -> dict:
     """The timings of a report: the time per family (the sum of its records'
     elapsed_ms), the time per phase of verifier.PHASES over all verify
     instances, the number of skips per family and reason, with the
-    reason's numbers written #, and the number of processes that ran the
-    instances (1 for a run below the fork floor, whatever --workers asked)."""
+    reason's numbers written # but the family's name kept whole, and the
+    number of processes that ran the instances (1 for a run below the fork
+    floor, whatever --workers asked)."""
     family_ms: dict[str, float] = {}
     phase_ms = [0.0] * len(PHASES)
     skips: Counter[str] = Counter()
@@ -507,7 +519,10 @@ def timing_summary(summary: ReportSummary) -> dict:
         if r.phase_ms is not None:
             phase_ms = [x + y for x, y in zip(phase_ms, r.phase_ms)]
         if r.passed is None:
-            skips[f"{r.family}: {re.sub(r'[0-9]+', '#', r.reason)}"] += 1
+            # the family's own name keeps its digits where the reason names it
+            why = r.family.join(re.sub(r"[0-9]+", "#", part)
+                                for part in r.reason.split(r.family))
+            skips[f"{r.family}: {why}"] += 1
     return {
         "family_ms": {f: round(ms, 3) for f, ms in family_ms.items()},
         "phase_ms": {ph: round(ms, 3) for ph, ms in zip(PHASES, phase_ms)},
@@ -516,31 +531,45 @@ def timing_summary(summary: ReportSummary) -> dict:
     }
 
 
-# A record dict is flat, so json's C encoder writes a list of them as
-# indent=2 would at depth 2 inside each record when told to separate items
-# by a newline and that indentation; indent itself would select the
-# pure-Python encoder.  Within a record every item starts with a quote and
-# ends with the end of a scalar, and a string holds no raw newline, so
-# "},<separator>{" occurs only between records: _RECORD_GAP is what indent=2
-# puts there.
-_encode_records = json.JSONEncoder(
-    sort_keys=True, separators=(",\n      ", ": ")).encode
-_RECORD_GAP = "\n    },\n    {\n      "
-_RECORDS_PER_CALL = 128  # bounds the dicts alive at once
+# json's own string escapes, as json.dumps writes them (ensure_ascii)
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_VERDICT = {True: "true", False: "false", None: "null"}
 
 
-def _records_json(records, timings: bool):
-    # the records of render_json, less the opening and closing braces
-    for i in range(0, len(records), _RECORDS_PER_CALL):
-        text = _encode_records(
-            [record_to_dict(r, timings) for r in records[i:i + _RECORDS_PER_CALL]])
-        yield text[2:-2].replace("},\n      {", _RECORD_GAP)
+def _json_side(x) -> str:
+    # _side(x) as json writes it
+    return str(x.value) if isinstance(x, ResidueClass) else _json_str(str(x))
+
+
+def _record_json(r: VerificationRecord, timings: bool) -> str:
+    """record_to_dict(r, timings) as json.dumps(indent=2, sort_keys=True)
+    writes it as an item of the report's records: the items in sorted-key
+    order, read straight from the record's fields."""
+    family, modulus, lhs, rhs, passed, p, n, alpha, truncation, reason, ms, _ = r
+    out = "    {\n      "
+    if alpha is not None:
+        out += f'"alpha": {_json_str(str(alpha))},\n      '
+    if timings and ms is not None:
+        out += f'"elapsed_ms": {round(ms, 3)!r},\n      '
+    out += (f'"family": {_json_str(family)},\n      "lhs": {_json_side(lhs)},\n'
+            f'      "modulus": {_json_str(modulus)}')
+    if n is not None:
+        out += f',\n      "n": {n}'
+    if p is not None:
+        out += f',\n      "p": {p}'
+    out += f',\n      "pass": {_JSON_VERDICT[passed]}'
+    if reason is not None:
+        out += f',\n      "reason": {_json_str(reason)}'
+    out += f',\n      "rhs": {_json_side(rhs)}'
+    if truncation is not None:
+        out += f',\n      "truncation": {_json_str(truncation)}'
+    return out + "\n    }"
 
 
 def render_json(summary: ReportSummary, timings: bool = False) -> str:
     """json.dumps(doc, indent=2, sort_keys=True) + "\n" of the report doc,
-    {"records": [...], "summary": {...}}: the frame from json.dumps, the
-    records from _encode_records."""
+    {"records": [...], "summary": {...}}: the frame from json.dumps, each
+    record from _record_json, one formatting step per record."""
     counts = {
         "total": summary.total,
         "passed": summary.passed,
@@ -551,9 +580,8 @@ def render_json(summary: ReportSummary, timings: bool = False) -> str:
         counts["timings"] = timing_summary(summary)
     frame = json.dumps({"records": [], "summary": counts}, indent=2, sort_keys=True)
     if summary.records:
-        body = _RECORD_GAP.join(_records_json(summary.records, timings))
-        frame = frame.replace(
-            '"records": []', '"records": [\n    {\n      ' + body + '\n    }\n  ]', 1)
+        body = ",\n".join([_record_json(r, timings) for r in summary.records])
+        frame = frame.replace('"records": []', '"records": [\n' + body + '\n  ]', 1)
     return frame + "\n"
 
 
@@ -625,6 +653,6 @@ def render(summary: ReportSummary, fmt: str, timings: bool = False) -> str:
 def exit_code(summary: ReportSummary) -> int:
     """0 all pass, 1 any failure, 3 a mod-cubed q-difference counterexample
     (checked first; it subsumes the plain failure signal)."""
-    if any(r.family == "CONJ41" and r.passed is False for r in summary.records):
+    if any(r.family == "CONJ41" for r in summary.failures):
         return 3
     return 1 if summary.failed else 0

@@ -58,6 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from time import perf_counter
+from typing import Callable
 
 from .padic import (
     NotPAdicIntegral,
@@ -226,9 +227,17 @@ def _closed_form(alpha: Fraction, a: int, t: int, p: int, e: int,
     return rhs % m
 
 
-def _residue_sides(p: int, e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]:
-    # a record's (modulus, lhs, rhs) from two residues mod p^e
-    return f"{p}^{e}", ResidueClass(lhs, p**e), ResidueClass(rhs, p**e)
+def _residue_sides(p: int) -> Callable[[int, int, int], tuple[str, Side, Side]]:
+    """sides(e, lhs, rhs): a record's (modulus, lhs, rhs) from two residues
+    mod p^e, with the label "p^e" and p^e made once per e."""
+    moduli: dict[int, tuple[str, int]] = {}
+
+    def sides(e: int, lhs: int, rhs: int) -> tuple[str, Side, Side]:
+        if e not in moduli:
+            moduli[e] = f"{p}^{e}", p**e
+        label, m = moduli[e]
+        return label, ResidueClass(lhs, m), ResidueClass(rhs, m)
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +329,8 @@ def _lemma_trees(jobs: list, values: list[Fraction]) -> dict[int, tuple]:
 def _lemma_pass_at(alpha: Fraction, p: int, a: int, t: int, trees: tuple):
     """One pass over the LEMMA_* families at (alpha, p), from (a, t) =
     _a_t(alpha, p) and the trees (pi, w, h, v0s) of _lemma_trees: makes what
-    they share, and returns sides(fam, truncation), one family's record sides
-    mod p^4 (records.family_rows).  With alpha = r/s, Pi_M = s^M (alpha)_M,
+    they share, and returns sides(fam, truncation), one family's (4, lhs, rhs)
+    mod p^4 for _residue_sides.  With alpha = r/s, Pi_M = s^M (alpha)_M,
     v0 = v_p(r+as) and U_M = Pi_M / p^v0 for M > a, the left sides are:
 
     * LEMMA_WZPROD:  (alpha)_{2p-1}/(p-1)!^2 = Pi_{2p-1} / (s^(2p-1) (p-1)!^2),
@@ -359,7 +368,7 @@ def _lemma_pass_at(alpha: Fraction, p: int, a: int, t: int, trees: tuple):
     half = (m + 1) // 2  # 1/2 mod p^4
     zero = r + a * s == 0  # t = 0
 
-    def sides(fam: str, _) -> tuple[str, Side, Side]:
+    def sides(fam: str, _) -> tuple[int, int, int]:
         if a == 0 and fam in ("LEMMA_WZPROD", "LEMMA_SIGMA1"):
             raise PreconditionViolated(f"alpha = {alpha} ≡ 0 (mod {p})")
         if fam == "LEMMA_PROD" and zero:
@@ -405,7 +414,7 @@ def _lemma_pass_at(alpha: Fraction, p: int, a: int, t: int, trees: tuple):
                     - sa * (t + 2) * inv * inv
                 )
             )
-        return _residue_sides(p, 4, lhs % m, rhs % m)
+        return 4, lhs % m, rhs % m
     return sides
 
 
@@ -591,18 +600,18 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
 
     checks = [(fam, tr) for fam in fams if fam in PRIME_FAMILIES
               for tr in (truncations if fam in FAMILIES else (MAO_TRUNCATIONS[fam],))]
-    rows = family_rows(checks, lambda fam, tr: _residue_sides(p, *prime_sides(fam, tr)),
-                       p=p)
+    residue = _residue_sides(p)
+    rows = family_rows(checks, lambda fam, tr: residue(*prime_sides(fam, tr)), p=p)
     checks = [(fam, ALPHA_TRUNCATIONS.get(fam)) for fam in fams
               if fam in ALPHA_FAMILIES and fam not in LEMMA_FAMILIES]
     lemmas = [(fam, None) for fam in fams if fam in LEMMA_FAMILIES]
     for i in slots:
         rows += family_rows(
-            checks, lambda fam, _: _residue_sides(p, 4, *alpha_sides(i, fam)),
+            checks, lambda fam, _: residue(4, *alpha_sides(i, fam)),
             p=p, alpha=values[i])
         if lemmas:
-            rows += timed("lemma", family_rows, lemmas, lambda *c: lemma_pass(i)(*c),
-                          p, None, values[i])
+            rows += timed("lemma", family_rows, lemmas,
+                          lambda *c: residue(*lemma_pass(i)(*c)), p, None, values[i])
     return rows
 
 

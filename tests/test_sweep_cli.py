@@ -1,6 +1,7 @@
 """Sweep orchestration, report rendering, CLI subcommands and exit codes."""
 
 import contextlib
+import hashlib
 import inspect
 import json
 import math
@@ -1005,7 +1006,7 @@ def _oracle_reports() -> dict[str, ReportSummary]:
 def test_render_json_matches_the_indent_encoder(timings):
     reports = _oracle_reports()
     assert reports["mixed"].failed == 1
-    assert len(reports["mixed"].records) > sweep._RECORDS_PER_CALL
+    assert len(reports["mixed"].records) == 247
     assert any("≡" in (r.reason or "") for r in reports["mixed"].records)
     for name, summary in reports.items():
         assert render_json(summary, timings) == _render_json_oracle(summary, timings), name
@@ -1037,6 +1038,12 @@ def test_timings_summary():
         "TAIL: <-alpha>_p = p-# for alpha = #, p = #: tail is empty": 9,
         "TAIL: -#/# has no residue mod #^#": 1,
     }
+    # the digits of a family's name, where its reason names it, stay
+    q = run_sweep(SweepConfig(families=("GZ_E2", "CONJ41"), n_list=(1, 3)))
+    assert sweep.timing_summary(q)["skips"] == {
+        "GZ_E2: GZ_E2 needs odd n >= #, got n = #": 1,
+        "CONJ41: CONJ41 needs n ≡ # (mod #), n >= #, got n = #": 2,
+    }
     # the text report ends with the same figures
     text = render_text(s, timings=True).splitlines()
     assert text[-len(t["skips"]) - len(t["family_ms"]) - 1].startswith("phases: sums ")
@@ -1050,6 +1057,33 @@ def test_render_csv_shape():
     assert lines[0].startswith("family,p,n,alpha,truncation,modulus,lhs,rhs")
     assert len(lines) == 1 + s.total
     assert ",pass," in lines[1] or lines[1].endswith("pass,")
+
+
+# sha256 of the text and CSV reports of three cases of test_report_digests,
+# pinned before the records came to be built by position and the summary
+# counted in one pass, which every format reads
+FORMAT_DIGESTS = {
+    ("verify_alphas", "text"):
+        "ccd1f75111b7e3821f05a0ceb5d19ea06dd07efc4adaa0e074b2702b4e947830",
+    ("verify_alphas", "csv"):
+        "326ad02080a017a73fa2349e06c6f4c725d988c1e9bc74ebfa547e98d3fb3379",
+    ("qverify_skips", "text"):
+        "b185c5fd1a46da087ddc05de5e3a15920ad0312844ae8281486cd54733431553",
+    ("qverify_skips", "csv"):
+        "8f29257689fa97224c6452807ae1bd8e429675402caca66ab3441168e57a6ea9",
+    ("identities", "text"):
+        "1959650abadf0054ee53a57729947c85bcbea5f2200424f675fcff044647a463",
+    ("identities", "csv"):
+        "18137f54350889dd4854b3c74374a63bf1d6c3bf4bf408f84ecca7ec76fdf5e4",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(FORMAT_DIGESTS))
+def test_render_text_and_csv_digest(name, fmt):
+    from test_report_digests import CASES
+
+    got = hashlib.sha256(render(CASES[name][0](), fmt).encode()).hexdigest()
+    assert got == FORMAT_DIGESTS[name, fmt], f"{name}: {fmt} report bytes changed"
 
 
 def test_render_text_summary_line():

@@ -127,7 +127,9 @@ MUTATIONS = (
              "(f // fact[N - k])", "(f // fact[N - k - 1])", WZ_TESTS),
     # the integer binomial identities
     Mutation("binomial running product", "sequences.py",
-             "C[-1] * (n - k + 1) // k", "C[-1] * (n - k + 2) // k", BINOM_TESTS),
+             "c = c * (n - k + 1) // k", "c = c * (n - k + 2) // k", BINOM_TESTS),
+    Mutation("binomial running quotient Lc / C(n, k)", "sequences.py",
+             "q = q * k // (n - k + 1)", "q = q * (k + 1) // (n - k + 1)", BINOM_TESTS),
     Mutation("binomial lcm of the row over n", "sequences.py",
              "math.lcm(L, n + 1) // (n + 1)", "math.lcm(L, n + 1) // n", BINOM_TESTS),
     # the harmonic trees of check_lehmer
@@ -142,8 +144,7 @@ MUTATIONS = (
     Mutation("lehmer shared cut keeps one prime's modulus", "sequences.py",
              "points[M] = points.get(M, 1) * p", "points[M] = p", LEHMER_TESTS),
     Mutation("binomial sign parity", "sequences.py",
-             "if k % 2:\n            cu, sq", "if k % 2 == 0:\n            cu, sq",
-             BINOM_TESTS),
+             "        if k % 2:\n", "        if k % 2 == 0:\n", BINOM_TESTS),
     Mutation("binomial c u sign", "sequences.py",
              "cu, sq = -cu, -sq", "cu, sq = cu, -sq", BINOM_TESTS),
     Mutation("binomial lcm range", "sequences.py",
@@ -350,9 +351,9 @@ MUTATIONS = (
              "zero = r + a * s == 0", "zero = t == 0",
              VERIFY_TESTS),
     Mutation("alpha LEMMA_SIGMA1 sides both shifted by p^3", "verifier.py",
-             "        return _residue_sides(p, 4, lhs % m, rhs % m)\n",
+             "        return 4, lhs % m, rhs % m\n",
              "        shift = p**3 if fam == \"LEMMA_SIGMA1\" else 0\n"
-             "        return _residue_sides(p, 4, (lhs + shift) % m, (rhs + shift) % m)\n",
+             "        return 4, (lhs + shift) % m, (rhs + shift) % m\n",
              ("tests/test_verifier.py",)),
     Mutation("alpha LEMMA_PROD without the 1/2", "verifier.py",
              "p * p * half * ((t + 1) ** 2", "p * p * ((t + 1) ** 2", VERIFY_TESTS),
@@ -414,16 +415,21 @@ MUTATIONS = (
     Mutation("forked run drops a worker's error", "forked.py",
              "raise InternalError(msg) from _WorkerTraceback(tb)", "continue",
              SWEEP_TESTS),
-    # the JSON report from json's C encoder
-    Mutation("render record item separator", "sweep.py",
-             r'separators=(",\n      ", ": ")', r'separators=(",\n     ", ": ")',
+    # the JSON report, one formatting step per record, and the summary counts
+    Mutation("render record item indent", "sweep.py",
+             r"""f',\n      "pass": {""", r"""f',\n     "pass": {""", RENDER_TESTS),
+    Mutation("render record closing brace", "sweep.py",
+             r'return out + "\n    }"', r'return out + "\n  }"', RENDER_TESTS),
+    Mutation("render drops the last record", "sweep.py",
+             "for r in summary.records])", "for r in summary.records[:-1]])",
              RENDER_TESTS),
-    Mutation("render gap between records", "sweep.py",
-             r'_RECORD_GAP = "\n    },\n    {\n      "',
-             r'_RECORD_GAP = "\n    },\n  {\n      "', RENDER_TESTS),
-    Mutation("render drops the last record of each call", "sweep.py",
-             "records[i:i + _RECORDS_PER_CALL]", "records[i:i + _RECORDS_PER_CALL - 1]",
+    Mutation("render writes a reason without escaping it", "sweep.py",
+             """"reason": {_json_str(reason)}'""", """"reason": "{reason}"'""",
              RENDER_TESTS),
+    Mutation("render writes a False pass as true", "sweep.py",
+             'False: "false", None', 'False: "true", None', RENDER_TESTS),
+    Mutation("summary counts a failed record as passed", "sweep.py",
+             "if verdict is True:", "if verdict is not None:", SWEEP_TESTS),
 )
 
 
