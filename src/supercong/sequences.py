@@ -173,7 +173,8 @@ def check_binomial_identities(n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    L = math.lcm(*range(1, n + 1))
+    # lcm(1..n): every j <= n/2 has a multiple in (n/2, n]
+    L = math.lcm(*range(n // 2 + 1, n + 1))
     Lc = math.lcm(L, n + 1) // (n + 1)  # = lcm of C(n, 0..n)
     s1 = s2 = s3 = s4 = 0
     h = h2 = a2 = 0  # L H_k, L^2 H_k^(2), L^2 sum_{j<=k} (-1)^j / j^2

@@ -451,16 +451,16 @@ def run_wz(
         alphas = sample_alphas(alpha_samples, seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # work in us: about one per point of the pair's grid, and nmax^2 for
-    # the telescope's table
+    # work in us, measured in process: about 0.2 per point of the pair's
+    # grid, and 0.25 nmax^2 for the telescope's closed forms
     insts = [
         Instance("WZ_PAIR", check_pair, (nmax, kmax, (a,)), n=nmax, alpha=a,
-                 work=nmax * kmax)
+                 work=nmax * kmax // 5)
         for a in alphas
     ]
     insts += [
         Instance("WZ_TELESCOPE", check_telescoped, (nmax, a), n=nmax, alpha=a,
-                 work=nmax * nmax)
+                 work=nmax * nmax // 4)
         for a in alphas
     ]
     return _summary(insts, workers)
@@ -480,27 +480,6 @@ def run_smoke(*, terms: int = 50, tol: float = 1e-6) -> ReportSummary:
 
 def _side(x) -> int | str:
     return x.value if isinstance(x, ResidueClass) else str(x)
-
-
-def record_to_dict(r: VerificationRecord, timings: bool = False) -> dict:
-    d: dict = {"family": r.family}
-    if r.p is not None:
-        d["p"] = r.p
-    if r.n is not None:
-        d["n"] = r.n
-    if r.alpha is not None:
-        d["alpha"] = str(r.alpha)
-    if r.truncation is not None:
-        d["truncation"] = r.truncation
-    d["modulus"] = r.modulus
-    d["lhs"] = _side(r.lhs)
-    d["rhs"] = _side(r.rhs)
-    d["pass"] = r.passed
-    if r.reason is not None:
-        d["reason"] = r.reason
-    if timings and r.elapsed_ms is not None:
-        d["elapsed_ms"] = round(r.elapsed_ms, 3)
-    return d
 
 
 def timing_summary(summary: ReportSummary) -> dict:
@@ -542,9 +521,9 @@ def _json_side(x) -> str:
 
 
 def _record_json(r: VerificationRecord, timings: bool) -> str:
-    """record_to_dict(r, timings) as json.dumps(indent=2, sort_keys=True)
-    writes it as an item of the report's records: the items in sorted-key
-    order, read straight from the record's fields."""
+    """One record as json.dumps(indent=2, sort_keys=True) writes it as an
+    item of the report's records: the items in sorted-key order, read
+    straight from the record's fields."""
     family, modulus, lhs, rhs, passed, p, n, alpha, truncation, reason, ms, _ = r
     out = "    {\n      "
     if alpha is not None:
@@ -589,18 +568,23 @@ _CSV_COLUMNS = (
     "family", "p", "n", "alpha", "truncation", "modulus",
     "lhs", "rhs", "result", "reason",
 )
+_RESULT = {True: "pass", False: "fail", None: "skip"}
 
 
 def render_csv(summary: ReportSummary, timings: bool = False) -> str:
+    """One row per record, read straight from its fields; a field that is
+    None is an empty cell."""
     import csv  # only the csv report needs it
 
     buf = io.StringIO()
-    cols = _CSV_COLUMNS + (("elapsed_ms",) if timings else ())
-    w = csv.DictWriter(buf, cols, restval="", lineterminator="\n")
-    w.writeheader()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(_CSV_COLUMNS + (("elapsed_ms",) if timings else ()))
     for r in summary.records:
-        row = record_to_dict(r, timings)
-        row["result"] = {True: "pass", False: "fail", None: "skip"}[row.pop("pass")]
+        family, modulus, lhs, rhs, passed, p, n, alpha, truncation, reason, ms, _ = r
+        row = [family, p, n, alpha, truncation, modulus, _side(lhs), _side(rhs),
+               _RESULT[passed], reason]
+        if timings:
+            row.append(None if ms is None else round(ms, 3))
         w.writerow(row)
     return buf.getvalue()
 

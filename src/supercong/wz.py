@@ -5,19 +5,22 @@ integer prefix product over a power of d:
 
     (alpha)_m = P_m / d^m,    P_m = prod_{j<m} (r + j d).
 
-F and G are read from their defining products as unreduced integer
-numerators off one table of P_m and factorials, with the convention
-1/(1)_m = 0 for m < 0.  check_pair compares the two sides of the pair
-relation
+So, with the convention 1/(1)_m = 0 for m < 0,
+
+    F(n, k) = (-1)^(n+k) (2nd + r) P_n^2 P_{n+k} / (d^(3n-k+1) n!^2 (n-k)! P_k^2),
+    G(n, k) = (-1)^(n+k) P_n^2 P_{n+k-1} / (d^(3n-k-1) (n-1)!^2 (n-k)! P_k^2).
+
+check_pair compares the two sides of the pair relation
 
     F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k)
 
-over one denominator per point, Q = d^(3n-k+2) n!^2 (n-k+1)! P_k^2, which
-each of the four denominators divides with a small integer quotient; so
-only numerators are formed, and never a denominator.  The relation
-telescopes (sum over n = 0..N-1) into a closed form for the partial sums,
-which check_telescoped verifies for N = 1..n_max from one table, each
-partial sum and its closed form over one integer denominator.  Only
+as one equality of integers per point: brought over one denominator and
+rid of the factor P_n^2 that all four numerators share, each term is a
+small integer times P_{n+k-1} or P_{n+k}, read off one table of P_m.  The
+relation telescopes (sum over n = 0..N-1) into a closed form for the
+partial sums, which check_telescoped verifies for N = 1..n_max from one
+table: the partial sum is carried from N to N+1 in one step, and the
+closed form is one O(N) integer sum over the same denominator.  Only
 telescoped_rhs builds a Fraction, from the same integers.  The Fraction
 loops these checks replaced, and F and G of a table as (numerator,
 denominator) pairs, are kept in tests/wz_oracle.py as the oracle.
@@ -66,97 +69,73 @@ class _Table:
         msg = f"(alpha)_{k} = 0 for alpha={self.alpha} in {where}"
         return DivisionByZeroTerm(msg)
 
-    def F_row(self, n: int, ks: range) -> list[int]:
-        """The numerators of F(n, k) for k in ks (each k <= n) without
-        their sign (-1)^(n+k): (2nd + r) P_n^2 P_{n+k}, over F's
-        denominators d^(3n-k+1) n!^2 (n-k)! P_k^2."""
-        P = self.P
-        head = (2 * n * self.d + self.r) * P[n] ** 2
-        return [head * P[n + k] for k in ks]
-
-    def G_row(self, n: int, ks: range) -> list[int]:
-        """The numerators of G(n, k) for k in ks (n >= 1, each k <= n)
-        without their sign (-1)^(n+k): P_n^2 P_{n+k-1}, over G's
-        denominators d^(3n-k-1) (n-1)!^2 (n-k)! P_k^2."""
-        P = self.P
-        head = P[n] ** 2
-        return [head * P[n + k - 1] for k in ks]
-
 
 def check_pair(n_max: int, k_max: int, alphas: list[Fraction]) -> bool:
     """F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) on 0<=n<=n_max, 1<=k<=k_max, exactly.
 
     Points with k > n+1 are 0 = 0 and are skipped.  A pole (alpha)_k = 0
     with k <= k_max raises DivisionByZeroTerm naming F(0,k), the first
-    point that divides by it.  Row n reads the numerators of F(n, k) for
-    k <= min(n, k_max) and of G(n+1, k) for k <= min(n+1, k_max) from
-    _Table.F_row and G_row; the G row is carried into row n+1 as its
-    G(n, k), so each numerator is formed once per alpha.
+    point that divides by it.
 
-    Times (-1)^(n+k) Q, with Q = d^(3n-k+2) n!^2 (n-k+1)! P_k^2, the four
-    terms are their unsigned numerators times Q over their denominators:
+    Times (-1)^(n+k) d^(3n-k+2) n!^2 (n-k+1)! P_k^2 / P_n^2, and with
+    e = 2nd + r and m = n - k + 1, the four terms are (as
+    P_{n+1}^2 = (r + nd)^2 P_n^2)
 
-        F(n, k-1): (r + (k-1) d)^2      F(n, k): d (n-k+1)
-        G(n+1, k): 1                    G(n, k): d^3 n^2 (n-k+1)
+        F(n, k-1): e (r + (k-1) d)^2 P_{n+k-1}     F(n, k): e d m P_{n+k}
+        G(n+1, k): (r + nd)^2 P_{n+k}              G(n, k): d^3 n^2 m P_{n+k-1}
 
-    With a, c, f and h these products for F(n, k-1), F(n, k), G(n+1, k)
-    and G(n, k), the relation reads a + c == f + h.  Q is never formed;
-    off a pole it is nonzero, so this is the relation itself.
+    and the relation reads
+
+        (e (r + (k-1) d)^2 - d^3 n^2 m) P_{n+k-1} == ((r + nd)^2 - e d m) P_{n+k}.
+
+    At k = n + 1, m = 0 drops F(n, k) and G(n, k), which vanish there.  Off
+    a pole the multiplier is nonzero, so this is the relation itself while
+    P_n != 0.  P_n = 0 only for an integer alpha <= 0, and then for every
+    later n too: every term carries P_n^2, and those rows read 0 = 0.
     """
     for alpha in alphas:
         t = _Table(alpha, max(k_max, 2 * n_max + 1, 0))
         if n_max >= 0 and k_max >= 1 and (pole := t.first_pole(k_max)):
             raise t.pole_error(pole, f"F(0,{pole})")
-        r, d = t.r, t.d
-        d3 = d**3
-        # the multiplier of F(n, k-1): (P_k / P_{k-1})^2, at index k - 1
-        sq = [(r + (k - 1) * d) ** 2 for k in range(1, k_max + 1)]
-        g_old: list[int] = []  # G(n, k) for 1 <= k <= min(n, k_max)
+        r, d, P = t.r, t.d, t.P
+        sq = [(r + j * d) ** 2 for j in range(max(k_max, n_max + 1))]
         for n in range(n_max + 1):
-            top = min(k_max, n + 1)
-            f_row = t.F_row(n, range(min(k_max, n) + 1))
-            g_new = t.G_row(n + 1, range(1, top + 1))
-            for k in range(1, top + 1):
-                a = f_row[k - 1] * sq[k - 1]
-                if k > n:  # k = n + 1: F(n, k) = G(n, k) = 0
-                    if a != g_new[k - 1]:
-                        return False
-                    continue
+            if not P[n]:
+                break
+            e, g = 2 * n * d + r, d**3 * n * n
+            for k in range(1, min(k_max, n + 1) + 1):
                 m = n - k + 1
-                c = f_row[k] * (d * m)
-                h = g_old[k - 1] * (d3 * n * n * m)
-                if a + c != g_new[k - 1] + h:
+                if ((e * sq[k - 1] - g * m) * P[n + k - 1]
+                        != (sq[n] - e * d * m) * P[n + k]):
                     return False
-            g_old = g_new
     return True
 
 
-def _telescope(N: int, t: _Table) -> tuple[int, int, int]:
-    """(lhs, rhs, den): the partial sum sum_{k<N} F(k, 0) is lhs/den and
-    telescoped_rhs(N, alpha) is rhs/den, with
+def _closed_form(N: int, t: _Table) -> tuple[int, int]:
+    """(rhs, den): telescoped_rhs(N, alpha) is rhs/den, over the partial
+    sum's denominator den = d^(3N-2) (N-1)!^3, for N >= 1 from t, a _Table
+    of alpha with P_j and j! for j <= 2N - 1.
 
-        den = d^(3N-1) (N-1)!^3 P_{N-1}^2,
+    Over den P_{N-1}^2 both terms of the closed form carry the factor
+    P_{N-1}^2, nonzero off a pole; without it the numerator is
 
-    for N >= 1, from t, a _Table of alpha with P_j and j! for j <= 2N - 1.
+        d^(N-1) (N-1)! P_{2N-1} + (r + (N-1) d)^2 C,
+        C = sum_{k=1}^{N-1} (-1)^(N+k) d^(k-1) ((N-1)!/(N-k)!) (P_{N-1}/P_k)^2 P_{N+k-1}.
+
+    The coefficient (-1)^(N+k) d^(k-1) (N-1)!/(N-k)! is a running product
+    in k, and (P_{N-1}/P_k)^2, the product of (r + jd)^2 over k <= j < N-1,
+    enters by Horner's rule, so no term needs a division or a power.
     """
     if pole := t.first_pole(N - 1):
         raise t.pole_error(pole, f"telescoped_rhs(N={N})")
-    r, d, P, fact = t.r, t.d, t.P, t.fact
-    f = fact[N - 1]
-    # F(k, 0) = (-1)^k (2kd + r) P_k^3 / (d^(3k+1) k!^3) over d^(3N-2) f^3
-    lhs = 0
-    # the correction sum's terms over d^(N-1) f P_{N-1}^2
-    corr = 0
-    for k in range(N):
-        s = -1 if k % 2 else 1
-        scale = d ** (N - 1 - k) * f // fact[k]
-        lhs += s * (2 * k * d + r) * (P[k] * scale) ** 3
-        if k:
-            rest = P[N - 1] // P[k]
-            corr += s * P[N + k - 1] * d**k * (f // fact[N - k]) * rest**2
-    sq = P[N - 1] ** 2
-    rhs = d**N * f * sq * P[2 * N - 1] + (-1 if N % 2 else 1) * P[N] ** 2 * corr
-    return lhs * d * sq, rhs, d ** (3 * N - 1) * f**3 * sq
+    r, d, P = t.r, t.d, t.P
+    C = 0
+    c = 1 if N % 2 else -1  # the coefficient at k = 1
+    for k in range(1, N):
+        C = C * (r + (k - 1) * d) ** 2 + c * P[N + k - 1]
+        c *= -d * (N - k)
+    u = d ** (N - 1) * t.fact[N - 1]
+    return u * P[2 * N - 1] + (r + (N - 1) * d) ** 2 * C, d * u**3
 
 
 def telescoped_rhs(N: int, alpha: Fraction) -> Fraction:
@@ -170,8 +149,7 @@ def telescoped_rhs(N: int, alpha: Fraction) -> Fraction:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    _, rhs, den = _telescope(N, _Table(alpha, 2 * N - 1))
-    return Fraction(rhs, den)
+    return Fraction(*_closed_form(N, _Table(alpha, 2 * N - 1)))
 
 
 def check_telescoped(n_max: int, alpha: Fraction) -> bool:
@@ -179,14 +157,23 @@ def check_telescoped(n_max: int, alpha: Fraction) -> bool:
     every N = 1..n_max, in increasing N.
 
     One _Table of alpha, of P_j and j! for j <= 2 n_max - 1, serves every
-    N.  The first N that fails gives False; a pole raises
-    DivisionByZeroTerm naming telescoped_rhs at the first N that reads it.
+    N.  Over d^(3N-2) (N-1)!^3 the partial sum sum_{k<N} F(k, 0) is S_N,
+    with S_{N+1} = S_N (dN)^3 + (-1)^N (2Nd + r) P_N^3, and it is compared
+    with the numerator of _closed_form(N).  The first N that fails gives
+    False; a pole raises DivisionByZeroTerm naming telescoped_rhs at the
+    first N that reads it.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     t = _Table(alpha, 2 * n_max - 1)
-    sides = (_telescope(N, t) for N in range(1, n_max + 1))
-    return all(lhs == rhs for lhs, rhs, _ in sides)
+    r, d, P = t.r, t.d, t.P
+    S = 0
+    for N in range(n_max):  # S_N to S_{N+1}
+        term = (2 * N * d + r) * P[N] ** 3
+        S = S * (d * N) ** 3 + (-term if N % 2 else term)
+        if S != _closed_form(N + 1, t)[0]:
+            return False
+    return True
 
 
 def sample_alphas(count: int, seed: int) -> list[Fraction]:

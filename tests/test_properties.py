@@ -54,7 +54,7 @@ from supercong.sweep import default_alphas
 from supercong.wz import (
     DivisionByZeroTerm,
     _Table,
-    _telescope,
+    _closed_form,
     check_pair,
     check_telescoped,
     telescoped_rhs,
@@ -519,14 +519,15 @@ def test_telescope_matches_fraction_oracle(N, alpha):
         wz_oracle.telescoped_rhs, N, alpha
     )
     if want is True:
-        # both sides of the integer comparison, each against its Fraction,
-        # from a table that reaches just far enough or further
+        # the closed form against its Fraction, over a denominator that also
+        # brings the partial sum to an integer (the carried side check_telescoped
+        # compares), from a table that reaches just far enough or further
         partial = sum(
             (wz_oracle.eval_F(k, 0, alpha) for k in range(N)), Fraction(0)
         )
         for m in (2 * N - 1, 2 * N + 7):
-            lhs, rhs, den = _telescope(N, _Table(alpha, m))
-            assert Fraction(lhs, den) == partial
+            rhs, den = _closed_form(N, _Table(alpha, m))
+            assert (partial * den).denominator == 1
             assert Fraction(rhs, den) == wz_oracle.telescoped_rhs(N, alpha)
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -973,15 +974,53 @@ def test_render_json_shape():
     assert "elapsed_ms" in doc["records"][0]
 
 
+def record_to_dict(r: VerificationRecord, timings: bool = False) -> dict:
+    # one record as the report's formats once read it: the JSON and CSV
+    # oracles' input
+    d: dict = {"family": r.family}
+    if r.p is not None:
+        d["p"] = r.p
+    if r.n is not None:
+        d["n"] = r.n
+    if r.alpha is not None:
+        d["alpha"] = str(r.alpha)
+    if r.truncation is not None:
+        d["truncation"] = r.truncation
+    d["modulus"] = r.modulus
+    d["lhs"] = sweep._side(r.lhs)
+    d["rhs"] = sweep._side(r.rhs)
+    d["pass"] = r.passed
+    if r.reason is not None:
+        d["reason"] = r.reason
+    if timings and r.elapsed_ms is not None:
+        d["elapsed_ms"] = round(r.elapsed_ms, 3)
+    return d
+
+
 def _render_json_oracle(summary: ReportSummary, timings: bool = False) -> str:
     # the encoder render_json replaced: indent=2 over the whole report doc
     counts = {"total": summary.total, "passed": summary.passed,
               "failed": summary.failed, "skipped": summary.skipped}
     if timings:
         counts["timings"] = sweep.timing_summary(summary)
-    doc = {"records": [sweep.record_to_dict(r, timings) for r in summary.records],
+    doc = {"records": [record_to_dict(r, timings) for r in summary.records],
            "summary": counts}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _render_csv_oracle(summary: ReportSummary, timings: bool = False) -> str:
+    # the writer render_csv replaced: a csv.DictWriter row per record dict
+    import csv
+
+    buf = io.StringIO()
+    cols = sweep._CSV_COLUMNS + (("elapsed_ms",) if timings else ())
+    w = csv.DictWriter(buf, cols, restval="", lineterminator="\n")
+    w.writeheader()
+    for r in summary.records:
+        row = record_to_dict(r, timings)
+        row["result"] = {True: "pass", False: "fail", None: "skip"}[row.pop("pass")]
+        w.writerow(row)
+    return buf.getvalue()
 
 
 def _oracle_reports() -> dict[str, ReportSummary]:
@@ -1010,6 +1049,12 @@ def test_render_json_matches_the_indent_encoder(timings):
     assert any("≡" in (r.reason or "") for r in reports["mixed"].records)
     for name, summary in reports.items():
         assert render_json(summary, timings) == _render_json_oracle(summary, timings), name
+
+
+@pytest.mark.parametrize("timings", (False, True))
+def test_render_csv_matches_the_dict_writer(timings):
+    for name, summary in _oracle_reports().items():
+        assert render_csv(summary, timings) == _render_csv_oracle(summary, timings), name
 
 
 def test_timings_summary():

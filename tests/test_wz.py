@@ -19,6 +19,7 @@ from supercong.wz import (
 )
 
 from exact_oracle import sum_main_exact
+import wz_oracle
 from wz_oracle import F, G
 
 
@@ -89,35 +90,31 @@ def test_pair_relation_small_grid():
 
 @pytest.mark.parametrize("point", [(3, 2), (3, 3)])
 def test_pair_check_catches_a_broken_certificate(monkeypatch, point):
-    # check_pair reads every numerator from the row methods, so the break
-    # is made there: F or G at the points goes up by 1, which moves the
-    # unsigned numerator by (-1)^(n+k) times the point's denominator
-    good_F, good_G = wz._Table.F_row, wz._Table.G_row
-
-    def bumped(good, exact, points):
-        def row(self, n, ks):
-            nums = good(self, n, ks)
-            for i, k in enumerate(ks):
-                if (n, k) in points:
-                    nums[i] += (-1) ** (n + k) * exact(self, n, k)[1]
-            return nums
-        return row
-
-    monkeypatch.setattr(wz._Table, "G_row", bumped(good_G, G, {point}))
-    # row n = 2 reaches G(3, 2) at k = 2 and G(3, 3) only at k = n + 1
-    assert not check_pair(2, 4, [Fraction(1, 2)])
-    # rows n <= 1 only reach G(2, k) and G(1, k)
-    assert check_pair(1, 4, [Fraction(1, 2)])
-
-    # Adding 1 to F(2, j) for j < k as well keeps every relation of row 2;
-    # then only row 3, which reads G(3, k) as the G(n, k) carried over
-    # from row 2, sees the break.
+    # check_pair reads every F and G value off the table of P, so the break
+    # is made there: P_{n+k-1}, which G(n, k) reads, goes up by 1 for the
+    # point (n, k).  Row i reads P_{i+j-1} and P_{i+j} at its points
+    # j <= min(k_max, i + 1), and check_pair fails on exactly the grids
+    # with a row that reads the broken entry
     n, k = point
-    monkeypatch.setattr(wz._Table, "F_row",
-                        bumped(good_F, F, {(n - 1, j) for j in range(k)}))
-    assert check_pair(2, 4, [Fraction(1, 2)])
-    assert not check_pair(3, 4, [Fraction(1, 2)])
-    assert not check_pair(3, k, [Fraction(1, 2)])
+    bad = n + k - 1
+    good_init = wz._Table.__init__
+
+    def broken(self, alpha, m):
+        good_init(self, alpha, m)
+        if m >= bad:
+            self.P[bad] += 1
+
+    monkeypatch.setattr(wz._Table, "__init__", broken)
+    for n_max in range(7):
+        for k_max in range(1, 8):
+            reads = any(bad in (i + j - 1, i + j) for i in range(n_max + 1)
+                        for j in range(1, min(k_max, i + 1) + 1))
+            assert check_pair(n_max, k_max, [Fraction(1, 2)]) is not reads, (
+                n_max, k_max)
+    # row n - 1 reads G(n, k) at its point k as G(n + 1, k); no row before it
+    # reaches the entry
+    assert not check_pair(n - 1, k, [Fraction(1, 2)])
+    assert check_pair(n - 2, 7, [Fraction(1, 2)])
 
 
 # alphas with d from 1 to 7 and both signs of r, and nonpositive integers,
@@ -127,24 +124,39 @@ ROW_ALPHAS = tuple(map(Fraction, ("1/2", "-2/3", "5/7", "7/4", "1", "0", "-3", "
 
 @pytest.mark.parametrize("alpha", ROW_ALPHAS, ids=str)
 def test_row_multipliers_bring_each_term_over_one_denominator(alpha):
-    # check_pair's multipliers are Q over each term's denominator, with
-    # Q = d^(3n-k+2) n!^2 (n-k+1)! P_k^2, and the row numerators are the
-    # numerators of F and G less their sign (-1)^(n+k)
+    # check_pair's four terms at (n, k), k <= n + 1, are F and G times
+    # (-1)^(n+k) Q / P_n^2, with Q = d^(3n-k+2) n!^2 (n-k+1)! P_k^2: each
+    # term times P_n^2 times its point's denominator is the point's
+    # numerator times Q, less the sign (-1)^(n+k) the relation carries
     t = wz._Table(alpha, 41)
     r, d, P, fact = t.r, t.d, t.P, t.fact
     for n in range(21):
-        s = (-1) ** n
-        assert [s * x for x in t.F_row(n, range(n + 1))] == [
-            (-1) ** k * F(t, n, k)[0] for k in range(n + 1)]
-        assert [-s * x for x in t.G_row(n + 1, range(n + 2))] == [
-            (-1) ** k * G(t, n + 1, k)[0] for k in range(n + 2)]
+        e = 2 * n * d + r
         for k in range(1, n + 2):
-            Q = d ** (3 * n - k + 2) * fact[n] ** 2 * fact[n - k + 1] * P[k] ** 2
-            assert F(t, n, k - 1)[1] * (r + (k - 1) * d) ** 2 == Q
-            assert G(t, n + 1, k)[1] == Q
+            m = n - k + 1
+            Q = d ** (3 * n - k + 2) * fact[n] ** 2 * fact[m] * P[k] ** 2
+            terms = [  # (term, point, its oracle, sign of the point's term)
+                (e * (r + (k - 1) * d) ** 2 * P[n + k - 1], (n, k - 1), F, -1),
+                ((r + n * d) ** 2 * P[n + k], (n + 1, k), G, -1),
+            ]
             if k <= n:
-                assert F(t, n, k)[1] * d * (n - k + 1) == Q
-                assert G(t, n, k)[1] * d**3 * n**2 * (n - k + 1) == Q
+                terms += [
+                    (e * d * m * P[n + k], (n, k), F, 1),
+                    (d**3 * n * n * m * P[n + k - 1], (n, k), G, 1),
+                ]
+            for term, (i, j), exact, sign in terms:
+                num, den = exact(t, i, j)
+                assert term * P[n] ** 2 * den == sign * (-1) ** (n + k) * num * Q
+
+
+def test_rows_with_a_vanishing_prefix_read_zero():
+    # P_n = 0 from n = 1 - alpha on, past the pole-free k <= k_max: every
+    # term of those rows carries P_n^2, and check_pair skips them
+    for alpha, n_max, k_max in ((-3, 12, 2), (-3, 12, 3), (-2, 4, 2)):
+        alphas = [Fraction(alpha)]
+        assert wz._Table(alphas[0], n_max).P[n_max] == 0
+        assert check_pair(n_max, k_max, alphas) is True
+        assert wz_oracle.check_pair(n_max, k_max, alphas) is True
 
 
 def test_pole_at_the_edge_of_the_range():
@@ -163,15 +175,15 @@ def test_pole_at_the_edge_of_the_range():
 def test_telescoped_fails_when_one_n_fails(monkeypatch, bad):
     # one N of 1..7 whose two sides differ: check_telescoped(n_max) is
     # False exactly when n_max reaches it, and reads N in increasing order
-    good = wz._telescope
+    good = wz._closed_form
     seen = []
 
     def broken(N, t):
         seen.append(N)
-        lhs, rhs, den = good(N, t)
-        return lhs, rhs + (N == bad), den
+        rhs, den = good(N, t)
+        return rhs + (N == bad), den
 
-    monkeypatch.setattr(wz, "_telescope", broken)
+    monkeypatch.setattr(wz, "_closed_form", broken)
     alpha = Fraction(1, 3)
     for n_max in range(1, 8):
         seen.clear()

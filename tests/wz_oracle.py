@@ -1,14 +1,18 @@
 """Fraction oracle for the integer certificate-pair and identity checks.
 
-The package evaluates F, G, the telescoped closed form and the binomial
-sums as integer numerators over explicit denominators.  This module keeps
-the exact Fraction route as an independent check: Pochhammer symbols as
-Fraction products, the pair relation compared point by point with every
-point of the grid visited, the partial sum against the closed form, and
-the four binomial sums accumulated term by term.  The exceptions and
-their messages are those the package must also raise.  F and G also come
-as unreduced integer (numerator, denominator) pairs off a wz._Table, the
-table of P_m and factorials whose rows check_pair reads.
+The package checks the pair relation as one integer equality per point,
+over a common denominator and less the factor P_n^2 its four numerators
+share; it carries the telescoped partial sum across N and forms the
+closed form over the same denominator, and it sums the binomial
+identities as integer numerators.  This module keeps the exact Fraction
+route as an independent check: Pochhammer symbols as Fraction products,
+F and G evaluated as values, the pair relation compared point by point
+with every point of the grid visited (rows with P_n = 0 included), each
+partial sum rebuilt from k = 0 against the closed form, and the four
+binomial sums accumulated term by term.  The exceptions and their
+messages are those the package must also raise.  F and G also come as
+unreduced integer (numerator, denominator) pairs off a wz._Table, the
+table of P_m and factorials that check_pair and check_telescoped read.
 """
 
 import math

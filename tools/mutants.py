@@ -22,7 +22,9 @@ Left out on purpose: mutations known to be equivalent, which no test can
 catch.  In qseries._hasse_residues, the weight update (i - j) -> (i - j + 1)
 computes the Hasse derivatives of q*N, which vanish at the same orders.  In
 qseries._times_q_integer, padding `a` with m zeros instead of m - 1 only
-appends a zero coefficient, which _sum_numerator's final _trim drops.
+appends a zero coefficient, which _sum_numerator's final _trim drops.  In
+wz.check_pair, dropping the break at the first row with P_n = 0 checks that
+row and every later one, whose terms all carry P_n^2 and read 0 = 0.
 
 Not equivalent, though check_euler_identities cannot show it: the Horner
 shift 2^(n-i) -> 2^(n-i+1) doubles both sides of every reflection check,
@@ -86,45 +88,67 @@ class Mutation(NamedTuple):
 
 
 MUTATIONS = (
-    # the integer certificate pair and telescope
+    # the integer certificate pair, less its shared P_n^2, and the telescope
     Mutation("wz pair k <= n+1 bound", "wz.py",
              "min(k_max, n + 1)", "min(k_max, n)", WZ_TESTS),
-    Mutation("wz pair carry dropped", "wz.py",
-             "            g_old = g_new\n", "", WZ_TESTS),
-    Mutation("wz pair reads the new G row as the old one", "wz.py",
-             "h = g_old[k - 1]", "h = g_new[k - 1]", WZ_TESTS),
     Mutation("wz pair multipliers n - k + 1 -> n - k", "wz.py",
-             "m = n - k + 1", "m = n - k", WZ_TESTS),
+             "        m = n - k + 1\n", "        m = n - k\n", WZ_TESTS),
+    Mutation("wz pair F(n, *) multiplier 2nd + r -> 2n + r", "wz.py",
+             "e, g = 2 * n * d + r,", "e, g = 2 * n + r,", WZ_TESTS),
     Mutation("wz pair G(n, k) multiplier d^3 -> d^2", "wz.py",
-             "d3 = d**3", "d3 = d**2", WZ_TESTS),
-    Mutation("wz pair F(n, k-1) multiplier (k - 1) -> k", "wz.py",
-             "(r + (k - 1) * d) ** 2", "(r + k * d) ** 2", WZ_TESTS),
-    Mutation("wz pair F(n, k) multiplier without d", "wz.py",
-             "f_row[k] * (d * m)", "f_row[k] * m", WZ_TESTS),
+             "d**3 * n * n", "d**2 * n * n", WZ_TESTS),
     Mutation("wz pair G(n, k) multiplier n^2 -> n", "wz.py",
-             "(d3 * n * n * m)", "(d3 * n * m)", WZ_TESTS),
-    Mutation("wz F row factor 2nd + r -> 2n + r", "wz.py",
-             "(2 * n * self.d + self.r) * P[n] ** 2", "(2 * n + self.r) * P[n] ** 2",
-             WZ_TESTS),
-    Mutation("wz G row reads P_{n+k}", "wz.py",
-             "[head * P[n + k - 1] for k in ks]", "[head * P[n + k] for k in ks]",
-             WZ_TESTS),
+             "d**3 * n * n", "d**3 * n", WZ_TESTS),
+    Mutation("wz pair G(n, k) multiplier without m", "wz.py",
+             "(e * sq[k - 1] - g * m)", "(e * sq[k - 1] - g)", WZ_TESTS),
+    Mutation("wz pair F(n, k-1) multiplier (k - 1) -> k", "wz.py",
+             "(e * sq[k - 1] - g * m)", "(e * sq[k] - g * m)", WZ_TESTS),
+    Mutation("wz pair squares unsquared", "wz.py",
+             "sq = [(r + j * d) ** 2 for", "sq = [(r + j * d) for", WZ_TESTS),
+    Mutation("wz pair G(n+1, k) multiplier (r + nd)^2 -> (r + (n+1)d)^2", "wz.py",
+             "(sq[n] - e * d * m)", "(sq[n + 1] - e * d * m)", WZ_TESTS),
+    Mutation("wz pair F(n, k) multiplier without d", "wz.py",
+             "(sq[n] - e * d * m)", "(sq[n] - e * m)", WZ_TESTS),
+    Mutation("wz pair reads P_{n+k} for P_{n+k-1}", "wz.py",
+             "* P[n + k - 1]\n", "* P[n + k]\n", WZ_TESTS),
+    Mutation("wz pair P_n = 0 test inverted", "wz.py",
+             "            if not P[n]:\n", "            if P[n]:\n", WZ_TESTS),
     Mutation("wz telescope table one entry short", "wz.py",
              "_Table(alpha, 2 * n_max - 1)", "_Table(alpha, 2 * n_max - 2)",
              WZ_TESTS),
     Mutation("wz telescope skips N = 1", "wz.py",
-             "for N in range(1, n_max + 1))", "for N in range(2, n_max + 1))",
-             WZ_TESTS),
+             "for N in range(n_max):", "for N in range(1, n_max):", WZ_TESTS),
     Mutation("wz pair pole test", "wz.py",
              "t.first_pole(k_max)", "t.first_pole(k_max - 1)", WZ_TESTS),
     Mutation("wz telescope pole test", "wz.py",
              "t.first_pole(N - 1)", "t.first_pole(N - 2)", WZ_TESTS),
-    Mutation("wz telescope sign parity", "wz.py",
-             "(-1 if N % 2 else 1)", "(1 if N % 2 else -1)", WZ_TESTS),
-    Mutation("wz telescope exponent of d", "wz.py",
-             "d ** (N - 1 - k) * f", "d ** (N - k) * f", WZ_TESTS),
-    Mutation("wz telescope factorial index", "wz.py",
-             "(f // fact[N - k])", "(f // fact[N - k - 1])", WZ_TESTS),
+    Mutation("wz telescope carried factor (d(N-1))^3 -> (d(N-1))^2", "wz.py",
+             "S * (d * N) ** 3", "S * (d * N) ** 2", WZ_TESTS),
+    Mutation("wz telescope carried factor (d(N-1))^3 -> (dN)^3", "wz.py",
+             "S * (d * N) ** 3", "S * (d * (N + 1)) ** 3", WZ_TESTS),
+    Mutation("wz telescope partial-sum sign parity", "wz.py",
+             "(-term if N % 2 else term)", "(term if N % 2 else -term)", WZ_TESTS),
+    Mutation("wz telescope summand P_N^3 -> P_N^2", "wz.py",
+             "* P[N] ** 3", "* P[N] ** 2", WZ_TESTS),
+    Mutation("wz closed form sign parity", "wz.py",
+             "c = 1 if N % 2 else -1", "c = -1 if N % 2 else 1", WZ_TESTS),
+    Mutation("wz closed form running product without its sign", "wz.py",
+             "c *= -d * (N - k)", "c *= d * (N - k)", WZ_TESTS),
+    Mutation("wz closed form running product without d", "wz.py",
+             "c *= -d * (N - k)", "c *= -(N - k)", WZ_TESTS),
+    Mutation("wz closed form running factorial (N - k) -> (N - k + 1)", "wz.py",
+             "c *= -d * (N - k)", "c *= -d * (N - k + 1)", WZ_TESTS),
+    Mutation("wz closed form Horner factor (k - 1) -> k", "wz.py",
+             "C * (r + (k - 1) * d) ** 2", "C * (r + k * d) ** 2", WZ_TESTS),
+    Mutation("wz closed form head exponent of d", "wz.py",
+             "u = d ** (N - 1) *", "u = d ** N *", WZ_TESTS),
+    Mutation("wz closed form head factorial index", "wz.py",
+             "t.fact[N - 1]", "t.fact[N]", WZ_TESTS),
+    Mutation("wz closed form correction multiplier (r + (N-1)d)^2 -> (r + Nd)^2",
+             "wz.py", "(r + (N - 1) * d) ** 2 * C", "(r + N * d) ** 2 * C",
+             WZ_TESTS),
+    Mutation("wz closed form denominator without d", "wz.py",
+             "d * u**3", "u**3", WZ_TESTS),
     # the integer binomial identities
     Mutation("binomial running product", "sequences.py",
              "c = c * (n - k + 1) // k", "c = c * (n - k + 2) // k", BINOM_TESTS),
@@ -147,8 +171,12 @@ MUTATIONS = (
              "        if k % 2:\n", "        if k % 2 == 0:\n", BINOM_TESTS),
     Mutation("binomial c u sign", "sequences.py",
              "cu, sq = -cu, -sq", "cu, sq = cu, -sq", BINOM_TESTS),
-    Mutation("binomial lcm range", "sequences.py",
-             "math.lcm(*range(1, n + 1))", "math.lcm(*range(1, n))", BINOM_TESTS),
+    Mutation("binomial lcm range without its top", "sequences.py",
+             "math.lcm(*range(n // 2 + 1, n + 1))", "math.lcm(*range(n // 2 + 1, n))",
+             BINOM_TESTS),
+    Mutation("binomial lcm range from n/2 + 2", "sequences.py",
+             "math.lcm(*range(n // 2 + 1, n + 1))", "math.lcm(*range(n // 2 + 2, n + 1))",
+             BINOM_TESTS),
     Mutation("binomial halved sum", "sequences.py",
              "2 * s3 ==", "s3 ==", BINOM_TESTS),
     # the integer Euler-polynomial identities
@@ -428,6 +456,13 @@ MUTATIONS = (
              RENDER_TESTS),
     Mutation("render writes a False pass as true", "sweep.py",
              'False: "false", None', 'False: "true", None', RENDER_TESTS),
+    Mutation("render csv writes a skip as a pass", "sweep.py",
+             'None: "skip"}', 'None: "pass"}', RENDER_TESTS),
+    Mutation("render csv swaps the lhs and rhs columns", "sweep.py",
+             "_side(lhs), _side(rhs),", "_side(rhs), _side(lhs),", RENDER_TESTS),
+    Mutation("render csv rounds elapsed_ms to 2 places", "sweep.py",
+             "None if ms is None else round(ms, 3)", "None if ms is None else round(ms, 2)",
+             SWEEP_TESTS),
     Mutation("summary counts a failed record as passed", "sweep.py",
              "if verdict is True:", "if verdict is not None:", SWEEP_TESTS),
 )
