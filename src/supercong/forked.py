@@ -7,13 +7,15 @@ fill cannot block.  The parent and its workers - 1 forked children each
 read a token whenever they are free, run that chunk and read the next,
 until the drained pipe reads as EOF: the costliest instances (the largest
 n) come last, and a static split would leave one process idle while
-another runs them.  The remainder-tree instance of a verify run, if it has
-one, comes first, so one process starts it at once while the others share
-out the q-instances.  sweep imports this module only for a run it
-forks: more than one worker and more than one instance, and estimated
-serial work at or above sweep._FORK_FLOOR, about five times the 20 ms of
-CPU a fork costs.  Any other run, whatever --workers asks, is the serial
-run and never compiles this module.
+another runs them.  A child sends back what it ran in one message, over a
+pipe of its own, once it has nothing left to claim.  The remainder-tree
+instance of a verify run, if it has one, comes first, so one process
+starts it at once while the others share out the q-instances.  sweep
+imports this module only for a run it forks: more than one worker and more
+than one instance, and estimated serial work at or above
+sweep._FORK_FLOOR, about five times the 20 ms of CPU a fork costs.  Any
+other run, whatever --workers asks, is the serial run and never compiles
+this module.
 """
 
 from __future__ import annotations
@@ -35,16 +37,6 @@ class _WorkerTraceback(Exception):
     the InternalError the parent raises for it."""
 
 
-class _Worker:
-    """A forked child as the parent sees it: the bytes read from its result
-    pipe that do not yet make a frame, and whether its end frame came."""
-
-    __slots__ = ("k", "pid", "buf", "done")
-
-    def __init__(self, k: int):
-        self.k, self.pid, self.buf, self.done = k, None, bytearray(), False
-
-
 def _claimed(claims: int, chunk: int, n: int, parent: int | None = None):
     # the indices of the instances this process claims, chunk by chunk.  A
     # child passes the pid it was forked from as parent, and exits before a
@@ -59,14 +51,6 @@ def _claimed(claims: int, chunk: int, n: int, parent: int | None = None):
         yield from range(start, min(start + chunk, n))
 
 
-def _send(fd: int, body: bytes) -> None:
-    # one frame: the length of body in 4 bytes, then body; an empty body is
-    # the end frame a child sends after its last instance
-    data = memoryview(len(body).to_bytes(4, "big") + body)
-    while data:
-        data = data[os.write(fd, data):]
-
-
 def _child(k: int, parent: int, claims: int, out: int, others: list[int],
            insts: list[sweep.Instance], chunk: int, mask: set):
     # runs in forked worker k of the process parent and leaves through
@@ -74,8 +58,9 @@ def _child(k: int, parent: int, claims: int, out: int, others: list[int],
     # parent's buffers or runs its exit hooks; others are the result pipes
     # it inherited and closes, mask the signal mask the parent had before
     # it forked.
-    # A result frame is the pickle of (index, result), an error frame that
-    # of (None, (message, traceback))
+    # It sends one message, once its claims have run dry or at its first
+    # error: the pickle of [(index, result), ...] before exit code 0, or of
+    # (message, traceback) before exit code 1
     code = 1
     try:
         # a handler the parent installed (cli.main's) is not the child's
@@ -84,26 +69,32 @@ def _child(k: int, parent: int, claims: int, out: int, others: list[int],
         for fd in others:
             os.close(fd)
         try:
-            for i in _claimed(claims, chunk, len(insts), parent):
-                _send(out, pickle.dumps((i, sweep._execute(insts[i]))))
-            _send(out, b"")
-            code = 0
+            message = pickle.dumps([(i, sweep._execute(insts[i]))
+                                    for i in _claimed(claims, chunk, len(insts), parent)])
+            status = 0
         except BaseException as exc:  # whatever it is, the parent reports it
             import traceback  # only an error pays for the import
 
             msg = str(exc) if isinstance(exc, InternalError) else (
                 f"internal error in worker {k}: {type(exc).__name__}: {exc}")
-            _send(out, pickle.dumps((None, (msg, traceback.format_exc()))))
+            message, status = pickle.dumps((msg, traceback.format_exc())), 1
+        data = memoryview(message)
+        while data:
+            data = data[os.write(out, data):]
+        code = status
     finally:
         os._exit(code)
 
 
 def _run_forked(insts: list[sweep.Instance], workers: int) -> list[VerificationRecord]:
     """The records of insts, run by this process and workers - 1 forked
-    children.  Between its own instances the parent builds the records of
-    whatever the children have sent, so no result pipe fills up while it
-    works.  Any error, here or in a child, kills and reaps every child
-    that is still alive; a child that ends before its end frame is an
+    children.  A child sends its results in one message, once it has no
+    instance left to claim, so a full result pipe never stalls its work.
+    Between its own instances the parent collects every child that has
+    finished, reading its message to EOF and reaping it, so a child's
+    error stops the run at the parent's next instance boundary.  Any
+    error, here or in a child, kills and reaps every child that is still
+    alive; a child that exits with neither its results nor its error is an
     InternalError, so its claimed instances never go missing silently.
     A fork copies only the calling thread, so a caller must start no
     threads of its own first (Python 3.12+ warns of them); the CLI starts
@@ -123,41 +114,28 @@ def _run_forked(insts: list[sweep.Instance], workers: int) -> list[VerificationR
             raise InternalError(f"internal error: {insts[i]} ran twice")
         results[i] = sweep._records([result])
 
-    def drain(timeout: float | None) -> None:
+    def collect(timeout: float | None) -> None:
+        # every child whose pipe is readable has written its message, or
+        # died: read to EOF, reap it, then store its results or raise
         ready, _, _ = select.select(list(live), [], [], timeout)
         for fd in ready:
-            worker = live[fd]
-            data = os.read(fd, 1 << 16)
-            if not data:
-                # the child has exited: reap it, then check it said it was done
-                del live[fd]
-                os.close(fd)
-                code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
-                if not worker.done:
-                    how = (f"killed by {signal.Signals(-code).name}" if code < 0
-                           else f"exit code {code}")
-                    raise InternalError(
-                        f"internal error: worker {worker.k} (pid {worker.pid}) "
-                        f"ended before its last instance: {how}")
-                continue
-            buf = worker.buf
-            buf += data
-            while len(buf) >= 4:
-                end = 4 + int.from_bytes(buf[:4], "big")
-                if len(buf) < end:
-                    break
-                body = buf[4:end]
-                del buf[:end]
-                if not body:
-                    worker.done = True
-                    continue
-                i, result = pickle.loads(body)
-                if i is None:
-                    msg, tb = result
-                    raise InternalError(msg) from _WorkerTraceback(tb)
-                store(i, result)
+            message = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            k, pid = live.pop(fd)
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if message and code == 0:
+                for i, result in pickle.loads(message):
+                    store(i, result)
+            elif message and code == 1:
+                msg, tb = pickle.loads(message)
+                raise InternalError(msg) from _WorkerTraceback(tb)
+            else:
+                how = (f"killed by {signal.Signals(-code).name}" if code < 0
+                       else f"exit code {code}")
+                raise InternalError(f"internal error: worker {k} (pid {pid}) "
+                                    f"ended before its last instance: {how}")
 
-    live: dict[int, _Worker] = {}  # result pipe read end -> its child
+    live: dict[int, tuple[int, int | None]] = {}  # result pipe read end -> (k, pid)
     parent = os.getpid()
     # SIGINT and SIGTERM wait until every child's pid is recorded: a handler
     # that raised between a fork and its pid would leave that child running
@@ -165,11 +143,11 @@ def _run_forked(insts: list[sweep.Instance], workers: int) -> list[VerificationR
     try:
         for k in range(1, workers):
             r, out = os.pipe()
-            live[r] = worker = _Worker(k)
+            live[r] = k, None
             try:
-                worker.pid = os.fork()
-                if worker.pid == 0:
+                if (pid := os.fork()) == 0:
                     _child(k, parent, claims, out, list(live), insts, chunk, mask)
+                live[r] = k, pid
             finally:
                 # the child's write end is held by that child alone, or
                 # its exit would not read as EOF here
@@ -177,16 +155,16 @@ def _run_forked(insts: list[sweep.Instance], workers: int) -> list[VerificationR
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for i in _claimed(claims, chunk, n):
             store(i, sweep._execute(insts[i]))
-            drain(0)
+            collect(0)
         while live:
-            drain(None)
+            collect(None)
     finally:
         os.close(claims)
-        for fd, worker in live.items():
+        for fd, (_, pid) in live.items():
             os.close(fd)
-            if worker.pid is not None:  # not yet reaped, so the pid is ours
-                os.kill(worker.pid, signal.SIGKILL)
-                os.waitpid(worker.pid, 0)
+            if pid is not None:  # not yet reaped, so the pid is ours
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     missing = [str(inst) for inst, rs in zip(insts, results) if rs is None]
     if missing:

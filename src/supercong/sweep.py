@@ -2,7 +2,8 @@
 
 Instances are expanded up front as immutable ``Instance`` values, executed
 either serially or by this process and forked children that claim them
-from one pipe (forked._run_forked), and the records are sorted afterwards
+from one pipe, each child sending back the rows of all it ran in one
+message (forked._run_forked), and the records are sorted afterwards
 by (family, p or n, alpha, truncation), so reports are byte-identical for
 any worker count.  A run forks only when its estimated serial work (the
 sum of Instance.work) reaches _FORK_FLOOR: below it, the fork costs more
@@ -115,12 +116,10 @@ _FORK_FLOOR = 100_000
 
 
 def default_alphas(p: int) -> list[Fraction]:
-    """Integer residues 1..p-1 for small p, plus the fixed rational sample."""
-    out = [Fraction(i) for i in range(1, p)] if p <= 31 else []
-    for a in RATIONAL_ALPHAS:
-        if a not in out:
-            out.append(a)
-    return out
+    """Integer residues 1..p-1 for small p, then the fixed rational sample,
+    which holds no integer."""
+    ints = [Fraction(i) for i in range(1, p)] if p <= 31 else []
+    return ints + list(RATIONAL_ALPHAS)
 
 
 class SweepConfig(NamedTuple):

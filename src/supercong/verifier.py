@@ -211,8 +211,7 @@ def _a_t(alpha: Fraction, p: int) -> tuple[int, int]:
     return a, (num + a * den) // p * inv % m
 
 
-def _closed_form(alpha: Fraction, a: int, t: int, p: int, e: int,
-                 euler: int | None) -> int:
+def _closed_form(a: int, t: int, p: int, e: int, euler: int | None) -> int:
     """The right side of the general-alpha congruence at a = <-alpha>_p,
     (-1)^a (alpha+a) + (alpha+a)^3 E_{p-3}(alpha) mod p^e, alpha + a = p*t,
     with euler = E_{p-3}(alpha) mod p.
@@ -550,7 +549,7 @@ def _job_rows(p: int, fams: list[str], slots: list[int], truncations: tuple[str,
     @cache
     def closed(i: int, e: int) -> int:
         a, t = a_t(i)
-        return timed("closed", _closed_form, values[i], a, t, p, e,
+        return timed("closed", _closed_form, a, t, p, e,
                      euler_at(i) if e == 4 else None)
 
     def check_class(fam: str) -> None:

@@ -16,14 +16,20 @@ check_pair compares the two sides of the pair relation
 
 as one equality of integers per point: brought over one denominator and
 rid of the factor P_n^2 that all four numerators share, each term is a
-small integer times P_{n+k-1} or P_{n+k}, read off one table of P_m.  The
-relation telescopes (sum over n = 0..N-1) into a closed form for the
-partial sums, which check_telescoped verifies for N = 1..n_max from one
-table: the partial sum is carried from N to N+1 in one step, and the
-closed form is one O(N) integer sum over the same denominator.  Only
-telescoped_rhs builds a Fraction, from the same integers.  The Fraction
-loops these checks replaced, and F and G of a table as (numerator,
-denominator) pairs, are kept in tests/wz_oracle.py as the oracle.
+small integer times P_{n+k-1} or P_{n+k}, read off one table of P_m.
+As P_{n+k} = (r + (n+k-1) d) P_{n+k-1}, the relation is a cubic identity
+in r, d, n and k, and with G(0, k) = 0 and F(n, K) = 0 for K > n it holds
+for every alpha and (n, k) (tests/test_wz.py pins both with sympy and the
+Fraction oracle).  So a False verdict of check_pair or check_telescoped
+can only be a bug in this module, and tools/mutants.py measures how well
+the checks see one.  The relation telescopes (sum over n = 0..N-1) into
+a closed form for the partial sums, which check_telescoped verifies for
+N = 1..n_max from one table: the partial sum is carried from N to N+1 in
+one step, and the closed form is one O(N) integer sum over the same
+denominator.  Only telescoped_rhs builds a Fraction, from the same
+integers.  The Fraction loops these checks replaced, and F and G of a
+table as (numerator, denominator) pairs, are kept in tests/wz_oracle.py
+as the oracle.
 """
 
 from __future__ import annotations

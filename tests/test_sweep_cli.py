@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -93,6 +94,16 @@ def test_default_alphas():
     big = default_alphas(97)
     assert all(a.denominator > 1 for a in big)
     assert len(big) == len(RATIONAL_ALPHAS)
+
+
+def test_default_alphas_are_the_integers_then_the_rational_sample():
+    # the sample holds no integer and no repeat, so default_alphas appends
+    # it whole, with nothing to de-duplicate
+    assert len(set(RATIONAL_ALPHAS)) == len(RATIONAL_ALPHAS)
+    assert all(a.denominator > 1 for a in RATIONAL_ALPHAS)
+    for p in (2, 3, 5, 29, 31, 37, 1999):
+        ints = [Fraction(i) for i in range(1, p)] if p <= 31 else []
+        assert default_alphas(p) == ints + list(RATIONAL_ALPHAS), p
 
 
 def test_run_sweep_theorem_family():
@@ -634,8 +645,10 @@ def _record_forks(monkeypatch) -> list[int]:
 
 def _wait_for_exit(pid: int, timeout: float = 60.0) -> None:
     # until the child has exited, without reaping it: the parent's first
-    # instance waits here, so its one child claims every other instance
-    # (each small enough that the child's results fit in its pipe)
+    # instance waits here, so its one child claims every other instance.
+    # A child exits only once its whole message is in its pipe, which the
+    # parent reads only between its instances, so the child's results must
+    # fit in the pipe's buffer (64 KiB) for it to exit while the parent waits
     deadline = time.monotonic() + timeout
     while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
         assert time.monotonic() < deadline, f"worker {pid} did not exit"
@@ -829,6 +842,68 @@ def test_a_worker_that_dies_exits_4(monkeypatch, capsys, no_floor):
     assert out == "" and "killed by SIGKILL" in err.splitlines()[-1]
     assert len(pids) == 2
     _assert_no_child_left(fds)
+
+
+@pytest.mark.parametrize("end", ["bug", "exit-0", "exit-1"])
+def test_a_failed_worker_stops_the_parent_at_its_next_instance(monkeypatch, end,
+                                                              no_floor):
+    # the parent collects a finished child between its instances: once its
+    # child has failed, it claims no other instance.  A child that exits
+    # without its message, whatever its exit code, is an error naming it
+    fds = len(os.listdir("/proc/self/fd"))
+    parent, pids = os.getpid(), _record_forks(monkeypatch)
+    check = sweep.verify_at_n
+    ran = []  # the n of the parent's instances
+
+    def fail_in_the_child(n, *args):
+        if os.getpid() != parent:
+            if end == "bug":
+                raise ZeroDivisionError("bug in the child")
+            os._exit(int(end[-1]))
+        ran.append(n)
+        _wait_for_exit(pids[-1])
+        return check(n, *args)
+
+    monkeypatch.setattr(sweep, "verify_at_n", fail_in_the_child)
+    died = r"worker 1 \(pid \d+\) ended before its last instance: exit code "
+    failed = (r"internal error checking GZ_E2 n=\d+: ZeroDivisionError: bug in the child"
+              if end == "bug" else died + end[-1])
+    with pytest.raises(InternalError, match=failed):
+        run_sweep(SweepConfig(families=("GZ_E2",), n_list=tuple(range(5, 21, 2)),
+                              workers=2))
+    assert len(ran) == 1 and len(pids) == 1
+    _assert_no_child_left(fds)
+
+
+def test_a_message_of_several_reads_gives_the_serial_report(monkeypatch, no_floor):
+    # a child's one message may be far larger than its pipe's buffer: the
+    # parent reads it to EOF while the child writes the rest.  The parent's
+    # first instance waits until its child has run one, whose rows alone
+    # pickle to more than 64 KiB
+    parent, pids = os.getpid(), _record_forks(monkeypatch)
+    check = sweep.verify_at_n
+    started, ran = os.pipe()
+    waited = []
+
+    def padded(n, *args):
+        if os.getpid() != parent:
+            os.write(ran, b"x")
+        elif pids and not waited:
+            waited.append(n)
+            os.read(started, 1)
+        return [(*row[:-1], f"pad {j:05} of n={n} " + "-" * 40)
+                for row in check(n, *args) for j in range(3000)]
+
+    monkeypatch.setattr(sweep, "verify_at_n", padded)
+    try:
+        assert len(pickle.dumps(padded(7, ("GZ_E2",)))) > 1 << 16
+        cfg = SweepConfig(families=("GZ_E2",), n_list=(5, 7, 9, 11))
+        serial = render_json(run_sweep(cfg))
+        assert render_json(run_sweep(cfg._replace(workers=2))) == serial
+    finally:
+        os.close(started)
+        os.close(ran)
+    assert len(pids) == 1 and len(waited) == 1
 
 
 @pytest.mark.parametrize("error, raised", [

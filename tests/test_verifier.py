@@ -523,7 +523,7 @@ def test_lemmas_chain_into_the_general_alpha_congruence():
             rhs = _proof_chain({f: y for f, (_, y) in got.items()}, a, p)
             assert lhs % m == sum_main_mod(alpha, p - 1, p), (alpha, p)
             euler = euler_poly_eval_mod(p - 3, alpha, p).value
-            assert rhs % m == _closed_form(alpha, a, t, p, 4, euler), (alpha, p)
+            assert rhs % m == _closed_form(a, t, p, 4, euler), (alpha, p)
             if p <= 31:  # and to the exact sum, the telescoped closed form
                 assert lhs % m == reduce_mod(telescoped_rhs(p, alpha), p, 4).value
             pairs += 1
@@ -635,10 +635,11 @@ def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
             assert cuts == {p: (cut, p - 1)}, (alpha, p)
         [(wanted,)] = calls["_euler_residues"]
         assert wanted == {p: {least_nonneg_residue(a, p) for a in integral}}
-        closed = Counter((alpha, e) for alpha, _, _, _, e, _ in calls["_closed_form"])
+        # (a, t) names alpha mod p^5, so it tells these alphas apart
+        closed = Counter((a, t, e) for a, t, _, e, _ in calls["_closed_form"])
         assert set(closed.values()) == {1}
-        assert set(closed) == {(a, 4) for a in integral} | {
-            (Fraction(1, d), 3) for d in (2, 3, 4)}
+        assert set(closed) == {(*_a_t(a, p), 4) for a in integral} | {
+            (*_a_t(Fraction(1, d), p), 3) for d in (2, 3, 4)}
         assert calls["_lemma_trees"] == []
         assert set(seconds) == set(PHASES) and seconds["lemma"] == 0
         assert all(x >= 0 for x in seconds.values()) and seconds["sums"] > 0
@@ -647,14 +648,14 @@ def test_verify_at_prime_builds_each_alpha_once(monkeypatch, p):
 
 
 def test_verify_at_prime_names_the_alpha_of_an_internal_error(monkeypatch):
-    real = verifier._closed_form
+    real = verifier._a_t
 
-    def broken(alpha, *args):
+    def broken(alpha, p):
         if alpha == Fraction(-1, 3):
             raise ZeroDivisionError("broken")
-        return real(alpha, *args)
+        return real(alpha, p)
 
-    monkeypatch.setattr(verifier, "_closed_form", broken)
+    monkeypatch.setattr(verifier, "_a_t", broken)
     with pytest.raises(InternalError) as info:
         verify_primes(((13, ("E2", "MAIN1"), (Fraction(1, 2), Fraction(-1, 3))),))
     assert str(info.value) == ("internal error checking MAIN1 p=13 alpha=-1/3 "

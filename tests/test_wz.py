@@ -59,6 +59,26 @@ def test_g_vanishes_at_n_zero():
             assert check_pair(0, k, [a])
 
 
+def test_the_pair_relation_holds_for_every_alpha_and_point():
+    # less its factor P_{n+k-1} (P_{n+k} = (r + (n+k-1) d) P_{n+k-1}), the
+    # relation check_pair tests at a point is a cubic in r, d, n and k that
+    # expands to 0, with e = 2nd + r and m = n - k + 1.  With G(0, k) = 0
+    # and F(n, K) = 0 for K > n it holds at every alpha and (n, k), so a wz
+    # verdict tests the code, not the mathematics
+    import sympy
+
+    r, d, n, k = sympy.symbols("r d n k")
+    e, m = 2 * n * d + r, n - k + 1
+    bracket = (e * (r + (k - 1) * d) ** 2 - d**3 * n**2 * m
+               - ((r + n * d) ** 2 - e * d * m) * (r + (n + k - 1) * d))
+    assert sympy.expand(bracket) == 0
+    for a in sample_alphas(6, seed=0):
+        for j in range(6):
+            assert wz_oracle.eval_G(0, j, a) == 0
+            for K in range(j + 1, j + 4):
+                assert wz_oracle.eval_F(j, K, a) == 0
+
+
 def test_f_at_k_zero_is_series_summand():
     # F(n, 0) = (-1)^n (2n + a) (a)_n^3 / n!^3
     from supercong.sequences import pochhammer

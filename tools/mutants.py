@@ -423,19 +423,31 @@ MUTATIONS = (
              SWEEP_TESTS),
     Mutation("sweep smoke row drops its reason", "sweep.py",
              'None if ok else f"off by {abs(val - target)!r}"', "None", SWEEP_TESTS),
-    # the forked run: claims, result frames and the clean-up of the children
-    Mutation("forked run reads a worker's EOF as its end", "forked.py",
-             "if not worker.done:", "if False:", SWEEP_TESTS),
+    # the forked run: claims, each child's one message and the clean-up of
+    # the children
+    Mutation("forked run reads a dead worker's EOF as its end", "forked.py",
+             "            else:\n                how = (",
+             "            elif message:\n                how = (", SWEEP_TESTS),
+    Mutation("forked run reads an exit 0 without a message as success", "forked.py",
+             "if message and code == 0:", "if code == 0:", SWEEP_TESTS),
+    Mutation("forked run reads an exit-1 message as results", "forked.py",
+             "if message and code == 0:", "if message and code in (0, 1):",
+             SWEEP_TESTS),
+    Mutation("forked run reads one chunk of a message", "forked.py",
+             'b"".join(iter(lambda: os.read(fd, 1 << 16), b""))',
+             "os.read(fd, 1 << 16)", SWEEP_TESTS),
+    Mutation("forked run collects no child between the parent's instances",
+             "forked.py", "            collect(0)\n", "", SWEEP_TESTS),
     Mutation("forked run reads a claim token one byte short", "forked.py",
              "os.read(claims, _TOKEN)", "os.read(claims, _TOKEN - 1)", SWEEP_TESTS),
     Mutation("forked run ends a claimed chunk one instance early", "forked.py",
              "min(start + chunk, n)", "min(start + chunk - 1, n)", SWEEP_TESTS),
     Mutation("forked run leaves its children alive on an error", "forked.py",
-             "        for fd, worker in live.items():\n"
+             "        for fd, (_, pid) in live.items():\n"
              "            os.close(fd)\n"
-             "            if worker.pid is not None:  # not yet reaped, so the pid is ours\n"
-             "                os.kill(worker.pid, signal.SIGKILL)\n"
-             "                os.waitpid(worker.pid, 0)\n",
+             "            if pid is not None:  # not yet reaped, so the pid is ours\n"
+             "                os.kill(pid, signal.SIGKILL)\n"
+             "                os.waitpid(pid, 0)\n",
              "", SWEEP_TESTS),
     Mutation("forked run child claims on after its parent died", "forked.py",
              "if parent is not None and os.getppid() != parent:", "if False:",
